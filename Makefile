@@ -71,33 +71,25 @@ test-cluster:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-json regenerates BENCH_PR10.json: the fast-vs-reference C_l pipeline
-# and single-mode evolution speedups, the PR 6 ablation grid on the dense
-# multipole request (lspline on/off x kbatch 1/4/8 plus each fast
-# ingredient individually toggled off, with per-column wall/speedup and
-# accuracy), the GOMAXPROCS scaling sweep of the fast pipeline
-# (wallclock/speedup/parallel efficiency per processor count, spectra
-# bitwise-checked across counts), the projection/kernel microbenchmarks
-# with their allocs/op columns, the measured accuracy of the full fast
-# path, the PR 7 fault-recovery column (wall time with one injected worker
-# kill vs clean, recovered spectra bitwise-checked), and the spectrum
-# service's serving numbers (cache-hit and cold-miss latency with
-# histogram-backed p50/p95/p99/max quantiles, sustained req/s at 32
-# concurrent clients), the PR 9 farm-procs column (cold-sweep wall
-# clock vs plingerw worker-process count, spectra bitwise-checked against
-# the in-process pool), and the PR 10 cluster-nodes column (hot-key
-# serving throughput of a sharded cache fleet at 1/2/4 in-process
-# daemons, with the whole fleet required to pay exactly one sweep for
-# the key).
+# bench-json makes a set with the repository's benchmark (bench/, declared
+# by BENCHMARK.json): ten timed runs of each workload, interleaved, plus one
+# traced pass for the layer table, written to BENCH_NEW. When BENCH_OLD
+# exists — the same target run on the parent commit's checkout with
+# BENCH_NEW pointed at it — the two sets are compared under the declared
+# bounds, and any "worse" verdict or larger failed share fails the target.
+BENCH_OLD ?= bench-old.json
+BENCH_NEW ?= bench-new.json
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json
+	bash bench/run.sh -runs 10 -out $(BENCH_NEW)
+	@if [ -f $(BENCH_OLD) ]; then \
+		bash bench/run.sh -compare $(BENCH_OLD) $(BENCH_NEW); \
+	else \
+		echo "no $(BENCH_OLD) to compare with: make it on the parent checkout (BENCH_NEW=$(BENCH_OLD))"; \
+	fi
 
-# bench-smoke runs the whole benchjson path at tiny settings (small
-# LMaxCl/NK, short service runs) and writes outside the repo — the CI guard
-# that keeps the report pipeline from rotting between real bench-json runs.
-# That path includes the PR 6 ablation grid, so every LSpline/KBatch
-# combination is exercised end-to-end on each CI run. It also runs the
-# scaling sweep at GOMAXPROCS 1 and 2 and, on multi-core hosts, fails
-# unless the 2-processor run beats the 1-processor run.
+# bench-smoke is the CI guard that keeps the benchmark from rotting: the
+# harness's unit tests plus a timed and a traced pass of all five workloads
+# at tiny sizes, every declared metric required to come out finite with no
+# failed op.
 bench-smoke:
-	$(GO) run ./cmd/benchjson -smoke -out /tmp/bench-smoke.json
+	$(GO) test ./bench

@@ -136,3 +136,63 @@ func TestResultsOutliveScratch(t *testing.T) {
 		t.Fatal("recorded sources changed after the arena's next mode")
 	}
 }
+
+// TestSourceCapacitySeededFromArena: a source-recording mode sizes its
+// sample slice from the count the arena's previous mode recorded — scalar
+// and batch paths alike — instead of append-doubling from 1024; the seed is
+// only a capacity, so a mode that records more than its predecessor still
+// gets every sample, bitwise equal to a cold run, in storage of its own.
+func TestSourceCapacitySeededFromArena(t *testing.T) {
+	m := model(t)
+	small := Params{K: 0.004, LMax: 10, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true}
+	big := Params{K: 0.09, LMax: 24, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true}
+	cold, err := m.Evolve(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Sources) <= 1024 {
+		t.Fatalf("test mode records %d samples; it must outgrow the unseeded capacity", len(cold.Sources))
+	}
+	sc := NewScratch()
+	first, err := m.EvolveWith(small, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Sources) >= len(cold.Sources) {
+		t.Fatal("the seeding mode must record fewer samples than the test mode")
+	}
+	grown, err := m.EvolveWith(big, sc) // seeded too small: append grows it
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := m.EvolveWith(big, sc) // seeded by an equal count
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cold.Sources)
+	if c := cap(seeded.Sources); c < n || c > n+n/8 {
+		t.Errorf("seeded capacity %d for %d samples, want within an eighth above", c, n)
+	}
+	batch, err := m.EvolveBatchWith([]float64{big.K, big.K * 1.01}, big, nil, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range batch {
+		if len(r.Sources) > 1024 && cap(r.Sources) >= 2*len(r.Sources) {
+			t.Errorf("batch member k=%g: capacity %d for %d samples was not seeded", r.K, cap(r.Sources), len(r.Sources))
+		}
+	}
+	for name, got := range map[string]*Result{"grown": grown, "seeded": seeded} {
+		if len(got.Sources) != n {
+			t.Fatalf("%s: %d samples, cold run %d", name, len(got.Sources), n)
+		}
+		for i := range cold.Sources {
+			if got.Sources[i] != cold.Sources[i] {
+				t.Fatalf("%s: sample %d differs bitwise from the cold run", name, i)
+			}
+		}
+	}
+	if &grown.Sources[0] == &seeded.Sources[0] || &batch[0].Sources[0] == &batch[1].Sources[0] {
+		t.Fatal("two results share sample storage")
+	}
+}

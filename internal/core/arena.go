@@ -32,6 +32,10 @@ type Scratch struct {
 	// dverk is the reused default integrator (built on first use).
 	dverk *ode.Adaptive
 
+	// srcCount is the sample count of the arena's last source-recording
+	// mode; it seeds the next mode's capacity (see sourceBuf).
+	srcCount int
+
 	// Bound-method closures over &sc.m, created once per arena: a method
 	// value like m.rhs allocates at every use site, and the right-hand
 	// side is handed to the integrator once per integration segment. The
@@ -54,6 +58,19 @@ type Scratch struct {
 
 // NewScratch returns an empty arena; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// sourceBuf returns a fresh, empty sample slice for a source-recording
+// mode. The samples are the mode's product — they outlive the arena's next
+// mode, so they are never pooled — but neighbouring modes of a sweep record
+// nearly the same number, so the last count plus an eighth is the right
+// capacity: appending from a fixed 1024 doubled twice per mode at
+// production sizes and kept the slack.
+func (sc *Scratch) sourceBuf() []Sample {
+	if sc.srcCount == 0 {
+		return make([]Sample, 0, 1024)
+	}
+	return make([]Sample, 0, sc.srcCount+sc.srcCount/8)
+}
 
 // stateBuf returns the zeroed initial state vector of a new mode: n live
 // entries, with capacity reserved up front for the largest layout the mode

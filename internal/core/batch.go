@@ -168,7 +168,7 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	for i := range b.ms {
 		b.ms[i].initialConditions(tauStart, y[i*b.nvar:(i+1)*b.nvar])
 		if p.KeepSources {
-			b.ms[i].sources = make([]Sample, 0, 1024)
+			b.ms[i].sources = sc.sourceBuf()
 		}
 	}
 
@@ -247,6 +247,9 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		m.pack(p.TauEnd, y[i*b.nvar:(i+1)*b.nvar], res)
 		res.MaxConstraintResidual = m.maxResidual
 		res.Sources = m.sources
+	}
+	if p.KeepSources {
+		sc.srcCount = len(b.ms[0].sources) // lockstep: every member recorded as many
 	}
 	return results, nil
 }

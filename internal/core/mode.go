@@ -183,11 +183,7 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 	y := sc.stateBuf(m.nvar, m.maxNvar())
 	m.initialConditions(tauStart, y)
 	if p.KeepSources {
-		// A typical source-recording run accepts several hundred steps;
-		// start the slice large enough that append doubles at most once.
-		// The samples are the mode's product — they outlive the arena's
-		// next mode, so they are allocated fresh rather than pooled.
-		m.sources = make([]Sample, 0, 1024)
+		m.sources = sc.sourceBuf()
 	}
 
 	integ := p.Integrator
@@ -277,6 +273,9 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 	m.pack(p.TauEnd, y, res)
 	res.MaxConstraintResidual = m.maxResidual
 	res.Sources = m.sources
+	if p.KeepSources {
+		sc.srcCount = len(m.sources)
+	}
 	return res, nil
 }
 

@@ -15,7 +15,7 @@ import (
 // LoadReport is the load generator's summary: sustained throughput and the
 // client-side latency distribution, split by how the daemon served each
 // request (cache hit / computed miss / coalesced). cmd/plingerd -loadgen
-// prints it; cmd/benchjson embeds it into the benchmark JSON. The quantiles
+// prints it. The quantiles
 // come from the same sharded histogram type the daemon exposes on /metrics,
 // so the client-side and server-side distributions are directly comparable.
 type LoadReport struct {

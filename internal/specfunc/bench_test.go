@@ -50,3 +50,49 @@ func BenchmarkBesselTableBuild(b *testing.B) {
 		NewBesselTable(150, ls, 384, 0, nil)
 	}
 }
+
+// BenchmarkAccumStencil compares the projection's inner kernel one row at
+// a time and four rows per pass, on a paper-sized ladder (rows far larger
+// than cache) and a mode-sized stencil; both report ns per (point, row).
+func BenchmarkAccumStencil(b *testing.B) {
+	ls := make([]int, 0, 56)
+	for l := 2; len(ls) < 56; l += 18 {
+		ls = append(ls, l)
+	}
+	tbl := NewBesselTable(1000, ls, 1200, 0, nil)
+	const n = 3000
+	xs, src := make([]float64, n), make([]float64, n)
+	for p := range xs {
+		xs[p] = 1200 * float64(n-1-p) / float64(n-1)
+		src[p] = float64(p%7) - 3
+	}
+	var st BesselStencil
+	tbl.Stencil(xs, &st)
+	rows := make([]BesselRow, len(ls))
+	for i, l := range ls {
+		rows[i], _ = tbl.Row(l)
+	}
+	var acc float64
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*len(rows)), "ns/point")
+	}
+	b.Run("one row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, row := range rows {
+				acc += row.AccumStencil(&st, 0, n, src, src, src)
+			}
+		}
+		report(b)
+	})
+	b.Run("four rows", func(b *testing.B) {
+		hi := [4]int{n, n, n, n}
+		for i := 0; i < b.N; i++ {
+			for g := 0; g+4 <= len(rows); g += 4 {
+				sums := AccumStencil4((*[4]BesselRow)(rows[g:]), &st, 0, &hi, src, src, src)
+				acc += sums[0] + sums[1] + sums[2] + sums[3]
+			}
+		}
+		report(b)
+	})
+	_ = acc
+}

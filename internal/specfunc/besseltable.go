@@ -236,16 +236,15 @@ type BesselStencil struct {
 	w   [][4]float64 // cubic Lagrange weights
 }
 
-// Len returns the number of stenciled arguments.
-func (st *BesselStencil) Len() int { return len(st.off) }
-
 // Stencil fills st with the interpolation stencil for the arguments xs
 // (negative values are clamped to zero), reusing its storage.
 func (t *BesselTable) Stencil(xs []float64, st *BesselStencil) {
 	n := len(xs)
 	if cap(st.off) < n {
-		st.off = make([]int32, n)
-		st.w = make([][4]float64, n)
+		// Callers sweep modes in rising k, so n rises with every call:
+		// grow by half again instead of to the exact size.
+		st.off = make([]int32, n, n+n/2)
+		st.w = make([][4]float64, n, n+n/2)
 	}
 	st.off = st.off[:n]
 	st.w = st.w[:n]
@@ -272,32 +271,15 @@ func (t *BesselTable) Stencil(xs []float64, st *BesselStencil) {
 	}
 }
 
-// EvalStencil interpolates all three kernels at stencil point p.
-func (r BesselRow) EvalStencil(st *BesselStencil, p int) (j, jp, q float64) {
-	o := st.off[p]
-	w := &st.w[p]
-	d := r.data[o : o+12 : o+12]
-	j = w[0]*d[0] + w[1]*d[3] + w[2]*d[6] + w[3]*d[9]
-	jp = w[0]*d[1] + w[1]*d[4] + w[2]*d[7] + w[3]*d[10]
-	q = w[0]*d[2] + w[1]*d[5] + w[2]*d[8] + w[3]*d[11]
-	return j, jp, q
-}
-
-// EvalJStencil interpolates only j_l at stencil point p — for integrand
-// regions where the dipole and quadrupole sources vanish (outside the
-// visibility peak the LOS integrand reduces to the ISW term against j_l).
-func (r BesselRow) EvalJStencil(st *BesselStencil, p int) float64 {
-	o := st.off[p]
-	w := &st.w[p]
-	d := r.data[o : o+12 : o+12]
-	return w[0]*d[0] + w[1]*d[3] + w[2]*d[6] + w[3]*d[9]
-}
-
 // AccumStencil sums sA[p] j + sB[p] j' + sC[p] q over stencil points
 // [lo, hi) — the LOS integral's visibility-coupled region in one call, so
 // the per-point work is a branch-free fused dot product.
 func (r BesselRow) AccumStencil(st *BesselStencil, lo, hi int, sA, sB, sC []float64) float64 {
-	var sum float64
+	return r.accumStencilFrom(0, st, lo, hi, sA, sB, sC)
+}
+
+// accumStencilFrom continues AccumStencil's running sum over [lo, hi).
+func (r BesselRow) accumStencilFrom(sum float64, st *BesselStencil, lo, hi int, sA, sB, sC []float64) float64 {
 	data := r.data
 	for p := lo; p < hi; p++ {
 		o := st.off[p]
@@ -309,6 +291,45 @@ func (r BesselRow) AccumStencil(st *BesselStencil, lo, hi int, sA, sB, sC []floa
 		sum += sA[p]*j + sB[p]*jp + sC[p]*q
 	}
 	return sum
+}
+
+// AccumStencil4 is AccumStencil for four rows at once, row i over
+// [lo, hi[i]): the range common to all four is walked jointly, so each
+// point's offset, weights and sources are loaded once for four independent
+// accumulators, and every row then continues alone from its running sum.
+// Each sum therefore adds the same terms in the same order as a separate
+// AccumStencil call and is bitwise equal to it. (The per-row term is
+// spelled out four times: a helper would be past the inlining budget.)
+func AccumStencil4(rows *[4]BesselRow, st *BesselStencil, lo int, hi *[4]int, sA, sB, sC []float64) (sums [4]float64) {
+	common := max(lo, min(hi[0], hi[1], hi[2], hi[3]))
+	d0, d1, d2, d3 := rows[0].data, rows[1].data, rows[2].data, rows[3].data
+	var s0, s1, s2, s3 float64
+	for p := lo; p < common; p++ {
+		o := st.off[p]
+		w := &st.w[p]
+		a, b, c := sA[p], sB[p], sC[p]
+		d := d0[o : o+12 : o+12]
+		s0 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
+			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
+			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
+		d = d1[o : o+12 : o+12]
+		s1 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
+			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
+			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
+		d = d2[o : o+12 : o+12]
+		s2 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
+			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
+			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
+		d = d3[o : o+12 : o+12]
+		s3 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
+			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
+			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
+	}
+	sums = [4]float64{s0, s1, s2, s3}
+	for i := range sums {
+		sums[i] = rows[i].accumStencilFrom(sums[i], st, common, hi[i], sA, sB, sC)
+	}
+	return sums
 }
 
 // AccumJStencil sums sA[p] j over stencil points [lo, hi) — the ISW tail,
@@ -347,7 +368,7 @@ func sortedUniqueLs(ls []int) []int {
 // The process-wide table cache. C_l pipelines across a process ask for the
 // same (multipole set, argument range) over and over; building costs
 // milliseconds but evaluation happens billions of times, so tables are
-// built once behind a mutex and shared. Keys are bucketed so nearby
+// built once per key and shared. Keys are bucketed so nearby
 // requests (xmax differing by the start-time offset, say) hit the same
 // entry.
 //
@@ -366,10 +387,13 @@ var besselCache = struct {
 	limit int
 }{m: map[besselCacheKey]*besselCacheEntry{}, limit: DefaultBesselCacheLimit}
 
-// besselCacheEntry pairs a cached table with its recency stamp.
+// besselCacheEntry pairs a cached table with its recency stamp. While a
+// build for the key is in flight, building is non-nil (closed when the
+// build lands) and t is the table the build supersedes, nil on a cold key.
 type besselCacheEntry struct {
-	t       *BesselTable
-	lastUse uint64
+	t        *BesselTable
+	lastUse  uint64
+	building chan struct{}
 }
 
 // DefaultBesselCacheLimit bounds the shared table cache. Eight buckets
@@ -446,35 +470,60 @@ func SharedBesselTable(ls []int, xmax float64, par func(n int, body func(i int))
 	xb := besselXBucket(xmax)
 	key := besselCacheKey{lmax: lb, nodes: int(math.Ceil(xb / DefaultBesselH))}
 
+	// The lock covers only the map: a build runs outside it behind a
+	// per-key in-flight entry, so a cold key stalls same-key callers that
+	// need the new rows and nobody else's lookup.
 	besselCache.Lock()
-	defer besselCache.Unlock()
-	besselCache.tick++
-	if e, ok := besselCache.m[key]; ok {
-		e.lastUse = besselCache.tick
-		missing := false
-		for _, l := range ls {
-			if !e.t.Has(l) {
-				missing = true
-				break
-			}
+	for {
+		besselCache.tick++
+		e := besselCache.m[key]
+		if e == nil {
+			e = &besselCacheEntry{lastUse: besselCache.tick}
+			besselCache.m[key] = e
+			pruneBesselCacheLocked()
 		}
-		if !missing {
+		e.lastUse = besselCache.tick
+		if e.t != nil && e.t.hasAll(ls) {
+			besselCache.Unlock()
 			return e.t
 		}
-		// Extend: rebuild with the union of the tabulated and requested
-		// multipoles. Builds are cheap next to evaluation, and readers of
-		// the old table are unaffected (tables are immutable).
-		ls = sortedUniqueLs(append(e.t.Ls(), ls...))
+		if landed := e.building; landed != nil {
+			besselCache.Unlock()
+			<-landed
+			besselCache.Lock()
+			continue
+		}
+		if e.t != nil {
+			// Extend: rebuild with the union of the tabulated and requested
+			// multipoles. Builds are cheap next to evaluation, and readers of
+			// the old table are unaffected (tables are immutable).
+			ls = sortedUniqueLs(append(e.t.Ls(), ls...))
+		}
+		landed := make(chan struct{})
+		e.building = landed
+		besselCache.Unlock()
+		// Build at the key's bucketed cap, not the request's own lmax: the
+		// backward recurrence's starting order depends on the build lmax, so
+		// the low-order j_l bits would otherwise depend on which request
+		// happened to build (or union-extend) the entry first. Pinning the
+		// build to lb makes every row a pure function of (key, l) — the same
+		// bits no matter the request history, in this process or any other
+		// (the farm's cross-process bitwise contract rests on this).
+		t := NewBesselTable(lb, ls, xb, DefaultBesselH, par)
+		besselCache.Lock()
+		e.t, e.building = t, nil
+		close(landed)
+		besselCache.Unlock()
+		return t
 	}
-	// Build at the key's bucketed cap, not the request's own lmax: the
-	// backward recurrence's starting order depends on the build lmax, so
-	// the low-order j_l bits would otherwise depend on which request
-	// happened to build (or union-extend) the entry first. Pinning the
-	// build to lb makes every row a pure function of (key, l) — the same
-	// bits no matter the request history, in this process or any other
-	// (the farm's cross-process bitwise contract rests on this).
-	t := NewBesselTable(lb, ls, xb, DefaultBesselH, par)
-	besselCache.m[key] = &besselCacheEntry{t: t, lastUse: besselCache.tick}
-	pruneBesselCacheLocked()
-	return t
+}
+
+// hasAll reports whether every multipole of ls is tabulated.
+func (t *BesselTable) hasAll(ls []int) bool {
+	for _, l := range ls {
+		if !t.Has(l) {
+			return false
+		}
+	}
+	return true
 }

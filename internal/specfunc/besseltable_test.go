@@ -2,7 +2,9 @@ package specfunc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 )
 
 // exactKernels evaluates (j_l, j_l', q_l) by the same recurrences the
@@ -236,5 +238,103 @@ func TestSharedBesselTableHistoryIndependent(t *testing.T) {
 				t.Fatalf("l=%d x=%g: union-grown row differs from fresh build", l, x)
 			}
 		}
+	}
+}
+
+// TestAccumStencil4MatchesFourAccumStencil: the four-row walk is four
+// AccumStencil calls bit for bit, whatever the shape of the four ranges —
+// equal, staggered, an empty common range, rows whose range is empty or
+// ends before lo (a row with XLow beyond the grid), and a ladder whose
+// length is not a multiple of four walked group by group with a remainder.
+func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
+	ladder := []int{2, 9, 17, 30, 44, 61, 80} // 7 rows: one group of four + 3
+	tbl := NewBesselTable(80, ladder, 400, 0, nil)
+	rng := rand.New(rand.NewSource(11))
+	const n = 257
+	xs := make([]float64, n)
+	sA, sB, sC := make([]float64, n), make([]float64, n), make([]float64, n)
+	for p := range xs {
+		xs[p] = 400 * float64(n-1-p) / float64(n-1) // falling, like y = k (tau0 - tau)
+		sA[p], sB[p], sC[p] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+	}
+	var st BesselStencil
+	tbl.Stencil(xs, &st)
+	rows := make([]BesselRow, len(ladder))
+	for i, l := range ladder {
+		rows[i], _ = tbl.Row(l)
+	}
+	cases := []struct {
+		name string
+		lo   int
+		hi   [4]int
+	}{
+		{"equal", 0, [4]int{n, n, n, n}},
+		{"staggered", 5, [4]int{n, 200, 131, 64}},
+		{"unsorted", 5, [4]int{64, n, 131, 200}},
+		{"empty common range", 40, [4]int{n, 120, 40, 90}},
+		{"rows ending before lo", 40, [4]int{n, 0, 17, 41}},
+		{"all empty", 40, [4]int{0, 0, 0, 0}},
+	}
+	for _, c := range cases {
+		for g := 0; g+4 <= len(rows); g++ { // every window of four, so each row meets each range
+			four := (*[4]BesselRow)(rows[g:])
+			got := AccumStencil4(four, &st, c.lo, &c.hi, sA, sB, sC)
+			for r := range four {
+				want := four[r].AccumStencil(&st, c.lo, c.hi[r], sA, sB, sC)
+				if math.Float64bits(got[r]) != math.Float64bits(want) {
+					t.Fatalf("%s, rows %d..%d, row %d: AccumStencil4 %x, AccumStencil %x",
+						c.name, g, g+3, r, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestSharedBesselTableLookupNotBlockedByBuild: a table build runs outside
+// the cache lock, so while one key's build is stuck a resident key is
+// still served, and a second caller of the building key waits for that
+// build instead of starting its own.
+func TestSharedBesselTableLookupNotBlockedByBuild(t *testing.T) {
+	resident := SharedBesselTable([]int{3, 20}, 150, nil)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	builds := 0
+	stuck := func(n int, body func(int)) { // the build's parallel-for hook
+		builds++
+		close(entered)
+		<-release
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+	}
+	cold := []int{700} // its own lmax bucket: no other test builds this key
+	built := make(chan *BesselTable, 2)
+	go func() { built <- SharedBesselTable(cold, 150, stuck) }()
+	<-entered
+
+	looked := make(chan *BesselTable)
+	go func() { looked <- SharedBesselTable([]int{20, 3}, 150, nil) }()
+	select {
+	case got := <-looked:
+		if got != resident {
+			t.Fatal("resident key was rebuilt")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lookup of a resident key blocked behind another key's build")
+	}
+
+	go func() { built <- SharedBesselTable(cold, 150, stuck) }() // joins the build in flight
+	select {
+	case <-built:
+		t.Fatal("a caller of the building key returned before the build landed")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	a, b := <-built, <-built
+	if a != b || !a.Has(700) {
+		t.Fatal("same-key callers did not share one finished build")
+	}
+	if builds != 1 {
+		t.Fatalf("%d builds for one cold key, want 1", builds)
 	}
 }

@@ -1,10 +1,11 @@
 package spectra
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"plinger/internal/core"
-	"plinger/internal/specfunc"
 )
 
 // TestLOSProjectionAllocBudget pins the fast projection hot path at zero
@@ -20,27 +21,28 @@ func TestLOSProjectionAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := []int{2, 5, 10, 20, 40, 60}
-	tbl := specfunc.SharedBesselTable(ls, r.K*(tau0-r.Sources[0].Tau), nil)
+	tbl, rows, err := sharedLadder(ls, r.K*(tau0-r.Sources[0].Tau))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sc losScratch
 	out := make([]float64, len(ls))
 	n := testing.AllocsPerRun(10, func() {
 		if err := losAssemble(r, tau0, tauRec, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := projectThetaTable(r.K, tau0, &sc, ls, tbl, out); err != nil {
-			t.Fatal(err)
-		}
+		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)
 	})
 	if n > 0 {
 		t.Errorf("fast LOS assembly+projection: %.0f allocs/op with a warm scratch, want 0", n)
 	}
 }
 
-// TestRefineKAllocBudget bounds the coarse-to-fine refinement: its output
-// (one synthetic Result per fine wavenumber plus one shared sample backing
-// array) is allocated by design, but the per-time-sample spline loop must
-// stay allocation-free, so the total is pinned at nkFine plus a fixed
-// overhead rather than growing with the time grid.
+// TestRefineKAllocBudget pins what the lazy refinement is for. RefineK
+// builds a plan whose allocation count does not depend on how fine the
+// target grid is, and the whole fused stage — plan, per-worker mode
+// evaluation, assembly, projection — allocates fewer bytes than the
+// nkFine x ntau sample array alone that RefineK used to materialise.
 func TestRefineKAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a real coarse sweep")
@@ -52,13 +54,43 @@ func TestRefineKAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const budget = 40
+	for _, nkFine := range []int{40, 400} {
+		n := testing.AllocsPerRun(3, func() {
+			if _, err := sw.RefineK(nkFine, tauRec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > budget {
+			t.Errorf("RefineK(%d): %.0f allocs/op, budget %d at any target size", nkFine, n, budget)
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // bounds the per-worker scratch sets
+	ls := []int{2, 5, 10, 20, 40, 60}
+	prim := DefaultPrimordial(1.0)
 	const nkFine = 40
-	n := testing.AllocsPerRun(3, func() {
-		if _, err := sw.RefineK(nkFine, tauRec); err != nil {
+	stage := func() *Sweep {
+		refined, err := sw.RefineK(nkFine, tauRec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if budget := float64(nkFine + 64); n > budget {
-		t.Errorf("RefineK(%d): %.0f allocs/op, budget %.0f (output + fixed overhead)", nkFine, n, budget)
+		if _, err := refined.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec); err != nil {
+			t.Fatal(err)
+		}
+		return refined
+	}
+	p := stage().plan // also warms the Bessel table
+	arrayBytes := uint64(0)
+	for _, t0 := range p.fineT0 {
+		arrayBytes += uint64(len(p.grid)-t0) * uint64(unsafe.Sizeof(core.Sample{}))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stage()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= arrayBytes {
+		t.Errorf("RefineK + ClLOSFast allocated %d bytes; the materialised %d-mode sample array alone was %d",
+			got, nkFine, arrayBytes)
 	}
 }

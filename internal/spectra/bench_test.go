@@ -64,7 +64,10 @@ func BenchmarkThetaLOSReference(b *testing.B) {
 func BenchmarkThetaLOSFast(b *testing.B) {
 	m, r := benchSetup(b)
 	tau0 := m.BG.Tau0()
-	tbl := PrewarmBesselTable(benchLs, r.K, tau0)
+	tbl, rows, err := sharedLadder(benchLs, r.K*tau0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	out := make([]float64, len(benchLs))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,14 +76,13 @@ func BenchmarkThetaLOSFast(b *testing.B) {
 		if err := losAssemble(r, tau0, m.TH.TauRec(), &sc); err != nil {
 			b.Fatal(err)
 		}
-		if err := projectThetaTable(r.K, tau0, &sc, benchLs, tbl, out); err != nil {
-			b.Fatal(err)
-		}
+		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)
 	}
 }
 
-// BenchmarkRefineK measures the coarse-to-fine source interpolation that
-// replaces ~5/6 of the ODE evolutions in the fast pipeline.
+// BenchmarkRefineK measures building the coarse-to-fine plan (shared grid,
+// resampled coarse fields, k-spline fit); the per-mode evaluation is part
+// of the projection it feeds.
 func BenchmarkRefineK(b *testing.B) {
 	m, _ := benchSetup(b)
 	fineKs := ClGrid(150, m.BG.Tau0(), 130)

@@ -75,6 +75,9 @@ func (s *Sweep) Cl(ls []int, prim Primordial, tcmb float64) (*ClSpectrum, error)
 	if len(s.KValues) < 3 {
 		return nil, fmt.Errorf("spectra: need at least 3 wavenumbers, got %d", len(s.KValues))
 	}
+	if s.plan != nil {
+		return nil, errReadOff
+	}
 	out := &ClSpectrum{L: append([]int(nil), ls...), Cl: make([]float64, len(ls)), TCMB: tcmb}
 	for j, l := range ls {
 		var sum float64
@@ -97,6 +100,9 @@ func (s *Sweep) Cl(ls []int, prim Primordial, tcmb float64) (*ClSpectrum, error)
 // ClPolarization computes the E-mode-like polarization spectrum from the
 // G_l hierarchy (the 1995 convention, not the later E/B decomposition).
 func (s *Sweep) ClPolarization(ls []int, prim Primordial, tcmb float64) (*ClSpectrum, error) {
+	if s.plan != nil {
+		return nil, errReadOff
+	}
 	out := &ClSpectrum{L: append([]int(nil), ls...), Cl: make([]float64, len(ls)), TCMB: tcmb}
 	for j, l := range ls {
 		var sum float64

@@ -3,9 +3,12 @@ package spectra
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"plinger/internal/core"
+	"plinger/internal/spline"
 )
 
 // TestThetaLOSFastMatchesReference: on one mode, the table-driven
@@ -130,6 +133,119 @@ func TestRefineKMatchesFullGrid(t *testing.T) {
 	}
 }
 
+// eagerRefine materialises a refined sweep the way RefineK itself used to:
+// at every grid time one spline.Multi is fitted over the started coarse
+// modes and evaluated along the rising fine grid with a carried hint. It
+// reads the plan's inputs (grid, resampled coarse fields, start cursors) but
+// none of its spline arithmetic, so it is the oracle for the lazy path.
+func eagerRefine(t *testing.T, refined *Sweep) *Sweep {
+	t.Helper()
+	const nf = refineFields
+	p := refined.plan
+	nc, nt, nk := len(p.kc), len(p.grid), len(refined.KValues)
+	results := make([]*core.Result, nk)
+	for i, k := range refined.KValues {
+		results[i] = &core.Result{
+			K: k, Tau: p.grid[nt-1], A: p.bgA[nt-1], Gauge: core.ConformalNewtonian,
+			LMax: p.lmax, Sources: make([]core.Sample, nt-p.fineT0[i]),
+		}
+	}
+	mu := spline.NewMulti(nf)
+	knots := make([]float64, nc*nf)
+	var v [nf]float64
+	for ti := 0; ti < nt; ti++ {
+		c0 := p.c0[ti]
+		for c := c0; c < nc; c++ {
+			copy(knots[(c-c0)*nf:(c-c0+1)*nf], p.y[(c*nt+ti)*nf:])
+		}
+		if nc-c0 >= 2 {
+			if err := mu.Fit(p.kc[c0:], knots[:(nc-c0)*nf]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hint := 0
+		for i, k := range refined.KValues {
+			if p.fineT0[i] > ti {
+				continue
+			}
+			if nc-c0 >= 2 {
+				mu.EvalHint(k, &hint, v[:])
+			} else {
+				copy(v[:], knots)
+			}
+			results[i].Sources[ti-p.fineT0[i]] = refineUnpack(p.grid[ti], p.bgA[ti], &v)
+		}
+	}
+	return &Sweep{KValues: refined.KValues, Results: results, Tau0: refined.Tau0}
+}
+
+// TestRefineKLazyMatchesEager is the lazy sweep's contract: every mode the
+// accessor evaluates, and the reference and fast spectra built on it, are
+// bit for bit what an eagerly materialised sweep of the same plan gives —
+// at any worker count, since a mode is evaluated, assembled and projected
+// on one worker.
+func TestRefineKLazyMatchesEager(t *testing.T) {
+	m := model(t)
+	tauRec := m.TH.TauRec()
+	const nkFine = 57
+	fineKs := ClGrid(60, m.BG.Tau0(), nkFine)
+	coarse, err := RunSweep(m, core.Params{LMax: 24, Gauge: core.ConformalNewtonian, KeepSources: true, FastEvolve: true},
+		RefineCoarseGrid(fineKs, 4), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := coarse.RefineK(nkFine, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.Results != nil {
+		t.Fatal("refined sweep materialised its modes")
+	}
+	eager := eagerRefine(t, refined)
+	var sc losScratch
+	for i := range refined.KValues {
+		got, want := refined.mode(i, &sc), eager.Results[i]
+		if got.K != want.K || got.Tau != want.Tau || got.A != want.A || got.LMax != want.LMax || !reflect.DeepEqual(got.Sources, want.Sources) {
+			t.Fatalf("mode %d (k=%g): lazy evaluation differs from the eager sweep", i, got.K)
+		}
+	}
+	ls := []int{2, 3, 4, 6, 8, 11, 15, 21, 30, 42, 60} // 11 rows: two four-row passes and a remainder
+	prim := DefaultPrimordial(1.0)
+	wantRef, err := eager.ClLOS(ls, prim, m.BG.P.TCMB, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRef, err := refined.ClLOS(ls, prim, m.BG.P.TCMB, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRef.Cl, wantRef.Cl) {
+		t.Fatal("ClLOS on the lazy sweep differs from the eager sweep")
+	}
+	wantFast, err := eager.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		gotFast, err := refined.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotFast.Cl, wantFast.Cl) {
+			t.Fatalf("ClLOSFast on the lazy sweep differs from the eager sweep at GOMAXPROCS %d", procs)
+		}
+	}
+	// A refined sweep has no evolved results to read off or refine again.
+	if _, err := refined.Cl(ls, prim, m.BG.P.TCMB); err == nil {
+		t.Fatal("hierarchy read-off accepted a refined sweep")
+	}
+	if _, err := refined.RefineK(4*nkFine, tauRec); err == nil {
+		t.Fatal("RefineK accepted a refined sweep")
+	}
+}
+
 func TestRefineKValidation(t *testing.T) {
 	m := model(t)
 	sw, err := RunSweep(m, core.Params{LMax: 12, Gauge: core.ConformalNewtonian, KeepSources: true},
@@ -164,7 +280,8 @@ func TestSampleSeriesCursor(t *testing.T) {
 		src[i] = core.Sample{Tau: tau, Theta0: math.Sin(tau), Psi: math.Cos(tau)}
 		tau += 0.5 + 10.0*rng.Float64()
 	}
-	ss := newSampleSeries(src)
+	var ss sampleSeries
+	ss.init(src, nil)
 	bisect := func(q float64) core.Sample {
 		n := len(src)
 		if q <= src[0].Tau {
@@ -190,7 +307,8 @@ func TestSampleSeriesCursor(t *testing.T) {
 		}
 	}
 	check := func(q float64) {
-		got := ss.at(q)
+		var got core.Sample
+		ss.atInto(q, &got)
 		want := bisect(q)
 		if got.Theta0 != want.Theta0 || got.Psi != want.Psi {
 			t.Fatalf("at(%g): got (%g, %g), want (%g, %g)", q, got.Theta0, got.Psi, want.Theta0, want.Psi)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"plinger/internal/core"
 	"plinger/internal/dispatch"
@@ -22,6 +21,16 @@ import (
 // grid only and spline the slowly varying sources onto the fine quadrature
 // grid — this is the CMBFAST recipe that cuts the production cost by an
 // order of magnitude while tracking the reference path to < 1e-3.
+//
+// After the coarse evolution the pipeline is two steps. RefineK builds the
+// refinement plan (the facade's "source_spline" span). ClLOSFast is then
+// one parallel loop over fine wavenumbers (the "project" span), each
+// iteration on one worker's pooled scratch from start to finish: evaluate
+// the mode's sources from the plan (Sweep.mode), assemble the LOS source
+// arrays on its quadrature grid (losAssemble), project them four Bessel
+// rows per pass (projectThetaTable). Only the mode's row of Theta_l(k)
+// outlives the iteration, and the k quadrature that follows is serial, so
+// C_l is the same bits at every worker count.
 
 // besselPar adapts the dispatch subsystem's ParallelFor to the Bessel
 // table build hook (table rows are built in parallel like any other
@@ -40,25 +49,41 @@ func PrewarmBesselTable(ls []int, kmax, tau0 float64) *specfunc.BesselTable {
 // request.
 func (s *Sweep) losXmax() float64 {
 	xmax := 0.0
-	for i, r := range s.Results {
-		if r == nil || len(r.Sources) == 0 {
-			continue
-		}
-		if x := s.KValues[i] * (s.Tau0 - r.Sources[0].Tau); x > xmax {
-			xmax = x
+	for i, k := range s.KValues {
+		if start, ok := s.sourceStart(i); ok {
+			xmax = math.Max(xmax, k*(s.Tau0-start))
 		}
 	}
 	return xmax
 }
 
+// sharedLadder returns the shared kernel table covering the multipoles ls
+// up to argument xmax, and its rows aligned with ls, fetched once per
+// projection.
+func sharedLadder(ls []int, xmax float64) (*specfunc.BesselTable, []specfunc.BesselRow, error) {
+	tbl := specfunc.SharedBesselTable(ls, xmax, besselPar)
+	rows := make([]specfunc.BesselRow, len(ls))
+	for j, l := range ls {
+		row, ok := tbl.Row(l)
+		if !ok {
+			return nil, nil, fmt.Errorf("spectra: multipole %d missing from the Bessel table", l)
+		}
+		rows[j] = row
+	}
+	return tbl, rows, nil
+}
+
 // projectThetaTable integrates the assembled sources of one mode against
-// the tabulated kernels for exactly the requested multipoles, writing
-// theta[j] for ls[j] into out. The inner loop is allocation-free: the
-// interpolation stencil (node index + four cubic weights per quadrature
-// point) is computed once per mode and shared by every multipole and all
-// three kernels, the weighted sources are prefolded with the trapezoid
-// weights, and each l truncates its tau range at the kernel turning point.
-func projectThetaTable(k, tau0 float64, sc *losScratch, ls []int, tbl *specfunc.BesselTable, out []float64) error {
+// the tabulated kernels of the multipole ladder rows, writing theta[j] for
+// rows[j] into out. The inner loop is allocation-free: the interpolation
+// stencil (node index + four cubic weights per quadrature point) is
+// computed once per mode and shared by every multipole and all three
+// kernels, the weighted sources are prefolded with the trapezoid weights,
+// each l truncates its tau range at the kernel turning point, and the
+// ladder is walked four rows per pass over the stencil
+// (specfunc.AccumStencil4) so the per-point loads are paid once for four
+// sums — each of which still adds its terms in grid order.
+func projectThetaTable(k, tau0 float64, sc *losScratch, rows []specfunc.BesselRow, tbl *specfunc.BesselTable, out []float64) {
 	grid, w := sc.grid, sc.w
 	n := len(grid)
 	// Stencil at y = k (tau0 - tau), and trapezoid-prefolded sources.
@@ -74,32 +99,37 @@ func projectThetaTable(k, tau0 float64, sc *losScratch, ls []int, tbl *specfunc.
 	}
 	tbl.Stencil(sc.ys, &sc.stencil)
 
-	for j, l := range ls {
-		row, ok := tbl.Row(l)
-		if !ok {
-			return fmt.Errorf("spectra: multipole %d missing from the Bessel table", l)
-		}
-		// y decreases along the grid; keep only the prefix with
-		// y >= XLow (beyond it the kernels are < 1e-9 of their peak and
-		// contribute nothing at the 1e-3 C_l budget), intersected with
-		// the active source range of the mode.
-		iEnd := n
+	// ends returns where row's integral stops: y decreases along the
+	// grid; keep only the prefix with y >= XLow (beyond it the kernels
+	// are < 1e-9 of their peak and contribute nothing at the 1e-3 C_l
+	// budget), intersected with the active source range of the mode. vis
+	// closes the visibility-coupled region (all three kernels); up to
+	// iEnd runs the ISW tail, where the dipole and quadrupole sources are
+	// zero and only the monopole kernel is needed.
+	ends := func(row specfunc.BesselRow) (vis, iEnd int) {
+		iEnd = n
 		if row.XLow > 0 {
-			cut := tau0 - row.XLow/k
-			iEnd = sort.SearchFloat64s(grid, cut)
+			iEnd = sort.SearchFloat64s(grid, tau0-row.XLow/k)
 		}
-		vis := sc.iVisEnd
-		if vis > iEnd {
-			vis = iEnd
-		}
-		// Visibility-coupled region (all three kernels), then the ISW
-		// tail where the dipole and quadrupole sources are zero and only
-		// the monopole kernel is needed.
-		sum := row.AccumStencil(&sc.stencil, sc.iFirst, vis, sc.wA, sc.wB, sc.wC)
-		sum += row.AccumJStencil(&sc.stencil, vis, iEnd, sc.wA)
-		out[j] = sum
+		return min(sc.iVisEnd, iEnd), iEnd
 	}
-	return nil
+	j := 0
+	for ; j+4 <= len(rows); j += 4 {
+		four := (*[4]specfunc.BesselRow)(rows[j:])
+		var vis, iEnd [4]int
+		for r := range four {
+			vis[r], iEnd[r] = ends(four[r])
+		}
+		sums := specfunc.AccumStencil4(four, &sc.stencil, sc.iFirst, &vis, sc.wA, sc.wB, sc.wC)
+		for r := range four {
+			out[j+r] = sums[r] + four[r].AccumJStencil(&sc.stencil, vis[r], iEnd[r], sc.wA)
+		}
+	}
+	for ; j < len(rows); j++ {
+		vis, iEnd := ends(rows[j])
+		sum := rows[j].AccumStencil(&sc.stencil, sc.iFirst, vis, sc.wA, sc.wB, sc.wC)
+		out[j] = sum + rows[j].AccumJStencil(&sc.stencil, vis, iEnd, sc.wA)
+	}
 }
 
 // ThetaLOSFast computes Theta_l(k) at exactly the multipoles ls by the
@@ -111,11 +141,12 @@ func ThetaLOSFast(r *core.Result, ls []int, tau0, tauRec float64) ([]float64, er
 	if err := losAssemble(r, tau0, tauRec, &sc); err != nil {
 		return nil, err
 	}
-	tbl := specfunc.SharedBesselTable(ls, r.K*(tau0-r.Sources[0].Tau), besselPar)
-	out := make([]float64, len(ls))
-	if err := projectThetaTable(r.K, tau0, &sc, ls, tbl, out); err != nil {
+	tbl, rows, err := sharedLadder(ls, r.K*(tau0-r.Sources[0].Tau))
+	if err != nil {
 		return nil, err
 	}
+	out := make([]float64, len(ls))
+	projectThetaTable(r.K, tau0, &sc, rows, tbl, out)
 	return out, nil
 }
 
@@ -124,28 +155,28 @@ func ThetaLOSFast(r *core.Result, ls []int, tau0, tauRec float64) ([]float64, er
 // identical to ClLOS — only the kernel evaluation differs (cubic table
 // interpolation, requested multipoles only, turning-point truncation) —
 // so it tracks the reference to well below the 1e-3 accuracy budget. Modes
-// are projected in parallel through the dispatch subsystem.
+// run in parallel through the dispatch subsystem, each one end to end on
+// one worker's scratch: on a refined sweep the mode's sources are
+// evaluated from the RefineK plan there (Sweep.mode), assembled and
+// projected before the next mode overwrites them.
 func (s *Sweep) ClLOSFast(ls []int, prim Primordial, tcmb, tauRec float64) (*ClSpectrum, error) {
 	if len(s.KValues) == 0 {
 		return nil, fmt.Errorf("spectra: empty sweep")
 	}
-	tbl := specfunc.SharedBesselTable(ls, s.losXmax(), besselPar)
+	tbl, rows, err := sharedLadder(ls, s.losXmax())
+	if err != nil {
+		return nil, err
+	}
 
 	nk, nl := len(s.KValues), len(ls)
 	thetas := make([]float64, nk*nl)
 	errs := make([]error, nk)
-	var pool sync.Pool
 	dispatch.ParallelFor(0, nk, func(i int) {
-		sc, _ := pool.Get().(*losScratch)
-		if sc == nil {
-			sc = &losScratch{}
+		sc := losPool.Get().(*losScratch)
+		defer putLosScratch(sc)
+		if errs[i] = losAssemble(s.mode(i, sc), s.Tau0, tauRec, sc); errs[i] == nil {
+			projectThetaTable(s.KValues[i], s.Tau0, sc, rows, tbl, thetas[i*nl:(i+1)*nl])
 		}
-		defer pool.Put(sc)
-		if err := losAssemble(s.Results[i], s.Tau0, tauRec, sc); err != nil {
-			errs[i] = err
-			return
-		}
-		errs[i] = projectThetaTable(s.KValues[i], s.Tau0, sc, ls, tbl, thetas[i*nl:(i+1)*nl])
 	})
 	for _, err := range errs {
 		if err != nil {

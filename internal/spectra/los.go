@@ -3,6 +3,7 @@ package spectra
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"plinger/internal/core"
 	"plinger/internal/specfunc"
@@ -30,6 +31,8 @@ import (
 // reference implementation; the fast engine in fastlos.go consumes the
 // shared specfunc.BesselTable instead and, combined with Sweep.RefineK,
 // reproduces the reference C_l to < 1e-3 at a fraction of the cost.
+// Both take each mode from Sweep.mode, so they run alike on an evolved
+// sweep and on a lazy RefineK sweep.
 
 // The conformal-time windows and spacings shared by the LOS quadrature
 // grid and RefineK's source-representation grid: the visibility peak is
@@ -180,12 +183,6 @@ func (ss *sampleSeries) atLOS(tau float64, p *losPoint) {
 	}
 }
 
-func newSampleSeries(src []core.Sample) *sampleSeries {
-	ss := &sampleSeries{}
-	ss.init(src, nil)
-	return ss
-}
-
 // locate returns i such that tau[i] <= tau < tau[i+1] (rightmost bracket,
 // matching the original bisection), starting from the cursor.
 func (ss *sampleSeries) locate(tau float64) int {
@@ -216,14 +213,8 @@ func (ss *sampleSeries) locate(tau float64) int {
 	return i
 }
 
-func (ss *sampleSeries) at(tau float64) core.Sample {
-	var out core.Sample
-	ss.atInto(tau, &out)
-	return out
-}
-
-// atInto is at without the struct-copy return: callers resampling many
-// points pass one scratch Sample.
+// atInto linearly interpolates every recorded field at tau into out:
+// callers resampling many points pass one scratch Sample.
 func (ss *sampleSeries) atInto(tau float64, out *core.Sample) {
 	n := len(ss.tau)
 	if tau <= ss.tau[0] {
@@ -269,6 +260,10 @@ type losScratch struct {
 	// sources and the shared interpolation stencil.
 	ys, wA, wB, wC []float64
 	stencil        specfunc.BesselStencil
+	// The current mode of a refined sweep, evaluated from its plan (see
+	// Sweep.mode).
+	fine    core.Result
+	fineSrc []core.Sample
 	// Active ranges for the fast projection (the exact reference path
 	// always integrates the full grid): iFirst is the first index where
 	// any source is non-negligible (before it e^-kappa underflows), and
@@ -278,9 +273,22 @@ type losScratch struct {
 	iFirst, iVisEnd int
 }
 
+// losPool keeps the per-worker scratch sets across sweeps: a daemon's next
+// request starts with buffers already sized by its last.
+var losPool = sync.Pool{New: func() any { return new(losScratch) }}
+
+// putLosScratch returns sc to the pool without pinning the sources of the
+// last mode it served.
+func putLosScratch(sc *losScratch) {
+	sc.ss.src = nil
+	losPool.Put(sc)
+}
+
+// grow resizes s to n, contents not preserved. Modes arrive in rising k and
+// n rises with k, so a short buffer is replaced by one half again as large.
 func grow(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/2)
 	}
 	return s[:n]
 }
@@ -462,7 +470,7 @@ func (s *Sweep) ClLOS(ls []int, prim Primordial, tcmb, tauRec float64) (*ClSpect
 	var sc losScratch
 	for i := range s.KValues {
 		k := s.KValues[i]
-		theta, err := thetaLOSInto(s.Results[i], lmax, s.Tau0, tauRec, &sc)
+		theta, err := thetaLOSInto(s.mode(i, &sc), lmax, s.Tau0, tauRec, &sc)
 		if err != nil {
 			return nil, err
 		}

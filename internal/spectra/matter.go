@@ -23,6 +23,9 @@ func (s *Sweep) MatterTransfer(omegaC, omegaB float64) (*TransferFunction, error
 	if n < 2 {
 		return nil, fmt.Errorf("spectra: transfer needs at least 2 wavenumbers")
 	}
+	if s.plan != nil {
+		return nil, errReadOff
+	}
 	tf := &TransferFunction{
 		K:      append([]float64(nil), s.KValues...),
 		T:      make([]float64, n),
@@ -54,6 +57,9 @@ func (s *Sweep) PowerSpectrum(prim Primordial, omegaC, omegaB float64) ([]float6
 	n := len(s.KValues)
 	if n < 2 {
 		return nil, fmt.Errorf("spectra: power spectrum needs at least 2 wavenumbers")
+	}
+	if s.plan != nil {
+		return nil, errReadOff
 	}
 	wc := omegaC / (omegaC + omegaB)
 	wb := omegaB / (omegaC + omegaB)

@@ -1,11 +1,14 @@
 package spectra
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"plinger/internal/core"
-	"plinger/internal/spline"
+	"plinger/internal/dispatch"
 )
 
 // RefineK is the CMBFAST-style coarse-to-fine wavenumber pipeline: the
@@ -13,22 +16,24 @@ import (
 // and the recorded line-of-sight sources — which, unlike Theta_l(k), vary
 // slowly with k — are resampled onto a shared conformal-time grid and
 // cubic-splined in k onto a uniform grid of nkFine wavenumbers spanning the
-// same range. The result is a synthetic Sweep whose modes carry
-// interpolated sources: both the reference ClLOS and the fast ClLOSFast
-// consume it unchanged, so a Figure-2-quality spectrum costs ~nkFine/nk
-// fewer evolutions. tauRec (the visibility peak) shapes the shared grid
-// exactly as it shapes the per-mode LOS quadrature grid.
+// same range. tauRec (the visibility peak) shapes the shared grid exactly
+// as it shapes the per-mode LOS quadrature grid.
+//
+// The refined Sweep is lazy. RefineK builds only the plan — the shared
+// grid, the coarse fields on it and their k-spline second derivatives, in
+// two parallel loops — and ClLOS/ClLOSFast reach a mode through Sweep.mode,
+// which evaluates the splines into the calling worker's scratch: coarse
+// sources -> Theta_l(k) is one pass, parallel over fine wavenumbers, that
+// never holds an nkFine x ntau array. Results is nil on a refined sweep:
+// only line-of-sight sources are interpolated (the hierarchy read-off
+// Theta_l oscillates rapidly in k), and the read-off consumers refuse it.
 //
 // Modes enter the evolution at k tau = const, so each wavenumber's sources
 // begin at tau_start(k) = C/k: the shared grid starts at the earliest
-// coarse start, every synthetic mode is truncated to its own tau_start,
-// and each time sample is splined only across the coarse modes that have
-// begun by then — exactly mirroring what a full fine-grid evolution would
+// coarse start, every fine mode is truncated to its own tau_start, and
+// each time sample is splined only across the coarse modes that have begun
+// by then — exactly mirroring what a full fine-grid evolution would
 // record.
-//
-// Only source-level fields are interpolated (the final-time hierarchy
-// read-off Theta_l is not, since it oscillates rapidly in k); the synthetic
-// results are for line-of-sight use.
 func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 	nc := len(s.KValues)
 	if nc < 4 {
@@ -41,6 +46,9 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 		if s.KValues[i] <= s.KValues[i-1] {
 			return nil, fmt.Errorf("spectra: RefineK needs a strictly increasing k grid")
 		}
+	}
+	if s.plan != nil {
+		return nil, errReadOff
 	}
 	starts := make([]float64, nc)
 	base := 0
@@ -66,50 +74,49 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 	grid := sourceGrid(starts[base], tauRec, tau0)
 	nt := len(grid)
 	eps := 1e-9 * tau0
+	const nf = refineFields
+	p := &refinePlan{
+		kc: s.KValues, grid: grid, lmax: s.Results[base].LMax,
+		bgA: make([]float64, nt), c0: make([]int, nt), fineT0: make([]int, nkFine),
+		y: make([]float64, nc*nt*nf), y2: make([]float64, nc*nt*nf),
+	}
 
 	// The interpolated source fields, resampled per coarse mode onto the
-	// shared grid (flat [t*nc + c] matrices, so each fixed-time k column
-	// is contiguous for the spline pass; entries before a mode's start are
-	// clamped to its first sample and never used by the splines). Only the
-	// fields the line-of-sight integrand consumes are interpolated. The
-	// opacity history (Kdot, Kappa) is physically k-independent, but each
-	// mode records it at its own adaptive step times and the reference
+	// shared grid (entries before a mode's start are clamped to its first
+	// sample and never used by the splines). Only the fields the
+	// line-of-sight integrand consumes are interpolated. The opacity
+	// history (Kdot, Kappa) is physically k-independent, but each mode
+	// records it at its own adaptive step times and the reference
 	// projection integrates exactly that per-mode piecewise resampling —
 	// so it is interpolated in k like the perturbations, which keeps the
 	// refined sweep consistent with a true full fine-grid run.
-	fields := []struct {
-		get func(s *core.Sample) float64
-		set func(s *core.Sample, v float64)
-	}{
-		{func(s *core.Sample) float64 { return s.Kdot }, func(s *core.Sample, v float64) { s.Kdot = v }},
-		{func(s *core.Sample) float64 { return s.Kappa }, func(s *core.Sample, v float64) { s.Kappa = v }},
-		{func(s *core.Sample) float64 { return s.Theta0 }, func(s *core.Sample, v float64) { s.Theta0 = v }},
-		{func(s *core.Sample) float64 { return s.Psi }, func(s *core.Sample, v float64) { s.Psi = v }},
-		{func(s *core.Sample) float64 { return s.PhiDot }, func(s *core.Sample, v float64) { s.PhiDot = v }},
-		{func(s *core.Sample) float64 { return s.VB }, func(s *core.Sample, v float64) { s.VB = v }},
-		{func(s *core.Sample) float64 { return s.Pi }, func(s *core.Sample, v float64) { s.Pi = v }},
-	}
-	nf := len(fields)
-	// Knot-major per time sample: coarse[t*nc*nf + c*nf + f], so the
-	// fixed-time block feeds the multi-spline (shared tridiagonal fit and
-	// bracket across all fields) without any transpose.
-	coarse := make([]float64, nt*nc*nf)
-	bgA := make([]float64, nt) // scale factor: metadata, k-independent
-	var ss sampleSeries
-	var smp core.Sample
-	for c := 0; c < nc; c++ {
-		ss.init(s.Results[c].Sources, ss.tau)
+	dispatch.ParallelFor(0, nc, func(c int) {
+		sc := losPool.Get().(*losScratch)
+		defer putLosScratch(sc)
+		sc.ss.init(s.Results[c].Sources, sc.tauBuf)
+		sc.tauBuf = sc.ss.tau
+		var smp core.Sample
 		for t, tau := range grid {
-			ss.atInto(tau, &smp)
-			row := coarse[t*nc*nf+c*nf:]
-			for f := range fields {
-				row[f] = fields[f].get(&smp)
-			}
+			sc.ss.atInto(tau, &smp)
+			v := refinePack(&smp)
+			copy(p.y[(c*nt+t)*nf:], v[:])
 			if c == base {
-				bgA[t] = smp.A
+				p.bgA[t] = smp.A // scale factor: metadata, k-independent
 			}
 		}
+	})
+
+	// Each time sample is splined over the coarse modes that have begun by
+	// then: a suffix kc[c0[t]:] of the k grid (start falls with k) that
+	// grows downward as tau advances.
+	c0 := nc - 1
+	for t, tau := range grid {
+		for c0 > 0 && starts[c0-1] <= tau+eps {
+			c0--
+		}
+		p.c0[t] = c0
 	}
+	p.fit()
 
 	// Uniform fine grid over the same span; each fine mode starts where a
 	// real evolution would: at k tau = C (from the earliest-starting
@@ -120,90 +127,174 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 	for i := range ksFine {
 		ksFine[i] = k0 + (k1-k0)*float64(i)/float64(nkFine-1)
 	}
-	cStart := s.KValues[base] * starts[base]
-	tCap := starts[0]
-	for _, st := range starts {
-		if st > tCap {
-			tCap = st
-		}
-	}
-	fineT0 := make([]int, nkFine) // first shared-grid index of mode i
-	results := make([]*core.Result, nkFine)
-	// One backing array for every synthetic mode's samples: the refined
-	// sweep is by far the largest allocation of a fast pipeline run, and a
-	// single block keeps it to one allocation instead of nkFine.
-	total := 0
-	for i := range results {
-		tStart := cStart / ksFine[i]
-		if tStart > tCap {
-			tStart = tCap
-		}
+	cStart, tCap := s.KValues[base]*starts[base], slices.Max(starts)
+	for i := range p.fineT0 {
+		tStart := math.Min(cStart/ksFine[i], tCap)
 		t0 := 0
 		for t0 < nt-1 && grid[t0] < tStart-eps {
 			t0++
 		}
-		fineT0[i] = t0
-		total += nt - t0
+		p.fineT0[i] = t0
 	}
-	backing := make([]core.Sample, total)
-	for i := range results {
-		t0 := fineT0[i]
-		src := backing[: nt-t0 : nt-t0]
-		backing = backing[nt-t0:]
-		for t := range src {
-			src[t].Tau = grid[t0+t]
-			src[t].A = bgA[t0+t]
-		}
-		results[i] = &core.Result{
-			K:       ksFine[i],
-			Tau:     grid[nt-1],
-			A:       bgA[nt-1],
-			Gauge:   core.ConformalNewtonian,
-			LMax:    s.Results[base].LMax,
-			Sources: src,
-		}
-	}
+	return &Sweep{KValues: ksFine, Tau0: tau0, plan: p}, nil
+}
 
-	// Spline each field across k at every time sample, over the coarse
-	// modes that have begun by then (a suffix of the k grid: start falls
-	// with k). The fine grid is swept monotonically, so spline lookups
-	// reduce to cursor steps.
-	mu := spline.NewMulti(nf)
-	vals := make([]float64, nf)
-	c0 := nc - 1 // earliest-started suffix; grows downward as tau advances
-	i0 := nkFine - 1
-	for t := 0; t < nt; t++ {
-		tau := grid[t]
-		for c0 > 0 && starts[c0-1] <= tau+eps {
-			c0--
-		}
-		for i0 > 0 && fineT0[i0-1] <= t {
-			i0--
-		}
-		nv := nc - c0
-		hint := 0
-		if nv >= 2 {
-			if err := mu.Fit(s.KValues[c0:], coarse[(t*nc+c0)*nf:(t*nc+nc)*nf]); err != nil {
-				return nil, err
-			}
-		}
-		for i := i0; i < nkFine; i++ {
-			smp := &results[i].Sources[t-fineT0[i]]
-			if nv >= 2 {
-				// All fields share the coarse k abscissae: one bracket and
-				// one weight set serve the whole knot-major block.
-				mu.EvalHint(ksFine[i], &hint, vals)
-				for f := range fields {
-					fields[f].set(smp, vals[f])
-				}
-			} else {
-				for f := range fields {
-					fields[f].set(smp, coarse[(t*nc+c0)*nf+f])
-				}
-			}
-		}
+// errReadOff is what the consumers of evolved results — the hierarchy
+// read-off, the matter transfer, RefineK itself — answer on a refined sweep.
+var errReadOff = errors.New("spectra: a RefineK sweep carries line-of-sight sources only, no evolved results")
+
+// refineFields is the number of source fields RefineK interpolates in k;
+// refinePack and refineUnpack fix their order.
+const refineFields = 7
+
+func refinePack(s *core.Sample) [refineFields]float64 {
+	return [refineFields]float64{s.Kdot, s.Kappa, s.Theta0, s.Psi, s.PhiDot, s.VB, s.Pi}
+}
+
+func refineUnpack(tau, a float64, v *[refineFields]float64) core.Sample {
+	return core.Sample{Tau: tau, A: a, Kdot: v[0], Kappa: v[1], Theta0: v[2], Psi: v[3], PhiDot: v[4], VB: v[5], Pi: v[6]}
+}
+
+// refinePlan is everything a refined sweep's modes are evaluated from.
+// The field arrays are mode-major, [c][t][field] flat: a fine mode walks
+// its two bracketing coarse rows contiguously in t, and the fine modes of
+// one coarse interval share those rows.
+type refinePlan struct {
+	kc     []float64 // coarse wavenumbers
+	grid   []float64 // shared conformal-time grid
+	bgA    []float64 // scale factor on the grid
+	y, y2  []float64 // coarse fields and their k-spline second derivatives
+	c0     []int     // per grid time: the splines' first knot, kc[c0[t]:]
+	fineT0 []int     // per fine mode: first grid index
+	lmax   int
+}
+
+// fit solves, at every grid time, the natural-spline tridiagonal system of
+// every field over the knots kc[c0[t]:] — spline.Multi.Fit's arithmetic
+// operation for operation, on the mode-major layout, in parallel blocks of
+// grid times. The knot-spacing factors depend on the coarse grid alone;
+// only the first knot moves with time.
+func (p *refinePlan) fit() {
+	const nf = refineFields
+	x := p.kc
+	nc, nt := len(x), len(p.grid)
+	sig, invH1, invH0, inv01 := make([]float64, nc), make([]float64, nc), make([]float64, nc), make([]float64, nc)
+	for c := 1; c < nc-1; c++ {
+		sig[c] = (x[c] - x[c-1]) / (x[c+1] - x[c-1])
+		invH1[c] = 1.0 / (x[c+1] - x[c])
+		invH0[c] = 1.0 / (x[c] - x[c-1])
+		inv01[c] = 6.0 / (x[c+1] - x[c-1])
 	}
-	return &Sweep{KValues: ksFine, Results: results, Tau0: tau0}, nil
+	y, y2, u := p.y, p.y2, make([]float64, len(p.y2))
+	const block = 16
+	dispatch.ParallelFor(0, (nt+block-1)/block, func(b int) {
+		tlo, thi := b*block, min((b+1)*block, nt)
+		for c := 0; c < nc-1; c++ { // decomposition, knot by knot; y2[nc-1] stays 0
+			for t := tlo; t < thi; t++ {
+				if c <= p.c0[t] {
+					continue // before the first knot, or on it: y2 = u = 0
+				}
+				row := (c*nt + t) * nf
+				prev, next := row-nt*nf, row+nt*nf
+				for f := 0; f < nf; f++ {
+					pp := sig[c]*y2[prev+f] + 2.0
+					y2[row+f] = (sig[c] - 1.0) / pp
+					d := (y[next+f]-y[row+f])*invH1[c] - (y[row+f]-y[prev+f])*invH0[c]
+					u[row+f] = (d*inv01[c] - sig[c]*u[prev+f]) / pp
+				}
+			}
+		}
+		for c := nc - 2; c >= 0; c-- { // back-substitution
+			for t := tlo; t < thi; t++ {
+				if c < p.c0[t] {
+					continue
+				}
+				row := (c*nt + t) * nf
+				next := row + nt*nf
+				for f := 0; f < nf; f++ {
+					y2[row+f] = y2[row+f]*y2[next+f] + u[row+f]
+				}
+			}
+		}
+	})
+}
+
+// sources evaluates fine mode i (wavenumber k) from the plan into buf,
+// grown as needed and returned: spline.Multi.EvalHint's arithmetic at every
+// grid time from the mode's start, the bracket found once per mode (it
+// moves only while the splines' first knot is still above it).
+func (p *refinePlan) sources(i int, k float64, buf []core.Sample) []core.Sample {
+	const nf = refineFields
+	x := p.kc
+	nc, nt := len(x), len(p.grid)
+	t0 := p.fineT0[i]
+	if cap(buf) < nt-t0 {
+		buf = make([]core.Sample, nt) // the longest any mode needs
+	}
+	buf = buf[:nt-t0]
+	j := sort.SearchFloat64s(x, k) // largest j <= nc-2 with x[j] <= k, else 0
+	if j == nc || x[j] != k {
+		j--
+	}
+	j = max(0, min(j, nc-2))
+	cur := -1
+	var a, b, w2a, w2b float64
+	var v [nf]float64
+	for t := t0; t < nt; t++ {
+		c0 := p.c0[t]
+		if nc-c0 < 2 {
+			// One started mode: nothing to spline.
+			copy(v[:], p.y[(c0*nt+t)*nf:])
+		} else {
+			// Below the first knot the boundary cubic extrapolates.
+			jj := max(j, c0)
+			if jj != cur {
+				cur = jj
+				h := x[jj+1] - x[jj]
+				a = (x[jj+1] - k) / h
+				b = (k - x[jj]) / h
+				w2a = (a*a*a - a) * (h * h) / 6.0
+				w2b = (b*b*b - b) * (h * h) / 6.0
+			}
+			lo := (jj*nt + t) * nf
+			hi := lo + nt*nf
+			y0, y1 := p.y[lo:lo+nf], p.y[hi:hi+nf]
+			z0, z1 := p.y2[lo:lo+nf], p.y2[hi:hi+nf]
+			for f := range v {
+				v[f] = a*y0[f] + b*y1[f] + w2a*z0[f] + w2b*z1[f]
+			}
+		}
+		buf[t-t0] = refineUnpack(p.grid[t], p.bgA[t], &v)
+	}
+	return buf
+}
+
+// mode returns mode i for the line-of-sight consumers: the evolved result,
+// or on a refined sweep the plan's k-splines evaluated into sc, the calling
+// worker's scratch (the result is valid until sc is next used).
+func (s *Sweep) mode(i int, sc *losScratch) *core.Result {
+	p := s.plan
+	if p == nil {
+		return s.Results[i]
+	}
+	sc.fineSrc = p.sources(i, s.KValues[i], sc.fineSrc)
+	end := len(p.grid) - 1
+	sc.fine = core.Result{
+		K: s.KValues[i], Tau: p.grid[end], A: p.bgA[end],
+		Gauge: core.ConformalNewtonian, LMax: p.lmax, Sources: sc.fineSrc,
+	}
+	return &sc.fine
+}
+
+// sourceStart returns the conformal time of mode i's first source sample.
+func (s *Sweep) sourceStart(i int) (float64, bool) {
+	if p := s.plan; p != nil {
+		return p.grid[p.fineT0[i]], true
+	}
+	if r := s.Results[i]; r != nil && len(r.Sources) > 0 {
+		return r.Sources[0].Tau, true
+	}
+	return 0, false
 }
 
 // sourceGrid is the shared conformal-time sampling of RefineK: the same

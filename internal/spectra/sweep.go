@@ -27,6 +27,10 @@ type Sweep struct {
 	Results []*core.Result
 	// Tau0 is the conformal age used for the sweep.
 	Tau0 float64
+
+	// plan is set instead of Results on a RefineK sweep: its modes are
+	// evaluated on demand (see Sweep.mode).
+	plan *refinePlan
 }
 
 // ClGrid builds the uniform wavenumber grid for a C_l computation up to

@@ -7,7 +7,7 @@ import "testing"
 // (arena-backed evolutions + coarse-to-fine k refinement + table-driven
 // projection) must return bitwise-identical spectra at every worker count,
 // through both the per-call pool and the long-lived shared pool — so the
-// speedup and efficiency columns of BENCH_PR5.json compare runs whose
+// speedup and efficiency columns of a scaling run compare runs whose
 // outputs are exactly equal, not merely close.
 func TestSpectrumBitwiseAcrossWorkerCounts(t *testing.T) {
 	m, err := New(SCDM())
