@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster bench bench-json bench-smoke
+.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster golden bench bench-json bench-smoke
 
 check: fmt-check vet staticcheck build test-short
 
@@ -67,6 +67,15 @@ test-farm:
 test-cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
+
+# golden re-records testdata/golden_cl_bits.json from the code in the tree,
+# for a change that is meant to move the spectrum. It prints the largest
+# relative shift old -> new per case and refuses one above 1e-4; add
+# GOLDEN_FLAGS=-update-golden-force when that is meant too.
+# TestStreamingClWithinHierarchyReference keeps holding the result to the
+# frozen testdata/golden_cl_bits_hierarchy.json.
+golden:
+	$(GO) test -run '^TestGoldenClBits$$' -v -update-golden $(GOLDEN_FLAGS) .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

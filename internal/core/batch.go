@@ -59,9 +59,10 @@ func (mdl *Model) EvolveBatch(ks []float64, p Params) ([]*Result, error) {
 // kappa-dot > TCAFactor*k is the strictest in the batch), so smaller
 // members release early — always physically valid, the exact equations
 // merely cost more steps. Hierarchy growth and the late-time shrink follow
-// the largest-k member for the same reason. A batch of one, or a run with
-// a caller-supplied Integrator, delegates to EvolveWith per mode and is
-// bitwise identical to the scalar path.
+// the largest-k member for the same reason; the streaming switch, whose
+// premise is k*tau >> 1, waits for the smallest-k member. A batch of one,
+// or a run with a caller-supplied Integrator, delegates to EvolveWith per
+// mode and is bitwise identical to the scalar path.
 func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Scratch) ([]*Result, error) {
 	nb := len(ks)
 	if nb == 0 {
@@ -132,6 +133,7 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	}
 
 	b.ref = 0
+	kmin := ks[0]
 	tauStart := math.Inf(1)
 	for i := range b.ms {
 		m := &b.ms[i]
@@ -142,6 +144,7 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		if ks[i] > ks[b.ref] {
 			b.ref = i
 		}
+		kmin = min(kmin, ks[i])
 		if t := m.startTime(); t < tauStart {
 			tauStart = t
 		}
@@ -187,11 +190,7 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		ref.srcCap.base = dv.MaxStep
 		defer func() { dv.MaxStep = ref.srcCap.base }()
 	}
-	if p.FastEvolve && p.KeepSources && !p.noGrowLMax {
-		if t := ref.shrinkTime(); t < p.TauEnd {
-			ref.shrinkAt = t
-		}
-	}
+	ref.planLateStops(kmin)
 	if p.KeepSources {
 		dv.SetOnStep(sc.bOnRecord)
 	} else {
@@ -244,6 +243,9 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		res.Seconds = sec
 		res.Stats = stats
 		res.Flops = m.flops
+		if m.streaming() {
+			res.TauStream = ref.streamAt
+		}
 		m.pack(p.TauEnd, y[i*b.nvar:(i+1)*b.nvar], res)
 		res.MaxConstraintResidual = m.maxResidual
 		res.Sources = m.sources
@@ -255,56 +257,13 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 }
 
 // integrateSpan is mode.integrateSpan for the concatenated batch system:
-// the reference member owns the growth/shrink schedule and the visibility
-// step cap, and every segment bills each member for the hierarchy it
-// carried.
+// the reference member plans the segments (growth, shrink, streaming and
+// the visibility step cap), and every segment bills each member for the
+// hierarchy it carried.
 func (b *batch) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float64, stats *ode.Stats) (float64, []float64, error) {
-	const (
-		actNone = iota
-		actGrow
-		actShrink
-	)
 	ref := &b.ms[b.ref]
 	for {
-		next := tEnd
-		action := actNone
-		if ref.grow {
-			if tg := ref.nextGrowTau(); tg < next {
-				if tg < tau {
-					tg = tau
-				}
-				next = tg
-				action = actGrow
-			}
-		}
-		if ref.shrinkAt > 0 && tau < ref.shrinkAt && ref.shrinkAt < next {
-			next = ref.shrinkAt
-			action = actShrink
-		}
-		if ref.srcCap.h > 0 {
-			cap := func(h float64) float64 {
-				if ref.srcCap.base > 0 && ref.srcCap.base < h {
-					return ref.srcCap.base
-				}
-				return h
-			}
-			switch {
-			case tau < ref.srcCap.lo:
-				ref.ad.MaxStep = ref.srcCap.base
-				if ref.srcCap.lo < next {
-					next = ref.srcCap.lo
-					action = actNone
-				}
-			case tau < ref.srcCap.hi:
-				ref.ad.MaxStep = cap(ref.srcCap.h)
-				if ref.srcCap.hi < next {
-					next = ref.srcCap.hi
-					action = actNone
-				}
-			default:
-				ref.ad.MaxStep = cap((ref.p.TauEnd - ref.srcCap.hi) * srcCapLate)
-			}
-		}
+		next, lNew := ref.nextStop(tau, tEnd)
 		st, err := integ.Integrate(b.sc.brhsf, tau, next, y)
 		stats.Add(st)
 		for i := range b.ms {
@@ -318,22 +277,8 @@ func (b *batch) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float
 		if tau >= tEnd {
 			return tau, y, nil
 		}
-		switch action {
-		case actGrow:
-			lNew := ref.neededLMax(tau) + max(8, ref.lmax/3)
-			if lNew > ref.p.LMax {
-				lNew = ref.p.LMax
-			}
-			if lNew <= ref.lmax {
-				lNew = ref.lmax + 1 // cannot happen: growth times precede need
-			}
+		if lNew != ref.lmax {
 			y = b.resize(lNew, y)
-		case actShrink:
-			ref.shrinkAt = 0
-			ref.grow = false
-			if ref.lmax > shrinkLMax {
-				y = b.resize(shrinkLMax, y)
-			}
 		}
 	}
 }

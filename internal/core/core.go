@@ -95,11 +95,16 @@ type Params struct {
 	// polarization and massless-neutrino hierarchies start at a few
 	// moments and grow with k*tau (moments are copied across each growth
 	// event, newly activated ones seeded at zero, with the usual
-	// last-moment free-streaming closure at the moving boundary); the
-	// background and thermodynamic history come from the model's flattened
-	// uniform-in-ln-a tables instead of per-call spline searches; and the
-	// integrator runs PI step-size control (the controller step is carried
-	// across segment boundaries on every default-integrator run). Default
+	// last-moment free-streaming closure at the moving boundary); a
+	// KeepSources run shrinks them to six moments once radiation is
+	// dynamically negligible and, in the conformal Newtonian gauge, stops
+	// carrying them altogether once k*tau >= 45 on top of that, closing
+	// the Einstein sums with the free-streaming values (see
+	// Result.TauStream); the background and thermodynamic history come
+	// from the model's flattened uniform-in-ln-a tables instead of
+	// per-call spline searches; and the integrator runs PI step-size
+	// control (the controller step is carried across segment boundaries
+	// on every default-integrator run). Default
 	// off: the exact path is the reference. The fast path tracks it to
 	// well below the 1e-3 relative C_l engine budget (see the golden
 	// tests).
@@ -110,6 +115,7 @@ type Params struct {
 	noGrowLMax bool // fixed full-size hierarchy from the start
 	noTables   bool // exact spline lookups instead of flattened tables
 	noPI       bool // elementary step controller instead of PI
+	noStream   bool // track the shrunk hierarchies to the end (no streaming switch)
 }
 
 func (p *Params) setDefaults() {
@@ -188,6 +194,13 @@ type Result struct {
 	// TauSwitch is the conformal time at which tight coupling was released
 	// (zero if the approximation was never used).
 	TauSwitch float64
+	// TauStream is the conformal time at which a fast source-recording
+	// run stopped carrying radiation moments (see FastEvolve; zero if it
+	// never did). From there on the recorded samples and the final state
+	// hold the streaming closure in place of evolved photon and massless-
+	// neutrino moments: Theta0 = ThetaL[0] = -Phi, DeltaG = DeltaNu =
+	// -4 Phi, Pi and every higher multipole zero.
+	TauStream float64
 
 	Stats ode.Stats
 	// Flops is the model operation count (see FlopsPerRHS).
@@ -219,7 +232,9 @@ func NewModel(bg *cosmology.Background, th *thermo.Thermo) *Model {
 // FlopsPerRHS is the operation-count model for one right-hand-side
 // evaluation. The paper quotes machine flop rates measured on the C90 and
 // transfers them to other machines by comparing operation counts; this
-// model plays the same role for the Gflop tables of Section 5.
+// model plays the same role for the Gflop tables of Section 5. lmax = -1
+// bills a segment of the streaming regime, which carries no radiation
+// moment: the base and the massive-neutrino block alone.
 func FlopsPerRHS(lmax, lmaxNu, nq int, gauge Gauge) float64 {
 	l1 := float64(lmax + 1)
 	base := 260.0 // background, thermodynamics, Einstein sums

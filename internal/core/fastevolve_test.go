@@ -7,6 +7,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"plinger/internal/cosmology"
@@ -173,6 +175,22 @@ func TestFastEvolveWorkAblation(t *testing.T) {
 	if b.Flops >= 0.6*a.Flops {
 		t.Fatalf("fast engine flops %g not below 0.6x reference %g", b.Flops, a.Flops)
 	}
+	// The streaming switch is part of that engine: against the same run
+	// tracking the shrunk hierarchies to the end it must cut the
+	// evaluations by more than half and the billed flops (the late
+	// evaluations are the cheap 6-moment ones) by 40 %.
+	fast.noStream = true
+	c, err := m.Evolve(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.TauStream <= 0 || c.TauStream != 0 {
+		t.Fatalf("TauStream = %g with the switch, %g without", b.TauStream, c.TauStream)
+	}
+	if 2*b.Stats.Evals >= c.Stats.Evals || b.Flops >= 0.6*c.Flops {
+		t.Fatalf("streaming run: %d evals, %g flops; hierarchy-tracking run: %d evals, %g flops",
+			b.Stats.Evals, b.Flops, c.Stats.Evals, c.Flops)
+	}
 	if a.Stats.Rejected > 10 && b.Stats.Rejected > a.Stats.Rejected/2 {
 		t.Fatalf("PI controller rejected %d of %d steps, reference %d of %d",
 			b.Stats.Rejected, b.Stats.Steps, a.Stats.Rejected, a.Stats.Steps)
@@ -211,6 +229,45 @@ func TestFastEvolveMDM(t *testing.T) {
 	}
 	if d := math.Abs(a.DeltaC-b.DeltaC) / math.Abs(a.DeltaC); d > 1e-4 {
 		t.Fatalf("DeltaC rel diff %g", d)
+	}
+
+	// A source-recording run ends in the streaming regime, whose state
+	// vector is the fluid + metric block and the massive-neutrino
+	// hierarchies alone: the block must survive that re-layout and keep
+	// evolving under the radiation-free metric.
+	src := Params{K: 0.03, LMax: 20, Gauge: ConformalNewtonian, KeepSources: true}
+	exact, err := m.Evolve(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.FastEvolve = true
+	strm, err := m.Evolve(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.noStream = true
+	hier, err := m.Evolve(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strm.TauStream <= 0 {
+		t.Fatal("the MDM source run never took the streaming switch")
+	}
+	for _, c := range []struct {
+		name             string
+		got, hier, exact float64
+	}{
+		{"DeltaHNu", strm.DeltaHNu, hier.DeltaHNu, exact.DeltaHNu},
+		{"DeltaC", strm.DeltaC, hier.DeltaC, exact.DeltaC},
+		{"Phi", strm.Phi, hier.Phi, exact.Phi},
+		{"Psi", strm.Psi, hier.Psi, exact.Psi},
+	} {
+		// 1e-5 of the hierarchy-tracking fast run (the switch alone), the
+		// 1e-3 engine budget of the exact path.
+		if d, e := math.Abs(c.got/c.hier-1), math.Abs(c.got/c.exact-1); d > 1e-5 || e > 1e-3 {
+			t.Errorf("streaming MDM run: %s = %g; without the switch %g (rel %.3g), exact engine %g (rel %.3g)",
+				c.name, c.got, c.hier, d, c.exact, e)
+		}
 	}
 }
 
@@ -257,3 +314,90 @@ func (blindIntegrator) Integrate(f ode.Func, t0, t1 float64, y []float64) (ode.S
 	return ode.Stats{}, nil
 }
 func (blindIntegrator) Name() string { return "blind" }
+
+// TestStreamingMatchesHierarchy: the radiation-streaming switch against the
+// same engine tracking the shrunk hierarchies to the end (noStream). Up to
+// the switch the two runs are one trajectory, bitwise; after it the metric
+// the line-of-sight sources consume agrees to 1e-5 of max|Phi| while the
+// integrator stops paying for the free-streaming oscillation; and a mode
+// that never reaches k*tau = streamKTau is untouched.
+func TestStreamingMatchesHierarchy(t *testing.T) {
+	m := model(t)
+	evolve := func(k float64, noStream bool) *Result {
+		t.Helper()
+		r, err := m.Evolve(Params{K: k, LMax: 24, Gauge: ConformalNewtonian,
+			KeepSources: true, FastEvolve: true, noStream: noStream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, k := range []float64{0.02, 0.05, 0.1} {
+		hier, strm := evolve(k, true), evolve(k, false)
+		if hier.TauStream != 0 {
+			t.Fatalf("k=%g: noStream run reports TauStream = %g", k, hier.TauStream)
+		}
+		ts := strm.TauStream
+		if ts < streamKTau/k || ts < m.radShrinkTau() || ts >= strm.Tau {
+			t.Fatalf("k=%g: TauStream = %g outside [max(%g, %g), %g)", k, ts, streamKTau/k, m.radShrinkTau(), strm.Tau)
+		}
+		var scale float64
+		for _, s := range hier.Sources {
+			scale = math.Max(scale, math.Abs(s.Phi))
+		}
+		// Before the switch: one trajectory (the step that lands on the
+		// switch time is already clipped by it).
+		n := 0
+		for ; n < len(strm.Sources) && strm.Sources[n].Tau < ts; n++ {
+			if strm.Sources[n] != hier.Sources[n] {
+				t.Fatalf("k=%g: sample %d (tau=%g) before the switch at %g differs bitwise", k, n, strm.Sources[n].Tau, ts)
+			}
+		}
+		if n == 0 || n == len(strm.Sources) {
+			t.Fatalf("k=%g: %d of %d samples precede the switch", k, n, len(strm.Sources))
+		}
+		// After it: the streaming run's samples against the hierarchy run
+		// interpolated to the same times.
+		j := n
+		var dPot, dDot float64
+		for _, s := range strm.Sources[n:] {
+			for j < len(hier.Sources)-1 && hier.Sources[j].Tau < s.Tau {
+				j++
+			}
+			a, b := hier.Sources[j-1], hier.Sources[j]
+			f := (s.Tau - a.Tau) / (b.Tau - a.Tau)
+			dPot = math.Max(dPot, math.Abs(s.Phi-(a.Phi+f*(b.Phi-a.Phi))))
+			dPot = math.Max(dPot, math.Abs(s.Psi-(a.Psi+f*(b.Psi-a.Psi))))
+			dDot = math.Max(dDot, math.Abs(s.PhiDot-(a.PhiDot+f*(b.PhiDot-a.PhiDot))))
+			// The sample at the switch itself still shows the hierarchies.
+			if s.Tau > ts && (s.Theta0 != -s.Phi || s.Pi != 0) {
+				t.Fatalf("k=%g tau=%g: streaming sample carries Theta0 = %g (Phi %g), Pi = %g", k, s.Tau, s.Theta0, s.Phi, s.Pi)
+			}
+		}
+		// PhiDot carries a 1/Mpc: it is held to the same fraction of
+		// k max|Phi|, the rate at which a potential of that size can move.
+		if dPot > 1e-5*scale || dDot > 1e-5*k*scale {
+			t.Errorf("k=%g: after the switch Phi/Psi off by %.3g, PhiDot by %.3g (max|Phi| %.3g)", k, dPot, dDot, scale)
+		}
+		if strm.ThetaL[0] != -strm.Phi || strm.ThetaL[1] != 0 || strm.DeltaG != -4*strm.Phi {
+			t.Errorf("k=%g: final state does not report the streaming closure", k)
+		}
+		after := func(r *Result) int {
+			i := sort.Search(len(r.Sources), func(i int) bool { return r.Sources[i].Tau > ts })
+			return len(r.Sources) - i
+		}
+		t.Logf("k=%g: switch at tau=%.0f, accepted steps after it %d -> %d (all: %d -> %d), flops %.3g -> %.3g",
+			k, ts, after(hier), after(strm), hier.Stats.Steps, strm.Stats.Steps, hier.Flops, strm.Flops)
+		if k == 0.1 && (after(strm)*5 > after(hier) || strm.Stats.Steps*2 > hier.Stats.Steps) {
+			t.Errorf("k=0.1: %d accepted steps after the switch (%d in all), hierarchy run %d (%d): want >= 5x (2x) fewer",
+				after(strm), strm.Stats.Steps, after(hier), hier.Stats.Steps)
+		}
+	}
+	// k*tau0 < streamKTau: the switch is never planned.
+	k := 0.8 * streamKTau / m.BG.Tau0()
+	hier, strm := evolve(k, true), evolve(k, false)
+	hier.Seconds, strm.Seconds = 0, 0
+	if strm.TauStream != 0 || !reflect.DeepEqual(hier, strm) {
+		t.Fatalf("k=%g (k*tau0 = %.1f): run below the streaming threshold is not bitwise unchanged", k, k*m.BG.Tau0())
+	}
+}

@@ -18,13 +18,16 @@ type mode struct {
 
 	// lmax is the active photon/polarization/massless-neutrino hierarchy
 	// cutoff. The reference path fixes it at p.LMax; the fast engine
-	// starts it small and grows it with k*tau (see growHierarchy).
+	// starts it small, grows it with k*tau and ends a source-recording
+	// run at shrinkLMax or at streamLMax = -1, the streaming regime that
+	// carries no radiation moment at all (see nextStop).
 	lmax int
 	// grow marks growth as enabled and not yet complete.
 	grow bool
-	// shrinkAt, when positive, is the conformal time at which the
-	// hierarchies collapse to shrinkLMax (see shrinkHierarchy).
-	shrinkAt float64
+	// shrinkAt and streamAt, when positive, are the conformal times at
+	// which the hierarchies collapse to shrinkLMax and to the streaming
+	// regime (see planLateStops).
+	shrinkAt, streamAt float64
 	// tab, when non-nil, replaces the spline lookups in gatherSums with
 	// the model's flattened evaluation tables; tt receives the
 	// thermodynamic fields of the latest lookup.
@@ -109,6 +112,28 @@ const (
 const (
 	radShrinkEps = 1e-2
 	shrinkLMax   = 6
+)
+
+// Radiation streaming (fast engine, conformal-Newtonian source-recording
+// runs only). The shrunk hierarchies still drag the integrator through
+// every k-periodic oscillation of the truncated free-streaming solution
+// for the rest of the run, and the line-of-sight sources see none of it:
+// for k*tau >> 1 after decoupling the monopoles sit at Theta_0 + psi = 0
+// and the higher moments average out. Once the shrink condition holds and
+// k*tau >= streamKTau the state therefore drops every photon, polarization
+// and massless-neutrino moment (cutoff streamLMax: none carried) and the
+// Einstein sums close with delta_gamma = delta_nu = -4 phi, theta = sigma
+// = 0; the fluids, the metric and the massive-neutrino hierarchies evolve
+// on. The one-off error is the anisotropic stress dropped from psi at the
+// switch. Measured on SCDM against the same engine tracking the 6-moment
+// hierarchies to the end, the largest relative C_l shift over every l is
+// 8.7e-7 at LMaxCl 1000 / NK 1200 (2.2e-6 unbatched), 8.0e-7 at 300 and
+// 2.5e-7 at 150/130 — three decades inside the engine's 1e-3 budget — and
+// the Einstein-constraint residual falls from 3.6e-4 to 2e-6, the closure
+// being nearer the streaming solution than six truncated moments are.
+const (
+	streamKTau = 45.0
+	streamLMax = -1
 )
 
 // Source-recording step cap. The line-of-sight sources are linearly
@@ -216,15 +241,7 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 			defer func() { ad.MaxStep = m.srcCap.base }()
 		}
 	}
-	if p.FastEvolve && p.KeepSources && !p.noGrowLMax {
-		// Late-time collapse: a source-recording run stops carrying the
-		// full hierarchies once radiation is dynamically negligible. A
-		// brute run (no KeepSources) keeps them — its product IS the
-		// final-time moments.
-		if t := m.shrinkTime(); t < p.TauEnd {
-			m.shrinkAt = t
-		}
-	}
+	m.planLateStops(p.K)
 	if obs, ok := integ.(ode.StepObserver); ok {
 		if p.KeepSources {
 			obs.SetOnStep(sc.onRecord)
@@ -270,6 +287,9 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 	// Billed per segment at the active hierarchy size, so the fast
 	// engine's growing/shrinking runs report the work they actually did.
 	res.Flops = m.flops
+	if m.streaming() {
+		res.TauStream = m.streamAt
+	}
 	m.pack(p.TauEnd, y, res)
 	res.MaxConstraintResidual = m.maxResidual
 	res.Sources = m.sources
@@ -279,57 +299,13 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 	return res, nil
 }
 
-// integrateSpan advances the state from tau to tEnd, stopping at every
-// planned hierarchy-resize time (growth with k*tau; the late-time shrink)
-// to re-layout the state vector, and at the visibility-window edges to
-// switch the source-sampling step cap. With resizing and source capping
-// disabled it is a single Integrate call.
+// integrateSpan advances the state from tau to tEnd one planned segment at
+// a time (see nextStop), re-laying out the state vector wherever the plan
+// changes the hierarchy cutoff. With resizing and source capping disabled
+// it is a single Integrate call.
 func (m *mode) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float64, stats *ode.Stats) (float64, []float64, error) {
-	const (
-		actNone = iota
-		actGrow
-		actShrink
-	)
 	for {
-		next := tEnd
-		action := actNone
-		if m.grow {
-			if tg := m.nextGrowTau(); tg < next {
-				if tg < tau {
-					tg = tau
-				}
-				next = tg
-				action = actGrow
-			}
-		}
-		if m.shrinkAt > 0 && tau < m.shrinkAt && m.shrinkAt < next {
-			next = m.shrinkAt
-			action = actShrink
-		}
-		if m.srcCap.h > 0 {
-			cap := func(h float64) float64 {
-				if m.srcCap.base > 0 && m.srcCap.base < h {
-					return m.srcCap.base
-				}
-				return h
-			}
-			switch {
-			case tau < m.srcCap.lo:
-				m.ad.MaxStep = m.srcCap.base
-				if m.srcCap.lo < next {
-					next = m.srcCap.lo
-					action = actNone
-				}
-			case tau < m.srcCap.hi:
-				m.ad.MaxStep = cap(m.srcCap.h)
-				if m.srcCap.hi < next {
-					next = m.srcCap.hi
-					action = actNone
-				}
-			default:
-				m.ad.MaxStep = cap((m.p.TauEnd - m.srcCap.hi) * srcCapLate)
-			}
-		}
+		next, lNew := m.nextStop(tau, tEnd)
 		st, err := integ.Integrate(m.sc.rhsf, tau, next, y)
 		stats.Add(st)
 		m.flops += float64(st.Evals) * FlopsPerRHS(m.lmax, m.lnu, m.nq, m.p.Gauge)
@@ -340,13 +316,77 @@ func (m *mode) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float6
 		if tau >= tEnd {
 			return tau, y, nil
 		}
-		switch action {
-		case actGrow:
-			y = m.growHierarchy(tau, y)
-		case actShrink:
-			y = m.shrinkHierarchy(y)
+		if lNew != m.lmax {
+			y = m.resize(lNew, y)
 		}
 	}
+}
+
+// nextStop plans the integration segment that starts at tau, for the
+// scalar loop and (through its reference member) the batch loop alike. It
+// returns where the segment ends — tEnd, or the first planned stop before
+// it — and the hierarchy cutoff the state takes there (m.lmax when the
+// stop is no re-layout), and sets the source-sampling step cap that
+// applies on the way. The planned stops are:
+//
+//   - growth: the active cutoff stops being safe (nextGrowTau). The new
+//     cutoff overshoots the need in chunks, so a mode pays O(log LMax)
+//     re-layouts; evolved moments are copied over and newly activated ones
+//     seeded at zero (they carry no power yet — the premise of the
+//     truncation), the boundary closure continuing at the new last moment.
+//   - shrink (shrinkAt): radiation is dynamically negligible and the
+//     visibility window is over, so a source-recording run only needs the
+//     metric, which the hierarchies move at the level of the radiation
+//     share itself; they collapse to shrinkLMax moments under the usual
+//     free-streaming closure, exact for the streaming solution.
+//   - streaming (streamAt): no radiation moment is carried any more.
+//   - the visibility-window edges, where only the step cap changes.
+//
+// Moments dropped by the last two are gone for good (growth stays off);
+// pack zero-fills them, which a KeepSources consumer never reads.
+func (m *mode) nextStop(tau, tEnd float64) (next float64, lNew int) {
+	next, lNew = tEnd, m.lmax
+	if m.grow {
+		if tg := m.nextGrowTau(); tg < next {
+			next = max(tg, tau)
+			lNew = min(m.neededLMax(next)+max(8, m.lmax/3), m.p.LMax)
+			if lNew <= m.lmax {
+				lNew = m.lmax + 1 // cannot happen: growth times precede need
+			}
+		}
+	}
+	if tau < m.streamAt && m.streamAt < next {
+		next, lNew = m.streamAt, streamLMax
+	}
+	if tau < m.shrinkAt && m.shrinkAt < next {
+		next, lNew = m.shrinkAt, min(m.lmax, shrinkLMax)
+	}
+	if m.srcCap.h > 0 {
+		capped := func(h float64) float64 {
+			if m.srcCap.base > 0 && m.srcCap.base < h {
+				return m.srcCap.base
+			}
+			return h
+		}
+		switch {
+		case tau < m.srcCap.lo:
+			m.ad.MaxStep = m.srcCap.base
+			if m.srcCap.lo < next {
+				next, lNew = m.srcCap.lo, m.lmax
+			}
+		case tau < m.srcCap.hi:
+			m.ad.MaxStep = capped(m.srcCap.h)
+			if m.srcCap.hi < next {
+				next, lNew = m.srcCap.hi, m.lmax
+			}
+		default:
+			m.ad.MaxStep = capped((m.p.TauEnd - m.srcCap.hi) * srcCapLate)
+		}
+	}
+	if lNew < m.lmax {
+		m.grow = false
+	}
+	return next, lNew
 }
 
 // neededLMax is the smallest safe active cutoff at conformal time tau.
@@ -380,40 +420,6 @@ func (m *mode) nextGrowTau() float64 {
 	return float64(m.lmax-growBuffer+1) / (growRate * m.k)
 }
 
-// growHierarchy re-layouts the state vector for a larger active cutoff:
-// evolved moments are copied over, newly activated moments seeded at zero
-// (they carry no power yet — that is the premise of the truncation), and
-// the truncation-boundary closure continues at the new last moment.
-func (m *mode) growHierarchy(tau float64, y []float64) []float64 {
-	lNew := m.neededLMax(tau) + max(8, m.lmax/3)
-	if lNew > m.p.LMax {
-		lNew = m.p.LMax
-	}
-	if lNew <= m.lmax {
-		lNew = m.lmax + 1 // cannot happen: growth times precede need
-	}
-	return m.resize(lNew, y)
-}
-
-// shrinkHierarchy is the late-time counterpart of growHierarchy: once
-// radiation is dynamically negligible and the visibility window is over,
-// a source-recording run only needs the metric (for the integrated
-// Sachs-Wolfe term), which the radiation hierarchies influence at the
-// level of the tiny radiation fraction itself. The hierarchies collapse to
-// shrinkLMax moments under the usual free-streaming closure — exact for
-// the post-recombination streaming solution — so the bulk of the state
-// vector disappears from every remaining step. The moments above the cut
-// are dropped for good (growth stays off); pack zero-fills them, which
-// only a KeepSources consumer never reads.
-func (m *mode) shrinkHierarchy(y []float64) []float64 {
-	m.shrinkAt = 0
-	m.grow = false
-	if m.lmax <= shrinkLMax {
-		return y
-	}
-	return m.resize(shrinkLMax, y)
-}
-
 // maxNvar is the state-vector size the mode would have at the full
 // hierarchy cutoff p.LMax — the capacity hint that lets the arena reserve
 // one buffer covering every future growth event.
@@ -440,33 +446,34 @@ func (m *mode) resize(lNew int, y []float64) []float64 {
 	return ny
 }
 
-// shrinkTime returns the conformal time after which the hierarchies may
-// collapse: the photon + massless-neutrino share of the background falls
-// below radShrinkEps (bisected on the tabulated background), and the
-// visibility window of a recording run is over.
-func (m *mode) shrinkTime() float64 {
-	var g cosmology.Grho
-	frac := func(a float64) float64 {
-		m.BG.Eval(a, &g)
-		return (g.G + g.Nu) / g.Total
+// streaming reports whether the run has entered the streaming regime.
+func (m *mode) streaming() bool { return m.lmax < 0 }
+
+// planLateStops schedules the late-time re-layouts of a fast
+// source-recording run: the shrink once radiation is negligible (see
+// Model.radShrinkTau) and the visibility window is over, and in the
+// conformal Newtonian gauge the streaming switch once, on top of that,
+// k*tau >= streamKTau for kmin, the smallest wavenumber integrated with
+// this mode. A brute run (no KeepSources) keeps its hierarchies: its
+// product IS the final-time moments.
+func (m *mode) planLateStops(kmin float64) {
+	if !m.p.FastEvolve || !m.p.KeepSources || m.p.noGrowLMax {
+		return
 	}
-	if frac(1.0) > radShrinkEps {
-		return math.Inf(1) // radiation never negligible (toy cosmologies)
-	}
-	lo, hi := 1e-6, 1.0
-	for i := 0; i < 60 && hi-lo > 1e-9; i++ {
-		mid := math.Sqrt(lo * hi)
-		if frac(mid) > radShrinkEps {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := m.BG.Tau(hi)
+	t := m.radShrinkTau()
 	if m.srcCap.h > 0 && t < m.srcCap.hi {
 		t = m.srcCap.hi
 	}
-	return t
+	if t >= m.p.TauEnd {
+		return
+	}
+	m.shrinkAt = t
+	if m.p.Gauge != ConformalNewtonian || m.p.noStream {
+		return
+	}
+	if ts := max(t, streamKTau/kmin); ts < m.p.TauEnd {
+		m.streamAt = ts
+	}
 }
 
 // layout assigns state-vector indices for the active cutoff m.lmax.
@@ -702,15 +709,18 @@ func (m *mode) pack(tau float64, y []float64, res *Result) {
 		res.ThetaL[l] = 0.25 * y[m.ifg+l]
 		res.ThetaPL[l] = 0.25 * y[m.igg+l]
 	}
+	var s sums
+	m.gatherSums(tau, y, &s)
+	if m.streaming() {
+		res.ThetaL[0] = 0.25 * s.deltaG // the streaming closure, -phi
+	}
 	res.DeltaC = y[m.idc]
 	res.DeltaB = y[m.idb]
-	res.DeltaG = y[m.ifg]
-	res.DeltaNu = y[m.ifn]
+	res.DeltaG = s.deltaG
+	res.DeltaNu = s.deltaNu
 	res.ThetaB = y[m.itb]
 	if m.p.Gauge == ConformalNewtonian {
 		res.ThetaC = y[m.itc]
-		var s sums
-		m.gatherSums(tau, y, &s)
 		res.Phi = y[m.iphi]
 		res.Psi = y[m.iphi] - 1.5*s.gshear/m.k2
 	} else {

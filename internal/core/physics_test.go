@@ -184,6 +184,30 @@ func TestLambdaLateISW(t *testing.T) {
 	if math.Abs(now.Phi) >= math.Abs(mid.Phi)*0.97 {
 		t.Fatalf("Lambda should decay the potential: %g -> %g", mid.Phi, now.Phi)
 	}
+
+	// The late ISW source survives the fast engine's streaming switch: on
+	// a mode that spends most of the run with no radiation state, the
+	// decaying potential and its rate match the exact engine's.
+	src := Params{K: 0.01, LMax: 30, Gauge: ConformalNewtonian, KeepSources: true}
+	exact, err := mdl.Evolve(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.FastEvolve = true
+	fast, err := mdl.Evolve(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.TauStream <= 0 || fast.TauStream > 0.5*fast.Tau {
+		t.Fatalf("streaming switch at tau=%g of %g: the check needs it live for the Lambda era", fast.TauStream, fast.Tau)
+	}
+	if d := math.Abs(fast.Phi/exact.Phi - 1); d > 2e-5 {
+		t.Errorf("final Phi: fast %g vs exact %g (rel %.3g)", fast.Phi, exact.Phi, d)
+	}
+	fe, ee := fast.Sources[len(fast.Sources)-1], exact.Sources[len(exact.Sources)-1]
+	if d := math.Abs(fe.PhiDot/ee.PhiDot - 1); d > 2e-5 || fe.PhiDot*fe.Phi >= 0 {
+		t.Errorf("final PhiDot: fast %g vs exact %g (rel %.3g), Phi %g", fe.PhiDot, ee.PhiDot, d, fe.Phi)
+	}
 }
 
 // Neutrino anisotropic stress makes phi != psi in the radiation era; by

@@ -60,20 +60,28 @@ func (m *mode) gatherSums(tau float64, y []float64, s *sums) {
 		tc = y[m.itc]
 	}
 
-	s.deltaG = y[m.ifg]
-	s.thetaG = 0.75 * k * y[m.ifg+1]
-	if m.tca {
-		// Algebraic first-order tight-coupling shear. The synchronous
-		// metric contribution is added by the caller (it needs eta-dot,
-		// which itself needs gtheta — the shear term there is O(tau_c)
-		// and may be evaluated with the photon velocity alone).
-		s.sigmaG = 16.0 / 45.0 / s.kd * s.thetaG
+	var sigmaNu float64
+	if m.streaming() {
+		// No radiation state: the free-streaming monopoles sit at
+		// Theta_0 + psi = 0 and the higher moments average out.
+		s.deltaG, s.deltaNu = -4.0*y[m.iphi], -4.0*y[m.iphi]
+		s.thetaG, s.sigmaG, s.thetaNu = 0, 0, 0
 	} else {
-		s.sigmaG = 0.5 * y[m.ifg+2]
+		s.deltaG = y[m.ifg]
+		s.thetaG = 0.75 * k * y[m.ifg+1]
+		if m.tca {
+			// Algebraic first-order tight-coupling shear. The synchronous
+			// metric contribution is added by the caller (it needs eta-dot,
+			// which itself needs gtheta — the shear term there is O(tau_c)
+			// and may be evaluated with the photon velocity alone).
+			s.sigmaG = 16.0 / 45.0 / s.kd * s.thetaG
+		} else {
+			s.sigmaG = 0.5 * y[m.ifg+2]
+		}
+		s.deltaNu = y[m.ifn]
+		s.thetaNu = 0.75 * k * y[m.ifn+1]
+		sigmaNu = 0.5 * y[m.ifn+2]
 	}
-	s.deltaNu = y[m.ifn]
-	s.thetaNu = 0.75 * k * y[m.ifn+1]
-	sigmaNu := 0.5 * y[m.ifn+2]
 
 	s.gdrho = g.C*dc + g.B*db + g.G*s.deltaG + g.Nu*s.deltaNu
 	s.gtheta = g.C*tc + g.B*tb + 4.0/3.0*(g.G*s.thetaG+g.Nu*s.thetaNu)
@@ -168,12 +176,20 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	} else {
 		dy[m.idb] = -tb - 0.5*hdot
 	}
-	dy[m.ifg] = -k*y[m.ifg+1] + src0
 
 	// Photon-baryon momentum exchange. m.scratch still holds the
 	// background densities filled by gatherSums.
 	gb := &m.scratch
 	r := 4.0 / 3.0 * gb.G / gb.B
+	if m.streaming() {
+		// Conformal Newtonian, no radiation state: the baryons keep the
+		// residual Thomson drag toward theta_g = 0, and only the massive
+		// neutrinos are left of the Boltzmann hierarchies.
+		dy[m.itb] = -hc*tb + s.cs2*k2*db + k2*psi - r*kd*tb
+		m.massiveNuRHS(tau, a, y, dy, phiDot, psi, 0, 0)
+		return
+	}
+	dy[m.ifg] = -k*y[m.ifg+1] + src0
 	photonAccel := k2 * (0.25*s.deltaG - s.sigmaG)
 	var kpsi float64
 	if m.p.Gauge == ConformalNewtonian {
@@ -250,38 +266,43 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	}
 	dfn[lmax] = k*fn[lmax-1] - (float64(lmax)+1.0)/tau*fn[lmax]
 
-	// Massive neutrinos: full momentum dependence.
-	if m.nq > 0 {
-		am := a * m.BG.MassQ
-		rA, rB := m.rA, m.rB
-		for iq := 0; iq < m.nq; iq++ {
-			q := m.BG.Q[iq]
-			df := m.BG.DlnF0DlnQ[iq]
-			eps := math.Sqrt(q*q + am*am)
-			qke := q * k / eps
-			base := m.ipsn + iq*(m.lnu+1)
-			ps := y[base : base+m.lnu+1]
-			dps := dy[base : base+m.lnu+1]
-			var s0, s1, s2nu float64
-			if m.p.Gauge == ConformalNewtonian {
-				s0 = -phiDot * df
-				s1 = -eps * k / (3.0 * q) * psi * df
-			} else {
-				s0 = hdot / 6.0 * df
-				s2nu = -2.0 / 15.0 * (0.5*hdot + 3.0*eDot) * df
-			}
-			dps[0] = -qke*ps[1] + s0
-			dps[1] = qke/3.0*(ps[0]-2.0*ps[2]) + s1
-			if m.lnu >= 3 {
-				dps[2] = qke/5.0*(2.0*ps[1]-3.0*ps[3]) + s2nu
-			} else {
-				dps[2] = qke/5.0*(2.0*ps[1]) + s2nu
-			}
-			for l := 3; l < m.lnu; l++ {
-				dps[l] = qke * (rA[l]*ps[l-1] - rB[l]*ps[l+1])
-			}
-			dps[m.lnu] = qke*ps[m.lnu-1] - (float64(m.lnu)+1.0)/tau*ps[m.lnu]
+	m.massiveNuRHS(tau, a, y, dy, phiDot, psi, hdot, eDot)
+}
+
+// massiveNuRHS fills the massive-neutrino block of the right-hand side
+// (full momentum dependence) from the metric sources of the run's gauge:
+// (phiDot, psi) conformal Newtonian, (hdot, eDot) synchronous.
+func (m *mode) massiveNuRHS(tau, a float64, y, dy []float64, phiDot, psi, hdot, eDot float64) {
+	k := m.k
+	am := a * m.BG.MassQ
+	rA, rB := m.rA, m.rB
+	for iq := 0; iq < m.nq; iq++ {
+		q := m.BG.Q[iq]
+		df := m.BG.DlnF0DlnQ[iq]
+		eps := math.Sqrt(q*q + am*am)
+		qke := q * k / eps
+		base := m.ipsn + iq*(m.lnu+1)
+		ps := y[base : base+m.lnu+1]
+		dps := dy[base : base+m.lnu+1]
+		var s0, s1, s2nu float64
+		if m.p.Gauge == ConformalNewtonian {
+			s0 = -phiDot * df
+			s1 = -eps * k / (3.0 * q) * psi * df
+		} else {
+			s0 = hdot / 6.0 * df
+			s2nu = -2.0 / 15.0 * (0.5*hdot + 3.0*eDot) * df
 		}
+		dps[0] = -qke*ps[1] + s0
+		dps[1] = qke/3.0*(ps[0]-2.0*ps[2]) + s1
+		if m.lnu >= 3 {
+			dps[2] = qke/5.0*(2.0*ps[1]-3.0*ps[3]) + s2nu
+		} else {
+			dps[2] = qke/5.0*(2.0*ps[1]) + s2nu
+		}
+		for l := 3; l < m.lnu; l++ {
+			dps[l] = qke * (rA[l]*ps[l-1] - rB[l]*ps[l+1])
+		}
+		dps[m.lnu] = qke*ps[m.lnu-1] - (float64(m.lnu)+1.0)/tau*ps[m.lnu]
 	}
 }
 
@@ -350,7 +371,7 @@ func (m *mode) record(tau float64, y []float64) {
 		Residual: resid,
 		Tau:      tau,
 		A:        s.a,
-		Theta0:   0.25 * y[m.ifg],
+		Theta0:   0.25 * s.deltaG,
 		VB:       y[m.itb] / m.k,
 		Kdot:     s.kd,
 		Kappa:    kappa,
@@ -359,7 +380,7 @@ func (m *mode) record(tau float64, y []float64) {
 	}
 	if m.tca {
 		smp.Pi = 2.5 * 2.0 * s.sigmaG // Pi = (5/2) F_2 = 5 sigma_g
-	} else {
+	} else if !m.streaming() {
 		smp.Pi = y[m.ifg+2] + y[m.igg] + y[m.igg+2]
 	}
 	if m.p.Gauge == ConformalNewtonian {

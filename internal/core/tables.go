@@ -190,6 +190,11 @@ func (t *EvalTables) Visibility(a float64) float64 {
 type tablesState struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[EvalTables]
+
+	// radShrink is the model's radiation-negligible time (see
+	// Model.radShrinkTau), found on first use.
+	radShrinkOnce sync.Once
+	radShrink     float64
 }
 
 // EnsureEvalTables returns the model's flattened evaluation tables,
@@ -212,4 +217,35 @@ func (mdl *Model) EnsureEvalTables(pfor func(workers, n int, body func(i int))) 
 	obsTableBuildSeconds.Observe(time.Since(start).Seconds())
 	ts.tab.Store(t)
 	return t
+}
+
+// radShrinkTau returns the conformal time at which the photon +
+// massless-neutrino share of the background falls below radShrinkEps
+// (+Inf when it never does: toy cosmologies). It depends on the model
+// alone, so the bisection on the exact background runs once per model and
+// every mode derives its shrink and streaming stops from the one value.
+func (mdl *Model) radShrinkTau() float64 {
+	ts := mdl.tables
+	ts.radShrinkOnce.Do(func() {
+		var g cosmology.Grho
+		frac := func(a float64) float64 {
+			mdl.BG.Eval(a, &g)
+			return (g.G + g.Nu) / g.Total
+		}
+		if frac(1.0) > radShrinkEps {
+			ts.radShrink = math.Inf(1)
+			return
+		}
+		lo, hi := 1e-6, 1.0
+		for i := 0; i < 60 && hi-lo > 1e-9; i++ {
+			mid := math.Sqrt(lo * hi)
+			if frac(mid) > radShrinkEps {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		ts.radShrink = mdl.BG.Tau(hi)
+	})
+	return ts.radShrink
 }

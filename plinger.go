@@ -270,6 +270,8 @@ type ModeOptions struct {
 	// start small and grow with k*tau, the background and thermodynamics
 	// come from flattened per-model tables, and the integrator uses PI
 	// step control. Same accuracy contract as SpectrumOptions.FastEvolve.
+	// With KeepSources in the conformal Newtonian gauge the run ends in
+	// the streaming regime (see ModeResult.TauStream).
 	FastEvolve bool
 }
 
@@ -311,6 +313,12 @@ type ModeResult struct {
 	Steps, Evals int
 	Flops        float64
 	Seconds      float64
+	// TauStream is the conformal time from which a FastEvolve KeepSources
+	// run in the conformal Newtonian gauge carried no radiation moments
+	// any more (zero: it never stopped). The state reported above then
+	// holds the free-streaming closure, not evolved moments: ThetaL[0] =
+	// -Phi, DeltaG = DeltaNu = -4 Phi, every higher multipole zero.
+	TauStream float64
 }
 
 func wrapResult(r *core.Result) *ModeResult {
@@ -323,6 +331,7 @@ func wrapResult(r *core.Result) *ModeResult {
 		ConstraintResidual: r.MaxConstraintResidual,
 		Steps:              r.Stats.Steps, Evals: r.Stats.Evals,
 		Flops: r.Flops, Seconds: r.Seconds,
+		TauStream: r.TauStream,
 	}
 }
 
@@ -412,9 +421,13 @@ type SpectrumOptions struct {
 	KRefine int
 	// FastEvolve switches the per-mode Einstein-Boltzmann integration to
 	// the fast evolution engine: the photon/polarization/neutrino moment
-	// hierarchies start at a few moments and grow with k*tau, the
-	// background and thermodynamic history come from flattened per-model
-	// lookup tables, and the integrator runs PI step-size control. Like
+	// hierarchies start at a few moments and grow with k*tau, shrink to six
+	// once radiation is dynamically negligible and are dropped from the
+	// state for the free-streaming closure once k*tau >= 45 on top of that
+	// (most of a paper-scale sweep's steps went into following their
+	// oscillation, which the sources cannot see), the background and
+	// thermodynamic history come from flattened per-model lookup
+	// tables, and the integrator runs PI step-size control. Like
 	// FastLOS and KRefine it stays within the engine's 1e-3 relative C_l
 	// budget (the measured full fast path deviates by a few 1e-4; the
 	// golden tests enforce the bound) and is off by default: the exact

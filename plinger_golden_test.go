@@ -12,13 +12,29 @@ import (
 )
 
 // updateGolden rewrites testdata/golden_cl_bits.json from the code under
-// test. The checked-in file was recorded on the commit before the fused
-// coarse-sources-to-Theta_l stage (91aca42), so the test proves the fusion
-// changed no bit; rerun with the flag only when a change is *meant* to move
-// the spectrum.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_cl_bits.json")
+// test (make golden); rerun with the flag only when a change is *meant* to
+// move the spectrum. The rewrite prints, per case, the largest relative
+// shift old -> new and the l it occurs at, and refuses a shift above
+// goldenMaxShift unless updateGoldenForce is given too, so the bits are
+// never re-recorded blind.
+var (
+	updateGolden      = flag.Bool("update-golden", false, "rewrite testdata/golden_cl_bits.json")
+	updateGoldenForce = flag.Bool("update-golden-force", false, "with -update-golden: accept a relative shift above 1e-4")
+)
 
-const goldenClPath = "testdata/golden_cl_bits.json"
+const (
+	goldenClPath   = "testdata/golden_cl_bits.json"
+	goldenMaxShift = 1e-4
+
+	// hierarchyClPath is golden_cl_bits.json as it stood before the
+	// radiation-streaming switch (commit 72c7ed3): the engine tracking the
+	// shrunk 6-moment hierarchies to the present.
+	hierarchyClPath = "testdata/golden_cl_bits_hierarchy.json"
+	// streamClBudget bounds what the switch may move C_l by at any l
+	// (measured: 2.5e-7 and 8.0e-7 on the two cases; the engine's own budget
+	// is 1e-3).
+	streamClBudget = 1e-5
+)
 
 // goldenCases are the fast-engine requests whose C_l bits are pinned: the
 // stock 150/130 product and the LMaxCl 300 product at its default NK, every
@@ -51,8 +67,45 @@ func clBits(cl []float64) []string {
 	return out
 }
 
+// readClBits loads a recorded bits file as C_l values per case.
+func readClBits(t *testing.T, path string) map[string][]float64 {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bits map[string][]string
+	if err := json.Unmarshal(buf, &bits); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	out := make(map[string][]float64, len(bits))
+	for name, hex := range bits {
+		cl := make([]float64, len(hex))
+		for i, h := range hex {
+			u, err := strconv.ParseUint(h, 16, 64)
+			if err != nil {
+				t.Fatalf("%s: %s[%d]: %v", path, name, i, err)
+			}
+			cl[i] = math.Float64frombits(u)
+		}
+		out[name] = cl
+	}
+	return out
+}
+
+// maxRelShift returns the largest |b/a - 1| over the multipoles and the
+// index it occurs at.
+func maxRelShift(a, b []float64) (shift float64, at int) {
+	for i := range a {
+		if d := math.Abs(b[i]/a[i] - 1); d > shift {
+			shift, at = d, i
+		}
+	}
+	return shift, at
+}
+
 // TestGoldenClBits: the fast engine's C_l is the same 64 bits per multipole
-// as the recorded parent-commit answer at every worker count and with a
+// as the recorded answer (make golden) at every worker count and with a
 // single processor — the fused refine+project stage is parallel over fine
 // wavenumbers, and neither its schedule nor the four-row Bessel walk may
 // reorder a single addition.
@@ -63,6 +116,7 @@ func TestGoldenClBits(t *testing.T) {
 	m := scdmModel(t)
 	cases := goldenCases()
 	if *updateGolden {
+		old := readClBits(t, goldenClPath)
 		golden := map[string][]string{}
 		for name, o := range cases {
 			sp, err := m.ComputeSpectrum(o)
@@ -70,12 +124,21 @@ func TestGoldenClBits(t *testing.T) {
 				t.Fatal(err)
 			}
 			golden[name] = clBits(sp.Cl)
+			if len(old[name]) != len(sp.Cl) {
+				t.Logf("%s: %d multipoles (recorded: %d), nothing to compare", name, len(sp.Cl), len(old[name]))
+				continue
+			}
+			shift, at := maxRelShift(old[name], sp.Cl)
+			t.Logf("%s: largest relative shift old -> new %.3g at l=%d", name, shift, sp.L[at])
+			if shift > goldenMaxShift && !*updateGoldenForce {
+				t.Errorf("%s: shift %.3g at l=%d is above %g; pass -update-golden-force if it is meant", name, shift, sp.L[at], goldenMaxShift)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("%s left as it was", goldenClPath)
 		}
 		buf, err := json.MarshalIndent(golden, "", " ")
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenClPath, append(buf, '\n'), 0o644); err != nil {
@@ -83,27 +146,21 @@ func TestGoldenClBits(t *testing.T) {
 		}
 		return
 	}
-	buf, err := os.ReadFile(goldenClPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string][]string
-	if err := json.Unmarshal(buf, &golden); err != nil {
-		t.Fatal(err)
-	}
+	golden := readClBits(t, goldenClPath)
 	check := func(t *testing.T, name string, o SpectrumOptions) {
 		t.Helper()
 		sp, err := m.ComputeSpectrum(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := golden[name], clBits(sp.Cl)
+		want, got := golden[name], sp.Cl
 		if len(want) != len(got) {
 			t.Fatalf("%s: %d multipoles, golden file has %d", name, len(got), len(want))
 		}
 		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s: C_l bits differ at l=%d: got %s, golden %s", name, sp.L[i], got[i], want[i])
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s: C_l bits differ at l=%d: got %x, golden %x", name, sp.L[i],
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -117,6 +174,31 @@ func TestGoldenClBits(t *testing.T) {
 			o.Workers = 0
 			check(t, name, o)
 		})
+	}
+}
+
+// TestStreamingClWithinHierarchyReference: dropping the free-streaming
+// radiation from the late evolution (core's streaming switch) keeps every
+// multipole of both recorded cases within streamClBudget of the spectrum
+// the engine produced while it still tracked the hierarchies to the
+// present — the frozen pre-switch bits, which no re-recording of
+// golden_cl_bits.json touches.
+func TestStreamingClWithinHierarchyReference(t *testing.T) {
+	ref := readClBits(t, hierarchyClPath)
+	m := scdmModel(t)
+	for name, o := range goldenCases() {
+		sp, err := m.ComputeSpectrum(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref[name]) != len(sp.Cl) {
+			t.Fatalf("%s: %d multipoles, hierarchy reference has %d", name, len(sp.Cl), len(ref[name]))
+		}
+		shift, at := maxRelShift(ref[name], sp.Cl)
+		t.Logf("%s: largest relative shift from the hierarchy reference %.3g at l=%d", name, shift, sp.L[at])
+		if shift > streamClBudget {
+			t.Errorf("%s: C_l is %.3g from the hierarchy reference at l=%d, budget %g", name, shift, sp.L[at], streamClBudget)
+		}
 	}
 }
 

@@ -71,6 +71,21 @@ func TestEvolveModeThroughFacade(t *testing.T) {
 	if newt.Phi == 0 || newt.Psi == 0 {
 		t.Fatal("Newtonian potentials missing")
 	}
+	if newt.TauStream != 0 {
+		t.Fatalf("exact-engine run reports TauStream = %g", newt.TauStream)
+	}
+	// A fast source-recording run says where it stopped carrying radiation
+	// moments, and what its final radiation state then stands for.
+	strm, err := m.EvolveMode(ModeOptions{K: 0.04, LMax: 16, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strm.TauStream < m.TauRecombination() || strm.TauStream >= m.Tau0() {
+		t.Fatalf("TauStream = %g outside (tau_rec, tau0)", strm.TauStream)
+	}
+	if strm.ThetaL[0] != -strm.Phi || strm.DeltaG != -4*strm.Phi || math.Abs(strm.Phi/newt.Phi-1) > 1e-3 {
+		t.Fatalf("streaming closure not reported: ThetaL[0] %g, DeltaG %g, Phi %g (exact %g)", strm.ThetaL[0], strm.DeltaG, strm.Phi, newt.Phi)
+	}
 }
 
 func TestSpectrumEndToEnd(t *testing.T) {
