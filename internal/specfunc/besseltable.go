@@ -272,8 +272,8 @@ func (t *BesselTable) Stencil(xs []float64, st *BesselStencil) {
 }
 
 // AccumStencil sums sA[p] j + sB[p] j' + sC[p] q over stencil points
-// [lo, hi) — the LOS integral's visibility-coupled region in one call, so
-// the per-point work is a branch-free fused dot product.
+// [lo, hi) — a row's whole LOS integral in one call, so the per-point work
+// is a branch-free fused dot product.
 func (r BesselRow) AccumStencil(st *BesselStencil, lo, hi int, sA, sB, sC []float64) float64 {
 	return r.accumStencilFrom(0, st, lo, hi, sA, sB, sC)
 }
@@ -330,20 +330,6 @@ func AccumStencil4(rows *[4]BesselRow, st *BesselStencil, lo int, hi *[4]int, sA
 		sums[i] = rows[i].accumStencilFrom(sums[i], st, common, hi[i], sA, sB, sC)
 	}
 	return sums
-}
-
-// AccumJStencil sums sA[p] j over stencil points [lo, hi) — the ISW tail,
-// monopole kernel only.
-func (r BesselRow) AccumJStencil(st *BesselStencil, lo, hi int, sA []float64) float64 {
-	var sum float64
-	data := r.data
-	for p := lo; p < hi; p++ {
-		o := st.off[p]
-		w := &st.w[p]
-		d := data[o : o+12 : o+12]
-		sum += sA[p] * (w[0]*d[0] + w[1]*d[3] + w[2]*d[6] + w[3]*d[9])
-	}
-	return sum
 }
 
 // sortedUniqueLs returns a sorted copy of ls without duplicates or

@@ -99,36 +99,27 @@ func projectThetaTable(k, tau0 float64, sc *losScratch, rows []specfunc.BesselRo
 	}
 	tbl.Stencil(sc.ys, &sc.stencil)
 
-	// ends returns where row's integral stops: y decreases along the
-	// grid; keep only the prefix with y >= XLow (beyond it the kernels
-	// are < 1e-9 of their peak and contribute nothing at the 1e-3 C_l
-	// budget), intersected with the active source range of the mode. vis
-	// closes the visibility-coupled region (all three kernels); up to
-	// iEnd runs the ISW tail, where the dipole and quadrupole sources are
-	// zero and only the monopole kernel is needed.
-	ends := func(row specfunc.BesselRow) (vis, iEnd int) {
-		iEnd = n
+	// end returns where row's integral stops: y decreases along the grid;
+	// keep only the prefix with y >= XLow (beyond it the kernels are < 1e-9
+	// of their peak and contribute nothing at the 1e-3 C_l budget).
+	end := func(row specfunc.BesselRow) int {
 		if row.XLow > 0 {
-			iEnd = sort.SearchFloat64s(grid, tau0-row.XLow/k)
+			return sort.SearchFloat64s(grid, tau0-row.XLow/k)
 		}
-		return min(sc.iVisEnd, iEnd), iEnd
+		return n
 	}
 	j := 0
 	for ; j+4 <= len(rows); j += 4 {
 		four := (*[4]specfunc.BesselRow)(rows[j:])
-		var vis, iEnd [4]int
+		var iEnd [4]int
 		for r := range four {
-			vis[r], iEnd[r] = ends(four[r])
+			iEnd[r] = end(four[r])
 		}
-		sums := specfunc.AccumStencil4(four, &sc.stencil, sc.iFirst, &vis, sc.wA, sc.wB, sc.wC)
-		for r := range four {
-			out[j+r] = sums[r] + four[r].AccumJStencil(&sc.stencil, vis[r], iEnd[r], sc.wA)
-		}
+		sums := specfunc.AccumStencil4(four, &sc.stencil, sc.iFirst, &iEnd, sc.wA, sc.wB, sc.wC)
+		copy(out[j:], sums[:])
 	}
 	for ; j < len(rows); j++ {
-		vis, iEnd := ends(rows[j])
-		sum := rows[j].AccumStencil(&sc.stencil, sc.iFirst, vis, sc.wA, sc.wB, sc.wC)
-		out[j] = sum + rows[j].AccumJStencil(&sc.stencil, vis, iEnd, sc.wA)
+		out[j] = rows[j].AccumStencil(&sc.stencil, sc.iFirst, end(rows[j]), sc.wA, sc.wB, sc.wC)
 	}
 }
 

@@ -264,13 +264,10 @@ type losScratch struct {
 	// Sweep.mode).
 	fine    core.Result
 	fineSrc []core.Sample
-	// Active ranges for the fast projection (the exact reference path
-	// always integrates the full grid): iFirst is the first index where
-	// any source is non-negligible (before it e^-kappa underflows), and
-	// iVisEnd ends the visibility-coupled region — beyond it the dipole
-	// and quadrupole sources vanish and only the ISW monopole term
-	// survives.
-	iFirst, iVisEnd int
+	// iFirst is the first index where any source is non-negligible (before
+	// it e^-kappa underflows): the fast projection starts there, the exact
+	// reference path always integrates the full grid.
+	iFirst int
 }
 
 // losPool keeps the per-worker scratch sets across sweeps: a daemon's next
@@ -334,7 +331,7 @@ func losAssemble(r *core.Result, tau0, tauRec float64, sc *losScratch) error {
 	// Quadrature weights were built alongside the grid (Simpson within
 	// each uniform segment, see losGrid).
 
-	// Active ranges (see the losScratch comment). Thresholds are relative,
+	// Active range (see the losScratch comment). Thresholds are relative,
 	// 1e-12 of the per-source peak, so dropped terms are far below the
 	// 1e-3 C_l budget.
 	var maxA, maxBC float64
@@ -356,12 +353,6 @@ func losAssemble(r *core.Result, tau0, tauRec float64, sc *losScratch) error {
 		math.Abs(sc.srcB[sc.iFirst]) <= thrBC &&
 		math.Abs(sc.srcC[sc.iFirst]) <= thrBC {
 		sc.iFirst++
-	}
-	sc.iVisEnd = n
-	for sc.iVisEnd > sc.iFirst &&
-		math.Abs(sc.srcB[sc.iVisEnd-1]) <= thrBC &&
-		math.Abs(sc.srcC[sc.iVisEnd-1]) <= thrBC {
-		sc.iVisEnd--
 	}
 	return nil
 }
