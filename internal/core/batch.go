@@ -184,8 +184,8 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	if p.KeepSources {
 		ref.ad = dv
 		tauRec := mdl.TH.TauRec()
-		ref.srcCap.lo = tauRec - srcCapBefore
-		ref.srcCap.hi = tauRec + srcCapAfter
+		ref.srcCap.lo = tauRec - SourceWindowBefore
+		ref.srcCap.hi = tauRec + SourceWindowAfter
 		ref.srcCap.h = srcCapStep
 		ref.srcCap.base = dv.MaxStep
 		defer func() { dv.MaxStep = ref.srcCap.base }()

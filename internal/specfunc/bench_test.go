@@ -52,8 +52,10 @@ func BenchmarkBesselTableBuild(b *testing.B) {
 }
 
 // BenchmarkAccumStencil compares the projection's inner kernel one row at
-// a time and four rows per pass, on a paper-sized ladder (rows far larger
-// than cache) and a mode-sized stencil; both report ns per (point, row).
+// a time, four rows per pass, and four rows per pass with the points on the
+// table's coarse nodes (AccumNodes4: no interpolation), on a paper-sized
+// ladder (rows far larger than cache) and a mode-sized stencil; all report
+// ns per (point, row).
 func BenchmarkAccumStencil(b *testing.B) {
 	ls := make([]int, 0, 56)
 	for l := 2; len(ls) < 56; l += 18 {
@@ -89,6 +91,16 @@ func BenchmarkAccumStencil(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for g := 0; g+4 <= len(rows); g += 4 {
 				sums := AccumStencil4((*[4]BesselRow)(rows[g:]), &st, 0, &hi, src, src, src)
+				acc += sums[0] + sums[1] + sums[2] + sums[3]
+			}
+		}
+		report(b)
+	})
+	b.Run("four rows on nodes", func(b *testing.B) {
+		hi := [4]int{n, n, n, n}
+		for i := 0; i < b.N; i++ {
+			for g := 0; g+4 <= len(rows); g += 4 {
+				sums := AccumNodes4((*[4]BesselRow)(rows[g:]), n-1, 0, &hi, src, src, src)
 				acc += sums[0] + sums[1] + sums[2] + sums[3]
 			}
 		}

@@ -18,6 +18,12 @@ import (
 // (O(h^4) accurate; h = 1/16 keeps the kernel error below ~1e-6, far inside
 // the 1e-3 C_l budget). Tables are immutable after construction and safe
 // for concurrent readers.
+//
+// Each row also keeps a contiguous copy of every BesselNodeStride-th node
+// (+1/6 of the table's bytes). A LOS quadrature whose free-streaming points
+// are laid on those nodes reads its kernels straight from the copy
+// (AccumNodes4): no interpolation, and consecutive points are adjacent in
+// memory instead of 6 nodes = 144 bytes apart.
 type BesselTable struct {
 	// LMax is the largest tabulated multipole; Xmax the largest argument
 	// the grid covers; H the node spacing.
@@ -34,16 +40,18 @@ type BesselTable struct {
 // negligibility threshold used to truncate integrals below the turning
 // point.
 type besselRow struct {
-	data []float64 // 3*n values: data[3i..3i+2] = j, j', q at x = i*h
-	xlow float64
+	data   []float64 // 3*n values: data[3i..3i+2] = j, j', q at x = i*h
+	coarse []float64 // data's node triples 0, BesselNodeStride, 2 BesselNodeStride, ...
+	xlow   float64
 }
 
 // BesselRow is a borrowed, immutable view of one multipole's table for hot
 // loops: fetch it once per mode, then Eval per quadrature point.
 type BesselRow struct {
-	data []float64
-	invH float64
-	n    int
+	data   []float64
+	coarse []float64
+	invH   float64
+	n      int
 	// XLow is the argument below which all three kernels are negligible
 	// (< ~1e-9 of the row peak): j_l is exponentially small below the
 	// turning point x ~ l, so LOS integrals can skip x < XLow outright.
@@ -54,6 +62,11 @@ type BesselRow struct {
 // period 2 pi, so 1/16 gives ~100 nodes per oscillation and interpolation
 // errors near 1e-6.
 const DefaultBesselH = 1.0 / 16.0
+
+// BesselNodeStride is the node stride of the rows' contiguous coarse copy:
+// x = m * BesselNodeStride * H, 0.375 at the default spacing or 16.76 nodes
+// per kernel oscillation — the density a LOS quadrature wants anyway.
+const BesselNodeStride = 6
 
 // NewBesselTable tabulates the LOS kernels for the multipoles in ls (nil:
 // every l in 0..lmax) on the uniform grid [0, xmax]. When par is non-nil
@@ -87,6 +100,7 @@ func NewBesselTable(lmax int, ls []int, xmax, h float64, par func(n int, body fu
 	t := &BesselTable{LMax: lmax, Xmax: xmax, H: h, rows: make([]besselRow, lmax+1), ls: ls, nodes: n}
 	for _, l := range ls {
 		t.rows[l].data = make([]float64, 3*n)
+		t.rows[l].coarse = make([]float64, 3*((n+BesselNodeStride-1)/BesselNodeStride))
 	}
 
 	// One backward recurrence per node fills every tabulated l at once.
@@ -108,6 +122,9 @@ func NewBesselTable(lmax int, ls []int, xmax, h float64, par func(n int, body fu
 				row[3*i] = j
 				row[3*i+1] = jp
 				row[3*i+2] = 0.5 * (3.0*jpp + j)
+				if i%BesselNodeStride == 0 {
+					copy(t.rows[l].coarse[3*(i/BesselNodeStride):], row[3*i:3*i+3])
+				}
 			}
 		}
 	}
@@ -195,7 +212,7 @@ func (t *BesselTable) Row(l int) (BesselRow, bool) {
 		return BesselRow{}, false
 	}
 	r := t.rows[l]
-	return BesselRow{data: r.data, invH: 1.0 / t.H, n: len(r.data) / 3, XLow: r.xlow}, true
+	return BesselRow{data: r.data, coarse: r.coarse, invH: 1.0 / t.H, n: len(r.data) / 3, XLow: r.xlow}, true
 }
 
 // Eval interpolates the three LOS kernels at x >= 0 with a four-point
@@ -332,6 +349,49 @@ func AccumStencil4(rows *[4]BesselRow, st *BesselStencil, lo int, hi *[4]int, sA
 	return sums
 }
 
+// AccumNodes4 is AccumStencil4 for arguments that sit on the table's coarse
+// nodes: point p of [lo, hi[i]) has x = (node - (p - lo)) * BesselNodeStride
+// * H, so its kernels are three adjacent values of the row's coarse copy —
+// no stencil, no weights, and the walk runs down contiguous memory. Joint
+// over the range common to all four rows, then each row alone from its
+// running sum, as in AccumStencil4.
+func AccumNodes4(rows *[4]BesselRow, node, lo int, hi *[4]int, sA, sB, sC []float64) (sums [4]float64) {
+	common := max(lo, min(hi[0], hi[1], hi[2], hi[3]))
+	c0, c1, c2, c3 := rows[0].coarse, rows[1].coarse, rows[2].coarse, rows[3].coarse
+	var s0, s1, s2, s3 float64
+	for p, o := lo, 3*node; p < common; p, o = p+1, o-3 {
+		a, b, c := sA[p], sB[p], sC[p]
+		d := c0[o : o+3 : o+3]
+		s0 += a*d[0] + b*d[1] + c*d[2]
+		d = c1[o : o+3 : o+3]
+		s1 += a*d[0] + b*d[1] + c*d[2]
+		d = c2[o : o+3 : o+3]
+		s2 += a*d[0] + b*d[1] + c*d[2]
+		d = c3[o : o+3 : o+3]
+		s3 += a*d[0] + b*d[1] + c*d[2]
+	}
+	sums = [4]float64{s0, s1, s2, s3}
+	for i := range sums {
+		sums[i] = rows[i].accumNodesFrom(sums[i], node-(common-lo), common, hi[i], sA, sB, sC)
+	}
+	return sums
+}
+
+// AccumNodes is AccumNodes4 for one row.
+func (r BesselRow) AccumNodes(node, lo, hi int, sA, sB, sC []float64) float64 {
+	return r.accumNodesFrom(0, node, lo, hi, sA, sB, sC)
+}
+
+// accumNodesFrom continues AccumNodes' running sum over [lo, hi), point lo
+// on coarse node `node`.
+func (r BesselRow) accumNodesFrom(sum float64, node, lo, hi int, sA, sB, sC []float64) float64 {
+	for p, o := lo, 3*node; p < hi; p, o = p+1, o-3 {
+		d := r.coarse[o : o+3 : o+3]
+		sum += sA[p]*d[0] + sB[p]*d[1] + sC[p]*d[2]
+	}
+	return sum
+}
+
 // sortedUniqueLs returns a sorted copy of ls without duplicates or
 // negative entries.
 func sortedUniqueLs(ls []int) []int {
@@ -362,7 +422,7 @@ func sortedUniqueLs(ls []int) []int {
 // pruned to DefaultBesselCacheLimit least-recently-used-first, the same
 // bounded-LRU discipline as the serving layer's model registry. Without
 // the cap a daemon whose clients churn through resolutions (every distinct
-// LMaxCl bucket and k-range bucket is a fresh key, each worth several MB)
+// LMaxCl bucket and k-range bucket is a fresh key, each worth 3 to 31 MB)
 // would leak tables for the life of the process. Evicted tables stay valid
 // for any reader still holding them — they are immutable; eviction only
 // drops the cache's reference.
@@ -384,8 +444,10 @@ type besselCacheEntry struct {
 
 // DefaultBesselCacheLimit bounds the shared table cache. Eight buckets
 // cover every distinct (multipole cap, argument range) combination a
-// realistic serving mix requests; at ~3 MB per production table the cache
-// stays under ~25 MB where it previously grew without bound.
+// realistic serving mix requests. A stock table (LMaxCl 150: 19 rows to
+// x = 384) is 3.3 MB with its coarse copy and eight of them ~26 MB; a
+// paper-scale one (LMaxCl 1000: 57 rows to x = 1216) is 31 MB, so the
+// worst case, eight paper-scale keys, is ~250 MB.
 const DefaultBesselCacheLimit = 8
 
 // SetBesselCacheLimit changes the shared-cache bound (n < 1 is treated as

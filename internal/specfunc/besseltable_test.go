@@ -171,20 +171,22 @@ func TestBesselCachePrune(t *testing.T) {
 	}
 }
 
+// goPar is a dispatch-style build fan-out: one goroutine per body.
+func goPar(n int, body func(int)) {
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func(i int) { body(i); done <- struct{}{} }(i)
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+}
+
 // TestBesselTableParallelBuild: the dispatch-style fan-out and the serial
 // build must produce identical tables.
 func TestBesselTableParallelBuild(t *testing.T) {
-	par := func(n int, body func(int)) {
-		done := make(chan struct{})
-		for i := 0; i < n; i++ {
-			go func(i int) { body(i); done <- struct{}{} }(i)
-		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
-	}
 	ser := NewBesselTable(80, []int{3, 40, 80}, 900, 0, nil)
-	con := NewBesselTable(80, []int{3, 40, 80}, 900, 0, par)
+	con := NewBesselTable(80, []int{3, 40, 80}, 900, 0, goPar)
 	for _, l := range []int{3, 40, 80} {
 		rs, _ := ser.Row(l)
 		rc, _ := con.Row(l)
@@ -241,6 +243,25 @@ func TestSharedBesselTableHistoryIndependent(t *testing.T) {
 	}
 }
 
+// raggedRanges are the shapes of four per-row ranges [lo, hi[i]) over
+// raggedN points that the four-row kernels are tested on: equal, staggered,
+// an empty common range, rows whose range is empty or ends before lo (a row
+// with XLow beyond the grid).
+const raggedN = 257
+
+var raggedRanges = []struct {
+	name string
+	lo   int
+	hi   [4]int
+}{
+	{"equal", 0, [4]int{raggedN, raggedN, raggedN, raggedN}},
+	{"staggered", 5, [4]int{raggedN, 200, 131, 64}},
+	{"unsorted", 5, [4]int{64, raggedN, 131, 200}},
+	{"empty common range", 40, [4]int{raggedN, 120, 40, 90}},
+	{"rows ending before lo", 40, [4]int{raggedN, 0, 17, 41}},
+	{"all empty", 40, [4]int{0, 0, 0, 0}},
+}
+
 // TestAccumStencil4MatchesFourAccumStencil: the four-row walk is four
 // AccumStencil calls bit for bit, whatever the shape of the four ranges —
 // equal, staggered, an empty common range, rows whose range is empty or
@@ -250,7 +271,7 @@ func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 	ladder := []int{2, 9, 17, 30, 44, 61, 80} // 7 rows: one group of four + 3
 	tbl := NewBesselTable(80, ladder, 400, 0, nil)
 	rng := rand.New(rand.NewSource(11))
-	const n = 257
+	const n = raggedN
 	xs := make([]float64, n)
 	sA, sB, sC := make([]float64, n), make([]float64, n), make([]float64, n)
 	for p := range xs {
@@ -263,19 +284,7 @@ func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 	for i, l := range ladder {
 		rows[i], _ = tbl.Row(l)
 	}
-	cases := []struct {
-		name string
-		lo   int
-		hi   [4]int
-	}{
-		{"equal", 0, [4]int{n, n, n, n}},
-		{"staggered", 5, [4]int{n, 200, 131, 64}},
-		{"unsorted", 5, [4]int{64, n, 131, 200}},
-		{"empty common range", 40, [4]int{n, 120, 40, 90}},
-		{"rows ending before lo", 40, [4]int{n, 0, 17, 41}},
-		{"all empty", 40, [4]int{0, 0, 0, 0}},
-	}
-	for _, c := range cases {
+	for _, c := range raggedRanges {
 		for g := 0; g+4 <= len(rows); g++ { // every window of four, so each row meets each range
 			four := (*[4]BesselRow)(rows[g:])
 			got := AccumStencil4(four, &st, c.lo, &c.hi, sA, sB, sC)
@@ -284,6 +293,79 @@ func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 				if math.Float64bits(got[r]) != math.Float64bits(want) {
 					t.Fatalf("%s, rows %d..%d, row %d: AccumStencil4 %x, AccumStencil %x",
 						c.name, g, g+3, r, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestAccumNodes4MatchesStencilOnNodes: on arguments that sit on the coarse
+// nodes the node kernel is the interpolating one (a cubic Lagrange stencil
+// at f = 0 returns the node) — for ragged ranges, every window of a 7-row
+// ladder and the one-row remainder — and the coarse copy it reads is every
+// BesselNodeStride-th fine node bit for bit, whether the table was built
+// serially, in parallel, or grown through the shared cache's union-extend.
+func TestAccumNodes4MatchesStencilOnNodes(t *testing.T) {
+	ladder := []int{2, 9, 17, 30, 44, 61, 80}
+	old := SetBesselCacheLimit(1)
+	defer SetBesselCacheLimit(old)
+	SharedBesselTable([]int{500}, 100, nil) // evict whatever earlier tests cached
+	SharedBesselTable([]int{2, 9, 80}, 400, nil)
+	tables := map[string]*BesselTable{
+		"serial":       NewBesselTable(80, ladder, 400, 0, nil),
+		"parallel":     NewBesselTable(80, ladder, 400, 0, goPar),
+		"union-extend": SharedBesselTable(ladder[2:], 400, goPar),
+	}
+	for name, tbl := range tables {
+		for _, l := range ladder {
+			row, ok := tbl.Row(l)
+			if !ok {
+				t.Fatalf("%s: l=%d missing", name, l)
+			}
+			if want := 3 * ((row.n + BesselNodeStride - 1) / BesselNodeStride); len(row.coarse) != want {
+				t.Fatalf("%s l=%d: coarse copy holds %d values, want %d", name, l, len(row.coarse), want)
+			}
+			for i, v := range row.coarse {
+				fine := row.data[3*BesselNodeStride*(i/3)+i%3]
+				if math.Float64bits(v) != math.Float64bits(fine) {
+					t.Fatalf("%s l=%d: coarse[%d] = %x, fine node has %x", name, l, i,
+						math.Float64bits(v), math.Float64bits(fine))
+				}
+			}
+		}
+	}
+
+	tbl := tables["serial"]
+	rng := rand.New(rand.NewSource(12))
+	const n = raggedN
+	const top = 300 // coarse node of point 0: x = 112.5, falling to node 44
+	xs := make([]float64, n)
+	sA, sB, sC := make([]float64, n), make([]float64, n), make([]float64, n)
+	for p := range xs {
+		xs[p] = float64((top-p)*BesselNodeStride) * tbl.H
+		sA[p], sB[p], sC[p] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+	}
+	var st BesselStencil
+	tbl.Stencil(xs, &st)
+	rows := make([]BesselRow, len(ladder))
+	for i, l := range ladder {
+		rows[i], _ = tbl.Row(l)
+	}
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-13*math.Max(math.Abs(want), 1e-3)
+	}
+	for _, c := range raggedRanges {
+		for g := 0; g+4 <= len(rows); g++ {
+			four := (*[4]BesselRow)(rows[g:])
+			got := AccumNodes4(four, top-c.lo, c.lo, &c.hi, sA, sB, sC)
+			want := AccumStencil4(four, &st, c.lo, &c.hi, sA, sB, sC)
+			for r := range four {
+				if !near(got[r], want[r]) {
+					t.Fatalf("%s, rows %d..%d, row %d: AccumNodes4 %g, AccumStencil4 %g", c.name, g, g+3, r, got[r], want[r])
+				}
+				if one := four[r].AccumNodes(top-c.lo, c.lo, c.hi[r], sA, sB, sC); math.Float64bits(one) != math.Float64bits(got[r]) {
+					t.Fatalf("%s, rows %d..%d, row %d: AccumNodes %x, AccumNodes4 %x", c.name, g, g+3, r,
+						math.Float64bits(one), math.Float64bits(got[r]))
 				}
 			}
 		}

@@ -28,7 +28,7 @@ func TestLOSProjectionAllocBudget(t *testing.T) {
 	var sc losScratch
 	out := make([]float64, len(ls))
 	n := testing.AllocsPerRun(10, func() {
-		if err := losAssemble(r, tau0, tauRec, &sc); err != nil {
+		if err := losAssemble(r, tau0, tauRec, losNodeStep, &sc); err != nil {
 			t.Fatal(err)
 		}
 		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)

@@ -73,7 +73,7 @@ func BenchmarkThetaLOSFast(b *testing.B) {
 	b.ResetTimer()
 	var sc losScratch
 	for i := 0; i < b.N; i++ {
-		if err := losAssemble(r, tau0, m.TH.TauRec(), &sc); err != nil {
+		if err := losAssemble(r, tau0, m.TH.TauRec(), losNodeStep, &sc); err != nil {
 			b.Fatal(err)
 		}
 		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)

@@ -17,10 +17,15 @@ import (
 // requested ls, and each l's tau range truncated where the kernel is
 // negligible (j_l dies exponentially below its turning point x ~ l, so a
 // small-k mode contributes nothing to a large l and the loop skips it
-// outright). Together with Sweep.RefineK — evolve the ODEs on a coarse k
-// grid only and spline the slowly varying sources onto the fine quadrature
-// grid — this is the CMBFAST recipe that cuts the production cost by an
-// order of magnitude while tracking the reference path to < 1e-3.
+// outright). Four fifths of a paper-scale mode's quadrature points lie in
+// the free-streaming era, and losGrid lays those on the table's coarse
+// nodes: there the kernels are read as stored, from contiguous memory
+// (specfunc.AccumNodes4), and only the stretch up to the end of the
+// visibility window pays the cubic interpolation. Together with
+// Sweep.RefineK — evolve the ODEs on a coarse k grid only and spline the
+// slowly varying sources onto the fine quadrature grid — this is the
+// CMBFAST recipe that cuts the production cost by an order of magnitude
+// while tracking the reference path to < 1e-3.
 //
 // After the coarse evolution the pipeline is two steps. RefineK builds the
 // refinement plan (the facade's "source_spline" span). ClLOSFast is then
@@ -75,51 +80,64 @@ func sharedLadder(ls []int, xmax float64) (*specfunc.BesselTable, []specfunc.Bes
 
 // projectThetaTable integrates the assembled sources of one mode against
 // the tabulated kernels of the multipole ladder rows, writing theta[j] for
-// rows[j] into out. The inner loop is allocation-free: the interpolation
-// stencil (node index + four cubic weights per quadrature point) is
-// computed once per mode and shared by every multipole and all three
-// kernels, the weighted sources are prefolded with the trapezoid weights,
+// rows[j] into out. The inner loops are allocation-free and run over two
+// index ranges. Up to sc.iNode the kernels are interpolated: the stencil
+// (node index + four cubic weights per quadrature point) is computed once
+// per mode and shared by every multipole and all three kernels
+// (specfunc.AccumStencil4). From sc.iNode on the points sit on the table's
+// coarse nodes and the kernels are read as stored (specfunc.AccumNodes4).
+// In both the weighted sources are prefolded with the quadrature weights,
 // each l truncates its tau range at the kernel turning point, and the
-// ladder is walked four rows per pass over the stencil
-// (specfunc.AccumStencil4) so the per-point loads are paid once for four
-// sums — each of which still adds its terms in grid order.
+// ladder is walked four rows per pass so the per-point loads are paid once
+// for four sums — each of which still adds its terms in grid order.
 func projectThetaTable(k, tau0 float64, sc *losScratch, rows []specfunc.BesselRow, tbl *specfunc.BesselTable, out []float64) {
 	grid, w := sc.grid, sc.w
-	n := len(grid)
-	// Stencil at y = k (tau0 - tau), and trapezoid-prefolded sources.
-	sc.ys = grow(sc.ys, n)
+	n, iNode := len(grid), sc.iNode
+	// Stencil at y = k (tau0 - tau) where the kernels are interpolated, and
+	// weight-prefolded sources.
+	sc.ys = grow(sc.ys, iNode)
 	sc.wA = grow(sc.wA, n)
 	sc.wB = grow(sc.wB, n)
 	sc.wC = grow(sc.wC, n)
 	for i := 0; i < n; i++ {
-		sc.ys[i] = k * (tau0 - grid[i])
 		sc.wA[i] = w[i] * sc.srcA[i]
 		sc.wB[i] = w[i] * sc.srcB[i]
 		sc.wC[i] = w[i] * sc.srcC[i]
 	}
+	for i := range sc.ys {
+		sc.ys[i] = k * (tau0 - grid[i])
+	}
 	tbl.Stencil(sc.ys, &sc.stencil)
 
-	// end returns where row's integral stops: y decreases along the grid;
-	// keep only the prefix with y >= XLow (beyond it the kernels are < 1e-9
-	// of their peak and contribute nothing at the 1e-3 C_l budget).
-	end := func(row specfunc.BesselRow) int {
-		if row.XLow > 0 {
-			return sort.SearchFloat64s(grid, tau0-row.XLow/k)
+	// end returns where the integral of a row with that XLow stops: y
+	// decreases along the grid; keep only the prefix with y >= XLow (beyond
+	// it the kernels are < 1e-9 of their peak and contribute nothing at the
+	// 1e-3 C_l budget).
+	end := func(xlow float64) int {
+		if xlow > 0 {
+			return sort.SearchFloat64s(grid, tau0-xlow/k)
 		}
 		return n
 	}
 	j := 0
 	for ; j+4 <= len(rows); j += 4 {
 		four := (*[4]specfunc.BesselRow)(rows[j:])
-		var iEnd [4]int
+		var iEnd, iMid [4]int
 		for r := range four {
-			iEnd[r] = end(four[r])
+			iEnd[r] = end(four[r].XLow)
+			iMid[r] = min(iEnd[r], iNode)
 		}
-		sums := specfunc.AccumStencil4(four, &sc.stencil, sc.iFirst, &iEnd, sc.wA, sc.wB, sc.wC)
-		copy(out[j:], sums[:])
+		sums := specfunc.AccumStencil4(four, &sc.stencil, sc.iFirst, &iMid, sc.wA, sc.wB, sc.wC)
+		// Point p >= iNode sits on coarse node n-1-p.
+		onNodes := specfunc.AccumNodes4(four, n-1-iNode, iNode, &iEnd, sc.wA, sc.wB, sc.wC)
+		for r := range four {
+			out[j+r] = sums[r] + onNodes[r]
+		}
 	}
 	for ; j < len(rows); j++ {
-		out[j] = rows[j].AccumStencil(&sc.stencil, sc.iFirst, end(rows[j]), sc.wA, sc.wB, sc.wC)
+		iEnd := end(rows[j].XLow)
+		out[j] = rows[j].AccumStencil(&sc.stencil, sc.iFirst, min(iEnd, iNode), sc.wA, sc.wB, sc.wC) +
+			rows[j].AccumNodes(n-1-iNode, iNode, iEnd, sc.wA, sc.wB, sc.wC)
 	}
 }
 
@@ -128,12 +146,16 @@ func projectThetaTable(k, tau0 float64, sc *losScratch, rows []specfunc.BesselRo
 // It shares the cached kernel table, so repeated calls with the same
 // multipole set pay only the projection.
 func ThetaLOSFast(r *core.Result, ls []int, tau0, tauRec float64) ([]float64, error) {
-	var sc losScratch
-	if err := losAssemble(r, tau0, tauRec, &sc); err != nil {
+	xmax := 0.0
+	if len(r.Sources) > 0 { // losAssemble reports a mode without sources
+		xmax = r.K * (tau0 - r.Sources[0].Tau)
+	}
+	tbl, rows, err := sharedLadder(ls, xmax)
+	if err != nil {
 		return nil, err
 	}
-	tbl, rows, err := sharedLadder(ls, r.K*(tau0-r.Sources[0].Tau))
-	if err != nil {
+	var sc losScratch
+	if err := losAssemble(r, tau0, tauRec, tbl.H*specfunc.BesselNodeStride, &sc); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(ls))
@@ -160,12 +182,13 @@ func (s *Sweep) ClLOSFast(ls []int, prim Primordial, tcmb, tauRec float64) (*ClS
 	}
 
 	nk, nl := len(s.KValues), len(ls)
+	nodeStep := tbl.H * specfunc.BesselNodeStride
 	thetas := make([]float64, nk*nl)
 	errs := make([]error, nk)
 	dispatch.ParallelFor(0, nk, func(i int) {
 		sc := losPool.Get().(*losScratch)
 		defer putLosScratch(sc)
-		if errs[i] = losAssemble(s.mode(i, sc), s.Tau0, tauRec, sc); errs[i] == nil {
+		if errs[i] = losAssemble(s.mode(i, sc), s.Tau0, tauRec, nodeStep, sc); errs[i] == nil {
 			projectThetaTable(s.KValues[i], s.Tau0, sc, rows, tbl, thetas[i*nl:(i+1)*nl])
 		}
 	})

@@ -32,15 +32,22 @@ import (
 // shared specfunc.BesselTable instead and, combined with Sweep.RefineK,
 // reproduces the reference C_l to < 1e-3 at a fraction of the cost.
 // Both take each mode from Sweep.mode, so they run alike on an evolved
-// sweep and on a lazy RefineK sweep.
+// sweep and on a lazy RefineK sweep, and both integrate on losGrid's
+// quadrature: past the visibility window a mode with k >= 0.03125 has its
+// points on the Bessel table's own nodes, where the fast engine reads the
+// kernels without interpolating and the reference evaluates them exactly.
 
 // The conformal-time windows and spacings shared by the LOS quadrature
 // grid and RefineK's source-representation grid: the visibility peak is
 // sampled densely over [tauRec - losVisBefore, tauRec + losVisAfter], the
 // opaque pre-recombination era and the free-streaming/ISW era coarsely.
+// The window is core's source step cap: inside it the recorded samples are
+// at most 3 Mpc apart, past it the steps are uncapped and linearly
+// interpolated, so a quadrature node must sit exactly on the window end
+// (see core.SourceWindowAfter for what moving it costs).
 const (
-	losVisBefore = 120.0
-	losVisAfter  = 180.0
+	losVisBefore = core.SourceWindowBefore
+	losVisAfter  = core.SourceWindowAfter
 	losDtPre     = 10.0
 	losDtVis     = 1.0
 	losDtFree    = 12.0
@@ -48,8 +55,13 @@ const (
 	// 2 pi / k. Convergence of Theta_l against a doubled density puts the
 	// 16-point error at ~5e-5 of the peak multipole (24 points: ~2.5e-5)
 	// — far inside the 1e-3 engine budget, and the free-streaming grid of
-	// the largest wavenumbers is a third shorter than at 24.
+	// the largest wavenumbers is a third shorter than at 24
+	// (TestLOSQuadratureConverged holds the shipped grid to 2e-5).
 	losOscSamples = 16.0
+	// losNodeStep is the free-streaming step in y = k(tau0 - tau) that puts
+	// the quadrature on the shared Bessel table's coarse nodes: 0.375, or
+	// 16.76 points per oscillation.
+	losNodeStep = specfunc.BesselNodeStride * specfunc.DefaultBesselH
 )
 
 // losSeg appends an evenly spaced segment covering [lo, hi) with spacing
@@ -66,17 +78,22 @@ func losSeg(grid []float64, lo, hi, dt float64) []float64 {
 }
 
 // losSegW is losSeg with composite-Simpson quadrature weights: the segment
-// [lo, hi] gets an even number of uniform intervals, weights h/3 {1, 4, 2,
-// ..., 4, 1} are accumulated onto w (adding, so a shared endpoint between
-// segments receives both closing and opening contributions), and the
-// closing weight of the last interval is returned as carry for the next
-// appended point.
+// [lo, hi] gets an even number of uniform intervals no wider than dt (see
+// losSegN).
 func losSegW(grid, w []float64, lo, hi, dt, carry float64) ([]float64, []float64, float64) {
 	if hi <= lo {
 		return grid, w, carry
 	}
 	n := int((hi-lo)/dt) + 1
-	n += n % 2 // Simpson needs an even interval count
+	return losSegN(grid, w, lo, hi, n+n%2, carry) // Simpson needs an even interval count
+}
+
+// losSegN appends [lo, hi) in n (even) uniform intervals: weights h/3 {1,
+// 4, 2, ..., 4, 1} are accumulated onto w (adding, so a shared endpoint
+// between segments receives both closing and opening contributions), and
+// the closing weight of the last interval is returned as carry for the next
+// appended point.
+func losSegN(grid, w []float64, lo, hi float64, n int, carry float64) ([]float64, []float64, float64) {
 	h := (hi - lo) / float64(n)
 	third := h / 3.0
 	for i := 0; i < n; i++ {
@@ -104,19 +121,52 @@ func losSegW(grid, w []float64, lo, hi, dt, carry float64) ([]float64, []float64
 // affords a coarser stride than the trapezoid rule needed at equal
 // accuracy, and every consumer (reference and fast projection alike)
 // inherits the same quadrature.
-func losGrid(dst, wdst []float64, tauStart, tauRec, tau0, k float64) ([]float64, []float64) {
+//
+// There are five kinds of segment. Pre-recombination and the visibility
+// window always come first, and a node always sits exactly on the window
+// end tauRec + losVisAfter (where the recorded sources change sampling, see
+// the constants). After it a slow mode, whose free-streaming spacing is set
+// by losDtFree, gets one uniform segment to tau0. A mode for which the step
+// nodeStep in y = k(tau0 - tau) is no coarser than that spacing
+// (k >= 0.03125 at losNodeStep) instead gets its free-streaming points on
+// y = m nodeStep, m even-counted down to 0 — the Bessel table's coarse
+// nodes, where the fast projection needs no interpolation — reached from
+// the window end by a short bridge at the ordinary spacing. iNode is the
+// index of the first such point (point p >= iNode has m = len(grid)-1-p),
+// len(grid) when there are none.
+func losGrid(dst, wdst []float64, tauStart, tauRec, tau0, k, nodeStep float64) (grid, w []float64, iNode int) {
 	// Spacing that resolves j_l(k(tau0-tau)) comfortably.
 	hOsc := 2.0 * math.Pi / k / losOscSamples
-	grid, w := dst[:0], wdst[:0]
+	grid, w = dst[:0], wdst[:0]
 	carry := 0.0
 	t1 := math.Max(tauStart, tauRec-losVisBefore)
 	t2 := math.Min(tauRec+losVisAfter, tau0)
 	grid, w, carry = losSegW(grid, w, tauStart, t1, math.Min(losDtPre, hOsc), carry) // pre-recombination
 	grid, w, carry = losSegW(grid, w, t1, t2, math.Min(losDtVis, hOsc), carry)       // visibility peak
-	grid, w, carry = losSegW(grid, w, t2, tau0, math.Min(losDtFree, hOsc), carry)    // free streaming + ISW
+	dtFree, dtNode := math.Min(losDtFree, hOsc), nodeStep/k
+	m := 0
+	if dtNode <= dtFree {
+		// The largest even node count that leaves a bridge of non-zero
+		// length (a thousandth of a step keeps its points distinct).
+		m = 2 * int((tau0-t2)/(2*dtNode))
+		if tau0-float64(m)*dtNode-t2 < 1e-3*dtNode {
+			m -= 2
+		}
+	}
+	if m >= 2 {
+		tNode := tau0 - float64(m)*dtNode
+		grid, w, carry = losSegW(grid, w, t2, tNode, dtFree, carry) // bridge
+		iNode = len(grid)
+		grid, w, carry = losSegN(grid, w, tNode, tau0, m, carry) // on the table's nodes
+	} else {
+		grid, w, carry = losSegW(grid, w, t2, tau0, dtFree, carry) // free streaming + ISW
+	}
 	grid = append(grid, tau0)
 	w = append(w, carry)
-	return grid, w
+	if m < 2 {
+		iNode = len(grid)
+	}
+	return grid, w, iNode
 }
 
 // sampleSeries linearly interpolates the recorded source samples. Lookups
@@ -266,8 +316,9 @@ type losScratch struct {
 	fineSrc []core.Sample
 	// iFirst is the first index where any source is non-negligible (before
 	// it e^-kappa underflows): the fast projection starts there, the exact
-	// reference path always integrates the full grid.
-	iFirst int
+	// reference path always integrates the full grid. From iNode on the
+	// points sit on the Bessel table's coarse nodes (see losGrid).
+	iFirst, iNode int
 }
 
 // losPool keeps the per-worker scratch sets across sweeps: a daemon's next
@@ -292,8 +343,9 @@ func grow(s []float64, n int) []float64 {
 
 // losAssemble validates a mode, builds its integration grid and fills the
 // three source arrays (monopole, dipole, quadrupole) plus the trapezoid
-// weights into the scratch. The returned slices alias the scratch.
-func losAssemble(r *core.Result, tau0, tauRec float64, sc *losScratch) error {
+// weights into the scratch. nodeStep is losGrid's: the spacing in y of the
+// Bessel table nodes the free-streaming points are laid on.
+func losAssemble(r *core.Result, tau0, tauRec, nodeStep float64, sc *losScratch) error {
 	if r.Gauge != core.ConformalNewtonian {
 		return fmt.Errorf("spectra: line of sight requires the conformal Newtonian gauge, got %v", r.Gauge)
 	}
@@ -303,7 +355,7 @@ func losAssemble(r *core.Result, tau0, tauRec float64, sc *losScratch) error {
 	k := r.K
 	sc.ss.init(r.Sources, sc.tauBuf)
 	sc.tauBuf = sc.ss.tau
-	sc.grid, sc.w = losGrid(sc.grid, sc.w, r.Sources[0].Tau, tauRec, tau0, k)
+	sc.grid, sc.w, sc.iNode = losGrid(sc.grid, sc.w, r.Sources[0].Tau, tauRec, tau0, k, nodeStep)
 	grid := sc.grid
 
 	n := len(grid)
@@ -357,14 +409,19 @@ func losAssemble(r *core.Result, tau0, tauRec float64, sc *losScratch) error {
 	return nil
 }
 
-// thetaLOSInto is the exact-kernel reference projection: Theta_l for
-// l = 0..lmax from the assembled sources, with the spherical Bessel
-// recurrences evaluated at every quadrature point.
+// thetaLOSInto is the exact-kernel reference projection of one mode on the
+// quadrature grid the fast engine uses.
 func thetaLOSInto(r *core.Result, lmax int, tau0, tauRec float64, sc *losScratch) ([]float64, error) {
-	if err := losAssemble(r, tau0, tauRec, sc); err != nil {
+	if err := losAssemble(r, tau0, tauRec, losNodeStep, sc); err != nil {
 		return nil, err
 	}
-	k := r.K
+	return projectThetaExact(r.K, lmax, tau0, sc), nil
+}
+
+// projectThetaExact integrates the assembled sources of one mode into
+// Theta_l for l = 0..lmax, with the spherical Bessel recurrences evaluated
+// at every quadrature point.
+func projectThetaExact(k float64, lmax int, tau0 float64, sc *losScratch) []float64 {
 	grid, srcA, srcB, srcC := sc.grid, sc.srcA, sc.srcB, sc.srcC
 
 	sc.theta = grow(sc.theta, lmax+1)
@@ -414,7 +471,7 @@ func thetaLOSInto(r *core.Result, lmax int, tau0, tauRec float64, sc *losScratch
 			theta[l] += w * (srcA[i]*j + srcB[i]*jp + srcC[i]*q)
 		}
 	}
-	return theta, nil
+	return theta
 }
 
 // ThetaLOS computes Theta_l(k) for l = 0..lmax by the line-of-sight

@@ -36,28 +36,33 @@ const (
 	streamClBudget = 1e-5
 )
 
-// goldenCases are the fast-engine requests whose C_l bits are pinned: the
-// stock 150/130 product and the LMaxCl 300 product at its default NK, every
-// multipole requested (so LSpline engages), with the daemon's switch set.
-func goldenCases() map[string]SpectrumOptions {
-	dense := func(lmaxCl int) []int {
-		ls := make([]int, 0, lmaxCl-1)
-		for l := 2; l <= lmaxCl; l++ {
-			ls = append(ls, l)
-		}
-		return ls
+// goldenFast is a fast-engine request for every multipole to lmaxCl (so
+// LSpline engages) with the daemon's switch set.
+func goldenFast(lmaxCl, nk int) SpectrumOptions {
+	ls := make([]int, 0, lmaxCl-1)
+	for l := 2; l <= lmaxCl; l++ {
+		ls = append(ls, l)
 	}
-	fast := func(lmaxCl, nk int) SpectrumOptions {
-		return SpectrumOptions{
-			LMaxCl: lmaxCl, NK: nk, Ls: dense(lmaxCl),
-			FastLOS: true, FastEvolve: true, KRefine: 6, LSpline: true, KBatch: 4,
-		}
-	}
-	return map[string]SpectrumOptions{
-		"scdm_fast_150_130_dense": fast(150, 130),
-		"scdm_fast_300_dense":     fast(300, 0),
+	return SpectrumOptions{
+		LMaxCl: lmaxCl, NK: nk, Ls: ls,
+		FastLOS: true, FastEvolve: true, KRefine: 6, LSpline: true, KBatch: 4,
 	}
 }
+
+// goldenCases are the fast-engine requests whose C_l bits are pinned and
+// held to the hierarchy reference: the stock 150/130 product and the
+// LMaxCl 300 product at its default NK.
+func goldenCases() map[string]SpectrumOptions {
+	return map[string]SpectrumOptions{
+		"scdm_fast_150_130_dense": goldenFast(150, 130),
+		"scdm_fast_300_dense":     goldenFast(300, 0),
+	}
+}
+
+// goldenPaperCase is the paper-scale request (the benchmark's sweep_paper),
+// pinned outside -short: four fifths of its quadrature points sit on the
+// Bessel table's nodes, where the 150/130 product has none.
+const goldenPaperCase = "scdm_fast_1000_1200_dense"
 
 func clBits(cl []float64) []string {
 	out := make([]string, len(cl))
@@ -115,6 +120,9 @@ func TestGoldenClBits(t *testing.T) {
 	}
 	m := scdmModel(t)
 	cases := goldenCases()
+	if !testing.Short() || *updateGolden {
+		cases[goldenPaperCase] = goldenFast(1000, 1200)
+	}
 	if *updateGolden {
 		old := readClBits(t, goldenClPath)
 		golden := map[string][]string{}
