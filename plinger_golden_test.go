@@ -39,14 +39,19 @@ const (
 // goldenFast is a fast-engine request for every multipole to lmaxCl (so
 // LSpline engages) with the daemon's switch set.
 func goldenFast(lmaxCl, nk int) SpectrumOptions {
+	return SpectrumOptions{
+		LMaxCl: lmaxCl, NK: nk, Ls: everyL(lmaxCl),
+		FastLOS: true, FastEvolve: true, KRefine: 6, LSpline: true, KBatch: 4,
+	}
+}
+
+// everyL lists the multipoles 2..lmaxCl.
+func everyL(lmaxCl int) []int {
 	ls := make([]int, 0, lmaxCl-1)
 	for l := 2; l <= lmaxCl; l++ {
 		ls = append(ls, l)
 	}
-	return SpectrumOptions{
-		LMaxCl: lmaxCl, NK: nk, Ls: ls,
-		FastLOS: true, FastEvolve: true, KRefine: 6, LSpline: true, KBatch: 4,
-	}
+	return ls
 }
 
 // goldenCases are the fast-engine requests whose C_l bits are pinned and
@@ -63,6 +68,12 @@ func goldenCases() map[string]SpectrumOptions {
 // pinned outside -short: four fifths of its quadrature points sit on the
 // Bessel table's nodes, where the 150/130 product has none.
 const goldenPaperCase = "scdm_fast_1000_1200_dense"
+
+// goldenBruteCase is the paper's LINGER read-off (the benchmark's
+// sweep_brute): the synchronous-gauge 450-moment hierarchies integrated to
+// the present, no fast switch anywhere. It pins the integrator itself, and
+// stays out of goldenCases because the hierarchy reference has no such case.
+const goldenBruteCase = "scdm_brute_60_60"
 
 func clBits(cl []float64) []string {
 	out := make([]string, len(cl))
@@ -120,6 +131,7 @@ func TestGoldenClBits(t *testing.T) {
 	}
 	m := scdmModel(t)
 	cases := goldenCases()
+	cases[goldenBruteCase] = SpectrumOptions{LMaxCl: 60, NK: 60, Ls: everyL(60), Method: "brute"}
 	if !testing.Short() || *updateGolden {
 		cases[goldenPaperCase] = goldenFast(1000, 1200)
 	}
