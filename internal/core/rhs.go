@@ -103,11 +103,7 @@ func (m *mode) gatherSums(tau float64, y []float64, s *sums) {
 		}
 		// Normalize against the massless integral Int q^3 f0 dq so the
 		// prefactor is the single-species radiation coefficient.
-		nrm := 0.0
-		for iq := 0; iq < m.nq; iq++ {
-			nrm += m.BG.W[iq] * m.BG.Q[iq]
-		}
-		pref := m.BG.Grhor1 * float64(m.BG.P.NNuMassive) / (a * a) / nrm
+		pref := m.BG.Grhor1 * float64(m.BG.P.NNuMassive) / (a * a) / m.BG.Q3Norm
 		s.gdrho += pref * r0
 		s.gtheta += pref * k * r1
 		s.gshear += pref * 2.0 / 3.0 * r2
@@ -211,7 +207,10 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	} else {
 		// The free-streaming hierarchies run on subslice views with the
 		// l/(2l+1) ratios precomputed (see mode.rA/rB): per-moment index
-		// arithmetic and divisions stay out of the hottest loops.
+		// arithmetic and divisions stay out of the hottest loops. They run
+		// at ordinary arithmetic speed because the integrator flushes the
+		// decaying leading edge to exact 0 (ode.Adaptive) before it can
+		// reach the subnormal range.
 		fg := y[m.ifg : m.ifg+lmax+1]
 		dfg := dy[m.ifg : m.ifg+lmax+1]
 		gg := y[m.igg : m.igg+lmax+1]

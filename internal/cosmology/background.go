@@ -61,8 +61,9 @@ type Background struct {
 	tau0     float64
 	aMin     float64
 
-	// normalization of the massless momentum integral: Integral q^3 f0 dq.
-	q3Norm float64
+	// Q3Norm is the massless momentum integral Integral q^3 f0 dq =
+	// sum W_i Q_i: what the massive-neutrino sums are normalized against.
+	Q3Norm float64
 }
 
 // New builds the background tables. The model must be spatially flat to the
@@ -114,9 +115,9 @@ func newBackground(p Params) (*Background, error) {
 		for i, qi := range q {
 			bg.DlnF0DlnQ[i] = -qi / (1.0 + math.Exp(-qi))
 		}
-		bg.q3Norm = 0.0
+		bg.Q3Norm = 0.0
 		for i := range q {
-			bg.q3Norm += w[i] * q[i]
+			bg.Q3Norm += w[i] * q[i]
 		}
 		bg.MassQ = constants.NeutrinoMassToQ(p.MNuEV, p.TCMB)
 		if err := bg.buildNuSplines(); err != nil {
@@ -178,7 +179,7 @@ func (bg *Background) nuIntegrals(am float64) (rho, p float64) {
 		sr += bg.W[i] * eps
 		sp += bg.W[i] * q * q / eps
 	}
-	return sr / bg.q3Norm, sp / bg.q3Norm
+	return sr / bg.Q3Norm, sp / bg.Q3Norm
 }
 
 // rhoNuFactor returns rho_massive / rho_one_massless at dimensionless mass

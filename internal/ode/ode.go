@@ -11,6 +11,15 @@
 // the natural throughput metric, and the paper derives the T3D rate "by
 // comparison with the C90", i.e. from an operation count, exactly as done
 // here.
+//
+// The adaptive integrators keep the state they hand back free of subnormal
+// numbers: an accepted step stores exact 0 for every component smaller than
+// flushBelow in magnitude. A Boltzmann hierarchy of fixed length always has
+// moments above l ~ k tau falling like (k tau)^l/(2l+1)!! through
+// 1e-308..5e-324 on their way to zero, and on x86 each multiply or add that
+// touches one costs a ~100-cycle microcode assist, in the right-hand side
+// and in every stage pass here. The floor is unconditional; there is no
+// switch and no second path.
 package ode
 
 import (
@@ -225,7 +234,15 @@ var fehlberg45 = tableau{
 	bhat: []float64{25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0},
 }
 
-// Adaptive is an adaptive embedded Runge-Kutta integrator.
+// flushBelow is the magnitude under which an accepted step stores exact 0.
+// 1e-200 sits 188 decades below the smallest absolute tolerance the package
+// defaults to, so in a linear system nothing the error norm or a caller
+// reads can see it, and 108 decades above the subnormal range, so no chain
+// of stage products starting from a surviving component can reach it.
+const flushBelow = 1e-200
+
+// Adaptive is an adaptive embedded Runge-Kutta integrator. The state it
+// returns and shows to OnStep holds no component with 0 < |v| < flushBelow.
 type Adaptive struct {
 	tab tableau
 
@@ -337,8 +354,8 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 	if t1 < t0 {
 		return st, fmt.Errorf("ode: backwards integration not supported (t0=%g > t1=%g)", t0, t1)
 	}
-	n := len(y)
-	ad.ensure(n)
+	ad.ensure(len(y))
+	ad.tab.derive()
 	rtol, atol := ad.RTol, ad.ATol
 	if rtol <= 0 {
 		rtol = 1e-6
@@ -385,7 +402,7 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 			minStep = 16.0 * 2.220446049250313e-16 * math.Max(math.Abs(t), math.Abs(t1))
 		}
 		// One embedded RK step of size hTry.
-		errNorm := ad.step(f, t, hTry, y, &st)
+		errNorm := ad.step(f, t, hTry, y, rtol, atol, &st)
 		if math.IsNaN(errNorm) || math.IsInf(errNorm, 0) {
 			// Retry with a much smaller step.
 			st.Rejected++
@@ -396,8 +413,13 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 			continue
 		}
 		if errNorm <= 1.0 {
-			// Accept.
-			copy(y, ad.ynew)
+			// Accept, flushing what would decay into the subnormal range.
+			for i, v := range ad.ynew {
+				if math.Abs(v) < flushBelow {
+					v = 0
+				}
+				y[i] = v
+			}
 			t += hTry
 			st.Steps++
 			if ad.OnStep != nil {
@@ -460,9 +482,8 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 // rather than a per-component dot product with zero tests over all stages:
 // for the wide Einstein-Boltzmann systems this combination work is where
 // most of an evolution's time outside the right-hand side itself goes.
-func (ad *Adaptive) step(f Func, t, h float64, y []float64, st *Stats) float64 {
+func (ad *Adaptive) step(f Func, t, h float64, y []float64, rtol, atol float64, st *Stats) float64 {
 	tab := &ad.tab
-	tab.derive()
 	n := len(y)
 	k := ad.k
 	// Stage 0.
@@ -482,13 +503,6 @@ func (ad *Adaptive) step(f Func, t, h float64, y []float64, st *Stats) float64 {
 		ye[i] = 0
 	}
 	accum(ye, ye, h, tab.dbnz, k)
-	rtol, atol := ad.RTol, ad.ATol
-	if rtol <= 0 {
-		rtol = 1e-6
-	}
-	if atol <= 0 {
-		atol = 1e-12
-	}
 	var errSum float64
 	for i := 0; i < n; i++ {
 		ay := math.Abs(y[i])
