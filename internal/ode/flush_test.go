@@ -26,7 +26,8 @@ func decay4(t float64, y, dydt []float64) {
 
 // TestFloorStoresExactZero: a decay followed 260 decades down ends at exact
 // 0 where the unfloored run ends near e^-600 = 2.6e-261, tracks e^-t while
-// the solution is above 1e-150, and walks the very same step sequence.
+// the solution is above 1e-150, and takes the same accepted, rejected and
+// evaluation counts.
 // MaxStep keeps the steps inside the pair's stability interval once the
 // absolute tolerance takes over, so the decay stays stiffness-free.
 func TestFloorStoresExactZero(t *testing.T) {
@@ -64,7 +65,7 @@ func TestFloorStoresExactZero(t *testing.T) {
 	}
 	ref, stRef := run(unreachable, nil)
 	if st != stRef {
-		t.Errorf("step sequence moved: %+v with the floor, %+v without", st, stRef)
+		t.Errorf("work counts moved: %+v with the floor, %+v without", st, stRef)
 	}
 	for i, v := range ref {
 		if got := v / unreachable; !(got > 1e-262 && got < 1e-260) {
