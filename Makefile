@@ -73,7 +73,14 @@ test-cluster:
 # relative shift old -> new per case and refuses one above 1e-4; add
 # GOLDEN_FLAGS=-update-golden-force when that is meant too.
 # TestStreamingClWithinHierarchyReference keeps holding the result to the
-# frozen testdata/golden_cl_bits_hierarchy.json.
+# frozen testdata/golden_cl_bits_hierarchy.json, the same engine without its
+# streaming switch. When the change moves what both do before the switch,
+# that file is re-frozen once, after this target, on the final code: in a
+# scratch copy put `p.noStream = true` first in core's Params.setDefaults,
+# run `go test -short -run '^TestGoldenClBits$$' -update-golden
+# -update-golden-force .` there and copy its two goldenCases() entries
+# (150/130 and 300) over; name the commit in the comment above
+# hierarchyClPath (last: REFREEZE, the slip regime).
 golden:
 	$(GO) test -run '^TestGoldenClBits$$' -v -update-golden $(GOLDEN_FLAGS) .
 

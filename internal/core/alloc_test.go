@@ -145,7 +145,7 @@ func TestResultsOutliveScratch(t *testing.T) {
 func TestSourceCapacitySeededFromArena(t *testing.T) {
 	m := model(t)
 	small := Params{K: 0.004, LMax: 10, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true}
-	big := Params{K: 0.09, LMax: 24, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true}
+	big := Params{K: 0.25, LMax: 24, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true}
 	cold, err := m.Evolve(big)
 	if err != nil {
 		t.Fatal(err)

@@ -88,6 +88,12 @@ func (sc *Scratch) resizeBuf(n, capHint int) []float64 {
 	return sc.slot(sc.cur, n, capHint)
 }
 
+// spareBuf returns the slot the state does not occupy (the next resize
+// reuses it) as zeroed scratch.
+func (sc *Scratch) spareBuf(n, capHint int) []float64 {
+	return sc.slot(sc.cur^1, n, capHint)
+}
+
 func (sc *Scratch) slot(i, n, capHint int) []float64 {
 	if capHint < n {
 		capHint = n

@@ -14,9 +14,9 @@ import (
 // scale factor: a member whose state carries a different a simply misses
 // and performs its own lookup (see gatherSums).
 type bgPoint struct {
-	a       float64
-	g       cosmology.Grho
-	kd, cs2 float64
+	a  float64
+	g  cosmology.Grho
+	th tabThermo
 	// kappa is the optical depth, filled only by the per-step recorder
 	// (kapOK marks it live): right-hand-side evaluations never need it.
 	kappa float64
@@ -207,13 +207,13 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	var err error
 
 	// Phase 1: tight coupling while it holds for the strictest member.
-	tca := !p.DisableTightCoupling && ref.tcaHolds(mdl.BG.AofTau(tauStart))
+	tca := !p.DisableTightCoupling && ref.tcaHolds(mdl.BG.AofTau(tauStart), false)
 	tau := tauStart
 	if tca {
 		for i := range b.ms {
 			b.ms[i].tca = true
 		}
-		tauSwitch := ref.findTCASwitch(tauStart, p.TauEnd)
+		tauSwitch := ref.findTCASwitch(tauStart, p.TauEnd, false)
 		if tauSwitch > tauStart {
 			tau, y, err = b.integrateSpan(dv, tau, tauSwitch, y, &stats)
 			if err != nil {
@@ -227,6 +227,17 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 			m := &b.ms[i]
 			m.releaseTightCoupling(tau, y[i*b.nvar:(i+1)*b.nvar])
 			m.tca = false
+		}
+		if tauSlip := ref.slipEnd(tau, p.TauEnd); tauSlip > tau {
+			b.seatSlip(true, tau, y)
+			tau, y, err = b.integrateSpan(dv, tau, tauSlip, y, &stats)
+			if err != nil {
+				return nil, fmt.Errorf("core: slip phase (batch k=%g..%g): %w", ks[0], ks[nb-1], err)
+			}
+			b.seatSlip(false, tau, y)
+			for i := range results {
+				results[i].TauSlip = tauSlip
+			}
 		}
 	}
 
@@ -254,6 +265,15 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		sc.srcCount = len(b.ms[0].sources) // lockstep: every member recorded as many
 	}
 	return results, nil
+}
+
+// seatSlip is mode.seatSlip member by member.
+func (b *batch) seatSlip(on bool, tau float64, y []float64) {
+	n, nb := b.nvar, len(b.ms)
+	dy := b.sc.spareBuf(nb*n, nb*b.ms[b.ref].maxNvar())
+	for i := range b.ms {
+		b.ms[i].seatSlip(on, tau, y[i*n:(i+1)*n], dy[i*n:(i+1)*n])
+	}
 }
 
 // integrateSpan is mode.integrateSpan for the concatenated batch system:
@@ -320,13 +340,10 @@ func (b *batch) fillBG(a float64) {
 	m := &b.ms[0]
 	b.bg.kapOK = false
 	if m.tab != nil {
-		m.tab.Eval(a, &b.bg.g, &m.tt)
-		b.bg.kd = m.tt.Kd
-		b.bg.cs2 = m.tt.Cs2
+		m.tab.Eval(a, &b.bg.g, &b.bg.th)
 	} else {
 		m.BG.Eval(a, &b.bg.g)
-		b.bg.kd = m.TH.Opacity(a)
-		b.bg.cs2 = m.TH.Cs2(a)
+		b.bg.th = tabThermo{Kd: m.TH.Opacity(a), Cs2: m.TH.Cs2(a)}
 	}
 	b.bg.a = a
 }

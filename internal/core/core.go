@@ -95,16 +95,19 @@ type Params struct {
 	// polarization and massless-neutrino hierarchies start at a few
 	// moments and grow with k*tau (moments are copied across each growth
 	// event, newly activated ones seeded at zero, with the usual
-	// last-moment free-streaming closure at the moving boundary); a
-	// KeepSources run shrinks them to six moments once radiation is
-	// dynamically negligible and, in the conformal Newtonian gauge, stops
-	// carrying them altogether once k*tau >= 45 on top of that, closing
-	// the Einstein sums with the free-streaming values (see
-	// Result.TauStream); the background and thermodynamic history come
-	// from the model's flattened uniform-in-ln-a tables instead of
-	// per-call spline searches; and the integrator runs PI step-size
-	// control (the controller step is carried across segment boundaries
-	// on every default-integrator run). Default
+	// last-moment free-streaming closure at the moving boundary); from the
+	// tight-coupling release until the visibility window opens the
+	// baryon-photon momentum exchange keeps its second-order tight-coupling
+	// value, the slip relaxing (1+R) times faster than the opacity the
+	// release waits for (see Result.TauSlip); a KeepSources run shrinks the
+	// hierarchies to six moments once radiation is dynamically negligible
+	// and, in the conformal Newtonian gauge, stops carrying them altogether
+	// once k*tau >= 45 on top of that, closing the Einstein sums with the
+	// free-streaming values (see Result.TauStream); the background and
+	// thermodynamic history come from the model's flattened
+	// uniform-in-ln-a tables instead of per-call spline searches; and the
+	// integrator runs PI step-size control (the controller step is carried
+	// across segment boundaries on every default-integrator run). Default
 	// off: the exact path is the reference. The fast path tracks it to
 	// well below the 1e-3 relative C_l engine budget (see the golden
 	// tests).
@@ -113,9 +116,10 @@ type Params struct {
 	// Ablation switches for the fast engine, used by the property tests to
 	// exercise one ingredient at a time (all false: the full fast engine).
 	noGrowLMax bool // fixed full-size hierarchy from the start
-	noTables   bool // exact spline lookups instead of flattened tables
+	noTables   bool // exact spline lookups instead of flattened tables (whose slopes the slip regime needs: none either)
 	noPI       bool // elementary step controller instead of PI
 	noStream   bool // track the shrunk hierarchies to the end (no streaming switch)
+	noSlip     bool // evolve the baryon-photon slip from the tight-coupling release on (no slip regime)
 }
 
 func (p *Params) setDefaults() {
@@ -194,6 +198,12 @@ type Result struct {
 	// TauSwitch is the conformal time at which tight coupling was released
 	// (zero if the approximation was never used).
 	TauSwitch float64
+	// TauSlip is the conformal time at which the fast engine's slip regime
+	// ended (see FastEvolve): from TauSwitch to TauSlip the hierarchies ran
+	// as released while the baryon-photon momentum exchange stayed slaved
+	// to the rest of the state. Zero if the regime was never taken: the
+	// exact engine, and tight coupling that lasts until the window opens.
+	TauSlip float64
 	// TauStream is the conformal time at which a fast source-recording
 	// run stopped carrying radiation moments (see FastEvolve; zero if it
 	// never did). From there on the recorded samples and the final state

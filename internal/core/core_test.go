@@ -12,7 +12,7 @@ import (
 // sharedModel builds the SCDM substrate once for the whole test package.
 var sharedModel *Model
 
-func model(t *testing.T) *Model {
+func model(t testing.TB) *Model {
 	t.Helper()
 	if sharedModel != nil {
 		return sharedModel

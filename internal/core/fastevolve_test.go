@@ -17,16 +17,16 @@ import (
 	"plinger/internal/thermo"
 )
 
-// TestFastEvolveDisabledBitwise: with growth, tables and PI all switched
-// off, the fast-engine flag must be a pure no-op — the segmented driver
-// takes exactly the reference path, bitwise.
+// TestFastEvolveDisabledBitwise: with growth, tables, PI and the slip
+// regime all switched off, the fast-engine flag must be a pure no-op — the
+// segmented driver takes exactly the reference path, bitwise.
 func TestFastEvolveDisabledBitwise(t *testing.T) {
 	m := model(t)
 	for _, gauge := range []Gauge{Synchronous, ConformalNewtonian} {
 		ref := Params{K: 0.04, LMax: 16, Gauge: gauge, KeepSources: true}
 		off := ref
 		off.FastEvolve = true
-		off.noGrowLMax, off.noTables, off.noPI = true, true, true
+		off.noGrowLMax, off.noTables, off.noPI, off.noSlip = true, true, true, true
 		a, err := m.Evolve(ref)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +190,20 @@ func TestFastEvolveWorkAblation(t *testing.T) {
 	if 2*b.Stats.Evals >= c.Stats.Evals || b.Flops >= 0.6*c.Flops {
 		t.Fatalf("streaming run: %d evals, %g flops; hierarchy-tracking run: %d evals, %g flops",
 			b.Stats.Evals, b.Flops, c.Stats.Evals, c.Flops)
+	}
+	// And so is the slip regime: against the same run evolving the slip
+	// from the tight-coupling release on, it must save a quarter of the
+	// accepted steps (the ones on the slip's stability boundary).
+	fast.noStream, fast.noSlip = false, true
+	d, err := m.Evolve(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.TauSlip <= b.TauSwitch || d.TauSlip != 0 {
+		t.Fatalf("TauSlip = %g with the regime (TauSwitch %g), %g without", b.TauSlip, b.TauSwitch, d.TauSlip)
+	}
+	if 4*b.Stats.Steps > 3*d.Stats.Steps {
+		t.Fatalf("slip regime: %d accepted steps, released from the start: %d", b.Stats.Steps, d.Stats.Steps)
 	}
 	if a.Stats.Rejected > 10 && b.Stats.Rejected > a.Stats.Rejected/2 {
 		t.Fatalf("PI controller rejected %d of %d steps, reference %d of %d",

@@ -30,7 +30,8 @@ type mode struct {
 	shrinkAt, streamAt float64
 	// tab, when non-nil, replaces the spline lookups in gatherSums with
 	// the model's flattened evaluation tables; tt receives the
-	// thermodynamic fields of the latest lookup.
+	// thermodynamic fields of the latest lookup on either path (the slopes
+	// from the tables only).
 	tab *EvalTables
 	tt  tabThermo
 	// bgCache, when non-nil, is the lockstep batch's shared background
@@ -70,7 +71,10 @@ type mode struct {
 	// cap needs to adjust its MaxStep across segments).
 	ad *ode.Adaptive
 
-	tca bool // current right-hand-side regime
+	// Current right-hand-side regime: tight coupling, then the slip regime,
+	// then neither; slipX is the exchange its latest evaluation used.
+	tca, slip bool
+	slipX     float64
 
 	// flops accumulates the operation-count model per integration segment,
 	// so a growing/shrinking run is billed for the hierarchy it actually
@@ -135,6 +139,30 @@ const (
 	streamKTau = 45.0
 	streamLMax = -1
 )
+
+// The slip regime (fast engine with its tables, both gauges). Tight
+// coupling is released for everything at kd = TCAFactor*max(k, aH), the
+// bound the photon shear needs: its expansion runs in k/kd. The
+// baryon-photon slip theta_g - theta_b relaxes at lambda = (1+R) kd, R =
+// 4 rho_g/3 rho_b ~ 17 at that moment, so the released equations carry one
+// real eigenvalue 18x the one the criterion looked at, and DVERK sat on its
+// stability boundary h*lambda = 4.05, an order of magnitude under the
+// accuracy-limited step, for 54 % of a paper-scale sweep's accepted steps.
+// From the release to the end of the regime the hierarchies therefore run
+// as released, but the momentum exchange kd (theta_g - theta_b) in the two
+// velocity equations is the second-order quasi-static value of
+// slipExchange, whose expansion parameter max(k, aH)/lambda is 5e-4 where
+// the shear's has reached 1e-2; seatSlip puts the state's slip on that
+// value at both ends. The first order alone, as the first regime has it,
+// moves C_l by 1.4e-3 at l = 278.
+//
+// The regime ends the first time lambda < TCAFactor*max(k, aH), and at the
+// latest where the visibility window opens, tauRec - SourceWindowBefore:
+// past it low-k modes would enter the regime during recombination, where kd
+// collapses faster than the expansion allows for (on its own criterion the
+// regime moved C_l by 3.7e-4 at l = 2 for 4-10 % fewer steps on the modes
+// that have it). A mode released at or after the window start never takes
+// it.
 
 // Source-recording step cap. The line-of-sight sources are linearly
 // interpolated from the accepted steps, and through the narrow visibility
@@ -268,10 +296,10 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 	var err error
 
 	// Phase 1: tight coupling, if applicable.
-	m.tca = !p.DisableTightCoupling && m.tcaHolds(m.BG.AofTau(tauStart))
+	m.tca = !p.DisableTightCoupling && m.tcaHolds(m.BG.AofTau(tauStart), false)
 	tau := tauStart
 	if m.tca {
-		tauSwitch := m.findTCASwitch(tauStart, p.TauEnd)
+		tauSwitch := m.findTCASwitch(tauStart, p.TauEnd, false)
 		if tauSwitch > tauStart {
 			tau, y, err = m.integrateSpan(integ, tau, tauSwitch, y, &stats)
 			if err != nil {
@@ -281,6 +309,15 @@ func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
 		}
 		m.releaseTightCoupling(tau, y)
 		m.tca = false
+		if tauSlip := m.slipEnd(tau, p.TauEnd); tauSlip > tau {
+			m.seatSlip(true, tau, y, sc.spareBuf(m.nvar, m.maxNvar()))
+			tau, y, err = m.integrateSpan(integ, tau, tauSlip, y, &stats)
+			if err != nil {
+				return nil, fmt.Errorf("core: slip phase (k=%g): %w", p.K, err)
+			}
+			m.seatSlip(false, tau, y, sc.spareBuf(m.nvar, m.maxNvar()))
+			res.TauSlip = tauSlip
+		}
 	}
 
 	// Phase 2: full equations to the end.
@@ -642,9 +679,15 @@ func (m *mode) initialConditions(tau float64, y []float64) {
 	}
 }
 
-// tcaHolds reports whether the tight-coupling regime criteria hold at a.
-func (m *mode) tcaHolds(a float64) bool {
+// tcaHolds reports whether the tight-coupling criteria hold at a — with
+// slip set, the slip regime's: the same on the slip's own rate (1+R) kd.
+func (m *mode) tcaHolds(a float64, slip bool) bool {
 	kd := m.TH.Opacity(a)
+	if slip {
+		g := &m.scratch
+		m.BG.Eval(a, g)
+		kd *= 1.0 + 4.0/3.0*g.G/g.B
+	}
 	if kd < m.p.TCAFactor*m.k {
 		return false
 	}
@@ -656,15 +699,15 @@ func (m *mode) tcaHolds(a float64) bool {
 }
 
 // findTCASwitch bisects for the conformal time at which tight coupling
-// first fails.
-func (m *mode) findTCASwitch(tauStart, tauEnd float64) float64 {
+// (slip set: the slip regime's criterion) first fails.
+func (m *mode) findTCASwitch(tauStart, tauEnd float64, slip bool) float64 {
 	lo, hi := tauStart, tauEnd
-	if m.tcaHolds(m.BG.AofTau(hi)) {
+	if m.tcaHolds(m.BG.AofTau(hi), slip) {
 		return hi // never fails (cannot happen in practice: opacity dies)
 	}
 	for iter := 0; iter < 200 && hi-lo > 1e-10*hi; iter++ {
 		mid := 0.5 * (lo + hi)
-		if m.tcaHolds(m.BG.AofTau(mid)) {
+		if m.tcaHolds(m.BG.AofTau(mid), slip) {
 			lo = mid
 		} else {
 			hi = mid
@@ -693,6 +736,34 @@ func (m *mode) releaseTightCoupling(tau float64, y []float64) {
 	y[m.ifg+2] = fg2
 	y[m.igg] = 1.25 * fg2
 	y[m.igg+2] = 0.25 * fg2
+}
+
+// slipEnd returns where a slip regime entered at tau, the tight-coupling
+// release, ends; a time not after tau means the run takes none.
+func (m *mode) slipEnd(tau, tauEnd float64) float64 {
+	if m.tab == nil || m.p.noSlip {
+		return tau
+	}
+	return min(m.findTCASwitch(tau, tauEnd, true), m.TH.TauRec()-SourceWindowBefore)
+}
+
+// seatSlip is the slip regime's hand-off state surgery, entering it (on)
+// and leaving it: the state's slip theta_g - theta_b takes the quasi-static
+// value slipX/kd of the regime's right-hand side on y (evaluated into the
+// scratch dy) at fixed R theta_g + theta_b, the pair's momentum. On entry
+// that replaces the initial slip, which the first regime's equations froze,
+// with the true baryon velocity the expansion presumes; on exit the
+// released equations start from the exchange the regime last used.
+func (m *mode) seatSlip(on bool, tau float64, y, dy []float64) {
+	m.slip = true
+	m.rhs(tau, y, dy)
+	m.slip = on
+	r := 4.0 / 3.0 * m.scratch.G / m.scratch.B
+	c := 4.0 / (3.0 * m.k) // F_1 per unit theta_g
+	d := m.slipX / m.tt.Kd
+	thetaG := (r*y[m.ifg+1]/c + y[m.itb] + d) / (1.0 + r)
+	y[m.ifg+1] = c * thetaG
+	y[m.itb] = thetaG - d
 }
 
 // etaDotAt evaluates eta-dot = g_theta/(2 k^2) from the current state.

@@ -67,9 +67,12 @@ type auxRow struct {
 	lnVis   float64 // ln visibility: lnKd - kappa
 }
 
-// tabThermo carries the thermodynamic outputs of one hot lookup.
+// tabThermo carries the thermodynamic outputs of one hot lookup, and the
+// slopes d ln kd, d cs2 and d(aH) per unit ln a that the slip regime needs
+// (see slipExchange), from the derivative of the same cubic.
 type tabThermo struct {
-	Kd, Cs2 float64
+	Kd, Cs2             float64
+	DlnKd, DCs2, DHConf float64
 }
 
 // EvalTables is the flattened background + thermodynamics lookup for one
@@ -114,11 +117,12 @@ func buildEvalTables(m *Model, pfor func(workers, n int, body func(i int))) *Eva
 	return t
 }
 
-// stencil returns the clamped 4-point index stencil and the uniform cubic
-// Lagrange weights (knots {-1, 0, 1, 2}) for scale factor a. The stencil
-// shifts inward at the edges by index clamping (C0 there, which only
-// affects a <= 1e-10 and a = 1).
-func (t *EvalTables) stencil(a float64) (im, i, i1, i2 int, wm, w0, w1, w2 float64) {
+// stencil returns the clamped 4-point index stencil, the uniform cubic
+// Lagrange weights (knots {-1, 0, 1, 2}) for scale factor a, and the
+// offset f from knot i they were formed at. The stencil shifts inward at
+// the edges by index clamping (C0 there, which only affects a <= 1e-10 and
+// a = 1).
+func (t *EvalTables) stencil(a float64) (im, i, i1, i2 int, wm, w0, w1, w2, f float64) {
 	u := (math.Log(a) - t.lnAMin) * t.inv
 	n := len(t.hot)
 	if u < 0 {
@@ -131,7 +135,7 @@ func (t *EvalTables) stencil(a float64) (im, i, i1, i2 int, wm, w0, w1, w2 float
 	if i > n-2 {
 		i = n - 2
 	}
-	f := u - float64(i)
+	f = u - float64(i)
 	im, i2 = i-1, i+2
 	if im < 0 {
 		im = 0
@@ -146,7 +150,7 @@ func (t *EvalTables) stencil(a float64) (im, i, i1, i2 int, wm, w0, w1, w2 float
 	w0 = fp * f1 * f2 / 2.0
 	w1 = -fp * f * f2 / 2.0
 	w2 = fp * f * f1 / 6.0
-	return im, i, i + 1, i2, wm, w0, w1, w2
+	return im, i, i + 1, i2, wm, w0, w1, w2, f
 }
 
 // Eval fills g and th at scale factor a: one log, one index, one weight
@@ -154,7 +158,7 @@ func (t *EvalTables) stencil(a float64) (im, i, i1, i2 int, wm, w0, w1, w2 float
 // consumes — Total, Lambda and PHNu3 stay zero (their effect is already
 // inside the tabulated HConf; the aux accessors cover the rest).
 func (t *EvalTables) Eval(a float64, g *cosmology.Grho, th *tabThermo) {
-	im, i0, i1, i2, wm, w0, w1, w2 := t.stencil(a)
+	im, i0, i1, i2, wm, w0, w1, w2, f := t.stencil(a)
 	rm, r0, r1, r2 := &t.hot[im], &t.hot[i0], &t.hot[i1], &t.hot[i2]
 
 	g.A = a
@@ -167,20 +171,30 @@ func (t *EvalTables) Eval(a float64, g *cosmology.Grho, th *tabThermo) {
 	g.Total, g.Lambda, g.PHNu3 = 0, 0, 0
 	th.Kd = math.Exp(wm*rm.lnKd + w0*r0.lnKd + w1*r1.lnKd + w2*r2.lnKd)
 	th.Cs2 = wm*rm.cs2 + w0*r0.cs2 + w1*r1.cs2 + w2*r2.cs2
+
+	// d/d(ln a) of the same cubic: the weights' derivatives in f, per knot.
+	f3 := 3.0 * f * f
+	dm := -(f3 - 6.0*f + 2.0) / 6.0 * t.inv
+	d0 := (f3 - 4.0*f - 1.0) / 2.0 * t.inv
+	d1 := -(f3 - 2.0*f - 2.0) / 2.0 * t.inv
+	d2 := (f3 - 1.0) / 6.0 * t.inv
+	th.DlnKd = dm*rm.lnKd + d0*r0.lnKd + d1*r1.lnKd + d2*r2.lnKd
+	th.DCs2 = dm*rm.cs2 + d0*r0.cs2 + d1*r1.cs2 + d2*r2.cs2
+	th.DHConf = dm*rm.hconf + d0*r0.hconf + d1*r1.hconf + d2*r2.hconf
 }
 
 // OpticalDepth interpolates the optical depth at scale factor a from the
 // aux rows (one lookup + one exponential; consumed once per accepted step
 // by the source recorder).
 func (t *EvalTables) OpticalDepth(a float64) float64 {
-	im, i0, i1, i2, wm, w0, w1, w2 := t.stencil(a)
+	im, i0, i1, i2, wm, w0, w1, w2, _ := t.stencil(a)
 	return math.Exp(wm*t.aux[im].lnKappa + w0*t.aux[i0].lnKappa +
 		w1*t.aux[i1].lnKappa + w2*t.aux[i2].lnKappa)
 }
 
 // Visibility interpolates g(a) = kappa-dot e^-kappa from the aux rows.
 func (t *EvalTables) Visibility(a float64) float64 {
-	im, i0, i1, i2, wm, w0, w1, w2 := t.stencil(a)
+	im, i0, i1, i2, wm, w0, w1, w2, _ := t.stencil(a)
 	return math.Exp(wm*t.aux[im].lnVis + w0*t.aux[i0].lnVis +
 		w1*t.aux[i1].lnVis + w2*t.aux[i2].lnVis)
 }

@@ -270,8 +270,11 @@ type ModeOptions struct {
 	// start small and grow with k*tau, the background and thermodynamics
 	// come from flattened per-model tables, and the integrator uses PI
 	// step control. Same accuracy contract as SpectrumOptions.FastEvolve.
-	// With KeepSources in the conformal Newtonian gauge the run ends in
-	// the streaming regime (see ModeResult.TauStream).
+	// A mode released from tight coupling before the visibility window
+	// opens spends the time until then in the slip regime (see
+	// ModeResult.TauSlip); with KeepSources in the conformal Newtonian
+	// gauge the run ends in the streaming regime (see
+	// ModeResult.TauStream).
 	FastEvolve bool
 }
 
@@ -313,6 +316,13 @@ type ModeResult struct {
 	Steps, Evals int
 	Flops        float64
 	Seconds      float64
+	// TauSlip is the conformal time at which a FastEvolve run left the
+	// slip regime (zero: it never entered it — every exact-engine run, and
+	// modes whose tight coupling lasts until the visibility window opens).
+	// Until then the baryon-photon momentum exchange was the second-order
+	// tight-coupling value, not read off the evolved velocities, although
+	// the photon hierarchies had been released.
+	TauSlip float64
 	// TauStream is the conformal time from which a FastEvolve KeepSources
 	// run in the conformal Newtonian gauge carried no radiation moments
 	// any more (zero: it never stopped). The state reported above then
@@ -331,7 +341,7 @@ func wrapResult(r *core.Result) *ModeResult {
 		ConstraintResidual: r.MaxConstraintResidual,
 		Steps:              r.Stats.Steps, Evals: r.Stats.Evals,
 		Flops: r.Flops, Seconds: r.Seconds,
-		TauStream: r.TauStream,
+		TauSlip: r.TauSlip, TauStream: r.TauStream,
 	}
 }
 
@@ -425,9 +435,14 @@ type SpectrumOptions struct {
 	// once radiation is dynamically negligible and are dropped from the
 	// state for the free-streaming closure once k*tau >= 45 on top of that
 	// (most of a paper-scale sweep's steps went into following their
-	// oscillation, which the sources cannot see), the background and
-	// thermodynamic history come from flattened per-model lookup
-	// tables, and the integrator runs PI step-size control. Like
+	// oscillation, which the sources cannot see); from the tight-coupling
+	// release until the visibility window opens the baryon-photon momentum
+	// exchange keeps its second-order tight-coupling value (the slip
+	// relaxes ~18x faster than the opacity the release waits for, and the
+	// explicit integrator otherwise sits on that rate's stability limit);
+	// the background and thermodynamic history come from flattened
+	// per-model lookup tables, and the integrator runs PI step-size
+	// control. Like
 	// FastLOS and KRefine it stays within the engine's 1e-3 relative C_l
 	// budget (the measured full fast path deviates by a few 1e-4; the
 	// golden tests enforce the bound) and is off by default: the exact

@@ -26,9 +26,19 @@ const (
 	goldenClPath   = "testdata/golden_cl_bits.json"
 	goldenMaxShift = 1e-4
 
-	// hierarchyClPath is golden_cl_bits.json as it stood before the
-	// radiation-streaming switch (commit 72c7ed3): the engine tracking the
-	// shrunk 6-moment hierarchies to the present.
+	// hierarchyClPath is golden_cl_bits.json as the engine writes it while
+	// tracking the shrunk 6-moment hierarchies to the present: first the
+	// file as it stood before the radiation-streaming switch (commit
+	// 72c7ed3), and make golden never touches it. A change that moves the
+	// stepping both engines share before the switch (the slip regime did,
+	// by 3.9e-5 and 6.7e-5) would be booked to the switch, so the file is
+	// then re-frozen once, on the final code: in a scratch copy put
+	// `p.noStream = true` first in core's Params.setDefaults, run
+	//
+	//	go test -short -run '^TestGoldenClBits$' -update-golden -update-golden-force .
+	//
+	// there, and copy the two goldenCases() entries of its
+	// testdata/golden_cl_bits.json over. Last re-frozen on commit REFREEZE.
 	hierarchyClPath = "testdata/golden_cl_bits_hierarchy.json"
 	// streamClBudget bounds what the switch may move C_l by at any l
 	// (measured: 2.5e-7 and 8.0e-7 on the two cases; the engine's own budget
@@ -201,8 +211,8 @@ func TestGoldenClBits(t *testing.T) {
 // radiation from the late evolution (core's streaming switch) keeps every
 // multipole of both recorded cases within streamClBudget of the spectrum
 // the engine produced while it still tracked the hierarchies to the
-// present — the frozen pre-switch bits, which no re-recording of
-// golden_cl_bits.json touches.
+// present — the frozen no-switch bits (see hierarchyClPath), which no
+// re-recording of golden_cl_bits.json touches.
 func TestStreamingClWithinHierarchyReference(t *testing.T) {
 	ref := readClBits(t, hierarchyClPath)
 	m := scdmModel(t)

@@ -71,8 +71,8 @@ func TestEvolveModeThroughFacade(t *testing.T) {
 	if newt.Phi == 0 || newt.Psi == 0 {
 		t.Fatal("Newtonian potentials missing")
 	}
-	if newt.TauStream != 0 {
-		t.Fatalf("exact-engine run reports TauStream = %g", newt.TauStream)
+	if newt.TauStream != 0 || newt.TauSlip != 0 {
+		t.Fatalf("exact-engine run reports TauStream = %g, TauSlip = %g", newt.TauStream, newt.TauSlip)
 	}
 	// A fast source-recording run says where it stopped carrying radiation
 	// moments, and what its final radiation state then stands for.
@@ -82,6 +82,15 @@ func TestEvolveModeThroughFacade(t *testing.T) {
 	}
 	if strm.TauStream < m.TauRecombination() || strm.TauStream >= m.Tau0() {
 		t.Fatalf("TauStream = %g outside (tau_rec, tau0)", strm.TauStream)
+	}
+	// ... and, when tight coupling ends before the visibility window opens,
+	// until when the slip stayed coupled.
+	slip, err := m.EvolveMode(ModeOptions{K: 0.1, LMax: 16, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slip.TauSlip <= 0 || slip.TauSlip > m.TauRecombination()-120 {
+		t.Fatalf("TauSlip = %g outside (0, tau_rec - 120]", slip.TauSlip)
 	}
 	if strm.ThetaL[0] != -strm.Phi || strm.DeltaG != -4*strm.Phi || math.Abs(strm.Phi/newt.Phi-1) > 1e-3 {
 		t.Fatalf("streaming closure not reported: ThetaL[0] %g, DeltaG %g, Phi %g (exact %g)", strm.ThetaL[0], strm.DeltaG, strm.Phi, newt.Phi)
