@@ -215,25 +215,15 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 		rA, rB := m.rA, m.rB
 		trunc := (float64(lmax) + 1.0) / tau
 
+		dy[m.itb] = -hc*tb + s.cs2*k2*db + kpsi + r*kd*(s.thetaG-tb)
+		thetaGDot := photonAccel + kpsi + kd*(tb-s.thetaG)
+		dfg[1] = 4.0 / (3.0 * k) * thetaGDot
+
 		pi := fg[2] + gg[0] + gg[2]
 		// Temperature quadrupole and higher. MB95 eq. (63): the Thomson
 		// term is -kd [ (9/10) F_2 - (1/10)(G_0 + G_2) ], equivalently
 		// -kd (F_2 - Pi/10) with Pi = F_2 + G_0 + G_2.
 		dfg[2] = k/5.0*(2.0*fg[1]-3.0*fg[3]) + src2 - kd*(fg[2]-0.1*pi)
-
-		if m.slip {
-			// The exchange kd (theta_g - theta_b) is slaved to the rest of
-			// the state: it needs the quadrupole's derivative, hence above.
-			x := m.slipExchange(&s, r, photonAccel, kpsi, tb, db, dy[m.ifg], dfg[2], dy[m.idb])
-			m.slipX = x
-			dy[m.itb] = -hc*tb + s.cs2*k2*db + kpsi + r*x
-			dfg[1] = 4.0 / (3.0 * k) * (photonAccel + kpsi - x)
-		} else {
-			dy[m.itb] = -hc*tb + s.cs2*k2*db + kpsi + r*kd*(s.thetaG-tb)
-			thetaGDot := photonAccel + kpsi + kd*(tb-s.thetaG)
-			dfg[1] = 4.0 / (3.0 * k) * thetaGDot
-		}
-
 		for l := 3; l < lmax; l++ {
 			dfg[l] = k*(rA[l]*fg[l-1]-rB[l]*fg[l+1]) - kd*fg[l]
 		}
@@ -252,6 +242,9 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 			dgg[l] = k*(rA[l]*gg[l-1]-rB[l]*gg[l+1]) - kd*gg[l]
 		}
 		dgg[lmax] = k*gg[lmax-1] - trunc*gg[lmax] - kd*gg[lmax]
+		if m.slip {
+			m.slipRHS(&s, kpsi, y, dy)
+		}
 	}
 
 	// Massless neutrinos.
@@ -275,23 +268,29 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	m.massiveNuRHS(tau, a, y, dy, phiDot, psi, hdot, eDot)
 }
 
-// slipExchange is the momentum exchange X = kd (theta_g - theta_b) of the
-// slip regime (see the constants block in mode.go). The slip D = theta_g -
-// theta_b obeys D' = N - lambda D, lambda = (1+R) kd, with the same N in
-// both gauges (the metric terms of the two velocity equations cancel), and
-// relaxes onto D = N/lambda - (N/lambda)'/lambda + O(lambda^-3): the
-// tight-coupling expansion one order past the first regime's, MB95 eq.
-// (74-75). N' takes delta_g', F_2' and delta_b' from the right-hand side
-// under assembly (dDeltaG, dF2, dDeltaB), theta_b' from the leading order,
-// R' = -aH R, and the slopes of kd, cs2 and aH from the table lookup.
-func (m *mode) slipExchange(s *sums, r, photonAccel, kpsi, tb, db, dDeltaG, dF2, dDeltaB float64) float64 {
+// slipRHS rewrites the two velocity equations of a released right-hand
+// side for the slip regime (see the constants block in mode.go): the
+// momentum exchange X = kd (theta_g - theta_b), kept in slipX, is slaved to
+// the rest of the state. The slip D = theta_g - theta_b obeys D' = N -
+// lambda D, lambda = (1+R) kd, with the same N in both gauges (the metric
+// terms of the two equations cancel), and relaxes onto D = N/lambda -
+// (N/lambda)'/lambda + O(lambda^-3): the tight-coupling expansion one order
+// past the first regime's, MB95 eq. (74-75). N' takes delta_g', F_2' and
+// delta_b' from dy as assembled, theta_b' from the leading order, R' =
+// -aH R, and the slopes of kd, cs2 and aH from the table lookup.
+func (m *mode) slipRHS(s *sums, kpsi float64, y, dy []float64) {
 	k2, hc, th := m.k2, s.hconf, &m.tt
-	n := photonAccel + hc*tb - s.cs2*k2*db
-	tbDot := -hc*tb + s.cs2*k2*db + kpsi + r/(1.0+r)*n
-	nDot := k2*(0.25*dDeltaG-0.5*dF2) + hc*(th.DHConf*tb+tbDot) -
-		k2*(hc*th.DCs2*db+s.cs2*dDeltaB)
+	tb, db := y[m.itb], y[m.idb]
+	r := 4.0 / 3.0 * m.scratch.G / m.scratch.B
+	photonAccel := k2 * (0.25*s.deltaG - s.sigmaG)
+	drag := -hc*tb + s.cs2*k2*db // theta_b' without the metric and the exchange
+	n := photonAccel - drag
+	nDot := k2*(0.25*dy[m.ifg]-0.5*dy[m.ifg+2]) + hc*(th.DHConf*tb+drag+kpsi+r/(1.0+r)*n) -
+		k2*(hc*th.DCs2*db+s.cs2*dy[m.idb])
 	lambdaDot := hc * (th.DlnKd - r/(1.0+r)) // lambda'/lambda
-	return (n - (nDot-n*lambdaDot)/((1.0+r)*s.kd)) / (1.0 + r)
+	m.slipX = (n - (nDot-n*lambdaDot)/((1.0+r)*s.kd)) / (1.0 + r)
+	dy[m.itb] = drag + kpsi + r*m.slipX
+	dy[m.ifg+1] = 4.0 / (3.0 * m.k) * (photonAccel + kpsi - m.slipX)
 }
 
 // massiveNuRHS fills the massive-neutrino block of the right-hand side
