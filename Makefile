@@ -80,7 +80,7 @@ test-cluster:
 # run `go test -short -run '^TestGoldenClBits$$' -update-golden
 # -update-golden-force .` there and copy its two goldenCases() entries
 # (150/130 and 300) over; name the commit in the comment above
-# hierarchyClPath (last: b173bca, the slip regime).
+# hierarchyClPath (last: 7a974f4, the slip regime).
 golden:
 	$(GO) test -run '^TestGoldenClBits$$' -v -update-golden $(GOLDEN_FLAGS) .
 

@@ -38,7 +38,7 @@ const (
 	//	go test -short -run '^TestGoldenClBits$' -update-golden -update-golden-force .
 	//
 	// there, and copy the two goldenCases() entries of its
-	// testdata/golden_cl_bits.json over. Last re-frozen on commit b173bca.
+	// testdata/golden_cl_bits.json over. Last re-frozen on commit 7a974f4.
 	hierarchyClPath = "testdata/golden_cl_bits_hierarchy.json"
 	// streamClBudget bounds what the switch may move C_l by at any l
 	// (measured: 2.5e-7 and 8.0e-7 on the two cases; the engine's own budget
