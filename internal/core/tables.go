@@ -69,7 +69,7 @@ type auxRow struct {
 
 // tabThermo carries the thermodynamic outputs of one hot lookup, and the
 // slopes d ln kd, d cs2 and d(aH) per unit ln a that the slip regime needs
-// (see slipExchange), from the derivative of the same cubic.
+// (see slipRHS), from the derivative of the same cubic.
 type tabThermo struct {
 	Kd, Cs2             float64
 	DlnKd, DCs2, DHConf float64
