@@ -2,30 +2,31 @@ package core
 
 import "plinger/internal/ode"
 
-// Scratch is a per-worker evolution arena: every buffer a mode evolution
-// needs — the in-flight mode state, the ODE state vector and its
-// hierarchy-resize ping-pong partner, the free-streaming ratio tables and
-// the default integrator with its Runge-Kutta stage buffers — allocated
-// once at the largest layout a worker has seen and re-sliced per mode.
-// A dispatch worker that owns one Scratch and threads it through
-// Model.EvolveWith runs the steady-state per-mode hot path without heap
-// allocation beyond the Result it hands back (which must outlive the next
-// mode), so a multi-core sweep stops feeding the garbage collector exactly
-// where the paper's scaling curves need the cores to stay busy.
+// Scratch is a per-worker evolution arena: every buffer an evolution needs
+// — the block in flight with its member mode slots, the ODE state vector
+// and its hierarchy-resize ping-pong partner, the free-streaming ratio
+// tables and the default integrator with its Runge-Kutta stage buffers —
+// allocated once at the largest layout a worker has seen and re-sliced per
+// block. A dispatch worker that threads one Scratch through EvolveWith or
+// EvolveBatchWith runs the steady-state hot path without heap allocation
+// beyond the Results it hands back, so a multi-core sweep stops feeding the
+// garbage collector exactly where the paper's scaling curves need the
+// cores to stay busy.
 //
 // A Scratch is NOT safe for concurrent use: it belongs to one worker
-// goroutine at a time. Results returned by EvolveWith never alias the
-// scratch, so they may be retained after the scratch moves on to the next
-// mode. The zero value is ready to use.
+// goroutine at a time. Results never alias it, so they may be retained
+// after it moves on. The zero value is ready to use.
 type Scratch struct {
-	m mode
+	// bat is the one evolution slot: the lockstep block in flight, a single
+	// mode being its block of one.
+	bat batch
 
 	// state holds the ODE state vector; resize events ping-pong between
 	// the two slots so the copy-over reads one while writing the other.
 	state [2][]float64
 	cur   int
 
-	// rA/rB back the mode's free-streaming recurrence ratio tables; the
+	// rA/rB back the modes' free-streaming recurrence ratio tables; the
 	// values depend only on l, so once grown they serve every mode.
 	rA, rB []float64
 
@@ -36,24 +37,13 @@ type Scratch struct {
 	// mode; it seeds the next mode's capacity (see sourceBuf).
 	srcCount int
 
-	// Bound-method closures over &sc.m, created once per arena: a method
-	// value like m.rhs allocates at every use site, and the right-hand
+	// Bound-method closures over &sc.bat, created once per arena: a method
+	// value like b.rhs allocates at every use site, and the right-hand
 	// side is handed to the integrator once per integration segment. The
-	// receiver is always the arena's own mode slot, so the closures stay
-	// valid as the slot is reused mode after mode.
+	// receiver is the arena's own slot, so they stay valid as it is reused.
 	rhsf      ode.Func
 	onRecord  func(t float64, y []float64)
 	onMonitor func(t float64, y []float64)
-
-	// bat is the lockstep multi-k driver of EvolveBatchWith; its member
-	// mode slots and closures live here for the same reuse reasons as the
-	// scalar slot above. The state ping-pong, the ratio tables and the
-	// pooled integrator are shared with the scalar path — an arena runs
-	// either one mode or one batch at a time, never both.
-	bat        batch
-	brhsf      ode.Func
-	bOnRecord  func(t float64, y []float64)
-	bOnMonitor func(t float64, y []float64)
 }
 
 // NewScratch returns an empty arena; buffers grow on first use.

@@ -53,16 +53,17 @@ func (mdl *Model) EvolveBatch(ks []float64, p Params) ([]*Result, error) {
 // largest cutoff among its members, and every Result reports that unified
 // cutoff. The shared step control couples the members numerically: a batch
 // trajectory agrees with the per-mode one to the integrator tolerance, not
-// bitwise — callers needing the exact scalar trajectory use KBatch = 1.
+// bitwise — callers needing the exact per-mode trajectory use KBatch = 1.
 //
 // Tight coupling is driven by the largest-k member (its criterion
 // kappa-dot > TCAFactor*k is the strictest in the batch), so smaller
 // members release early — always physically valid, the exact equations
 // merely cost more steps. Hierarchy growth and the late-time shrink follow
 // the largest-k member for the same reason; the streaming switch, whose
-// premise is k*tau >> 1, waits for the smallest-k member. A batch of one,
-// or a run with a caller-supplied Integrator, delegates to EvolveWith per
-// mode and is bitwise identical to the scalar path.
+// premise is k*tau >> 1, waits for the smallest-k member. This is a thin
+// wrapper over the one driver, evolveBlock, and so is EvolveWith: a batch
+// of one IS the single-mode evolution. A caller-supplied Integrator is built
+// for one mode's system, so it takes the members as blocks of one, in turn.
 func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Scratch) ([]*Result, error) {
 	nb := len(ks)
 	if nb == 0 {
@@ -71,50 +72,55 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	if perkLMax != nil && len(perkLMax) != nb {
 		return nil, fmt.Errorf("core: %d k values but %d per-k cutoffs", nb, len(perkLMax))
 	}
-	if nb == 1 || p.Integrator != nil {
-		out := make([]*Result, nb)
-		for i, k := range ks {
-			pm := p
-			pm.K = k
-			if perkLMax != nil && perkLMax[i] > 0 {
-				pm.LMax = perkLMax[i]
-			}
-			r, err := mdl.EvolveWith(pm, sc)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
+	step := nb
+	if p.Integrator != nil {
+		step = 1
 	}
+	results := make([]*Result, nb)
+	for lo := 0; lo < nb; lo += step {
+		var perk []int
+		if perkLMax != nil {
+			perk = perkLMax[lo : lo+step]
+		}
+		if err := mdl.evolveBlock(ks[lo:lo+step], p, perk, sc, results[lo:lo+step]); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
 
-	p.setDefaults()
-	for _, k := range ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("core: k = %g must be positive", k)
-		}
+// blockName names a block in error texts: a block of one by its wavenumber.
+func blockName(ks []float64) string {
+	if len(ks) == 1 {
+		return fmt.Sprintf("k=%g", ks[0])
 	}
-	if p.TauEnd <= 0 {
-		p.TauEnd = mdl.BG.Tau0()
+	return fmt.Sprintf("batch k=%g..%g", ks[0], ks[len(ks)-1])
+}
+
+// evolveBlock is the evolution driver under EvolveWith and EvolveBatchWith:
+// the modes ks as one lockstep system, one Result per member into results.
+func (mdl *Model) evolveBlock(ks []float64, p Params, perkLMax []int, sc *Scratch, results []*Result) error {
+	nb := len(ks)
+	if sc == nil {
+		sc = &Scratch{}
 	}
-	if p.TauEnd > mdl.BG.Tau0()*1.0000001 {
-		return nil, fmt.Errorf("core: TauEnd = %g beyond the present %g", p.TauEnd, mdl.BG.Tau0())
-	}
-	// Unified hierarchy cutoff: the largest member cap covers the batch.
-	lcap := p.LMax
 	if perkLMax != nil {
-		lcap = 0
+		// Unified hierarchy cutoff: the largest member cap covers the block.
+		lcap := 0
 		for _, l := range perkLMax {
 			if l <= 0 {
 				l = p.LMax
 			}
-			if l > lcap {
-				lcap = l
-			}
+			lcap = max(lcap, l)
 		}
+		p.LMax = lcap
 	}
-	if sc == nil {
-		sc = &Scratch{}
+	p.setDefaults()
+	if p.TauEnd <= 0 {
+		p.TauEnd = mdl.BG.Tau0()
+	}
+	if p.TauEnd > mdl.BG.Tau0()*1.0000001 {
+		return fmt.Errorf("core: TauEnd = %g beyond the present %g", p.TauEnd, mdl.BG.Tau0())
 	}
 	b := &sc.bat
 	b.sc = sc
@@ -122,13 +128,15 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		b.ms = make([]mode, nb)
 	}
 	b.ms = b.ms[:nb]
-	if sc.brhsf == nil {
-		sc.brhsf = b.rhs
-		sc.bOnRecord = b.record
-		sc.bOnMonitor = b.monitor
+	if sc.rhsf == nil {
+		sc.rhsf = b.rhs
+		sc.onRecord = b.record
+		sc.onMonitor = b.monitor
 	}
 	var tab *EvalTables
 	if p.FastEvolve && !p.noTables {
+		// Shared per-model tables; sweeps prebuild them in parallel via
+		// the dispatcher, a cold single mode builds serially here.
 		tab = mdl.EnsureEvalTables(nil)
 	}
 
@@ -136,11 +144,12 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	kmin := ks[0]
 	tauStart := math.Inf(1)
 	for i := range b.ms {
+		if ks[i] <= 0 {
+			return fmt.Errorf("core: k = %g must be positive", ks[i])
+		}
 		m := &b.ms[i]
-		pm := p
-		pm.K = ks[i]
-		pm.LMax = lcap
-		*m = mode{Model: mdl, p: pm, k: ks[i], k2: ks[i] * ks[i], sc: sc, tab: tab, bgCache: &b.bg}
+		p.K = ks[i]
+		*m = mode{Model: mdl, p: p, k: ks[i], k2: ks[i] * ks[i], sc: sc, tab: tab, bgCache: &b.bg}
 		if ks[i] > ks[b.ref] {
 			b.ref = i
 		}
@@ -150,10 +159,10 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		}
 	}
 	if tauStart >= p.TauEnd {
-		return nil, fmt.Errorf("core: start time %g is not before end time %g (batch k=%g..%g)", tauStart, p.TauEnd, ks[0], ks[nb-1])
+		return fmt.Errorf("core: start time %g is not before end time %g (%s)", tauStart, p.TauEnd, blockName(ks))
 	}
 	ref := &b.ms[b.ref]
-	lmax0 := lcap
+	lmax0 := p.LMax
 	if p.FastEvolve && !p.noGrowLMax {
 		ref.grow = true
 		lmax0 = ref.initialLMax(tauStart)
@@ -161,9 +170,6 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 	for i := range b.ms {
 		m := &b.ms[i]
 		m.lmax = lmax0
-		// Refresh after every layout: the first member may grow the
-		// arena's shared ratio tables.
-		m.rA, m.rB = sc.rA, sc.rB
 		m.layout()
 	}
 	b.nvar = ref.nvar
@@ -175,52 +181,59 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		}
 	}
 
-	dv := sc.integrator(p.RTol, p.ATol)
-	dv.InitialStep = tauStart * 1e-3
-	dv.CarryStep = true
-	if p.FastEvolve && !p.noPI {
-		dv.PI = true
+	integ := p.Integrator
+	if integ == nil {
+		dv := sc.integrator(p.RTol, p.ATol)
+		dv.InitialStep = tauStart * 1e-3
+		// The run is integrated in segments (tight-coupling switch, window
+		// edges, hierarchy growth); carrying the controller step across them
+		// avoids a fresh ramp-up from the tiny initial step at each boundary.
+		dv.CarryStep = true
+		if p.FastEvolve && !p.noPI {
+			dv.PI = true
+		}
+		integ = dv
 	}
-	if p.KeepSources {
-		ref.ad = dv
+	if ad, ok := integ.(*ode.Adaptive); ok && p.KeepSources {
+		// Source fidelity: cap the step through the visibility window (and
+		// loosely beyond it) so the recorded samples resolve the peak. The
+		// integrator's own MaxStep is restored on every exit path: a
+		// caller-supplied Adaptive must not come back with the window cap.
+		ref.ad = ad
 		tauRec := mdl.TH.TauRec()
 		ref.srcCap.lo = tauRec - SourceWindowBefore
 		ref.srcCap.hi = tauRec + SourceWindowAfter
 		ref.srcCap.h = srcCapStep
-		ref.srcCap.base = dv.MaxStep
-		defer func() { dv.MaxStep = ref.srcCap.base }()
+		ref.srcCap.base = ad.MaxStep
+		defer func() { ad.MaxStep = ref.srcCap.base }()
 	}
 	ref.planLateStops(kmin)
-	if p.KeepSources {
-		dv.SetOnStep(sc.bOnRecord)
-	} else {
-		dv.SetOnStep(sc.bOnMonitor)
+	if obs, ok := integ.(ode.StepObserver); !ok && p.KeepSources {
+		// Without the observer the sources would silently stay empty.
+		return fmt.Errorf("core: KeepSources requires an integrator implementing ode.StepObserver (%s does not)", integ.Name())
+	} else if ok && p.KeepSources {
+		obs.SetOnStep(sc.onRecord)
+	} else if ok {
+		// Still monitor the constraint without storing samples.
+		obs.SetOnStep(sc.onMonitor)
 	}
 
-	results := make([]*Result, nb)
-	for i := range results {
-		results[i] = &Result{K: ks[i], Gauge: p.Gauge, LMax: lcap}
-	}
 	start := time.Now()
-
 	var stats ode.Stats
+	var tauSwitch, tauSlip float64 // where the first two regimes ended, if taken
 	var err error
 
 	// Phase 1: tight coupling while it holds for the strictest member.
-	tca := !p.DisableTightCoupling && ref.tcaHolds(mdl.BG.AofTau(tauStart), false)
 	tau := tauStart
-	if tca {
+	if !p.DisableTightCoupling && ref.tcaHolds(mdl.BG.AofTau(tauStart), false) {
 		for i := range b.ms {
 			b.ms[i].tca = true
 		}
-		tauSwitch := ref.findTCASwitch(tauStart, p.TauEnd, false)
-		if tauSwitch > tauStart {
-			tau, y, err = b.integrateSpan(dv, tau, tauSwitch, y, &stats)
+		if t := ref.findTCASwitch(tauStart, p.TauEnd, false); t > tauStart {
+			tauSwitch = t
+			tau, y, err = b.integrateSpan(integ, tau, tauSwitch, y, &stats)
 			if err != nil {
-				return nil, fmt.Errorf("core: tight-coupling phase (batch k=%g..%g): %w", ks[0], ks[nb-1], err)
-			}
-			for i := range results {
-				results[i].TauSwitch = tauSwitch
+				return fmt.Errorf("core: tight-coupling phase (%s): %w", blockName(ks), err)
 			}
 		}
 		for i := range b.ms {
@@ -228,43 +241,39 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 			m.releaseTightCoupling(tau, y[i*b.nvar:(i+1)*b.nvar])
 			m.tca = false
 		}
-		if tauSlip := ref.slipEnd(tau, p.TauEnd); tauSlip > tau {
+		if t := ref.slipEnd(tau, p.TauEnd); t > tau {
+			tauSlip = t
 			b.seatSlip(true, tau, y)
-			tau, y, err = b.integrateSpan(dv, tau, tauSlip, y, &stats)
+			tau, y, err = b.integrateSpan(integ, tau, tauSlip, y, &stats)
 			if err != nil {
-				return nil, fmt.Errorf("core: slip phase (batch k=%g..%g): %w", ks[0], ks[nb-1], err)
+				return fmt.Errorf("core: slip phase (%s): %w", blockName(ks), err)
 			}
 			b.seatSlip(false, tau, y)
-			for i := range results {
-				results[i].TauSlip = tauSlip
-			}
 		}
 	}
 
 	// Phase 2: full equations to the end.
-	_, y, err = b.integrateSpan(dv, tau, p.TauEnd, y, &stats)
+	_, y, err = b.integrateSpan(integ, tau, p.TauEnd, y, &stats)
 	if err != nil {
-		return nil, fmt.Errorf("core: full phase (batch k=%g..%g): %w", ks[0], ks[nb-1], err)
+		return fmt.Errorf("core: full phase (%s): %w", blockName(ks), err)
 	}
 
 	sec := time.Since(start).Seconds() / float64(nb)
 	for i := range b.ms {
 		m := &b.ms[i]
-		res := results[i]
-		res.Seconds = sec
-		res.Stats = stats
-		res.Flops = m.flops
+		// m.flops was billed per segment at the hierarchy size carried.
+		res := &Result{K: ks[i], Gauge: p.Gauge, LMax: p.LMax, TauSwitch: tauSwitch, TauSlip: tauSlip,
+			Stats: stats, Flops: m.flops, Seconds: sec, MaxConstraintResidual: m.maxResidual, Sources: m.sources}
 		if m.streaming() {
 			res.TauStream = ref.streamAt
 		}
 		m.pack(p.TauEnd, y[i*b.nvar:(i+1)*b.nvar], res)
-		res.MaxConstraintResidual = m.maxResidual
-		res.Sources = m.sources
+		results[i] = res
 	}
 	if p.KeepSources {
 		sc.srcCount = len(b.ms[0].sources) // lockstep: every member recorded as many
 	}
-	return results, nil
+	return nil
 }
 
 // seatSlip is mode.seatSlip member by member.
@@ -276,15 +285,15 @@ func (b *batch) seatSlip(on bool, tau float64, y []float64) {
 	}
 }
 
-// integrateSpan is mode.integrateSpan for the concatenated batch system:
-// the reference member plans the segments (growth, shrink, streaming and
-// the visibility step cap), and every segment bills each member for the
-// hierarchy it carried.
+// integrateSpan advances the concatenated state from tau to tEnd one planned
+// segment at a time: the reference member plans them (see nextStop), the
+// state is re-laid out wherever the plan changes the hierarchy cutoff, and
+// every segment bills each member for the hierarchy it carried.
 func (b *batch) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float64, stats *ode.Stats) (float64, []float64, error) {
 	ref := &b.ms[b.ref]
 	for {
 		next, lNew := ref.nextStop(tau, tEnd)
-		st, err := integ.Integrate(b.sc.brhsf, tau, next, y)
+		st, err := integ.Integrate(b.sc.rhsf, tau, next, y)
 		stats.Add(st)
 		for i := range b.ms {
 			m := &b.ms[i]
@@ -304,8 +313,11 @@ func (b *batch) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float
 }
 
 // resize re-layouts every member for the new shared cutoff, copying the
-// surviving moments block by block (the members' index maps are identical,
-// so one snapshot of the old layout serves all of them).
+// surviving moments block by block (growth seeds new moments at zero,
+// shrinking drops the tail; the members' index maps are identical, so one
+// snapshot of the old layout serves all of them). The target is the arena's
+// alternate slot: the old state stays readable during the copy-over and no
+// resize allocates once the arena is warm.
 func (b *batch) resize(lNew int, y []float64) []float64 {
 	m0 := &b.ms[0]
 	keep := min(lNew, m0.lmax) + 1
@@ -314,7 +326,6 @@ func (b *batch) resize(lNew int, y []float64) []float64 {
 	for i := range b.ms {
 		m := &b.ms[i]
 		m.lmax = lNew
-		m.rA, m.rB = b.sc.rA, b.sc.rB
 		m.layout()
 	}
 	b.nvar = m0.nvar

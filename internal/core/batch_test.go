@@ -96,8 +96,9 @@ func TestBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchOfOneBitwiseScalar pins the delegation contract: a batch of one
-// (and any batch with a caller-supplied integrator) is the scalar path.
+// TestBatchOfOneBitwiseScalar: EvolveWith and a one-member EvolveBatchWith
+// are the same path now, a block of one through the one driver, and return
+// the same bits.
 func TestBatchOfOneBitwiseScalar(t *testing.T) {
 	mdl := model(t)
 	p := Params{K: 0.02, LMax: 24, Gauge: ConformalNewtonian, TauEnd: 500,

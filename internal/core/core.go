@@ -84,12 +84,11 @@ type Params struct {
 	KeepSources bool
 	// Integrator overrides the time integrator (default: DVERK).
 	Integrator ode.Integrator
-	// KBatch, when > 1, asks sweep dispatchers to evolve blocks of KBatch
-	// neighbouring k modes in lockstep through EvolveBatchWith, amortizing
-	// the shared background/thermodynamics lookups of every right-hand-side
-	// evaluation across the block. The field is dispatch-level routing
-	// state: EvolveWith itself ignores it (one mode is one mode), and a
-	// value <= 1 means the ordinary per-mode path everywhere.
+	// KBatch is the block size sweep dispatchers hand to EvolveBatchWith:
+	// KBatch neighbouring k modes evolve in lockstep, amortizing the shared
+	// background/thermodynamics lookups of every right-hand-side evaluation
+	// across the block; <= 1 means blocks of one. It is dispatch-level
+	// routing state: the evolution itself never reads it.
 	KBatch int
 	// FastEvolve enables the fast evolution engine: the photon,
 	// polarization and massless-neutrino hierarchies start at a few

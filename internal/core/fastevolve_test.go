@@ -65,9 +65,12 @@ func TestGrowHierarchyHandOff(t *testing.T) {
 	mdl := model(t)
 	p := Params{K: 0.1, LMax: 24, Gauge: Synchronous}
 	p.setDefaults()
-	m := &mode{Model: mdl, p: p, k: p.K, k2: p.K * p.K, sc: NewScratch()}
+	b := &batch{ms: []mode{{Model: mdl, p: p, k: p.K, k2: p.K * p.K, sc: NewScratch()}}}
+	b.sc = b.ms[0].sc
+	m := &b.ms[0]
 	m.lmax = 8
 	m.layout()
+	b.nvar = m.nvar
 	y := make([]float64, m.nvar)
 	for i := range y {
 		y[i] = float64(i + 1) // distinct, nonzero
@@ -75,7 +78,7 @@ func TestGrowHierarchyHandOff(t *testing.T) {
 	oldIfg, oldIgg, oldIfn := m.ifg, m.igg, m.ifn
 	old := append([]float64(nil), y...)
 
-	ny := m.resize(13, y)
+	ny := b.resize(13, y)
 	if m.lmax != 13 {
 		t.Fatalf("lmax = %d after resize, want 13", m.lmax)
 	}
@@ -102,7 +105,7 @@ func TestGrowHierarchyHandOff(t *testing.T) {
 	}
 
 	// Shrinking back must keep the surviving moments and the fluid block.
-	sy := m.resize(shrinkLMax, ny)
+	sy := b.resize(shrinkLMax, ny)
 	for i := 0; i < oldIfg; i++ {
 		if sy[i] != old[i] {
 			t.Fatalf("fluid/metric entry %d changed by shrink", i)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"plinger/internal/cosmology"
 	"plinger/internal/ode"
@@ -34,9 +32,9 @@ type mode struct {
 	// from the tables only).
 	tab *EvalTables
 	tt  tabThermo
-	// bgCache, when non-nil, is the lockstep batch's shared background
-	// point: gatherSums uses it instead of its own lookup whenever the
-	// cached scale factor matches the state's bitwise (see batch.fillBG).
+	// bgCache, when non-nil, is the block's shared background point:
+	// gatherSums uses it instead of its own lookup whenever the cached
+	// scale factor matches the state's bitwise (see batch.fillBG).
 	bgCache *bgPoint
 
 	// state layout
@@ -64,7 +62,7 @@ type mode struct {
 	rA, rB []float64
 
 	// srcCap, when h > 0, caps the integrator step inside [lo, hi] — the
-	// visibility window of a source-recording run (see Evolve); base is
+	// visibility window of a source-recording run (see evolveBlock); base is
 	// the integrator's own MaxStep, restored outside the window.
 	srcCap struct{ lo, hi, h, base float64 }
 	// ad is the adaptive integrator when one is driving the run (the step
@@ -87,8 +85,7 @@ type mode struct {
 	scratch cosmology.Grho
 
 	// sc is the owning evolution arena: the state vector, resize buffers
-	// and ratio tables are borrowed from it (Evolve makes a private one
-	// when the caller supplies none).
+	// and ratio tables are borrowed from it.
 	sc *Scratch
 }
 
@@ -198,180 +195,24 @@ func (mdl *Model) Evolve(p Params) (*Result, error) {
 }
 
 // EvolveWith integrates one k mode to completion using the caller's arena
-// (nil: a private one). Results are bitwise-independent of the scratch —
-// a reused arena produces exactly the trajectory a fresh one does — and
-// never alias it, so they stay valid after the arena's next mode. The
-// scratch must not be used concurrently.
+// (nil: a private one), as a block of one through evolveBlock. Results are
+// bitwise-independent of the scratch — a reused arena produces exactly the
+// trajectory a fresh one does — and never alias it, so they stay valid
+// after the arena's next mode. The scratch must not be used concurrently.
 func (mdl *Model) EvolveWith(p Params, sc *Scratch) (*Result, error) {
-	p.setDefaults()
-	if p.K <= 0 {
-		return nil, fmt.Errorf("core: k = %g must be positive", p.K)
+	var res [1]*Result
+	if err := mdl.evolveBlock([]float64{p.K}, p, nil, sc, res[:]); err != nil {
+		return nil, err
 	}
-	if p.TauEnd <= 0 {
-		p.TauEnd = mdl.BG.Tau0()
-	}
-	if p.TauEnd > mdl.BG.Tau0()*1.0000001 {
-		return nil, fmt.Errorf("core: TauEnd = %g beyond the present %g", p.TauEnd, mdl.BG.Tau0())
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-
-	m := &sc.m
-	*m = mode{Model: mdl, p: p, k: p.K, k2: p.K * p.K, sc: sc, rA: sc.rA, rB: sc.rB}
-	if sc.rhsf == nil {
-		sc.rhsf = m.rhs
-		sc.onRecord = m.record
-		sc.onMonitor = m.monitor
-	}
-	if p.FastEvolve && !p.noTables {
-		// Shared per-model tables; sweeps prebuild them in parallel via
-		// the dispatcher, a cold single mode builds serially here.
-		m.tab = mdl.EnsureEvalTables(nil)
-	}
-
-	tauStart := m.startTime()
-	if tauStart >= p.TauEnd {
-		return nil, fmt.Errorf("core: start time %g is not before end time %g (k=%g)", tauStart, p.TauEnd, p.K)
-	}
-	m.lmax = p.LMax
-	if p.FastEvolve && !p.noGrowLMax {
-		m.grow = true
-		m.lmax = m.initialLMax(tauStart)
-	}
-	m.layout()
-	y := sc.stateBuf(m.nvar, m.maxNvar())
-	m.initialConditions(tauStart, y)
-	if p.KeepSources {
-		m.sources = sc.sourceBuf()
-	}
-
-	integ := p.Integrator
-	if integ == nil {
-		dv := sc.integrator(p.RTol, p.ATol)
-		dv.InitialStep = tauStart * 1e-3
-		// The driver integrates in segments (tight-coupling switch,
-		// visibility window, hierarchy growth); carrying the controller
-		// step across them avoids a fresh ramp-up from the tiny initial
-		// step at every boundary.
-		dv.CarryStep = true
-		if p.FastEvolve && !p.noPI {
-			dv.PI = true
-		}
-		integ = dv
-	}
-	if p.KeepSources {
-		// Source fidelity: cap the step through the visibility window (and
-		// loosely beyond it) so the recorded samples resolve the peak. The
-		// integrator's own MaxStep is restored on every exit path — a
-		// caller-supplied Adaptive must not come back polluted with the
-		// window cap.
-		if ad, ok := integ.(*ode.Adaptive); ok {
-			m.ad = ad
-			tauRec := mdl.TH.TauRec()
-			m.srcCap.lo = tauRec - SourceWindowBefore
-			m.srcCap.hi = tauRec + SourceWindowAfter
-			m.srcCap.h = srcCapStep
-			m.srcCap.base = ad.MaxStep
-			defer func() { ad.MaxStep = m.srcCap.base }()
-		}
-	}
-	m.planLateStops(p.K)
-	if obs, ok := integ.(ode.StepObserver); ok {
-		if p.KeepSources {
-			obs.SetOnStep(sc.onRecord)
-		} else {
-			// Still monitor the constraint without storing samples.
-			obs.SetOnStep(sc.onMonitor)
-		}
-	} else if p.KeepSources {
-		// Without the observer the sources would silently stay empty.
-		return nil, fmt.Errorf("core: KeepSources requires an integrator implementing ode.StepObserver (%s does not)", integ.Name())
-	}
-
-	res := &Result{K: p.K, Gauge: p.Gauge, LMax: p.LMax}
-	start := time.Now()
-
-	var stats ode.Stats
-	var err error
-
-	// Phase 1: tight coupling, if applicable.
-	m.tca = !p.DisableTightCoupling && m.tcaHolds(m.BG.AofTau(tauStart), false)
-	tau := tauStart
-	if m.tca {
-		tauSwitch := m.findTCASwitch(tauStart, p.TauEnd, false)
-		if tauSwitch > tauStart {
-			tau, y, err = m.integrateSpan(integ, tau, tauSwitch, y, &stats)
-			if err != nil {
-				return nil, fmt.Errorf("core: tight-coupling phase (k=%g): %w", p.K, err)
-			}
-			res.TauSwitch = tauSwitch
-		}
-		m.releaseTightCoupling(tau, y)
-		m.tca = false
-		if tauSlip := m.slipEnd(tau, p.TauEnd); tauSlip > tau {
-			m.seatSlip(true, tau, y, sc.spareBuf(m.nvar, m.maxNvar()))
-			tau, y, err = m.integrateSpan(integ, tau, tauSlip, y, &stats)
-			if err != nil {
-				return nil, fmt.Errorf("core: slip phase (k=%g): %w", p.K, err)
-			}
-			m.seatSlip(false, tau, y, sc.spareBuf(m.nvar, m.maxNvar()))
-			res.TauSlip = tauSlip
-		}
-	}
-
-	// Phase 2: full equations to the end.
-	_, y, err = m.integrateSpan(integ, tau, p.TauEnd, y, &stats)
-	if err != nil {
-		return nil, fmt.Errorf("core: full phase (k=%g): %w", p.K, err)
-	}
-
-	res.Seconds = time.Since(start).Seconds()
-	res.Stats = stats
-	// Billed per segment at the active hierarchy size, so the fast
-	// engine's growing/shrinking runs report the work they actually did.
-	res.Flops = m.flops
-	if m.streaming() {
-		res.TauStream = m.streamAt
-	}
-	m.pack(p.TauEnd, y, res)
-	res.MaxConstraintResidual = m.maxResidual
-	res.Sources = m.sources
-	if p.KeepSources {
-		sc.srcCount = len(m.sources)
-	}
-	return res, nil
+	return res[0], nil
 }
 
-// integrateSpan advances the state from tau to tEnd one planned segment at
-// a time (see nextStop), re-laying out the state vector wherever the plan
-// changes the hierarchy cutoff. With resizing and source capping disabled
-// it is a single Integrate call.
-func (m *mode) integrateSpan(integ ode.Integrator, tau, tEnd float64, y []float64, stats *ode.Stats) (float64, []float64, error) {
-	for {
-		next, lNew := m.nextStop(tau, tEnd)
-		st, err := integ.Integrate(m.sc.rhsf, tau, next, y)
-		stats.Add(st)
-		m.flops += float64(st.Evals) * FlopsPerRHS(m.lmax, m.lnu, m.nq, m.p.Gauge)
-		if err != nil {
-			return tau, y, err
-		}
-		tau = next
-		if tau >= tEnd {
-			return tau, y, nil
-		}
-		if lNew != m.lmax {
-			y = m.resize(lNew, y)
-		}
-	}
-}
-
-// nextStop plans the integration segment that starts at tau, for the
-// scalar loop and (through its reference member) the batch loop alike. It
-// returns where the segment ends — tEnd, or the first planned stop before
-// it — and the hierarchy cutoff the state takes there (m.lmax when the
-// stop is no re-layout), and sets the source-sampling step cap that
-// applies on the way. The planned stops are:
+// nextStop plans the integration segment that starts at tau; m is the
+// block's reference member (see batch.integrateSpan). It returns where the
+// segment ends — tEnd, or the first planned stop before it — and the
+// hierarchy cutoff the state takes there (m.lmax when the stop is no
+// re-layout), and sets the source-sampling step cap that applies on the
+// way. The planned stops are:
 //
 //   - growth: the active cutoff stops being safe (nextGrowTau). The new
 //     cutoff overshoots the need in chunks, so a mode pays O(log LMax)
@@ -471,25 +312,6 @@ func (m *mode) maxNvar() int {
 	return m.nvar + 3*(m.p.LMax-m.lmax)
 }
 
-// resize re-layouts the state vector for a new active cutoff, copying the
-// surviving moments (growth seeds new moments at zero; shrinking drops the
-// tail). The target buffer comes from the arena's alternate slot, so the
-// old state stays readable during the copy-over and no resize allocates
-// once the arena is warm.
-func (m *mode) resize(lNew int, y []float64) []float64 {
-	keep := min(lNew, m.lmax) + 1
-	oldIfg, oldIgg, oldIfn, oldIpsn := m.ifg, m.igg, m.ifn, m.ipsn
-	m.lmax = lNew
-	m.layout()
-	ny := m.sc.resizeBuf(m.nvar, m.maxNvar())
-	copy(ny[:oldIfg], y[:oldIfg]) // fluid + metric block: indices unchanged
-	copy(ny[m.ifg:m.ifg+keep], y[oldIfg:oldIfg+keep])
-	copy(ny[m.igg:m.igg+keep], y[oldIgg:oldIgg+keep])
-	copy(ny[m.ifn:m.ifn+keep], y[oldIfn:oldIfn+keep])
-	copy(ny[m.ipsn:m.ipsn+m.nq*(m.lnu+1)], y[oldIpsn:oldIpsn+m.nq*(m.lnu+1)])
-	return ny
-}
-
 // streaming reports whether the run has entered the streaming regime.
 func (m *mode) streaming() bool { return m.lmax < 0 }
 
@@ -557,18 +379,18 @@ func (m *mode) layout() {
 	if m.lnu+1 > nr {
 		nr = m.lnu + 1
 	}
-	if len(m.rA) < nr {
-		m.rA = make([]float64, nr)
-		m.rB = make([]float64, nr)
+	if len(m.sc.rA) < nr {
+		// The ratios depend only on l: the arena keeps the grown tables, so
+		// every later mode (and growth event) reuses them.
+		m.sc.rA = make([]float64, nr)
+		m.sc.rB = make([]float64, nr)
 		for l := 0; l < nr; l++ {
 			fl := float64(l)
-			m.rA[l] = fl / (2.0*fl + 1.0)
-			m.rB[l] = (fl + 1.0) / (2.0*fl + 1.0)
+			m.sc.rA[l] = fl / (2.0*fl + 1.0)
+			m.sc.rB[l] = (fl + 1.0) / (2.0*fl + 1.0)
 		}
-		// The ratios depend only on l: hand the grown tables back to the
-		// arena so every later mode (and growth event) reuses them.
-		m.sc.rA, m.sc.rB = m.rA, m.rB
 	}
+	m.rA, m.rB = m.sc.rA, m.sc.rB
 }
 
 // startTime picks the initial conformal time: superhorizon (k tau small),

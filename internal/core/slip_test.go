@@ -33,7 +33,7 @@ func TestSlipExchangeMatchesState(t *testing.T) {
 				if _, err := mdl.EvolveWith(p, sc); err != nil {
 					t.Fatal(err)
 				}
-				m := &sc.m
+				m := &sc.bat.ms[0]
 				y := sc.state[sc.cur][:m.nvar]
 				m.slip = true
 				m.rhs(tau, y, make([]float64, m.nvar))
