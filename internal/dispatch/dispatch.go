@@ -7,12 +7,18 @@
 //   - scheduling — which wavenumber is handed out next (the paper's
 //     largest-k-first trick, Section 5.2), expressed by Schedule;
 //   - transport — shared memory versus message passing over PVM/MPI/MPL,
-//     expressed by the two Dispatcher backends, Pool (shared-memory worker
-//     pool, the Cray Autotasking analogue) and MP (the Appendix A
-//     master/worker protocol over any mp.Endpoint transport);
+//     expressed by the two executors: SharedPool (the shared-memory worker
+//     pool, the Cray Autotasking analogue; Pool is one started for a single
+//     run) and RunMaster (the Appendix A master/worker protocol over any
+//     mp.Endpoint transport, driven by MP for in-process worlds and by
+//     internal/farm for supervised worker processes);
 //   - accounting — wallclock, per-worker busy time, parallel efficiency and
 //     flop rate (Figure 1 / Section 5.1), expressed by RunStats and
-//     populated identically by both backends.
+//     populated identically by both.
+//
+// The unit of work is the same everywhere: a block of mode.KBatch
+// neighbouring wavenumbers evolved in lockstep, a single wavenumber being a
+// block of one.
 //
 // Higher layers (spectra sweeps, the facade's ComputeSpectrum, MatterPower
 // and RunParallel, the cmd/ drivers) choose a Dispatcher and never touch
@@ -64,8 +70,8 @@ func PerKLMax(k, tau0 float64, lmaxGlobal int) int {
 
 // StartPrebuild launches a precomputation concurrently with whatever the
 // caller does next and returns the wait function to defer — the caller-side
-// equivalent of the Pool/MP Prebuild hook, for dispatchers (like the shared
-// pool) whose hooks cannot be set per run.
+// equivalent of the Pool/MP Prebuild hook, for dispatchers (like a shared
+// pool serving many runs) whose hooks cannot be set per run.
 func StartPrebuild(fn func()) func() { return runPrebuild(fn) }
 
 // runPrebuild launches a backend's prebuild hook concurrently with the
@@ -94,7 +100,7 @@ func sweepTau0(model *core.Model, mode core.Params) float64 {
 
 // Chunked hand-out: on fine wavenumber grids the per-mode channel
 // rendezvous between the feeder and the workers becomes measurable next to
-// the (cheap, arena-backed) mode evolutions, so both pool backends hand out
+// the (cheap, arena-backed) mode evolutions, so the pool hands out
 // contiguous runs of the schedule order instead of single indices. The
 // chunk size splits every worker's fair share chunkDivisor ways — small
 // enough that the largest-first end-of-run tail still balances, large
@@ -126,12 +132,13 @@ func handOutChunks(order []int, workers int) [][]int {
 	return chunks
 }
 
-// Batched hand-out: when mode.KBatch > 1 the unit of work is no longer a
-// single wavenumber but a lockstep block of KBatch neighbouring grid
-// indices (core.EvolveBatchWith). The decomposition is the one canonical
-// one — runner.BatchBlocks — shared with the message-passing master, so
-// every backend evolves bitwise-identical batches and the results depend
-// only on (ks, mode), exactly as the Dispatcher contract demands.
+// The unit of hand-out is a lockstep block of mode.KBatch neighbouring grid
+// indices (core.EvolveBatchWith); KBatch <= 1 makes every block one
+// wavenumber, and the order over such blocks is Schedule.Order(ks). The
+// decomposition is the one canonical one — runner.BatchBlocks — shared with
+// the message-passing master, so every backend evolves bitwise-identical
+// blocks and the results depend only on (ks, mode), exactly as the
+// Dispatcher contract demands.
 
 // batchBlocks splits an nk-point grid into consecutive [lo, hi) index
 // blocks of size b (the last possibly short).

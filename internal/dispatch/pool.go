@@ -2,21 +2,15 @@ package dispatch
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"plinger/internal/core"
-	"plinger/internal/obs"
 )
 
-// Pool is the shared-memory backend: a fixed set of worker goroutines
-// pulling wavenumbers from a scheduled queue, the analogue of the Cray
-// Autotasking parallelism of Section 3. It honours the same scheduling
-// policies as the message-passing backend (the queue is fed in Schedule
-// order, so largest-first still shrinks the end-of-run idle tail on a
-// skewed grid) and the same per-k adaptive hierarchy cutoff.
+// Pool is the shared-memory backend for a single sweep: a SharedPool
+// started for the one run and closed when it returns, so it honours the
+// same scheduling policies (the queue is fed in Schedule order, and
+// largest-first still shrinks the end-of-run idle tail on a skewed grid)
+// and the same per-k adaptive hierarchy cutoff.
 type Pool struct {
 	Model *core.Model
 	// Workers bounds the goroutine pool (<= 0: GOMAXPROCS).
@@ -33,152 +27,11 @@ type Pool struct {
 	Prebuild func()
 }
 
-// NewPool returns a pool dispatcher with the paper's default schedule.
-func NewPool(model *core.Model, workers int) *Pool {
-	return &Pool{Model: model, Workers: workers}
-}
-
 // Run implements Dispatcher.
 func (p *Pool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
-	if p.Model == nil {
-		return nil, nil, fmt.Errorf("dispatch: pool has no model")
-	}
-	if len(ks) == 0 {
-		return nil, nil, fmt.Errorf("dispatch: empty wavenumber grid")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tau0 := sweepTau0(p.Model, mode)
-	perk := perKLMaxTable(ks, tau0, mode.LMax, p.AdaptLMax)
-	order := p.Schedule.Order(ks)
-	// Batched hand-out: the schedule orders blocks instead of single
-	// modes, and every queue index below names a block.
-	var blocks [][2]int
-	if mode.KBatch > 1 && len(ks) > 1 {
-		blocks = batchBlocks(len(ks), mode.KBatch)
-		order = blockOrder(p.Schedule, ks, blocks)
-	}
-
-	tr := obs.TraceFrom(ctx)
-	spTables := tr.Start("eval_tables")
-	prebuildEvalTables(p.Model, mode)
-	spTables.End()
+	sp := NewSharedPool(p.Model, p.Workers)
+	defer sp.Close()
+	sp.Schedule, sp.AdaptLMax, sp.backend = p.Schedule, p.AdaptLMax, "pool"
 	defer runPrebuild(p.Prebuild)()
-
-	spModes := tr.Start("modes")
-	start := time.Now()
-	results := make([]*core.Result, len(ks))
-	timings := make([]paddedTiming, workers)
-	chunks := make(chan []int)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// The worker's arena: every mode this goroutine evolves
-			// reuses one set of state buffers and one integrator.
-			sc := core.NewScratch()
-			t := &timings[w].WorkerTiming
-			t.Rank = w + 1
-			cur := -1
-			// A panicking evolution must fail the sweep like any other
-			// per-mode error — with the worker rank and grid index — not
-			// kill the process.
-			defer func() {
-				if r := recover(); r != nil {
-					errs <- fmt.Errorf("dispatch: pool worker %d panicked on mode index %d: %v", w+1, cur, r)
-				}
-			}()
-			for chunk := range chunks {
-				for _, i := range chunk {
-					if blocks != nil {
-						lo, hi := blocks[i][0], blocks[i][1]
-						cur = lo
-						var perkSub []int
-						if perk != nil {
-							perkSub = perk[lo:hi]
-						}
-						rs, err := p.Model.EvolveBatchWith(ks[lo:hi], mode, perkSub, sc)
-						if err != nil {
-							errs <- fmt.Errorf("dispatch: batch k=%g..%g: %w", ks[lo], ks[hi-1], err)
-							return
-						}
-						for j, r := range rs {
-							results[lo+j] = r
-							t.Modes++
-							t.Seconds += r.Seconds
-							t.Flops += r.Flops
-							observeMode(t.Rank, r.Seconds)
-						}
-						continue
-					}
-					cur = i
-					pm := mode
-					pm.K = ks[i]
-					if perk != nil {
-						pm.LMax = perk[i]
-					}
-					r, err := p.Model.EvolveWith(pm, sc)
-					if err != nil {
-						errs <- fmt.Errorf("dispatch: k=%g: %w", ks[i], err)
-						return
-					}
-					results[i] = r
-					t.Modes++
-					t.Seconds += r.Seconds
-					t.Flops += r.Flops
-					observeMode(t.Rank, r.Seconds)
-				}
-			}
-		}(w)
-	}
-	for _, c := range handOutChunks(order, workers) {
-		select {
-		case err := <-errs:
-			close(chunks)
-			wg.Wait()
-			return nil, nil, err
-		case <-ctx.Done():
-			close(chunks)
-			wg.Wait()
-			return nil, nil, ctx.Err()
-		case chunks <- c:
-		}
-	}
-	close(chunks)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, nil, err
-	default:
-	}
-	// The last modes may still have been evolving when the context was
-	// cancelled; honour the cancellation like the MP backend does.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	spModes.End()
-	st := &RunStats{
-		Backend:   "pool",
-		Schedule:  p.Schedule,
-		NWorkers:  workers,
-		NProc:     workers,
-		Wallclock: time.Since(start).Seconds(),
-		Workers:   unpadTimings(timings),
-	}
-	st.finalize()
-	recordRunStats(st)
-	sw := &Sweep{
-		KValues: append([]float64(nil), ks...),
-		Results: results,
-		Tau0:    tau0,
-	}
-	return sw, st, nil
+	return sp.Run(ctx, ks, mode)
 }

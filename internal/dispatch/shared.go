@@ -11,19 +11,21 @@ import (
 	"plinger/internal/obs"
 )
 
-// SharedPool is the long-lived variant of Pool for serving workloads: the
-// worker goroutines start once and then serve every Run call for the life
-// of the pool, so a daemon handling many spectrum requests pays the pool
-// spin-up once per process instead of once per request, and concurrent
-// sweeps interleave their wavenumbers onto the same workers (a natural
-// admission batcher — two half-idle sweeps fill each other's gaps instead
-// of oversubscribing the machine with two full pools).
+// SharedPool is the shared-memory worker pool, the analogue of the Cray
+// Autotasking parallelism of Section 3: the worker goroutines start once
+// and then serve every Run call for the life of the pool, so a daemon
+// handling many spectrum requests pays the pool spin-up once per process
+// instead of once per request, and concurrent sweeps interleave their
+// wavenumbers onto the same workers (a natural admission batcher — two
+// half-idle sweeps fill each other's gaps instead of oversubscribing the
+// machine with two full pools). Pool is this type started for one run.
 //
 // Run is safe for concurrent callers; each call gets its own results and
 // telemetry. Close drains the workers; Run after Close returns an error.
 type SharedPool struct {
 	model   *core.Model
 	workers int
+	backend string // RunStats.Backend: "pool/shared", or "pool" under Pool.Run
 	// Schedule is the per-run hand-out order (zero value: largest-first).
 	// Set it before the pool is shared between goroutines.
 	Schedule Schedule
@@ -37,7 +39,7 @@ type SharedPool struct {
 }
 
 // sharedJob is one assignment: the run it belongs to and a contiguous
-// chunk of schedule-order indices into its grid (see handOutChunks).
+// chunk of schedule-order indices into its blocks (see handOutChunks).
 type sharedJob struct {
 	run  *sharedRun
 	idxs []int
@@ -51,8 +53,7 @@ type sharedRun struct {
 	mode    core.Params
 	perk    []int
 	results []*core.Result
-	// blocks, when non-nil, switches the run to batched hand-out: job
-	// indices name [lo, hi) grid-index blocks instead of single modes.
+	// blocks are the [lo, hi) grid-index blocks job indices name.
 	blocks [][2]int
 
 	ctx    context.Context
@@ -94,6 +95,7 @@ func NewSharedPool(model *core.Model, workers int) *SharedPool {
 	p := &SharedPool{
 		model:   model,
 		workers: workers,
+		backend: "pool/shared",
 		jobs:    make(chan sharedJob),
 		quit:    make(chan struct{}),
 	}
@@ -134,7 +136,7 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
-			run.fail(fmt.Errorf("dispatch: shared worker %d panicked on mode index %d: %v", rank, cur, r))
+			run.fail(fmt.Errorf("dispatch: pool worker %d panicked on mode index %d: %v", rank, cur, r))
 			ok = false
 		}
 	}()
@@ -143,48 +145,36 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 		if run.ctx.Err() != nil {
 			break
 		}
-		if run.blocks != nil {
-			lo, hi := run.blocks[idx][0], run.blocks[idx][1]
-			cur = lo
-			var perkSub []int
-			if run.perk != nil {
-				perkSub = run.perk[lo:hi]
-			}
-			rs, err := p.model.EvolveBatchWith(run.ks[lo:hi], run.mode, perkSub, sc)
-			if err != nil {
-				run.fail(fmt.Errorf("dispatch: batch k=%g..%g: %w", run.ks[lo], run.ks[hi-1], err))
-				break
-			}
-			for j, r := range rs {
-				run.results[lo+j] = r
-				run.record(rank, r)
-			}
-			continue
-		}
-		cur = idx
-		pm := run.mode
-		pm.K = run.ks[idx]
+		lo, hi := run.blocks[idx][0], run.blocks[idx][1]
+		cur = lo
+		var perk []int
 		if run.perk != nil {
-			pm.LMax = run.perk[idx]
+			perk = run.perk[lo:hi]
 		}
-		res, err := p.model.EvolveWith(pm, sc)
+		rs, err := p.model.EvolveBatchWith(run.ks[lo:hi], run.mode, perk, sc)
 		if err != nil {
-			run.fail(fmt.Errorf("dispatch: k=%g: %w", pm.K, err))
+			name := fmt.Sprintf("k=%g", run.ks[lo])
+			if hi-lo > 1 {
+				name = fmt.Sprintf("batch k=%g..%g", run.ks[lo], run.ks[hi-1])
+			}
+			run.fail(fmt.Errorf("dispatch: %s: %w", name, err))
 			break
 		}
-		run.results[idx] = res
-		run.record(rank, res)
+		for j, r := range rs {
+			run.results[lo+j] = r
+			run.record(rank, r)
+		}
 	}
 	return ok
 }
 
-// Run implements Dispatcher: it enqueues the wavenumbers onto the shared
+// Run implements Dispatcher: it enqueues the grid's blocks onto the shared
 // workers (in Schedule order, batched into contiguous chunks — see
 // handOutChunks) and waits for the sweep to finish. Multiple concurrent
 // Run calls interleave fairly at chunk granularity.
 func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
 	if p.model == nil {
-		return nil, nil, fmt.Errorf("dispatch: shared pool has no model")
+		return nil, nil, fmt.Errorf("dispatch: pool has no model")
 	}
 	if len(ks) == 0 {
 		return nil, nil, fmt.Errorf("dispatch: empty wavenumber grid")
@@ -210,16 +200,12 @@ func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*
 		mode:    mode,
 		perk:    perKLMaxTable(ks, tau0, mode.LMax, p.AdaptLMax),
 		results: make([]*core.Result, len(ks)),
+		blocks:  batchBlocks(len(ks), mode.KBatch),
 		ctx:     rctx,
 		cancel:  cancel,
 		timings: make([]paddedTiming, p.workers),
 	}
-	order := p.Schedule.Order(ks)
-	if mode.KBatch > 1 && len(ks) > 1 {
-		run.blocks = batchBlocks(len(ks), mode.KBatch)
-		order = blockOrder(p.Schedule, ks, run.blocks)
-	}
-	chunks := handOutChunks(order, p.workers)
+	chunks := handOutChunks(blockOrder(p.Schedule, ks, run.blocks), p.workers)
 
 	spModes := tr.Start("modes")
 	start := time.Now()
@@ -258,7 +244,7 @@ func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*
 	}
 
 	st := &RunStats{
-		Backend:   "pool/shared",
+		Backend:   p.backend,
 		Schedule:  p.Schedule,
 		NWorkers:  p.workers,
 		NProc:     p.workers,

@@ -29,15 +29,6 @@ type paddedTiming struct {
 	_ [88]byte
 }
 
-// unpadTimings copies the in-flight slots into the final RunStats form.
-func unpadTimings(padded []paddedTiming) []WorkerTiming {
-	out := make([]WorkerTiming, len(padded))
-	for i := range padded {
-		out[i] = padded[i].WorkerTiming
-	}
-	return out
-}
-
 // RunStats is the unified run telemetry, reproducing the quantities plotted
 // in Figure 1 and tabulated in Section 5. Both backends populate every
 // field with the same semantics, so schedules and transports can be
@@ -64,6 +55,10 @@ type RunStats struct {
 	// pool, where no bytes cross a transport).
 	BytesMoved int64
 
+	// Workers holds the per-worker tallies. The shared-memory pool lists
+	// the ranks that ran at least one mode: a worker a grid with fewer
+	// blocks than workers left idle has no entry (the master/worker
+	// backends list every worker that asked for work).
 	Workers []WorkerTiming
 
 	// Fault-tolerance ledger (all zero on an undisturbed run; only the MP
