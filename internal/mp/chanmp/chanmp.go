@@ -25,14 +25,19 @@ type endpoint struct {
 }
 
 // New creates a world of n endpoints; rank 0 is the master.
-func New(n int) (*World, []mp.Endpoint, error) {
+func New(n int) (*World, []mp.Endpoint, error) { return NewWithQueues(n, mp.NewQueue) }
+
+// NewWithQueues is New with the mailboxes made by newQueue: the matching
+// rule is the only thing the in-process transports differ in (fifomp passes
+// the strict arrival-order one).
+func NewWithQueues(n int, newQueue func() *mp.Queue) (*World, []mp.Endpoint, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("chanmp: need at least one process, got %d", n)
 	}
 	w := &World{eps: make([]*endpoint, n)}
 	out := make([]mp.Endpoint, n)
 	for i := 0; i < n; i++ {
-		w.eps[i] = &endpoint{w: w, rank: i, q: mp.NewQueue()}
+		w.eps[i] = &endpoint{w: w, rank: i, q: newQueue()}
 		out[i] = w.eps[i]
 	}
 	return w, out, nil

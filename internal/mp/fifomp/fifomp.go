@@ -7,87 +7,15 @@
 package fifomp
 
 import (
-	"fmt"
-	"sync/atomic"
-	"time"
-
 	"plinger/internal/mp"
+	"plinger/internal/mp/chanmp"
 )
 
-// World is a set of connected strict-FIFO endpoints.
-type World struct {
-	eps   []*endpoint
-	bytes atomic.Int64
-}
-
-type endpoint struct {
-	w    *World
-	rank int
-	q    *mp.Queue
-}
+// World is a set of connected strict-FIFO endpoints: the in-process world
+// of chanmp on mailboxes that only match their head message.
+type World = chanmp.World
 
 // New creates a world of n strict-FIFO endpoints; rank 0 is the master.
 func New(n int) (*World, []mp.Endpoint, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("fifomp: need at least one process, got %d", n)
-	}
-	w := &World{eps: make([]*endpoint, n)}
-	out := make([]mp.Endpoint, n)
-	for i := 0; i < n; i++ {
-		w.eps[i] = &endpoint{w: w, rank: i, q: mp.NewStrictFIFOQueue()}
-		out[i] = w.eps[i]
-	}
-	return w, out, nil
-}
-
-// BytesMoved returns cumulative payload bytes delivered.
-func (w *World) BytesMoved() int64 { return w.bytes.Load() }
-
-func (e *endpoint) Rank() int   { return e.rank }
-func (e *endpoint) Size() int   { return len(e.w.eps) }
-func (e *endpoint) Master() int { return 0 }
-
-func (e *endpoint) deliver(dst int, m mp.Message) error {
-	if dst < 0 || dst >= len(e.w.eps) {
-		return fmt.Errorf("fifomp: destination %d out of range [0,%d)", dst, len(e.w.eps))
-	}
-	cp := m
-	cp.Data = append([]float64(nil), m.Data...)
-	e.w.bytes.Add(int64(8 * len(m.Data)))
-	return e.w.eps[dst].q.Push(cp)
-}
-
-func (e *endpoint) Bcast(tag int, data []float64) error {
-	for i := range e.w.eps {
-		if i == e.rank {
-			continue
-		}
-		if err := e.deliver(i, mp.Message{Tag: tag, Source: e.rank, Data: data}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *endpoint) Send(dst, tag int, data []float64) error {
-	return e.deliver(dst, mp.Message{Tag: tag, Source: e.rank, Data: data})
-}
-
-func (e *endpoint) Probe(tag, source int) (int, int, error) {
-	return e.q.Probe(tag, source)
-}
-
-// ProbeTimeout implements mp.DeadlineProber; the strict-FIFO matching rule
-// applies to the timed probe exactly as to the blocking one.
-func (e *endpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return e.q.ProbeTimeout(tag, source, d)
-}
-
-func (e *endpoint) Recv(tag, source int) (mp.Message, error) {
-	return e.q.Recv(tag, source)
-}
-
-func (e *endpoint) Close() error {
-	e.q.Close()
-	return nil
+	return chanmp.NewWithQueues(n, mp.NewStrictFIFOQueue)
 }

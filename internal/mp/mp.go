@@ -41,8 +41,12 @@ type Message struct {
 
 // Endpoint is one process's connection to the message-passing world: the
 // Go rendering of the paper's wrapper routines. Implementations must be
-// safe for use by one goroutine per endpoint (the PLINGER pattern); Probe
-// and Recv block until a matching message arrives.
+// safe for use by one goroutine per endpoint (the PLINGER pattern), with
+// one exception every transport here meets (a locked mailbox push, a
+// per-connection write mutex): Send may be called from other goroutines
+// beside the owner's, and a Send to the endpoint's own rank is delivered
+// to its own mailbox — how a death report reaches a probing master (see
+// plinger.TagDown). Probe and Recv block until a matching message arrives.
 type Endpoint interface {
 	// Rank returns this process's ID (the paper's mytid).
 	Rank() int
@@ -145,61 +149,55 @@ func match(m Message, tag, source int) bool {
 	return true
 }
 
+// find returns the index of the message a probe or receive for (tag, source)
+// selects: the first match, or on a strict-FIFO mailbox the head, where a
+// head that does not match is an error (op names the caller in it). -1 means
+// nothing to select yet. The caller holds q.mu.
+func (q *Queue) find(op string, tag, source int) (int, error) {
+	for i, m := range q.msgs {
+		if match(m, tag, source) {
+			return i, nil
+		}
+		if q.strictFIFO {
+			return -1, fmt.Errorf("mp: strict-FIFO transport: head message (tag %d from %d) does not match %s (tag %d, src %d)",
+				m.Tag, m.Source, op, tag, source)
+		}
+	}
+	return -1, nil
+}
+
 // Probe blocks until a matching message is present, returning its tag and
 // source without removing it.
 func (q *Queue) Probe(tag, source int) (int, int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.strictFIFO {
-			if len(q.msgs) > 0 {
-				m := q.msgs[0]
-				if !match(m, tag, source) {
-					return 0, 0, fmt.Errorf("mp: strict-FIFO transport: head message (tag %d from %d) does not match probe (tag %d, src %d)",
-						m.Tag, m.Source, tag, source)
-				}
-				return m.Tag, m.Source, nil
-			}
-		} else {
-			for _, m := range q.msgs {
-				if match(m, tag, source) {
-					return m.Tag, m.Source, nil
-				}
-			}
-		}
-		if q.closed {
-			return 0, 0, ErrClosed
-		}
-		q.cond.Wait()
-	}
+	gotTag, gotSource, _, err := q.probe(tag, source, time.Time{})
+	return gotTag, gotSource, err
 }
 
 // ProbeTimeout is Probe with a deadline: it returns ok=false when d elapses
 // before a matching message arrives. The timeout wakes the wait through the
 // queue's own condition variable, so no polling loop spins while waiting.
 func (q *Queue) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	deadline := time.Now().Add(d)
+	return q.probe(tag, source, time.Now().Add(d))
+}
+
+// probe waits for a matching message until deadline (zero: forever).
+func (q *Queue) probe(tag, source int, deadline time.Time) (int, int, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.strictFIFO {
-			if len(q.msgs) > 0 {
-				m := q.msgs[0]
-				if !match(m, tag, source) {
-					return 0, 0, false, fmt.Errorf("mp: strict-FIFO transport: head message (tag %d from %d) does not match probe (tag %d, src %d)",
-						m.Tag, m.Source, tag, source)
-				}
-				return m.Tag, m.Source, true, nil
-			}
-		} else {
-			for _, m := range q.msgs {
-				if match(m, tag, source) {
-					return m.Tag, m.Source, true, nil
-				}
-			}
+		i, err := q.find("probe", tag, source)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		if i >= 0 {
+			return q.msgs[i].Tag, q.msgs[i].Source, true, nil
 		}
 		if q.closed {
 			return 0, 0, false, ErrClosed
+		}
+		if deadline.IsZero() {
+			q.cond.Wait()
+			continue
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -220,23 +218,14 @@ func (q *Queue) Recv(tag, source int) (Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.strictFIFO {
-			if len(q.msgs) > 0 {
-				m := q.msgs[0]
-				if !match(m, tag, source) {
-					return Message{}, fmt.Errorf("mp: strict-FIFO transport: head message (tag %d from %d) does not match recv (tag %d, src %d)",
-						m.Tag, m.Source, tag, source)
-				}
-				q.msgs = q.msgs[1:]
-				return m, nil
-			}
-		} else {
-			for i, m := range q.msgs {
-				if match(m, tag, source) {
-					q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-					return m, nil
-				}
-			}
+		i, err := q.find("recv", tag, source)
+		if err != nil {
+			return Message{}, err
+		}
+		if i >= 0 {
+			m := q.msgs[i]
+			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
+			return m, nil
 		}
 		if q.closed {
 			return Message{}, ErrClosed

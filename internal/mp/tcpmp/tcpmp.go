@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -334,7 +335,7 @@ func (e *endpoint) reader() {
 		}
 		data := make([]float64, n)
 		for i := 0; i < n; i++ {
-			data[i] = bitsToFloat(binary.LittleEndian.Uint64(buf[8*i:]))
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
 		e.q.Push(mp.Message{Tag: int(hdr[1]), Source: int(hdr[0]), Data: data})
 	}
@@ -358,7 +359,7 @@ func (e *endpoint) Send(dst, tag int, data []float64) error {
 	}
 	buf := make([]byte, 8*len(data))
 	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8*i:], floatToBits(v))
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 	}
 	_, err := e.conn.Write(buf)
 	return classify(err)
