@@ -13,14 +13,14 @@ import (
 	"plinger/internal/mp/chanmp"
 	"plinger/internal/mp/fifomp"
 	"plinger/internal/mp/tcpmp"
-	"plinger/internal/obs"
 	runner "plinger/internal/plinger"
 )
 
 // MP is the message-passing backend: the paper's Appendix A master/worker
-// protocol over any mp.Endpoint transport. The dispatcher owns scheduling
-// (it hands the protocol engine an explicit hand-out order) and telemetry;
-// the wire protocol itself lives in internal/plinger.
+// protocol over any mp.Endpoint transport, with the workers as goroutines
+// of this process (or remote processes calling RunWorker). RunMaster owns
+// scheduling and telemetry; the wire protocol itself lives in
+// internal/plinger.
 type MP struct {
 	Model *core.Model
 	// Endpoints[0] is the master's endpoint; a worker goroutine is
@@ -55,7 +55,8 @@ type MP struct {
 	ConnectRetries int
 }
 
-// Run implements Dispatcher.
+// Run implements Dispatcher: it starts a worker goroutine per further
+// endpoint and drives the master through RunMaster.
 func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
 	if d.Model == nil {
 		return nil, nil, fmt.Errorf("dispatch: mp dispatcher has no model")
@@ -72,61 +73,16 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	tau0 := sweepTau0(d.Model, mode)
-	// Batched hand-out: the master decomposes the grid with the same
-	// runner.BatchBlocks, so the order must enumerate blocks, not modes.
-	order := d.Schedule.Order(ks)
-	if mode.KBatch > 1 && len(ks) > 1 {
-		order = blockOrder(d.Schedule, ks, batchBlocks(len(ks), mode.KBatch))
-	}
-	// Deadline propagation: an explicit AssignDeadline or a context
-	// deadline (whichever is tighter) arms the fault-tolerant master.
-	assignDL := d.AssignDeadline
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 && (assignDL == 0 || rem < assignDL) {
-			assignDL = rem
+	master := d.Endpoints[0]
+	closeWorld := func() {
+		for _, ep := range d.Endpoints {
+			ep.Close()
 		}
 	}
-	ft := assignDL > 0
-	nLocal := len(d.Endpoints) - 1
-	var workerDown chan int
-	if ft && nLocal > 0 {
-		workerDown = make(chan int, nLocal)
-	}
-	cfg := runner.Config{
-		KValues:        ks,
-		Mode:           mode,
-		Order:          order,
-		PerKLMax:       perKLMaxTable(ks, tau0, mode.LMax, d.AdaptLMax),
-		ASCIIOut:       d.ASCIIOut,
-		BinaryOut:      d.BinaryOut,
-		AssignDeadline: assignDL,
-		WorkerDown:     workerDown,
-	}
-
-	tr := obs.TraceFrom(ctx)
-	spTables := tr.Start("eval_tables")
-	prebuildEvalTables(d.Model, mode)
-	spTables.End()
+	ft := assignDeadline(ctx, d.AssignDeadline) > 0
 	defer runPrebuild(d.Prebuild)()
 
-	// Cancellation: blocking probes cannot watch a context, so closing
-	// the endpoints is the abort path — every pending Probe/Recv then
-	// returns mp.ErrClosed.
-	runDone := make(chan struct{})
-	defer close(runDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				for _, ep := range d.Endpoints {
-					ep.Close()
-				}
-			case <-runDone:
-			}
-		}()
-	}
-
+	nLocal := len(d.Endpoints) - 1
 	errCh := make(chan error, nLocal)
 	for _, wep := range d.Endpoints[1:] {
 		go func(wep mp.Endpoint) {
@@ -141,13 +97,10 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 				}()
 				return runner.Worker(wep, d.Model, ks, mode)
 			}()
-			if werr != nil && workerDown != nil {
-				// Out-of-band death report: lets the fault-tolerant master
-				// orphan this worker's block before the deadline expires.
-				select {
-				case workerDown <- rank:
-				default:
-				}
+			if werr != nil && ft {
+				// Death report: lets the fault-tolerant master orphan this
+				// worker's block now instead of when its deadline expires.
+				_ = master.Send(master.Rank(), runner.TagDown, []float64{float64(rank)})
 			}
 			errCh <- werr
 		}(wep)
@@ -168,23 +121,26 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 				if workerErr == nil {
 					workerErr = werr
 					if !ft {
-						for _, ep := range d.Endpoints {
-							ep.Close()
-						}
+						closeWorld()
 					}
 				}
 				wmu.Unlock()
 			}
 		}
 	}()
-	spModes := tr.Start("modes")
-	res, err := runner.Master(d.Endpoints[0], d.Model, cfg)
-	spModes.End()
+	sw, st, _, err := RunMaster(ctx, master, d.Model, ks, mode, MasterOptions{
+		Backend:        "mp/" + d.transportName(),
+		Schedule:       d.Schedule,
+		AdaptLMax:      d.AdaptLMax,
+		AssignDeadline: d.AssignDeadline,
+		ASCIIOut:       d.ASCIIOut,
+		BinaryOut:      d.BinaryOut,
+		BytesMoved:     d.BytesMoved,
+		Retries:        d.ConnectRetries,
+	})
 	if err != nil {
 		// Unblock any local workers still probing, then collect them.
-		for _, ep := range d.Endpoints {
-			ep.Close()
-		}
+		closeWorld()
 		<-workersDone
 		if ctx.Err() != nil {
 			return nil, nil, ctx.Err()
@@ -202,48 +158,15 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		}
 		return nil, nil, err
 	}
-	if ft && res.WorkerFailures > 0 {
+	if ft && st.WorkerFailures > 0 {
 		// Casualties may be wedged in a probe for an assignment that will
 		// never come, or in a hung send; closing the world releases their
 		// goroutines. A recovered run's endpoints are spent either way.
-		for _, ep := range d.Endpoints {
-			ep.Close()
-		}
+		closeWorld()
 	}
 	<-workersDone
 	if workerErr != nil && !ft {
 		return nil, nil, workerErr
-	}
-
-	st := &RunStats{
-		Backend:        "mp/" + d.transportName(),
-		Schedule:       d.Schedule,
-		NProc:          res.NProc,
-		NWorkers:       res.NProc - 1,
-		Wallclock:      res.Wallclock,
-		WorkerFailures: res.WorkerFailures,
-		Reassignments:  res.Reassignments,
-		DeadlineMisses: res.DeadlineMisses,
-		LocalModes:     res.LocalModes,
-		Retries:        d.ConnectRetries,
-	}
-	if st.NWorkers < 1 {
-		st.NWorkers = 1
-	}
-	for _, w := range res.Workers {
-		st.Workers = append(st.Workers, WorkerTiming(w))
-	}
-	if d.BytesMoved != nil {
-		st.BytesMoved = d.BytesMoved()
-	} else {
-		st.BytesMoved = res.BytesReceived
-	}
-	st.finalize()
-	recordRunStats(st)
-	sw := &Sweep{
-		KValues: append([]float64(nil), ks...),
-		Results: res.Mode,
-		Tau0:    tau0,
 	}
 	return sw, st, nil
 }

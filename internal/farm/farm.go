@@ -96,8 +96,7 @@ func (o *Options) withDefaults() Options {
 // sweepAttach binds one worker connection into one in-flight sweep.
 type sweepAttach struct {
 	rank int
-	q    *mp.Queue  // the master's inbound mailbox for this sweep
-	down chan<- int // out-of-band death reports to the running master
+	q    *mp.Queue // the master's inbound mailbox for this sweep
 }
 
 // workerConn is one registered worker on the roster.
@@ -306,18 +305,16 @@ func (s *Supervisor) readLoop(wc *workerConn) {
 }
 
 // dropConn removes a worker from the roster (idempotent) and, when it was
-// inside a sweep, reports its rank to the running master so the block is
-// orphaned immediately instead of waiting out the deadline.
+// inside a sweep, reports its rank to the running master — a TagDown message
+// from the master's own rank in its mailbox — so the block is orphaned
+// immediately instead of waiting out the deadline.
 func (s *Supervisor) dropConn(wc *workerConn, cause error) {
 	if wc.removed.Swap(true) {
 		return
 	}
 	wc.conn.Close()
 	if at := wc.sweep.Swap(nil); at != nil {
-		select {
-		case at.down <- at.rank:
-		default:
-		}
+		_ = at.q.Push(mp.Message{Tag: runner.TagDown, Source: 0, Data: []float64{float64(at.rank)}})
 	}
 	s.mu.Lock()
 	delete(s.workers, wc.id)
@@ -524,7 +521,7 @@ func (e *masterEndpoint) Close() error {
 // every idle worker as a member of the new sweep and hands back the
 // rank->conn table. An empty table is a legal outcome: the master then
 // computes the whole sweep itself through PR 7's degradation path.
-func (s *Supervisor) claimWorkers(ctx context.Context, q *mp.Queue, down chan<- int) map[int]*workerConn {
+func (s *Supervisor) claimWorkers(ctx context.Context, q *mp.Queue) map[int]*workerConn {
 	deadline := time.Now().Add(s.opt.WaitWorkers)
 	for {
 		s.mu.Lock()
@@ -545,7 +542,7 @@ func (s *Supervisor) claimWorkers(ctx context.Context, q *mp.Queue, down chan<- 
 			peers := make(map[int]*workerConn, len(idle))
 			for i, wc := range idle {
 				rank := i + 1
-				wc.sweep.Store(&sweepAttach{rank: rank, q: q, down: down})
+				wc.sweep.Store(&sweepAttach{rank: rank, q: q})
 				peers[rank] = wc
 			}
 			s.mu.Unlock()
@@ -586,10 +583,8 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 	default:
 	}
 
-	tau0 := dispatch.SweepTau0(model, mode)
 	q := mp.NewQueue()
-	down := make(chan int, 64)
-	peers := s.claimWorkers(ctx, q, down)
+	peers := s.claimWorkers(ctx, q)
 	world := len(peers) + 1
 	ep := &masterEndpoint{q: q, peers: peers, size: world}
 
@@ -608,40 +603,12 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 		}
 	}
 
-	// Deadline propagation mirrors dispatch.MP: the tighter of the farm's
-	// own assignment deadline and the caller's context budget.
-	assignDL := s.opt.AssignDeadline
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 && rem < assignDL {
-			assignDL = rem
-		}
-	}
-	cfg := runner.Config{
-		KValues:        ks,
-		Mode:           mode,
-		Order:          dispatch.HandOutOrder(sched, ks, mode.KBatch),
-		PerKLMax:       dispatch.PerKLMaxTable(ks, tau0, mode.LMax, adaptLMax),
-		AssignDeadline: assignDL,
-		WorkerDown:     down,
-	}
-
-	dispatch.PrebuildEvalTables(model, mode)
-
-	// Cancellation: the master's probes watch no context, so closing its
-	// mailbox is the abort path (every pending probe returns mp.ErrClosed).
-	runDone := make(chan struct{})
-	defer close(runDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				q.Close()
-			case <-runDone:
-			}
-		}()
-	}
-
-	res, err := runner.Master(ep, model, cfg)
+	sw, st, failed, err := dispatch.RunMaster(ctx, ep, model, ks, mode, dispatch.MasterOptions{
+		Backend:        "farm",
+		Schedule:       sched,
+		AdaptLMax:      adaptLMax,
+		AssignDeadline: s.opt.AssignDeadline,
+	})
 	if err != nil {
 		// Workers may be blocked waiting for an assignment that will never
 		// come; a stop on the wire releases each of them back to idle. A
@@ -650,16 +617,13 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 		for rank := range peers {
 			_ = ep.Send(rank, runner.TagStop, []float64{0})
 		}
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
 		return nil, nil, err
 	}
 
 	// Casualties: the master dropped these ranks for THIS sweep; retiring
 	// their connections forces the processes (if still alive) back through
 	// reconnect, and the roster re-admits them for the NEXT sweep.
-	for _, rank := range res.FailedRanks {
+	for _, rank := range failed {
 		if wc := peers[rank]; wc != nil {
 			s.retireConn(wc, fmt.Sprintf("failed by master (rank %d)", rank))
 		}
@@ -667,24 +631,8 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 
 	obsSweeps.Inc()
 	s.nSweeps.Add(1)
-	st := &dispatch.RunStats{
-		Backend:        "farm",
-		Schedule:       sched,
-		NProc:          res.NProc,
-		NWorkers:       res.NProc - 1,
-		Wallclock:      res.Wallclock,
-		BytesMoved:     res.BytesReceived,
-		WorkerFailures: res.WorkerFailures,
-		Reassignments:  res.Reassignments,
-		DeadlineMisses: res.DeadlineMisses,
-		LocalModes:     res.LocalModes,
-	}
-	if st.NWorkers < 1 {
-		st.NWorkers = 1
-	}
 	s.mu.Lock()
-	for _, w := range res.Workers {
-		st.Workers = append(st.Workers, dispatch.WorkerTiming(w))
+	for _, w := range st.Workers {
 		if wc := peers[w.Rank]; wc != nil {
 			wc.modes += int64(w.Modes)
 			wc.busySeconds += w.Seconds
@@ -692,12 +640,6 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 		}
 	}
 	s.mu.Unlock()
-	dispatch.FinishRunStats(st)
-	sw := &dispatch.Sweep{
-		KValues: append([]float64(nil), ks...),
-		Results: res.Mode,
-		Tau0:    tau0,
-	}
 	return sw, st, nil
 }
 

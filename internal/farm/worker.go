@@ -319,7 +319,7 @@ func serveSweep(conn net.Conn, wmu *sync.Mutex, sp *sweepSpec, q *mp.Queue, mode
 	if mode.FastEvolve {
 		// Warm the shared evaluation tables across all local cores before
 		// entering the per-mode loop, exactly as the in-process backends do.
-		dispatch.PrebuildEvalTables(model, mode)
+		model.EnsureEvalTables(dispatch.ParallelFor)
 	}
 	ep := &workerEndpoint{conn: conn, wmu: wmu, rank: sp.Rank, size: sp.World, q: q}
 	return runner.WorkerWith(ep, model, sp.Ks, mode, scratch)

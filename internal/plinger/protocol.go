@@ -20,9 +20,9 @@ import (
 	"plinger/internal/core"
 )
 
-// Message tags 1-6 exactly as tabulated in Appendix A of the paper; tag 7
-// is this port's extension for shipping line-of-sight source samples so a
-// CMBFAST-style spectrum can be assembled at the master.
+// Message tags 1-6 exactly as tabulated in Appendix A of the paper; tags 7
+// and 8 are this port's extensions: line-of-sight source samples, so a
+// CMBFAST-style spectrum can be assembled at the master, and death reports.
 const (
 	// TagInit is the first message from master to workers.
 	TagInit = 1
@@ -39,6 +39,13 @@ const (
 	// TagSources carries the recorded line-of-sight source samples; it is
 	// only sent when the run requests KeepSources.
 	TagSources = 7
+	// TagDown is the fault-tolerant master's death report, reserved for the
+	// master's own endpoint: whoever learns out of band that a worker died
+	// (its goroutine returned an error, its connection dropped) sends the
+	// rank to the master's rank on the master's endpoint, so the report
+	// wakes the master's probe like any message. From any other source it
+	// is an unexpected tag.
+	TagDown = 8
 )
 
 // initBlockLen is the length of the tag-1 broadcast: the paper's 5 doubles

@@ -45,8 +45,8 @@ type Config struct {
 	BinaryOut io.Writer
 	// AssignDeadline, when > 0, turns on the fault-tolerant master: it
 	// bounds each assignment's round trip (and each worker's start-up).
-	// A worker that blows the deadline — or is reported dead through
-	// WorkerDown, or violates the protocol — is declared failed, its
+	// A worker that blows the deadline — or is reported dead by a TagDown
+	// message, or violates the protocol — is declared failed, its
 	// in-flight block is reassigned to a surviving worker, and with no
 	// survivors left the master recomputes the orphans itself. Every mode
 	// is a pure function of (k, mode, lmax), so a recovered sweep is
@@ -54,11 +54,6 @@ type Config struct {
 	// original semantics: no fault tolerance, one lost worker stalls the
 	// run.
 	AssignDeadline time.Duration
-	// WorkerDown, when non-nil, delivers ranks of workers known to have
-	// died out-of-band (e.g. a local worker goroutine returning an error),
-	// so the master can orphan their work before the deadline expires.
-	// Only consumed when AssignDeadline > 0.
-	WorkerDown <-chan int
 }
 
 // WorkerTiming is the per-worker accounting used for Figure 1, extended
@@ -157,7 +152,7 @@ func (e workerFaultError) Unwrap() error { return e.err }
 // returns when every wavenumber has been received and every worker stopped.
 //
 // With cfg.AssignDeadline > 0 the master additionally detects worker
-// failures (crashes, hangs, protocol violations, out-of-band death reports)
+// failures (crashes, hangs, protocol violations, TagDown death reports)
 // and recovers: orphaned blocks are reassigned to survivors, and with no
 // survivors the master recomputes them itself. Recovery always re-runs the
 // WHOLE original block — a block's lockstep trajectories depend on every
@@ -403,19 +398,14 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 		return n
 	}
 
-	// drainDown consumes out-of-band death reports without blocking.
-	drainDown := func() {
-		if !ft || cfg.WorkerDown == nil {
-			return
+	// downReport honours an out-of-band death report (see TagDown), so the
+	// casualty's block is orphaned now instead of at its deadline.
+	downReport := func(m mp.Message) bool {
+		if !ft || m.Tag != TagDown || m.Source != ep.Rank() || len(m.Data) != 1 {
+			return false
 		}
-		for {
-			select {
-			case rank := <-cfg.WorkerDown:
-				failWorker(rank)
-			default:
-				return
-			}
-		}
+		failWorker(int(m.Data[0]))
+		return true
 	}
 
 	// expire fails every worker whose deadline has passed.
@@ -520,17 +510,14 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 	// live worker ends the loop stopped. Without fault tolerance computing
 	// can never outlast done == nk and the condition is the paper's.
 	for done < nk || computing > 0 {
-		if ft {
-			drainDown()
-			if live() == 0 {
-				// Nobody left to compute or request: finish the sweep
-				// locally rather than stall (the paper: "this has no fault
-				// tolerance" — this path is precisely what it lacked).
-				if err := recomputeLocal(); err != nil {
-					return nil, err
-				}
-				break
+		if ft && live() == 0 {
+			// Nobody left to compute or request: finish the sweep locally
+			// rather than stall (the paper: "this has no fault tolerance" —
+			// this path is precisely what it lacked).
+			if err := recomputeLocal(); err != nil {
+				return nil, err
 			}
+			break
 		}
 		tag, src, ok, err := probeNext()
 		if err != nil {
@@ -543,6 +530,9 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 		m, err := ep.Recv(tag, src)
 		if err != nil {
 			return nil, err
+		}
+		if downReport(m) {
+			continue
 		}
 		bytes += int64(8 * len(m.Data))
 		if ft && failed[src] {
@@ -634,22 +624,7 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 	// has no fault tolerance: a remote worker that joined the world but died
 	// before its first request stalls this wait. Under fault tolerance the
 	// wait is deadline-bounded and a worker that never shows is failed.
-	countRemaining := func() int {
-		n := 0
-		for rank := 0; rank < ep.Size(); rank++ {
-			if rank != ep.Master() && !stopped[rank] && !failed[rank] {
-				n++
-			}
-		}
-		return n
-	}
-	for countRemaining() > 0 {
-		if ft {
-			drainDown()
-			if countRemaining() == 0 {
-				break
-			}
-		}
+	for live() > 0 {
 		tag, src, ok, err := probeNext()
 		if err != nil {
 			return nil, fmt.Errorf("plinger: master drain probe: %w", err)
@@ -661,6 +636,9 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 		m, err := ep.Recv(tag, src)
 		if err != nil {
 			return nil, err
+		}
+		if downReport(m) {
+			continue
 		}
 		if tag != TagRequest || stopped[src] || (ft && failed[src]) {
 			if ft {
