@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster golden bench bench-json bench-smoke
+.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster golden bench bench-json bench-smoke loc
 
 check: fmt-check vet staticcheck build test-short
 
@@ -40,10 +40,11 @@ test-race:
 # detector: the faultmp transport wrapper, the chaos matrix (scripted
 # kill/hang/drop across the chan/fifo/tcp transports, all-but-one and
 # all-workers-lost kills, batched-block reassignment), the connect
-# retry/timeout paths, worker panic recovery, and the serving layer's
-# deadline/stale degradation.
+# retry/timeout paths, worker panic recovery, the serving layer's
+# deadline/stale degradation, and the master's own unit tests (the late
+# death report among them).
 test-faults:
-	$(GO) test -race ./internal/mp/faultmp/
+	$(GO) test -race ./internal/mp/faultmp/ ./internal/plinger/
 	$(GO) test -race -run 'Chaos|ConnectAll|Panic|Deadline|Stale' ./internal/dispatch/ ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
@@ -109,3 +110,12 @@ bench-json:
 # failed op.
 bench-smoke:
 	$(GO) test ./bench
+
+# loc prints the non-test Go lines per package under internal/, of the
+# facade and of cmd/: the number ROADMAP aim 2 tracks.
+loc:
+	@for d in $$(find internal -type d | sort) . cmd; do \
+		depth="-maxdepth 1"; [ $$d = cmd ] && depth=""; \
+		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; \
+	done; true
