@@ -34,8 +34,8 @@ type paddedTiming struct {
 // field with the same semantics, so schedules and transports can be
 // compared directly.
 type RunStats struct {
-	// Backend names the dispatcher that produced the run: "pool", or
-	// "mp/<transport>" for a master/worker run.
+	// Backend names the dispatcher that produced the run: "pool" or
+	// "pool/shared", or for a master/worker run "mp/<transport>" or "farm".
 	Backend string
 	// Schedule is the hand-out order used.
 	Schedule Schedule

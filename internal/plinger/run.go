@@ -747,8 +747,8 @@ func WorkerWith(ep mp.Endpoint, model *core.Model, kValues []float64, mode core.
 			p.LMax = int(m.Data[1])
 		}
 		// The worker is batch-agnostic: the block size rides in each
-		// assignment, a one-mode block is the scalar path bitwise, and the
-		// per-member result triplets go back in member order.
+		// assignment, a one-mode block is the single-mode evolution, and
+		// the per-member result triplets go back in member order.
 		rs, err := model.EvolveBatchWith(kValues[ik1-1:ik1-1+bsize], p, nil, scratch)
 		if err != nil {
 			return fmt.Errorf("plinger: worker evolve (ik=%d+%d, k=%g): %w", ik1, bsize, p.K, err)

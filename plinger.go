@@ -462,8 +462,8 @@ type SpectrumOptions struct {
 	// per right-hand-side evaluation across the block. The blocks couple
 	// the members through the shared step controller, so results shift at
 	// the integrator-tolerance level (~1e-4 of the multipole scale), well
-	// inside the 1e-3 budget; 0 or 1 disables batching and reproduces the
-	// scalar sweep bitwise. los method only.
+	// inside the 1e-3 budget; 0 or 1 makes every block one wavenumber
+	// through the same driver. los method only.
 	KBatch int
 	// Trace, when non-nil, records the computation's phases (evolve,
 	// source_spline, project, lspline, bessel_tables plus the dispatch-level
