@@ -28,9 +28,6 @@ type MasterOptions struct {
 	AssignDeadline time.Duration
 	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs.
 	ASCIIOut, BinaryOut io.Writer
-	// BytesMoved, when set, reports the transport-level payload counter for
-	// RunStats.BytesMoved; otherwise the master's received bytes are used.
-	BytesMoved func() int64
 	// Retries is reported as RunStats.Retries.
 	Retries int
 }
@@ -95,9 +92,6 @@ func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []floa
 		DeadlineMisses: res.DeadlineMisses,
 		LocalModes:     res.LocalModes,
 		Retries:        o.Retries,
-	}
-	if o.BytesMoved != nil {
-		st.BytesMoved = o.BytesMoved()
 	}
 	for _, w := range res.Workers {
 		st.Workers = append(st.Workers, WorkerTiming(w))

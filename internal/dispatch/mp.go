@@ -135,7 +135,6 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		AssignDeadline: d.AssignDeadline,
 		ASCIIOut:       d.ASCIIOut,
 		BinaryOut:      d.BinaryOut,
-		BytesMoved:     d.BytesMoved,
 		Retries:        d.ConnectRetries,
 	})
 	if err != nil {
@@ -167,6 +166,9 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 	<-workersDone
 	if workerErr != nil && !ft {
 		return nil, nil, workerErr
+	}
+	if d.BytesMoved != nil {
+		st.BytesMoved = d.BytesMoved()
 	}
 	return sw, st, nil
 }
