@@ -16,6 +16,7 @@ package plinger
 
 import (
 	"fmt"
+	"math"
 
 	"plinger/internal/core"
 )
@@ -51,6 +52,39 @@ const (
 // initBlockLen is the length of the tag-1 broadcast: the paper's 5 doubles
 // of run parameters plus the keep-sources flag.
 const initBlockLen = 6
+
+// maxWireInt bounds every count and index read off the wire: the largest
+// integer a double carries exactly, so no arithmetic on one can overflow.
+const maxWireInt = 1 << 53
+
+// wireInt reads a count or index the wire carries as a double. It must be an
+// integer in [lo, hi] whose double is exactly v — not NaN, not fractional,
+// not -0 — so converting it back gives the same bits.
+func wireInt(v float64, lo, hi int) (int, bool) {
+	if !(v >= float64(lo) && v <= float64(hi)) {
+		return 0, false
+	}
+	n := int(v)
+	return n, math.Float64bits(float64(n)) == math.Float64bits(v)
+}
+
+// parseAssign reads a tag-3 assignment for a grid of nk wavenumbers: the
+// 1-based first index, then optionally the hierarchy cutoff (0: the
+// broadcast one) and the block size, the block inside the grid.
+func parseAssign(a []float64, nk int) (ik1, lmax, bsize int, err error) {
+	v := [3]float64{0, 0, 1}
+	if len(a) < 1 || len(a) > len(v) {
+		return 0, 0, 0, fmt.Errorf("plinger: assignment of %d values", len(a))
+	}
+	copy(v[:], a)
+	ik1, ok1 := wireInt(v[0], 1, nk)
+	lmax, ok2 := wireInt(v[1], 0, maxWireInt)
+	bsize, ok3 := wireInt(v[2], 1, nk-ik1+1)
+	if !ok1 || !ok2 || !ok3 {
+		return 0, 0, 0, fmt.Errorf("plinger: assignment %v does not name a block of the %d wavenumbers", a, nk)
+	}
+	return ik1, lmax, bsize, nil
+}
 
 // summaryBlockLen is the length of the tag-4 block: the paper's master
 // receives 21 doubles (20 summary values plus lmax).

@@ -733,18 +733,14 @@ func WorkerWith(ep mp.Endpoint, model *core.Model, kValues []float64, mode core.
 		if tag != TagAssign {
 			return fmt.Errorf("plinger: worker got unexpected tag %d", tag)
 		}
-		ik1 := int(m.Data[0])
-		bsize := 1
-		if len(m.Data) > 2 && m.Data[2] > 1 {
-			bsize = int(m.Data[2])
-		}
-		if ik1 < 1 || ik1+bsize-1 > len(kValues) {
-			return fmt.Errorf("plinger: assigned index block %d+%d out of range", ik1, bsize)
+		ik1, lmax, bsize, err := parseAssign(m.Data, len(kValues))
+		if err != nil {
+			return err
 		}
 		p := mode
 		p.K = kValues[ik1-1]
-		if len(m.Data) > 1 && m.Data[1] > 0 {
-			p.LMax = int(m.Data[1])
+		if lmax > 0 {
+			p.LMax = lmax
 		}
 		// The worker is batch-agnostic: the block size rides in each
 		// assignment, a one-mode block is the single-mode evolution, and
