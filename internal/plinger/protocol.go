@@ -207,19 +207,21 @@ func packSources(ik int, r *core.Result) []float64 {
 }
 
 // unpackSources reconstructs the line-of-sight samples from a tag-7 block.
+// The header is checked before any arithmetic on it, so a block is accepted
+// only when packing the samples again gives it back bit for bit.
 func unpackSources(ik int, y []float64) ([]core.Sample, error) {
 	if len(y) < sourcesHeaderLen {
-		return nil, fmt.Errorf("plinger: sources block length %d", len(y))
+		return nil, fmt.Errorf("sources block length %d", len(y))
 	}
-	if int(y[0]) != ik {
-		return nil, fmt.Errorf("plinger: sources block for ik=%d arrived with result for ik=%d", int(y[0]), ik)
+	if _, ok := wireInt(y[0], ik, ik); !ok {
+		return nil, fmt.Errorf("sources block for ik=%g arrived with result for ik=%d", y[0], ik)
 	}
-	if int(y[2]) != sourceFieldLen {
-		return nil, fmt.Errorf("plinger: sources block has %d fields per sample, want %d", int(y[2]), sourceFieldLen)
+	if _, ok := wireInt(y[2], sourceFieldLen, sourceFieldLen); !ok {
+		return nil, fmt.Errorf("sources block has %g fields per sample, want %d", y[2], sourceFieldLen)
 	}
-	n := int(y[1])
-	if n < 0 || len(y) != sourcesHeaderLen+n*sourceFieldLen {
-		return nil, fmt.Errorf("plinger: sources block length %d for %d samples", len(y), n)
+	n, ok := wireInt(y[1], 0, (len(y)-sourcesHeaderLen)/sourceFieldLen)
+	if !ok || len(y) != sourcesHeaderLen+n*sourceFieldLen {
+		return nil, fmt.Errorf("sources block length %d for %g samples", len(y), y[1])
 	}
 	out := make([]core.Sample, n)
 	o := sourcesHeaderLen
@@ -238,26 +240,43 @@ func unpackSources(ik int, y []float64) ([]core.Sample, error) {
 	return out, nil
 }
 
+// momentsHeader maps each slot of the tag-5 header to the summary slot it
+// repeats (-1: the gauge, which only the moments carry).
+var momentsHeader = [momentsHeaderLen]int{sumIK, sumK, sumLMax, sumTau, -1, sumResidual, sumSeconds, sumFlops}
+
 // unpackResult reconstructs a Result (the master's view) from the two
-// blocks.
+// blocks. Every count and index is checked before any arithmetic on it, and
+// the moments header must repeat the summary bit for bit, so the blocks are
+// accepted only when packing the result again gives them back exactly.
 func unpackResult(sum, mom []float64) (ik int, r *core.Result, err error) {
 	if len(sum) != summaryBlockLen {
-		return 0, nil, fmt.Errorf("plinger: summary block length %d, want %d", len(sum), summaryBlockLen)
+		return 0, nil, fmt.Errorf("summary block length %d, want %d", len(sum), summaryBlockLen)
 	}
-	lmax := int(sum[sumLMax])
+	ik, okIK := wireInt(sum[sumIK], 1, maxWireInt)
+	lmax, okL := wireInt(sum[sumLMax], 0, maxWireInt)
+	steps, okS := wireInt(sum[sumSteps], 0, maxWireInt)
+	evals, okE := wireInt(sum[sumEvals], 0, maxWireInt)
+	if !okIK || !okL || !okS || !okE {
+		return 0, nil, fmt.Errorf("summary block for ik=%g: index, cutoff or step counts not integers in range", sum[sumIK])
+	}
 	l1 := lmax + 1
 	if len(mom) != momentsHeaderLen+2*l1 {
-		return 0, nil, fmt.Errorf("plinger: moment block length %d, want %d", len(mom), momentsHeaderLen+2*l1)
+		return 0, nil, fmt.Errorf("moment block length %d, want %d", len(mom), momentsHeaderLen+2*l1)
 	}
-	ik = int(sum[sumIK])
-	if int(mom[0]) != ik {
-		return 0, nil, fmt.Errorf("plinger: moment block for ik=%d arrived with summary for ik=%d", int(mom[0]), ik)
+	for i, j := range momentsHeader {
+		if j >= 0 && math.Float64bits(mom[i]) != math.Float64bits(sum[j]) {
+			return 0, nil, fmt.Errorf("moment block header slot %d (%g) disagrees with the summary for ik=%d (%g)", i, mom[i], ik, sum[j])
+		}
+	}
+	gauge, ok := wireInt(mom[4], int(core.Synchronous), int(core.ConformalNewtonian))
+	if !ok {
+		return 0, nil, fmt.Errorf("moment block for ik=%d has gauge %g", ik, mom[4])
 	}
 	r = &core.Result{
 		K:                     sum[sumK],
 		Tau:                   sum[sumTau],
 		A:                     sum[sumA],
-		Gauge:                 core.Gauge(int(mom[4])),
+		Gauge:                 core.Gauge(gauge),
 		LMax:                  lmax,
 		DeltaC:                sum[sumDeltaC],
 		DeltaB:                sum[sumDeltaB],
@@ -276,7 +295,7 @@ func unpackResult(sum, mom []float64) (ik int, r *core.Result, err error) {
 		ThetaL:                append([]float64(nil), mom[momentsHeaderLen:momentsHeaderLen+l1]...),
 		ThetaPL:               append([]float64(nil), mom[momentsHeaderLen+l1:]...),
 	}
-	r.Stats.Steps = int(sum[sumSteps])
-	r.Stats.Evals = int(sum[sumEvals])
+	r.Stats.Steps = steps
+	r.Stats.Evals = evals
 	return ik, r, nil
 }

@@ -348,7 +348,7 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 		}
 		ik := ik1 - 1
 		if ik < 0 || ik >= nk {
-			return workerFaultError{fmt.Errorf("plinger: wavenumber index %d out of range", ik1)}
+			return workerFaultError{fmt.Errorf("wavenumber index %d out of range", ik1)}
 		}
 		if srcBlock != nil {
 			samples, err := unpackSources(ik1, srcBlock)
@@ -583,7 +583,7 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 							failWorker(src)
 							continue
 						}
-						return nil, wf.err
+						return nil, fmt.Errorf("plinger: worker %d: %w", src, wf.err)
 					}
 					return nil, err
 				}
@@ -604,7 +604,7 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 						failWorker(src)
 						continue
 					}
-					return nil, wf.err
+					return nil, fmt.Errorf("plinger: worker %d: %w", src, wf.err)
 				}
 				return nil, err
 			}

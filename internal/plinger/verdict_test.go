@@ -48,6 +48,20 @@ func verdictRows() []verdictRow {
 		{name: "a 3-double moments block", send: func(ik1 int, r *core.Result) []mp.Message {
 			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagMoments, packMoments(ik1, r)[:3])}
 		}},
+		// int(NaN) is -2^63 on amd64, so 2*(lmax+1) wrapped to 2 and a
+		// 10-double block passed the length test into a panicking slice.
+		{name: "a NaN cutoff with a 10-double moments block", named: true, send: func(ik1 int, r *core.Result) []mp.Message {
+			sum := packSummary(ik1, r)
+			sum[sumLMax] = math.NaN()
+			return []mp.Message{msg(TagSummary, sum), msg(TagMoments, packMoments(ik1, r)[:10])}
+		}},
+		// 17 times this count wraps to 4096, so a 4099-double block passed
+		// the length test and the sample slice could not be made.
+		{name: "a sample count that wraps", keep: true, named: true, send: func(ik1 int, r *core.Result) []mp.Message {
+			src := make([]float64, 4099)
+			src[0], src[1], src[2] = float64(ik1), 1085102592571150336, sourceFieldLen
+			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagMoments, packMoments(ik1, r)), msg(TagSources, src)}
+		}},
 	}
 }
 
