@@ -209,13 +209,13 @@ func (s *Supervisor) register(c net.Conn) {
 		c.Close()
 		return
 	}
-	f, err := readFrame(c)
-	if err != nil || f.kind != kindHello {
+	kind, _, payload, err := mp.ReadFrame(c, 1)
+	if err != nil || kind != kindHello {
 		c.Close()
 		return
 	}
 	var hello Hello
-	if err := json.Unmarshal(f.payload, &hello); err != nil {
+	if err := json.Unmarshal(payload, &hello); err != nil {
 		c.Close()
 		return
 	}
@@ -266,18 +266,18 @@ func (s *Supervisor) register(c net.Conn) {
 // readLoop owns one worker connection's inbound side for its lifetime.
 func (s *Supervisor) readLoop(wc *workerConn) {
 	for {
-		f, err := readFrame(wc.conn)
+		kind, tag, payload, err := mp.ReadFrame(wc.conn, 1)
 		if err != nil {
 			s.dropConn(wc, err)
 			return
 		}
 		wc.pingPending.Store(0) // any traffic is liveness
-		switch f.kind {
+		switch kind {
 		case kindPong:
 			// liveness only
 		case kindData:
 			if at := wc.sweep.Load(); at != nil {
-				data, err := decodeFloats(f.payload)
+				data, err := mp.DecodeFloats(payload)
 				if err != nil {
 					s.dropConn(wc, err)
 					return
@@ -285,11 +285,11 @@ func (s *Supervisor) readLoop(wc *workerConn) {
 				// A push after the master finished (a straggler's duplicate)
 				// hits the closed per-sweep queue and is discarded — the
 				// wire form of the master's first-wins rule.
-				_ = at.q.Push(mp.Message{Tag: int(f.tag), Source: at.rank, Data: data})
+				_ = at.q.Push(mp.Message{Tag: int(tag), Source: at.rank, Data: data})
 			}
 		case kindSweepDone:
 			var done sweepDone
-			_ = json.Unmarshal(f.payload, &done)
+			_ = json.Unmarshal(payload, &done)
 			wc.sweep.Store(nil)
 			s.mu.Lock()
 			wc.sweeps++
@@ -298,7 +298,7 @@ func (s *Supervisor) readLoop(wc *workerConn) {
 				s.opt.Logf("farm: worker %d reported sweep error: %s", wc.id, done.Err)
 			}
 		default:
-			s.dropConn(wc, fmt.Errorf("farm: protocol violation: frame kind %d from worker", f.kind))
+			s.dropConn(wc, fmt.Errorf("farm: protocol violation: frame kind %d from worker", kind))
 			return
 		}
 	}
@@ -487,7 +487,7 @@ func (e *masterEndpoint) Send(dst, tag int, data []float64) error {
 	if wc == nil {
 		return fmt.Errorf("farm: no worker holds rank %d", dst)
 	}
-	return writeFrame(wc.conn, &wc.wmu, kindData, int32(tag), encodeFloats(data))
+	return writeFrame(wc.conn, &wc.wmu, kindData, int32(tag), mp.EncodeFloats(data))
 }
 
 func (e *masterEndpoint) Bcast(tag int, data []float64) error {

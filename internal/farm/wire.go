@@ -13,16 +13,13 @@
 package farm
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
 
 	"plinger/internal/core"
+	"plinger/internal/mp"
 )
 
 // farmMagic opens every farm connection ("PLFM"), distinguishing the farm
@@ -47,10 +44,6 @@ const (
 	kindData       = int32(7) // both ways: Appendix-A message (tag + float64s)
 	kindDrain      = int32(8) // master -> worker: finish and exit cleanly
 )
-
-// maxFramePayload bounds one frame's payload (matches tcpmp's 16 Mi
-// doubles); a larger header is a protocol violation, not an allocation.
-const maxFramePayload = 128 << 20
 
 // Hello is the worker's registration: who is joining and with what
 // capacity. Rejoins counts reconnections this process has made before the
@@ -163,13 +156,6 @@ type sweepDone struct {
 	Err string `json:"err,omitempty"`
 }
 
-// frame is one decoded wire frame.
-type frame struct {
-	kind    int32
-	tag     int32
-	payload []byte
-}
-
 // writeTimeout bounds every frame write: a peer whose TCP buffer stopped
 // draining (a wedged process, a dead link before the RST) must cost the
 // writer an error, never a stuck sweep. It is far above any healthy
@@ -179,18 +165,10 @@ var writeTimeout = 30 * time.Second
 // writeFrame sends one frame under the connection's write lock (the
 // control plane and an in-flight sweep's data plane share the socket).
 func writeFrame(conn net.Conn, wmu *sync.Mutex, kind, tag int32, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("farm: frame payload %d bytes exceeds limit", len(payload))
-	}
 	wmu.Lock()
 	defer wmu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	hdr := [3]int32{kind, tag, int32(len(payload))}
-	if err := binary.Write(conn, binary.LittleEndian, hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
+	return mp.WriteFrame(conn, kind, tag, payload, 1)
 }
 
 // writeJSON sends a control frame.
@@ -200,42 +178,4 @@ func writeJSON(conn net.Conn, wmu *sync.Mutex, kind int32, v any) error {
 		return err
 	}
 	return writeFrame(conn, wmu, kind, 0, payload)
-}
-
-// readFrame reads one frame; io deadlines are the caller's business.
-func readFrame(conn net.Conn) (frame, error) {
-	var hdr [3]int32
-	if err := binary.Read(conn, binary.LittleEndian, hdr[:]); err != nil {
-		return frame{}, err
-	}
-	n := int(hdr[2])
-	if n < 0 || n > maxFramePayload {
-		return frame{}, fmt.Errorf("farm: protocol violation: frame of %d payload bytes", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return frame{}, err
-	}
-	return frame{kind: hdr[0], tag: hdr[1], payload: payload}, nil
-}
-
-// encodeFloats/decodeFloats carry Appendix-A message payloads bit-exactly
-// (Float64bits round-trips NaNs and signed zeros unchanged).
-func encodeFloats(data []float64) []byte {
-	buf := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-func decodeFloats(payload []byte) ([]float64, error) {
-	if len(payload)%8 != 0 {
-		return nil, fmt.Errorf("farm: data frame of %d bytes is not a float64 array", len(payload))
-	}
-	data := make([]float64, len(payload)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return data, nil
 }

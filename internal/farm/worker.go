@@ -131,7 +131,7 @@ func (e *workerEndpoint) Master() int { return 0 }
 func (e *workerEndpoint) Send(dst, tag int, data []float64) error {
 	// The Appendix-A protocol is strictly worker<->master; dst is always
 	// the master and rides only in the frame for symmetry with tcpmp.
-	return writeFrame(e.conn, e.wmu, kindData, int32(tag), encodeFloats(data))
+	return writeFrame(e.conn, e.wmu, kindData, int32(tag), mp.EncodeFloats(data))
 }
 
 func (e *workerEndpoint) Bcast(tag int, data []float64) error {
@@ -205,15 +205,15 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 	if err := writeJSON(conn, &wmu, kindHello, hello); err != nil {
 		return fmt.Errorf("farm: worker hello: %w", err)
 	}
-	f, err := readFrame(conn)
+	kind, _, payload, err := mp.ReadFrame(conn, 1)
 	if err != nil {
 		return fmt.Errorf("farm: worker welcome: %w", err)
 	}
-	if f.kind != kindWelcome {
-		return fmt.Errorf("farm: worker expected welcome, got frame kind %d", f.kind)
+	if kind != kindWelcome {
+		return fmt.Errorf("farm: worker expected welcome, got frame kind %d", kind)
 	}
 	var welcome Welcome
-	if err := json.Unmarshal(f.payload, &welcome); err != nil {
+	if err := json.Unmarshal(payload, &welcome); err != nil {
 		return fmt.Errorf("farm: worker welcome: %w", err)
 	}
 	conn.SetDeadline(time.Time{})
@@ -236,12 +236,12 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 			}
 		}()
 		for {
-			f, err := readFrame(conn)
+			kind, tag, payload, err := mp.ReadFrame(conn, 1)
 			if err != nil {
 				ctrl <- ctrlEvent{err: err}
 				return
 			}
-			switch f.kind {
+			switch kind {
 			case kindPing:
 				if err := writeFrame(conn, &wmu, kindPong, 0, nil); err != nil {
 					ctrl <- ctrlEvent{err: err}
@@ -249,7 +249,7 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 				}
 			case kindSweepBegin:
 				spec := new(sweepSpec)
-				if err := json.Unmarshal(f.payload, spec); err != nil {
+				if err := json.Unmarshal(payload, spec); err != nil {
 					ctrl <- ctrlEvent{err: fmt.Errorf("farm: worker sweep spec: %w", err)}
 					return
 				}
@@ -257,19 +257,19 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 				currentQ.Store(q)
 				ctrl <- ctrlEvent{spec: spec, q: q}
 			case kindData:
-				data, err := decodeFloats(f.payload)
+				data, err := mp.DecodeFloats(payload)
 				if err != nil {
 					ctrl <- ctrlEvent{err: err}
 					return
 				}
 				if q := currentQ.Load(); q != nil {
-					_ = q.Push(mp.Message{Tag: int(f.tag), Source: 0, Data: data})
+					_ = q.Push(mp.Message{Tag: int(tag), Source: 0, Data: data})
 				}
 			case kindDrain:
 				ctrl <- ctrlEvent{drain: true}
 				return
 			default:
-				ctrl <- ctrlEvent{err: fmt.Errorf("farm: worker got unexpected frame kind %d", f.kind)}
+				ctrl <- ctrlEvent{err: fmt.Errorf("farm: worker got unexpected frame kind %d", kind)}
 				return
 			}
 		}

@@ -11,8 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,8 +41,9 @@ var ErrProtocol = errors.New("tcpmp: protocol violation")
 
 const magic = 0x504c4e47 // "PLNG"
 
-// maxFrameDoubles bounds a single message (16 Mi doubles = 128 MiB).
-const maxFrameDoubles = 16 << 20
+// unit is the frame length word's unit: tcpmp counts payloads in doubles
+// (see mp.WriteFrame).
+const unit = 8
 
 // hubMagicTimeout bounds how long the hub waits for a freshly accepted
 // connection to present the magic word. Without it, one process that dials
@@ -161,42 +160,26 @@ func (h *Hub) route(rank int) {
 		return
 	}
 	for {
-		var hdr [3]int32 // dst, tag, n
-		if err := binary.Read(src, binary.LittleEndian, hdr[:]); err != nil {
-			return // EOF: process left
+		dst, tag, payload, err := mp.ReadFrame(src, unit)
+		if err != nil {
+			return // EOF: process left; or a malformed frame
 		}
-		dst, tag, n := int(hdr[0]), int(hdr[1]), int(hdr[2])
-		if n < 0 || n > maxFrameDoubles {
-			return
-		}
-		payload := make([]byte, 8*n)
-		if _, err := io.ReadFull(src, payload); err != nil {
-			return
-		}
-		if dst < 0 || dst >= h.n {
+		if dst < 0 || int(dst) >= h.n {
 			continue
 		}
-		h.bytes.Add(int64(8 * n))
-		dc := h.connAt(dst)
+		h.bytes.Add(int64(len(payload)))
+		dc := h.connAt(int(dst))
 		if dc == nil {
 			continue // destination lost its slot during handshake
 		}
-		out := [3]int32{int32(rank), int32(tag), int32(n)}
+		// A write error means the destination died. The frame is dropped but
+		// routing goes on for the rest of the world — killing this loop would
+		// silence the sender toward every process, turning one dead worker
+		// into a dead run. The sender learns of the loss through its
+		// deadlines, like a PVM task whose peer vanished.
 		h.wmu[dst].Lock()
-		err1 := binary.Write(dc, binary.LittleEndian, out[:])
-		var err2 error
-		if err1 == nil {
-			_, err2 = dc.Write(payload)
-		}
+		_ = mp.WriteFrame(dc, int32(rank), tag, payload, unit)
 		h.wmu[dst].Unlock()
-		if err1 != nil || err2 != nil {
-			// The destination died. Drop the frame but keep routing for the
-			// rest of the world — killing this loop would silence the sender
-			// toward every process, turning one dead worker into a dead run.
-			// The sender learns of the loss through its deadlines, like a PVM
-			// task whose peer vanished.
-			continue
-		}
 	}
 }
 
@@ -317,27 +300,18 @@ func (e *endpoint) reader() {
 		} else {
 			e.conn.SetReadDeadline(time.Time{})
 		}
-		var hdr [3]int32 // src, tag, n
-		if err := binary.Read(e.conn, binary.LittleEndian, hdr[:]); err != nil {
-			fail(classify(err))
-			return
-		}
-		n := int(hdr[2])
-		if n < 0 || n > maxFrameDoubles {
-			fail(fmt.Errorf("%w: frame of %d doubles from rank %d", ErrProtocol, n, hdr[0]))
+		src, tag, payload, err := mp.ReadFrame(e.conn, unit)
+		if errors.Is(err, mp.ErrMalformedFrame) {
+			fail(fmt.Errorf("%w: %w from rank %d", ErrProtocol, err, src))
 			e.conn.Close() // a violating peer is dropped, not waited out
 			return
 		}
-		buf := make([]byte, 8*n)
-		if _, err := io.ReadFull(e.conn, buf); err != nil {
+		if err != nil {
 			fail(classify(err))
 			return
 		}
-		data := make([]float64, n)
-		for i := 0; i < n; i++ {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		e.q.Push(mp.Message{Tag: int(hdr[1]), Source: int(hdr[0]), Data: data})
+		data, _ := mp.DecodeFloats(payload) // whole doubles by unit
+		e.q.Push(mp.Message{Tag: int(tag), Source: int(src), Data: data})
 	}
 }
 
@@ -353,16 +327,7 @@ func (e *endpoint) Send(dst, tag int, data []float64) error {
 	} else {
 		e.conn.SetWriteDeadline(time.Time{})
 	}
-	hdr := [3]int32{int32(dst), int32(tag), int32(len(data))}
-	if err := binary.Write(e.conn, binary.LittleEndian, hdr[:]); err != nil {
-		return classify(err)
-	}
-	buf := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	_, err := e.conn.Write(buf)
-	return classify(err)
+	return classify(mp.WriteFrame(e.conn, int32(dst), int32(tag), mp.EncodeFloats(data), unit))
 }
 
 func (e *endpoint) Bcast(tag int, data []float64) error {
