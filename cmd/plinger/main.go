@@ -43,6 +43,7 @@ import (
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
+	runner "plinger/internal/plinger"
 	"plinger/internal/recomb"
 	"plinger/internal/spectra"
 	"plinger/internal/thermo"
@@ -186,7 +187,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("connected as rank %d of %d\n", ep.Rank(), ep.Size())
-			if err := dispatch.RunWorker(ep, model, ks, mode); err != nil && err != mp.ErrClosed {
+			if err := runner.Worker(ep, model, ks, mode); err != nil && err != mp.ErrClosed {
 				log.Fatal(err)
 			}
 		default:

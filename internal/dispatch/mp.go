@@ -18,14 +18,14 @@ import (
 
 // MP is the message-passing backend: the paper's Appendix A master/worker
 // protocol over any mp.Endpoint transport, with the workers as goroutines
-// of this process (or remote processes calling RunWorker). RunMaster owns
-// scheduling and telemetry; the wire protocol itself lives in
+// of this process (or remote processes calling plinger.Worker). RunMaster
+// owns scheduling and telemetry; the wire protocol itself lives in
 // internal/plinger.
 type MP struct {
 	Model *core.Model
 	// Endpoints[0] is the master's endpoint; a worker goroutine is
 	// spawned for every further endpoint. Remote workers in other OS
-	// processes join the same run by calling RunWorker on their own
+	// processes join the same run by calling plinger.Worker on their own
 	// endpoints, in which case Endpoints holds only the master.
 	Endpoints []mp.Endpoint
 	// Schedule is the hand-out order (zero value: largest-first).
@@ -178,13 +178,6 @@ func (d *MP) transportName() string {
 		return "unknown"
 	}
 	return d.Transport
-}
-
-// RunWorker joins an MP run from the worker side: remote processes (e.g.
-// cmd/plinger -role worker) call it on their own endpoint while the master
-// process runs MP.Run with only the master endpoint.
-func RunWorker(ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params) error {
-	return runner.Worker(ep, model, ks, mode)
 }
 
 // NewMP builds an MP dispatcher over a freshly created in-process world of

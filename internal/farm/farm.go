@@ -470,10 +470,11 @@ func (s *Supervisor) allowRestart() bool {
 // --- the sweep path ---
 
 // masterEndpoint adapts the roster slice claimed for one sweep to
-// mp.Endpoint for runner.Master. Rank 0 is the in-process master; rank r
-// (1-based) is peers[r].
+// mp.Endpoint for runner.Master. Rank 0 is the in-process master, whose
+// mailbox every claimed connection's reader fills; rank r (1-based) is
+// peers[r].
 type masterEndpoint struct {
-	q     *mp.Queue
+	*mp.Queue
 	peers map[int]*workerConn
 	size  int
 }
@@ -498,23 +499,6 @@ func (e *masterEndpoint) Bcast(tag int, data []float64) error {
 		}
 	}
 	return first
-}
-
-func (e *masterEndpoint) Probe(tag, source int) (int, int, error) {
-	return e.q.Probe(tag, source)
-}
-
-func (e *masterEndpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return e.q.ProbeTimeout(tag, source, d)
-}
-
-func (e *masterEndpoint) Recv(tag, source int) (mp.Message, error) {
-	return e.q.Recv(tag, source)
-}
-
-func (e *masterEndpoint) Close() error {
-	e.q.Close()
-	return nil
 }
 
 // claimWorkers waits (bounded) for MinWorkers idle workers, then marks
@@ -586,7 +570,7 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 	q := mp.NewQueue()
 	peers := s.claimWorkers(ctx, q)
 	world := len(peers) + 1
-	ep := &masterEndpoint{q: q, peers: peers, size: world}
+	ep := &masterEndpoint{Queue: q, peers: peers, size: world}
 
 	// Membership: each claimed worker learns its rank, the world size, the
 	// model, the grid, and the mode — then the Appendix-A protocol takes

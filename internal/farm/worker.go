@@ -114,14 +114,14 @@ func (c *ModelCache) Len() int {
 
 // workerEndpoint adapts one farm connection to mp.Endpoint for the
 // duration of one sweep on the worker side. Sends become data frames to
-// the master; receives drain the queue the session reader fills from the
+// the master; receives drain the mailbox the session reader fills from the
 // master's data frames.
 type workerEndpoint struct {
+	*mp.Queue
 	conn net.Conn
 	wmu  *sync.Mutex
 	rank int
 	size int
-	q    *mp.Queue
 }
 
 func (e *workerEndpoint) Rank() int   { return e.rank }
@@ -136,23 +136,6 @@ func (e *workerEndpoint) Send(dst, tag int, data []float64) error {
 
 func (e *workerEndpoint) Bcast(tag int, data []float64) error {
 	return e.Send(0, tag, data)
-}
-
-func (e *workerEndpoint) Probe(tag, source int) (int, int, error) {
-	return e.q.Probe(tag, source)
-}
-
-func (e *workerEndpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return e.q.ProbeTimeout(tag, source, d)
-}
-
-func (e *workerEndpoint) Recv(tag, source int) (mp.Message, error) {
-	return e.q.Recv(tag, source)
-}
-
-func (e *workerEndpoint) Close() error {
-	e.q.Close()
-	return nil
 }
 
 // ctrlEvent is one control-plane event the session reader hands the sweep
@@ -321,6 +304,6 @@ func serveSweep(conn net.Conn, wmu *sync.Mutex, sp *sweepSpec, q *mp.Queue, mode
 		// entering the per-mode loop, exactly as the in-process backends do.
 		model.EnsureEvalTables(dispatch.ParallelFor)
 	}
-	ep := &workerEndpoint{conn: conn, wmu: wmu, rank: sp.Rank, size: sp.World, q: q}
+	ep := &workerEndpoint{Queue: q, conn: conn, wmu: wmu, rank: sp.Rank, size: sp.World}
 	return runner.WorkerWith(ep, model, sp.Ks, mode, scratch)
 }

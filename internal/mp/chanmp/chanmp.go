@@ -7,7 +7,6 @@ package chanmp
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"plinger/internal/mp"
 )
@@ -18,10 +17,11 @@ type World struct {
 	bytes atomic.Int64 // payload bytes moved, for the message-size table
 }
 
+// endpoint is one rank's mailbox plus the world it sends into.
 type endpoint struct {
+	*mp.Queue
 	w    *World
 	rank int
-	q    *mp.Queue
 }
 
 // New creates a world of n endpoints; rank 0 is the master.
@@ -37,7 +37,7 @@ func NewWithQueues(n int, newQueue func() *mp.Queue) (*World, []mp.Endpoint, err
 	w := &World{eps: make([]*endpoint, n)}
 	out := make([]mp.Endpoint, n)
 	for i := 0; i < n; i++ {
-		w.eps[i] = &endpoint{w: w, rank: i, q: newQueue()}
+		w.eps[i] = &endpoint{Queue: newQueue(), w: w, rank: i}
 		out[i] = w.eps[i]
 	}
 	return w, out, nil
@@ -59,7 +59,7 @@ func (e *endpoint) deliver(dst int, m mp.Message) error {
 	cp := m
 	cp.Data = append([]float64(nil), m.Data...)
 	e.w.bytes.Add(int64(8 * len(m.Data)))
-	return e.w.eps[dst].q.Push(cp)
+	return e.w.eps[dst].Push(cp)
 }
 
 func (e *endpoint) Bcast(tag int, data []float64) error {
@@ -76,22 +76,4 @@ func (e *endpoint) Bcast(tag int, data []float64) error {
 
 func (e *endpoint) Send(dst, tag int, data []float64) error {
 	return e.deliver(dst, mp.Message{Tag: tag, Source: e.rank, Data: data})
-}
-
-func (e *endpoint) Probe(tag, source int) (int, int, error) {
-	return e.q.Probe(tag, source)
-}
-
-// ProbeTimeout implements mp.DeadlineProber.
-func (e *endpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return e.q.ProbeTimeout(tag, source, d)
-}
-
-func (e *endpoint) Recv(tag, source int) (mp.Message, error) {
-	return e.q.Recv(tag, source)
-}
-
-func (e *endpoint) Close() error {
-	e.q.Close()
-	return nil
 }

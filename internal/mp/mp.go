@@ -92,7 +92,9 @@ type DeadlineProber interface {
 // Queue is a blocking mailbox with MPI matching semantics: messages are
 // kept in arrival order and probes/receives select the first message whose
 // (tag, source) matches, preserving FIFO order per (source, tag) pair.
-// It is the shared matching engine of all transports.
+// It is the shared matching engine of all transports: every endpoint embeds
+// one, so its Probe, ProbeTimeout, Recv and (unless the endpoint has more to
+// release) Close are the queue's own.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -131,12 +133,14 @@ func (q *Queue) Push(m Message) error {
 	return nil
 }
 
-// Close wakes all waiters with ErrClosed.
-func (q *Queue) Close() {
+// Close wakes all waiters with ErrClosed. It returns nil; the error is
+// there so that an endpoint embedding the queue satisfies Endpoint.
+func (q *Queue) Close() error {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
+	return nil
 }
 
 func match(m Message, tag, source int) bool {

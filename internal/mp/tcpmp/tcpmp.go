@@ -183,12 +183,13 @@ func (h *Hub) route(rank int) {
 	}
 }
 
-// endpoint is one process's connection to the hub.
+// endpoint is one process's connection to the hub: a mailbox the reader
+// goroutine fills, and the socket Send writes to.
 type endpoint struct {
+	*mp.Queue
 	conn net.Conn
 	rank int
 	size int
-	q    *mp.Queue
 	wmu  sync.Mutex
 
 	// readTO/writeTO are optional per-frame i/o deadlines in nanoseconds
@@ -282,7 +283,7 @@ func ConnectTimeout(addr string, timeout time.Duration) (mp.Endpoint, error) {
 			return nil, err
 		}
 	}
-	e := &endpoint{conn: c, rank: int(hdr[0]), size: int(hdr[1]), q: mp.NewQueue()}
+	e := &endpoint{Queue: mp.NewQueue(), conn: c, rank: int(hdr[0]), size: int(hdr[1])}
 	go e.reader()
 	return e, nil
 }
@@ -292,7 +293,7 @@ func (e *endpoint) reader() {
 		if !e.closed.Load() {
 			e.ioErr.Store(err)
 		}
-		e.q.Close()
+		e.Queue.Close()
 	}
 	for {
 		if to := e.readTO.Load(); to > 0 {
@@ -311,7 +312,7 @@ func (e *endpoint) reader() {
 			return
 		}
 		data, _ := mp.DecodeFloats(payload) // whole doubles by unit
-		e.q.Push(mp.Message{Tag: int(tag), Source: int(src), Data: data})
+		e.Push(mp.Message{Tag: int(tag), Source: int(src), Data: data})
 	}
 }
 
@@ -342,21 +343,8 @@ func (e *endpoint) Bcast(tag int, data []float64) error {
 	return nil
 }
 
-func (e *endpoint) Probe(tag, source int) (int, int, error) {
-	return e.q.Probe(tag, source)
-}
-
-// ProbeTimeout implements mp.DeadlineProber.
-func (e *endpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return e.q.ProbeTimeout(tag, source, d)
-}
-
-func (e *endpoint) Recv(tag, source int) (mp.Message, error) {
-	return e.q.Recv(tag, source)
-}
-
 func (e *endpoint) Close() error {
 	e.closed.Store(true)
-	e.q.Close()
+	e.Queue.Close()
 	return e.conn.Close()
 }
