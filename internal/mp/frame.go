@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // The one socket frame of the repository, shared by the tcpmp hub and the
@@ -19,9 +18,9 @@ import (
 const MaxFrameBytes = 128 << 20
 
 // frameTrustBytes is how much of a header's claimed length ReadFrame
-// allocates before any payload has arrived; a longer payload doubles the
-// buffer as its bytes come in, so a header alone costs at most this much and
-// a frame at most this plus four times the bytes that actually arrived.
+// allocates before any payload has arrived; a longer payload at least doubles
+// the buffer each time it fills, so a header alone costs at most this much
+// and a frame at most this plus five times the bytes that actually arrived.
 // Every sweep frame is below it (a paper-scale sources block is ~224 KB).
 const frameTrustBytes = 1 << 20
 
@@ -35,11 +34,7 @@ func WriteFrame(w io.Writer, a, b int32, payload []byte, unit int) error {
 	if len(payload)%unit != 0 || len(payload) > MaxFrameBytes {
 		return fmt.Errorf("%w: %d payload bytes in units of %d", ErrMalformedFrame, len(payload), unit)
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(a))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(b))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)/unit))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, []int32{a, b, int32(len(payload) / unit)}); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -50,32 +45,30 @@ func WriteFrame(w io.Writer, a, b int32, payload []byte, unit int) error {
 // header with an impossible length is ErrMalformedFrame; a stream that ends
 // inside a frame is io.ErrUnexpectedEOF, and one that ends before it io.EOF.
 func ReadFrame(r io.Reader, unit int) (a, b int32, payload []byte, err error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [3]int32
+	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	a = int32(binary.LittleEndian.Uint32(hdr[0:]))
-	b = int32(binary.LittleEndian.Uint32(hdr[4:]))
-	n := int(int32(binary.LittleEndian.Uint32(hdr[8:])))
+	a, b, n := hdr[0], hdr[1], int(hdr[2])
 	if n < 0 || n > MaxFrameBytes/unit {
 		return a, b, nil, fmt.Errorf("%w: length %d in units of %d", ErrMalformedFrame, n, unit)
 	}
 	size := n * unit
-	payload = make([]byte, 0, min(size, frameTrustBytes))
-	for len(payload) < size {
-		if len(payload) == cap(payload) {
-			payload = slices.Grow(payload, min(size-len(payload), len(payload)))
-		}
-		got, err := io.ReadFull(r, payload[len(payload):min(size, cap(payload))])
-		payload = payload[:len(payload)+got]
+	payload = make([]byte, min(size, frameTrustBytes))
+	for have := 0; ; {
+		got, err := io.ReadFull(r, payload[have:])
+		have += got
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
 			return a, b, nil, err
 		}
+		if have == size {
+			return a, b, payload, nil
+		}
+		payload = append(payload, make([]byte, min(size-have, have))...)
 	}
-	return a, b, payload, nil
 }
 
 // EncodeFloats lays data out as little-endian doubles, bit for bit (NaN

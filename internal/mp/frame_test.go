@@ -107,7 +107,7 @@ func TestWriteFrameIsTwoWrites(t *testing.T) {
 }
 
 // FuzzReadFrame: no input panics the reader, none makes it allocate more than
-// the trust size plus four times the bytes supplied, and a frame it accepts
+// the trust size plus five times the bytes supplied, and a frame it accepts
 // writes back as exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(append(header(1, 5, 2), EncodeFloats([]float64{1.5, -2})...), false)
@@ -122,7 +122,7 @@ func FuzzReadFrame(f *testing.F) {
 		var a, b int32
 		var payload []byte
 		var err error
-		if n := allocated(func() { a, b, payload, err = ReadFrame(r, unit) }); n > frameTrustBytes+4*uint64(len(in))+4096 {
+		if n := allocated(func() { a, b, payload, err = ReadFrame(r, unit) }); n > frameTrustBytes+5*uint64(len(in))+4096 {
 			t.Fatalf("%d input bytes cost %d allocated", len(in), n)
 		}
 		if err != nil {

@@ -120,27 +120,29 @@ const (
 // in the tag-5 block.
 const momentsHeaderLen = 8
 
+// summarySlots points each floating-point slot of the tag-4 block at its
+// field of r, for packSummary and unpackResult alike; the integer slots
+// (index, step counts, cutoff) are nil.
+func summarySlots(r *core.Result) [summaryBlockLen]*float64 {
+	return [summaryBlockLen]*float64{
+		sumK: &r.K, sumTau: &r.Tau, sumA: &r.A,
+		sumDeltaC: &r.DeltaC, sumDeltaB: &r.DeltaB, sumDeltaG: &r.DeltaG,
+		sumDeltaNu: &r.DeltaNu, sumDeltaHNu: &r.DeltaHNu,
+		sumThetaC: &r.ThetaC, sumThetaB: &r.ThetaB,
+		sumPhi: &r.Phi, sumPsi: &r.Psi, sumEta: &r.Eta, sumHDot: &r.HDot,
+		sumResidual: &r.MaxConstraintResidual, sumSeconds: &r.Seconds, sumFlops: &r.Flops,
+	}
+}
+
 // packSummary flattens a Result into the paper's tag-4 block.
 func packSummary(ik int, r *core.Result) []float64 {
 	y := make([]float64, summaryBlockLen)
+	for i, f := range summarySlots(r) {
+		if f != nil {
+			y[i] = *f
+		}
+	}
 	y[sumIK] = float64(ik)
-	y[sumK] = r.K
-	y[sumTau] = r.Tau
-	y[sumA] = r.A
-	y[sumDeltaC] = r.DeltaC
-	y[sumDeltaB] = r.DeltaB
-	y[sumDeltaG] = r.DeltaG
-	y[sumDeltaNu] = r.DeltaNu
-	y[sumDeltaHNu] = r.DeltaHNu
-	y[sumThetaC] = r.ThetaC
-	y[sumThetaB] = r.ThetaB
-	y[sumPhi] = r.Phi
-	y[sumPsi] = r.Psi
-	y[sumEta] = r.Eta
-	y[sumHDot] = r.HDot
-	y[sumResidual] = r.MaxConstraintResidual
-	y[sumSeconds] = r.Seconds
-	y[sumFlops] = r.Flops
 	y[sumSteps] = float64(r.Stats.Steps)
 	y[sumEvals] = float64(r.Stats.Evals)
 	y[sumLMax] = float64(r.LMax)
@@ -175,6 +177,14 @@ const sourcesHeaderLen = 3
 // misparsed.
 const sourceFieldLen = 17
 
+// sampleSlots lists a sample's fields in their tag-7 order, for packSources
+// and unpackSources alike.
+func sampleSlots(s *core.Sample) [sourceFieldLen]*float64 {
+	return [...]*float64{&s.Tau, &s.A, &s.Theta0, &s.Psi, &s.Phi, &s.PhiDot,
+		&s.Eta, &s.HDot, &s.EtaDot, &s.Alpha, &s.VB, &s.Pi, &s.Kdot, &s.Kappa,
+		&s.DeltaC, &s.DeltaB, &s.Residual}
+}
+
 // packSources flattens the recorded line-of-sight samples into the tag-7
 // block.
 func packSources(ik int, r *core.Result) []float64 {
@@ -182,26 +192,10 @@ func packSources(ik int, r *core.Result) []float64 {
 	y[0] = float64(ik)
 	y[1] = float64(len(r.Sources))
 	y[2] = sourceFieldLen
-	o := sourcesHeaderLen
-	for _, s := range r.Sources {
-		y[o+0] = s.Tau
-		y[o+1] = s.A
-		y[o+2] = s.Theta0
-		y[o+3] = s.Psi
-		y[o+4] = s.Phi
-		y[o+5] = s.PhiDot
-		y[o+6] = s.Eta
-		y[o+7] = s.HDot
-		y[o+8] = s.EtaDot
-		y[o+9] = s.Alpha
-		y[o+10] = s.VB
-		y[o+11] = s.Pi
-		y[o+12] = s.Kdot
-		y[o+13] = s.Kappa
-		y[o+14] = s.DeltaC
-		y[o+15] = s.DeltaB
-		y[o+16] = s.Residual
-		o += sourceFieldLen
+	for i := range r.Sources {
+		for j, f := range sampleSlots(&r.Sources[i]) {
+			y[sourcesHeaderLen+i*sourceFieldLen+j] = *f
+		}
 	}
 	return y
 }
@@ -224,18 +218,10 @@ func unpackSources(ik int, y []float64) ([]core.Sample, error) {
 		return nil, fmt.Errorf("sources block length %d for %g samples", len(y), y[1])
 	}
 	out := make([]core.Sample, n)
-	o := sourcesHeaderLen
 	for i := range out {
-		out[i] = core.Sample{
-			Tau: y[o+0], A: y[o+1], Theta0: y[o+2],
-			Psi: y[o+3], Phi: y[o+4], PhiDot: y[o+5],
-			Eta: y[o+6], HDot: y[o+7], EtaDot: y[o+8], Alpha: y[o+9],
-			VB: y[o+10], Pi: y[o+11],
-			Kdot: y[o+12], Kappa: y[o+13],
-			DeltaC: y[o+14], DeltaB: y[o+15],
-			Residual: y[o+16],
+		for j, f := range sampleSlots(&out[i]) {
+			*f = y[sourcesHeaderLen+i*sourceFieldLen+j]
 		}
-		o += sourceFieldLen
 	}
 	return out, nil
 }
@@ -273,27 +259,15 @@ func unpackResult(sum, mom []float64) (ik int, r *core.Result, err error) {
 		return 0, nil, fmt.Errorf("moment block for ik=%d has gauge %g", ik, mom[4])
 	}
 	r = &core.Result{
-		K:                     sum[sumK],
-		Tau:                   sum[sumTau],
-		A:                     sum[sumA],
-		Gauge:                 core.Gauge(gauge),
-		LMax:                  lmax,
-		DeltaC:                sum[sumDeltaC],
-		DeltaB:                sum[sumDeltaB],
-		DeltaG:                sum[sumDeltaG],
-		DeltaNu:               sum[sumDeltaNu],
-		DeltaHNu:              sum[sumDeltaHNu],
-		ThetaC:                sum[sumThetaC],
-		ThetaB:                sum[sumThetaB],
-		Phi:                   sum[sumPhi],
-		Psi:                   sum[sumPsi],
-		Eta:                   sum[sumEta],
-		HDot:                  sum[sumHDot],
-		MaxConstraintResidual: sum[sumResidual],
-		Seconds:               sum[sumSeconds],
-		Flops:                 sum[sumFlops],
-		ThetaL:                append([]float64(nil), mom[momentsHeaderLen:momentsHeaderLen+l1]...),
-		ThetaPL:               append([]float64(nil), mom[momentsHeaderLen+l1:]...),
+		Gauge:   core.Gauge(gauge),
+		LMax:    lmax,
+		ThetaL:  append([]float64(nil), mom[momentsHeaderLen:momentsHeaderLen+l1]...),
+		ThetaPL: append([]float64(nil), mom[momentsHeaderLen+l1:]...),
+	}
+	for i, f := range summarySlots(r) {
+		if f != nil {
+			*f = sum[i]
+		}
 	}
 	r.Stats.Steps = steps
 	r.Stats.Evals = evals

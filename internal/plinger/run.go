@@ -2,9 +2,9 @@ package plinger
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -139,15 +139,6 @@ func handOutOrder(cfg Config, nk int) ([]int, error) {
 	return cfg.Order, nil
 }
 
-// workerFaultError marks an error caused by one worker's data or behavior
-// (a protocol violation, a corrupt block) rather than by the master itself.
-// The fault-tolerant master converts it into a worker failure; the paper's
-// original protocol aborts the run with the inner error.
-type workerFaultError struct{ err error }
-
-func (e workerFaultError) Error() string { return e.err.Error() }
-func (e workerFaultError) Unwrap() error { return e.err }
-
 // Master runs the master subroutine of Appendix A over the endpoint. It
 // returns when every wavenumber has been received and every worker stopped.
 //
@@ -173,503 +164,399 @@ func Master(ep mp.Endpoint, model *core.Model, cfg Config) (*Results, error) {
 		return nil, fmt.Errorf("plinger: per-k lmax table has %d entries for %d wavenumbers", len(cfg.PerKLMax), nk)
 	}
 	start := time.Now()
+	m := &master{
+		ep: ep, model: model, cfg: cfg, ft: cfg.AssignDeadline > 0,
+		tauEnd: cfg.Mode.TauEnd, blocks: blocks, order: order,
+		peers:   map[int]*peer{},
+		workers: map[int]*WorkerTiming{},
+		res:     &Results{Mode: make([]*core.Result, nk), KValues: append([]float64(nil), cfg.KValues...)},
+	}
+	if m.tauEnd <= 0 {
+		m.tauEnd = model.BG.Tau0()
+	}
+	for rank := 0; rank < ep.Size(); rank++ {
+		if rank != ep.Master() {
+			m.peers[rank] = &peer{}
+			if m.ft {
+				m.peers[rank].due = start.Add(cfg.AssignDeadline)
+			}
+		}
+	}
+	m.live = len(m.peers)
 
 	// Broadcast initial data (tag 1): end time, lmax, nk, gauge, rtol,
 	// keep-sources flag.
-	tauEnd := cfg.Mode.TauEnd
-	if tauEnd <= 0 {
-		tauEnd = model.BG.Tau0()
-	}
 	keep := 0.0
 	if cfg.Mode.KeepSources {
 		keep = 1.0
 	}
-	init := []float64{tauEnd, float64(cfg.Mode.LMax), float64(nk),
+	init := []float64{m.tauEnd, float64(cfg.Mode.LMax), float64(nk),
 		float64(cfg.Mode.Gauge), cfg.Mode.RTol, keep}
 	if len(init) != initBlockLen {
 		panic("plinger: init block length drifted from the protocol")
 	}
-	ft := cfg.AssignDeadline > 0
-	prober, hasProber := ep.(mp.DeadlineProber)
-	if err := ep.Bcast(TagInit, init); err != nil {
+	if err := ep.Bcast(TagInit, init); err != nil && !m.ft {
 		// Under fault tolerance a worker unreachable at broadcast time is a
 		// worker failure, not a run failure: whoever missed the init never
-		// requests work and falls to the start-up deadline below.
-		if !ft {
-			return nil, fmt.Errorf("plinger: broadcast: %w", err)
-		}
+		// requests work and falls to its start-up deadline.
+		return nil, fmt.Errorf("plinger: broadcast: %w", err)
 	}
 
-	res := &Results{
-		Mode:    make([]*core.Result, nk),
-		KValues: append([]float64(nil), cfg.KValues...),
-	}
-	workers := map[int]*WorkerTiming{}
-	var bytes int64
-
-	next := 0 // position in order
-	done := 0
-	stopped := map[int]bool{}
-	// left counts a worker's outstanding members of its current block, so a
-	// batched assignment triggers exactly one follow-up hand-out — after its
-	// last member completes, not after every one.
-	left := map[int]int{}
-
-	// Fault-tolerance state. Every live worker owes the master a message
-	// before its deadlineAt entry expires: first the start-up request, then
-	// per-assignment progress. orphans holds blocks whose owner died; they
-	// are handed out ahead of fresh work. computing counts live workers with
-	// an assigned block still outstanding.
-	failed := map[int]bool{}
-	assignedBlock := map[int]int{}
-	deadlineAt := map[int]time.Time{}
-	var orphans []int
-	computing := 0
-	if ft {
-		for rank := 0; rank < ep.Size(); rank++ {
-			if rank != ep.Master() {
-				deadlineAt[rank] = start.Add(cfg.AssignDeadline)
-			}
-		}
-	}
-
-	touch := func(src int) *WorkerTiming {
-		w := workers[src]
-		if w == nil {
-			w = &WorkerTiming{Rank: src}
-			workers[src] = w
-		}
-		return w
-	}
-
-	// A mode's result arrives as two or three messages (summary, moments,
-	// optionally sources). Messages from different workers interleave
-	// arbitrarily — and a strict arrival-order (MPL-style) transport can
-	// only ever deliver the head of the queue — so the master consumes
-	// every message in arrival order and assembles records per source.
-	type inflight struct {
-		sum, mom []float64
-	}
-	pending := map[int]*inflight{}
-
-	// failWorker declares a live worker dead: its half-assembled record is
-	// discarded and its in-flight block joins the orphan queue for a full
-	// re-run (the lockstep batch ties every trajectory to the whole block,
-	// so resuming mid-block would change bits).
-	failWorker := func(rank int) {
-		if !ft || failed[rank] || stopped[rank] {
-			return
-		}
-		failed[rank] = true
-		res.WorkerFailures++
-		res.FailedRanks = append(res.FailedRanks, rank)
-		delete(deadlineAt, rank)
-		delete(pending, rank)
-		if left[rank] > 0 {
-			computing--
-			left[rank] = 0
-			orphans = append(orphans, assignedBlock[rank])
-			delete(assignedBlock, rank)
-		}
-	}
-
-	blockLMax := func(lo, hi int) float64 {
-		lmax := 0.0
-		if cfg.PerKLMax != nil {
-			// The block runs at the largest cutoff among its members
-			// (the lockstep batch unifies the hierarchy anyway).
-			for ik := lo; ik < hi; ik++ {
-				if l := cfg.PerKLMax[ik]; l > 0 && float64(l) > lmax {
-					lmax = float64(l)
-				}
-			}
-		}
-		return lmax
-	}
-
-	assign := func(dst int) error {
-		blockIdx := -1
-		if ft && len(orphans) > 0 {
-			blockIdx = orphans[0]
-			orphans = orphans[1:]
-			res.Reassignments++
-		} else if next < len(order) {
-			blockIdx = order[next]
-			next++
-		}
-		if blockIdx < 0 {
-			if !stopped[dst] {
-				stopped[dst] = true
-				delete(deadlineAt, dst)
-				if err := ep.Send(dst, TagStop, []float64{0}); err != nil {
-					if ft {
-						return nil // unreachable and already stopped: moot
-					}
-					return err
-				}
-			}
-			return nil
-		}
-		lo, hi := blocks[blockIdx][0], blocks[blockIdx][1]
-		lmax := blockLMax(lo, hi)
-		left[dst] = hi - lo
-		assignedBlock[dst] = blockIdx
-		computing++
-		if ft {
-			deadlineAt[dst] = time.Now().Add(cfg.AssignDeadline)
-		}
-		var payload []float64
-		if hi-lo == 1 {
-			// The Fortran sends the 1-based wavenumber index; the
-			// optional second value is the per-k hierarchy cutoff.
-			payload = []float64{float64(lo + 1), lmax}
-		} else {
-			// Batched assignment: 1-based first index, unified cutoff, and
-			// the block size as the third value.
-			payload = []float64{float64(lo + 1), lmax, float64(hi - lo)}
-		}
-		if err := ep.Send(dst, TagAssign, payload); err != nil {
-			if ft {
-				// The transport already knows this worker is gone; orphan
-				// the block for the next live requester.
-				failWorker(dst)
-				return nil
-			}
-			return err
-		}
-		return nil
-	}
-
-	complete := func(src int, fl *inflight, srcBlock []float64) error {
-		delete(pending, src)
-		ik1, r, err := unpackResult(fl.sum, fl.mom)
-		if err != nil {
-			return workerFaultError{err}
-		}
-		ik := ik1 - 1
-		if ik < 0 || ik >= nk {
-			return workerFaultError{fmt.Errorf("wavenumber index %d out of range", ik1)}
-		}
-		if srcBlock != nil {
-			samples, err := unpackSources(ik1, srcBlock)
-			if err != nil {
-				return workerFaultError{err}
-			}
-			r.Sources = samples
-		}
-		if res.Mode[ik] == nil {
-			// First-wins: a reassigned block re-runs members its dead owner
-			// already delivered, and only the first copy of each mode counts
-			// (identical bits either way — a mode is a pure function of k).
-			res.Mode[ik] = r
-			done++
-			w := touch(src)
-			w.Modes++
-			w.Seconds += r.Seconds
-			w.Flops += r.Flops
-			if cfg.ASCIIOut != nil {
-				if err := writeASCIIRecord(cfg.ASCIIOut, fl.sum); err != nil {
-					return err
-				}
-			}
-			if cfg.BinaryOut != nil {
-				if err := writeBinaryRecord(cfg.BinaryOut, fl.mom); err != nil {
-					return err
-				}
-			}
-		}
-		left[src]--
-		if left[src] > 0 {
-			return nil // more members of this worker's block are in flight
-		}
-		computing--
-		delete(assignedBlock, src)
-		return assign(src)
-	}
-
-	// live counts workers that could still produce results or requests.
-	live := func() int {
-		n := 0
-		for rank := 0; rank < ep.Size(); rank++ {
-			if rank != ep.Master() && !failed[rank] && !stopped[rank] {
-				n++
-			}
-		}
-		return n
-	}
-
-	// downReport honours an out-of-band death report (see TagDown), so the
-	// casualty's block is orphaned now instead of at its deadline.
-	downReport := func(m mp.Message) bool {
-		if !ft || m.Tag != TagDown || m.Source != ep.Rank() || len(m.Data) != 1 {
-			return false
-		}
-		failWorker(int(m.Data[0]))
-		return true
-	}
-
-	// expire fails every worker whose deadline has passed.
-	expire := func(now time.Time) {
-		for rank, dl := range deadlineAt {
-			if !dl.After(now) {
-				res.DeadlineMisses++
-				touch(rank).DeadlineMisses++
-				failWorker(rank)
-			}
-		}
-	}
-
-	// probeNext waits for the next message, bounded by the earliest live
-	// deadline under fault tolerance. ok=false reports a deadline expiry
-	// instead of a message.
-	probeNext := func() (int, int, bool, error) {
-		if ft && hasProber && len(deadlineAt) > 0 {
-			earliest := time.Time{}
-			for _, dl := range deadlineAt {
-				if earliest.IsZero() || dl.Before(earliest) {
-					earliest = dl
-				}
-			}
-			wait := time.Until(earliest)
-			if wait <= 0 {
-				return 0, 0, false, nil
-			}
-			return prober.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
-		}
-		tag, src, err := ep.Probe(mp.AnyTag, mp.AnySource)
-		return tag, src, err == nil, err
-	}
-
-	// recomputeLocal is the last-resort degradation: with every worker lost,
-	// the master evolves the remaining blocks itself, mirroring the worker's
-	// exact evolution call so the results stay bitwise-identical.
-	recomputeLocal := func() error {
-		rem := append([]int(nil), orphans...)
-		orphans = orphans[:0]
-		for ; next < len(order); next++ {
-			rem = append(rem, order[next])
-		}
-		if len(rem) == 0 {
-			return nil
-		}
-		scratch := core.NewScratch()
-		self := ep.Rank()
-		for _, bi := range rem {
-			lo, hi := blocks[bi][0], blocks[bi][1]
-			p := cfg.Mode
-			p.TauEnd = tauEnd
-			p.K = cfg.KValues[lo]
-			if lm := blockLMax(lo, hi); lm > 0 {
-				p.LMax = int(lm)
-			}
-			rs, err := func() (rs []*core.Result, err error) {
-				// The degradation path runs on the master's own stack; a
-				// panicking evolution must fail the run, not the process —
-				// symmetric with the worker goroutines' recovery.
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("panic: %v", r)
-					}
-				}()
-				return model.EvolveBatchWith(cfg.KValues[lo:hi], p, nil, scratch)
-			}()
-			if err != nil {
-				return fmt.Errorf("plinger: local recompute (ik=%d+%d): %w", lo+1, hi-lo, err)
-			}
-			for j, r := range rs {
-				ik := lo + j
-				if res.Mode[ik] != nil {
-					continue // first-wins against results received earlier
-				}
-				res.Mode[ik] = r
-				done++
-				res.LocalModes++
-				w := touch(self)
-				w.Modes++
-				w.Seconds += r.Seconds
-				w.Flops += r.Flops
-				obsModeSeconds.ObserveShard(self, r.Seconds)
-				if cfg.ASCIIOut != nil {
-					if err := writeASCIIRecord(cfg.ASCIIOut, packSummary(ik+1, r)); err != nil {
-						return err
-					}
-				}
-				if cfg.BinaryOut != nil {
-					if err := writeBinaryRecord(cfg.BinaryOut, packMoments(ik+1, r)); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-
-	// Under fault tolerance the loop also waits out live workers still
-	// holding a block past done == nk — possible when a reassigned block's
-	// members were all first-won by its dead previous owner — so that every
-	// live worker ends the loop stopped. Without fault tolerance computing
-	// can never outlast done == nk and the condition is the paper's.
-	for done < nk || computing > 0 {
-		if ft && live() == 0 {
+	// Every worker sends exactly one request after the init, and one that
+	// comes after the last block went out is answered with a stop, so the
+	// loop runs until every mode is in and every worker stopped. Under fault
+	// tolerance it also waits out live workers still holding a block past
+	// done == nk — possible when a reassigned block's members were first-won
+	// by its dead previous owner. Like the paper's protocol the plain path
+	// has no fault tolerance: a worker that joined the world but died before
+	// its first request stalls it.
+	for m.done < nk || m.computing > 0 || m.live > 0 {
+		if m.ft && m.live == 0 {
 			// Nobody left to compute or request: finish the sweep locally
 			// rather than stall (the paper: "this has no fault tolerance" —
 			// this path is precisely what it lacked).
-			if err := recomputeLocal(); err != nil {
+			if err := m.recomputeLocal(); err != nil {
 				return nil, err
 			}
 			break
 		}
-		tag, src, ok, err := probeNext()
+		tag, src, ok, err := m.probe()
 		if err != nil {
 			return nil, fmt.Errorf("plinger: master probe: %w", err)
 		}
 		if !ok {
-			expire(time.Now())
+			m.expire(time.Now())
 			continue
 		}
-		m, err := ep.Recv(tag, src)
+		msg, err := ep.Recv(tag, src)
 		if err != nil {
 			return nil, err
 		}
-		if downReport(m) {
-			continue
-		}
-		bytes += int64(8 * len(m.Data))
-		if ft && failed[src] {
-			// A worker declared dead may still be alive (a blown deadline on
-			// a slow link). Its work was reassigned; discard the duplicates
-			// and, if it asks for more, tell it to exit.
-			if tag == TagRequest {
-				_ = ep.Send(src, TagStop, []float64{0})
-			}
-			continue
-		}
-		if ft && left[src] > 0 {
-			// Any message is progress: the deadline bounds silence, so a
-			// worker grinding through a long block stays alive as long as
-			// its members keep arriving.
-			deadlineAt[src] = time.Now().Add(cfg.AssignDeadline)
-		}
-		switch tag {
-		case TagRequest:
-			touch(src)
-			if err := assign(src); err != nil {
-				return nil, err
-			}
-		case TagSummary:
-			if pending[src] != nil {
-				if ft {
-					failWorker(src)
-					continue
-				}
-				return nil, fmt.Errorf("plinger: worker %d sent a new summary before completing a mode", src)
-			}
-			pending[src] = &inflight{sum: m.Data}
-		case TagMoments:
-			fl := pending[src]
-			if fl == nil || fl.mom != nil {
-				if ft {
-					failWorker(src)
-					continue
-				}
-				return nil, fmt.Errorf("plinger: worker %d sent moments without a summary", src)
-			}
-			fl.mom = m.Data
-			if !cfg.Mode.KeepSources {
-				if err := complete(src, fl, nil); err != nil {
-					var wf workerFaultError
-					if errors.As(err, &wf) {
-						if ft {
-							failWorker(src)
-							continue
-						}
-						return nil, fmt.Errorf("plinger: worker %d: %w", src, wf.err)
-					}
-					return nil, err
-				}
-			}
-		case TagSources:
-			fl := pending[src]
-			if fl == nil || fl.mom == nil {
-				if ft {
-					failWorker(src)
-					continue
-				}
-				return nil, fmt.Errorf("plinger: worker %d sent sources without moments", src)
-			}
-			if err := complete(src, fl, m.Data); err != nil {
-				var wf workerFaultError
-				if errors.As(err, &wf) {
-					if ft {
-						failWorker(src)
-						continue
-					}
-					return nil, fmt.Errorf("plinger: worker %d: %w", src, wf.err)
-				}
-				return nil, err
-			}
-		default:
-			if ft {
-				failWorker(src)
-				continue
-			}
-			return nil, fmt.Errorf("plinger: master got unexpected tag %d from %d", tag, src)
-		}
-	}
-
-	// Late-starting workers may not have asked for work yet. Every worker
-	// sends exactly one request after the init broadcast, so wait for each
-	// outstanding one — in arrival order, as MPL-style transports require —
-	// and answer it with a stop. Like the paper's protocol the plain path
-	// has no fault tolerance: a remote worker that joined the world but died
-	// before its first request stalls this wait. Under fault tolerance the
-	// wait is deadline-bounded and a worker that never shows is failed.
-	for live() > 0 {
-		tag, src, ok, err := probeNext()
-		if err != nil {
-			return nil, fmt.Errorf("plinger: master drain probe: %w", err)
-		}
-		if !ok {
-			expire(time.Now())
-			continue
-		}
-		m, err := ep.Recv(tag, src)
-		if err != nil {
+		if err := m.receive(msg); err != nil {
 			return nil, err
 		}
-		if downReport(m) {
-			continue
-		}
-		if tag != TagRequest || stopped[src] || (ft && failed[src]) {
-			if ft {
-				// Stragglers may deliver duplicates of reassigned work while
-				// the run winds down; they are not failures, just late.
-				if tag == TagRequest {
-					_ = ep.Send(src, TagStop, []float64{0})
-				}
-				continue
-			}
-			return nil, fmt.Errorf("plinger: master got unexpected tag %d from %d while draining", tag, src)
-		}
-		bytes += int64(8 * len(m.Data))
-		touch(src)
-		stopped[src] = true
-		delete(deadlineAt, src)
-		if err := ep.Send(src, TagStop, []float64{0}); err != nil {
-			if !ft {
-				return nil, err
-			}
-		}
 	}
 
+	res := m.res
 	res.NProc = ep.Size()
 	res.Wallclock = time.Since(start).Seconds()
-	res.BytesReceived = bytes
-	for _, w := range workers {
+	res.BytesReceived = m.bytes
+	for _, w := range m.workers {
 		res.Workers = append(res.Workers, *w)
 	}
 	sort.Slice(res.Workers, func(a, b int) bool { return res.Workers[a].Rank < res.Workers[b].Rank })
 	return res, nil
+}
+
+// master is the state of one Master run.
+type master struct {
+	ep     mp.Endpoint
+	model  *core.Model
+	cfg    Config
+	ft     bool // fault tolerance armed: cfg.AssignDeadline > 0
+	tauEnd float64
+	blocks [][2]int
+	order  []int
+	next   int // position in order
+	// orphans holds blocks whose owner failed; they are handed out ahead of
+	// fresh work.
+	orphans   []int
+	computing int // live workers holding a block
+	live      int // workers neither failed nor stopped
+	done      int // modes booked
+	peers     map[int]*peer
+	workers   map[int]*WorkerTiming
+	bytes     int64
+	res       *Results
+}
+
+// peer is the master's view of one worker.
+type peer struct {
+	stopped, failed bool
+	// block is the block the worker holds while left, its members still
+	// outstanding, is positive: a batched assignment triggers exactly one
+	// follow-up hand-out, after its last member.
+	block, left int
+	// due is when the worker's next message must arrive under fault
+	// tolerance (zero: nothing is due): first its start-up request, then
+	// progress on its block.
+	due time.Time
+	// sum and mom assemble the worker's current mode. A result arrives as
+	// two or three messages (summary, moments, optionally sources), messages
+	// from different workers interleave arbitrarily — and a strict
+	// arrival-order (MPL-style) transport can only ever deliver the head of
+	// the queue — so the master consumes every message in arrival order and
+	// assembles records per worker.
+	sum, mom []float64
+}
+
+// receive is the master's one handler for a message, whoever sent it.
+func (m *master) receive(msg mp.Message) error {
+	tag, src := msg.Tag, msg.Source
+	if m.ft && tag == TagDown && src == m.ep.Rank() && len(msg.Data) == 1 {
+		m.fail(int(msg.Data[0])) // a death report, see TagDown
+		return nil
+	}
+	m.bytes += int64(8 * len(msg.Data))
+	p := m.peers[src]
+	if m.ft && p != nil && (p.failed || p.stopped) {
+		// A worker declared dead may still be alive (a blown deadline on a
+		// slow link). Its work was reassigned; discard the duplicates and,
+		// if it asks for more, tell it to exit.
+		if tag == TagRequest {
+			_ = m.ep.Send(src, TagStop, []float64{0})
+		}
+		return nil
+	}
+	if m.ft && p != nil && p.left > 0 {
+		// Any message is progress: the deadline bounds silence, so a worker
+		// grinding through a long block stays alive as long as its members
+		// keep arriving.
+		p.due = time.Now().Add(m.cfg.AssignDeadline)
+	}
+	switch {
+	case p == nil || p.stopped:
+	case tag == TagRequest && p.left == 0:
+		m.touch(src)
+		return m.assign(src, p)
+	case tag == TagSummary && p.left > 0 && p.sum == nil:
+		p.sum = msg.Data
+		return nil
+	case tag == TagMoments && p.sum != nil && p.mom == nil:
+		p.mom = msg.Data
+		if m.cfg.Mode.KeepSources {
+			return nil
+		}
+		return m.complete(src, p, nil)
+	case tag == TagSources && p.mom != nil:
+		return m.complete(src, p, msg.Data)
+	}
+	return m.fault(src, fmt.Errorf("unexpected tag %d", tag))
+}
+
+// complete decodes the mode the worker has assembled, books it, and hands
+// the worker its next block once the current one is done.
+func (m *master) complete(src int, p *peer, sources []float64) error {
+	sum, mom := p.sum, p.mom
+	p.sum, p.mom = nil, nil
+	ik1, r, err := unpackResult(sum, mom)
+	if err == nil && ik1 > len(m.cfg.KValues) {
+		err = fmt.Errorf("wavenumber index %d out of range", ik1)
+	}
+	if err == nil && sources != nil {
+		r.Sources, err = unpackSources(ik1, sources)
+	}
+	if err != nil {
+		return m.fault(src, err)
+	}
+	if err := m.accept(src, ik1-1, r, sum, mom); err != nil {
+		return err
+	}
+	p.left--
+	if p.left > 0 {
+		return nil // more members of this worker's block are in flight
+	}
+	m.computing--
+	return m.assign(src, p)
+}
+
+// accept books mode ik, received from a worker or recomputed by the master
+// alike. The first copy wins: a reassigned block re-runs members its dead
+// owner may already have delivered, with identical bits either way (a mode
+// is a pure function of k). A booked mode is tallied to rank and written to
+// the unit_1 and unit_2 outputs.
+func (m *master) accept(rank, ik int, r *core.Result, sum, mom []float64) error {
+	if m.res.Mode[ik] != nil {
+		return nil
+	}
+	m.res.Mode[ik] = r
+	m.done++
+	w := m.touch(rank)
+	w.Modes++
+	w.Seconds += r.Seconds
+	w.Flops += r.Flops
+	if m.cfg.ASCIIOut != nil {
+		if err := writeASCIIRecord(m.cfg.ASCIIOut, sum); err != nil {
+			return err
+		}
+	}
+	if m.cfg.BinaryOut != nil {
+		return writeBinaryRecord(m.cfg.BinaryOut, mom)
+	}
+	return nil
+}
+
+// assign hands the worker its next block — an orphan first, then the
+// hand-out order — or, with none left, a stop.
+func (m *master) assign(dst int, p *peer) error {
+	bi := -1
+	if len(m.orphans) > 0 {
+		bi, m.orphans = m.orphans[0], m.orphans[1:]
+		m.res.Reassignments++
+	} else if m.next < len(m.order) {
+		bi = m.order[m.next]
+		m.next++
+	}
+	if bi < 0 {
+		p.stopped = true
+		m.live--
+		p.due = time.Time{}
+		if err := m.ep.Send(dst, TagStop, []float64{0}); err != nil && !m.ft {
+			return err
+		}
+		return nil // under fault tolerance an unreachable worker is stopped all the same
+	}
+	lo, hi := m.blocks[bi][0], m.blocks[bi][1]
+	p.block, p.left = bi, hi-lo
+	m.computing++
+	if m.ft {
+		p.due = time.Now().Add(m.cfg.AssignDeadline)
+	}
+	// The Fortran sends the 1-based wavenumber index; the second value is
+	// the per-k hierarchy cutoff, and a batched assignment adds the block
+	// size.
+	payload := []float64{float64(lo + 1), m.blockLMax(lo, hi), float64(hi - lo)}
+	if hi-lo == 1 {
+		payload = payload[:2]
+	}
+	if err := m.ep.Send(dst, TagAssign, payload); err != nil {
+		if !m.ft {
+			return err
+		}
+		// The transport already knows this worker is gone; orphan the block
+		// for the next live requester.
+		m.fail(dst)
+	}
+	return nil
+}
+
+// blockLMax is the cutoff a block runs at: the largest per-k one among its
+// members (the lockstep batch unifies the hierarchy anyway), 0 for the
+// broadcast one.
+func (m *master) blockLMax(lo, hi int) float64 {
+	lmax := 0
+	if m.cfg.PerKLMax != nil {
+		lmax = max(0, slices.Max(m.cfg.PerKLMax[lo:hi]))
+	}
+	return float64(lmax)
+}
+
+// fault is the master's one verdict on a worker that broke the protocol or
+// sent a block that does not decode: under fault tolerance the worker is
+// failed and its block reassigned, otherwise the run ends with the error.
+func (m *master) fault(rank int, err error) error {
+	if !m.ft {
+		return fmt.Errorf("plinger: worker %d: %w", rank, err)
+	}
+	m.fail(rank)
+	return nil
+}
+
+// fail declares a live worker dead under fault tolerance: its half-assembled
+// mode is discarded and its block joins the orphans for a full re-run (the
+// lockstep batch ties every trajectory to the whole block, so resuming
+// mid-block would change bits).
+func (m *master) fail(rank int) {
+	p := m.peers[rank]
+	if !m.ft || p == nil || p.failed || p.stopped {
+		return
+	}
+	p.failed = true
+	m.live--
+	m.res.WorkerFailures++
+	m.res.FailedRanks = append(m.res.FailedRanks, rank)
+	p.due = time.Time{}
+	p.sum, p.mom = nil, nil
+	if p.left > 0 {
+		m.computing--
+		p.left = 0
+		m.orphans = append(m.orphans, p.block)
+	}
+}
+
+// expire fails every worker whose next message is overdue.
+func (m *master) expire(now time.Time) {
+	for rank, p := range m.peers {
+		if !p.due.IsZero() && !p.due.After(now) {
+			m.res.DeadlineMisses++
+			m.touch(rank).DeadlineMisses++
+			m.fail(rank)
+		}
+	}
+}
+
+// probe waits for the next message, under fault tolerance no longer than
+// the earliest due one; ok=false reports that it came due instead.
+func (m *master) probe() (tag, src int, ok bool, err error) {
+	var due time.Time
+	for _, p := range m.peers {
+		if !p.due.IsZero() && (due.IsZero() || p.due.Before(due)) {
+			due = p.due
+		}
+	}
+	if prober, has := m.ep.(mp.DeadlineProber); has && !due.IsZero() {
+		wait := time.Until(due)
+		if wait <= 0 {
+			return 0, 0, false, nil
+		}
+		return prober.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
+	}
+	tag, src, err = m.ep.Probe(mp.AnyTag, mp.AnySource)
+	return tag, src, err == nil, err
+}
+
+func (m *master) touch(rank int) *WorkerTiming {
+	w := m.workers[rank]
+	if w == nil {
+		w = &WorkerTiming{Rank: rank}
+		m.workers[rank] = w
+	}
+	return w
+}
+
+// recomputeLocal is the last-resort degradation: with every worker lost,
+// the master evolves the remaining blocks itself, mirroring the worker's
+// exact evolution call so the results stay bitwise-identical.
+func (m *master) recomputeLocal() error {
+	rem := append(m.orphans, m.order[m.next:]...)
+	m.orphans, m.next = nil, len(m.order)
+	scratch := core.NewScratch()
+	self := m.ep.Rank()
+	for _, bi := range rem {
+		lo, hi := m.blocks[bi][0], m.blocks[bi][1]
+		p := m.cfg.Mode
+		p.TauEnd = m.tauEnd
+		p.K = m.cfg.KValues[lo]
+		if lm := m.blockLMax(lo, hi); lm > 0 {
+			p.LMax = int(lm)
+		}
+		rs, err := func() (rs []*core.Result, err error) {
+			// The degradation path runs on the master's own stack; a
+			// panicking evolution must fail the run, not the process —
+			// symmetric with the worker goroutines' recovery.
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return m.model.EvolveBatchWith(m.cfg.KValues[lo:hi], p, nil, scratch)
+		}()
+		if err != nil {
+			return fmt.Errorf("plinger: local recompute (ik=%d+%d): %w", lo+1, hi-lo, err)
+		}
+		for j, r := range rs {
+			ik := lo + j
+			if m.res.Mode[ik] != nil {
+				continue // first-wins against results received earlier
+			}
+			m.res.LocalModes++
+			obsModeSeconds.ObserveShard(self, r.Seconds)
+			if err := m.accept(self, ik, r, packSummary(ik+1, r), packMoments(ik+1, r)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Worker runs the worker subroutine of Appendix A: receive the initial
