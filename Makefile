@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster golden bench bench-json bench-smoke loc
+.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster fuzz golden bench bench-json bench-smoke loc
 
 check: fmt-check vet staticcheck build test-short
 
@@ -68,6 +68,15 @@ test-farm:
 test-cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
+
+# fuzz runs each fuzz target for 10 s: the one frame codec the tcpmp hub and
+# the worker farm share, and the master's decoders of a worker's result
+# blocks. Plain `go test` replays their seed corpora (testdata/fuzz, the
+# crashers found so far among them); a new crasher lands there too.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/plinger/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
 
 # golden re-records testdata/golden_cl_bits.json from the code in the tree,
 # for a change that is meant to move the spectrum. It prints the largest
