@@ -10,6 +10,10 @@
 // by the master and REJOINS for the next sweep when its process reconnects,
 // and spawned workers that crash are restarted under a rate-limited budget.
 // Capacity self-heals instead of ratcheting down.
+//
+// A farm connection carries mp.WriteFrame / mp.ReadFrame frames — the codec
+// tcpmp uses too — with the length word counted in bytes and the two header
+// words carrying the frame kind and, on a data frame, the Appendix-A tag.
 package farm
 
 import (

@@ -16,6 +16,11 @@
 //
 // The paper's observation — that for this computation the choice of library
 // has no effect on efficiency — is reproduced as a benchmark.
+//
+// Every endpoint is a mailbox: it embeds a Queue, the one matching engine.
+// The package also owns the one socket frame (WriteFrame, ReadFrame) that
+// tcpmp's hub and the worker farm (internal/farm) both speak, so a byte
+// sequence from the network is bounded and checked in one place.
 package mp
 
 import (
