@@ -41,9 +41,9 @@ var ErrProtocol = errors.New("tcpmp: protocol violation")
 
 const magic = 0x504c4e47 // "PLNG"
 
-// unit is the frame length word's unit: tcpmp counts payloads in doubles
-// (see mp.WriteFrame).
-const unit = 8
+// frameUnit is the unit of a frame's length word: tcpmp counts payloads in
+// doubles (see mp.WriteFrame).
+const frameUnit = 8
 
 // hubMagicTimeout bounds how long the hub waits for a freshly accepted
 // connection to present the magic word. Without it, one process that dials
@@ -160,7 +160,7 @@ func (h *Hub) route(rank int) {
 		return
 	}
 	for {
-		dst, tag, payload, err := mp.ReadFrame(src, unit)
+		dst, tag, payload, err := mp.ReadFrame(src, frameUnit)
 		if err != nil {
 			return // EOF: process left; or a malformed frame
 		}
@@ -178,7 +178,7 @@ func (h *Hub) route(rank int) {
 		// into a dead run. The sender learns of the loss through its
 		// deadlines, like a PVM task whose peer vanished.
 		h.wmu[dst].Lock()
-		_ = mp.WriteFrame(dc, int32(rank), tag, payload, unit)
+		_ = mp.WriteFrame(dc, int32(rank), tag, payload, frameUnit)
 		h.wmu[dst].Unlock()
 	}
 }
@@ -301,7 +301,7 @@ func (e *endpoint) reader() {
 		} else {
 			e.conn.SetReadDeadline(time.Time{})
 		}
-		src, tag, payload, err := mp.ReadFrame(e.conn, unit)
+		src, tag, payload, err := mp.ReadFrame(e.conn, frameUnit)
 		if errors.Is(err, mp.ErrMalformedFrame) {
 			fail(fmt.Errorf("%w: %w from rank %d", ErrProtocol, err, src))
 			e.conn.Close() // a violating peer is dropped, not waited out
@@ -311,7 +311,7 @@ func (e *endpoint) reader() {
 			fail(classify(err))
 			return
 		}
-		data, _ := mp.DecodeFloats(payload) // whole doubles by unit
+		data, _ := mp.DecodeFloats(payload) // whole doubles by frameUnit
 		e.Push(mp.Message{Tag: int(tag), Source: int(src), Data: data})
 	}
 }
@@ -328,7 +328,7 @@ func (e *endpoint) Send(dst, tag int, data []float64) error {
 	} else {
 		e.conn.SetWriteDeadline(time.Time{})
 	}
-	return classify(mp.WriteFrame(e.conn, int32(dst), int32(tag), mp.EncodeFloats(data), unit))
+	return classify(mp.WriteFrame(e.conn, int32(dst), int32(tag), mp.EncodeFloats(data), frameUnit))
 }
 
 func (e *endpoint) Bcast(tag int, data []float64) error {

@@ -273,9 +273,9 @@ type master struct {
 // peer is the master's view of one worker.
 type peer struct {
 	stopped, failed bool
-	// block is the block the worker holds while left, its members still
-	// outstanding, is positive: a batched assignment triggers exactly one
-	// follow-up hand-out, after its last member.
+	// block is the block the worker holds and left counts its members still
+	// outstanding (0: it holds none), so a batched assignment triggers
+	// exactly one follow-up hand-out, after its last member.
 	block, left int
 	// due is when the worker's next message must arrive under fault
 	// tolerance (zero: nothing is due): first its start-up request, then
@@ -315,7 +315,7 @@ func (m *master) receive(msg mp.Message) error {
 		p.due = time.Now().Add(m.cfg.AssignDeadline)
 	}
 	switch {
-	case p == nil || p.stopped:
+	case p == nil || p.stopped: // nothing is expected from it
 	case tag == TagRequest && p.left == 0:
 		m.touch(src)
 		return m.assign(src, p)
@@ -343,7 +343,7 @@ func (m *master) complete(src int, p *peer, sources []float64) error {
 	if err == nil && ik1 > len(m.cfg.KValues) {
 		err = fmt.Errorf("wavenumber index %d out of range", ik1)
 	}
-	if err == nil && sources != nil {
+	if err == nil && m.cfg.Mode.KeepSources {
 		r.Sources, err = unpackSources(ik1, sources)
 	}
 	if err != nil {
