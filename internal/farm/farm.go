@@ -470,9 +470,8 @@ func (s *Supervisor) allowRestart() bool {
 // --- the sweep path ---
 
 // masterEndpoint adapts the roster slice claimed for one sweep to
-// mp.Endpoint for runner.Master. Rank 0 is the in-process master, whose
-// mailbox every claimed connection's reader fills; rank r (1-based) is
-// peers[r].
+// mp.Endpoint for runner.Master. Rank 0 is the in-process master; rank r
+// (1-based) is peers[r].
 type masterEndpoint struct {
 	*mp.Queue
 	peers map[int]*workerConn

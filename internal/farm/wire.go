@@ -11,9 +11,8 @@
 // and spawned workers that crash are restarted under a rate-limited budget.
 // Capacity self-heals instead of ratcheting down.
 //
-// A farm connection carries mp.WriteFrame / mp.ReadFrame frames — the codec
-// tcpmp uses too — with the length word counted in bytes and the two header
-// words carrying the frame kind and, on a data frame, the Appendix-A tag.
+// Its frames are mp.WriteFrame / mp.ReadFrame frames, as tcpmp's are, with the
+// length in bytes and the two header words the frame kind and Appendix-A tag.
 package farm
 
 import (

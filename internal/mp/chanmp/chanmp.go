@@ -17,7 +17,6 @@ type World struct {
 	bytes atomic.Int64 // payload bytes moved, for the message-size table
 }
 
-// endpoint is one rank's mailbox plus the world it sends into.
 type endpoint struct {
 	*mp.Queue
 	w    *World

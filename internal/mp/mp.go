@@ -17,10 +17,8 @@
 // The paper's observation — that for this computation the choice of library
 // has no effect on efficiency — is reproduced as a benchmark.
 //
-// Every endpoint is a mailbox: it embeds a Queue, the one matching engine.
-// The package also owns the one socket frame (WriteFrame, ReadFrame) that
-// tcpmp's hub and the worker farm (internal/farm) both speak, so a byte
-// sequence from the network is bounded and checked in one place.
+// Every endpoint embeds a Queue, the one mailbox, and the package owns the
+// one socket frame (WriteFrame, ReadFrame) that tcpmp and internal/farm speak.
 package mp
 
 import (
@@ -97,9 +95,7 @@ type DeadlineProber interface {
 // Queue is a blocking mailbox with MPI matching semantics: messages are
 // kept in arrival order and probes/receives select the first message whose
 // (tag, source) matches, preserving FIFO order per (source, tag) pair.
-// It is the shared matching engine of all transports: every endpoint embeds
-// one, so its Probe, ProbeTimeout, Recv and (unless the endpoint has more to
-// release) Close are the queue's own.
+// It is the shared matching engine of all transports.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

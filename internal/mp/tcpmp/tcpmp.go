@@ -183,8 +183,7 @@ func (h *Hub) route(rank int) {
 	}
 }
 
-// endpoint is one process's connection to the hub: a mailbox the reader
-// goroutine fills, and the socket Send writes to.
+// endpoint is one process's connection to the hub.
 type endpoint struct {
 	*mp.Queue
 	conn net.Conn
