@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster fuzz golden bench bench-json bench-smoke loc
+.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster fuzz golden bench-json bench-smoke cmd-smoke loc
 
 check: fmt-check vet staticcheck build test-short
 
@@ -94,9 +94,6 @@ fuzz:
 golden:
 	$(GO) test -run '^TestGoldenClBits$$' -v -update-golden $(GOLDEN_FLAGS) .
 
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
 # bench-json makes a set with the repository's benchmark (bench/, declared
 # by BENCHMARK.json): ten timed runs of each workload, interleaved, plus one
 # traced pass for the layer table, written to BENCH_NEW. When BENCH_OLD
@@ -119,6 +116,12 @@ bench-json:
 # failed op.
 bench-smoke:
 	$(GO) test ./bench
+
+# cmd-smoke runs the two command-line drivers that build their own sweeps
+# at tiny sizes, so a flag or report path that stops working fails CI.
+cmd-smoke:
+	$(GO) run ./cmd/scaling -np 1,2 -nk 8 -lmax 20 -schedules -backends -fastevolve
+	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
 
 # loc prints the non-test Go lines per package under internal/, of the
 # facade and of cmd/: the number ROADMAP aim 2 tracks.

@@ -16,11 +16,10 @@
 // the wavenumber table (the paper broadcasts the rest at tag 1).
 //
 // With -cl the master assembles the angular power spectrum from the
-// returned sources after the sweep; -fastcl switches to the table-driven
-// fast projection and -krefine N splines the sources onto an N-times finer
-// wavenumber grid first (the CMBFAST-style refinement):
+// returned sources after the sweep, on the swept wavenumbers; -fastcl
+// switches to the table-driven fast projection:
 //
-//	plinger -np 4 -nk 40 -lmaxcl 150 -cl -fastcl -krefine 6
+//	plinger -np 4 -nk 130 -lmaxcl 150 -cl -fastcl
 //
 // -fastevolve switches the per-mode integration itself to the fast
 // evolution engine (growing hierarchy truncation, flattened background and
@@ -68,7 +67,6 @@ func main() {
 		unit2     = flag.String("unit2", "", "binary moment output file")
 		cl        = flag.Bool("cl", false, "assemble C_l from the sweep afterwards (forces newtonian gauge + sources)")
 		fastcl    = flag.Bool("fastcl", false, "with -cl: table-driven fast projection instead of the exact reference")
-		krefine   = flag.Int("krefine", 1, "with -cl: spline sources onto a krefine-times finer k grid before the quadrature")
 		fastev    = flag.Bool("fastevolve", false, "fast evolution engine: growing hierarchy truncation + flattened tau-tables + PI step control")
 	)
 	flag.Parse()
@@ -148,7 +146,7 @@ func main() {
 		}
 		report(sw, st)
 		if *cl {
-			reportCl(sw, bg.Tau0(), th.TauRec(), *lmaxcl, *fastcl, *krefine)
+			reportCl(sw, th.TauRec(), *lmaxcl, *fastcl)
 		}
 	case "tcp":
 		switch *role {
@@ -178,7 +176,7 @@ func main() {
 			}
 			report(sw, st)
 			if *cl {
-				reportCl(sw, bg.Tau0(), th.TauRec(), *lmaxcl, *fastcl, *krefine)
+				reportCl(sw, th.TauRec(), *lmaxcl, *fastcl)
 			}
 			fmt.Printf("hub routed %d payload bytes\n", hub.BytesMoved())
 		case "worker":
@@ -205,9 +203,8 @@ var deferred []func()
 
 // reportCl assembles and prints the angular power spectrum from a sweep
 // that kept its sources, timing the post-processing: the exact reference
-// projection, or the fast engine (shared Bessel tables, and optionally a
-// krefine-times finer source-interpolated k grid).
-func reportCl(dsw *dispatch.Sweep, tau0, tauRec float64, lmaxcl int, fast bool, krefine int) {
+// projection, or the fast engine's shared Bessel tables.
+func reportCl(dsw *dispatch.Sweep, tauRec float64, lmaxcl int, fast bool) {
 	sw, err := spectra.FromResults(dsw.KValues, dsw.Results, dsw.Tau0)
 	if err != nil {
 		log.Fatal(err)
@@ -215,22 +212,6 @@ func reportCl(dsw *dispatch.Sweep, tau0, tauRec float64, lmaxcl int, fast bool, 
 	ls := spectra.DefaultLs(lmaxcl)
 	prim := spectra.DefaultPrimordial(1.0)
 	start := time.Now()
-	if krefine > 1 {
-		// The same acoustic-resolution guard as the facade: if the evolved
-		// grid itself undersamples the sources' oscillation in k, spline
-		// refinement would alias it no matter the factor — refuse rather
-		// than print silently wrong numbers.
-		nc := len(sw.KValues)
-		if safe := spectra.SafeKRefine(krefine, krefine*nc, sw.KValues[0], sw.KValues[nc-1], tauRec); safe < krefine {
-			log.Printf("krefine %d skipped: the %d-mode sweep undersamples the source oscillation in k; rerun with a larger -nk", krefine, nc)
-		} else {
-			refined, err := sw.RefineK(krefine*nc, tauRec)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sw = refined
-		}
-	}
 	var cl *spectra.ClSpectrum
 	if fast {
 		cl, err = sw.ClLOSFast(ls, prim, 2.726, tauRec)

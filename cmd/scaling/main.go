@@ -10,17 +10,12 @@
 // Usage:
 //
 //	scaling [-np 1,2,4,8] [-nk 24] [-lmax 120] [-schedules] [-backends]
-//	        [-fastcl] [-fastevolve] [-pipeline]
+//	        [-fastevolve]
 //
-// -fastcl adds the fast C_l pipeline ablation: the exact reference
-// line-of-sight pipeline against the table-driven engine with
-// coarse-to-fine k refinement, at equal settings. -fastevolve ablates the
-// fast evolution engine (growing hierarchy truncation + flattened
-// tau-tables + PI step control) on the fixed workload at equal tolerance.
-// -pipeline sweeps GOMAXPROCS over the -np list and runs the full fast
-// C_l pipeline (arena-backed evolutions + k refinement + kernel tables)
-// at each count — the production analogue of the Figure-1 experiment,
-// reporting wallclock, speedup and parallel efficiency per processor.
+// -fastevolve ablates the fast evolution engine (growing hierarchy
+// truncation + flattened tau-tables + PI step control) on the fixed
+// workload at equal tolerance. The fast C_l pipeline is measured by the
+// repository's benchmark (bench/), not here.
 package main
 
 import (
@@ -29,7 +24,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,9 +45,7 @@ func main() {
 		lmax      = flag.Int("lmax", 120, "hierarchy cutoff cap")
 		schedules = flag.Bool("schedules", false, "also sweep scheduling policies")
 		backends  = flag.Bool("backends", false, "also sweep execution backends")
-		fastcl    = flag.Bool("fastcl", false, "also compare the reference and fast C_l pipelines")
 		fastev    = flag.Bool("fastevolve", false, "also ablate the fast evolution engine on the fixed workload")
-		pipeline  = flag.Bool("pipeline", false, "also sweep GOMAXPROCS over the full fast C_l pipeline")
 	)
 	flag.Parse()
 
@@ -111,82 +103,6 @@ func main() {
 	if *fastev {
 		fastEvolveAblation(model, ks, mode)
 	}
-
-	if *fastcl {
-		fastClAblation(model, th, *nk)
-	}
-
-	if *pipeline {
-		pipelineScaling(model, th, *npList)
-	}
-}
-
-// pipelineScaling is the production-workload version of the Figure-1
-// sweep: the full fast C_l pipeline (coarse arena-backed sweep, k
-// refinement, table projection) at LMaxCl 150 / NK 130, once per
-// GOMAXPROCS value in the -np list. Spectra are checked bitwise-identical
-// across counts, so the curve compares runs with exactly equal outputs.
-func pipelineScaling(model *core.Model, th *thermo.Thermo, npList string) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const lmaxCl, nk = 150, 130
-	tau0, tauRec := model.BG.Tau0(), th.TauRec()
-	ks := spectra.ClGrid(lmaxCl, tau0, nk)
-	ls := spectra.DefaultLs(lmaxCl)
-	prim := spectra.DefaultPrimordial(1.0)
-	mode := core.Params{LMax: 24, Gauge: core.ConformalNewtonian, KeepSources: true, FastEvolve: true}
-	kRefine := spectra.SafeKRefine(10, nk, ks[0], ks[len(ks)-1], tauRec)
-	coarseKs := spectra.RefineCoarseGrid(ks, kRefine)
-
-	runOnce := func(np int) *spectra.ClSpectrum {
-		sw, err := spectra.RunSweep(model, mode, coarseKs, np, false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		refined, err := sw.RefineK(nk, tauRec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl, err := refined.ClLOSFast(ls, prim, 2.726, tauRec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return cl
-	}
-	// One untimed warm-up so the one-time builds (flattened tau-tables,
-	// Bessel kernel tables) do not land inside the baseline point and
-	// inflate every later speedup.
-	runOnce(1)
-
-	fmt.Printf("\nfast C_l pipeline scaling (lmaxcl %d, nk %d, krefine %d, %d cores):\n",
-		lmaxCl, nk, kRefine, runtime.NumCPU())
-	fmt.Printf("%6s %12s %10s %12s\n", "procs", "wall [s]", "speedup", "eff [%]")
-	// Speedup is measured against the first listed count (np0); parallel
-	// efficiency corrects for a baseline that is not one processor.
-	var t1 float64
-	np0 := 0
-	var ref *spectra.ClSpectrum
-	for _, s := range strings.Split(npList, ",") {
-		np, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || np < 1 {
-			log.Fatalf("bad processor count %q", s)
-		}
-		runtime.GOMAXPROCS(np)
-		start := time.Now()
-		cl := runOnce(np)
-		wall := time.Since(start).Seconds()
-		if ref == nil {
-			ref, t1, np0 = cl, wall, np
-		} else {
-			for i := range ref.Cl {
-				if cl.Cl[i] != ref.Cl[i] {
-					log.Fatalf("C_l at procs=%d differs bitwise from procs=%d (determinism contract broken)", np, np0)
-				}
-			}
-		}
-		speedup := t1 / wall
-		fmt.Printf("%6d %12.3f %9.2fx %11.1f\n", np, wall, speedup,
-			100*speedup*float64(np0)/float64(np))
-	}
 }
 
 // fastEvolveAblation times the fixed Figure-1 workload with the reference
@@ -236,63 +152,6 @@ func fastEvolveAblation(model *core.Model, ks []float64, mode core.Params) {
 	fmt.Printf("%12s %12s %10s %14s %22s\n", "ref [s]", "fast [s]", "speedup", "RHS evals", "worst rel Theta_l")
 	fmt.Printf("%12.3f %12.3f %9.2fx %6d->%6d %22.2e\n",
 		tRef, tFast, tRef/tFast, evalsRef, evalsFast, worst)
-}
-
-// fastClAblation times the reference Figure-2 C_l pipeline (every mode
-// evolved, exact Bessel recurrences) against the fast engine (coarse sweep
-// + source refinement in k + shared kernel tables) at equal settings and
-// reports the speedup and the worst relative deviation.
-func fastClAblation(model *core.Model, th *thermo.Thermo, nk int) {
-	const lmaxCl = 150
-	tau0 := model.BG.Tau0()
-	tauRec := th.TauRec()
-	ks := spectra.ClGrid(lmaxCl, tau0, nk)
-	ls := spectra.DefaultLs(lmaxCl)
-	prim := spectra.DefaultPrimordial(1.0)
-	mode := core.Params{LMax: 24, Gauge: core.ConformalNewtonian, KeepSources: true}
-
-	start := time.Now()
-	full, err := spectra.RunSweep(model, mode, ks, 0, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ref, err := full.ClLOS(ls, prim, 2.726, tauRec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tRef := time.Since(start).Seconds()
-
-	kRefine := spectra.SafeKRefine(10, nk, ks[0], ks[len(ks)-1], tauRec)
-	coarseKs := spectra.RefineCoarseGrid(ks, kRefine)
-	if kRefine <= 1 || len(coarseKs) >= nk {
-		fmt.Printf("\nfast C_l ablation skipped: -nk %d leaves no room for coarse-to-fine "+
-			"refinement (coarse grid would have %d modes); try -nk 130\n", nk, len(coarseKs))
-		return
-	}
-	start = time.Now()
-	coarse, err := spectra.RunSweep(model, mode, coarseKs, 0, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	refined, err := coarse.RefineK(nk, tauRec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fast, err := refined.ClLOSFast(ls, prim, 2.726, tauRec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tFast := time.Since(start).Seconds()
-
-	worst := 0.0
-	for i := range ref.Cl {
-		if rel := math.Abs(fast.Cl[i]-ref.Cl[i]) / ref.Cl[i]; rel > worst {
-			worst = rel
-		}
-	}
-	fmt.Printf("\nfast C_l pipeline (lmaxcl %d, nk %d, krefine %d):\n", lmaxCl, nk, kRefine)
-	fmt.Printf("%12s %12s %10s %22s\n", "ref [s]", "fast [s]", "speedup", "worst rel deviation")
-	fmt.Printf("%12.3f %12.3f %9.2fx %22.2e\n", tRef, tFast, tRef/tFast, worst)
 }
 
 // run executes the fixed workload on one dispatcher configuration.

@@ -145,6 +145,22 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPClBelowQuadrupole: lmax_cl 1 asks for no multipole at all, so it
+// is a 400 that costs no sweep, not an empty spectrum that gets cached.
+func TestHTTPClBelowQuadrupole(t *testing.T) {
+	s := testService()
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, _ := postJSON(t, srv.Client(), srv.URL+"/v1/cl", `{"lmax_cl": 1, "nk": 20}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("lmax_cl 1: status %d, want 400", resp.StatusCode)
+	}
+	if s.Sweeps() != 0 {
+		t.Fatalf("lmax_cl 1 ran %d sweeps", s.Sweeps())
+	}
+}
+
 // TestHTTPConcurrentIdenticalRequests is the end-to-end coalescing check:
 // concurrent identical cold HTTP requests produce one sweep.
 func TestHTTPConcurrentIdenticalRequests(t *testing.T) {

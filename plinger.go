@@ -392,8 +392,8 @@ type SpectrumOptions struct {
 	LMaxCl int
 	// Ls lists the multipoles to evaluate (default: log-spaced 2..LMaxCl).
 	Ls []int
-	// NK is the wavenumber grid size (default 4 per multipole octave
-	// resolution: LMaxCl + 200 points).
+	// NK is the number of points of the k quadrature grid (default
+	// LMaxCl + 200).
 	NK int
 	// Workers bounds the shared-memory parallelism (default GOMAXPROCS).
 	Workers int
@@ -419,8 +419,10 @@ type SpectrumOptions struct {
 	// spherical Bessel kernels from the process-shared spline tables
 	// (built in parallel and cached across calls), only the requested
 	// multipoles evaluated, and each multipole's time integral truncated
-	// at the kernel turning point. Agrees with the reference path to
-	// < 1e-3 relative in C_l. Default off: the exact reference path runs.
+	// at the kernel turning point. With every fast switch on, the benchmark
+	// measures C_l 2.4e-3 (LMaxCl 150 / NK 130) and 6.4e-3 (1000 / 1200)
+	// from the exact path on the same k grid (ROADMAP.md, item 1). Default
+	// off: the exact reference path runs.
 	FastLOS bool
 	// KRefine > 1 evolves the Boltzmann ODEs only on a coarse wavenumber
 	// grid of ~NK/KRefine modes and cubic-splines the recorded sources in
@@ -442,11 +444,10 @@ type SpectrumOptions struct {
 	// explicit integrator otherwise sits on that rate's stability limit);
 	// the background and thermodynamic history come from flattened
 	// per-model lookup tables, and the integrator runs PI step-size
-	// control. Like
-	// FastLOS and KRefine it stays within the engine's 1e-3 relative C_l
-	// budget (the measured full fast path deviates by a few 1e-4; the
-	// golden tests enforce the bound) and is off by default: the exact
-	// path remains the reference implementation. los method only.
+	// control. The full fast path it is part of measures 2.4e-3 (150 / 130)
+	// and 6.4e-3 (1000 / 1200) from the exact path on the same k grid (see
+	// FastLOS). Off by default: the exact path remains the reference
+	// implementation. los method only.
 	FastEvolve bool
 	// LSpline projects the line-of-sight integral only on a coarse
 	// multipole ladder that resolves the acoustic oscillation of C_l
@@ -476,6 +477,9 @@ type SpectrumOptions struct {
 // the batch state stops fitting hot caches.
 const maxKBatch = 32
 
+// defaultLMaxCl is the LMaxCl a zero SpectrumOptions.LMaxCl selects.
+const defaultLMaxCl = 300
+
 // validTransport checks the execution-backend name shared by
 // SpectrumOptions, MatterPowerOptions and ParallelOptions.
 func validTransport(transport string) error {
@@ -496,6 +500,9 @@ func validTransport(transport string) error {
 func (o SpectrumOptions) Validate() error {
 	if o.LMaxCl < 0 {
 		return fmt.Errorf("plinger: LMaxCl = %d is negative (0 selects the default)", o.LMaxCl)
+	}
+	if o.LMaxCl == 1 {
+		return fmt.Errorf("plinger: LMaxCl = 1 is below the quadrupole (C_l starts at l = 2)")
 	}
 	if o.NK < 0 {
 		return fmt.Errorf("plinger: NK = %d is negative (0 selects the default)", o.NK)
@@ -537,19 +544,15 @@ func (o SpectrumOptions) Validate() error {
 	// wrong rather than slow.
 	lmaxCl := o.LMaxCl
 	if lmaxCl == 0 {
-		lmaxCl = 300
+		lmaxCl = defaultLMaxCl
 	}
 	for _, l := range o.Ls {
 		if l > lmaxCl {
 			return fmt.Errorf("plinger: requested multipole l = %d exceeds LMaxCl = %d", l, lmaxCl)
 		}
 	}
-	method := o.Method
-	if method == "" {
-		method = "los"
-	}
-	switch method {
-	case "los":
+	switch o.Method {
+	case "", "los":
 		if o.Polarization {
 			return fmt.Errorf("plinger: polarization requires Method \"brute\"")
 		}
@@ -639,7 +642,7 @@ func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax
 		return &dispatch.Pool{
 			Model: m.core, Workers: workers, Schedule: sched, AdaptLMax: adaptLMax,
 		}, func() {}, nil
-	case "chan", "fifo", "tcp":
+	default:
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
@@ -650,9 +653,106 @@ func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax
 		d.Schedule = sched
 		d.AdaptLMax = adaptLMax
 		return d, cleanup, nil
-	default:
-		return nil, nil, fmt.Errorf("plinger: unknown transport %q", transport)
 	}
+}
+
+// projection names the step that turns a sweep into C_l.
+type projection int
+
+const (
+	projectBrute        projection = iota // read C_l off the final temperature moments
+	projectPolarization                   // the same off the polarization moments
+	projectLOS                            // exact line-of-sight integral
+	projectLOSFast                        // table-driven line-of-sight integral over lsProj
+)
+
+// spectrumPlan is every decision a C_l request resolves to before any mode
+// is evolved. Nothing else re-derives them: ComputeSpectrum executes it.
+type spectrumPlan struct {
+	ls           []int     // requested multipoles
+	lsProj       []int     // multipoles projected; shorter than ls when the l spline runs
+	ks           []float64 // quadrature grid
+	ksRun        []float64 // grid evolved; shorter than ks when the sources are splined in k
+	kRefine      int       // refinement factor kept (1: none)
+	tau0, tauRec float64
+	mode         core.Params
+	adaptLMax    bool // the dispatcher trims the hierarchy per wavenumber
+	project      projection
+}
+
+const planDowngradesHelp = "C_l requests whose KRefine or LSpline the spectrum plan clamped or dropped."
+
+// The plan counts each downgrade, so a silently cheaper answer shows.
+var (
+	downgradeKRefine = obs.Default.Counter("plinger_plan_downgrades_total", `knob="krefine"`, planDowngradesHelp)
+	downgradeLSpline = obs.Default.Counter("plinger_plan_downgrades_total", `knob="lspline"`, planDowngradesHelp)
+)
+
+// plan resolves validated options into a spectrumPlan.
+func (m *Model) plan(o SpectrumOptions) spectrumPlan {
+	lmaxCl := o.LMaxCl
+	if lmaxCl == 0 {
+		lmaxCl = defaultLMaxCl
+	}
+	nk := o.NK
+	if nk == 0 {
+		nk = lmaxCl + 200
+	}
+	p := spectrumPlan{ls: o.Ls, kRefine: 1, tau0: m.Tau0(), tauRec: m.core.TH.TauRec()}
+	if len(p.ls) == 0 {
+		p.ls = spectra.DefaultLs(lmaxCl)
+	}
+	p.ks = spectra.ClGrid(lmaxCl, p.tau0, nk)
+	p.ksRun, p.lsProj = p.ks, p.ls
+	kmax := p.ks[len(p.ks)-1]
+	lmax := o.LMax
+	if o.Method == "brute" {
+		if lmax == 0 {
+			lmax = int(1.5*kmax*p.tau0) + 60
+		}
+		p.mode = core.Params{LMax: lmax, Gauge: core.Synchronous}
+		p.adaptLMax = true
+		p.project = projectBrute
+		if o.Polarization {
+			p.project = projectPolarization
+		}
+		return p
+	}
+	if lmax == 0 {
+		lmax = 24
+	}
+	p.mode = core.Params{
+		LMax: lmax, Gauge: core.ConformalNewtonian, KeepSources: true,
+		FastEvolve: o.FastEvolve, KBatch: o.KBatch,
+	}
+	// Coarse-to-fine: evolve ~NK/KRefine wavenumbers (plus a cheap
+	// log-spaced head) and spline the sources in k onto ks afterwards.
+	// SafeKRefine caps the factor where the coarse grid would stop resolving
+	// the sources' acoustic oscillation; a coarse grid that is not smaller
+	// than ks cannot pay for itself, and the plain sweep runs.
+	if k := spectra.SafeKRefine(o.KRefine, nk, p.ks[0], kmax, p.tauRec); k > 1 {
+		if coarse := spectra.RefineCoarseGrid(p.ks, k); len(coarse) < nk {
+			p.ksRun, p.kRefine = coarse, k
+		}
+	}
+	if o.KRefine > p.kRefine {
+		downgradeKRefine.Inc()
+	}
+	// Spline-in-l: project a coarse ladder and spline l(l+1)C_l onto ls,
+	// unless SafeLSpline finds the ladder cannot pay for itself or hold the
+	// 1e-3 budget.
+	if o.LSpline {
+		if coarse := spectra.SafeLSpline(p.ls, p.tauRec, p.tau0); coarse != nil {
+			p.lsProj = coarse
+		} else {
+			downgradeLSpline.Inc()
+		}
+	}
+	p.project = projectLOS
+	if o.FastLOS {
+		p.project = projectLOSFast
+	}
+	return p
 }
 
 // ComputeSpectrum runs the k sweep and assembles C_l. It validates o first
@@ -661,170 +761,70 @@ func (m *Model) ComputeSpectrum(o SpectrumOptions) (*Spectrum, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if o.LMaxCl <= 0 {
-		o.LMaxCl = 300
+	p := m.plan(o)
+	d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, p.adaptLMax)
+	if err != nil {
+		return nil, err
 	}
-	ls := o.Ls
-	if len(ls) == 0 {
-		ls = spectra.DefaultLs(o.LMaxCl)
-	}
-	nk := o.NK
-	if nk <= 0 {
-		nk = o.LMaxCl + 200
-	}
-	tau0 := m.Tau0()
-	ks := spectra.ClGrid(o.LMaxCl, tau0, nk)
-	method := o.Method
-	if method == "" {
-		method = "los"
-	}
-	switch method {
-	case "los":
-		lmax := o.LMax
-		if lmax == 0 {
-			lmax = 24
-		}
-		kRefine := o.KRefine
-		if kRefine < 1 {
-			kRefine = 1
-		}
-		// Coarse-to-fine: evolve the ODEs on ~NK/KRefine wavenumbers (plus
-		// a cheap log-spaced head) and spline the sources in k onto the
-		// full grid afterwards. The refined uniform grid is exactly ks.
-		// SafeKRefine caps the factor where a small NK would leave the
-		// coarse grid unable to resolve the sources' acoustic oscillation;
-		// if the capped coarse grid (log head included) is not actually
-		// smaller than the requested grid, refinement cannot pay for
-		// itself and the run falls back to the plain NK-point sweep.
-		tauRec := m.core.TH.TauRec()
-		kRefine = spectra.SafeKRefine(kRefine, nk, ks[0], ks[len(ks)-1], tauRec)
-		ksRun := ks
-		if kRefine > 1 {
-			if coarse := spectra.RefineCoarseGrid(ks, kRefine); len(coarse) < nk {
-				ksRun = coarse
-			} else {
-				kRefine = 1
-			}
-		}
-		// Spline-in-l: project only a coarse multipole ladder and spline
-		// l(l+1)C_l onto the full request afterwards. SafeLSpline returns
-		// nil — and the run projects exactly — whenever the coarse ladder
-		// cannot pay for itself or hold the 1e-3 budget.
-		lsProj := ls
-		if o.LSpline {
-			if coarse := spectra.SafeLSpline(ls, tauRec, tau0); coarse != nil {
-				lsProj = coarse
-			}
-		}
-		d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, false)
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		tr := o.Trace
-		var besselWait func()
-		if o.FastLOS {
-			// Warm the shared Bessel kernel table concurrently with the
-			// sweep, via the dispatcher's prebuild hook when it has one.
-			// The shared pool serves concurrent runs, so its hooks cannot
-			// be set per run; the facade warms caller-side instead. Under
-			// LSpline only the coarse ladder's rows are ever needed.
-			warm := func() {
-				sp := tr.Start("bessel_tables")
-				spectra.PrewarmBesselTable(lsProj, ks[len(ks)-1], tau0)
-				sp.End()
-			}
-			switch dd := d.(type) {
-			case *dispatch.Pool:
-				dd.Prebuild = warm
-			case *dispatch.MP:
-				dd.Prebuild = warm
-			default:
-				besselWait = dispatch.StartPrebuild(warm)
-				defer besselWait()
-			}
-		}
-		// The evolve span covers the whole sweep including the concurrent
-		// Bessel prewarm wait, so a cold request's wall time decomposes into
-		// non-overlapping top-level spans (evolve, source_spline, project,
-		// lspline); bessel_tables and the dispatch-level spans are nested
-		// detail inside it.
-		spEvolve := tr.Start("evolve")
-		sw, _, err := spectra.RunSweepTraced(tr, d, ksRun, core.Params{
-			LMax: lmax, Gauge: core.ConformalNewtonian, KeepSources: true,
-			FastEvolve: o.FastEvolve, KBatch: o.KBatch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if besselWait != nil {
-			// The table-driven projection needs the warmed rows anyway;
-			// waiting here books any remaining warm time under evolve
-			// instead of leaving an unattributed tail after projection.
-			besselWait()
-		}
-		spEvolve.End()
-		if kRefine > 1 && len(ksRun) < nk {
-			sp := tr.Start("source_spline")
-			sw, err = sw.RefineK(nk, tauRec)
-			sp.End()
-			if err != nil {
-				return nil, err
-			}
-		}
-		var cl *spectra.ClSpectrum
-		if o.FastLOS {
-			sp := tr.Start("project")
-			cl, err = sw.ClLOSFast(lsProj, m.prim, m.cfg.TCMB, tauRec)
-			sp.End()
-			if err == nil && len(lsProj) != len(ls) {
-				sp := tr.Start("lspline")
-				cl, err = spectra.SplineCl(cl, ls)
-				sp.End()
-			}
-		} else {
-			sp := tr.Start("project")
-			cl, err = sw.ClLOS(ls, m.prim, m.cfg.TCMB, tauRec)
+	defer cleanup()
+	tr := o.Trace
+	besselWait := func() {}
+	if p.project == projectLOSFast {
+		// Warm the shared Bessel table during the sweep, through the
+		// dispatcher's prebuild hook where one can be set per run (the shared
+		// pool serves concurrent runs, so the facade warms it caller-side).
+		warm := func() {
+			sp := tr.Start("bessel_tables")
+			spectra.PrewarmBesselTable(p.lsProj, p.ks[len(p.ks)-1], p.tau0)
 			sp.End()
 		}
-		if err != nil {
-			return nil, err
+		switch dd := d.(type) {
+		case *dispatch.Pool:
+			dd.Prebuild = warm
+		case *dispatch.MP:
+			dd.Prebuild = warm
+		default:
+			besselWait = dispatch.StartPrebuild(warm)
+			defer besselWait()
 		}
-		return &Spectrum{L: cl.L, Cl: cl.Cl, inner: cl}, nil
-	case "brute":
-		lmax := o.LMax
-		if lmax == 0 {
-			lmax = int(1.5*ks[len(ks)-1]*tau0) + 60
-		}
-		d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, true)
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		tr := o.Trace
-		spEvolve := tr.Start("evolve")
-		sw, _, err := spectra.RunSweepTraced(tr, d, ks, core.Params{
-			LMax: lmax, Gauge: core.Synchronous,
-		})
-		spEvolve.End()
-		if err != nil {
-			return nil, err
-		}
-		spProj := tr.Start("project")
-		var cl *spectra.ClSpectrum
-		if o.Polarization {
-			cl, err = sw.ClPolarization(ls, m.prim, m.cfg.TCMB)
-		} else {
-			cl, err = sw.Cl(ls, m.prim, m.cfg.TCMB)
-		}
-		spProj.End()
-		if err != nil {
-			return nil, err
-		}
-		return &Spectrum{L: cl.L, Cl: cl.Cl, inner: cl}, nil
-	default:
-		return nil, fmt.Errorf("plinger: unknown method %q", method)
 	}
+	// The evolve span includes the prewarm wait, so a cold request's wall
+	// time decomposes into the non-overlapping top-level spans evolve,
+	// source_spline, project and lspline; the rest nest inside evolve.
+	spEvolve := tr.Start("evolve")
+	sw, _, err := spectra.RunSweepTraced(tr, d, p.ksRun, p.mode)
+	besselWait()
+	spEvolve.End()
+	if err == nil && len(p.ksRun) < len(p.ks) {
+		sp := tr.Start("source_spline")
+		sw, err = sw.RefineK(len(p.ks), p.tauRec)
+		sp.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	var cl *spectra.ClSpectrum
+	sp := tr.Start("project")
+	switch p.project {
+	case projectBrute:
+		cl, err = sw.Cl(p.ls, m.prim, m.cfg.TCMB)
+	case projectPolarization:
+		cl, err = sw.ClPolarization(p.ls, m.prim, m.cfg.TCMB)
+	case projectLOS:
+		cl, err = sw.ClLOS(p.ls, m.prim, m.cfg.TCMB, p.tauRec)
+	case projectLOSFast:
+		cl, err = sw.ClLOSFast(p.lsProj, m.prim, m.cfg.TCMB, p.tauRec)
+	}
+	sp.End()
+	if err == nil && len(p.lsProj) < len(p.ls) {
+		sp := tr.Start("lspline")
+		cl, err = spectra.SplineCl(cl, p.ls)
+		sp.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Spectrum{L: cl.L, Cl: cl.Cl, inner: cl}, nil
 }
 
 // MatterPowerResult bundles the transfer function and power spectrum.

@@ -17,6 +17,7 @@ func TestSpectrumOptionsValidate(t *testing.T) {
 		{"explicit ls", SpectrumOptions{LMaxCl: 30, Ls: []int{2, 10, 30}}, ""},
 		{"all transports", SpectrumOptions{Transport: "tcp", Schedule: "smallest-first"}, ""},
 		{"negative LMaxCl", SpectrumOptions{LMaxCl: -1}, "LMaxCl"},
+		{"LMaxCl below quadrupole", SpectrumOptions{LMaxCl: 1}, "quadrupole"},
 		{"negative NK", SpectrumOptions{NK: -5}, "NK"},
 		{"tiny NK", SpectrumOptions{NK: 2}, "NK"},
 		{"negative LMax", SpectrumOptions{LMax: -3}, "LMax"},
