@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build test-short test test-race test-faults test-farm test-cluster fuzz golden bench-json bench-smoke cmd-smoke loc
+.PHONY: check fmt-check vet staticcheck build cross test-short test test-race test-faults test-farm test-cluster fuzz golden bench-json bench-smoke cmd-smoke loc
 
-check: fmt-check vet staticcheck build test-short
+check: fmt-check vet staticcheck build cross test-short
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -23,6 +23,12 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# cross vets and builds for arm64, so the Go loops that are the only path
+# off amd64 (beside the SSE2 kernels of internal/ode and internal/core)
+# keep compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test-short:
 	$(GO) test -short ./...
@@ -70,13 +76,16 @@ test-cluster:
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
 
 # fuzz runs each fuzz target for 10 s: the one frame codec the tcpmp hub and
-# the worker farm share, and the master's decoders of a worker's result
-# blocks. Plain `go test` replays their seed corpora (testdata/fuzz, the
+# the worker farm share, the master's decoders of a worker's result blocks,
+# and the SSE2 kernels of internal/ode and internal/core against their Go
+# loops. Plain `go test` replays their seed corpora (testdata/fuzz, the
 # crashers found so far among them); a new crasher lands there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/plinger/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
+	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/core/
 
 # golden re-records testdata/golden_cl_bits.json from the code in the tree,
 # for a change that is meant to move the spectrum. It prints the largest
@@ -124,10 +133,13 @@ cmd-smoke:
 	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
 
 # loc prints the non-test Go lines per package under internal/, of the
-# facade and of cmd/: the number ROADMAP aim 2 tracks.
+# facade and of cmd/ — the number ROADMAP aim 2 tracks — and beside them the
+# assembly lines, so code moved into .s files still counts.
 loc:
-	@for d in $$(find internal -type d | sort) . cmd; do \
+	@printf '%6s %6s  %s\n' go asm package; \
+	for d in $$(find internal -type d | sort) . cmd; do \
 		depth="-maxdepth 1"; [ $$d = cmd ] && depth=""; \
 		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; \
+		s=$$(find $$d $$depth -name '*.s' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] && printf '%6d %6d  %s\n' $$n $$s $$d; \
 	done; true

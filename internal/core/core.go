@@ -16,6 +16,14 @@
 //
 // Each mode is an independent initial-value problem, which is precisely the
 // property the paper's master/worker parallelization exploits.
+//
+// On amd64 the free-streaming recurrences of the photon F and G and the
+// neutrino hierarchies, l = 3 .. LMax-1, run as SSE2 assembly
+// (stream_amd64.s). Each lane performs the same IEEE multiplies and
+// subtracts, in the same order, as the Go loop it replaces (streamDampedGo,
+// streamGo), and no fused multiply-add, so every mode is bit for bit the Go
+// loops'. Other architectures run the Go loops, which their compilers may
+// fuse (arm64 does), so the golden bits hold on amd64 only.
 package core
 
 import (

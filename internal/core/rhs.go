@@ -204,9 +204,10 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	} else {
 		// The free-streaming hierarchies run on subslice views with the
 		// l/(2l+1) ratios precomputed (see mode.rA/rB): per-moment index
-		// arithmetic and divisions stay out of the hottest loops. They run
-		// at ordinary arithmetic speed because the integrator flushes the
-		// decaying leading edge to exact 0 (ode.Adaptive) before it can
+		// arithmetic and divisions stay out of the hottest loops, whose
+		// l >= 3 recurrences are one kernel (streamDamped, stream). They
+		// run at ordinary arithmetic speed because the integrator flushes
+		// the decaying leading edge to exact 0 (ode.Adaptive) before it can
 		// reach the subnormal range.
 		fg := y[m.ifg : m.ifg+lmax+1]
 		dfg := dy[m.ifg : m.ifg+lmax+1]
@@ -224,9 +225,7 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 		// term is -kd [ (9/10) F_2 - (1/10)(G_0 + G_2) ], equivalently
 		// -kd (F_2 - Pi/10) with Pi = F_2 + G_0 + G_2.
 		dfg[2] = k/5.0*(2.0*fg[1]-3.0*fg[3]) + src2 - kd*(fg[2]-0.1*pi)
-		for l := 3; l < lmax; l++ {
-			dfg[l] = k*(rA[l]*fg[l-1]-rB[l]*fg[l+1]) - kd*fg[l]
-		}
+		streamDamped(dfg, fg, rA, rB, k, kd)
 		// Free-streaming truncation (MB95 eq. 65).
 		dfg[lmax] = k*fg[lmax-1] - trunc*fg[lmax] - kd*fg[lmax]
 
@@ -238,9 +237,7 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 		} else {
 			dgg[2] = k/5.0*(2.0*gg[1]) + kd*(0.1*pi-gg[2])
 		}
-		for l := 3; l < lmax; l++ {
-			dgg[l] = k*(rA[l]*gg[l-1]-rB[l]*gg[l+1]) - kd*gg[l]
-		}
+		streamDamped(dgg, gg, rA, rB, k, kd)
 		dgg[lmax] = k*gg[lmax-1] - trunc*gg[lmax] - kd*gg[lmax]
 		if m.slip {
 			m.slipRHS(&s, kpsi, y, dy)
@@ -257,12 +254,7 @@ func (m *mode) rhs(tau float64, y, dy []float64) {
 	} else {
 		dfn[2] = k / 5.0 * (2.0 * fn[1])
 	}
-	{
-		rA, rB := m.rA, m.rB
-		for l := 3; l < lmax; l++ {
-			dfn[l] = k * (rA[l]*fn[l-1] - rB[l]*fn[l+1])
-		}
-	}
+	stream(dfn, fn, m.rA, m.rB, k)
 	dfn[lmax] = k*fn[lmax-1] - (float64(lmax)+1.0)/tau*fn[lmax]
 
 	m.massiveNuRHS(tau, a, y, dy, phiDot, psi, hdot, eDot)
@@ -323,10 +315,26 @@ func (m *mode) massiveNuRHS(tau, a float64, y, dy []float64, phiDot, psi, hdot, 
 		} else {
 			dps[2] = qke/5.0*(2.0*ps[1]) + s2nu
 		}
-		for l := 3; l < m.lnu; l++ {
-			dps[l] = qke * (rA[l]*ps[l-1] - rB[l]*ps[l+1])
-		}
+		stream(dps, ps, rA, rB, qke)
 		dps[m.lnu] = qke*ps[m.lnu-1] - (float64(m.lnu)+1.0)/tau*ps[m.lnu]
+	}
+}
+
+// streamDampedGo sets d[l] = k*(rA[l]*f[l-1] - rB[l]*f[l+1]) - kd*f[l] for
+// 3 <= l < len(f)-1: the moments of a photon hierarchy between its sourced
+// low ones and its truncated last one.
+func streamDampedGo(d, f, rA, rB []float64, k, kd float64) {
+	for l := 3; l < len(f)-1; l++ {
+		d[l] = k*(rA[l]*f[l-1]-rB[l]*f[l+1]) - kd*f[l]
+	}
+}
+
+// streamGo is streamDampedGo for a collisionless hierarchy. It has no kd
+// term at all, rather than kd = 0: -0*f[l] would turn a -0 result into +0
+// and 0*Inf into NaN.
+func streamGo(d, f, rA, rB []float64, k float64) {
+	for l := 3; l < len(f)-1; l++ {
+		d[l] = k * (rA[l]*f[l-1] - rB[l]*f[l+1])
 	}
 }
 

@@ -20,6 +20,15 @@
 // touches one costs a ~100-cycle microcode assist, in the right-hand side
 // and in every stage pass here. The floor is unconditional; there is no
 // switch and no second path.
+//
+// On amd64 the vector passes of a step — the stage sums, the two final sums
+// and the accept's flush — run as SSE2 assembly (kernels_amd64.s). Each
+// lane performs the same IEEE multiplies and adds, in the same order, as
+// the Go loop it replaces (accumGo, flushGo), and no fused multiply-add, so
+// every trajectory is bit for bit the Go loops'. The error norm stays a
+// scalar sum in index order. Other architectures run the Go loops, which
+// their compilers may fuse (arm64 does): bits are the same across
+// processes only where every process is amd64.
 package ode
 
 import (
@@ -127,13 +136,15 @@ func (tab *tableau) derive() {
 	tab.dbnz = nonzeros(db)
 }
 
-// accum computes dst = base + h * sum_j c_j k_j as a single fused pass for
+// accumGo computes dst = base + h * sum_j c_j k_j as a single fused pass for
 // the small stage counts of embedded RK pairs (dst == base is allowed and
 // accumulates in place). One pass with all stage slices held in locals is
 // substantially faster than a saxpy sweep per stage: the state vectors of
 // the Einstein-Boltzmann hierarchies are wide, and every avoided pass over
-// them is bandwidth saved.
-func accum(dst, base []float64, h float64, nz []nzc, k [][]float64) {
+// them is bandwidth saved. Each component is the chain
+// ((base + c_0 k_0) + c_1 k_1) + ... with c_j = h * coefficient; accum's
+// kernel keeps that chain per lane.
+func accumGo(dst, base []float64, h float64, nz []nzc, k [][]float64) {
 	n := len(dst)
 	base = base[:n]
 	switch len(nz) {
@@ -180,7 +191,7 @@ func accum(dst, base []float64, h float64, nz []nzc, k [][]float64) {
 			dst[i] = base[i] + c0*k0[i] + c1*k1[i] + c2*k2[i] + c3*k3[i] + c4*k4[i] + c5*k5[i] + c6*k6[i]
 		}
 	default:
-		if &dst[0] != &base[0] {
+		if n > 0 && &dst[0] != &base[0] {
 			copy(dst, base)
 		}
 		for _, t := range nz {
@@ -240,6 +251,17 @@ var fehlberg45 = tableau{
 // reads can see it, and 108 decades above the subnormal range, so no chain
 // of stage products starting from a surviving component can reach it.
 const flushBelow = 1e-200
+
+// flushGo copies src into dst, storing +0 for every component with
+// |v| < flushBelow. A NaN fails the comparison and is copied.
+func flushGo(dst, src []float64) {
+	for i, v := range src {
+		if math.Abs(v) < flushBelow {
+			v = 0
+		}
+		dst[i] = v
+	}
+}
 
 // Adaptive is an adaptive embedded Runge-Kutta integrator. The state it
 // returns and shows to OnStep holds no component with 0 < |v| < flushBelow.
@@ -414,12 +436,7 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 		}
 		if errNorm <= 1.0 {
 			// Accept, flushing what would decay into the subnormal range.
-			for i, v := range ad.ynew {
-				if math.Abs(v) < flushBelow {
-					v = 0
-				}
-				y[i] = v
-			}
+			flush(y, ad.ynew)
 			t += hTry
 			st.Steps++
 			if ad.OnStep != nil {
@@ -478,7 +495,7 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 // candidate solution in ad.ynew and returning the scaled error norm.
 //
 // Each stage state and the final combination are produced by one fused
-// accumulation pass over the non-zero tableau coefficients (see accum),
+// accumulation pass over the non-zero tableau coefficients (see accumGo),
 // rather than a per-component dot product with zero tests over all stages:
 // for the wide Einstein-Boltzmann systems this combination work is where
 // most of an evolution's time outside the right-hand side itself goes.
