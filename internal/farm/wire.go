@@ -13,6 +13,14 @@
 //
 // Its frames are mp.WriteFrame / mp.ReadFrame frames, as tcpmp's are, with the
 // length in bytes and the two header words the frame kind and Appendix-A tag.
+//
+// Every worker of one fleet, and the supervisor that evolves blocks itself
+// when none is registered, must be built for the same GOARCH, amd64 for the
+// golden bits: the bitwise contract holds only between processes running
+// the same instructions. An amd64 build evolves through the SSE2 kernels of
+// internal/ode and internal/core, which never fuse; an arm64 build runs
+// their Go loops, which the compiler fuses into multiply-adds, so its
+// blocks differ in the last bits. Registration does not check this.
 package farm
 
 import (

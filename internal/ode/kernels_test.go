@@ -48,21 +48,21 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// guarded returns a slice of n values with sentinels on both sides of it in
+// guarded returns a slice of n zeros with sentinels on both sides of it in
 // the same array, and a check that the sentinels are untouched.
-func guarded(t *testing.T, vals []float64) ([]float64, func()) {
+func guarded(t *testing.T, n int) ([]float64, func()) {
 	const pad = 3
 	sentinel := math.Float64frombits(0x7ff4dead0000beef)
-	buf := make([]float64, len(vals)+2*pad)
+	buf := make([]float64, n+2*pad)
 	for i := range buf {
-		buf[i] = sentinel
+		if i < pad || i >= pad+n {
+			buf[i] = sentinel
+		}
 	}
-	s := buf[pad : pad+len(vals) : pad+len(vals)]
-	copy(s, vals)
-	return s, func() {
+	return buf[pad : pad+n : pad+n], func() {
 		t.Helper()
 		for i, v := range buf {
-			if (i < pad || i >= pad+len(vals)) && math.Float64bits(v) != math.Float64bits(sentinel) {
+			if (i < pad || i >= pad+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
 				t.Fatalf("a write landed outside the slice, at offset %d", i-pad)
 			}
 		}
@@ -82,7 +82,7 @@ func accumCase(t *testing.T, what string, base []float64, h float64, nz []nzc, k
 	}
 	accumGo(want, wantBase, h, nz, k)
 
-	dst, check := guarded(t, make([]float64, len(base)))
+	dst, check := guarded(t, len(base))
 	src := base
 	if inPlace {
 		copy(dst, base)
@@ -121,7 +121,7 @@ func flushCase(t *testing.T, what string, src []float64) {
 	t.Helper()
 	want := make([]float64, len(src))
 	flushGo(want, src)
-	dst, check := guarded(t, make([]float64, len(src)))
+	dst, check := guarded(t, len(src))
 	flush(dst, src)
 	check()
 	sameBits(t, what, dst, want)
