@@ -45,20 +45,20 @@ test-race:
 # test-faults runs the fault-injection and recovery suite under the race
 # detector: the faultmp transport wrapper, the chaos matrix (scripted
 # kill/hang/drop across the chan/fifo/tcp transports, all-but-one and
-# all-workers-lost kills, batched-block reassignment), the connect
-# retry/timeout paths, worker panic recovery, the serving layer's
-# deadline/stale degradation, and the master's own unit tests (the late
-# death report among them).
+# all-workers-lost kills, batched-block reassignment), worker panic
+# recovery, the serving layer's deadline/stale degradation, and the
+# master's own unit tests (the late death report among them).
 test-faults:
 	$(GO) test -race ./internal/mp/faultmp/ ./internal/plinger/
-	$(GO) test -race -run 'Chaos|ConnectAll|Panic|Deadline|Stale' ./internal/dispatch/ ./internal/serve/
+	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale' ./internal/dispatch/ ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
 # detector: the in-process supervisor contract tests (bitwise equality with
-# the pool, heartbeat kills, rejoin accounting, drain, zero-worker
-# degradation), the tcpmp rendezvous/typed-error hardening, the serve and
-# facade farm routing, and the process-spawning chaos tests that SIGKILL
-# real plingerw workers mid-sweep and between sweeps.
+# the pool, heartbeat kills, rejoin accounting, drain, a prompt Close,
+# zero-worker degradation), the tcpmp join hardening and golden frames
+# (the one data frame both carry), the serve and facade farm routing, and
+# the process-spawning chaos tests that SIGKILL real plingerw workers
+# mid-sweep and between sweeps.
 test-farm:
 	$(GO) test -race ./internal/farm/ ./internal/mp/tcpmp/
 	$(GO) test -race -run 'Farm' ./internal/serve/ .
@@ -75,13 +75,17 @@ test-cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
 
-# fuzz runs each fuzz target for 10 s: the one frame codec the tcpmp hub and
-# the worker farm share, the master's decoders of a worker's result blocks,
-# and the SSE2 kernels of internal/ode and internal/core against their Go
-# loops. Plain `go test` replays their seed corpora (testdata/fuzz, the
-# crashers found so far among them); a new crasher lands there too.
+# fuzz runs each fuzz target for 10 s: the one frame codec tcpmp and the
+# worker farm share, the two listeners that read it from strangers (a tcpmp
+# master's fixed-world join, the farm's registration and read loop), the
+# master's decoders of a worker's result blocks, and the SSE2 kernels of
+# internal/ode and internal/core against their Go loops. Plain `go test`
+# replays their seed corpora (testdata/fuzz, the crashers found so far among
+# them); a new crasher lands there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
+	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime 10s ./internal/mp/tcpmp/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/plinger/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/

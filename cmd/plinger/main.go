@@ -1,7 +1,8 @@
 // Command plinger is the parallel driver: the master/worker decomposition
 // of Appendix A over either in-process workers (like MPI on one node) or
-// TCP across OS processes (like PVM across a cluster; the hub plays the
-// PVM daemon). All fan-out goes through the dispatch subsystem.
+// TCP across OS processes (like PVM across a cluster: the master listens
+// and every worker dials it). All fan-out goes through the dispatch
+// subsystem.
 //
 // Single process, n workers (in-process "chan" or strict-FIFO "fifo"):
 //
@@ -12,8 +13,10 @@
 //	plinger -transport tcp -role master -addr :7070 -np 4 -nk 64
 //	plinger -transport tcp -role worker -addr host:7070 -nk 64
 //
-// The worker must be given the same -nk/-kmin/-kmax so both sides agree on
-// the wavenumber table (the paper broadcasts the rest at tag 1).
+// The master waits until all -np workers have joined. A worker dials once:
+// started before the master listens, it exits with the refused dial. The
+// worker must be given the same -nk/-kmin/-kmax so both sides agree on the
+// wavenumber table (the paper broadcasts the rest at tag 1).
 //
 // With -cl the master assembles the angular power spectrum from the
 // returned sources after the sweep, on the swept wavenumbers; -fastcl
@@ -151,24 +154,22 @@ func main() {
 	case "tcp":
 		switch *role {
 		case "master":
-			hub, err := tcpmp.NewHub(*addr, *np+1)
+			l, err := tcpmp.Listen(*addr, *np+1)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer hub.Close()
-			fmt.Printf("hub listening on %s; waiting for %d workers\n", hub.Addr(), *np)
-			ep, err := tcpmp.Connect(hub.Addr())
-			if err != nil {
-				log.Fatal(err)
-			}
+			defer l.Close()
+			fmt.Printf("master listening on %s; waiting for %d workers\n", l.Addr(), *np)
+			ep := l.Accept()
 			d := &dispatch.MP{
-				Model:     model,
-				Endpoints: []mp.Endpoint{ep},
-				Schedule:  sched,
-				AdaptLMax: adapt,
-				ASCIIOut:  openOut(*unit1),
-				BinaryOut: openOut(*unit2),
-				Transport: "tcp",
+				Model:      model,
+				Endpoints:  []mp.Endpoint{ep},
+				Schedule:   sched,
+				AdaptLMax:  adapt,
+				ASCIIOut:   openOut(*unit1),
+				BinaryOut:  openOut(*unit2),
+				Transport:  "tcp",
+				BytesMoved: ep.BytesMoved,
 			}
 			sw, st, err := d.Run(context.Background(), ks, mode)
 			if err != nil {
@@ -178,9 +179,9 @@ func main() {
 			if *cl {
 				reportCl(sw, th.TauRec(), *lmaxcl, *fastcl)
 			}
-			fmt.Printf("hub routed %d payload bytes\n", hub.BytesMoved())
+			fmt.Printf("moved %d payload bytes\n", st.BytesMoved)
 		case "worker":
-			ep, err := tcpmp.Connect(*addr)
+			ep, err := tcpmp.Dial(*addr)
 			if err != nil {
 				log.Fatal(err)
 			}

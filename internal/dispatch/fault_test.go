@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"plinger/internal/mp/chanmp"
 	"plinger/internal/mp/faultmp"
 	"plinger/internal/mp/fifomp"
-	"plinger/internal/mp/tcpmp"
 )
 
 // chaosMode keeps the recovery sweeps fast while still exercising the full
@@ -53,17 +51,11 @@ func chaosWorld(t *testing.T, transport string, n int) ([]mp.Endpoint, func()) {
 		}
 		return eps, closeAll(eps)
 	case "tcp":
-		hub, err := tcpmp.NewHub("127.0.0.1:0", n)
+		d, cleanup, err := NewMP(nil, "tcp", n-1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps, _, err := connectAll(hub.Addr(), n, 10*time.Second)
-		if err != nil {
-			hub.Close()
-			t.Fatal(err)
-		}
-		closeEps := closeAll(eps)
-		return eps, func() { closeEps(); hub.Close() }
+		return d.Endpoints, cleanup
 	}
 	t.Fatalf("unknown transport %q", transport)
 	return nil, nil
@@ -278,64 +270,6 @@ func TestChaosBatchedBlockReassignment(t *testing.T) {
 		t.Fatalf("worker failures %d, want 1", st.WorkerFailures)
 	}
 	checkRecovered(t, "batched-reassign", ref, sw, st, len(ks))
-}
-
-// connectAll with a rendezvous timeout must fail fast when a worker never
-// joins the world, instead of blocking NewMP forever (the old behavior).
-func TestConnectAllHandshakeTimeout(t *testing.T) {
-	hub, err := tcpmp.NewHub("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	start := time.Now()
-	// Only 2 of the hub's 3 expected processes dial in: the rank handshake
-	// can never complete.
-	_, _, err = connectAll(hub.Addr(), 2, 400*time.Millisecond)
-	if err == nil {
-		t.Fatal("partial rendezvous reported success")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("rendezvous timeout took %v, want well under the old forever", elapsed)
-	}
-}
-
-// Dial failures inside the rendezvous budget are retried with backoff, so a
-// hub that comes up moments after its workers still forms a world.
-func TestConnectAllRetriesDial(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // reserve the port, then free it for the late hub
-	hubCh := make(chan *tcpmp.Hub, 1)
-	hubErr := make(chan error, 1)
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		hub, err := tcpmp.NewHub(addr, 2)
-		if err != nil {
-			hubErr <- err
-			return
-		}
-		hubCh <- hub
-	}()
-	eps, retries, err := connectAll(addr, 2, 5*time.Second)
-	if err != nil {
-		select {
-		case herr := <-hubErr:
-			t.Fatalf("late hub failed to start (port reuse race): %v", herr)
-		default:
-		}
-		t.Fatal(err)
-	}
-	if retries == 0 {
-		t.Fatal("hub started late but no dial was retried")
-	}
-	for _, ep := range eps {
-		ep.Close()
-	}
-	(<-hubCh).Close()
 }
 
 // Worker panics must surface as per-worker errors naming the rank and mode,

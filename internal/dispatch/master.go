@@ -28,8 +28,6 @@ type MasterOptions struct {
 	AssignDeadline time.Duration
 	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs.
 	ASCIIOut, BinaryOut io.Writer
-	// Retries is reported as RunStats.Retries.
-	Retries int
 }
 
 // assignDeadline is the budget a master runs under: the tighter of the
@@ -91,7 +89,6 @@ func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []floa
 		Reassignments:  res.Reassignments,
 		DeadlineMisses: res.DeadlineMisses,
 		LocalModes:     res.LocalModes,
-		Retries:        o.Retries,
 	}
 	for _, w := range res.Workers {
 		st.Workers = append(st.Workers, WorkerTiming(w))

@@ -50,9 +50,6 @@ type MP struct {
 	// recomputes locally if every worker is lost. A context deadline on Run
 	// also activates it (the tighter of the two budgets wins).
 	AssignDeadline time.Duration
-	// ConnectRetries is filled in by NewMP: transport connect attempts
-	// beyond the first (reported as RunStats.Retries).
-	ConnectRetries int
 }
 
 // Run implements Dispatcher: it starts a worker goroutine per further
@@ -135,7 +132,6 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		AssignDeadline: d.AssignDeadline,
 		ASCIIOut:       d.ASCIIOut,
 		BinaryOut:      d.BinaryOut,
-		Retries:        d.ConnectRetries,
 	})
 	if err != nil {
 		// Unblock any local workers still probing, then collect them.
@@ -182,10 +178,10 @@ func (d *MP) transportName() string {
 
 // NewMP builds an MP dispatcher over a freshly created in-process world of
 // the named transport — "chan" (in-process goroutine nodes, the default),
-// "fifo" (the strict arrival-order MPL model) or "tcp" (a loopback
-// PVM-style hub) — with the given number of workers (<= 0: one). The
-// returned cleanup closes the endpoints (and hub) and must be called after
-// the final Run.
+// "fifo" (the strict arrival-order MPL model) or "tcp" (loopback
+// connections to a listening master) — with the given number of workers
+// (<= 0: one). The returned cleanup closes the endpoints (and the tcp
+// listener) and must be called after the final Run.
 func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error) {
 	if workers <= 0 {
 		workers = 1
@@ -193,8 +189,7 @@ func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error
 	n := workers + 1
 	var eps []mp.Endpoint
 	var bytes func() int64
-	closeHub := func() {}
-	connectRetries := 0
+	closeWorld := func() {}
 	name := transport
 	switch transport {
 	case "", "chan":
@@ -211,19 +206,24 @@ func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error
 		}
 		eps, bytes = e, world.BytesMoved
 	case "tcp":
-		hub, err := tcpmp.NewHub("127.0.0.1:0", n)
+		// The master listens before any worker dials, and a join is answered
+		// at once, so the workers can dial one after another.
+		l, err := tcpmp.Listen("127.0.0.1:0", n)
 		if err != nil {
 			return nil, nil, err
 		}
-		var retries int
-		eps, retries, err = connectAll(hub.Addr(), n, tcpConnectTimeout)
-		connectRetries = retries
-		if err != nil {
-			hub.Close()
-			return nil, nil, err
+		eps = make([]mp.Endpoint, n)
+		for i := 1; i < n; i++ {
+			w, err := tcpmp.Dial(l.Addr())
+			if err != nil {
+				l.Close()
+				return nil, nil, err
+			}
+			eps[w.Rank()] = w
 		}
-		bytes = hub.BytesMoved
-		closeHub = func() { hub.Close() }
+		m := l.Accept()
+		eps[0], bytes = m, m.BytesMoved
+		closeWorld = func() { l.Close() }
 	default:
 		return nil, nil, fmt.Errorf("dispatch: unknown transport %q", transport)
 	}
@@ -231,77 +231,8 @@ func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error
 		for _, ep := range eps {
 			ep.Close()
 		}
-		closeHub()
+		closeWorld()
 	}
-	d := &MP{Model: model, Endpoints: eps, Transport: name, BytesMoved: bytes, ConnectRetries: connectRetries}
+	d := &MP{Model: model, Endpoints: eps, Transport: name, BytesMoved: bytes}
 	return d, cleanup, nil
-}
-
-// tcpConnectTimeout bounds the whole loopback rendezvous in NewMP; a
-// package variable so the tests can tighten it.
-var tcpConnectTimeout = 10 * time.Second
-
-// connectAll joins n loopback endpoints to the hub at addr. Connections
-// must be made concurrently: the hub completes the rank handshake only once
-// all n processes have dialed in. The rendezvous is bounded by timeout (0:
-// wait forever, the old behavior); dial failures are retried with doubling
-// backoff inside the budget, while a handshake timeout — a worker that
-// never joined the world — is a hard error, since the hub has already
-// counted the half-open connection. Returns the endpoints and the number
-// of retried dials.
-func connectAll(addr string, n int, timeout time.Duration) ([]mp.Endpoint, int, error) {
-	eps := make([]mp.Endpoint, n)
-	errs := make([]error, n)
-	retries := 0
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			backoff := 10 * time.Millisecond
-			for {
-				remaining := time.Duration(0)
-				if !deadline.IsZero() {
-					remaining = time.Until(deadline)
-					if remaining <= 0 {
-						errs[i] = fmt.Errorf("dispatch: tcp connect: rendezvous deadline (%v) exceeded", timeout)
-						return
-					}
-				}
-				ep, err := tcpmp.ConnectTimeout(addr, remaining)
-				if err == nil {
-					mu.Lock()
-					eps[ep.Rank()] = ep
-					mu.Unlock()
-					return
-				}
-				if deadline.IsZero() || !errors.Is(err, tcpmp.ErrDial) || time.Until(deadline) <= backoff {
-					errs[i] = err
-					return
-				}
-				time.Sleep(backoff)
-				backoff *= 2
-				mu.Lock()
-				retries++
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, retries, err
-		}
-	}
-	for rank, ep := range eps {
-		if ep == nil {
-			return nil, retries, fmt.Errorf("dispatch: no endpoint claimed rank %d", rank)
-		}
-	}
-	return eps, retries, nil
 }

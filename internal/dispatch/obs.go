@@ -28,8 +28,6 @@ var (
 		"assignment/start-up deadline expiries")
 	obsFaultLocal = obs.Default.Counter("plinger_fault_local_modes_total", "",
 		"modes the master recomputed after losing all workers")
-	obsFaultRetries = obs.Default.Counter("plinger_fault_retries_total", "",
-		"transport connect attempts beyond the first")
 )
 
 // observeMode books one evolved mode's busy time into the process-wide
@@ -47,5 +45,4 @@ func recordRunStats(st *RunStats) {
 	obsFaultReassign.Add(uint64(st.Reassignments))
 	obsFaultDeadline.Add(uint64(st.DeadlineMisses))
 	obsFaultLocal.Add(uint64(st.LocalModes))
-	obsFaultRetries.Add(uint64(st.Retries))
 }

@@ -67,7 +67,6 @@ type RunStats struct {
 	Reassignments  int // orphaned k-blocks handed to surviving workers
 	DeadlineMisses int // assignment/start-up deadline expiries
 	LocalModes     int // modes the master recomputed after losing all workers
-	Retries        int // transport connect attempts beyond the first
 
 	// Phases is the per-phase wall-time breakdown of the request that ran
 	// this sweep (evolve, source spline, projection, ...), folded in from the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os/exec"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"plinger/internal/core"
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
+	"plinger/internal/mp/tcpmp"
 	runner "plinger/internal/plinger"
 )
 
@@ -96,14 +98,13 @@ func (o *Options) withDefaults() Options {
 // sweepAttach binds one worker connection into one in-flight sweep.
 type sweepAttach struct {
 	rank int
-	q    *mp.Queue // the master's inbound mailbox for this sweep
+	ep   *tcpmp.Endpoint // the sweep's master endpoint
 }
 
 // workerConn is one registered worker on the roster.
 type workerConn struct {
 	id    int
-	conn  net.Conn
-	wmu   sync.Mutex
+	conn  *tcpmp.Conn
 	hello Hello
 
 	// pingPending counts heartbeat windows since the last inbound frame
@@ -144,6 +145,9 @@ type Supervisor struct {
 	procs    map[int]*workerProc
 	restarts []time.Time
 	draining bool
+	// roster is closed and replaced (rosterChanged) whenever a worker
+	// registers, detaches or finishes its sweep, or a spawned process exits.
+	roster chan struct{}
 
 	sweepMu sync.Mutex // sweeps are serialized over the shared fleet
 	closed  chan struct{}
@@ -155,33 +159,39 @@ type Supervisor struct {
 // New starts a supervisor: listen, spawn the local fleet, begin
 // heartbeating. Callers must Close (or Drain) it.
 func New(opt Options) (*Supervisor, error) {
-	o := opt.withDefaults()
-	if o.Workers > 0 && o.WorkerBin == "" {
-		return nil, fmt.Errorf("farm: %d local workers requested but no WorkerBin to spawn", o.Workers)
+	s := newSupervisor(opt)
+	if s.opt.Workers > 0 && s.opt.WorkerBin == "" {
+		return nil, fmt.Errorf("farm: %d local workers requested but no WorkerBin to spawn", s.opt.Workers)
 	}
-	ln, err := net.Listen("tcp", o.Addr)
+	ln, err := net.Listen("tcp", s.opt.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("farm: listen: %w", err)
 	}
-	s := &Supervisor{
-		opt:     o,
-		ln:      ln,
-		workers: make(map[int]*workerConn),
-		known:   make(map[string]bool),
-		retired: make(map[string]bool),
-		procs:   make(map[int]*workerProc),
-		closed:  make(chan struct{}),
-	}
-	obsWorkersTarget.Set(float64(o.Workers))
+	s.ln = ln
+	obsWorkersTarget.Set(float64(s.opt.Workers))
 	go s.acceptLoop()
 	go s.heartbeatLoop()
-	for i := 0; i < o.Workers; i++ {
+	for i := 0; i < s.opt.Workers; i++ {
 		if err := s.spawn(); err != nil {
 			s.Close()
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// newSupervisor is a supervisor with an empty roster that neither listens
+// nor heartbeats yet.
+func newSupervisor(opt Options) *Supervisor {
+	return &Supervisor{
+		opt:     opt.withDefaults(),
+		workers: make(map[int]*workerConn),
+		known:   make(map[string]bool),
+		retired: make(map[string]bool),
+		procs:   make(map[int]*workerProc),
+		closed:  make(chan struct{}),
+		roster:  make(chan struct{}),
+	}
 }
 
 // Addr is the address workers dial (for remote quickstarts and tests).
@@ -199,23 +209,13 @@ func (s *Supervisor) acceptLoop() {
 	}
 }
 
-// register admits one dialing worker: magic, Hello, version check,
-// Welcome. The whole handshake is deadline-bounded so a half-open dial
-// can never wedge the roster.
+// register admits one dialing worker — magic, Hello, version check,
+// Welcome — and then serves its connection until it detaches. The handshake
+// is deadline-bounded so a half-open dial can never wedge the roster.
 func (s *Supervisor) register(c net.Conn) {
 	c.SetDeadline(time.Now().Add(helloTimeout))
-	var m uint32
-	if err := binary.Read(c, binary.LittleEndian, &m); err != nil || m != farmMagic {
-		c.Close()
-		return
-	}
-	kind, _, payload, err := mp.ReadFrame(c, 1)
-	if err != nil || kind != kindHello {
-		c.Close()
-		return
-	}
-	var hello Hello
-	if err := json.Unmarshal(payload, &hello); err != nil {
+	hello, ok := readHello(c)
+	if !ok {
 		c.Close()
 		return
 	}
@@ -233,7 +233,7 @@ func (s *Supervisor) register(c net.Conn) {
 		return
 	}
 	s.nextID++
-	wc := &workerConn{id: s.nextID, conn: c, hello: hello, joinedAt: time.Now()}
+	wc := &workerConn{id: s.nextID, conn: &tcpmp.Conn{Conn: c}, hello: hello, joinedAt: time.Now()}
 	if hello.Rejoins > 0 || s.known[hello.UID] {
 		obsReconnects.Inc()
 		s.nReconnects.Add(1)
@@ -248,25 +248,36 @@ func (s *Supervisor) register(c net.Conn) {
 	}
 	s.known[hello.UID] = true
 	s.workers[wc.id] = wc
+	s.rosterChanged()
 	alive := len(s.workers)
 	s.mu.Unlock()
 	obsWorkersAlive.Set(float64(alive))
 
 	welcome := Welcome{ID: wc.id, HeartbeatMS: int(s.opt.Heartbeat / time.Millisecond)}
-	if err := writeJSON(c, &wc.wmu, kindWelcome, welcome); err != nil {
+	if err := writeJSON(wc.conn, kindWelcome, welcome); err != nil {
 		s.dropConn(wc, err)
 		return
 	}
 	c.SetDeadline(time.Time{})
 	s.opt.Logf("farm: worker %d joined (host=%s pid=%d procs=%d rejoins=%d), %d alive",
 		wc.id, hello.Host, hello.PID, hello.Procs, hello.Rejoins, alive)
-	go s.readLoop(wc)
+	s.readLoop(wc)
+}
+
+// readHello reads a dialer's magic word and its Hello frame.
+func readHello(c net.Conn) (hello Hello, ok bool) {
+	var m uint32
+	if binary.Read(c, binary.LittleEndian, &m) != nil || m != farmMagic {
+		return hello, false
+	}
+	kind, _, payload, err := mp.ReadFrame(c)
+	return hello, err == nil && kind == kindHello && json.Unmarshal(payload, &hello) == nil
 }
 
 // readLoop owns one worker connection's inbound side for its lifetime.
 func (s *Supervisor) readLoop(wc *workerConn) {
 	for {
-		kind, tag, payload, err := mp.ReadFrame(wc.conn, 1)
+		kind, tag, payload, err := mp.ReadFrame(wc.conn)
 		if err != nil {
 			s.dropConn(wc, err)
 			return
@@ -275,24 +286,22 @@ func (s *Supervisor) readLoop(wc *workerConn) {
 		switch kind {
 		case kindPong:
 			// liveness only
-		case kindData:
+		case tcpmp.KindData:
 			if at := wc.sweep.Load(); at != nil {
-				data, err := mp.DecodeFloats(payload)
-				if err != nil {
+				if err := at.ep.Deliver(at.rank, tag, payload); err != nil {
 					s.dropConn(wc, err)
 					return
 				}
-				// A push after the master finished (a straggler's duplicate)
-				// hits the closed per-sweep queue and is discarded — the
-				// wire form of the master's first-wins rule.
-				_ = at.q.Push(mp.Message{Tag: int(tag), Source: at.rank, Data: data})
 			}
 		case kindSweepDone:
 			var done sweepDone
 			_ = json.Unmarshal(payload, &done)
-			wc.sweep.Store(nil)
+			idle := wc.sweep.Swap(nil) != nil
 			s.mu.Lock()
 			wc.sweeps++
+			if idle {
+				s.rosterChanged()
+			}
 			s.mu.Unlock()
 			if !done.OK {
 				s.opt.Logf("farm: worker %d reported sweep error: %s", wc.id, done.Err)
@@ -314,10 +323,11 @@ func (s *Supervisor) dropConn(wc *workerConn, cause error) {
 	}
 	wc.conn.Close()
 	if at := wc.sweep.Swap(nil); at != nil {
-		_ = at.q.Push(mp.Message{Tag: runner.TagDown, Source: 0, Data: []float64{float64(at.rank)}})
+		_ = at.ep.Push(mp.Message{Tag: runner.TagDown, Source: 0, Data: []float64{float64(at.rank)}})
 	}
 	s.mu.Lock()
 	delete(s.workers, wc.id)
+	s.rosterChanged()
 	alive := len(s.workers)
 	draining := s.draining
 	s.mu.Unlock()
@@ -328,7 +338,28 @@ func (s *Supervisor) dropConn(wc *workerConn, cause error) {
 	}
 }
 
-// retire drops a worker the master declared failed and remembers its PID:
+// rosterChanged wakes everyone waiting on the roster. The caller holds s.mu.
+func (s *Supervisor) rosterChanged() {
+	close(s.roster)
+	s.roster = make(chan struct{})
+}
+
+// await returns, holding s.mu, once cond holds or ctx ends; cond runs under
+// s.mu, again after every roster change.
+func (s *Supervisor) await(ctx context.Context, cond func() bool) {
+	s.mu.Lock()
+	for !cond() && ctx.Err() == nil {
+		changed := s.roster
+		s.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+		}
+		s.mu.Lock()
+	}
+}
+
+// retireConn drops a worker the master declared failed and remembers its PID:
 // when the same process dials back in, that registration counts as a
 // rejoin. Closing the connection is also what UNSTICKS a zombie — a
 // worker failed for slowness that is still alive and probing — forcing it
@@ -372,7 +403,7 @@ func (s *Supervisor) heartbeatLoop() {
 			// Send off the ticker goroutine: a wedged connection must not
 			// stall everyone else's heartbeat.
 			go func(wc *workerConn) {
-				if err := writeFrame(wc.conn, &wc.wmu, kindPing, 0, nil); err != nil {
+				if err := wc.conn.WriteFrame(kindPing, 0, nil); err != nil {
 					s.dropConn(wc, err)
 				}
 			}(wc)
@@ -420,6 +451,7 @@ func (s *Supervisor) monitor(wp *workerProc) {
 	err := wp.cmd.Wait()
 	s.mu.Lock()
 	delete(s.procs, wp.pid)
+	s.rosterChanged()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
@@ -469,74 +501,37 @@ func (s *Supervisor) allowRestart() bool {
 
 // --- the sweep path ---
 
-// masterEndpoint adapts the roster slice claimed for one sweep to
-// mp.Endpoint for runner.Master. Rank 0 is the in-process master; rank r
-// (1-based) is peers[r].
-type masterEndpoint struct {
-	*mp.Queue
-	peers map[int]*workerConn
-	size  int
-}
-
-func (e *masterEndpoint) Rank() int   { return 0 }
-func (e *masterEndpoint) Size() int   { return e.size }
-func (e *masterEndpoint) Master() int { return 0 }
-
-func (e *masterEndpoint) Send(dst, tag int, data []float64) error {
-	wc := e.peers[dst]
-	if wc == nil {
-		return fmt.Errorf("farm: no worker holds rank %d", dst)
-	}
-	return writeFrame(wc.conn, &wc.wmu, kindData, int32(tag), mp.EncodeFloats(data))
-}
-
-func (e *masterEndpoint) Bcast(tag int, data []float64) error {
-	var first error
-	for rank := 1; rank < e.size; rank++ {
-		if err := e.Send(rank, tag, data); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// claimWorkers waits (bounded) for MinWorkers idle workers, then marks
-// every idle worker as a member of the new sweep and hands back the
-// rank->conn table. An empty table is a legal outcome: the master then
-// computes the whole sweep itself through PR 7's degradation path.
-func (s *Supervisor) claimWorkers(ctx context.Context, q *mp.Queue) map[int]*workerConn {
-	deadline := time.Now().Add(s.opt.WaitWorkers)
-	for {
-		s.mu.Lock()
-		idle := make([]*workerConn, 0, len(s.workers))
+// claimWorkers waits (bounded) for MinWorkers idle workers, then makes
+// every idle worker a member of a new sweep, ranked by join id, and returns
+// the sweep's master endpoint with the rank->worker table. An empty table is
+// a legal outcome: the master then computes the whole sweep itself through
+// PR 7's degradation path.
+func (s *Supervisor) claimWorkers(ctx context.Context) (*tcpmp.Endpoint, map[int]*workerConn) {
+	wctx, cancel := context.WithTimeout(ctx, s.opt.WaitWorkers)
+	defer cancel()
+	var idle []*workerConn
+	s.await(wctx, func() bool {
+		idle = idle[:0]
 		for _, wc := range s.workers {
 			if wc.sweep.Load() == nil {
 				idle = append(idle, wc)
 			}
 		}
-		if len(idle) >= s.opt.MinWorkers || time.Now().After(deadline) || ctx.Err() != nil {
-			// Deterministic rank order (by join id) for readable stats;
-			// results are rank-agnostic by the determinism contract.
-			for i := 1; i < len(idle); i++ {
-				for j := i; j > 0 && idle[j].id < idle[j-1].id; j-- {
-					idle[j], idle[j-1] = idle[j-1], idle[j]
-				}
-			}
-			peers := make(map[int]*workerConn, len(idle))
-			for i, wc := range idle {
-				rank := i + 1
-				wc.sweep.Store(&sweepAttach{rank: rank, q: q})
-				peers[rank] = wc
-			}
-			s.mu.Unlock()
-			return peers
-		}
-		s.mu.Unlock()
-		select {
-		case <-ctx.Done():
-		case <-time.After(5 * time.Millisecond):
-		}
+		return len(idle) >= s.opt.MinWorkers
+	})
+	defer s.mu.Unlock()
+	// Deterministic rank order for readable stats; results are rank-agnostic
+	// by the determinism contract.
+	slices.SortFunc(idle, func(a, b *workerConn) int { return a.id - b.id })
+	conns := make([]*tcpmp.Conn, len(idle)+1)
+	ep := tcpmp.NewEndpoint(0, len(conns), conns)
+	peers := make(map[int]*workerConn, len(idle))
+	for i, wc := range idle {
+		conns[i+1] = wc.conn
+		wc.sweep.Store(&sweepAttach{rank: i + 1, ep: ep})
+		peers[i+1] = wc
 	}
+	return ep, peers
 }
 
 // Sweep runs one k-grid sweep for the given model over the fleet,
@@ -566,10 +561,7 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 	default:
 	}
 
-	q := mp.NewQueue()
-	peers := s.claimWorkers(ctx, q)
-	world := len(peers) + 1
-	ep := &masterEndpoint{Queue: q, peers: peers, size: world}
+	ep, peers := s.claimWorkers(ctx)
 
 	// Membership: each claimed worker learns its rank, the world size, the
 	// model, the grid, and the mode — then the Appendix-A protocol takes
@@ -577,11 +569,11 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 	// reported down at once; its start-up deadline would catch it anyway.
 	wspec := specFromParams(mode)
 	wspec.Model = spec
-	wspec.World = world
+	wspec.World = ep.Size()
 	wspec.Ks = ks
 	for rank, wc := range peers {
 		wspec.Rank = rank
-		if err := writeJSON(wc.conn, &wc.wmu, kindSweepBegin, wspec); err != nil {
+		if err := writeJSON(wc.conn, kindSweepBegin, wspec); err != nil {
 			s.dropConn(wc, err)
 		}
 	}
@@ -612,6 +604,7 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 		}
 	}
 
+	st.BytesMoved = ep.BytesMoved()
 	obsSweeps.Inc()
 	s.nSweeps.Add(1)
 	s.mu.Lock()
@@ -742,26 +735,17 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	for _, wc := range conns {
-		_ = writeFrame(wc.conn, &wc.wmu, kindDrain, 0, nil)
+		_ = wc.conn.WriteFrame(kindDrain, 0, nil)
 	}
 	// Give drained workers until the budget (or a short grace) to leave on
 	// their own — a clean exit closes the connection, which empties the
 	// roster — before force-killing stragglers. A worker may still be
 	// flushing its final SweepDone when the drain order lands; closing its
 	// connection under that write would turn a graceful exit into an error.
-	deadline := time.Now().Add(2 * time.Second)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
-		deadline = dl
-	}
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		left := len(s.procs) + len(s.workers)
-		s.mu.Unlock()
-		if left == 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	grace, cancel := context.WithTimeout(ctx, 2*time.Second)
+	s.await(grace, func() bool { return len(s.procs)+len(s.workers) == 0 })
+	s.mu.Unlock()
+	cancel()
 	for _, wp := range procs {
 		if wp.cmd.Process != nil {
 			_ = wp.cmd.Process.Kill()

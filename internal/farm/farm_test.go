@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"plinger/internal/core"
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
+	"plinger/internal/mp/tcpmp"
 )
 
 func scdmSpec() ModelSpec {
@@ -272,11 +274,10 @@ func TestFarmHeartbeatKillsSilentWorkerAndCountsRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var wmu sync.Mutex
 	if err := binary.Write(c, binary.LittleEndian, uint32(farmMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSON(c, &wmu, kindHello, Hello{Version: protocolVersion, Host: "test", PID: 1, UID: "mute"}); err != nil {
+	if err := writeJSON(&tcpmp.Conn{Conn: c}, kindHello, Hello{Version: protocolVersion, Host: "test", PID: 1, UID: "mute"}); err != nil {
 		t.Fatal(err)
 	}
 	waitAlive(t, s, 1)
@@ -372,5 +373,25 @@ func TestFarmSweepContextCancel(t *testing.T) {
 	ref := poolReference(t, testKs(), smallMode())
 	for i := range ref.Results {
 		sameResult(t, fmt.Sprintf("mode %d", i), sw.Results[i], ref.Results[i])
+	}
+}
+
+// Closing an idle fleet waits for the workers' exits, not for a polling
+// tick: the median of five Closes of an idle two-worker loopback fleet is
+// under 5 ms.
+func TestFarmCloseIdleFleetIsPrompt(t *testing.T) {
+	took := make([]time.Duration, 5)
+	for i := range took {
+		s := testSupervisor(t, Options{})
+		startTestWorker(t, s, "a", 0, nil)
+		startTestWorker(t, s, "b", 0, nil)
+		waitAlive(t, s, 2)
+		start := time.Now()
+		s.Close()
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if took[2] >= 5*time.Millisecond {
+		t.Fatalf("Close of an idle two-worker fleet took %v, want a median under 5ms", took)
 	}
 }

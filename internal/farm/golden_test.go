@@ -2,19 +2,17 @@ package farm
 
 // Golden frames: the exact bytes a farm connection carries, pinned as hex. A
 // frame is three little-endian int32 words — kind, tag, payload length in
-// bytes — then the payload: little-endian doubles on a data frame, JSON on a
-// control frame.
+// bytes — then the payload, JSON on a control frame. A sweep's data frames
+// are tcpmp's, pinned by its TestGoldenFrameAsSendWritesIt.
 
 import (
 	"encoding/hex"
 	"io"
-	"math"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
-	runner "plinger/internal/plinger"
+	"plinger/internal/mp/tcpmp"
 )
 
 // pipeHex runs write against one end of a pipe and returns the hex of the
@@ -37,27 +35,12 @@ func pipeHex(t *testing.T, n int, write func(c net.Conn) error) string {
 	return hex.EncodeToString(buf)
 }
 
-func TestGoldenFarmDataFrame(t *testing.T) {
-	const want = "07000000" + "04000000" + "18000000" +
-		"000000000000f83f" + "0000000000000080" + "010000000000f87f"
-	data := []float64{1.5, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)}
-	got := pipeHex(t, len(want)/2, func(c net.Conn) error {
-		var wmu sync.Mutex
-		ep := &workerEndpoint{conn: c, wmu: &wmu}
-		return ep.Send(0, runner.TagSummary, data)
-	})
-	if got != want {
-		t.Fatalf("data frame\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestGoldenFarmControlFrame(t *testing.T) {
 	// {"id":3,"heartbeat_ms":1000}
 	const want = "02000000" + "00000000" + "1c000000" +
 		"7b226964223a332c22686561727462656174" + "5f6d73223a313030307d"
 	got := pipeHex(t, len(want)/2, func(c net.Conn) error {
-		var wmu sync.Mutex
-		return writeJSON(c, &wmu, kindWelcome, Welcome{ID: 3, HeartbeatMS: 1000})
+		return writeJSON(&tcpmp.Conn{Conn: c}, kindWelcome, Welcome{ID: 3, HeartbeatMS: 1000})
 	})
 	if got != want {
 		t.Fatalf("control frame\n got %s\nwant %s", got, want)

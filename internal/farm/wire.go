@@ -4,15 +4,17 @@
 // restarts, and serves sweeps over them through the paper's Appendix-A
 // master protocol (internal/plinger) with PR 7's fault tolerance armed.
 //
-// Where the tcpmp Hub is a fixed-size rendezvous — the world is sized up
-// front and one run consumes it — the farm is a long-lived dynamic world:
-// workers join and leave between sweeps, a worker lost mid-sweep is failed
-// by the master and REJOINS for the next sweep when its process reconnects,
-// and spawned workers that crash are restarted under a rate-limited budget.
-// Capacity self-heals instead of ratcheting down.
+// Where a tcpmp world is fixed — sized up front, one run consumes it — the
+// farm is a long-lived dynamic world: workers join and leave between
+// sweeps, a worker lost mid-sweep is failed by the master and REJOINS for
+// the next sweep when its process reconnects, and spawned workers that
+// crash are restarted under a rate-limited budget. Capacity self-heals
+// instead of ratcheting down.
 //
-// Its frames are mp.WriteFrame / mp.ReadFrame frames, as tcpmp's are, with the
-// length in bytes and the two header words the frame kind and Appendix-A tag.
+// A sweep's Appendix-A messages cross each worker's one connection through
+// tcpmp endpoints, as tcpmp data frames, exactly as in a tcpmp world; the
+// farm adds only its control frames (hello/welcome, ping/pong, sweep
+// begin/done, drain), mp frames of the other kinds with JSON payloads.
 //
 // Every worker of one fleet, and the supervisor that evolves blocks itself
 // when none is registered, must be built for the same GOARCH, amd64 for the
@@ -25,16 +27,13 @@ package farm
 
 import (
 	"encoding/json"
-	"net"
-	"sync"
-	"time"
 
 	"plinger/internal/core"
-	"plinger/internal/mp"
+	"plinger/internal/mp/tcpmp"
 )
 
 // farmMagic opens every farm connection ("PLFM"), distinguishing the farm
-// protocol from the tcpmp hub protocol ("PLNG") on the wire.
+// protocol from a tcpmp join ("PLNG") on the wire.
 const farmMagic = 0x504c464d
 
 // protocolVersion is bumped on any incompatible frame-format change; the
@@ -42,9 +41,9 @@ const farmMagic = 0x504c464d
 const protocolVersion = 1
 
 // Frame kinds. One persistent connection per worker multiplexes the
-// control plane (JSON payloads) and the sweep data plane (float64
-// payloads, carrying the Appendix-A tags) — TCP's per-connection ordering
-// is what guarantees a sweep's TagStop precedes the next SweepBegin.
+// control plane (JSON payloads) and the sweep data plane (tcpmp.KindData,
+// 7, carrying the Appendix-A tags) — TCP's per-connection ordering is what
+// guarantees a sweep's TagStop precedes the next SweepBegin.
 const (
 	kindHello      = int32(1) // worker -> master: registration (JSON Hello)
 	kindWelcome    = int32(2) // master -> worker: admission (JSON Welcome)
@@ -52,7 +51,6 @@ const (
 	kindPong       = int32(4) // worker -> master: liveness answer
 	kindSweepBegin = int32(5) // master -> worker: sweep membership (JSON sweepSpec)
 	kindSweepDone  = int32(6) // worker -> master: sweep finished (JSON sweepDone)
-	kindData       = int32(7) // both ways: Appendix-A message (tag + float64s)
 	kindDrain      = int32(8) // master -> worker: finish and exit cleanly
 )
 
@@ -70,8 +68,7 @@ type Hello struct {
 	// supervisor recognizes a returning casualty by it. A PID cannot play
 	// this role — two in-process workers share one, and a recycled PID
 	// would alias two unrelated processes.
-	UID      string `json:"uid"`
-	BuildTag string `json:"build,omitempty"`
+	UID string `json:"uid"`
 }
 
 // Welcome is the supervisor's admission reply.
@@ -167,26 +164,11 @@ type sweepDone struct {
 	Err string `json:"err,omitempty"`
 }
 
-// writeTimeout bounds every frame write: a peer whose TCP buffer stopped
-// draining (a wedged process, a dead link before the RST) must cost the
-// writer an error, never a stuck sweep. It is far above any healthy
-// flush time, so expiry is a liveness verdict.
-var writeTimeout = 30 * time.Second
-
-// writeFrame sends one frame under the connection's write lock (the
-// control plane and an in-flight sweep's data plane share the socket).
-func writeFrame(conn net.Conn, wmu *sync.Mutex, kind, tag int32, payload []byte) error {
-	wmu.Lock()
-	defer wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return mp.WriteFrame(conn, kind, tag, payload, 1)
-}
-
 // writeJSON sends a control frame.
-func writeJSON(conn net.Conn, wmu *sync.Mutex, kind int32, v any) error {
+func writeJSON(c *tcpmp.Conn, kind int32, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return writeFrame(conn, wmu, kind, 0, payload)
+	return c.WriteFrame(kind, 0, payload)
 }

@@ -1,12 +1,17 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"plinger/internal/mp"
+	"plinger/internal/mp/tcpmp"
 )
 
 // TestUnauthenticatedHeaderCostsNoPayload: a dial that sends the magic word
@@ -42,4 +47,65 @@ func TestUnauthenticatedHeaderCostsNoPayload(t *testing.T) {
 	if s.Alive() != 0 {
 		t.Fatalf("%d workers registered", s.Alive())
 	}
+}
+
+type noDeadline struct{ net.Conn }
+
+func (noDeadline) SetDeadline(time.Time) error      { return nil }
+func (noDeadline) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzRegister feeds arbitrary bytes to the supervisor as one dialer's whole
+// stream, over a pipe, through registration and the registered worker's read
+// loop. Whatever they are, nothing panics, the supervisor closes the
+// connection once the stream ends, the roster is empty again, and allocation
+// stays within FuzzReadFrame's bound.
+func FuzzRegister(f *testing.F) {
+	frame := func(kind int32, payload []byte) []byte {
+		var b bytes.Buffer
+		mp.WriteFrame(&b, kind, 0, payload)
+		return b.Bytes()
+	}
+	hello := func(h Hello) []byte {
+		p, _ := json.Marshal(h)
+		return append(binary.LittleEndian.AppendUint32(nil, farmMagic), frame(kindHello, p)...)
+	}
+	ok := hello(Hello{Version: protocolVersion, Host: "h", PID: 1, UID: "u"})
+	f.Add([]byte{})
+	f.Add(hello(Hello{Version: protocolVersion + 1}))
+	f.Add(ok)
+	f.Add(append(ok, frame(kindPong, nil)...))
+	f.Add(append(append(ok, frame(kindSweepDone, []byte(`{"ok":false,"err":"x"}`))...), frame(tcpmp.KindData, mp.EncodeFloats([]float64{1}))...))
+	f.Add(append(ok, frame(kindDrain, nil)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := newSupervisor(Options{})
+		srv, cli := net.Pipe()
+		// A pipe's deadline timers outlive it and would fire, allocating,
+		// into later runs.
+		srv = noDeadline{srv}
+		buf := make([]byte, 512)
+		go func() {
+			for {
+				if _, err := cli.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+		go func() {
+			cli.Write(in)
+			cli.Close()
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.register(srv)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20+5*uint64(len(in))+4096 {
+			t.Fatalf("%d input bytes cost %d allocated", len(in), n)
+		}
+		if _, err := srv.Read(buf[:1]); err != io.ErrClosedPipe {
+			t.Fatalf("supervisor left the connection open: %v", err)
+		}
+		if s.Alive() != 0 {
+			t.Fatalf("%d workers left on the roster", s.Alive())
+		}
+	})
 }

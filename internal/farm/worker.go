@@ -17,6 +17,7 @@ import (
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
+	"plinger/internal/mp/tcpmp"
 	runner "plinger/internal/plinger"
 	"plinger/internal/recomb"
 	"plinger/internal/thermo"
@@ -45,8 +46,6 @@ type WorkerOptions struct {
 	// Rejoins is how many times this process has reconnected before this
 	// session; it rides in the Hello so the supervisor can count rejoins.
 	Rejoins int
-	// BuildTag optionally labels the worker build in the Hello.
-	BuildTag string
 	// Logf receives progress lines (nil: silent).
 	Logf func(format string, args ...any)
 	// Models is the warm model cache shared across sessions of one
@@ -112,37 +111,11 @@ func (c *ModelCache) Len() int {
 	return len(c.models)
 }
 
-// workerEndpoint adapts one farm connection to mp.Endpoint for the
-// duration of one sweep on the worker side. Sends become data frames to
-// the master; receives drain the mailbox the session reader fills from the
-// master's data frames.
-type workerEndpoint struct {
-	*mp.Queue
-	conn net.Conn
-	wmu  *sync.Mutex
-	rank int
-	size int
-}
-
-func (e *workerEndpoint) Rank() int   { return e.rank }
-func (e *workerEndpoint) Size() int   { return e.size }
-func (e *workerEndpoint) Master() int { return 0 }
-
-func (e *workerEndpoint) Send(dst, tag int, data []float64) error {
-	// The Appendix-A protocol is strictly worker<->master; dst is always
-	// the master and rides only in the frame for symmetry with tcpmp.
-	return writeFrame(e.conn, e.wmu, kindData, int32(tag), mp.EncodeFloats(data))
-}
-
-func (e *workerEndpoint) Bcast(tag int, data []float64) error {
-	return e.Send(0, tag, data)
-}
-
 // ctrlEvent is one control-plane event the session reader hands the sweep
 // loop: a sweep to serve, a drain order, or the connection's death.
 type ctrlEvent struct {
 	spec  *sweepSpec
-	q     *mp.Queue // inbound data plane for that sweep, fed by the reader
+	ep    *tcpmp.Endpoint // that sweep's endpoint, its mailbox fed by the reader
 	drain bool
 	err   error
 }
@@ -165,7 +138,7 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 	if scratch == nil {
 		scratch = core.NewScratch()
 	}
-	var wmu sync.Mutex
+	tc := &tcpmp.Conn{Conn: conn}
 
 	host, _ := os.Hostname()
 	uid := opt.UID
@@ -180,15 +153,14 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 		Rejoins: opt.Rejoins,
 		UID:     uid,
 	}
-	hello.BuildTag = opt.BuildTag
 	conn.SetDeadline(time.Now().Add(helloTimeout))
 	if err := binary.Write(conn, binary.LittleEndian, uint32(farmMagic)); err != nil {
 		return fmt.Errorf("farm: worker magic: %w", err)
 	}
-	if err := writeJSON(conn, &wmu, kindHello, hello); err != nil {
+	if err := writeJSON(tc, kindHello, hello); err != nil {
 		return fmt.Errorf("farm: worker hello: %w", err)
 	}
-	kind, _, payload, err := mp.ReadFrame(conn, 1)
+	kind, _, payload, err := mp.ReadFrame(conn)
 	if err != nil {
 		return fmt.Errorf("farm: worker welcome: %w", err)
 	}
@@ -204,55 +176,47 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 		welcome.ID, hello.Host, hello.PID, hello.Rejoins)
 
 	// The reader owns the socket's inbound side for the whole session. It
-	// answers pings in place, creates each sweep's inbound queue BEFORE
+	// answers pings in place, creates each sweep's endpoint BEFORE
 	// announcing the sweep (so data frames racing in behind the SweepBegin
 	// always find their mailbox), and routes data frames to the current
 	// sweep. Stray data between sweeps — a stop for an assignment the
-	// master already reassigned — lands in the retired queue and is never
-	// read, which is exactly the first-wins discard.
+	// master already reassigned — is dropped, which is exactly the
+	// first-wins discard.
 	ctrl := make(chan ctrlEvent, 4)
-	var currentQ atomic.Pointer[mp.Queue]
+	var current atomic.Pointer[tcpmp.Endpoint]
 	go func() {
 		defer func() {
-			if q := currentQ.Load(); q != nil {
-				q.Close()
+			if ep := current.Load(); ep != nil {
+				ep.Close()
 			}
 		}()
 		for {
-			kind, tag, payload, err := mp.ReadFrame(conn, 1)
-			if err != nil {
-				ctrl <- ctrlEvent{err: err}
-				return
-			}
-			switch kind {
-			case kindPing:
-				if err := writeFrame(conn, &wmu, kindPong, 0, nil); err != nil {
-					ctrl <- ctrlEvent{err: err}
-					return
-				}
-			case kindSweepBegin:
+			kind, tag, payload, err := mp.ReadFrame(conn)
+			switch {
+			case err != nil:
+			case kind == kindPing:
+				err = tc.WriteFrame(kindPong, 0, nil)
+			case kind == kindSweepBegin:
 				spec := new(sweepSpec)
-				if err := json.Unmarshal(payload, spec); err != nil {
-					ctrl <- ctrlEvent{err: fmt.Errorf("farm: worker sweep spec: %w", err)}
-					return
+				if err = json.Unmarshal(payload, spec); err != nil {
+					err = fmt.Errorf("farm: worker sweep spec: %w", err)
+					break
 				}
-				q := mp.NewQueue()
-				currentQ.Store(q)
-				ctrl <- ctrlEvent{spec: spec, q: q}
-			case kindData:
-				data, err := mp.DecodeFloats(payload)
-				if err != nil {
-					ctrl <- ctrlEvent{err: err}
-					return
+				ep := tcpmp.NewEndpoint(spec.Rank, spec.World, []*tcpmp.Conn{tc})
+				current.Store(ep)
+				ctrl <- ctrlEvent{spec: spec, ep: ep}
+			case kind == tcpmp.KindData:
+				if ep := current.Load(); ep != nil {
+					err = ep.Deliver(0, tag, payload)
 				}
-				if q := currentQ.Load(); q != nil {
-					_ = q.Push(mp.Message{Tag: int(tag), Source: 0, Data: data})
-				}
-			case kindDrain:
+			case kind == kindDrain:
 				ctrl <- ctrlEvent{drain: true}
 				return
 			default:
-				ctrl <- ctrlEvent{err: fmt.Errorf("farm: worker got unexpected frame kind %d", kind)}
+				err = fmt.Errorf("farm: worker got unexpected frame kind %d", kind)
+			}
+			if err != nil {
+				ctrl <- ctrlEvent{err: err}
 				return
 			}
 		}
@@ -268,16 +232,16 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 		default:
 			sp := ev.spec
 			done := sweepDone{OK: true}
-			if err := serveSweep(conn, &wmu, sp, ev.q, models, scratch); err != nil {
+			if err := serveSweep(ev.ep, sp, models, scratch); err != nil {
 				done.OK = false
 				done.Err = err.Error()
 				logf("farm worker %d sweep failed: %v", welcome.ID, err)
 			}
-			// The sweep's mailbox is retired before SweepDone goes out, so
+			// The sweep's endpoint is retired before SweepDone goes out, so
 			// anything the master sends after seeing the done frame can only
-			// belong to the next sweep's queue.
-			currentQ.Store(nil)
-			if err := writeJSON(conn, &wmu, kindSweepDone, done); err != nil {
+			// belong to the next sweep's.
+			current.Store(nil)
+			if err := writeJSON(tc, kindSweepDone, done); err != nil {
 				return fmt.Errorf("farm: worker sweep done: %w", err)
 			}
 		}
@@ -288,7 +252,7 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 // serveSweep runs one Appendix-A worker pass, panics contained: a model
 // that blows up on this host must read as a failed sweep (the master
 // reassigns), not a dead process.
-func serveSweep(conn net.Conn, wmu *sync.Mutex, sp *sweepSpec, q *mp.Queue, models *ModelCache, scratch *core.Scratch) (err error) {
+func serveSweep(ep *tcpmp.Endpoint, sp *sweepSpec, models *ModelCache, scratch *core.Scratch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("farm: worker sweep panicked: %v", r)
@@ -304,6 +268,5 @@ func serveSweep(conn net.Conn, wmu *sync.Mutex, sp *sweepSpec, q *mp.Queue, mode
 		// entering the per-mode loop, exactly as the in-process backends do.
 		model.EnsureEvalTables(dispatch.ParallelFor)
 	}
-	ep := &workerEndpoint{Queue: q, conn: conn, wmu: wmu, rank: sp.Rank, size: sp.World}
 	return runner.WorkerWith(ep, model, sp.Ks, mode, scratch)
 }

@@ -8,10 +8,11 @@ import (
 	"math"
 )
 
-// The one socket frame of the repository, shared by the tcpmp hub and the
-// worker farm: three little-endian int32 words — two the caller names (a, b)
-// and the payload's length in units of unit bytes — then the payload. tcpmp
-// counts its length in doubles (unit 8), the farm in bytes (unit 1).
+// The one socket frame of the repository: three little-endian int32 words —
+// two the caller names (a, b) and the payload's length in bytes — then the
+// payload. tcpmp writes every Appendix-A message as one (a = tcpmp.KindData,
+// b = the tag, the payload its doubles), for a tcp world and a farm alike;
+// the farm's control frames use other kinds and carry JSON.
 
 // MaxFrameBytes bounds one frame's payload (16 Mi doubles, 128 MiB); a
 // header claiming more is malformed, not an allocation.
@@ -25,35 +26,34 @@ const MaxFrameBytes = 128 << 20
 const frameTrustBytes = 1 << 20
 
 // ErrMalformedFrame marks a frame no correct peer writes: a length outside
-// [0, MaxFrameBytes], or a payload that does not divide into its units.
+// [0, MaxFrameBytes], or a float payload that is not whole doubles.
 var ErrMalformedFrame = errors.New("mp: malformed frame")
 
 // WriteFrame writes one frame as two writes, header then payload (also when
-// the payload is empty). len(payload) must be a multiple of unit.
-func WriteFrame(w io.Writer, a, b int32, payload []byte, unit int) error {
-	if len(payload)%unit != 0 || len(payload) > MaxFrameBytes {
-		return fmt.Errorf("%w: %d payload bytes in units of %d", ErrMalformedFrame, len(payload), unit)
+// the payload is empty).
+func WriteFrame(w io.Writer, a, b int32, payload []byte) error {
+	if len(payload) > MaxFrameBytes {
+		return fmt.Errorf("%w: %d payload bytes", ErrMalformedFrame, len(payload))
 	}
-	if err := binary.Write(w, binary.LittleEndian, []int32{a, b, int32(len(payload) / unit)}); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, []int32{a, b, int32(len(payload))}); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads one frame written by WriteFrame with the same unit. A
-// header with an impossible length is ErrMalformedFrame; a stream that ends
-// inside a frame is io.ErrUnexpectedEOF, and one that ends before it io.EOF.
-func ReadFrame(r io.Reader, unit int) (a, b int32, payload []byte, err error) {
+// ReadFrame reads one frame written by WriteFrame. A header with an
+// impossible length is ErrMalformedFrame; a stream that ends inside a frame is
+// io.ErrUnexpectedEOF, and one that ends before it io.EOF.
+func ReadFrame(r io.Reader) (a, b int32, payload []byte, err error) {
 	var hdr [3]int32
 	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	a, b, n := hdr[0], hdr[1], int(hdr[2])
-	if n < 0 || n > MaxFrameBytes/unit {
-		return a, b, nil, fmt.Errorf("%w: length %d in units of %d", ErrMalformedFrame, n, unit)
+	a, b, size := hdr[0], hdr[1], int(hdr[2])
+	if size < 0 || size > MaxFrameBytes {
+		return a, b, nil, fmt.Errorf("%w: length %d", ErrMalformedFrame, size)
 	}
-	size := n * unit
 	payload = make([]byte, min(size, frameTrustBytes))
 	for have := 0; ; {
 		got, err := io.ReadFull(r, payload[have:])

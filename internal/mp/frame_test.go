@@ -32,31 +32,26 @@ func allocated(f func()) uint64 {
 // and reads as a truncated frame. Readers used to allocate the claimed 128 MiB
 // before the first payload byte.
 func TestReadFrameHeaderAloneCostsOnlyTrust(t *testing.T) {
-	for _, unit := range []int{1, 8} {
-		var err error
-		n := allocated(func() {
-			_, _, _, err = ReadFrame(bytes.NewReader(header(1, 2, int32(MaxFrameBytes/unit))), unit)
-		})
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("unit %d: err %v, want io.ErrUnexpectedEOF", unit, err)
-		}
-		if n >= 2<<20 {
-			t.Errorf("unit %d: a bare header cost %d bytes", unit, n)
-		}
+	var err error
+	n := allocated(func() {
+		_, _, _, err = ReadFrame(bytes.NewReader(header(1, 2, MaxFrameBytes)))
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n >= 2<<20 {
+		t.Errorf("a bare header cost %d bytes", n)
 	}
 }
 
 func TestReadFrameRejectsImpossibleLengths(t *testing.T) {
-	for _, c := range []struct {
-		n    int32
-		unit int
-	}{{-1, 1}, {MaxFrameBytes + 1, 1}, {MaxFrameBytes/8 + 1, 8}, {-7, 8}} {
-		if _, _, _, err := ReadFrame(bytes.NewReader(header(0, 0, c.n)), c.unit); !errors.Is(err, ErrMalformedFrame) {
-			t.Errorf("length %d in units of %d: err %v, want ErrMalformedFrame", c.n, c.unit, err)
+	for _, n := range []int32{-1, -7, MaxFrameBytes + 1} {
+		if _, _, _, err := ReadFrame(bytes.NewReader(header(0, 0, n))); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("length %d: err %v, want ErrMalformedFrame", n, err)
 		}
 	}
-	if err := WriteFrame(io.Discard, 0, 0, make([]byte, 12), 8); !errors.Is(err, ErrMalformedFrame) {
-		t.Errorf("12 bytes in units of 8 written: %v", err)
+	if err := WriteFrame(io.Discard, 0, 0, make([]byte, MaxFrameBytes+1)); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("%d bytes written: %v", MaxFrameBytes+1, err)
 	}
 	if _, err := DecodeFloats(make([]byte, 12)); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("12 bytes decoded as doubles: %v", err)
@@ -71,10 +66,10 @@ func TestFrameLargerThanTrustRoundTrips(t *testing.T) {
 		data[i] = float64(i) - 0.5
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 3, -4, EncodeFloats(data), 8); err != nil {
+	if err := WriteFrame(&buf, 3, -4, EncodeFloats(data)); err != nil {
 		t.Fatal(err)
 	}
-	a, b, payload, err := ReadFrame(&buf, 8)
+	a, b, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +92,7 @@ func (w *countingWriter) Write(p []byte) (int, error) { w.writes++; return len(p
 func TestWriteFrameIsTwoWrites(t *testing.T) {
 	for _, payload := range [][]byte{nil, {1, 2, 3}} {
 		var w countingWriter
-		if err := WriteFrame(&w, 0, 0, payload, 1); err != nil {
+		if err := WriteFrame(&w, 0, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		if w.writes != 2 {
@@ -110,26 +105,22 @@ func TestWriteFrameIsTwoWrites(t *testing.T) {
 // the trust size plus five times the bytes supplied, and a frame it accepts
 // writes back as exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(append(header(1, 5, 2), EncodeFloats([]float64{1.5, -2})...), false)
-	f.Add(append(header(7, 0, 3), `{"a"`...), true)
-	f.Add(header(0, 0, 0), true)
-	f.Fuzz(func(t *testing.T, in []byte, bytesUnit bool) {
-		unit := 8
-		if bytesUnit {
-			unit = 1
-		}
+	f.Add(append(header(7, 5, 16), EncodeFloats([]float64{1.5, -2})...))
+	f.Add(append(header(1, 0, 3), `{"a"`...))
+	f.Add(header(0, 0, 0))
+	f.Fuzz(func(t *testing.T, in []byte) {
 		r := bytes.NewReader(in)
 		var a, b int32
 		var payload []byte
 		var err error
-		if n := allocated(func() { a, b, payload, err = ReadFrame(r, unit) }); n > frameTrustBytes+5*uint64(len(in))+4096 {
+		if n := allocated(func() { a, b, payload, err = ReadFrame(r) }); n > frameTrustBytes+5*uint64(len(in))+4096 {
 			t.Fatalf("%d input bytes cost %d allocated", len(in), n)
 		}
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteFrame(&out, a, b, payload, unit); err != nil {
+		if err := WriteFrame(&out, a, b, payload); err != nil {
 			t.Fatalf("accepted frame does not write back: %v", err)
 		}
 		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {

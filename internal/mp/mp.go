@@ -8,8 +8,8 @@
 // MPI_RECV), over interchangeable transports:
 //
 //   - chanmp: in-process goroutine "nodes" (shared-memory MPI analogue)
-//   - tcpmp:  a PVM-daemon-style TCP hub routing frames between OS
-//     processes (or in-process endpoints, for tests)
+//   - tcpmp:  TCP connections from each worker to a listening master,
+//     between OS processes (or in-process endpoints, for tests)
 //   - fifomp: a strict arrival-order transport modelling the MPL
 //     restriction noted in Section 4 ("MPL requires that messages be
 //     received in the order in which they arrive")

@@ -1,9 +1,11 @@
 package tcpmp
 
 // Golden frames: the exact bytes tcpmp puts on the wire, pinned as hex so a
-// change to how frames are built cannot move them unnoticed. A frame is three
-// little-endian int32 words — (dst, tag, n) from a process to the hub,
-// (src, tag, n) from the hub to a process — then n little-endian doubles.
+// change to how frames are built cannot move them unnoticed. A data frame is
+// three little-endian int32 words — KindData, the tag, the payload's length
+// in bytes — then the little-endian doubles. The master and a worker write it
+// alike, in a tcp world and in a farm, which sends through the same
+// endpoints.
 
 import (
 	"encoding/binary"
@@ -22,17 +24,14 @@ import (
 var goldenData = []float64{1.5, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)}
 
 const (
-	// goldenSend is Send(0, 5, goldenData) as the endpoint writes it.
-	goldenSend = "00000000" + "05000000" + "03000000" +
+	// goldenSend is a Send of goldenData at tag 5, by either side.
+	goldenSend = "07000000" + "05000000" + "18000000" +
 		"000000000000f83f" + "0000000000000080" + "010000000000f87f"
-	// goldenForward is the same frame as the hub forwards it from rank 1.
-	goldenForward = "01000000" + "05000000" + "03000000" +
-		"000000000000f83f" + "0000000000000080" + "010000000000f87f"
-	// goldenRaw is a frame a raw process sends to rank 1: tag 4, {-2.25, 1}.
-	goldenRaw = "01000000" + "04000000" + "02000000" +
+	// goldenRaw is a frame a raw worker sends: tag 4, {-2.25, 1}.
+	goldenRaw = "07000000" + "04000000" + "10000000" +
 		"00000000000002c0" + "000000000000f03f"
-	// goldenHandshake is the hub's rank handshake to rank 0 of 2.
-	goldenHandshake = "00000000" + "02000000"
+	// goldenJoin is the master's answer to a join: rank 1 of 2.
+	goldenJoin = "01000000" + "02000000"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -57,47 +56,38 @@ func readHex(t *testing.T, c net.Conn, want string) {
 	}
 }
 
-// TestGoldenFrameAsSendWritesIt captures Send's bytes on a raw socket playing
-// the hub.
+// TestGoldenFrameAsSendWritesIt captures the bytes of a worker's Send to the
+// master and of the master's Send to a worker on a pipe.
 func TestGoldenFrameAsSendWritesIt(t *testing.T) {
-	got := make(chan string, 1)
-	addr := fakeHub(t, func(c net.Conn) {
-		buf := make([]byte, len(goldenSend)/2)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			got <- err.Error()
-			return
+	for _, side := range []string{"worker", "master"} {
+		a, b := net.Pipe()
+		conn := &Conn{Conn: a}
+		ep, dst := NewEndpoint(1, 2, []*Conn{conn}), 0
+		if side == "master" {
+			ep, dst = NewEndpoint(0, 2, []*Conn{nil, conn}), 1
 		}
-		got <- hex.EncodeToString(buf)
-	})
-	ep, err := ConnectTimeout(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	if err := ep.Send(0, 5, goldenData); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case h := <-got:
-		if h != goldenSend {
-			t.Fatalf("Send wrote\n %s\nwant %s", h, goldenSend)
+		errc := make(chan error, 1)
+		go func() { errc <- ep.Send(dst, 5, goldenData) }()
+		readHex(t, b, goldenSend)
+		if err := <-errc; err != nil {
+			t.Fatalf("%s: %v", side, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no frame arrived")
+		a.Close()
+		b.Close()
 	}
 }
 
-// TestGoldenFramesThroughHub joins a raw socket to a real hub as rank 0 beside
-// one endpoint: the frame the endpoint sends arrives as the hub forwards it,
-// and a frame the raw socket writes arrives at the endpoint as the message it
-// encodes.
-func TestGoldenFramesThroughHub(t *testing.T) {
-	hub, err := NewHub("127.0.0.1:0", 2)
+// TestGoldenJoinThroughListener joins a raw socket to a real listener as rank
+// 1: it is answered with its rank and the world size, the master's frame to it
+// arrives as the golden bytes, and the frame it writes reaches the master's
+// mailbox as the message it encodes, counted in both directions.
+func TestGoldenJoinThroughListener(t *testing.T) {
+	l, err := Listen("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hub.Close()
-	raw, err := net.Dial("tcp", hub.Addr())
+	defer l.Close()
+	raw, err := net.Dial("tcp", l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,32 +95,24 @@ func TestGoldenFramesThroughHub(t *testing.T) {
 	if err := binary.Write(raw, binary.LittleEndian, uint32(magic)); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ConnectTimeout(hub.Addr(), 5*time.Second)
-	if err != nil {
+	readHex(t, raw, goldenJoin)
+	m := l.Accept()
+	if err := m.Send(1, 5, goldenData); err != nil {
 		t.Fatal(err)
 	}
-	defer ep.Close()
-	readHex(t, raw, goldenHandshake)
-	if ep.Rank() != 1 {
-		t.Fatalf("endpoint rank %d, want 1", ep.Rank())
-	}
-
-	if err := ep.Send(0, 5, goldenData); err != nil {
-		t.Fatal(err)
-	}
-	readHex(t, raw, goldenForward)
+	readHex(t, raw, goldenSend)
 
 	if _, err := raw.Write(mustHex(t, goldenRaw)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ep.Recv(4, mp.AnySource)
+	msg, err := m.Recv(4, mp.AnySource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Tag != 4 || m.Source != 0 || len(m.Data) != 2 || m.Data[0] != -2.25 || m.Data[1] != 1 {
-		t.Fatalf("endpoint received %+v, want tag 4 from 0 with {-2.25, 1}", m)
+	if msg.Tag != 4 || msg.Source != 1 || len(msg.Data) != 2 || msg.Data[0] != -2.25 || msg.Data[1] != 1 {
+		t.Fatalf("master received %+v, want tag 4 from 1 with {-2.25, 1}", msg)
 	}
-	if hub.BytesMoved() != 24+16 {
-		t.Fatalf("hub counted %d payload bytes, want 40", hub.BytesMoved())
+	if m.BytesMoved() != 24+16 {
+		t.Fatalf("master counted %d payload bytes, want 40", m.BytesMoved())
 	}
 }

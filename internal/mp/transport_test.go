@@ -31,29 +31,20 @@ func worlds(t *testing.T) map[string]func(n int) []mp.Endpoint {
 			return eps
 		},
 		"tcpmp": func(n int) []mp.Endpoint {
-			hub, err := tcpmp.NewHub("127.0.0.1:0", n)
+			l, err := tcpmp.Listen("127.0.0.1:0", n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { hub.Close() })
+			t.Cleanup(func() { l.Close() })
 			eps := make([]mp.Endpoint, n)
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ep, err := tcpmp.Connect(hub.Addr())
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					eps[ep.Rank()] = ep
-					mu.Unlock()
-				}()
+			for i := 1; i < n; i++ {
+				w, err := tcpmp.Dial(l.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				eps[w.Rank()] = w
 			}
-			wg.Wait()
+			eps[0] = l.Accept()
 			return eps
 		},
 	}
@@ -269,26 +260,7 @@ func TestChanmpInvalidDestination(t *testing.T) {
 }
 
 func TestTCPLargePayload(t *testing.T) {
-	hub, err := tcpmp.NewHub("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	var eps [2]mp.Endpoint
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := tcpmp.Connect(hub.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			eps[ep.Rank()] = ep
-		}()
-	}
-	wg.Wait()
+	eps := worlds(t)["tcpmp"](2)
 	// 80 kB is the paper's largest message; send 10x that.
 	data := make([]float64, 100000)
 	for i := range data {
@@ -308,7 +280,7 @@ func TestTCPLargePayload(t *testing.T) {
 			t.Fatalf("large payload corrupted at %d", i)
 		}
 	}
-	if hub.BytesMoved() != 800000 {
-		t.Fatalf("hub bytes %d", hub.BytesMoved())
+	if n := eps[0].(*tcpmp.Endpoint).BytesMoved(); n != 800000 {
+		t.Fatalf("master bytes %d", n)
 	}
 }

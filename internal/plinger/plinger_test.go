@@ -202,37 +202,29 @@ func TestMasterWorkerFIFOTransport(t *testing.T) {
 }
 
 func TestMasterWorkerTCPTransport(t *testing.T) {
-	hub, err := tcpmp.NewHub("127.0.0.1:0", 3)
+	l, err := tcpmp.Listen("127.0.0.1:0", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hub.Close()
+	defer l.Close()
 	eps := make([]mp.Endpoint, 3)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := tcpmp.Connect(hub.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			eps[ep.Rank()] = ep
-			mu.Unlock()
-		}()
+	for i := 1; i < 3; i++ {
+		w, err := tcpmp.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[w.Rank()] = w
 	}
-	wg.Wait()
+	m := l.Accept()
+	eps[0] = m
 	res := runParallel(t, eps, testKs()[:4], Config{Mode: smallMode()})
 	for i, r := range res.Mode {
 		if r == nil {
 			t.Fatalf("missing result %d", i)
 		}
 	}
-	if hub.BytesMoved() == 0 {
-		t.Fatal("no bytes routed")
+	if m.BytesMoved() == 0 {
+		t.Fatal("no bytes moved")
 	}
 }
 
