@@ -2,17 +2,19 @@ package farm
 
 // Golden frames: the exact bytes a farm connection carries, pinned as hex. A
 // frame is three little-endian int32 words — kind, tag, payload length in
-// bytes — then the payload, JSON on a control frame. A sweep's data frames
-// are tcpmp's, pinned by its TestGoldenFrameAsSendWritesIt.
+// bytes — then the payload: little-endian doubles on a data frame, JSON on a
+// control frame.
 
 import (
 	"encoding/hex"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"plinger/internal/mp/tcpmp"
+	runner "plinger/internal/plinger"
 )
 
 // pipeHex runs write against one end of a pipe and returns the hex of the
@@ -33,6 +35,21 @@ func pipeHex(t *testing.T, n int, write func(c net.Conn) error) string {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(buf)
+}
+
+// TestGoldenFarmDataFrame sends a summary through the endpoint a farm worker
+// builds for a sweep over its connection to the supervisor.
+func TestGoldenFarmDataFrame(t *testing.T) {
+	const want = "07000000" + "04000000" + "18000000" +
+		"000000000000f83f" + "0000000000000080" + "010000000000f87f"
+	data := []float64{1.5, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)}
+	got := pipeHex(t, len(want)/2, func(c net.Conn) error {
+		ep := tcpmp.NewEndpoint(1, 2, []*tcpmp.Conn{{Conn: c}})
+		return ep.Send(0, runner.TagSummary, data)
+	})
+	if got != want {
+		t.Fatalf("data frame\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestGoldenFarmControlFrame(t *testing.T) {
