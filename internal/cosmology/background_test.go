@@ -2,6 +2,8 @@ package cosmology
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +35,34 @@ func TestValidateCatchesBadInputs(t *testing.T) {
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: want validation error", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite puts NaN, +Inf and -Inf in every float field
+// of a valid model in turn: each must be refused by name, by Validate and by
+// both constructors, before any table is integrated.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		fld := typ.Field(i)
+		if fld.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := MDM(1.0)
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(bad)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), fld.Name) {
+				t.Errorf("%s = %g: Validate returned %v, want an error naming the field", fld.Name, bad, err)
+				continue
+			}
+			if _, err2 := New(p); err2 == nil || err2.Error() != err.Error() {
+				t.Errorf("%s = %g: New returned %v, want %v", fld.Name, bad, err2, err)
+			}
+			if _, err2 := NewFlattened(p); err2 == nil || err2.Error() != err.Error() {
+				t.Errorf("%s = %g: NewFlattened returned %v, want %v", fld.Name, bad, err2, err)
+			}
 		}
 	}
 }

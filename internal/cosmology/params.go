@@ -11,6 +11,7 @@ package cosmology
 
 import (
 	"fmt"
+	"math"
 
 	"plinger/internal/constants"
 )
@@ -86,8 +87,22 @@ func (p Params) OmegaNuMassless() float64 {
 	return p.NNuMassless * constants.NuPerGamma * p.OmegaGamma()
 }
 
-// Validate reports structural problems with the parameter set.
+// Validate reports structural problems with the parameter set. A NaN fails
+// every range comparison below, so non-finite values are rejected first.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"H", p.H}, {"OmegaC", p.OmegaC}, {"OmegaB", p.OmegaB},
+		{"OmegaLambda", p.OmegaLambda}, {"TCMB", p.TCMB}, {"YHe", p.YHe},
+		{"NNuMassless", p.NNuMassless}, {"MNuEV", p.MNuEV},
+		{"SpectralIndex", p.SpectralIndex},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cosmology: %s = %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.H <= 0 || p.H > 2:
 		return fmt.Errorf("cosmology: h = %g out of range (0, 2]", p.H)

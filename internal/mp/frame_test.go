@@ -113,7 +113,16 @@ func FuzzReadFrame(f *testing.F) {
 		var a, b int32
 		var payload []byte
 		var err error
-		if n := allocated(func() { a, b, payload, err = ReadFrame(r) }); n > frameTrustBytes+5*uint64(len(in))+4096 {
+		read := func() { r.Reset(in); a, b, payload, err = ReadFrame(r) }
+		// TotalAlloc is process-wide and the fuzzing engine allocates beside
+		// the read, while ReadFrame's own cost is the same every time: an
+		// excess counts only when three reads in a row show it.
+		bound := frameTrustBytes + 5*uint64(len(in)) + 4096
+		n := allocated(read)
+		for try := 1; try < 3 && n > bound; try++ {
+			n = min(n, allocated(read))
+		}
+		if n > bound {
 			t.Fatalf("%d input bytes cost %d allocated", len(in), n)
 		}
 		if err != nil {

@@ -9,6 +9,19 @@
 // All microphysics here is evaluated in SI units and the results are
 // returned as dimensionless fractions and kelvin on a logarithmic grid in
 // the scale factor.
+//
+// Every new cosmology pays for Compute once, serially, so each quantity is
+// evaluated where it changes and nowhere else. Per grid point: the Saha
+// prefactor (2 pi m_e k T / h^2)^(3/2) at T_gamma, shared by H, He I and
+// He II (saha; skipped below ~240 K, where every Saha factor is 0), and the
+// baryon temperature step. Per Peebles grid step, where T_b is fixed:
+// alpha_B, beta and the Ly-alpha Boltzmann factor (peeblesRates). Per
+// sub-step (eight to a grid step): the midpoint
+// background, the helium Saha ratios and, only if T_b <= 0, the Peebles
+// rates at T_gamma instead. Per probe (three to a sub-step, the rate and
+// its Jacobian): n_1s, the Ly-alpha escape factor C and the net rate
+// (dxpDlnA). thermo's TestGoldenHistoryBits pins the resulting History, and
+// the thermal tables built from it, bit for bit.
 package recomb
 
 import (
@@ -108,7 +121,7 @@ func Compute(bg *cosmology.Background, opt Options) (*History, error) {
 
 		if !usePeebles {
 			// Full Saha equilibrium (H + He) with T = T_gamma.
-			xpS, xe := sahaSolve(tg, nH(a), h.FHe)
+			xpS, xe := sahaSolve(newSaha(tg), nH(a), h.FHe)
 			xp = xpS
 			h.Xp[i] = xp
 			h.Xe[i] = xe
@@ -125,20 +138,23 @@ func Compute(bg *cosmology.Background, opt Options) (*History, error) {
 			// explicit Euler when the rates are slow. Helium follows Saha.
 			const nSub = 8
 			hSub := dln / nSub
+			// T_b is fixed across the grid step, and so are the rates that
+			// depend on it alone.
+			step := newPeeblesRates(tb)
 			for s := 0; s < nSub; s++ {
 				lnAs := lnA - dln + float64(s)*hSub
 				as := math.Exp(lnAs + 0.5*hSub) // midpoint scale factor
 				// The substep-local background quantities are shared by the
 				// rate evaluation and both Jacobian probes.
 				tgs, nHs, hubS := p.TCMB/as, nH(as), hubbleSI(as)
-				rHe1 := 4.0 * sahaFactor(tgs, nHs, chiHeI)
-				rHe2 := sahaFactor(tgs, nHs, chiHeII)
+				he := newSaha(tgs).helium(nHs)
+				rates := step
+				if tb <= 0 {
+					rates = newPeeblesRates(tgs)
+				}
 				f := func(x float64) float64 {
-					xeS := math.Max(x, 1e-12)
-					u1 := rHe1 / xeS
-					u2 := u1 * rHe2 / xeS
-					xe := x + h.FHe*(u1+2.0*u2)/(1.0+u1+u2)
-					return dxpDlnA(as, x, xe, tgs, tb, nHs, hubS)
+					xe := x + he.ions(h.FHe, math.Max(x, 1e-12))
+					return dxpDlnA(rates, x, xe, nHs, hubS)
 				}
 				fx := f(xp)
 				delta := 1e-6 + 1e-4*xp
@@ -159,7 +175,7 @@ func Compute(bg *cosmology.Background, opt Options) (*History, error) {
 				}
 			}
 			h.Xp[i] = xp
-			h.Xe[i] = xp + heliumSaha(tg, nH(a), h.FHe, math.Max(xp, 1e-12))
+			h.Xe[i] = xp + newSaha(tg).helium(nH(a)).ions(h.FHe, math.Max(xp, 1e-12))
 		}
 
 		// Baryon temperature: locked to T_gamma while the Compton rate
@@ -182,50 +198,70 @@ func Compute(bg *cosmology.Background, opt Options) (*History, error) {
 	return h, nil
 }
 
-// sahaFactor returns (2 pi m_e k T / h_planck^2)^(3/2) exp(-chi/kT) / nH,
-// the dimensionless right-hand side of the Saha equation per ion state.
-func sahaFactor(tK, nHm3, chiEV float64) float64 {
-	kt := constants.KBoltzmann * tK
+// sahaPrefactor returns (2 pi m_e k T / h_planck^2)^(3/2) in m^-3 at
+// kT = kt joules.
+func sahaPrefactor(kt float64) float64 {
 	hPlanck := 2.0 * math.Pi * constants.HBar
-	pref := math.Pow(2.0*math.Pi*constants.ElectronMassKg*kt/(hPlanck*hPlanck), 1.5)
-	arg := chiEV * constants.EVJoule / kt
+	return math.Pow(2.0*math.Pi*constants.ElectronMassKg*kt/(hPlanck*hPlanck), 1.5)
+}
+
+// saha is the temperature-only part of the Saha equation at one T: kT and
+// the prefactor, which hydrogen and both helium stages share.
+type saha struct{ kt, pref float64 }
+
+func newSaha(tK float64) saha {
+	s := saha{kt: constants.KBoltzmann * tK}
+	// Once hydrogen's factor, the lowest potential's, is cut off (below
+	// ~240 K) so is every other: the prefactor would never be read.
+	if s.arg(chiH) <= 650 {
+		s.pref = sahaPrefactor(s.kt)
+	}
+	return s
+}
+
+// arg is chi/kT for a potential of chiEV electron-volts.
+func (s saha) arg(chiEV float64) float64 { return chiEV * constants.EVJoule / s.kt }
+
+// factor returns (2 pi m_e k T / h_planck^2)^(3/2) exp(-chi/kT) / nH, the
+// dimensionless right-hand side of the Saha equation per ion state.
+func (s saha) factor(nHm3, chiEV float64) float64 {
+	arg := s.arg(chiEV)
 	if arg > 650 {
 		return 0
 	}
-	return pref * math.Exp(-arg) / nHm3
+	return s.pref * math.Exp(-arg) / nHm3
 }
 
-// heliumSaha returns x_HeII + 2 x_HeIII (per hydrogen nucleus) in Saha
-// equilibrium at photon temperature tK given the current electron fraction.
-func heliumSaha(tK, nHm3, fHe, xe float64) float64 {
-	r1 := 4.0 * sahaFactor(tK, nHm3, chiHeI)
-	r2 := sahaFactor(tK, nHm3, chiHeII)
-	u1 := r1 / xe
-	u2 := u1 * r2 / xe
+// heliumRates are the two helium Saha ratios at one (T, n_H): r1 is the
+// He I factor times 4 (the statistical weights), r2 the He II factor.
+type heliumRates struct{ r1, r2 float64 }
+
+func (s saha) helium(nHm3 float64) heliumRates {
+	return heliumRates{r1: 4.0 * s.factor(nHm3, chiHeI), r2: s.factor(nHm3, chiHeII)}
+}
+
+// ions returns x_HeII + 2 x_HeIII (per hydrogen nucleus) in Saha
+// equilibrium at electron fraction xe.
+func (r heliumRates) ions(fHe, xe float64) float64 {
+	u1 := r.r1 / xe
+	u2 := u1 * r.r2 / xe
 	den := 1.0 + u1 + u2
 	return fHe * (u1 + 2.0*u2) / den
 }
 
 // sahaSolve returns (x_p, x_e) from the coupled H + He Saha system by
 // damped fixed-point iteration. The three Saha factors depend only on
-// (tK, nHm3), so they are computed once and the iteration itself is pure
+// (T, nHm3), so they are computed once and the iteration itself is pure
 // algebra — the exponentials stay out of the convergence loop.
-func sahaSolve(tK, nHm3, fHe float64) (xp, xe float64) {
-	sH := sahaFactor(tK, nHm3, chiH)
-	r1 := 4.0 * sahaFactor(tK, nHm3, chiHeI)
-	r2 := sahaFactor(tK, nHm3, chiHeII)
-	helium := func(xe float64) float64 {
-		u1 := r1 / xe
-		u2 := u1 * r2 / xe
-		den := 1.0 + u1 + u2
-		return fHe * (u1 + 2.0*u2) / den
-	}
+func sahaSolve(s saha, nHm3, fHe float64) (xp, xe float64) {
+	sH := s.factor(nHm3, chiH)
+	he := s.helium(nHm3)
 	xe = 1.0 + 2.0*fHe // fully ionized guess
 	for iter := 0; iter < 200; iter++ {
 		xeSafe := math.Max(xe, 1e-12)
 		// x_p x_e/(1-x_p) = sH  =>  x_p = sH/(sH + x_e).
 		xp = sH / (sH + xeSafe)
-		xeNew := xp + helium(xeSafe)
+		xeNew := xp + he.ions(fHe, xeSafe)
 		if math.Abs(xeNew-xe) < 1e-13*(1.0+xeNew) {
 			xe = xeNew
 			break
@@ -245,31 +281,37 @@ func alphaB(tK float64) float64 {
 	return cm3 * 1e-6
 }
 
-// dxpDlnA is the Peebles three-level-atom rate dx_p/dln a.
-func dxpDlnA(a, xp, xe, tg, tb, nHm3, hubble float64) float64 {
-	if tb <= 0 {
-		tb = tg
-	}
+// peeblesRates are the factors of the Peebles rate that depend on the
+// baryon temperature alone: alpha_B, the photoionization rate beta from the
+// n=2 level and the Ly-alpha Boltzmann factor (0 where it would underflow).
+type peeblesRates struct{ alpha, beta, lyBoltz float64 }
+
+func newPeeblesRates(tb float64) peeblesRates {
 	kTb := constants.KBoltzmann * tb
-	alpha := alphaB(tb)
+	r := peeblesRates{alpha: alphaB(tb)}
 	// Detailed-balance photoionization rate from the n=2 level.
-	hPlanck := 2.0 * math.Pi * constants.HBar
-	pre := math.Pow(2.0*math.Pi*constants.ElectronMassKg*kTb/(hPlanck*hPlanck), 1.5)
-	beta := alpha * pre * math.Exp(-e2sEV*constants.EVJoule/kTb)
+	r.beta = r.alpha * sahaPrefactor(kTb) * math.Exp(-e2sEV*constants.EVJoule/kTb)
+	// Boltzmann factor for the net 2->1 source uses the Ly-alpha energy.
+	if arg := eLyAlphaEV * constants.EVJoule / kTb; arg < 650 {
+		r.lyBoltz = math.Exp(-arg)
+	}
+	return r
+}
+
+// dxpDlnA is the Peebles three-level-atom rate dx_p/dln a at the rates r.
+func dxpDlnA(r peeblesRates, xp, xe, nHm3, hubble float64) float64 {
 	// Ly-alpha escape (Peebles C factor).
 	n1s := (1.0 - xp) * nHm3
 	if n1s < 0 {
 		n1s = 0
 	}
 	kLy := lambdaLyAlph * lambdaLyAlph * lambdaLyAlph / (8.0 * math.Pi * hubble)
-	c := (1.0 + kLy*lambda2s1s*n1s) / (1.0 + kLy*(lambda2s1s+beta)*n1s)
-	// Boltzmann factor for the net 2->1 source uses the Ly-alpha energy.
-	arg := eLyAlphaEV * constants.EVJoule / kTb
+	c := (1.0 + kLy*lambda2s1s*n1s) / (1.0 + kLy*(lambda2s1s+r.beta)*n1s)
 	var up float64
-	if arg < 650 {
-		up = beta * (1.0 - xp) * math.Exp(-arg)
+	if r.lyBoltz > 0 { // exp(-arg) > 0 for every arg < 650
+		up = r.beta * (1.0 - xp) * r.lyBoltz
 	}
-	down := alpha * xp * xe * nHm3
+	down := r.alpha * xp * xe * nHm3
 	return c * (up - down) / hubble
 }
 

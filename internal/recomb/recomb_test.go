@@ -135,7 +135,7 @@ func TestSahaFactorMatchesHandComputation(t *testing.T) {
 	// Cross-check against an independently coded formula.
 	tK := 5000.0
 	nH := 1.0e8 // m^-3
-	got := sahaFactor(tK, nH, chiH)
+	got := newSaha(tK).factor(nH, chiH)
 	kt := 1.380649e-23 * tK
 	pre := math.Pow(2.0*math.Pi*9.1093837015e-31*kt/(6.62607015e-34*6.62607015e-34), 1.5)
 	want := pre * math.Exp(-chiH*1.602176634e-19/kt) / nH
@@ -178,6 +178,47 @@ func TestHigherBaryonDensityRecombinesEarlier(t *testing.T) {
 	z1, z2 := find(p1), find(p2)
 	if z2 <= z1 {
 		t.Fatalf("more baryons should recombine earlier: z(Ob=0.05)=%g z(Ob=0.10)=%g", z1, z2)
+	}
+}
+
+// TestRecombStepHalving anchors the Peebles integration under step halving
+// (ROADMAP item 1(d)): the grid runs at 6000, 12000 and 24000 points, and
+// through recombination and freeze-out the successive x_e differences must
+// shrink by two per halving, the exponential-Euler step's first order. The
+// default grid's own error is the 6000 − 12000 difference itself, about 1 %
+// at z = 900–1000 (2 % from the Richardson limit); it is held to 1.2e-2.
+func TestRecombStepHalving(t *testing.T) {
+	bg, err := cosmology.New(cosmology.SCDM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs [3]*History
+	for i, n := range []int{6000, 12000, 24000} {
+		if hs[i], err = Compute(bg, Options{N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for z := 1400.0; z >= 200; z -= 100 {
+		x1, x2, x4 := xeAtZ(hs[0], z), xeAtZ(hs[1], z), xeAtZ(hs[2], z)
+		if r := (x1 - x2) / (x2 - x4); math.Abs(r-2) > 0.1 {
+			t.Errorf("z=%g: step-halving ratio %.4f, want 2 ± 0.1 (x_e %g %g %g)", z, r, x1, x2, x4)
+		}
+		if d := math.Abs(x1/x2 - 1); d > 1.2e-2 {
+			t.Errorf("z=%g: default grid off by %.3g from the halved one, want < 1.2e-2", z, d)
+		}
+	}
+}
+
+func BenchmarkCompute(b *testing.B) {
+	bg, err := cosmology.New(cosmology.SCDM())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compute(bg, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -53,26 +53,29 @@ func (th *Thermo) build() error {
 
 	// Opacity kappa-dot(a) = x_e n_H0 sigma_T / a^2 in Mpc^-1 (n_H0 is
 	// comoving, so physical n_e = x_e n_H0/a^3 and the conformal-time
-	// opacity is a n_e sigma_T = x_e n_H0 sigma_T / a^2).
+	// opacity is a n_e sigma_T = x_e n_H0 sigma_T / a^2). Each knot's a,
+	// ln T_b and kappa-dot = exp(lnOp) are computed once and reused below.
 	lnOp := make([]float64, n)
+	kd := make([]float64, n)
 	cs2 := make([]float64, n)
+	// f is the optical depth's integrand kappa-dot/(aH) in ln a.
+	f := make([]float64, n)
+	lnT := make([]float64, n)
+	for i, tb := range h.TBaryon {
+		lnT[i] = math.Log(tb)
+	}
 	fHe := h.FHe
 	for i := 0; i < n; i++ {
 		a := math.Exp(h.LnA[i])
 		xe := math.Max(h.Xe[i], 1e-12)
 		op := xe * h.NH0 * constants.SigmaThomsonMpc2 / (a * a)
 		lnOp[i] = math.Log(op)
+		kd[i] = math.Exp(lnOp[i])
+		f[i] = kd[i] / th.BG.HConf(a)
 
 		// Sound speed c_s^2 = (k T_b / mu m_H c^2)(1 - (1/3) dlnT/dlna).
-		var dlnT float64
-		switch {
-		case i == 0:
-			dlnT = (math.Log(h.TBaryon[1]) - math.Log(h.TBaryon[0])) / (h.LnA[1] - h.LnA[0])
-		case i == n-1:
-			dlnT = (math.Log(h.TBaryon[n-1]) - math.Log(h.TBaryon[n-2])) / (h.LnA[n-1] - h.LnA[n-2])
-		default:
-			dlnT = (math.Log(h.TBaryon[i+1]) - math.Log(h.TBaryon[i-1])) / (h.LnA[i+1] - h.LnA[i-1])
-		}
+		lo, hi := max(i-1, 0), min(i+1, n-1)
+		dlnT := (lnT[hi] - lnT[lo]) / (h.LnA[hi] - h.LnA[lo])
 		mu := (1.0 + 4.0*fHe) / (1.0 + fHe + h.Xe[i])
 		kT := constants.KBoltzmann * h.TBaryon[i]
 		mc2 := mu * constants.HydrogenMassKg * constants.CLight * constants.CLight
@@ -95,11 +98,6 @@ func (th *Thermo) build() error {
 	// Optical depth kappa(a) = integral_a^1 kappa-dot dtau
 	//             = integral kappa-dot/(aH) dln a, accumulated backwards.
 	depth := make([]float64, n)
-	f := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a := math.Exp(h.LnA[i])
-		f[i] = math.Exp(lnOp[i]) / th.BG.HConf(a)
-	}
 	depth[n-1] = 0
 	for i := n - 2; i >= 0; i-- {
 		dl := h.LnA[i+1] - h.LnA[i]
@@ -131,7 +129,7 @@ func (th *Thermo) build() error {
 	// Peak of the visibility function g = kappa-dot e^-kappa.
 	best, bestG := 0, -1.0
 	for i := 0; i < n; i++ {
-		g := math.Exp(lnOp[i]) * math.Exp(-depth[i])
+		g := kd[i] * math.Exp(-depth[i])
 		if g > bestG {
 			bestG, best = g, i
 		}

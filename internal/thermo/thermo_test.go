@@ -163,6 +163,19 @@ func TestSoundSpeedDropsAfterDecoupling(t *testing.T) {
 	}
 }
 
+func BenchmarkNew(b *testing.B) {
+	bg, err := cosmology.New(cosmology.SCDM())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(bg, recomb.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestClampOutsideTable(t *testing.T) {
 	th := setup(t)
 	// Far outside the table, values clamp to the edges without panic.
