@@ -79,9 +79,10 @@ test-cluster:
 # worker farm share, the two listeners that read it from strangers (a tcpmp
 # master's fixed-world join, the farm's registration and read loop), the
 # master's decoders of a worker's result blocks, and the SSE2 kernels of
-# internal/ode and internal/core against their Go loops. Plain `go test`
-# replays their seed corpora (testdata/fuzz, the crashers found so far among
-# them); a new crasher lands there too.
+# internal/ode, internal/core and internal/specfunc (the projection's row
+# pairs) against their Go loops. Plain `go test` replays their seed corpora
+# (testdata/fuzz, the crashers found so far among them); a new crasher lands
+# there too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
 	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime 10s ./internal/mp/tcpmp/
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccumPairs$$' -fuzztime 10s ./internal/specfunc/
 
 # golden re-records testdata/golden_cl_bits.json from the code in the tree,
 # for a change that is meant to move the spectrum. It prints the largest

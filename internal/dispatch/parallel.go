@@ -8,13 +8,6 @@ import (
 	"plinger/internal/core"
 )
 
-// ParallelFor runs body(i) for every i in [0, n) across up to workers
-// goroutines (<= 0: GOMAXPROCS) and returns when all calls finish. Indices
-// are handed out dynamically, so skewed per-index costs balance the same
-// way the mode scheduler balances skewed wavenumbers. It is the light-weight
-// fan-out for CPU-bound precomputations that are not k-mode evolutions —
-// e.g. the spherical-Bessel table build of the fast C_l engine — keeping
-// every parallel loop in the repository inside the dispatch subsystem.
 // prebuildEvalTables builds the model's flattened evaluation tables across
 // the pool's workers before a fast-engine sweep hands out its first mode
 // (a no-op when the mode is not FastEvolve or the tables are already
@@ -27,6 +20,13 @@ func prebuildEvalTables(m *core.Model, mode core.Params) {
 	}
 }
 
+// ParallelFor runs body(i) for every i in [0, n) across up to workers
+// goroutines (<= 0: GOMAXPROCS) and returns when all calls finish. Indices
+// are handed out dynamically, so skewed per-index costs balance the same
+// way the mode scheduler balances skewed wavenumbers. It is the light-weight
+// fan-out for CPU-bound precomputations that are not k-mode evolutions —
+// e.g. the spherical-Bessel table build of the fast C_l engine — keeping
+// every parallel loop in the repository inside the dispatch subsystem.
 func ParallelFor(workers, n int, body func(i int)) {
 	if n <= 0 {
 		return

@@ -108,3 +108,82 @@ func BenchmarkAccumStencil(b *testing.B) {
 	})
 	_ = acc
 }
+
+// fourRows returns four rows, two pairs, of a table like one paper-scale
+// mode reads, and sources for n points.
+func fourRows(n int) (*BesselTable, *[4]BesselRow, []float64, []float64, []float64) {
+	ls := []int{100, 120, 140, 160}
+	tbl := NewBesselTable(160, ls, 1216, 0, nil)
+	var rows [4]BesselRow
+	for i, l := range ls {
+		rows[i], _ = tbl.Row(l)
+	}
+	sA, sB, sC := make([]float64, n), make([]float64, n), make([]float64, n)
+	for p := range sA {
+		sA[p], sB[p], sC[p] = float64(p%7)-3, float64(p%5)-2, float64(p%3)-1
+	}
+	return tbl, &rows, sA, sB, sC
+}
+
+// BenchmarkAccumNodes4 is the projection's free-streaming kernel at the
+// shape of one paper-scale mode: four rows, two pairs, walked down 3200
+// coarse nodes, on the SSE2 kernel (AccumNodes4) and on the Go loop it
+// replaces (accumNodes4Go); both report ns per (point, row).
+func BenchmarkAccumNodes4(b *testing.B) {
+	const n = 3200
+	_, rows, sA, sB, sC := fourRows(n)
+	hi := [4]int{n, n, n, n}
+	var acc float64
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*4), "ns/point")
+	}
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := AccumNodes4(rows, n-1, 0, &hi, sA, sB, sC)
+			acc += s[0] + s[1] + s[2] + s[3]
+		}
+		report(b)
+	})
+	b.Run("go loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := accumNodes4Go(rows, n-1, 0, n, sA, sB, sC)
+			acc += s[0] + s[1] + s[2] + s[3]
+		}
+		report(b)
+	})
+	_ = acc
+}
+
+// BenchmarkAccumStencil4Window is the interpolated kernel at the shape of
+// a mode's visibility window: four rows, two pairs, over 1000 points a few
+// per node, on the SSE2 kernel and on the Go loop.
+func BenchmarkAccumStencil4Window(b *testing.B) {
+	const n = 1000
+	tbl, rows, sA, sB, sC := fourRows(n)
+	xs := make([]float64, n)
+	for p := range xs {
+		xs[p] = 200 - 0.08*float64(p)
+	}
+	var st BesselStencil
+	tbl.Stencil(xs, &st)
+	hi := [4]int{n, n, n, n}
+	var acc float64
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*4), "ns/point")
+	}
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := AccumStencil4(rows, &st, 0, &hi, sA, sB, sC)
+			acc += s[0] + s[1] + s[2] + s[3]
+		}
+		report(b)
+	})
+	b.Run("go loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := accumStencil4Go(rows, &st, 0, n, sA, sB, sC)
+			acc += s[0] + s[1] + s[2] + s[3]
+		}
+		report(b)
+	})
+	_ = acc
+}

@@ -19,11 +19,16 @@ import (
 // the 1e-3 C_l budget). Tables are immutable after construction and safe
 // for concurrent readers.
 //
-// Each row also keeps a contiguous copy of every BesselNodeStride-th node
+// The rows are stored in pairs: tabulated multipoles ls[2i] and ls[2i+1]
+// share one array whose node m holds [j_a, j_b, j'_a, j'_b, q_a, q_b], so
+// one 16-byte load fills one SIMD lane per row and the projection kernels
+// (AccumStencil4, AccumNodes4) walk two pairs, four rows, per pass. An odd
+// row count leaves the last pair's second lane zero. Every pair also keeps
+// a contiguous copy of every BesselNodeStride-th node in the same layout
 // (+1/6 of the table's bytes). A LOS quadrature whose free-streaming points
 // are laid on those nodes reads its kernels straight from the copy
 // (AccumNodes4): no interpolation, and consecutive points are adjacent in
-// memory instead of 6 nodes = 144 bytes apart.
+// memory instead of 6 nodes = 288 bytes apart.
 type BesselTable struct {
 	// LMax is the largest tabulated multipole; Xmax the largest argument
 	// the grid covers; H the node spacing.
@@ -31,25 +36,29 @@ type BesselTable struct {
 	Xmax float64
 	H    float64
 
-	rows  []besselRow // indexed by l; data == nil means "not tabulated"
+	rows  []besselRow // indexed by l; pair == nil means "not tabulated"
 	ls    []int       // sorted multipoles actually tabulated
 	nodes int         // x-grid node count, shared by every row
 }
 
-// besselRow is the per-l storage: j, j', q interleaved per node, plus the
+// besselRow locates one multipole in its pair's storage, plus the
 // negligibility threshold used to truncate integrals below the turning
-// point.
+// point. The row's j, j', q at x = i*h are pair[6i+lane], pair[6i+2+lane]
+// and pair[6i+4+lane]; coarse holds the pair's nodes 0, BesselNodeStride,
+// 2 BesselNodeStride, ... in the same layout.
 type besselRow struct {
-	data   []float64 // 3*n values: data[3i..3i+2] = j, j', q at x = i*h
-	coarse []float64 // data's node triples 0, BesselNodeStride, 2 BesselNodeStride, ...
+	pair   []float64
+	coarse []float64
+	lane   int
 	xlow   float64
 }
 
 // BesselRow is a borrowed, immutable view of one multipole's table for hot
 // loops: fetch it once per mode, then Eval per quadrature point.
 type BesselRow struct {
-	data   []float64
+	pair   []float64
 	coarse []float64
+	lane   int
 	invH   float64
 	n      int
 	// XLow is the argument below which all three kernels are negligible
@@ -98,9 +107,14 @@ func NewBesselTable(lmax int, ls []int, xmax, h float64, par func(n int, body fu
 	// stencil never runs off the end for x <= xmax.
 	n := int(math.Ceil(xmax/h)) + 3
 	t := &BesselTable{LMax: lmax, Xmax: xmax, H: h, rows: make([]besselRow, lmax+1), ls: ls, nodes: n}
-	for _, l := range ls {
-		t.rows[l].data = make([]float64, 3*n)
-		t.rows[l].coarse = make([]float64, 3*((n+BesselNodeStride-1)/BesselNodeStride))
+	for i, l := range ls {
+		if i%2 == 1 {
+			t.rows[l] = t.rows[ls[i-1]]
+			t.rows[l].lane = 1
+			continue
+		}
+		t.rows[l].pair = make([]float64, 6*n)
+		t.rows[l].coarse = make([]float64, 6*((n+BesselNodeStride-1)/BesselNodeStride))
 	}
 
 	// One backward recurrence per node fills every tabulated l at once.
@@ -118,12 +132,15 @@ func NewBesselTable(lmax int, ls []int, xmax, h float64, par func(n int, body fu
 			jl = SphericalBesselJArray(lmax+1, x, jl)
 			for _, l := range ls {
 				j, jp, jpp := besselKernels(jl, l, x)
-				row := t.rows[l].data
-				row[3*i] = j
-				row[3*i+1] = jp
-				row[3*i+2] = 0.5 * (3.0*jpp + j)
+				r := &t.rows[l]
+				d := r.pair[6*i+r.lane : 6*i+r.lane+5 : 6*i+r.lane+5]
+				d[0] = j
+				d[2] = jp
+				d[4] = 0.5 * (3.0*jpp + j)
 				if i%BesselNodeStride == 0 {
-					copy(t.rows[l].coarse[3*(i/BesselNodeStride):], row[3*i:3*i+3])
+					o := 6*(i/BesselNodeStride) + r.lane
+					c := r.coarse[o : o+5 : o+5]
+					c[0], c[2], c[4] = d[0], d[2], d[4]
 				}
 			}
 		}
@@ -139,7 +156,8 @@ func NewBesselTable(lmax int, ls []int, xmax, h float64, par func(n int, body fu
 	// Negligibility thresholds: j_l dies exponentially below the turning
 	// point, so record where each row first becomes non-negligible.
 	for _, l := range ls {
-		t.rows[l].xlow = rowXLow(t.rows[l].data, h)
+		r := &t.rows[l]
+		r.xlow = rowXLow(r.pair[r.lane:], h)
 	}
 	return t
 }
@@ -171,23 +189,26 @@ func besselKernels(jl []float64, l int, x float64) (j, jp, jpp float64) {
 
 // rowXLow scans a row for the first node where any kernel exceeds 1e-9 of
 // the row peak and returns the x two nodes before it (0 when the row is
-// live from the origin, as for small l).
+// live from the origin, as for small l). data is the row's lane of its
+// pair: node i's kernels at data[6i], data[6i+2], data[6i+4].
 func rowXLow(data []float64, h float64) float64 {
+	n := (len(data) + 1) / 6
 	var peak float64
-	for _, v := range data {
-		if a := math.Abs(v); a > peak {
-			peak = a
+	for i := 0; i < n; i++ {
+		for _, v := range data[6*i : 6*i+5 : 6*i+5] {
+			if a := math.Abs(v); a > peak {
+				peak = a
+			}
 		}
 	}
 	if peak == 0 {
 		return 0
 	}
 	thresh := 1e-9 * peak
-	n := len(data) / 3
 	for i := 0; i < n; i++ {
-		if math.Abs(data[3*i]) > thresh ||
-			math.Abs(data[3*i+1]) > thresh ||
-			math.Abs(data[3*i+2]) > thresh {
+		if math.Abs(data[6*i]) > thresh ||
+			math.Abs(data[6*i+2]) > thresh ||
+			math.Abs(data[6*i+4]) > thresh {
 			if i < 3 {
 				return 0
 			}
@@ -199,7 +220,7 @@ func rowXLow(data []float64, h float64) float64 {
 
 // Has reports whether multipole l is tabulated.
 func (t *BesselTable) Has(l int) bool {
-	return l >= 0 && l < len(t.rows) && t.rows[l].data != nil
+	return l >= 0 && l < len(t.rows) && t.rows[l].pair != nil
 }
 
 // Ls returns the tabulated multipoles in increasing order.
@@ -212,7 +233,7 @@ func (t *BesselTable) Row(l int) (BesselRow, bool) {
 		return BesselRow{}, false
 	}
 	r := t.rows[l]
-	return BesselRow{data: r.data, coarse: r.coarse, invH: 1.0 / t.H, n: len(r.data) / 3, XLow: r.xlow}, true
+	return BesselRow{pair: r.pair, coarse: r.coarse, lane: r.lane, invH: 1.0 / t.H, n: t.nodes, XLow: r.xlow}, true
 }
 
 // Eval interpolates the three LOS kernels at x >= 0 with a four-point
@@ -236,10 +257,11 @@ func (r BesselRow) Eval(x float64) (j, jp, q float64) {
 	w1 := a * b * c / 2.0
 	w2 := -f * b * c / 2.0
 	w3 := f * a * c / 6.0
-	d := r.data[3*(i-1) : 3*(i-1)+12 : 3*(i-1)+12]
-	j = w0*d[0] + w1*d[3] + w2*d[6] + w3*d[9]
-	jp = w0*d[1] + w1*d[4] + w2*d[7] + w3*d[10]
-	q = w0*d[2] + w1*d[5] + w2*d[8] + w3*d[11]
+	o := 6*(i-1) + r.lane
+	d := r.pair[o : o+23 : o+23]
+	j = w0*d[0] + w1*d[6] + w2*d[12] + w3*d[18]
+	jp = w0*d[2] + w1*d[8] + w2*d[14] + w3*d[20]
+	q = w0*d[4] + w1*d[10] + w2*d[16] + w3*d[22]
 	return j, jp, q
 }
 
@@ -249,8 +271,9 @@ func (r BesselRow) Eval(x float64) (j, jp, q float64) {
 // reuses it for every multipole — the per-point work collapses to a
 // 12-float (or 4-float) dot product.
 type BesselStencil struct {
-	off []int32      // data offset of the first stencil node, 3*(i-1)
-	w   [][4]float64 // cubic Lagrange weights
+	off   []int32      // pair offset of the first stencil node, 6*(i-1)
+	w     [][4]float64 // cubic Lagrange weights
+	nodes int          // node count of the table the stencil was made for
 }
 
 // Stencil fills st with the interpolation stencil for the arguments xs
@@ -267,6 +290,7 @@ func (t *BesselTable) Stencil(xs []float64, st *BesselStencil) {
 	st.w = st.w[:n]
 	invH := 1.0 / t.H
 	nn := t.nodes
+	st.nodes = nn
 	for p, x := range xs {
 		if x < 0 {
 			x = 0
@@ -283,7 +307,7 @@ func (t *BesselTable) Stencil(xs []float64, st *BesselStencil) {
 			f = 2
 		}
 		a, b, c := f-1.0, f-2.0, f+1.0
-		st.off[p] = int32(3 * (i - 1))
+		st.off[p] = int32(6 * (i - 1))
 		st.w[p] = [4]float64{-f * a * b / 6.0, a * b * c / 2.0, -f * b * c / 2.0, f * a * c / 6.0}
 	}
 }
@@ -297,14 +321,14 @@ func (r BesselRow) AccumStencil(st *BesselStencil, lo, hi int, sA, sB, sC []floa
 
 // accumStencilFrom continues AccumStencil's running sum over [lo, hi).
 func (r BesselRow) accumStencilFrom(sum float64, st *BesselStencil, lo, hi int, sA, sB, sC []float64) float64 {
-	data := r.data
+	pair := r.pair
 	for p := lo; p < hi; p++ {
-		o := st.off[p]
+		o := int(st.off[p]) + r.lane
 		w := &st.w[p]
-		d := data[o : o+12 : o+12]
-		j := w[0]*d[0] + w[1]*d[3] + w[2]*d[6] + w[3]*d[9]
-		jp := w[0]*d[1] + w[1]*d[4] + w[2]*d[7] + w[3]*d[10]
-		q := w[0]*d[2] + w[1]*d[5] + w[2]*d[8] + w[3]*d[11]
+		d := pair[o : o+23 : o+23]
+		j := w[0]*d[0] + w[1]*d[6] + w[2]*d[12] + w[3]*d[18]
+		jp := w[0]*d[2] + w[1]*d[8] + w[2]*d[14] + w[3]*d[20]
+		q := w[0]*d[4] + w[1]*d[10] + w[2]*d[16] + w[3]*d[22]
 		sum += sA[p]*j + sB[p]*jp + sC[p]*q
 	}
 	return sum
@@ -315,66 +339,86 @@ func (r BesselRow) accumStencilFrom(sum float64, st *BesselStencil, lo, hi int, 
 // point's offset, weights and sources are loaded once for four independent
 // accumulators, and every row then continues alone from its running sum.
 // Each sum therefore adds the same terms in the same order as a separate
-// AccumStencil call and is bitwise equal to it. (The per-row term is
-// spelled out four times: a helper would be past the inlining budget.)
+// AccumStencil call and is bitwise equal to it. On amd64 the joint walk is
+// an SSE2 kernel over the rows' pairs, one lane per row (a row whose
+// partner is not among the four still runs in its pair, and the spare
+// lane's sum is dropped); elsewhere it is accumStencil4Go.
 func AccumStencil4(rows *[4]BesselRow, st *BesselStencil, lo int, hi *[4]int, sA, sB, sC []float64) (sums [4]float64) {
 	common := max(lo, min(hi[0], hi[1], hi[2], hi[3]))
-	d0, d1, d2, d3 := rows[0].data, rows[1].data, rows[2].data, rows[3].data
-	var s0, s1, s2, s3 float64
-	for p := lo; p < common; p++ {
-		o := st.off[p]
-		w := &st.w[p]
-		a, b, c := sA[p], sB[p], sC[p]
-		d := d0[o : o+12 : o+12]
-		s0 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
-			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
-			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
-		d = d1[o : o+12 : o+12]
-		s1 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
-			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
-			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
-		d = d2[o : o+12 : o+12]
-		s2 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
-			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
-			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
-		d = d3[o : o+12 : o+12]
-		s3 += a*(w[0]*d[0]+w[1]*d[3]+w[2]*d[6]+w[3]*d[9]) +
-			b*(w[0]*d[1]+w[1]*d[4]+w[2]*d[7]+w[3]*d[10]) +
-			c*(w[0]*d[2]+w[1]*d[5]+w[2]*d[8]+w[3]*d[11])
+	if common > lo {
+		sums = accumStencilJoint(rows, st, lo, common, sA, sB, sC)
 	}
-	sums = [4]float64{s0, s1, s2, s3}
 	for i := range sums {
 		sums[i] = rows[i].accumStencilFrom(sums[i], st, common, hi[i], sA, sB, sC)
 	}
 	return sums
 }
 
+// accumStencil4Go is the joint walk of AccumStencil4 as a Go loop: the
+// reference its SSE2 kernel is tested against, and the path off amd64.
+// (The per-row term is spelled out four times: a helper would be past the
+// inlining budget.)
+func accumStencil4Go(rows *[4]BesselRow, st *BesselStencil, lo, hi int, sA, sB, sC []float64) [4]float64 {
+	d0, d1, d2, d3 := rows[0].pair[rows[0].lane:], rows[1].pair[rows[1].lane:], rows[2].pair[rows[2].lane:], rows[3].pair[rows[3].lane:]
+	var s0, s1, s2, s3 float64
+	for p := lo; p < hi; p++ {
+		o := st.off[p]
+		w := &st.w[p]
+		a, b, c := sA[p], sB[p], sC[p]
+		d := d0[o : o+23 : o+23]
+		s0 += a*(w[0]*d[0]+w[1]*d[6]+w[2]*d[12]+w[3]*d[18]) +
+			b*(w[0]*d[2]+w[1]*d[8]+w[2]*d[14]+w[3]*d[20]) +
+			c*(w[0]*d[4]+w[1]*d[10]+w[2]*d[16]+w[3]*d[22])
+		d = d1[o : o+23 : o+23]
+		s1 += a*(w[0]*d[0]+w[1]*d[6]+w[2]*d[12]+w[3]*d[18]) +
+			b*(w[0]*d[2]+w[1]*d[8]+w[2]*d[14]+w[3]*d[20]) +
+			c*(w[0]*d[4]+w[1]*d[10]+w[2]*d[16]+w[3]*d[22])
+		d = d2[o : o+23 : o+23]
+		s2 += a*(w[0]*d[0]+w[1]*d[6]+w[2]*d[12]+w[3]*d[18]) +
+			b*(w[0]*d[2]+w[1]*d[8]+w[2]*d[14]+w[3]*d[20]) +
+			c*(w[0]*d[4]+w[1]*d[10]+w[2]*d[16]+w[3]*d[22])
+		d = d3[o : o+23 : o+23]
+		s3 += a*(w[0]*d[0]+w[1]*d[6]+w[2]*d[12]+w[3]*d[18]) +
+			b*(w[0]*d[2]+w[1]*d[8]+w[2]*d[14]+w[3]*d[20]) +
+			c*(w[0]*d[4]+w[1]*d[10]+w[2]*d[16]+w[3]*d[22])
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
 // AccumNodes4 is AccumStencil4 for arguments that sit on the table's coarse
 // nodes: point p of [lo, hi[i]) has x = (node - (p - lo)) * BesselNodeStride
-// * H, so its kernels are three adjacent values of the row's coarse copy —
-// no stencil, no weights, and the walk runs down contiguous memory. Joint
-// over the range common to all four rows, then each row alone from its
-// running sum, as in AccumStencil4.
+// * H, so its kernels are three values of the row's coarse copy — no
+// stencil, no weights, and the walk runs down contiguous memory. Joint over
+// the range common to all four rows (the SSE2 kernel on amd64, as in
+// AccumStencil4), then each row alone from its running sum.
 func AccumNodes4(rows *[4]BesselRow, node, lo int, hi *[4]int, sA, sB, sC []float64) (sums [4]float64) {
 	common := max(lo, min(hi[0], hi[1], hi[2], hi[3]))
-	c0, c1, c2, c3 := rows[0].coarse, rows[1].coarse, rows[2].coarse, rows[3].coarse
-	var s0, s1, s2, s3 float64
-	for p, o := lo, 3*node; p < common; p, o = p+1, o-3 {
-		a, b, c := sA[p], sB[p], sC[p]
-		d := c0[o : o+3 : o+3]
-		s0 += a*d[0] + b*d[1] + c*d[2]
-		d = c1[o : o+3 : o+3]
-		s1 += a*d[0] + b*d[1] + c*d[2]
-		d = c2[o : o+3 : o+3]
-		s2 += a*d[0] + b*d[1] + c*d[2]
-		d = c3[o : o+3 : o+3]
-		s3 += a*d[0] + b*d[1] + c*d[2]
+	if common > lo {
+		sums = accumNodesJoint(rows, node, lo, common, sA, sB, sC)
 	}
-	sums = [4]float64{s0, s1, s2, s3}
 	for i := range sums {
 		sums[i] = rows[i].accumNodesFrom(sums[i], node-(common-lo), common, hi[i], sA, sB, sC)
 	}
 	return sums
+}
+
+// accumNodes4Go is the joint walk of AccumNodes4 as a Go loop: the
+// reference its SSE2 kernel is tested against, and the path off amd64.
+func accumNodes4Go(rows *[4]BesselRow, node, lo, hi int, sA, sB, sC []float64) [4]float64 {
+	c0, c1, c2, c3 := rows[0].coarse[rows[0].lane:], rows[1].coarse[rows[1].lane:], rows[2].coarse[rows[2].lane:], rows[3].coarse[rows[3].lane:]
+	var s0, s1, s2, s3 float64
+	for p, o := lo, 6*node; p < hi; p, o = p+1, o-6 {
+		a, b, c := sA[p], sB[p], sC[p]
+		d := c0[o : o+5 : o+5]
+		s0 += a*d[0] + b*d[2] + c*d[4]
+		d = c1[o : o+5 : o+5]
+		s1 += a*d[0] + b*d[2] + c*d[4]
+		d = c2[o : o+5 : o+5]
+		s2 += a*d[0] + b*d[2] + c*d[4]
+		d = c3[o : o+5 : o+5]
+		s3 += a*d[0] + b*d[2] + c*d[4]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // AccumNodes is AccumNodes4 for one row.
@@ -385,9 +429,9 @@ func (r BesselRow) AccumNodes(node, lo, hi int, sA, sB, sC []float64) float64 {
 // accumNodesFrom continues AccumNodes' running sum over [lo, hi), point lo
 // on coarse node `node`.
 func (r BesselRow) accumNodesFrom(sum float64, node, lo, hi int, sA, sB, sC []float64) float64 {
-	for p, o := lo, 3*node; p < hi; p, o = p+1, o-3 {
-		d := r.coarse[o : o+3 : o+3]
-		sum += sA[p]*d[0] + sB[p]*d[1] + sC[p]*d[2]
+	for p, o := lo, 6*node+r.lane; p < hi; p, o = p+1, o-6 {
+		d := r.coarse[o : o+5 : o+5]
+		sum += sA[p]*d[0] + sB[p]*d[2] + sC[p]*d[4]
 	}
 	return sum
 }
@@ -444,10 +488,10 @@ type besselCacheEntry struct {
 
 // DefaultBesselCacheLimit bounds the shared table cache. Eight buckets
 // cover every distinct (multipole cap, argument range) combination a
-// realistic serving mix requests. A stock table (LMaxCl 150: 19 rows to
-// x = 384) is 3.3 MB with its coarse copy and eight of them ~26 MB; a
-// paper-scale one (LMaxCl 1000: 57 rows to x = 1216) is 31 MB, so the
-// worst case, eight paper-scale keys, is ~250 MB.
+// realistic serving mix requests. A stock table (LMaxCl 150: 19 rows, 10
+// pairs, to x = 384) is 3.4 MB with its coarse copy and eight of them
+// ~28 MB; a paper-scale one (LMaxCl 1000: 57 rows, 29 pairs, to x = 1216)
+// is 32 MB, so the worst case, eight paper-scale keys, is ~250 MB.
 const DefaultBesselCacheLimit = 8
 
 // SetBesselCacheLimit changes the shared-cache bound (n < 1 is treated as

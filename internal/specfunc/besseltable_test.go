@@ -262,14 +262,36 @@ var raggedRanges = []struct {
 	{"all empty", 40, [4]int{0, 0, 0, 0}},
 }
 
+// spareLane checks the pair layout of a table with an odd row count: the
+// last row sits alone in lane 0 of its pair, and the spare lane 1 is zero.
+func spareLane(t *testing.T, tbl *BesselTable) {
+	t.Helper()
+	ls := tbl.Ls()
+	if len(ls)%2 != 1 {
+		t.Fatalf("%d rows: want an odd count", len(ls))
+	}
+	last, _ := tbl.Row(ls[len(ls)-1])
+	if last.lane != 0 {
+		t.Fatalf("the last of %d rows is in lane %d of its pair, want 0", len(ls), last.lane)
+	}
+	for i := 1; i < len(last.pair); i += 2 {
+		if last.pair[i] != 0 {
+			t.Fatalf("the spare lane holds %g at %d", last.pair[i], i)
+		}
+	}
+}
+
 // TestAccumStencil4MatchesFourAccumStencil: the four-row walk is four
 // AccumStencil calls bit for bit, whatever the shape of the four ranges —
 // equal, staggered, an empty common range, rows whose range is empty or
-// ends before lo (a row with XLow beyond the grid), and a ladder whose
-// length is not a multiple of four walked group by group with a remainder.
+// ends before lo (a row with XLow beyond the grid) — and whichever pairs
+// the four rows sit in: every window of a 7-row ladder takes two whole
+// pairs, rows from three pairs, or the last row, whose pair has a spare
+// lane (an odd row count). The joint walk is the Go loop bit for bit too.
 func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 	ladder := []int{2, 9, 17, 30, 44, 61, 80} // 7 rows: one group of four + 3
 	tbl := NewBesselTable(80, ladder, 400, 0, nil)
+	spareLane(t, tbl)
 	rng := rand.New(rand.NewSource(11))
 	const n = raggedN
 	xs := make([]float64, n)
@@ -288,11 +310,17 @@ func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 		for g := 0; g+4 <= len(rows); g++ { // every window of four, so each row meets each range
 			four := (*[4]BesselRow)(rows[g:])
 			got := AccumStencil4(four, &st, c.lo, &c.hi, sA, sB, sC)
+			common := max(c.lo, min(c.hi[0], c.hi[1], c.hi[2], c.hi[3]))
+			joint := accumStencil4Go(four, &st, c.lo, common, sA, sB, sC)
 			for r := range four {
 				want := four[r].AccumStencil(&st, c.lo, c.hi[r], sA, sB, sC)
 				if math.Float64bits(got[r]) != math.Float64bits(want) {
 					t.Fatalf("%s, rows %d..%d, row %d: AccumStencil4 %x, AccumStencil %x",
 						c.name, g, g+3, r, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+				if loop := four[r].accumStencilFrom(joint[r], &st, common, c.hi[r], sA, sB, sC); math.Float64bits(loop) != math.Float64bits(want) {
+					t.Fatalf("%s, rows %d..%d, row %d: the Go loop %x, AccumStencil %x",
+						c.name, g, g+3, r, math.Float64bits(loop), math.Float64bits(want))
 				}
 			}
 		}
@@ -301,10 +329,11 @@ func TestAccumStencil4MatchesFourAccumStencil(t *testing.T) {
 
 // TestAccumNodes4MatchesStencilOnNodes: on arguments that sit on the coarse
 // nodes the node kernel is the interpolating one (a cubic Lagrange stencil
-// at f = 0 returns the node) — for ragged ranges, every window of a 7-row
-// ladder and the one-row remainder — and the coarse copy it reads is every
-// BesselNodeStride-th fine node bit for bit, whether the table was built
-// serially, in parallel, or grown through the shared cache's union-extend.
+// at f = 0 returns the node) — for ragged ranges and every window of a
+// 7-row ladder, the last row's pair with a spare lane among them — and the
+// coarse copy it reads is every BesselNodeStride-th fine node bit for bit,
+// whether the table was built serially, in parallel, or grown through the
+// shared cache's union-extend.
 func TestAccumNodes4MatchesStencilOnNodes(t *testing.T) {
 	ladder := []int{2, 9, 17, 30, 44, 61, 80}
 	old := SetBesselCacheLimit(1)
@@ -322,20 +351,23 @@ func TestAccumNodes4MatchesStencilOnNodes(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: l=%d missing", name, l)
 			}
-			if want := 3 * ((row.n + BesselNodeStride - 1) / BesselNodeStride); len(row.coarse) != want {
+			if want := 6 * ((row.n + BesselNodeStride - 1) / BesselNodeStride); len(row.coarse) != want {
 				t.Fatalf("%s l=%d: coarse copy holds %d values, want %d", name, l, len(row.coarse), want)
 			}
-			for i, v := range row.coarse {
-				fine := row.data[3*BesselNodeStride*(i/3)+i%3]
-				if math.Float64bits(v) != math.Float64bits(fine) {
-					t.Fatalf("%s l=%d: coarse[%d] = %x, fine node has %x", name, l, i,
-						math.Float64bits(v), math.Float64bits(fine))
+			for m := 0; m < len(row.coarse)/6; m++ {
+				for k := row.lane; k < 6; k += 2 {
+					v, fine := row.coarse[6*m+k], row.pair[6*BesselNodeStride*m+k]
+					if math.Float64bits(v) != math.Float64bits(fine) {
+						t.Fatalf("%s l=%d: coarse node %d value %d = %x, fine node has %x", name, l, m, k,
+							math.Float64bits(v), math.Float64bits(fine))
+					}
 				}
 			}
 		}
 	}
 
 	tbl := tables["serial"]
+	spareLane(t, tbl)
 	rng := rand.New(rand.NewSource(12))
 	const n = raggedN
 	const top = 300 // coarse node of point 0: x = 112.5, falling to node 44
@@ -359,7 +391,14 @@ func TestAccumNodes4MatchesStencilOnNodes(t *testing.T) {
 			four := (*[4]BesselRow)(rows[g:])
 			got := AccumNodes4(four, top-c.lo, c.lo, &c.hi, sA, sB, sC)
 			want := AccumStencil4(four, &st, c.lo, &c.hi, sA, sB, sC)
+			common := max(c.lo, min(c.hi[0], c.hi[1], c.hi[2], c.hi[3]))
+			joint := accumNodes4Go(four, top-c.lo, c.lo, common, sA, sB, sC)
 			for r := range four {
+				loop := four[r].accumNodesFrom(joint[r], top-common, common, c.hi[r], sA, sB, sC)
+				if math.Float64bits(loop) != math.Float64bits(got[r]) {
+					t.Fatalf("%s, rows %d..%d, row %d: the Go loop %x, AccumNodes4 %x", c.name, g, g+3, r,
+						math.Float64bits(loop), math.Float64bits(got[r]))
+				}
 				if !near(got[r], want[r]) {
 					t.Fatalf("%s, rows %d..%d, row %d: AccumNodes4 %g, AccumStencil4 %g", c.name, g, g+3, r, got[r], want[r])
 				}

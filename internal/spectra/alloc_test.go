@@ -28,9 +28,11 @@ func TestLOSProjectionAllocBudget(t *testing.T) {
 	var sc losScratch
 	out := make([]float64, len(ls))
 	n := testing.AllocsPerRun(10, func() {
-		if err := losAssemble(r, tau0, tauRec, losNodeStep, &sc); err != nil {
+		tau, src, err := sc.load(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		losAssemble(r.K, tau, src, tau0, tauRec, losNodeStep, &sc)
 		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)
 	})
 	if n > 0 {

@@ -53,9 +53,12 @@ func BenchmarkThetaLOSReference(b *testing.B) {
 	b.ResetTimer()
 	var sc losScratch
 	for i := 0; i < b.N; i++ {
-		if _, err := thetaLOSInto(r, 150, m.BG.Tau0(), m.TH.TauRec(), &sc); err != nil {
+		tau, src, err := sc.load(r)
+		if err != nil {
 			b.Fatal(err)
 		}
+		losAssemble(r.K, tau, src, m.BG.Tau0(), m.TH.TauRec(), losNodeStep, &sc)
+		projectThetaExact(r.K, 150, m.BG.Tau0(), &sc)
 	}
 }
 
@@ -73,9 +76,11 @@ func BenchmarkThetaLOSFast(b *testing.B) {
 	b.ResetTimer()
 	var sc losScratch
 	for i := 0; i < b.N; i++ {
-		if err := losAssemble(r, tau0, m.TH.TauRec(), losNodeStep, &sc); err != nil {
+		tau, src, err := sc.load(r)
+		if err != nil {
 			b.Fatal(err)
 		}
+		losAssemble(r.K, tau, src, tau0, m.TH.TauRec(), losNodeStep, &sc)
 		projectThetaTable(r.K, tau0, &sc, rows, tbl, out)
 	}
 }
@@ -95,6 +100,45 @@ func BenchmarkRefineK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sw.RefineK(130, m.TH.TauRec()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var (
+	benchFastOnce sync.Once
+	benchFastSw   *Sweep
+	benchFastErr  error
+)
+
+// BenchmarkClLOSFast is the projection stage of the stock 150/130 product:
+// a refined sweep (every sixth wavenumber evolved by the fast engine, the
+// rest splined in k) built once, then per op every fine mode evaluated
+// from the plan, assembled and projected against the shared Bessel table.
+func BenchmarkClLOSFast(b *testing.B) {
+	m, _ := benchSetup(b)
+	tauRec := m.TH.TauRec()
+	benchFastOnce.Do(func() {
+		fineKs := ClGrid(150, m.BG.Tau0(), 130)
+		coarse, err := RunSweep(m, core.Params{LMax: 24, Gauge: core.ConformalNewtonian, KeepSources: true, FastEvolve: true},
+			RefineCoarseGrid(fineKs, 6), 0, false)
+		if err != nil {
+			benchFastErr = err
+			return
+		}
+		benchFastSw, benchFastErr = coarse.RefineK(130, tauRec)
+	})
+	if benchFastErr != nil {
+		b.Fatal(benchFastErr)
+	}
+	ls, prim := DefaultLs(150), DefaultPrimordial(1.0)
+	if _, err := benchFastSw.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec); err != nil { // warms the table
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := benchFastSw.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"plinger/internal/core"
+	"plinger/internal/specfunc"
 	"plinger/internal/spline"
 )
 
@@ -155,8 +157,8 @@ func eagerRefine(t *testing.T, refined *Sweep) *Sweep {
 	results := make([]*core.Result, nk)
 	for i, k := range refined.KValues {
 		results[i] = &core.Result{
-			K: k, Tau: p.grid[nt-1], A: p.bgA[nt-1], Gauge: core.ConformalNewtonian,
-			LMax: p.lmax, Sources: make([]core.Sample, nt-p.fineT0[i]),
+			K: k, Tau: p.grid[nt-1], Gauge: core.ConformalNewtonian,
+			Sources: make([]core.Sample, nt-p.fineT0[i]),
 		}
 	}
 	mu := spline.NewMulti(nf)
@@ -182,17 +184,21 @@ func eagerRefine(t *testing.T, refined *Sweep) *Sweep {
 			} else {
 				copy(v[:], knots)
 			}
-			results[i].Sources[ti-p.fineT0[i]] = refineUnpack(p.grid[ti], p.bgA[ti], &v)
+			results[i].Sources[ti-p.fineT0[i]] = core.Sample{
+				Tau: p.grid[ti], Kdot: v[fKdot], Kappa: v[fKappa], Theta0: v[fTheta0],
+				Psi: v[fPsi], PhiDot: v[fPhiDot], VB: v[fVB], Pi: v[fPi],
+			}
 		}
 	}
 	return &Sweep{KValues: refined.KValues, Results: results, Tau0: refined.Tau0}
 }
 
 // TestRefineKLazyMatchesEager is the lazy sweep's contract: every mode the
-// accessor evaluates, and the reference and fast spectra built on it, are
-// bit for bit what an eagerly materialised sweep of the same plan gives —
-// at any worker count, since a mode is evaluated, assembled and projected
-// on one worker.
+// accessor evaluates — packed rows on the plan's own grid — and the
+// reference and fast spectra built on it, are bit for bit what an eagerly
+// materialised sweep of the same plan gives, packed from its samples — at
+// any worker count, since a mode is evaluated, assembled and projected on
+// one worker.
 func TestRefineKLazyMatchesEager(t *testing.T) {
 	m := model(t)
 	tauRec := m.TH.TauRec()
@@ -211,11 +217,18 @@ func TestRefineKLazyMatchesEager(t *testing.T) {
 		t.Fatal("refined sweep materialised its modes")
 	}
 	eager := eagerRefine(t, refined)
-	var sc losScratch
-	for i := range refined.KValues {
-		got, want := refined.mode(i, &sc), eager.Results[i]
-		if got.K != want.K || got.Tau != want.Tau || got.A != want.A || got.LMax != want.LMax || !reflect.DeepEqual(got.Sources, want.Sources) {
-			t.Fatalf("mode %d (k=%g): lazy evaluation differs from the eager sweep", i, got.K)
+	var sc, esc losScratch
+	for i, k := range refined.KValues {
+		tau, rows, err := refined.mode(i, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTau, wantRows, err := eager.mode(i, &esc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tau, wantTau) || !reflect.DeepEqual(rows, wantRows) {
+			t.Fatalf("mode %d (k=%g): lazy evaluation differs from the eager sweep", i, k)
 		}
 	}
 	ls := []int{2, 3, 4, 6, 8, 11, 15, 21, 30, 42, 60} // 11 rows: two four-row passes and a remainder
@@ -255,6 +268,74 @@ func TestRefineKLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestClLOSFastHistoryIndependent extends TestSharedBesselTableHistoryIndependent
+// from the table's rows to the projection: a refined 150/130 ClLOSFast on
+// a fresh table, whose row pairs are the ladder's own, and again after the
+// same cache key has been union-extended with other multipoles — so ladder
+// rows lose their pair partners and run beside a spare lane — give the
+// same C_l bit for bit.
+func TestClLOSFastHistoryIndependent(t *testing.T) {
+	m := model(t)
+	tauRec := m.TH.TauRec()
+	fineKs := ClGrid(150, m.BG.Tau0(), 130)
+	coarse, err := RunSweep(m, core.Params{LMax: 24, Gauge: core.ConformalNewtonian, KeepSources: true, FastEvolve: true},
+		RefineCoarseGrid(fineKs, 6), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := coarse.RefineK(130, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, prim := DefaultLs(150), DefaultPrimordial(1.0)
+
+	defer specfunc.SetBesselCacheLimit(specfunc.SetBesselCacheLimit(1))
+	specfunc.SharedBesselTable([]int{900}, 100, nil) // evict whatever earlier tests cached
+	fresh, err := refined.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshTbl, _, err := sharedLadder(ls, refined.losXmax())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Odd multipoles under the same key: the union interleaves them with
+	// the ladder, which pairs the two differently.
+	var other []int
+	for l := 9; l < 150; l += 2 {
+		if !slices.Contains(ls, l) {
+			other = append(other, l)
+		}
+	}
+	grown := specfunc.SharedBesselTable(other, refined.losXmax(), nil)
+	if grown == freshTbl {
+		t.Fatal("the extension did not rebuild the table")
+	}
+	union, orphans := grown.Ls(), 0
+	for i := 0; i+1 < len(union); i += 2 { // rows 2i and 2i+1 share a pair
+		if slices.Contains(ls, union[i]) != slices.Contains(ls, union[i+1]) {
+			orphans++
+		}
+	}
+	if orphans == 0 {
+		t.Fatal("no ladder row lost its pair partner; the test exercises nothing")
+	}
+	extended, err := refined.ClLOSFast(ls, prim, m.BG.P.TCMB, tauRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, _, _ := sharedLadder(ls, refined.losXmax()); tbl != grown {
+		t.Fatal("the second projection did not read the extended table")
+	}
+	for j, l := range ls {
+		if math.Float64bits(fresh.Cl[j]) != math.Float64bits(extended.Cl[j]) {
+			t.Fatalf("C_%d: %x on a fresh table, %x once %d of its rows lost their pair partners", l,
+				math.Float64bits(fresh.Cl[j]), math.Float64bits(extended.Cl[j]), orphans)
+		}
+	}
+}
+
 func TestRefineKValidation(t *testing.T) {
 	m := model(t)
 	sw, err := RunSweep(m, core.Params{LMax: 12, Gauge: core.ConformalNewtonian, KeepSources: true},
@@ -279,56 +360,54 @@ func TestRefineKValidation(t *testing.T) {
 	}
 }
 
-// TestSampleSeriesCursor: the monotone-cursor lookup must agree with plain
-// bisection for monotone sweeps, repeated queries, and random access.
+// TestSampleSeriesCursor: the monotone-cursor lookup of the packed series
+// must agree with plain bisection for monotone sweeps, repeated queries,
+// and random access.
 func TestSampleSeriesCursor(t *testing.T) {
-	src := make([]core.Sample, 64)
+	const n = 64
+	ts := make([]float64, n)
+	src := make([][refineFields]float64, n)
 	tau := 10.0
 	rng := rand.New(rand.NewSource(7))
 	for i := range src {
-		src[i] = core.Sample{Tau: tau, Theta0: math.Sin(tau), Psi: math.Cos(tau)}
+		ts[i] = tau
+		src[i][fTheta0], src[i][fPsi] = math.Sin(tau), math.Cos(tau)
 		tau += 0.5 + 10.0*rng.Float64()
 	}
-	var ss sampleSeries
-	ss.init(src, nil)
-	bisect := func(q float64) core.Sample {
-		n := len(src)
-		if q <= src[0].Tau {
-			return src[0]
+	ss := sampleSeries{tau: ts, src: src}
+	bisect := func(q float64) (theta0, psi float64) {
+		if q <= ts[0] {
+			return src[0][fTheta0], src[0][fPsi]
 		}
-		if q >= src[n-1].Tau {
-			return src[n-1]
+		if q >= ts[n-1] {
+			return src[n-1][fTheta0], src[n-1][fPsi]
 		}
 		lo, hi := 0, n-1
 		for hi-lo > 1 {
 			mid := (lo + hi) / 2
-			if src[mid].Tau <= q {
+			if ts[mid] <= q {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		f := (q - src[lo].Tau) / (src[hi].Tau - src[lo].Tau)
-		return core.Sample{
-			Tau:    q,
-			Theta0: src[lo].Theta0*(1-f) + src[hi].Theta0*f,
-			Psi:    src[lo].Psi*(1-f) + src[hi].Psi*f,
-		}
+		f := (q - ts[lo]) / (ts[hi] - ts[lo])
+		return src[lo][fTheta0]*(1-f) + src[hi][fTheta0]*f, src[lo][fPsi]*(1-f) + src[hi][fPsi]*f
 	}
 	check := func(q float64) {
-		var got core.Sample
+		var got [refineFields]float64
 		ss.atInto(q, &got)
-		want := bisect(q)
-		if got.Theta0 != want.Theta0 || got.Psi != want.Psi {
-			t.Fatalf("at(%g): got (%g, %g), want (%g, %g)", q, got.Theta0, got.Psi, want.Theta0, want.Psi)
+		theta0, psi := bisect(q)
+		if got[fTheta0] != theta0 || got[fPsi] != psi {
+			t.Fatalf("at(%g): got (%g, %g), want (%g, %g)", q, got[fTheta0], got[fPsi], theta0, psi)
 		}
 	}
 	// Monotone sweep (the hot-loop pattern), including exact knots.
 	for q := 0.0; q < tau+5; q += 0.37 {
 		check(q)
 	}
-	for i := range src {
-		check(src[i].Tau)
+	for _, q := range ts {
+		check(q)
 	}
 	// Random access must still be exact (cursor rewinds by bisection).
 	for i := 0; i < 500; i++ {

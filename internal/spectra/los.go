@@ -169,68 +169,17 @@ func losGrid(dst, wdst []float64, tauStart, tauRec, tau0, k, nodeStep float64) (
 	return grid, w, iNode
 }
 
-// sampleSeries linearly interpolates the recorded source samples. Lookups
-// carry a monotone cursor: the LOS resampling sweeps tau strictly forward,
-// so the bracket for each query is almost always the cached one or its
-// right neighbour, and the per-sample binary search of the original
+// sampleSeries is one mode's line-of-sight sources, packed: the conformal
+// times tau and, per time, the refineFields fields in refinePack order.
+// Lookups carry a monotone cursor: the LOS resampling sweeps tau strictly
+// forward, so the bracket for each query is almost always the cached one
+// or its right neighbour, and the per-sample binary search of the original
 // implementation disappears from the hot loop (non-monotone queries still
 // fall back to bisection).
 type sampleSeries struct {
 	tau    []float64
-	src    []core.Sample
+	src    [][refineFields]float64
 	cursor int
-}
-
-// init readies the series over src, reusing tauBuf for the abscissae.
-func (ss *sampleSeries) init(src []core.Sample, tauBuf []float64) {
-	tau := tauBuf[:0]
-	for i := range src {
-		tau = append(tau, src[i].Tau)
-	}
-	ss.tau = tau
-	ss.src = src
-	ss.cursor = 0
-}
-
-// losPoint is the subset of sample fields the line-of-sight integrand
-// consumes, resampled onto one quadrature point.
-type losPoint struct {
-	theta0, psi, phiDot, vb, pi, kdot, eKap float64
-}
-
-// atLOS interpolates only the LOS fields at tau into p — no full Sample
-// copy in the per-point loop. The opacity suppression is exponentiated
-// from the interpolated optical depth (exact for locally linear kappa;
-// interpolating e^-kappa itself would sag badly across the steep
-// recombination onset where kappa falls by e-folds between samples).
-func (ss *sampleSeries) atLOS(tau float64, p *losPoint) {
-	n := len(ss.tau)
-	lo := 0
-	f := 0.0
-	switch {
-	case tau <= ss.tau[0]:
-	case tau >= ss.tau[n-1]:
-		lo = n - 2
-		f = 1.0
-	default:
-		lo = ss.locate(tau)
-		f = (tau - ss.tau[lo]) / (ss.tau[lo+1] - ss.tau[lo])
-	}
-	a, b := &ss.src[lo], &ss.src[lo+1]
-	g := 1.0 - f
-	p.theta0 = g*a.Theta0 + f*b.Theta0
-	p.psi = g*a.Psi + f*b.Psi
-	p.phiDot = g*a.PhiDot + f*b.PhiDot
-	p.vb = g*a.VB + f*b.VB
-	p.pi = g*a.Pi + f*b.Pi
-	p.kdot = g*a.Kdot + f*b.Kdot
-	// Deep in the opaque era e^-kappa underflows every source threshold;
-	// skip the exponential outright (kappa < 60 everywhere it matters).
-	if kap := g*a.Kappa + f*b.Kappa; kap > 60 {
-		p.eKap = 0
-	} else {
-		p.eKap = math.Exp(-kap)
-	}
 }
 
 // locate returns i such that tau[i] <= tau < tau[i+1] (rightmost bracket,
@@ -263,9 +212,10 @@ func (ss *sampleSeries) locate(tau float64) int {
 	return i
 }
 
-// atInto linearly interpolates every recorded field at tau into out:
-// callers resampling many points pass one scratch Sample.
-func (ss *sampleSeries) atInto(tau float64, out *core.Sample) {
+// atInto linearly interpolates every field at tau into out, clamped to the
+// end samples outside the series: RefineK's resampling of a coarse mode
+// onto its shared grid.
+func (ss *sampleSeries) atInto(tau float64, out *[refineFields]float64) {
 	n := len(ss.tau)
 	if tau <= ss.tau[0] {
 		*out = ss.src[0]
@@ -279,18 +229,8 @@ func (ss *sampleSeries) atInto(tau float64, out *core.Sample) {
 	hi := lo + 1
 	f := (tau - ss.tau[lo]) / (ss.tau[hi] - ss.tau[lo])
 	a, b := &ss.src[lo], &ss.src[hi]
-	mix := func(x, y float64) float64 { return x*(1-f) + y*f }
-	*out = core.Sample{
-		Tau:    tau,
-		A:      mix(a.A, b.A),
-		Theta0: mix(a.Theta0, b.Theta0),
-		Psi:    mix(a.Psi, b.Psi),
-		Phi:    mix(a.Phi, b.Phi),
-		PhiDot: mix(a.PhiDot, b.PhiDot),
-		VB:     mix(a.VB, b.VB),
-		Pi:     mix(a.Pi, b.Pi),
-		Kdot:   mix(a.Kdot, b.Kdot),
-		Kappa:  mix(a.Kappa, b.Kappa),
+	for j := range out {
+		out[j] = a[j]*(1-f) + b[j]*f
 	}
 }
 
@@ -298,22 +238,22 @@ func (ss *sampleSeries) atInto(tau float64, out *core.Sample) {
 // sweeps over hundreds of modes reuse a single allocation set instead of
 // re-making per call (the benchmarks report allocs/op to keep it that way).
 type losScratch struct {
-	ss               sampleSeries
+	ss sampleSeries
+	// The current mode's packed sources (see Sweep.mode): an evolved
+	// mode's sample times are copied into tauBuf, a refined mode's times
+	// are its plan's grid, borrowed.
 	tauBuf           []float64
+	rows             [][refineFields]float64
 	grid             []float64
 	srcA, srcB, srcC []float64
-	psiT, eKap, dPsi []float64
+	psiT, eKap       []float64
 	w                []float64
 	jl               []float64
 	theta            []float64
-	// Fast-projection state: the Bessel arguments, the trapezoid-folded
+	// Fast-projection state: the Bessel arguments, the weight-folded
 	// sources and the shared interpolation stencil.
 	ys, wA, wB, wC []float64
 	stencil        specfunc.BesselStencil
-	// The current mode of a refined sweep, evaluated from its plan (see
-	// Sweep.mode).
-	fine    core.Result
-	fineSrc []core.Sample
 	// iFirst is the first index where any source is non-negligible (before
 	// it e^-kappa underflows): the fast projection starts there, the exact
 	// reference path always integrates the full grid. From iNode on the
@@ -325,38 +265,59 @@ type losScratch struct {
 // request starts with buffers already sized by its last.
 var losPool = sync.Pool{New: func() any { return new(losScratch) }}
 
-// putLosScratch returns sc to the pool without pinning the sources of the
-// last mode it served.
+// putLosScratch returns sc to the pool without pinning the grid of the
+// plan its last mode borrowed.
 func putLosScratch(sc *losScratch) {
-	sc.ss.src = nil
+	sc.ss = sampleSeries{}
 	losPool.Put(sc)
 }
 
 // grow resizes s to n, contents not preserved. Modes arrive in rising k and
 // n rises with k, so a short buffer is replaced by one half again as large.
-func grow(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n, n+n/2)
+		return make([]T, n, n+n/2)
 	}
 	return s[:n]
 }
 
-// losAssemble validates a mode, builds its integration grid and fills the
-// three source arrays (monopole, dipole, quadrupole) plus the trapezoid
-// weights into the scratch. nodeStep is losGrid's: the spacing in y of the
-// Bessel table nodes the free-streaming points are laid on.
-func losAssemble(r *core.Result, tau0, tauRec, nodeStep float64, sc *losScratch) error {
+// load validates an evolved mode and packs its recorded samples into sc.
+func (sc *losScratch) load(r *core.Result) ([]float64, [][refineFields]float64, error) {
 	if r.Gauge != core.ConformalNewtonian {
-		return fmt.Errorf("spectra: line of sight requires the conformal Newtonian gauge, got %v", r.Gauge)
+		return nil, nil, fmt.Errorf("spectra: line of sight requires the conformal Newtonian gauge, got %v", r.Gauge)
 	}
 	if len(r.Sources) < 10 {
-		return fmt.Errorf("spectra: mode k=%g has no recorded sources (set KeepSources)", r.K)
+		return nil, nil, fmt.Errorf("spectra: mode k=%g has no recorded sources (set KeepSources)", r.K)
 	}
-	k := r.K
-	sc.ss.init(r.Sources, sc.tauBuf)
-	sc.tauBuf = sc.ss.tau
-	sc.grid, sc.w, sc.iNode = losGrid(sc.grid, sc.w, r.Sources[0].Tau, tauRec, tau0, k, nodeStep)
-	grid := sc.grid
+	tau, rows := sc.pack(r.Sources)
+	return tau, rows, nil
+}
+
+// pack copies the samples' times and line-of-sight fields into sc and
+// returns them (valid until sc is next packed).
+func (sc *losScratch) pack(src []core.Sample) ([]float64, [][refineFields]float64) {
+	sc.tauBuf = grow(sc.tauBuf, len(src))
+	sc.rows = grow(sc.rows, len(src))
+	for i := range src {
+		sc.tauBuf[i] = src[i].Tau
+		sc.rows[i] = refinePack(&src[i])
+	}
+	return sc.tauBuf, sc.rows
+}
+
+// losAssemble builds the integration grid of the mode with wavenumber k
+// whose packed sources are rows at times tau, and fills the three source
+// arrays (monopole, dipole, quadrupole), their quadrature-weighted copies
+// and the weights into the scratch. nodeStep is losGrid's: the spacing in y
+// of the Bessel table nodes the free-streaming points are laid on. Two
+// passes over the grid: the first interpolates the fields, exponentiates
+// the optical depth and builds the sources; the second adds the ISW term
+// psi' e^-kappa, folds the weights and finds each source's peak.
+func losAssemble(k float64, tau []float64, rows [][refineFields]float64, tau0, tauRec, nodeStep float64, sc *losScratch) {
+	ss := &sc.ss
+	*ss = sampleSeries{tau: tau, src: rows}
+	sc.grid, sc.w, sc.iNode = losGrid(sc.grid, sc.w, tau[0], tauRec, tau0, k, nodeStep)
+	grid, w := sc.grid, sc.w
 
 	n := len(grid)
 	sc.srcA = grow(sc.srcA, n) // monopole kernel j_l
@@ -364,63 +325,98 @@ func losAssemble(r *core.Result, tau0, tauRec, nodeStep float64, sc *losScratch)
 	sc.srcC = grow(sc.srcC, n) // quadrupole kernel (3 j_l'' + j_l)/2
 	sc.psiT = grow(sc.psiT, n)
 	sc.eKap = grow(sc.eKap, n)
-	var p losPoint
-	for i, tau := range grid {
-		sc.ss.atLOS(tau, &p)
-		g := p.kdot * p.eKap
-		sc.eKap[i] = p.eKap
-		sc.psiT[i] = p.psi
-		sc.srcA[i] = g*(p.theta0+p.psi) + p.eKap*p.phiDot
-		sc.srcB[i] = g * p.vb
-		sc.srcC[i] = g * p.pi / 4.0 // Pi in Theta units; kernel carries the 1/2
+	srcA, srcB, srcC, psiT, eKap := sc.srcA[:n], sc.srcB[:n], sc.srcC[:n], sc.psiT[:n], sc.eKap[:n]
+	nt := len(tau)
+	for i, t := range grid {
+		// Linear interpolation between the bracketing samples.
+		lo, f := 0, 0.0
+		switch {
+		case t <= tau[0]:
+		case t >= tau[nt-1]:
+			lo, f = nt-2, 1.0
+		default:
+			lo = ss.locate(t)
+			f = (t - tau[lo]) / (tau[lo+1] - tau[lo])
+		}
+		a, b := &rows[lo], &rows[lo+1]
+		g := 1.0 - f
+		theta0 := g*a[fTheta0] + f*b[fTheta0]
+		psi := g*a[fPsi] + f*b[fPsi]
+		phiDot := g*a[fPhiDot] + f*b[fPhiDot]
+		vb := g*a[fVB] + f*b[fVB]
+		pi := g*a[fPi] + f*b[fPi]
+		kdot := g*a[fKdot] + f*b[fKdot]
+		// The opacity suppression is exponentiated from the interpolated
+		// optical depth (exact for locally linear kappa; interpolating
+		// e^-kappa itself would sag badly across the steep recombination
+		// onset where kappa falls by e-folds between samples). Deep in the
+		// opaque era e^-kappa underflows every source threshold; skip the
+		// exponential outright (kappa < 60 everywhere it matters).
+		var ek float64
+		if kap := g*a[fKappa] + f*b[fKappa]; kap > 60 {
+			ek = 0
+		} else {
+			ek = math.Exp(-kap)
+		}
+		vis := kdot * ek
+		eKap[i] = ek
+		psiT[i] = psi
+		srcA[i] = vis*(theta0+psi) + ek*phiDot
+		srcB[i] = vis * vb
+		srcC[i] = vis * pi / 4.0 // Pi in Theta units; kernel carries the 1/2
 	}
-	// psi-dot from the resampled series completes the ISW term.
-	sc.dPsi = grow(sc.dPsi, n)
-	derivInto(grid, sc.psiT, sc.dPsi)
+
+	// psi-dot by centred differences on the resampled series completes the
+	// ISW term. The quadrature weights were built alongside the grid
+	// (Simpson within each uniform segment, see losGrid); the fast
+	// projection reads the sources with the weights folded in.
+	sc.wA = grow(sc.wA, n)
+	sc.wB = grow(sc.wB, n)
+	sc.wC = grow(sc.wC, n)
+	wA, wB, wC := sc.wA[:n], sc.wB[:n], sc.wC[:n]
+	var maxA, maxBC float64
 	for i := range grid {
-		sc.srcA[i] += sc.eKap[i] * sc.dPsi[i]
+		var dPsi float64
+		switch i {
+		case 0:
+			dPsi = (psiT[1] - psiT[0]) / (grid[1] - grid[0])
+		case n - 1:
+			dPsi = (psiT[n-1] - psiT[n-2]) / (grid[n-1] - grid[n-2])
+		default:
+			dPsi = (psiT[i+1] - psiT[i-1]) / (grid[i+1] - grid[i-1])
+		}
+		srcA[i] += eKap[i] * dPsi
+		wA[i] = w[i] * srcA[i]
+		wB[i] = w[i] * srcB[i]
+		wC[i] = w[i] * srcC[i]
+		if a := math.Abs(srcA[i]); a > maxA {
+			maxA = a
+		}
+		if v := math.Abs(srcB[i]); v > maxBC {
+			maxBC = v
+		}
+		if v := math.Abs(srcC[i]); v > maxBC {
+			maxBC = v
+		}
 	}
-	// Quadrature weights were built alongside the grid (Simpson within
-	// each uniform segment, see losGrid).
 
 	// Active range (see the losScratch comment). Thresholds are relative,
 	// 1e-12 of the per-source peak, so dropped terms are far below the
 	// 1e-3 C_l budget.
-	var maxA, maxBC float64
-	for i := range grid {
-		if a := math.Abs(sc.srcA[i]); a > maxA {
-			maxA = a
-		}
-		if v := math.Abs(sc.srcB[i]); v > maxBC {
-			maxBC = v
-		}
-		if v := math.Abs(sc.srcC[i]); v > maxBC {
-			maxBC = v
-		}
-	}
 	thrA, thrBC := 1e-12*maxA, 1e-12*maxBC
 	sc.iFirst = 0
 	for sc.iFirst < n-1 &&
-		math.Abs(sc.srcA[sc.iFirst]) <= thrA &&
-		math.Abs(sc.srcB[sc.iFirst]) <= thrBC &&
-		math.Abs(sc.srcC[sc.iFirst]) <= thrBC {
+		math.Abs(srcA[sc.iFirst]) <= thrA &&
+		math.Abs(srcB[sc.iFirst]) <= thrBC &&
+		math.Abs(srcC[sc.iFirst]) <= thrBC {
 		sc.iFirst++
 	}
-	return nil
-}
-
-// thetaLOSInto is the exact-kernel reference projection of one mode on the
-// quadrature grid the fast engine uses.
-func thetaLOSInto(r *core.Result, lmax int, tau0, tauRec float64, sc *losScratch) ([]float64, error) {
-	if err := losAssemble(r, tau0, tauRec, losNodeStep, sc); err != nil {
-		return nil, err
-	}
-	return projectThetaExact(r.K, lmax, tau0, sc), nil
 }
 
 // projectThetaExact integrates the assembled sources of one mode into
 // Theta_l for l = 0..lmax, with the spherical Bessel recurrences evaluated
-// at every quadrature point.
+// at every quadrature point: the exact-kernel reference projection, on the
+// quadrature grid the fast engine uses.
 func projectThetaExact(k float64, lmax int, tau0 float64, sc *losScratch) []float64 {
 	grid, srcA, srcB, srcC := sc.grid, sc.srcA, sc.srcB, sc.srcC
 
@@ -480,27 +476,12 @@ func projectThetaExact(k float64, lmax int, tau0 float64, sc *losScratch) []floa
 // path is ThetaLOSFast.
 func ThetaLOS(r *core.Result, lmax int, tau0, tauRec float64) ([]float64, error) {
 	var sc losScratch
-	theta, err := thetaLOSInto(r, lmax, tau0, tauRec, &sc)
+	tau, rows, err := sc.load(r)
 	if err != nil {
 		return nil, err
 	}
-	return append([]float64(nil), theta...), nil
-}
-
-// derivInto writes the centered finite-difference derivative of y on grid x
-// into d (len(d) == len(x)).
-func derivInto(x, y, d []float64) {
-	n := len(x)
-	for i := range x {
-		switch i {
-		case 0:
-			d[i] = (y[1] - y[0]) / (x[1] - x[0])
-		case n - 1:
-			d[i] = (y[n-1] - y[n-2]) / (x[n-1] - x[n-2])
-		default:
-			d[i] = (y[i+1] - y[i-1]) / (x[i+1] - x[i-1])
-		}
-	}
+	losAssemble(r.K, tau, rows, tau0, tauRec, losNodeStep, &sc)
+	return append([]float64(nil), projectThetaExact(r.K, lmax, tau0, &sc)...), nil
 }
 
 // ClLOS computes the angular power spectrum with the line-of-sight method
@@ -518,10 +499,12 @@ func (s *Sweep) ClLOS(ls []int, prim Primordial, tcmb, tauRec float64) (*ClSpect
 	var sc losScratch
 	for i := range s.KValues {
 		k := s.KValues[i]
-		theta, err := thetaLOSInto(s.mode(i, &sc), lmax, s.Tau0, tauRec, &sc)
+		tau, rows, err := s.mode(i, &sc)
 		if err != nil {
 			return nil, err
 		}
+		losAssemble(k, tau, rows, s.Tau0, tauRec, losNodeStep, &sc)
+		theta := projectThetaExact(k, lmax, s.Tau0, &sc)
 		w := trapWeight(s.KValues, i)
 		for j, l := range ls {
 			out.Cl[j] += 4.0 * math.Pi * w * prim.At(k) * theta[l] * theta[l] / k

@@ -99,9 +99,11 @@ func TestLOSQuadratureConverged(t *testing.T) {
 		lmax := int(k*tau0) + 50
 		var sc losScratch
 		theta := func(nodeStep float64) []float64 {
-			if err := losAssemble(r, tau0, tauRec, nodeStep, &sc); err != nil {
+			tau, src, err := sc.load(r)
+			if err != nil {
 				t.Fatal(err)
 			}
+			losAssemble(k, tau, src, tau0, tauRec, nodeStep, &sc)
 			if sc.iNode > len(sc.grid)/4 {
 				t.Fatalf("k=%g: node segment starts at point %d of %d", k, sc.iNode, len(sc.grid))
 			}

@@ -76,8 +76,7 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 	eps := 1e-9 * tau0
 	const nf = refineFields
 	p := &refinePlan{
-		kc: s.KValues, grid: grid, lmax: s.Results[base].LMax,
-		bgA: make([]float64, nt), c0: make([]int, nt), fineT0: make([]int, nkFine),
+		kc: s.KValues, grid: grid, c0: make([]int, nt), fineT0: make([]int, nkFine),
 		y: make([]float64, nc*nt*nf), y2: make([]float64, nc*nt*nf),
 	}
 
@@ -93,16 +92,10 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 	dispatch.ParallelFor(0, nc, func(c int) {
 		sc := losPool.Get().(*losScratch)
 		defer putLosScratch(sc)
-		sc.ss.init(s.Results[c].Sources, sc.tauBuf)
-		sc.tauBuf = sc.ss.tau
-		var smp core.Sample
+		tau, rows := sc.pack(s.Results[c].Sources)
+		ss := sampleSeries{tau: tau, src: rows}
 		for t, tau := range grid {
-			sc.ss.atInto(tau, &smp)
-			v := refinePack(&smp)
-			copy(p.y[(c*nt+t)*nf:], v[:])
-			if c == base {
-				p.bgA[t] = smp.A // scale factor: metadata, k-independent
-			}
+			ss.atInto(tau, (*[nf]float64)(p.y[(c*nt+t)*nf:]))
 		}
 	})
 
@@ -143,16 +136,24 @@ func (s *Sweep) RefineK(nkFine int, tauRec float64) (*Sweep, error) {
 // read-off, the matter transfer, RefineK itself — answer on a refined sweep.
 var errReadOff = errors.New("spectra: a RefineK sweep carries line-of-sight sources only, no evolved results")
 
-// refineFields is the number of source fields RefineK interpolates in k;
-// refinePack and refineUnpack fix their order.
-const refineFields = 7
+// The source fields the line-of-sight integrand consumes, packed in this
+// order: a mode's samples, RefineK's coarse fields and their k-splines, and
+// every fine mode the projection assembles.
+const (
+	fKdot = iota
+	fKappa
+	fTheta0
+	fPsi
+	fPhiDot
+	fVB
+	fPi
+	// refineFields is the number of packed fields.
+	refineFields
+)
 
+// refinePack packs one recorded sample's line-of-sight fields.
 func refinePack(s *core.Sample) [refineFields]float64 {
-	return [refineFields]float64{s.Kdot, s.Kappa, s.Theta0, s.Psi, s.PhiDot, s.VB, s.Pi}
-}
-
-func refineUnpack(tau, a float64, v *[refineFields]float64) core.Sample {
-	return core.Sample{Tau: tau, A: a, Kdot: v[0], Kappa: v[1], Theta0: v[2], Psi: v[3], PhiDot: v[4], VB: v[5], Pi: v[6]}
+	return [refineFields]float64{fKdot: s.Kdot, fKappa: s.Kappa, fTheta0: s.Theta0, fPsi: s.Psi, fPhiDot: s.PhiDot, fVB: s.VB, fPi: s.Pi}
 }
 
 // refinePlan is everything a refined sweep's modes are evaluated from.
@@ -162,11 +163,9 @@ func refineUnpack(tau, a float64, v *[refineFields]float64) core.Sample {
 type refinePlan struct {
 	kc     []float64 // coarse wavenumbers
 	grid   []float64 // shared conformal-time grid
-	bgA    []float64 // scale factor on the grid
 	y, y2  []float64 // coarse fields and their k-spline second derivatives
 	c0     []int     // per grid time: the splines' first knot, kc[c0[t]:]
 	fineT0 []int     // per fine mode: first grid index
-	lmax   int
 }
 
 // fit solves, at every grid time, the natural-spline tridiagonal system of
@@ -219,19 +218,20 @@ func (p *refinePlan) fit() {
 	})
 }
 
-// sources evaluates fine mode i (wavenumber k) from the plan into buf,
-// grown as needed and returned: spline.Multi.EvalHint's arithmetic at every
-// grid time from the mode's start, the bracket found once per mode (it
-// moves only while the splines' first knot is still above it).
-func (p *refinePlan) sources(i int, k float64, buf []core.Sample) []core.Sample {
+// evalInto evaluates fine mode i (wavenumber k) from the plan into rows,
+// one packed row per grid time from the mode's start, grid[fineT0[i]:];
+// rows is grown as needed and returned. It is spline.Multi.EvalHint's
+// arithmetic at every grid time, the bracket found once per mode (it moves
+// only while the splines' first knot is still above it).
+func (p *refinePlan) evalInto(i int, k float64, rows [][refineFields]float64) [][refineFields]float64 {
 	const nf = refineFields
 	x := p.kc
 	nc, nt := len(x), len(p.grid)
 	t0 := p.fineT0[i]
-	if cap(buf) < nt-t0 {
-		buf = make([]core.Sample, nt) // the longest any mode needs
+	if cap(rows) < nt-t0 {
+		rows = make([][nf]float64, nt) // the longest any mode needs
 	}
-	buf = buf[:nt-t0]
+	rows = rows[:nt-t0]
 	j := sort.SearchFloat64s(x, k) // largest j <= nc-2 with x[j] <= k, else 0
 	if j == nc || x[j] != k {
 		j--
@@ -239,51 +239,52 @@ func (p *refinePlan) sources(i int, k float64, buf []core.Sample) []core.Sample 
 	j = max(0, min(j, nc-2))
 	cur := -1
 	var a, b, w2a, w2b float64
-	var v [nf]float64
 	for t := t0; t < nt; t++ {
+		v := &rows[t-t0]
 		c0 := p.c0[t]
 		if nc-c0 < 2 {
 			// One started mode: nothing to spline.
-			copy(v[:], p.y[(c0*nt+t)*nf:])
-		} else {
-			// Below the first knot the boundary cubic extrapolates.
-			jj := max(j, c0)
-			if jj != cur {
-				cur = jj
-				h := x[jj+1] - x[jj]
-				a = (x[jj+1] - k) / h
-				b = (k - x[jj]) / h
-				w2a = (a*a*a - a) * (h * h) / 6.0
-				w2b = (b*b*b - b) * (h * h) / 6.0
-			}
-			lo := (jj*nt + t) * nf
-			hi := lo + nt*nf
-			y0, y1 := p.y[lo:lo+nf], p.y[hi:hi+nf]
-			z0, z1 := p.y2[lo:lo+nf], p.y2[hi:hi+nf]
-			for f := range v {
-				v[f] = a*y0[f] + b*y1[f] + w2a*z0[f] + w2b*z1[f]
-			}
+			*v = *(*[nf]float64)(p.y[(c0*nt+t)*nf:])
+			continue
 		}
-		buf[t-t0] = refineUnpack(p.grid[t], p.bgA[t], &v)
+		// Below the first knot the boundary cubic extrapolates.
+		jj := max(j, c0)
+		if jj != cur {
+			cur = jj
+			h := x[jj+1] - x[jj]
+			a = (x[jj+1] - k) / h
+			b = (k - x[jj]) / h
+			w2a = (a*a*a - a) * (h * h) / 6.0
+			w2b = (b*b*b - b) * (h * h) / 6.0
+		}
+		lo := (jj*nt + t) * nf
+		hi := lo + nt*nf
+		y0, y1 := (*[nf]float64)(p.y[lo:]), (*[nf]float64)(p.y[hi:])
+		z0, z1 := (*[nf]float64)(p.y2[lo:]), (*[nf]float64)(p.y2[hi:])
+		// Field by field, spelled out: a loop over seven is not unrolled.
+		v[0] = a*y0[0] + b*y1[0] + w2a*z0[0] + w2b*z1[0]
+		v[1] = a*y0[1] + b*y1[1] + w2a*z0[1] + w2b*z1[1]
+		v[2] = a*y0[2] + b*y1[2] + w2a*z0[2] + w2b*z1[2]
+		v[3] = a*y0[3] + b*y1[3] + w2a*z0[3] + w2b*z1[3]
+		v[4] = a*y0[4] + b*y1[4] + w2a*z0[4] + w2b*z1[4]
+		v[5] = a*y0[5] + b*y1[5] + w2a*z0[5] + w2b*z1[5]
+		v[6] = a*y0[6] + b*y1[6] + w2a*z0[6] + w2b*z1[6]
 	}
-	return buf
+	return rows
 }
 
-// mode returns mode i for the line-of-sight consumers: the evolved result,
-// or on a refined sweep the plan's k-splines evaluated into sc, the calling
-// worker's scratch (the result is valid until sc is next used).
-func (s *Sweep) mode(i int, sc *losScratch) *core.Result {
+// mode returns mode i's packed line-of-sight sources, its times and rows,
+// for the line-of-sight consumers: the evolved result's samples packed into
+// sc, or on a refined sweep the plan's k-splines evaluated into sc on the
+// plan's own grid, which the times borrow. Both are valid until sc is next
+// used.
+func (s *Sweep) mode(i int, sc *losScratch) ([]float64, [][refineFields]float64, error) {
 	p := s.plan
 	if p == nil {
-		return s.Results[i]
+		return sc.load(s.Results[i])
 	}
-	sc.fineSrc = p.sources(i, s.KValues[i], sc.fineSrc)
-	end := len(p.grid) - 1
-	sc.fine = core.Result{
-		K: s.KValues[i], Tau: p.grid[end], A: p.bgA[end],
-		Gauge: core.ConformalNewtonian, LMax: p.lmax, Sources: sc.fineSrc,
-	}
-	return &sc.fine
+	sc.rows = p.evalInto(i, s.KValues[i], sc.rows)
+	return p.grid[p.fineT0[i]:], sc.rows, nil
 }
 
 // sourceStart returns the conformal time of mode i's first source sample.

@@ -130,6 +130,27 @@ func maxRelShift(a, b []float64) (shift float64, at int) {
 	return shift, at
 }
 
+// TestHostExpPath checks that this host takes the math.Exp path the golden
+// files were recorded with. The compiler never fuses x*y + z on amd64, but
+// Go's amd64 math.Exp chooses at run time: with AVX and FMA it runs a
+// VFMADD213SD path, without them a multiply-and-add one, and the two differ
+// in the last bit of about one result in eleven on [-60, 0]. Recombination,
+// the evolution and the line-of-sight projection all call math.Exp, so
+// every golden digest — this package's C_l bits, core's mode bits, thermo's
+// history — follows the path. The golden files were recorded on an FMA
+// host; the probe's two answers are 0x3a991c082cdbe7fb (FMA) and
+// 0x3a991c082cdbe7fa (GODEBUG=cpu.fma=off, or a CPU without FMA).
+func TestHostExpPath(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits were recorded on amd64; other targets may fuse multiply-adds")
+	}
+	const probe, fmaBits = -59.16, 0x3a991c082cdbe7fb
+	if got := math.Float64bits(math.Exp(probe)); got != fmaBits {
+		t.Fatalf("math.Exp(%v) = %#016x, but the golden files were recorded where it is %#016x (the FMA path): "+
+			"this host's math.Exp path differs, so every golden digest will differ too", probe, got, uint64(fmaBits))
+	}
+}
+
 // TestGoldenClBits: the fast engine's C_l is the same 64 bits per multipole
 // as the recorded answer (make golden) at every worker count and with a
 // single processor — the fused refine+project stage is parallel over fine
