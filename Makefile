@@ -24,11 +24,14 @@ staticcheck:
 build:
 	$(GO) build ./...
 
-# cross vets and builds for arm64, so the Go loops that are the only path
-# off amd64 (beside the SSE2 kernels of internal/ode and internal/core)
-# keep compiling.
+# cross vets and builds for arm64 and for 386, so the Go loops that are the
+# only path off amd64 (beside the SSE2 kernels of internal/ode, internal/core
+# and internal/specfunc) keep compiling, and so does every package where int
+# is 32 bits (386 is also where `GOARCH=386 go test` runs those loops
+# unfused).
 cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./... && GOARCH=386 $(GO) build ./...
 
 test-short:
 	$(GO) test -short ./...

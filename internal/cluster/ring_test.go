@@ -17,7 +17,7 @@ func keys(n int) []string {
 	ks := make([]string, n)
 	for i := range ks {
 		// The shape of real cache keys: kind prefix + hex hash.
-		ks[i] = fmt.Sprintf("cl-%016x", i*2654435761)
+		ks[i] = fmt.Sprintf("cl-%016x", uint64(i)*2654435761)
 	}
 	return ks
 }

@@ -54,8 +54,9 @@ const (
 const initBlockLen = 6
 
 // maxWireInt bounds every count and index read off the wire: the largest
-// integer a double carries exactly, so no arithmetic on one can overflow.
-const maxWireInt = 1 << 53
+// integer a double carries exactly, so no arithmetic on one can overflow,
+// and no more than an int holds where that is 32 bits.
+const maxWireInt = min(1<<53, math.MaxInt)
 
 // wireInt reads a count or index the wire carries as a double. It must be an
 // integer in [lo, hi] whose double is exactly v — not NaN, not fractional,

@@ -2,12 +2,34 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
+	"fmt"
 	"sync"
 )
 
-// lru is a small mutex-guarded LRU over computed responses. Values are
-// treated as immutable once inserted (handlers serialize them concurrently),
-// and the counters feed /v1/stats.
+// product is one cached response: the science value and its result JSON,
+// encoded once when the product is made. body is exactly the text the
+// response envelope carries under "result" (indented one level deep), so a
+// hit writes bytes and encodes nothing. Both fields are immutable once
+// built: handlers read them concurrently, and the primary and stale LRUs
+// share one pointer.
+type product struct {
+	v    any
+	body []byte
+}
+
+// newProduct is the one constructor every cache insertion goes through: a
+// local compute, a peer's answer and a peer's back-fill offer.
+func newProduct(v any) (*product, error) {
+	body, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("encoding result: %w", err)
+	}
+	return &product{v: v, body: body}, nil
+}
+
+// lru is a small mutex-guarded LRU of products, the primary response cache
+// and its stale second chance alike. The counters feed /v1/stats.
 type lru struct {
 	mu        sync.Mutex
 	capacity  int
@@ -20,7 +42,7 @@ type lru struct {
 
 type lruEntry struct {
 	key string
-	val any
+	val *product
 }
 
 func newLRU(capacity int) *lru {
@@ -30,8 +52,8 @@ func newLRU(capacity int) *lru {
 	return &lru{capacity: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// Get returns the cached value and promotes it.
-func (c *lru) Get(key string) (any, bool) {
+// Get returns the cached product and promotes it.
+func (c *lru) Get(key string) (*product, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
@@ -43,9 +65,9 @@ func (c *lru) Get(key string) (any, bool) {
 	return nil, false
 }
 
-// Add inserts (or refreshes) a value, evicting the least recent entry when
+// Add inserts (or refreshes) a product, evicting the least recent entry when
 // over capacity.
-func (c *lru) Add(key string, val any) {
+func (c *lru) Add(key string, val *product) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {

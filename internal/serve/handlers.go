@@ -31,10 +31,10 @@ import (
 // is mirrored in the X-Plinger-Source header, and a request that led a cold
 // computation additionally carries its sweep trace id in X-Plinger-Trace.
 // Overload returns 503, bad requests 400 with the facade's validation
-// message, and a request whose deadline_ms expires with no stale response
-// available returns 504. Every request is logged through Options.Logger
-// with a per-request id; requests slower than Options.SlowRequest get an
-// extra warning line carrying the trace id.
+// message, a body over 1 MiB 413, and a request whose deadline_ms expires
+// with no stale response available returns 504. Every request is logged
+// through Options.Logger with a per-request id; requests slower than
+// Options.SlowRequest get an extra warning line carrying the trace id.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cl", func(w http.ResponseWriter, r *http.Request) {
@@ -42,18 +42,18 @@ func (s *Service) Handler() http.Handler {
 		if !decodeRequest(w, r, &req) {
 			return
 		}
-		resp, meta, err := s.ComputeCl(r.Context(), req)
+		p, meta, err := s.computeCl(r.Context(), req)
 		annotate(r, meta)
-		s.writeResponse(w, resp, meta, err)
+		s.writeResponse(w, p, meta, err)
 	})
 	mux.HandleFunc("/v1/pk", func(w http.ResponseWriter, r *http.Request) {
 		var req PkRequest
 		if !decodeRequest(w, r, &req) {
 			return
 		}
-		resp, meta, err := s.ComputePk(r.Context(), req)
+		p, meta, err := s.computePk(r.Context(), req)
 		annotate(r, meta)
-		s.writeResponse(w, resp, meta, err)
+		s.writeResponse(w, p, meta, err)
 	})
 	s.peerRoutes(mux)
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -173,6 +173,9 @@ func (s *Service) logging(next http.Handler) http.Handler {
 	})
 }
 
+// maxRequestBody bounds a request body; a longer one is answered 413.
+const maxRequestBody = 1 << 20
+
 // decodeRequest parses the JSON body into req; an empty body is the zero
 // request (the service defaults). Returns false after writing an error.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
@@ -180,9 +183,14 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
 		return false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "reading body: "+err.Error())
 		return false
 	}
 	if len(body) == 0 {
@@ -195,16 +203,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	return true
 }
 
-// envelope is the wire form: the science payload plus serving metadata.
-type envelope struct {
+// responseHead is the serving metadata that leads every response, ahead
+// of the product's "result".
+type responseHead struct {
 	Key       string  `json:"key"`
 	Source    Source  `json:"source"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	TraceID   string  `json:"trace_id,omitempty"`
 	// Peer is the owning fleet member that served the response when
 	// Source is "peer".
-	Peer   string `json:"peer,omitempty"`
-	Result any    `json:"result"`
+	Peer string `json:"peer,omitempty"`
 }
 
 // retryAfter derives the Retry-After hint written on 503 (queue full) and
@@ -236,7 +244,20 @@ func (s *Service) retryAfter() string {
 	return strconv.Itoa(sec)
 }
 
-func (s *Service) writeResponse(w http.ResponseWriter, result any, meta Meta, err error) {
+// writeResponse writes one compute-API answer, whatever its source. A
+// success is the head, encoded here, spliced with the product's body,
+// encoded when the product was made:
+//
+//	{
+//	  "key": ...,
+//	  ...
+//	  "result": <body>
+//	}
+//
+// which is byte for byte what writeJSON would make of the head with a
+// "result" field holding the value. The cached body is copied, never
+// appended to.
+func (s *Service) writeResponse(w http.ResponseWriter, p *product, meta Meta, err error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBusy):
@@ -263,14 +284,24 @@ func (s *Service) writeResponse(w http.ResponseWriter, result any, meta Meta, er
 	if meta.Peer != "" {
 		w.Header().Set("X-Plinger-Peer", meta.Peer)
 	}
-	writeJSON(w, http.StatusOK, envelope{
+	// Strings and a finite float: the head cannot fail to encode.
+	head, _ := json.MarshalIndent(responseHead{
 		Key:       meta.Key,
 		Source:    meta.Source,
 		ElapsedMS: float64(meta.Elapsed.Nanoseconds()) / 1e6,
 		TraceID:   meta.Trace,
 		Peer:      meta.Peer,
-		Result:    result,
-	})
+	}, "", "  ")
+	head = head[:len(head)-len("\n}")]
+	const field, tail = ",\n  \"result\": ", "\n}\n"
+	buf := make([]byte, 0, len(head)+len(field)+len(p.body)+len(tail))
+	buf = append(buf, head...)
+	buf = append(buf, field...)
+	buf = append(buf, p.body...)
+	buf = append(buf, tail...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
 }
 
 // isBadRequest classifies validation failures: the serving layer's own

@@ -15,6 +15,8 @@ type wireEnvelope struct {
 	Key       string          `json:"key"`
 	Source    Source          `json:"source"`
 	ElapsedMS float64         `json:"elapsed_ms"`
+	TraceID   string          `json:"trace_id"`
+	Peer      string          `json:"peer"`
 	Result    json.RawMessage `json:"result"`
 }
 

@@ -174,7 +174,7 @@ func TestTraceCoverage(t *testing.T) {
 	topLevel := map[string]bool{
 		"queue_wait": true, "model_acquire": true, "evolve": true,
 		"source_spline": true, "project": true, "lspline": true,
-		"assemble": true,
+		"assemble": true, "encode": true,
 	}
 	var covered float64
 	for _, sp := range trace.Spans {

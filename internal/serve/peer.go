@@ -41,64 +41,67 @@ type peerForward struct {
 	endpoint string // /v1/peer/cl or /v1/peer/pk
 	kind     string // "cl" or "pk", the offer payload tag
 	body     []byte
-	decode   func(json.RawMessage) (any, error)
+	decode   func(json.RawMessage) (*product, error)
 }
 
 // localRes is the outcome of one admitted local compute. It carries its
 // trace id instead of writing the flight's shared state because a hedged
 // run may settle after the flight already adopted the peer's answer.
 type localRes struct {
-	v     any
+	p     *product
 	err   error
 	trace string
 }
 
-func decodeClResult(raw json.RawMessage) (any, error) {
+// decodeClResult and decodePkResult turn a result another node encoded (a
+// peer's answer, a back-fill offer) into a product of this node's own
+// encoding.
+func decodeClResult(raw json.RawMessage) (*product, error) {
 	out := new(ClResponse)
 	if err := json.Unmarshal(raw, out); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return newProduct(out)
 }
 
-func decodePkResult(raw json.RawMessage) (any, error) {
+func decodePkResult(raw json.RawMessage) (*product, error) {
 	out := new(PkResponse)
 	if err := json.Unmarshal(raw, out); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return newProduct(out)
 }
 
 // peerServe routes one cache miss through the fleet. handled=false means
 // this node owns the key and the ordinary local path should run. The
 // leader-only flightOut fields (src, peer, traceID) are written here —
 // never from the hedge goroutines.
-func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, runLocal func() localRes, out *flightOut) (any, error, bool) {
+func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, runLocal func() localRes, out *flightOut) (*product, error, bool) {
 	owner, remote := s.cluster.Owner(key)
 	if !remote {
 		return nil, nil, false
 	}
 	s.peerRequests.Inc()
-	v, lr, ferr := s.peerFetch(ctx, owner, key, fwd, runLocal)
+	p, lr, ferr := s.peerFetch(ctx, owner, key, fwd, runLocal)
 	switch {
-	case v != nil:
+	case p != nil:
 		// The owner answered. Keep a local copy so the next request for
 		// this key is an ordinary cache hit — the cross-node hit becomes a
 		// zero-hop hit from here on.
 		s.peerServed.Inc()
 		out.src = SourcePeer
 		out.peer = owner
-		s.cache.Add(key, v)
-		s.stale.Add(key, v)
-		return v, nil, true
+		s.cache.Add(key, p)
+		s.stale.Add(key, p)
+		return p, nil, true
 	case lr != nil:
 		// A hedged local run settled and was adopted (the forward was slow
 		// or failed after the hedge fired).
 		out.traceID = lr.trace
 		if lr.err == nil {
-			s.offerAsync(owner, fwd, key, lr.v)
+			s.offerAsync(owner, fwd, key, lr.p)
 		}
-		return lr.v, lr.err, true
+		return lr.p, lr.err, true
 	}
 	// The forward failed fast — dead member, open breaker, exhausted
 	// retries — and nothing ran locally yet. Degrade, cheapest first: a
@@ -115,25 +118,25 @@ func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, r
 	lres := runLocal()
 	out.traceID = lres.trace
 	if lres.err == nil {
-		s.offerAsync(owner, fwd, key, lres.v)
+		s.offerAsync(owner, fwd, key, lres.p)
 	}
-	return lres.v, lres.err, true
+	return lres.p, lres.err, true
 }
 
 // fetchRes is one forward attempt's outcome.
 type fetchRes struct {
-	v   any
+	p   *product
 	err error
 }
 
 // peerFetch forwards the request to the owner and, when the forward is
 // slow, hedges it against a local compute. Exactly one of the returns is
-// meaningful: v (the peer answered), lr (a local run settled and must be
+// meaningful: p (the peer answered), lr (a local run settled and must be
 // adopted, success or failure), or err (the forward failed and nothing
 // ran locally). Like the compute path, the fetch is decoupled from the
 // leader's own cancellation — coalesced followers depend on it — and
 // bounded instead by the peering layer's per-hop timeout and retry budget.
-func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerForward, runLocal func() localRes) (any, *localRes, error) {
+func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerForward, runLocal func() localRes) (*product, *localRes, error) {
 	fetchCh := make(chan fetchRes, 1)
 	go func() {
 		b, err := s.cluster.Fetch(context.WithoutCancel(ctx), owner, fwd.endpoint, fwd.body)
@@ -141,19 +144,19 @@ func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerFor
 			fetchCh <- fetchRes{err: err}
 			return
 		}
-		v, err := decodePeerEnvelope(b, key, fwd.decode)
-		fetchCh <- fetchRes{v: v, err: err}
+		p, err := decodePeerEnvelope(b, key, fwd.decode)
+		fetchCh <- fetchRes{p: p, err: err}
 	}()
 	hedge := s.cluster.HedgeAfter()
 	if hedge <= 0 {
 		fr := <-fetchCh
-		return fr.v, nil, fr.err
+		return fr.p, nil, fr.err
 	}
 	timer := time.NewTimer(hedge)
 	defer timer.Stop()
 	select {
 	case fr := <-fetchCh:
-		return fr.v, nil, fr.err
+		return fr.p, nil, fr.err
 	case <-timer.C:
 	}
 	// The forward outlived the hedge window: race it against a local
@@ -168,7 +171,7 @@ func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerFor
 		select {
 		case fr := <-fetchCh:
 			if fr.err == nil {
-				return fr.v, nil, nil
+				return fr.p, nil, nil
 			}
 			if failedLocal != nil {
 				return nil, failedLocal, nil
@@ -198,7 +201,7 @@ type peerEnvelope struct {
 // decodePeerEnvelope unwraps a forwarded response. The key check guards
 // version or quantization skew: a peer that derives a different key for
 // the same resolved request must not fill our cache under ours.
-func decodePeerEnvelope(b []byte, key string, decode func(json.RawMessage) (any, error)) (any, error) {
+func decodePeerEnvelope(b []byte, key string, decode func(json.RawMessage) (*product, error)) (*product, error) {
 	var env peerEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, fmt.Errorf("serve: bad peer envelope: %w", err)
@@ -219,12 +222,10 @@ type peerOffer struct {
 // offerAsync pushes a locally produced response to the key's owner,
 // asynchronously and best-effort: the serving path never waits on it, and
 // a failed offer only means the owner stays cold until its own first miss.
-func (s *Service) offerAsync(owner string, fwd *peerForward, key string, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	body, err := json.Marshal(peerOffer{Key: key, Kind: fwd.kind, Result: raw})
+// The product's encoded body travels as the offer's result (compacted by
+// the offer's own Marshal), so nothing encodes the value again.
+func (s *Service) offerAsync(owner string, fwd *peerForward, key string, p *product) {
+	body, err := json.Marshal(peerOffer{Key: key, Kind: fwd.kind, Result: p.body})
 	if err != nil {
 		return
 	}
@@ -247,9 +248,9 @@ func (s *Service) peerRoutes(mux *http.ServeMux) {
 		// Peer requests never re-forward, whatever the body says: the hop
 		// bound is enforced by the receiver, not trusted from the wire.
 		req.PeerHop = 1
-		resp, meta, err := s.ComputeCl(r.Context(), req)
+		p, meta, err := s.computeCl(r.Context(), req)
 		annotate(r, meta)
-		s.writeResponse(w, resp, meta, err)
+		s.writeResponse(w, p, meta, err)
 	})
 	mux.HandleFunc("/v1/peer/pk", func(w http.ResponseWriter, r *http.Request) {
 		var req PkRequest
@@ -257,22 +258,22 @@ func (s *Service) peerRoutes(mux *http.ServeMux) {
 			return
 		}
 		req.PeerHop = 1
-		resp, meta, err := s.ComputePk(r.Context(), req)
+		p, meta, err := s.computePk(r.Context(), req)
 		annotate(r, meta)
-		s.writeResponse(w, resp, meta, err)
+		s.writeResponse(w, p, meta, err)
 	})
 	mux.HandleFunc("/v1/peer/offer", func(w http.ResponseWriter, r *http.Request) {
 		var off peerOffer
 		if !decodeRequest(w, r, &off) {
 			return
 		}
-		var v any
+		var p *product
 		var err error
 		switch off.Kind {
 		case "cl":
-			v, err = decodeClResult(off.Result)
+			p, err = decodeClResult(off.Result)
 		case "pk":
-			v, err = decodePkResult(off.Result)
+			p, err = decodePkResult(off.Result)
 		default:
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown offer kind %q", off.Kind))
 			return
@@ -281,8 +282,8 @@ func (s *Service) peerRoutes(mux *http.ServeMux) {
 			httpError(w, http.StatusBadRequest, "malformed offer payload")
 			return
 		}
-		s.cache.Add(off.Key, v)
-		s.stale.Add(off.Key, v)
+		s.cache.Add(off.Key, p)
+		s.stale.Add(off.Key, p)
 		s.offersAccepted.Inc()
 		writeJSON(w, http.StatusOK, map[string]any{"accepted": true})
 	})

@@ -29,12 +29,13 @@ func TestLRU(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+	a, b, cc, c2 := &product{v: 1}, &product{v: 2}, &product{v: 3}, &product{v: 33}
+	c.Add("a", a)
+	c.Add("b", b)
+	if p, ok := c.Get("a"); !ok || p != a {
 		t.Fatal("a missing")
 	}
-	c.Add("c", 3) // evicts b (a was just used)
+	c.Add("c", cc) // evicts b (a was just used)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -45,8 +46,8 @@ func TestLRU(t *testing.T) {
 	if st.Size != 2 || st.Evictions != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	c.Add("c", 33) // refresh in place
-	if v, _ := c.Get("c"); v.(int) != 33 {
+	c.Add("c", c2) // refresh in place
+	if p, _ := c.Get("c"); p != c2 {
 		t.Fatal("refresh lost")
 	}
 }

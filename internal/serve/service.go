@@ -282,12 +282,12 @@ type PkResponse struct {
 	Sigma8 float64   `json:"sigma8"`
 }
 
-// flightOut is one caller's view of a flight: the shared value and error,
-// plus leader-only routing facts (trace id, peer/stale short-circuits).
-// Coalesced followers see only v/err — the leader's closure writes the
-// rest into its own runFlight frame.
+// flightOut is one caller's view of a flight: the shared product and
+// error, plus leader-only routing facts (trace id, peer/stale
+// short-circuits). Coalesced followers see only p/err — the leader's
+// closure writes the rest into its own runFlight frame.
 type flightOut struct {
-	v              any
+	p              *product
 	err            error
 	coalesced      bool
 	leaderCacheHit bool
@@ -305,25 +305,26 @@ type flightOut struct {
 // A non-nil fwd engages the sharded fleet (peer.go): a miss whose key a
 // remote peer owns is fetched from the owner instead of swept locally,
 // degrading to stale-or-local on any peer failure.
-func (s *Service) lookup(ctx context.Context, label, key string, deadline time.Duration, fwd *peerForward, compute func(tr *obs.Trace) (any, error)) (any, Meta, error) {
+func (s *Service) lookup(ctx context.Context, label, key string, deadline time.Duration, fwd *peerForward, compute func(tr *obs.Trace) (any, error)) (*product, Meta, error) {
 	s.requests.Inc()
 	start := time.Now()
 	meta := Meta{Key: key}
-	if v, ok := s.cache.Get(key); ok {
+	if p, ok := s.cache.Get(key); ok {
 		s.hits.Inc()
 		meta.Source = SourceCache
 		meta.Elapsed = time.Since(start)
 		s.hitNs.Add(meta.Elapsed.Nanoseconds())
-		return v, meta, nil
+		return p, meta, nil
 	}
 	runFlight := func() flightOut {
 		var out flightOut
-		out.v, out.err, out.coalesced = s.flights.Do(key, func() (any, error) {
+		var v any
+		v, out.err, out.coalesced = s.flights.Do(key, func() (any, error) {
 			// The flight leader re-checks the cache: an earlier flight for the
 			// same key may have completed between our miss and this call.
-			if v, ok := s.cache.Get(key); ok {
+			if p, ok := s.cache.Get(key); ok {
 				out.leaderCacheHit = true
-				return v, nil
+				return p, nil
 			}
 			// runLocal is one admitted local compute. It returns its trace id
 			// instead of writing out.traceID directly because a hedged run
@@ -354,20 +355,27 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 				if err != nil {
 					return localRes{err: err, trace: tr.ID()}
 				}
+				sp = tr.Start("encode")
+				p, err := newProduct(v)
+				sp.End()
+				if err != nil {
+					return localRes{err: err, trace: tr.ID()}
+				}
 				s.sweeps.Inc()
-				s.cache.Add(key, v)
-				s.stale.Add(key, v)
-				return localRes{v: v, trace: tr.ID()}
+				s.cache.Add(key, p)
+				s.stale.Add(key, p)
+				return localRes{p: p, trace: tr.ID()}
 			}
 			if fwd != nil {
-				if v, err, handled := s.peerServe(ctx, key, fwd, runLocal, &out); handled {
-					return v, err
+				if p, err, handled := s.peerServe(ctx, key, fwd, runLocal, &out); handled {
+					return p, err
 				}
 			}
 			lr := runLocal()
 			out.traceID = lr.trace
-			return lr.v, lr.err
+			return lr.p, lr.err
 		})
+		out.p, _ = v.(*product)
 		return out
 	}
 	var out flightOut
@@ -381,10 +389,10 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 		case <-timer.C:
 			meta.Elapsed = time.Since(start)
 			s.timeouts.Inc()
-			if v, ok := s.stale.Get(key); ok {
+			if p, ok := s.stale.Get(key); ok {
 				s.staleServed.Inc()
 				meta.Source = SourceStale
-				return v, meta, nil
+				return p, meta, nil
 			}
 			meta.Source = SourceCompute
 			return nil, meta, ErrDeadline
@@ -392,7 +400,7 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 	} else {
 		out = runFlight()
 	}
-	v, err := out.v, out.err
+	p, err := out.p, out.err
 	meta.Elapsed = time.Since(start)
 	meta.Trace = out.traceID
 	switch {
@@ -428,11 +436,20 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 			return sv, meta, nil
 		}
 	}
-	return v, meta, err
+	return p, meta, err
 }
 
 // ComputeCl serves one C_l request.
 func (s *Service) ComputeCl(ctx context.Context, req ClRequest) (*ClResponse, Meta, error) {
+	p, meta, err := s.computeCl(ctx, req)
+	if err != nil {
+		return nil, meta, err
+	}
+	return p.v.(*ClResponse), meta, nil
+}
+
+// computeCl is ComputeCl returning the cached product, for the handlers.
+func (s *Service) computeCl(ctx context.Context, req ClRequest) (*product, Meta, error) {
 	// Wire-level validation first: negatives must 400, not resolve to
 	// defaults (resolve treats only zero as "use the default").
 	if err := req.Validate(); err != nil {
@@ -474,7 +491,7 @@ func (s *Service) ComputeCl(ctx context.Context, req ClRequest) (*ClResponse, Me
 			fwd = &peerForward{endpoint: "/v1/peer/cl", kind: "cl", body: body, decode: decodeClResult}
 		}
 	}
-	v, meta, err := s.lookup(ctx, "cl", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
+	p, meta, err := s.lookup(ctx, "cl", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
 		sp := tr.Start("model_acquire")
 		m, release, err := s.models.acquire(*rr.Config)
 		sp.End()
@@ -505,14 +522,20 @@ func (s *Service) ComputeCl(ctx context.Context, req ClRequest) (*ClResponse, Me
 		return out, nil
 	})
 	s.latCl.Observe(meta.Elapsed.Seconds())
-	if err != nil {
-		return nil, meta, err
-	}
-	return v.(*ClResponse), meta, nil
+	return p, meta, err
 }
 
 // ComputePk serves one P(k) request.
 func (s *Service) ComputePk(ctx context.Context, req PkRequest) (*PkResponse, Meta, error) {
+	p, meta, err := s.computePk(ctx, req)
+	if err != nil {
+		return nil, meta, err
+	}
+	return p.v.(*PkResponse), meta, nil
+}
+
+// computePk is ComputePk returning the cached product, for the handlers.
+func (s *Service) computePk(ctx context.Context, req PkRequest) (*product, Meta, error) {
 	if err := req.Validate(); err != nil {
 		s.requests.Inc()
 		s.errCount.Inc()
@@ -538,7 +561,7 @@ func (s *Service) ComputePk(ctx context.Context, req PkRequest) (*PkResponse, Me
 			fwd = &peerForward{endpoint: "/v1/peer/pk", kind: "pk", body: body, decode: decodePkResult}
 		}
 	}
-	v, meta, err := s.lookup(ctx, "pk", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
+	p, meta, err := s.lookup(ctx, "pk", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
 		sp := tr.Start("model_acquire")
 		m, release, err := s.models.acquire(*rr.Config)
 		sp.End()
@@ -554,10 +577,7 @@ func (s *Service) ComputePk(ctx context.Context, req PkRequest) (*PkResponse, Me
 		return &PkResponse{K: mp.K, T: mp.T, P: mp.P, Sigma8: mp.Sigma8}, nil
 	})
 	s.latPk.Observe(meta.Elapsed.Seconds())
-	if err != nil {
-		return nil, meta, err
-	}
-	return v.(*PkResponse), meta, nil
+	return p, meta, err
 }
 
 // Stats is the /v1/stats document.
