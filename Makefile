@@ -57,11 +57,12 @@ test-faults:
 
 # test-farm runs the multi-process worker-farm suite under the race
 # detector: the in-process supervisor contract tests (bitwise equality with
-# the pool, heartbeat kills, rejoin accounting, drain, a prompt Close,
-# zero-worker degradation), the tcpmp join hardening and golden frames
-# (the one data frame both carry), the serve and facade farm routing, and
-# the process-spawning chaos tests that SIGKILL real plingerw workers
-# mid-sweep and between sweeps.
+# the pool on SCDM and on a flattened MDM model, the numerics-version
+# refusal, the bounded worker model cache, heartbeat kills, rejoin
+# accounting, drain, a prompt Close, zero-worker degradation), the tcpmp
+# join hardening and golden frames (the one data frame both carry), the
+# serve and facade farm routing, and the process-spawning chaos tests that
+# SIGKILL real plingerw workers mid-sweep and between sweeps.
 test-farm:
 	$(GO) test -race ./internal/farm/ ./internal/mp/tcpmp/
 	$(GO) test -race -run 'Farm' ./internal/serve/ .
@@ -135,11 +136,13 @@ bench-json:
 bench-smoke:
 	$(GO) test ./bench
 
-# cmd-smoke runs the two command-line drivers that build their own sweeps
-# at tiny sizes, so a flag or report path that stops working fails CI.
+# cmd-smoke runs the three command-line drivers that build their own
+# models and sweeps at tiny sizes, so a flag or report path that stops
+# working fails CI. psimovie writes its frames to a temporary directory.
 cmd-smoke:
 	$(GO) run ./cmd/scaling -np 1,2 -nk 8 -lmax 20 -schedules -backends -fastevolve
 	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
+	d=$$(mktemp -d) && $(GO) run ./cmd/psimovie -n 16 -frames 2 -dir "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 
 # loc prints the non-test Go lines per package under internal/, of the
 # facade and of cmd/ — the number ROADMAP aim 2 tracks — and beside them the

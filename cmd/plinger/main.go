@@ -46,9 +46,7 @@ import (
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
 	runner "plinger/internal/plinger"
-	"plinger/internal/recomb"
 	"plinger/internal/spectra"
-	"plinger/internal/thermo"
 )
 
 func main() {
@@ -74,28 +72,23 @@ func main() {
 	)
 	flag.Parse()
 
-	bg, err := cosmology.New(cosmology.SCDM())
+	model, err := core.Build(cosmology.SCDM())
 	if err != nil {
 		log.Fatal(err)
 	}
-	th, err := thermo.New(bg, recomb.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	model := core.NewModel(bg, th)
 
 	var ks []float64
 	if *kmin > 0 && *kmax > *kmin {
 		ks = spectra.LogGrid(*kmin, *kmax, *nk)
 	} else {
-		ks = spectra.ClGrid(*lmaxcl, bg.Tau0(), *nk)
+		ks = spectra.ClGrid(*lmaxcl, model.BG.Tau0(), *nk)
 	}
 	// -lmax 0 requests the paper's per-k adaptive hierarchy: the global
 	// cap covers the largest wavenumber and the dispatcher trims per mode.
 	adapt := *lmax == 0
 	gl := *lmax
 	if gl == 0 {
-		gl = spectra.PerKLMax(ks[len(ks)-1], bg.Tau0(), 1<<20)
+		gl = spectra.PerKLMax(ks[len(ks)-1], model.BG.Tau0(), 1<<20)
 	}
 	gauge := core.Synchronous
 	if *gaugeName == "newtonian" {
@@ -149,7 +142,7 @@ func main() {
 		}
 		report(sw, st)
 		if *cl {
-			reportCl(sw, th.TauRec(), *lmaxcl, *fastcl)
+			reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
 		}
 	case "tcp":
 		switch *role {
@@ -177,7 +170,7 @@ func main() {
 			}
 			report(sw, st)
 			if *cl {
-				reportCl(sw, th.TauRec(), *lmaxcl, *fastcl)
+				reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
 			}
 			fmt.Printf("moved %d payload bytes\n", st.BytesMoved)
 		case "worker":

@@ -19,10 +19,8 @@ import (
 
 	"plinger/internal/core"
 	"plinger/internal/cosmology"
-	"plinger/internal/recomb"
 	"plinger/internal/sky"
 	"plinger/internal/spectra"
-	"plinger/internal/thermo"
 )
 
 func main() {
@@ -38,15 +36,10 @@ func main() {
 	)
 	flag.Parse()
 
-	bg, err := cosmology.New(cosmology.SCDM())
+	model, err := core.Build(cosmology.SCDM())
 	if err != nil {
 		log.Fatal(err)
 	}
-	th, err := thermo.New(bg, recomb.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	model := core.NewModel(bg, th)
 
 	// The box needs transfer functions from its fundamental mode up to the
 	// Nyquist frequency.
@@ -94,7 +87,7 @@ func main() {
 		if f%10 == 0 {
 			_, _, rms := frame.Stats()
 			fmt.Printf("frame %3d: tau = %6.1f Mpc (a = %.2e), rms = %.3g\n",
-				f, tau, bg.AofTau(tau), rms)
+				f, tau, model.BG.AofTau(tau), rms)
 		}
 	}
 	fmt.Printf("wrote %d frames to %s (encode with e.g. ffmpeg -i psi_%%03d.pgm)\n", *frames, *outDir)

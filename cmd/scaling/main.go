@@ -31,9 +31,7 @@ import (
 	"plinger/internal/core"
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
-	"plinger/internal/recomb"
 	"plinger/internal/spectra"
-	"plinger/internal/thermo"
 )
 
 func main() {
@@ -49,16 +47,11 @@ func main() {
 	)
 	flag.Parse()
 
-	bg, err := cosmology.New(cosmology.SCDM())
+	model, err := core.Build(cosmology.SCDM())
 	if err != nil {
 		log.Fatal(err)
 	}
-	th, err := thermo.New(bg, recomb.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	model := core.NewModel(bg, th)
-	ks := spectra.ClGrid(*lmax, bg.Tau0(), *nk)
+	ks := spectra.ClGrid(*lmax, model.BG.Tau0(), *nk)
 	mode := core.Params{LMax: *lmax, Gauge: core.Synchronous}
 
 	fmt.Printf("Figure 1: fixed workload of %d modes (lmax %d), largest-k-first\n", *nk, *lmax)

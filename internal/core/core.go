@@ -31,6 +31,7 @@ import (
 
 	"plinger/internal/cosmology"
 	"plinger/internal/ode"
+	"plinger/internal/recomb"
 	"plinger/internal/thermo"
 )
 
@@ -236,14 +237,46 @@ type Result struct {
 type Model struct {
 	BG *cosmology.Background
 	TH *thermo.Thermo
+	// Spec is the parameter set Build made the model from, before any
+	// flattening (BG.P holds the flattened one): what another process
+	// passes to Build to get the same bits. Zero for a NewModel model.
+	Spec cosmology.Params
 
 	// tables caches the flattened evaluation tables (see EnsureEvalTables).
 	tables *tablesState
 }
 
+// NumericsVersion names the numbers Build's models compute. Every change
+// that moves the bits of a built model (a recombination grid, a default
+// tolerance, an integration scheme) bumps it: the serving layer's cache
+// keys carry it, and a farm refuses a worker built with another.
+const NumericsVersion = 1
+
 // NewModel builds the shared substrate for a cosmology.
 func NewModel(bg *cosmology.Background, th *thermo.Thermo) *Model {
 	return &Model{BG: bg, TH: th, tables: &tablesState{}}
+}
+
+// Build is the one constructor of a model from its parameters: the
+// background (flattened when p.Flatten), the recombination history and
+// thermodynamics with default options, and the substrate over them. Every
+// process that must agree on a model's bits builds it here.
+func Build(p cosmology.Params) (*Model, error) {
+	newBG := cosmology.New
+	if p.Flatten {
+		newBG = cosmology.NewFlattened
+	}
+	bg, err := newBG(p)
+	if err != nil {
+		return nil, err
+	}
+	th, err := thermo.New(bg, recomb.Options{})
+	if err != nil {
+		return nil, err
+	}
+	m := NewModel(bg, th)
+	m.Spec = p
+	return m, nil
 }
 
 // FlopsPerRHS is the operation-count model for one right-hand-side

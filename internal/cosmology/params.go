@@ -43,6 +43,12 @@ type Params struct {
 	// SpectralIndex is the primordial spectral index n (n=1 is
 	// scale-invariant Harrison-Zel'dovich, the paper's "standard CDM").
 	SpectralIndex float64
+
+	// Flatten asks for NewFlattened instead of New: any curvature the
+	// other fields leave is absorbed into OmegaC (required for massive
+	// neutrinos, whose density depends on the momentum integrals). Neither
+	// constructor reads it; core.Build chooses between them by it.
+	Flatten bool
 }
 
 // SCDM returns the standard Cold Dark Matter model used for the paper's
@@ -67,13 +73,15 @@ func SCDM() Params {
 
 // MDM returns a mixed dark matter variant (one massive neutrino species),
 // exercising the massive-neutrino phase-space integration of Section 2.
+// OmegaC is left at SCDM's value and Flatten is set, so NewFlattened,
+// which has the massive species' density from its momentum integrals,
+// adjusts OmegaC to close the model.
 func MDM(mnuEV float64) Params {
 	p := SCDM()
 	p.NNuMassless = 2.0
 	p.NNuMassive = 1
 	p.MNuEV = mnuEV
-	// Flatness is restored by New (massive-nu density needs the momentum
-	// integrals); leave OmegaC to be adjusted there.
+	p.Flatten = true
 	return p
 }
 

@@ -113,7 +113,7 @@ func TestChaosKillMidSweepAndBetweenSweeps(t *testing.T) {
 	}
 	runSweep := func(label string) *dispatch.Sweep {
 		t.Helper()
-		sw, _, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), ks, mode, dispatch.LargestFirst, false)
+		sw, _, err := s.Sweep(context.Background(), testModel(t), ks, mode, dispatch.LargestFirst, false)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -167,7 +167,7 @@ func TestChaosKillMidSweepAndBetweenSweeps(t *testing.T) {
 func TestChaosSpawnedFleetDrain(t *testing.T) {
 	s := chaosSupervisor(t, 2)
 	waitAlive(t, s, 2)
-	if _, _, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"plinger/internal/core"
+	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
@@ -131,8 +132,9 @@ type workerProc struct {
 // Supervisor owns the fleet: the listener workers register on, the spawned
 // local processes and their restart budget, the heartbeat loop, and the
 // sweep path that drives the roster through the Appendix-A master. One
-// Supervisor serves any number of models — sweeps carry their ModelSpec
-// and workers cache models per spec — so one fleet backs a whole daemon.
+// Supervisor serves any number of models — sweeps carry their model's
+// spec and workers cache models per spec — so one fleet backs a whole
+// daemon.
 type Supervisor struct {
 	opt Options
 	ln  net.Listener
@@ -222,6 +224,12 @@ func (s *Supervisor) register(c net.Conn) {
 	if hello.Version != protocolVersion {
 		s.opt.Logf("farm: rejecting worker %s/%d: protocol version %d (want %d)",
 			hello.Host, hello.PID, hello.Version, protocolVersion)
+		c.Close()
+		return
+	}
+	if hello.Numerics != core.NumericsVersion {
+		s.opt.Logf("farm: rejecting worker %s/%d: numerics version %d (want %d)",
+			hello.Host, hello.PID, hello.Numerics, core.NumericsVersion)
 		c.Close()
 		return
 	}
@@ -535,14 +543,19 @@ func (s *Supervisor) claimWorkers(ctx context.Context) (*tcpmp.Endpoint, map[int
 }
 
 // Sweep runs one k-grid sweep for the given model over the fleet,
-// returning dispatch-shaped results and stats. Sweeps are serialized: the
-// fleet is one shared resource and interleaving two masters over one
-// mailbox per worker would need per-sweep multiplexing the wire does not
-// carry. The fault-tolerant master is always armed; lost workers cost
-// reassignments (or master-local recompute at the limit), never the sweep.
-func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Model, ks []float64, mode core.Params, sched dispatch.Schedule, adaptLMax bool) (*dispatch.Sweep, *dispatch.RunStats, error) {
+// returning dispatch-shaped results and stats. The workers build their
+// replica from model.Spec, so the model must come from core.Build. Sweeps
+// are serialized: the fleet is one shared resource and interleaving two
+// masters over one mailbox per worker would need per-sweep multiplexing
+// the wire does not carry. The fault-tolerant master is always armed; lost
+// workers cost reassignments (or master-local recompute at the limit),
+// never the sweep.
+func (s *Supervisor) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched dispatch.Schedule, adaptLMax bool) (*dispatch.Sweep, *dispatch.RunStats, error) {
 	if model == nil {
 		return nil, nil, fmt.Errorf("farm: sweep has no master-side model")
+	}
+	if model.Spec == (cosmology.Params{}) {
+		return nil, nil, fmt.Errorf("farm: sweep model has no spec (build it with core.Build)")
 	}
 	if len(ks) == 0 {
 		return nil, nil, fmt.Errorf("farm: empty wavenumber grid")
@@ -568,7 +581,7 @@ func (s *Supervisor) Sweep(ctx context.Context, spec ModelSpec, model *core.Mode
 	// over on the same connection. A worker unreachable right here is
 	// reported down at once; its start-up deadline would catch it anyway.
 	wspec := specFromParams(mode)
-	wspec.Model = spec
+	wspec.Model = model.Spec
 	wspec.World = ep.Size()
 	wspec.Ks = ks
 	for rank, wc := range peers {

@@ -2,8 +2,10 @@ package farm
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -18,15 +20,6 @@ import (
 	"plinger/internal/mp/tcpmp"
 )
 
-func scdmSpec() ModelSpec {
-	p := cosmology.SCDM()
-	return ModelSpec{
-		H: p.H, OmegaC: p.OmegaC, OmegaB: p.OmegaB, OmegaLambda: p.OmegaLambda,
-		TCMB: p.TCMB, YHe: p.YHe, NNuMassless: p.NNuMassless,
-		SpectralIndex: p.SpectralIndex,
-	}
-}
-
 var (
 	testCache   = NewModelCache()
 	testModelMu sync.Mutex
@@ -36,7 +29,7 @@ func testModel(t *testing.T) *core.Model {
 	t.Helper()
 	testModelMu.Lock()
 	defer testModelMu.Unlock()
-	m, err := testCache.Get(scdmSpec())
+	m, err := testCache.Get(cosmology.SCDM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +157,7 @@ func TestFarmSweepMatchesPool(t *testing.T) {
 	} {
 		ref := poolReference(t, testKs(), tc.mode)
 		for pass := 0; pass < 2; pass++ { // cold then warm
-			sw, st, err := s.Sweep(context.Background(), scdmSpec(), model, testKs(), tc.mode, dispatch.LargestFirst, false)
+			sw, st, err := s.Sweep(context.Background(), model, testKs(), tc.mode, dispatch.LargestFirst, false)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", tc.label, pass, err)
 			}
@@ -215,7 +208,7 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 
 	mode := smallMode()
 	ref := poolReference(t, testKs(), mode)
-	sw, st, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +224,7 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 	// The casualty comes back under its UID: next sweep runs on two again.
 	startTestWorker(t, s, "flaky", 1, nil)
 	waitAlive(t, s, 2)
-	sw2, st2, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw2, st2, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +245,7 @@ func TestFarmZeroWorkersComputesLocally(t *testing.T) {
 	s := testSupervisor(t, Options{MinWorkers: 0, WaitWorkers: 50 * time.Millisecond})
 	mode := smallMode()
 	ref := poolReference(t, testKs(), mode)
-	sw, st, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +270,7 @@ func TestFarmHeartbeatKillsSilentWorkerAndCountsRejoin(t *testing.T) {
 	if err := binary.Write(c, binary.LittleEndian, uint32(farmMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSON(&tcpmp.Conn{Conn: c}, kindHello, Hello{Version: protocolVersion, Host: "test", PID: 1, UID: "mute"}); err != nil {
+	if err := writeJSON(&tcpmp.Conn{Conn: c}, kindHello, Hello{Version: protocolVersion, Numerics: core.NumericsVersion, Host: "test", PID: 1, UID: "mute"}); err != nil {
 		t.Fatal(err)
 	}
 	waitAlive(t, s, 1)
@@ -299,7 +292,7 @@ func TestFarmDrain(t *testing.T) {
 	s := testSupervisor(t, Options{MinWorkers: 1})
 	w := startTestWorker(t, s, "w", 0, nil)
 	waitAlive(t, s, 1)
-	if _, _, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -318,7 +311,7 @@ func TestFarmDrain(t *testing.T) {
 	if s.Alive() != 0 {
 		t.Fatalf("%d workers alive after drain", s.Alive())
 	}
-	if _, _, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
 		t.Fatal("sweep after drain should fail")
 	}
 }
@@ -340,7 +333,7 @@ func TestFarmConcurrentSweepsSerialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sweeps[i], _, errs[i] = s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+			sweeps[i], _, errs[i] = s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
 		}(i)
 	}
 	wg.Wait()
@@ -362,11 +355,11 @@ func TestFarmSweepContextCancel(t *testing.T) {
 	waitAlive(t, s, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Sweep(ctx, scdmSpec(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
+	if _, _, err := s.Sweep(ctx, testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
 		t.Fatal("expected context error")
 	}
 	// The fleet must still be usable afterwards.
-	sw, _, err := s.Sweep(context.Background(), scdmSpec(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false)
+	sw, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,5 +386,134 @@ func TestFarmCloseIdleFleetIsPrompt(t *testing.T) {
 	slices.Sort(took)
 	if took[2] >= 5*time.Millisecond {
 		t.Fatalf("Close of an idle two-worker fleet took %v, want a median under 5ms", took)
+	}
+}
+
+// TestFarmSweepFlattenedMDMMatchesPool runs the farm on a model that is not
+// the default one: MDM(4.0), whose Flatten moves OmegaC. The master builds
+// it itself and the workers rebuild it from the spec the sweep carries, in
+// a cache of their own, so a worker-side construction that differed from
+// core.Build would show here as different bits.
+func TestFarmSweepFlattenedMDMMatchesPool(t *testing.T) {
+	s := testSupervisor(t, Options{MinWorkers: 2})
+	models := NewModelCache()
+	for _, uid := range []string{"m1", "m2"} {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- ServeWorker(c, WorkerOptions{UID: uid, Models: models, Scratch: core.NewScratch()}) }()
+		t.Cleanup(func() { c.Close(); <-done })
+	}
+	waitAlive(t, s, 2)
+
+	master, err := core.Build(cosmology.MDM(4.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []float64{0.002, 0.006, 0.01, 0.02}
+	mode := smallMode()
+	ref, _, err := (&dispatch.Pool{Model: master, Workers: 2}).Run(context.Background(), ks, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, st, err := s.Sweep(context.Background(), master, ks, mode, dispatch.LargestFirst, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Results {
+		sameResult(t, fmt.Sprintf("mode %d", i), sw.Results[i], ref.Results[i])
+	}
+	modes := 0
+	for _, w := range st.Workers {
+		modes += w.Modes
+	}
+	if st.NWorkers != 2 || st.WorkerFailures != 0 || modes != len(ks) {
+		t.Fatalf("the workers did not evolve every mode: %+v", st)
+	}
+	replica, err := models.Get(master.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replica == master || models.Len() != 1 || replica.BG.P.OmegaC != master.BG.P.OmegaC {
+		t.Fatalf("workers' replica: Omega_c %v, master's %v", replica.BG.P.OmegaC, master.BG.P.OmegaC)
+	}
+}
+
+// modeDigest hashes every number of r but its wallclock, floats as their
+// 64 bits, as core's TestGoldenModeBits digests a mode.
+func modeDigest(r *core.Result) [sha256.Size]byte {
+	h := sha256.New()
+	put := func(w uint64) { binary.Write(h, binary.LittleEndian, w) }
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type() != reflect.TypeOf(core.Result{}) || v.Type().Field(i).Name != "Seconds" {
+					walk(v.Field(i))
+				}
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+			put(uint64(v.Len()))
+		case reflect.Float64:
+			put(math.Float64bits(v.Float()))
+		case reflect.Int:
+			put(uint64(v.Int()))
+		default:
+			panic("modeDigest: Result grew a field of kind " + v.Kind().String())
+		}
+	}
+	walk(reflect.ValueOf(r))
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestModelCacheBounded: a worker asked for a new cosmology on every sweep
+// holds at most workerModels of them, and a spec rebuilt after its eviction
+// evolves a mode to the same bits as its first build did.
+func TestModelCacheBounded(t *testing.T) {
+	spec := func(i int) cosmology.Params {
+		p := cosmology.SCDM()
+		p.H = 0.5 + 0.01*float64(i)
+		p.Flatten = true
+		return p
+	}
+	evolve := func(m *core.Model) [sha256.Size]byte {
+		m.EnsureEvalTables(dispatch.ParallelFor)
+		r, err := m.Evolve(core.Params{K: 0.03, LMax: 20, Gauge: core.ConformalNewtonian, KeepSources: true, FastEvolve: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return modeDigest(r)
+	}
+	c := NewModelCache()
+	first, err := c.Get(spec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := evolve(first)
+	for i := 1; i < 20; i++ {
+		if _, err := c.Get(spec(i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Len(); n > workerModels {
+			t.Fatalf("%d models cached after %d specs, bound %d", n, i+1, workerModels)
+		}
+	}
+	again, err := c.Get(spec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Fatal("the first spec was never evicted")
+	}
+	if evolve(again) != want {
+		t.Fatal("a rebuilt model evolves the mode to other bits than its first build")
 	}
 }

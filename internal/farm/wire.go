@@ -22,13 +22,16 @@
 // the same instructions. An amd64 build evolves through the SSE2 kernels of
 // internal/ode and internal/core, which never fuse; an arm64 build runs
 // their Go loops, which the compiler fuses into multiply-adds, so its
-// blocks differ in the last bits. Registration does not check this.
+// blocks differ in the last bits. Registration does not check this; it
+// checks only that the worker shares the supervisor's
+// core.NumericsVersion.
 package farm
 
 import (
 	"encoding/json"
 
 	"plinger/internal/core"
+	"plinger/internal/cosmology"
 	"plinger/internal/mp/tcpmp"
 )
 
@@ -38,7 +41,9 @@ const farmMagic = 0x504c464d
 
 // protocolVersion is bumped on any incompatible frame-format change; the
 // supervisor rejects a Hello with a different version during registration.
-const protocolVersion = 1
+// Version 2: a sweep's model is the cosmology.Params spec, keyed by its Go
+// field names.
+const protocolVersion = 2
 
 // Frame kinds. One persistent connection per worker multiplexes the
 // control plane (JSON payloads) and the sweep data plane (tcpmp.KindData,
@@ -69,6 +74,9 @@ type Hello struct {
 	// this role — two in-process workers share one, and a recycled PID
 	// would alias two unrelated processes.
 	UID string `json:"uid"`
+	// Numerics is the worker's core.NumericsVersion: a worker whose build
+	// computes other bits for the same spec is refused at registration.
+	Numerics int `json:"numerics"`
 }
 
 // Welcome is the supervisor's admission reply.
@@ -77,34 +85,16 @@ type Welcome struct {
 	HeartbeatMS int `json:"heartbeat_ms"`
 }
 
-// ModelSpec is the wire form of a cosmological model: the exact facade
-// Config fields, comparable so the worker can key its warm-model cache on
-// it. Two sweeps with equal specs hit the same cached background/thermo/
-// EvalTables on the worker.
-type ModelSpec struct {
-	H             float64 `json:"h"`
-	OmegaC        float64 `json:"omega_c"`
-	OmegaB        float64 `json:"omega_b"`
-	OmegaLambda   float64 `json:"omega_lambda"`
-	TCMB          float64 `json:"tcmb"`
-	YHe           float64 `json:"yhe"`
-	NNuMassless   float64 `json:"nnu_massless"`
-	NNuMassive    int     `json:"nnu_massive"`
-	MNuEV         float64 `json:"mnu_ev"`
-	SpectralIndex float64 `json:"ns"`
-	Flatten       bool    `json:"flatten"`
-}
-
 // sweepSpec tells one worker its place in a sweep. The Appendix-A TagInit
 // broadcast still carries the protocol's own init block (tauEnd, lmax, nk,
 // gauge, rtol, keep); the spec ships the fields TagInit does not cover —
 // the model, the grid, and the evolution knobs that must match the master
 // bit for bit (KBatch, FastEvolve, tolerances).
 type sweepSpec struct {
-	Rank  int       `json:"rank"`
-	World int       `json:"world"`
-	Model ModelSpec `json:"model"`
-	Ks    []float64 `json:"ks"`
+	Rank  int              `json:"rank"`
+	World int              `json:"world"`
+	Model cosmology.Params `json:"model"` // the master model's core.Model.Spec
+	Ks    []float64        `json:"ks"`
 
 	LMax       int     `json:"lmax"`
 	LMaxNu     int     `json:"lmax_nu,omitempty"`

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"plinger/internal/core"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
 )
@@ -49,6 +52,44 @@ func TestUnauthenticatedHeaderCostsNoPayload(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesNumericsMismatch: a worker whose build computes other
+// bits for the same spec (another core.NumericsVersion) is logged and
+// refused at registration, as a protocol version mismatch is.
+func TestRegisterRefusesNumericsMismatch(t *testing.T) {
+	logs := make(chan string, 8)
+	s := testSupervisor(t, Options{Logf: func(format string, args ...any) {
+		logs <- fmt.Sprintf(format, args...)
+	}})
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := binary.Write(c, binary.LittleEndian, uint32(farmMagic)); err != nil {
+		t.Fatal(err)
+	}
+	h := Hello{Version: protocolVersion, Numerics: core.NumericsVersion + 1, Host: "test", PID: 1, UID: "stale"}
+	if err := writeJSON(&tcpmp.Conn{Conn: c}, kindHello, h); err != nil {
+		t.Fatal(err)
+	}
+	// The supervisor closes the connection without a Welcome.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := io.Copy(io.Discard, c); err != nil || n != 0 {
+		t.Fatalf("supervisor answered %d bytes (%v) instead of closing", n, err)
+	}
+	select {
+	case msg := <-logs:
+		if !strings.Contains(msg, "numerics version") {
+			t.Fatalf("refusal logged as %q", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("refusal not logged")
+	}
+	if s.Alive() != 0 {
+		t.Fatalf("%d workers registered", s.Alive())
+	}
+}
+
 type noDeadline struct{ net.Conn }
 
 func (noDeadline) SetDeadline(time.Time) error      { return nil }
@@ -69,9 +110,10 @@ func FuzzRegister(f *testing.F) {
 		p, _ := json.Marshal(h)
 		return append(binary.LittleEndian.AppendUint32(nil, farmMagic), frame(kindHello, p)...)
 	}
-	ok := hello(Hello{Version: protocolVersion, Host: "h", PID: 1, UID: "u"})
+	ok := hello(Hello{Version: protocolVersion, Numerics: core.NumericsVersion, Host: "h", PID: 1, UID: "u"})
 	f.Add([]byte{})
-	f.Add(hello(Hello{Version: protocolVersion + 1}))
+	f.Add(hello(Hello{Version: protocolVersion + 1, Numerics: core.NumericsVersion}))
+	f.Add(hello(Hello{Version: protocolVersion, Numerics: core.NumericsVersion + 1, Host: "h", PID: 1, UID: "u"}))
 	f.Add(ok)
 	f.Add(append(ok, frame(kindPong, nil)...))
 	f.Add(append(append(ok, frame(kindSweepDone, []byte(`{"ok":false,"err":"x"}`))...), frame(tcpmp.KindData, mp.EncodeFloats([]float64{1}))...))

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,6 @@ import (
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
 	runner "plinger/internal/plinger"
-	"plinger/internal/recomb"
-	"plinger/internal/thermo"
 )
 
 // helloTimeout bounds the registration handshake on both sides.
@@ -57,50 +56,44 @@ type WorkerOptions struct {
 	Scratch *core.Scratch
 }
 
-// ModelCache builds and retains worker-side models keyed by ModelSpec:
+// workerModels bounds a worker's warm models: the daemon's own model
+// registry keeps four by default, and a scan that asks for a new cosmology
+// on every sweep must not grow the worker's heap for its whole life.
+// Evicting is safe: a rebuild gives the same bits, and a sweep in flight
+// keeps its pointer.
+const workerModels = 4
+
+// ModelCache builds and retains worker-side models keyed by their spec:
 // the expensive background/thermodynamics/EvalTables survive across
-// sweeps AND across reconnects of the same process.
+// sweeps AND across reconnects of the same process, the workerModels most
+// recently used of them.
 type ModelCache struct {
 	mu     sync.Mutex
-	models map[ModelSpec]*core.Model
+	models []*core.Model // least recently used first
 }
 
 // NewModelCache returns an empty warm-model cache.
-func NewModelCache() *ModelCache {
-	return &ModelCache{models: make(map[ModelSpec]*core.Model)}
-}
+func NewModelCache() *ModelCache { return &ModelCache{} }
 
-// Get returns the cached model for spec, building it on first use exactly
-// as the facade does — same constructors, same defaults — so a worker-side
-// evolution is bitwise the master's.
-func (c *ModelCache) Get(spec ModelSpec) (*core.Model, error) {
+// Get returns the cached model for spec, building it with core.Build on
+// first use (or after its eviction), so a worker-side evolution is bitwise
+// the master's.
+func (c *ModelCache) Get(spec cosmology.Params) (*core.Model, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m, ok := c.models[spec]; ok {
+	if i := slices.IndexFunc(c.models, func(m *core.Model) bool { return m.Spec == spec }); i >= 0 {
+		m := c.models[i]
+		c.models = append(slices.Delete(c.models, i, i+1), m)
 		return m, nil
 	}
-	p := cosmology.Params{
-		H: spec.H, OmegaC: spec.OmegaC, OmegaB: spec.OmegaB,
-		OmegaLambda: spec.OmegaLambda, TCMB: spec.TCMB, YHe: spec.YHe,
-		NNuMassless: spec.NNuMassless, NNuMassive: spec.NNuMassive,
-		MNuEV: spec.MNuEV, SpectralIndex: spec.SpectralIndex,
-	}
-	var bg *cosmology.Background
-	var err error
-	if spec.Flatten {
-		bg, err = cosmology.NewFlattened(p)
-	} else {
-		bg, err = cosmology.New(p)
-	}
+	m, err := core.Build(spec)
 	if err != nil {
-		return nil, fmt.Errorf("farm: worker model background: %w", err)
+		return nil, fmt.Errorf("farm: worker model: %w", err)
 	}
-	th, err := thermo.New(bg, recomb.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("farm: worker model thermodynamics: %w", err)
+	if len(c.models) == workerModels {
+		c.models = slices.Delete(c.models, 0, 1)
 	}
-	m := core.NewModel(bg, th)
-	c.models[spec] = m
+	c.models = append(c.models, m)
 	return m, nil
 }
 
@@ -146,12 +139,13 @@ func ServeWorker(conn net.Conn, opt WorkerOptions) error {
 		uid = NewWorkerUID()
 	}
 	hello := Hello{
-		Version: protocolVersion,
-		Host:    host,
-		PID:     os.Getpid(),
-		Procs:   runtime.GOMAXPROCS(0),
-		Rejoins: opt.Rejoins,
-		UID:     uid,
+		Version:  protocolVersion,
+		Host:     host,
+		PID:      os.Getpid(),
+		Procs:    runtime.GOMAXPROCS(0),
+		Rejoins:  opt.Rejoins,
+		UID:      uid,
+		Numerics: core.NumericsVersion,
 	}
 	conn.SetDeadline(time.Now().Add(helloTimeout))
 	if err := binary.Write(conn, binary.LittleEndian, uint32(farmMagic)); err != nil {

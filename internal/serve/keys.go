@@ -35,16 +35,22 @@ import (
 	"time"
 
 	"plinger"
+	"plinger/internal/core"
 )
+
+// keyVersion opens every key's canonical form. It is core.NumericsVersion,
+// so the one rule is: anything that changes what a key names — the bits a
+// model computes, a quantization step below, the canonical layout — bumps
+// that one number.
+var keyVersion = "v" + strconv.Itoa(core.NumericsVersion)
 
 // Physical quantization steps: two requests whose parameters agree to
 // better than these are the same physics at far below the pipeline's own
 // accuracy (the fast path tracks the reference to ~1e-3 in C_l), so they
 // share a cache entry. The steps are part of the wire-stable key format —
-// changing any of them is a cache-schema change and must bump keyVersion.
+// changing any of them is a cache-schema change and must bump
+// core.NumericsVersion (see keyVersion).
 const (
-	keyVersion = "v1"
-
 	stepH     = 1e-4 // Hubble constant, units of 100 km/s/Mpc
 	stepOmega = 1e-5 // density parameters
 	stepTCMB  = 1e-4 // kelvin

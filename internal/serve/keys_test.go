@@ -8,7 +8,8 @@ import (
 
 // TestGoldenKeys pins the wire-stable cache keys: equal physics must map to
 // the same key in every process and across restarts. If this test fails
-// because the key format deliberately changed, bump keyVersion and repin.
+// because the key format deliberately changed, bump core.NumericsVersion
+// (keyVersion follows it) and repin.
 func TestGoldenKeys(t *testing.T) {
 	d := DefaultDefaults()
 	cfg := plinger.SCDM()

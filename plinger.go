@@ -39,10 +39,8 @@ import (
 	"plinger/internal/expdata"
 	"plinger/internal/farm"
 	"plinger/internal/obs"
-	"plinger/internal/recomb"
 	"plinger/internal/sky"
 	"plinger/internal/spectra"
-	"plinger/internal/thermo"
 )
 
 // Trace is a sweep trace: a per-request recorder of named phase spans
@@ -56,48 +54,23 @@ type Trace = obs.Trace
 // NewTrace starts a trace; label names the request kind (e.g. "cl").
 func NewTrace(label string) *Trace { return obs.NewTrace(label) }
 
-// Config selects the cosmological model.
-type Config struct {
-	// H is the Hubble constant in units of 100 km/s/Mpc.
-	H float64
-	// OmegaC, OmegaB, OmegaLambda are the density parameters of cold dark
-	// matter, baryons and the cosmological constant.
-	OmegaC, OmegaB, OmegaLambda float64
-	// TCMB is the CMB temperature in kelvin, YHe the helium mass fraction.
-	TCMB, YHe float64
-	// NNuMassless counts massless two-component neutrino species;
-	// NNuMassive massive species of mass MNuEV (eV).
-	NNuMassless float64
-	NNuMassive  int
-	MNuEV       float64
-	// SpectralIndex is the primordial index n (1 = scale-invariant).
-	SpectralIndex float64
-	// Flatten absorbs any curvature into OmegaC (required for massive
-	// neutrinos, whose density depends on the momentum integrals).
-	Flatten bool
-}
+// Config selects the cosmological model. It is the model's own parameter
+// set, so the facade, the farm's wire and the built model carry one type:
+// H (little h), the density parameters OmegaC, OmegaB and OmegaLambda,
+// TCMB (kelvin), the helium fraction YHe, NNuMassless massless neutrino
+// species and NNuMassive massive ones of mass MNuEV (eV), the primordial
+// SpectralIndex, and Flatten, which absorbs any curvature into OmegaC
+// (required for massive neutrinos, whose density depends on the momentum
+// integrals).
+type Config = cosmology.Params
 
 // SCDM returns the paper's standard Cold Dark Matter model
 // (Omega = 1, h = 0.5, Omega_b = 0.05, n = 1).
-func SCDM() Config {
-	p := cosmology.SCDM()
-	return Config{
-		H: p.H, OmegaC: p.OmegaC, OmegaB: p.OmegaB, OmegaLambda: p.OmegaLambda,
-		TCMB: p.TCMB, YHe: p.YHe, NNuMassless: p.NNuMassless,
-		SpectralIndex: p.SpectralIndex,
-	}
-}
+func SCDM() Config { return cosmology.SCDM() }
 
-// MDM returns the mixed dark matter variant with one massive neutrino.
-func MDM(massEV float64) Config {
-	p := cosmology.MDM(massEV)
-	return Config{
-		H: p.H, OmegaC: p.OmegaC, OmegaB: p.OmegaB, OmegaLambda: p.OmegaLambda,
-		TCMB: p.TCMB, YHe: p.YHe, NNuMassless: p.NNuMassless,
-		NNuMassive: p.NNuMassive, MNuEV: p.MNuEV,
-		SpectralIndex: p.SpectralIndex, Flatten: true,
-	}
-}
+// MDM returns the mixed dark matter variant with one massive neutrino,
+// flattened.
+func MDM(massEV float64) Config { return cosmology.MDM(massEV) }
 
 // Gauge selects the perturbation gauge.
 type Gauge string
@@ -137,7 +110,6 @@ func (g Gauge) internal() (core.Gauge, error) {
 // concurrent and sequential calls with equal options return bitwise-equal
 // spectra (the dispatch subsystem's determinism contract).
 type Model struct {
-	cfg  Config
 	prim spectra.Primordial
 	core *core.Model
 	// shared, when non-nil, is the long-lived pool every pool-transport
@@ -153,23 +125,7 @@ type Model struct {
 // integrals when requested), Saha+Peebles recombination, Thomson opacity
 // and visibility tables.
 func New(cfg Config) (*Model, error) {
-	p := cosmology.Params{
-		H: cfg.H, OmegaC: cfg.OmegaC, OmegaB: cfg.OmegaB,
-		OmegaLambda: cfg.OmegaLambda, TCMB: cfg.TCMB, YHe: cfg.YHe,
-		NNuMassless: cfg.NNuMassless, NNuMassive: cfg.NNuMassive,
-		MNuEV: cfg.MNuEV, SpectralIndex: cfg.SpectralIndex,
-	}
-	var bg *cosmology.Background
-	var err error
-	if cfg.Flatten {
-		bg, err = cosmology.NewFlattened(p)
-	} else {
-		bg, err = cosmology.New(p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	th, err := thermo.New(bg, recomb.Options{})
+	cm, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +133,7 @@ func New(cfg Config) (*Model, error) {
 	if n == 0 {
 		n = 1
 	}
-	return &Model{cfg: cfg, prim: spectra.DefaultPrimordial(n), core: core.NewModel(bg, th)}, nil
+	return &Model{prim: spectra.DefaultPrimordial(n), core: cm}, nil
 }
 
 // EnableSharedPool routes every subsequent pool-transport sweep (the
@@ -220,30 +176,17 @@ func (m *Model) EnableFarm(f *farm.Supervisor) { m.farm = f }
 // default-transport sweeps to the in-process pool.
 func (m *Model) DisableFarm() { m.farm = nil }
 
-// farmSpec is the wire form of this model's configuration, the key under
-// which farm workers cache their replica of it.
-func (m *Model) farmSpec() farm.ModelSpec {
-	return farm.ModelSpec{
-		H: m.cfg.H, OmegaC: m.cfg.OmegaC, OmegaB: m.cfg.OmegaB,
-		OmegaLambda: m.cfg.OmegaLambda, TCMB: m.cfg.TCMB, YHe: m.cfg.YHe,
-		NNuMassless: m.cfg.NNuMassless, NNuMassive: m.cfg.NNuMassive,
-		MNuEV: m.cfg.MNuEV, SpectralIndex: m.cfg.SpectralIndex,
-		Flatten: m.cfg.Flatten,
-	}
-}
-
 // farmDispatcher adapts one (model, schedule) pair to the farm for a
 // single sweep call; the Supervisor itself is model-agnostic.
 type farmDispatcher struct {
 	f     *farm.Supervisor
-	spec  farm.ModelSpec
 	model *core.Model
 	sched dispatch.Schedule
 	adapt bool
 }
 
 func (d *farmDispatcher) Run(ctx context.Context, ks []float64, mode core.Params) (*dispatch.Sweep, *dispatch.RunStats, error) {
-	return d.f.Sweep(ctx, d.spec, d.model, ks, mode, d.sched, d.adapt)
+	return d.f.Sweep(ctx, d.model, ks, mode, d.sched, d.adapt)
 }
 
 // Tau0 returns the conformal age of the model in Mpc.
@@ -631,10 +574,7 @@ func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax
 	switch transport {
 	case "", "pool":
 		if m.farm != nil {
-			return &farmDispatcher{
-				f: m.farm, spec: m.farmSpec(), model: m.core,
-				sched: sched, adapt: adaptLMax,
-			}, func() {}, nil
+			return &farmDispatcher{f: m.farm, model: m.core, sched: sched, adapt: adaptLMax}, func() {}, nil
 		}
 		if m.shared != nil && !adaptLMax {
 			return m.shared, func() {}, nil
@@ -807,13 +747,13 @@ func (m *Model) ComputeSpectrum(o SpectrumOptions) (*Spectrum, error) {
 	sp := tr.Start("project")
 	switch p.project {
 	case projectBrute:
-		cl, err = sw.Cl(p.ls, m.prim, m.cfg.TCMB)
+		cl, err = sw.Cl(p.ls, m.prim, m.core.BG.P.TCMB)
 	case projectPolarization:
-		cl, err = sw.ClPolarization(p.ls, m.prim, m.cfg.TCMB)
+		cl, err = sw.ClPolarization(p.ls, m.prim, m.core.BG.P.TCMB)
 	case projectLOS:
-		cl, err = sw.ClLOS(p.ls, m.prim, m.cfg.TCMB, p.tauRec)
+		cl, err = sw.ClLOS(p.ls, m.prim, m.core.BG.P.TCMB, p.tauRec)
 	case projectLOSFast:
-		cl, err = sw.ClLOSFast(p.lsProj, m.prim, m.cfg.TCMB, p.tauRec)
+		cl, err = sw.ClLOSFast(p.lsProj, m.prim, m.core.BG.P.TCMB, p.tauRec)
 	}
 	sp.End()
 	if err == nil && len(p.lsProj) < len(p.ls) {
@@ -885,7 +825,10 @@ func (m *Model) MatterPower(o MatterPowerOptions) (*MatterPowerResult, error) {
 	}
 	spPost := tr.Start("postprocess")
 	defer spPost.End()
-	tf, err := sw.MatterTransfer(m.cfg.OmegaC, m.cfg.OmegaB)
+	// The background's parameters, not the requested ones: flattening
+	// moves OmegaC.
+	p := m.core.BG.P
+	tf, err := sw.MatterTransfer(p.OmegaC, p.OmegaB)
 	if err != nil {
 		return nil, err
 	}
@@ -893,11 +836,11 @@ func (m *Model) MatterPower(o MatterPowerOptions) (*MatterPowerResult, error) {
 	if o.Amp > 0 {
 		prim.Amp = o.Amp
 	}
-	pk, err := sw.PowerSpectrum(prim, m.cfg.OmegaC, m.cfg.OmegaB)
+	pk, err := sw.PowerSpectrum(prim, p.OmegaC, p.OmegaB)
 	if err != nil {
 		return nil, err
 	}
-	s8, err := sw.Sigma8(pk, m.cfg.H)
+	s8, err := sw.Sigma8(pk, p.H)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"plinger/internal/core"
+	"plinger/internal/spectra"
 )
 
 var (
@@ -246,6 +249,55 @@ func TestMatterPowerThroughFacade(t *testing.T) {
 	}
 	if math.Abs(res.T[0]-1) > 1e-9 {
 		t.Fatalf("T(kmin) = %g", res.T[0])
+	}
+}
+
+// TestMatterPowerWeightsBackgroundOmegas: MatterPower weights delta_m with
+// the model's own density parameters, which flattening moves (for MDM(4.0)
+// Omega_c falls from 0.94983 to 0.77967). Its result must be, bit for bit,
+// what the same sweep gives with the background's Omega_c and Omega_b. For
+// SCDM nothing is flattened, those are the requested values, and so its
+// bits are the ones the requested values always gave.
+func TestMatterPowerWeightsBackgroundOmegas(t *testing.T) {
+	mdm, err := New(MDM(4.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mdm.core.BG.P.OmegaC == MDM(4.0).OmegaC {
+		t.Fatal("flattening left MDM's Omega_c where it was")
+	}
+	o := MatterPowerOptions{KMin: 1e-3, KMax: 0.1, NK: 4}
+	ks := spectra.LogGrid(o.KMin, o.KMax, o.NK)
+	for name, m := range map[string]*Model{"mdm": mdm, "scdm": scdmModel(t)} {
+		got, err := m.MatterPower(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := spectra.RunSweep(m.core, core.Params{LMax: 24, Gauge: core.Synchronous}, ks, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := m.core.BG.P
+		tf, err := sw.MatterTransfer(p.OmegaC, p.OmegaB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, err := sw.PowerSpectrum(m.prim, p.OmegaC, p.OmegaB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s8, err := sw.Sigma8(pk, p.H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ks {
+			if math.Float64bits(got.T[i]) != math.Float64bits(tf.T[i]) || math.Float64bits(got.P[i]) != math.Float64bits(pk[i]) {
+				t.Fatalf("%s: k = %g: T %v P %v, from the background's Omegas T %v P %v", name, ks[i], got.T[i], got.P[i], tf.T[i], pk[i])
+			}
+		}
+		if math.Float64bits(got.Sigma8) != math.Float64bits(s8) {
+			t.Fatalf("%s: sigma8 = %v, from the background's Omegas %v", name, got.Sigma8, s8)
+		}
 	}
 }
 
