@@ -46,13 +46,15 @@ test-race:
 	$(GO) test -race -short ./internal/serve/... ./...
 
 # test-faults runs the fault-injection and recovery suite under the race
-# detector: the faultmp transport wrapper, the chaos matrix (scripted
-# kill/hang/drop across the chan/fifo/tcp transports, all-but-one and
-# all-workers-lost kills, batched-block reassignment), worker panic
-# recovery, the serving layer's deadline/stale degradation, and the
-# master's own unit tests (the late death report among them).
+# detector: internal/fault (the one seeded fault plan and its three
+# adapters: the mp endpoint, the peer HTTP transport, the farm connection),
+# the chaos matrix (scripted kill/hang/drop across the chan/fifo/tcp
+# transports, all-but-one and all-workers-lost kills, batched-block
+# reassignment), worker panic recovery, the serving layer's deadline/stale
+# degradation, and the master's own unit tests (the late death report among
+# them).
 test-faults:
-	$(GO) test -race ./internal/mp/faultmp/ ./internal/plinger/
+	$(GO) test -race ./internal/fault/ ./internal/plinger/
 	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale' ./internal/dispatch/ ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
@@ -61,19 +63,21 @@ test-faults:
 # refusal, the bounded worker model cache, heartbeat kills, rejoin
 # accounting, drain, a prompt Close, zero-worker degradation), the tcpmp
 # join hardening and golden frames (the one data frame both carry), the
-# serve and facade farm routing, and the process-spawning chaos tests that
-# SIGKILL real plingerw workers mid-sweep and between sweeps.
+# serve and facade farm routing, the composed farm-and-cluster chaos test,
+# and the process-spawning chaos tests that SIGKILL real plingerw workers
+# mid-sweep and between sweeps.
 test-farm:
 	$(GO) test -race ./internal/farm/ ./internal/mp/tcpmp/
 	$(GO) test -race -run 'Farm' ./internal/serve/ .
 
 # test-cluster runs the sharded-cache fleet suite under the race detector:
 # the peering substrate (rendezvous ring, per-peer breakers, heartbeat
-# membership death/rejoin, retry/backoff, the deterministic fault-injection
-# transport) and the serving-layer chaos matrix — owner killed, hung,
-# erroring 5xx, and partitioned, each required to degrade to a 200 that is
-# bitwise identical to a no-cluster reference — plus the cross-node hit,
-# stale short-circuit, hedged-slow-peer, back-fill, and derived Retry-After
+# membership death/rejoin, retry/backoff) and the serving-layer chaos matrix
+# — owner killed, hung, erroring 5xx, and partitioned through an
+# internal/fault plan on the peer transport, each required to degrade to a
+# 200 that is bitwise identical to a no-cluster reference — plus the
+# composed farm-and-cluster chaos test and the cross-node hit, stale
+# short-circuit, hedged-slow-peer, back-fill, and derived Retry-After
 # contracts.
 test-cluster:
 	$(GO) test -race ./internal/cluster/
@@ -82,7 +86,9 @@ test-cluster:
 # fuzz runs each fuzz target for 10 s: the one frame codec tcpmp and the
 # worker farm share, the two listeners that read it from strangers (a tcpmp
 # master's fixed-world join, the farm's registration and read loop), the
-# master's decoders of a worker's result blocks, and the SSE2 kernels of
+# master's decoders of a worker's result blocks, the daemon's back-fill
+# handler (/v1/peer/offer) and its request keys (JSON, Validate, Key, stable
+# under re-encoding), and the SSE2 kernels of
 # internal/ode, internal/core and internal/specfunc (the projection's row
 # pairs) against their Go loops. Plain `go test` replays their seed corpora
 # (testdata/fuzz, the crashers found so far among them); a new crasher lands
@@ -93,6 +99,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/plinger/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerOffer$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumPairs$$' -fuzztime 10s ./internal/specfunc/

@@ -23,10 +23,6 @@
 //     (excluded from the ring), a later success re-admits it. The static
 //     -peers list is the membership universe; liveness within it is
 //     gossip-free and needs no coordination.
-//   - faultrt.go — a deterministic fault-injection http.RoundTripper in
-//     the spirit of internal/mp/faultmp: scripted peer kill / hang / 5xx
-//     / partition for the chaos matrix, seeded so every run replays the
-//     same disturbance.
 //
 // The serving layer (internal/serve) consults Owner per cache miss,
 // fetches remote-owned keys over the small peer HTTP protocol via Fetch
@@ -75,7 +71,7 @@ type Options struct {
 	// operators can pass one identical fleet list to every node.
 	Peers []string
 	// Transport performs the peer HTTP requests (nil: http.DefaultTransport).
-	// The chaos tests inject a deterministic FaultTransport here.
+	// The chaos tests put an internal/fault plan here (fault.NewTransport).
 	Transport http.RoundTripper
 	// HopTimeout bounds every single peer request — forward attempt, retry
 	// attempt, or back-fill offer (<= 0: 2s). This is the "peer timeout" of

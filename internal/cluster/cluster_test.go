@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"plinger/internal/fault"
 )
 
 // testPeering builds a Peering around one httptest peer with fast,
@@ -210,7 +212,7 @@ func TestOfferBestEffort(t *testing.T) {
 func TestFetchHopTimeoutBoundsHangingPeer(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
-	ft := NewFaultTransport(nil, FaultOptions{Hang: true})
+	ft := fault.NewTransport(nil, fault.Plan{Then: fault.Hang}, nil)
 	p := testPeering(t, srv.URL, func(o *Options) {
 		o.Transport = ft
 		o.HopTimeout = 100 * time.Millisecond
@@ -225,5 +227,8 @@ func TestFetchHopTimeoutBoundsHangingPeer(t *testing.T) {
 	// Two attempts x 100ms hop + ~ms backoff; generous CI margin.
 	if el > 2*time.Second {
 		t.Fatalf("hung fetch took %s, hop timeout not enforced", el)
+	}
+	if st := ft.Stats(); st.Hung != 2 {
+		t.Fatalf("plan stats %+v, want both attempts hung", st)
 	}
 }

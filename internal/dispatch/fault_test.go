@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"plinger/internal/core"
+	"plinger/internal/fault"
 	"plinger/internal/mp"
 	"plinger/internal/mp/chanmp"
-	"plinger/internal/mp/faultmp"
 	"plinger/internal/mp/fifomp"
 )
 
@@ -27,7 +27,7 @@ func chaosMode() core.Params {
 const chaosDeadline = 800 * time.Millisecond
 
 // chaosWorld builds an n-endpoint world of the named transport so the tests
-// can wrap individual worker endpoints in faultmp before handing them to MP.
+// can put a fault plan on individual worker endpoints before handing them to MP.
 func chaosWorld(t *testing.T, transport string, n int) ([]mp.Endpoint, func()) {
 	t.Helper()
 	closeAll := func(eps []mp.Endpoint) func() {
@@ -84,6 +84,29 @@ func checkRecovered(t *testing.T, label string, ref, sw *Sweep, st *RunStats, nM
 	}
 }
 
+// killAfterFirst puts {After: 1, Then: Kill} on the endpoints of ranks: each
+// dies holding its first block. The plans are returned for requireKilled.
+func killAfterFirst(eps []mp.Endpoint, seed int64, ranks ...int) []*fault.Endpoint {
+	var fs []*fault.Endpoint
+	for i, r := range ranks {
+		f := fault.Wrap(eps[r], fault.Plan{Seed: seed + int64(i), After: 1, Then: fault.Kill})
+		eps[r] = f
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// requireKilled asserts on each plan's own Stats that its kill struck after
+// exactly one assignment and refused the worker's next operation.
+func requireKilled(t *testing.T, label string, fs []*fault.Endpoint) {
+	t.Helper()
+	for i, f := range fs {
+		if st := f.Stats(); st.Ops != 1 || st.Killed == 0 {
+			t.Fatalf("%s: plan %d did not kill after one assignment: %+v", label, i, st)
+		}
+	}
+}
+
 // TestChaosMatrix is the tentpole acceptance test: one worker per run is
 // scripted to crash mid-assignment, hang, or randomly lose messages —
 // across every transport — and the sweep must still complete with results
@@ -98,7 +121,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	faults := []struct {
 		name string
-		opts faultmp.Options
+		plan fault.Plan
 		// orphan: the fault strikes with a block in flight, so recovery must
 		// reassign or locally recompute it. A drop-faulted worker may instead
 		// lose its start-up request and die having never held work.
@@ -106,13 +129,13 @@ func TestChaosMatrix(t *testing.T) {
 	}{
 		// Crash: the assignment is delivered, then the worker dies with the
 		// block in flight. Detected out-of-band or by transport errors.
-		{"kill", faultmp.Options{Seed: 11, CrashAfterAssigns: 1}, true},
+		{"kill", fault.Plan{Seed: 11, After: 1, Then: fault.Kill}, true},
 		// Hang: the worker wedges silently after its first assignment. Only
 		// the deadline can see this one.
-		{"hang", faultmp.Options{Seed: 12, HangAfterAssigns: 1}, true},
+		{"hang", fault.Plan{Seed: 12, After: 1, Then: fault.Hang}, true},
 		// Lossy link: half the worker's messages vanish; the master sees
 		// protocol violations or silence and fails the worker.
-		{"drop", faultmp.Options{Seed: 13, DropSend: 0.5}, false},
+		{"drop", fault.Plan{Seed: 13, Drop: 0.5}, false},
 	}
 	for _, tr := range []string{"chan", "fifo", "tcp"} {
 		for _, f := range faults {
@@ -124,7 +147,7 @@ func TestChaosMatrix(t *testing.T) {
 			fired := false
 			for attempt := 0; attempt < 5 && !fired; attempt++ {
 				eps, cleanup := chaosWorld(t, tr, 4)
-				faulty := faultmp.Wrap(eps[1], f.opts)
+				faulty := fault.Wrap(eps[1], f.plan)
 				eps[1] = faulty
 				d := &MP{Model: m, Endpoints: eps, Transport: tr, AssignDeadline: chaosDeadline}
 				sw, st, err := d.Run(context.Background(), ks, mode)
@@ -134,7 +157,7 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				checkRecovered(t, label, ref, sw, st, len(ks))
 				fs := faulty.Stats()
-				if fired = fs.Crashed || fs.Hung || fs.Drops > 0; !fired {
+				if fired = fs.Killed+fs.Hung+fs.Drops > 0; !fired {
 					continue
 				}
 				if st.WorkerFailures == 0 {
@@ -166,8 +189,7 @@ func TestChaosKillAllButOne(t *testing.T) {
 	}
 	eps, cleanup := chaosWorld(t, "chan", 4)
 	defer cleanup()
-	eps[1] = faultmp.Wrap(eps[1], faultmp.Options{Seed: 21, CrashAfterAssigns: 1})
-	eps[2] = faultmp.Wrap(eps[2], faultmp.Options{Seed: 22, CrashAfterAssigns: 1})
+	killed := killAfterFirst(eps, 21, 1, 2)
 	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
@@ -177,6 +199,7 @@ func TestChaosKillAllButOne(t *testing.T) {
 		t.Fatalf("worker failures %d, want 2", st.WorkerFailures)
 	}
 	checkRecovered(t, "kill-all-but-one", ref, sw, st, len(ks))
+	requireKilled(t, "kill-all-but-one", killed)
 }
 
 // With every worker lost the master must finish the sweep itself — the
@@ -194,8 +217,7 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	defer cleanup()
 	// Both workers die on their first result send: no worker result ever
 	// reaches the master.
-	eps[1] = faultmp.Wrap(eps[1], faultmp.Options{Seed: 31, CrashAfterAssigns: 1})
-	eps[2] = faultmp.Wrap(eps[2], faultmp.Options{Seed: 32, CrashAfterAssigns: 1})
+	killed := killAfterFirst(eps, 31, 1, 2)
 	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
@@ -217,6 +239,7 @@ func TestChaosAllWorkersLost(t *testing.T) {
 		t.Fatalf("master's local recompute missing from the timings: %+v", st.Workers)
 	}
 	checkRecovered(t, "all-workers-lost", ref, sw, st, len(ks))
+	requireKilled(t, "all-workers-lost", killed)
 }
 
 // A context deadline on Run arms the fault-tolerant master even without an
@@ -234,7 +257,7 @@ func TestChaosContextDeadlineArmsRecovery(t *testing.T) {
 	defer cancel()
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
-	eps[1] = faultmp.Wrap(eps[1], faultmp.Options{Seed: 41, CrashAfterAssigns: 1})
+	killed := killAfterFirst(eps, 41, 1)
 	d := &MP{Model: m, Endpoints: eps, Transport: "chan"}
 	sw, st, err := d.Run(ctx, ks, mode)
 	if err != nil {
@@ -244,6 +267,7 @@ func TestChaosContextDeadlineArmsRecovery(t *testing.T) {
 		t.Fatalf("worker failures %d, want 1", st.WorkerFailures)
 	}
 	checkRecovered(t, "ctx-deadline", ref, sw, st, len(ks))
+	requireKilled(t, "ctx-deadline", killed)
 }
 
 // A lockstep batch block must be re-run WHOLE on reassignment — its
@@ -260,7 +284,7 @@ func TestChaosBatchedBlockReassignment(t *testing.T) {
 	}
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
-	eps[1] = faultmp.Wrap(eps[1], faultmp.Options{Seed: 51, CrashAfterAssigns: 1})
+	killed := killAfterFirst(eps, 51, 1)
 	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
@@ -270,6 +294,7 @@ func TestChaosBatchedBlockReassignment(t *testing.T) {
 		t.Fatalf("worker failures %d, want 1", st.WorkerFailures)
 	}
 	checkRecovered(t, "batched-reassign", ref, sw, st, len(ks))
+	requireKilled(t, "batched-reassign", killed)
 }
 
 // Worker panics must surface as per-worker errors naming the rank and mode,

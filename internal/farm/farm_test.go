@@ -10,13 +10,13 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"plinger/internal/core"
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
+	"plinger/internal/fault"
 	"plinger/internal/mp/tcpmp"
 )
 
@@ -177,21 +177,6 @@ func TestFarmSweepMatchesPool(t *testing.T) {
 	}
 }
 
-// failAfterWrites fails the connection permanently after n successful
-// writes — a deterministic stand-in for a worker crashing mid-protocol.
-type failAfterWrites struct {
-	net.Conn
-	left atomic.Int32
-}
-
-func (f *failAfterWrites) Write(p []byte) (int, error) {
-	if f.left.Add(-1) < 0 {
-		f.Conn.Close()
-		return 0, fmt.Errorf("injected: worker died")
-	}
-	return f.Conn.Write(p)
-}
-
 // A worker lost mid-sweep costs reassignments, never correctness; its
 // reconnection (same UID) is re-admitted for the following sweep.
 func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
@@ -199,10 +184,10 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 	startTestWorker(t, s, "stable", 0, nil)
 	// Enough writes to get through magic+hello and the first result
 	// frames, then death in the middle of the sweep.
+	var plan *fault.Conn
 	flaky := startTestWorker(t, s, "flaky", 0, func(c net.Conn) net.Conn {
-		f := &failAfterWrites{Conn: c}
-		f.left.Store(8)
-		return f
+		plan = fault.WrapConn(c, fault.Plan{After: 8, Then: fault.Kill})
+		return plan
 	})
 	waitAlive(t, s, 2)
 
@@ -219,6 +204,9 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 		t.Fatalf("expected at least one worker failure, got %+v", st)
 	}
 	<-flaky.done // the injected death also ends the worker session
+	if fs := plan.Stats(); fs.Ops < 8 || fs.Killed == 0 {
+		t.Fatalf("plan stats %+v, want the kill struck after 8 writes", fs)
+	}
 	waitAlive(t, s, 1)
 
 	// The casualty comes back under its UID: next sweep runs on two again.

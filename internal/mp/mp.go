@@ -69,6 +69,12 @@ type Endpoint interface {
 	// mycheckany (AnyTag, AnySource), mycheckone (tag, src) and
 	// mychecktid (AnyTag, src).
 	Probe(tag, source int) (gotTag, gotSource int, err error)
+	// ProbeTimeout is Probe that gives up once d has elapsed with no
+	// matching message, returning ok=false: the call behind the
+	// fault-tolerant master, which the paper's wrappers lack (its protocol
+	// "has no fault tolerance"). err is reserved for real failures (closed
+	// endpoint, strict-FIFO mismatch); a timeout is not an error.
+	ProbeTimeout(tag, source int, d time.Duration) (gotTag, gotSource int, ok bool, err error)
 	// Recv consumes and returns the first message matching (tag, source)
 	// (myrecvreal).
 	Recv(tag, source int) (Message, error)
@@ -78,19 +84,6 @@ type Endpoint interface {
 
 // ErrClosed is returned by operations on a closed endpoint.
 var ErrClosed = errors.New("mp: endpoint closed")
-
-// DeadlineProber is the optional endpoint capability behind fault-tolerant
-// mastering: a probe that gives up after a timeout instead of blocking
-// forever. The paper's wrappers have no such call — and its protocol
-// therefore has no fault tolerance — so the capability is an extension
-// interface rather than part of Endpoint. All transports in this repository
-// implement it (their mailboxes share Queue).
-type DeadlineProber interface {
-	// ProbeTimeout behaves like Probe but returns ok=false once d has
-	// elapsed with no matching message. err is reserved for real failures
-	// (closed endpoint, strict-FIFO mismatch); a timeout is not an error.
-	ProbeTimeout(tag, source int, d time.Duration) (gotTag, gotSource int, ok bool, err error)
-}
 
 // Queue is a blocking mailbox with MPI matching semantics: messages are
 // kept in arrival order and probes/receives select the first message whose

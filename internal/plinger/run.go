@@ -494,12 +494,12 @@ func (m *master) probe() (tag, src int, ok bool, err error) {
 			due = p.due
 		}
 	}
-	if prober, has := m.ep.(mp.DeadlineProber); has && !due.IsZero() {
+	if !due.IsZero() {
 		wait := time.Until(due)
 		if wait <= 0 {
 			return 0, 0, false, nil
 		}
-		return prober.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
+		return m.ep.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
 	}
 	tag, src, err = m.ep.Probe(mp.AnyTag, mp.AnySource)
 	return tag, src, err == nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,9 @@ import (
 	"time"
 
 	"plinger/internal/cluster"
+	"plinger/internal/farm"
+	"plinger/internal/fault"
+	"plinger/internal/obs"
 )
 
 // fleetNode is one in-process daemon of a test fleet.
@@ -133,6 +137,13 @@ func referenceResult(t *testing.T, ref *Service, body string) string {
 	return string(b)
 }
 
+// forwards selects the peer forwards: back-fill offers and heartbeats stay
+// clean, so a plan on them isolates one failure mode.
+func forwards(req *http.Request) bool {
+	return strings.HasPrefix(req.URL.Path, "/v1/peer/cl") ||
+		strings.HasPrefix(req.URL.Path, "/v1/peer/pk")
+}
+
 // TestClusterCrossNodeHit is the acceptance criterion: a miss on node A
 // for a key node B owns is served via one forward — the owner computes
 // once for the whole fleet — bitwise identical to a single-node
@@ -191,31 +202,25 @@ func TestClusterCrossNodeHit(t *testing.T) {
 func TestClusterChaosMatrix(t *testing.T) {
 	const hop = 150 * time.Millisecond
 	scenarios := []struct {
-		name  string
-		fault cluster.FaultOptions // injected into node 0's transport
-		kill  bool                 // close the owner's listener instead
+		name string
+		plan fault.Plan // on node 0's forwards
+		kill bool       // close the owner's listener instead
 	}{
 		{name: "kill", kill: true},
-		{name: "hang", fault: cluster.FaultOptions{Hang: true}},
-		{name: "err5xx", fault: cluster.FaultOptions{Seed: 42, Err5xx: 1.0}},
-		{name: "partition", fault: cluster.FaultOptions{Partition: func(string) bool { return true }}},
+		{name: "hang", plan: fault.Plan{Then: fault.Hang}},
+		{name: "err5xx", plan: fault.Plan{Seed: 42, Fail: 1}},
+		{name: "partition", plan: fault.Plan{Then: fault.Kill}},
 	}
 	ref := testService()
 	defer ref.Close()
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			fault := sc.fault
-			// Fault only the forward paths: back-fill offers and heartbeats
-			// stay clean so the scenario isolates one failure mode.
-			fault.Match = func(req *http.Request) bool {
-				return strings.HasPrefix(req.URL.Path, "/v1/peer/cl") ||
-					strings.HasPrefix(req.URL.Path, "/v1/peer/pk")
-			}
+			ft := fault.NewTransport(nil, sc.plan, forwards)
 			nodes := newFleet(t, 2,
 				func(i int, o *cluster.Options) {
 					o.HopTimeout = hop
 					if i == 0 {
-						o.Transport = cluster.NewFaultTransport(nil, fault)
+						o.Transport = ft
 					}
 				}, nil)
 			a, b := nodes[0], nodes[1]
@@ -247,7 +252,70 @@ func TestClusterChaosMatrix(t *testing.T) {
 			if st.Cluster == nil || st.Cluster.LocalFallback == 0 {
 				t.Fatalf("degrade not recorded: %+v", st.Cluster)
 			}
+			// The plan's own count: the injected cell's fault fired on the
+			// forwards, the killed owner's cell saw forwards and no fault.
+			fs := ft.Stats()
+			if fired := fs.Hung + fs.Fails + fs.Killed; fs.Ops == 0 || (fired > 0) == sc.kill {
+				t.Fatalf("plan stats %+v on the %s cell", fs, sc.name)
+			}
 		})
+	}
+}
+
+// TestClusterFarmChaosRecoversBitwise composes the two fault layers: node 0
+// of a two-node fleet computes over a farm of two workers, one worker's
+// connection dies mid-sweep ({After: 8, Then: Kill} on its writes), and the
+// owner of the requested key is partitioned away ({Then: Kill} on node 0's
+// forwards). The request must still answer 200 from a local compute,
+// bitwise equal to a single-node pool, with both plans' faults fired and
+// the farm's loss on the fault ledger.
+func TestClusterFarmChaosRecoversBitwise(t *testing.T) {
+	ref := testService()
+	defer ref.Close()
+	var conn *fault.Conn
+	// No heartbeat before the sweep: a pong is a write, and the plan's
+	// eight writes must reach into the sweep.
+	fl := testFarm(t, 2, farm.Options{MinWorkers: 1, Heartbeat: time.Minute}, func(i int, c net.Conn) net.Conn {
+		if i == 1 {
+			conn = fault.WrapConn(c, fault.Plan{After: 8, Then: fault.Kill})
+			return conn
+		}
+		return c
+	})
+	peer := fault.NewTransport(nil, fault.Plan{Then: fault.Kill}, forwards)
+	nodes := newFleet(t, 2,
+		func(i int, o *cluster.Options) {
+			o.HopTimeout = 150 * time.Millisecond
+			if i == 0 {
+				o.Transport = peer
+			}
+		},
+		func(i int, o *Options) {
+			if i == 0 {
+				o.Farm = fl
+			}
+		})
+	a := nodes[0]
+	body, _ := remoteOwnedBody(t, a, nil)
+	want := referenceResult(t, ref, body)
+	failures := obs.Default.Counter("plinger_fault_worker_failures_total", "", "")
+	before := failures.Value()
+
+	resp, env := postJSON(t, a.srv.Client(), a.url+"/v1/cl", body)
+	if resp.StatusCode != http.StatusOK || env.Source != SourceCompute {
+		t.Fatalf("status %d, source %q: want 200 from a local compute", resp.StatusCode, env.Source)
+	}
+	if got := canonResult(t, env.Result); got != want {
+		t.Fatal("response differs bitwise from the single-node pool reference")
+	}
+	if fs := peer.Stats(); fs.Killed == 0 {
+		t.Fatalf("peer plan never fired: %+v", fs)
+	}
+	if fs := conn.Stats(); fs.Ops < 8 || fs.Killed == 0 {
+		t.Fatalf("worker connection plan never fired: %+v", fs)
+	}
+	if failures.Value() == before {
+		t.Fatal("the farm recorded no worker failure")
 	}
 }
 
@@ -261,6 +329,9 @@ func TestClusterOwnerDeadServesStale(t *testing.T) {
 	// orders of magnitude (an open breaker fails the fetch in microseconds).
 	const hop = 2 * time.Second
 	var hangOn atomic.Bool
+	ft := fault.NewTransport(nil, fault.Plan{Then: fault.Hang}, func(req *http.Request) bool {
+		return hangOn.Load() && strings.HasPrefix(req.URL.Path, "/v1/peer/")
+	})
 	nodes := newFleet(t, 2,
 		func(i int, o *cluster.Options) {
 			o.HopTimeout = hop
@@ -268,12 +339,7 @@ func TestClusterOwnerDeadServesStale(t *testing.T) {
 			o.BreakerThreshold = 1 // first failure opens the circuit
 			o.BreakerCooldown = time.Hour
 			if i == 0 {
-				o.Transport = cluster.NewFaultTransport(nil, cluster.FaultOptions{
-					Hang: true,
-					Match: func(req *http.Request) bool {
-						return hangOn.Load() && strings.HasPrefix(req.URL.Path, "/v1/peer/")
-					},
-				})
+				o.Transport = ft
 			}
 		},
 		func(i int, o *Options) {
@@ -330,25 +396,23 @@ func TestClusterOwnerDeadServesStale(t *testing.T) {
 	if elapsed >= hop {
 		t.Fatalf("stale serve took %s — waited out the %s peer timeout", elapsed, hop)
 	}
+	// One forward hung and opened the breaker; the stale serve sent none.
+	if st := ft.Stats(); st.Ops != 1 || st.Hung != 1 {
+		t.Fatalf("plan stats %+v, want the one breaker-opening forward hung", st)
+	}
 }
 
 // TestClusterBackfill: a degraded local compute back-fills the owner, so
 // the ring's canonical copy lands where future requests look for it and
 // the fleet still pays exactly one sweep for the key.
 func TestClusterBackfill(t *testing.T) {
+	// Forwards always 503; offers and pings stay clean.
+	ft := fault.NewTransport(nil, fault.Plan{Seed: 1, Fail: 1}, forwards)
 	nodes := newFleet(t, 2,
 		func(i int, o *cluster.Options) {
 			o.HopTimeout = 300 * time.Millisecond
 			if i == 0 {
-				// Forwards always 503; offers and pings stay clean.
-				o.Transport = cluster.NewFaultTransport(nil, cluster.FaultOptions{
-					Seed:   1,
-					Err5xx: 1.0,
-					Match: func(req *http.Request) bool {
-						return strings.HasPrefix(req.URL.Path, "/v1/peer/cl") ||
-							strings.HasPrefix(req.URL.Path, "/v1/peer/pk")
-					},
-				})
+				o.Transport = ft
 			}
 		}, nil)
 	a, b := nodes[0], nodes[1]
@@ -382,6 +446,10 @@ func TestClusterBackfill(t *testing.T) {
 	if n := fleetSweeps(nodes); n != 1 {
 		t.Fatalf("fleet ran %d sweeps, want 1 (degrade + back-fill)", n)
 	}
+	// Every forward failed, and the offer was not one of them.
+	if st := ft.Stats(); st.Ops == 0 || st.Fails != st.Ops {
+		t.Fatalf("plan stats %+v, want every forward failed", st)
+	}
 }
 
 // TestClusterHedgedSlowPeer: a slow (not dead) owner is raced against a
@@ -389,18 +457,14 @@ func TestClusterBackfill(t *testing.T) {
 // inside the hop timeout and the hedge is counted.
 func TestClusterHedgedSlowPeer(t *testing.T) {
 	const hop = 10 * time.Second // deliberately huge: the hedge must win, not the timeout
+	ft := fault.NewTransport(nil, fault.Plan{Then: fault.Hang}, forwards)
 	nodes := newFleet(t, 2,
 		func(i int, o *cluster.Options) {
 			o.HopTimeout = hop
 			o.Retries = -1
 			o.HedgeAfter = 50 * time.Millisecond
 			if i == 0 {
-				o.Transport = cluster.NewFaultTransport(nil, cluster.FaultOptions{
-					Hang: true,
-					Match: func(req *http.Request) bool {
-						return strings.HasPrefix(req.URL.Path, "/v1/peer/cl")
-					},
-				})
+				o.Transport = ft
 			}
 		}, nil)
 	a := nodes[0]
@@ -420,6 +484,9 @@ func TestClusterHedgedSlowPeer(t *testing.T) {
 	}
 	if st := a.svc.Stats(); st.Cluster.Hedged == 0 {
 		t.Fatal("hedge not counted")
+	}
+	if st := ft.Stats(); st.Hung != 1 {
+		t.Fatalf("plan stats %+v, want the one forward hung", st)
 	}
 }
 

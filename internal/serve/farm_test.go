@@ -15,16 +15,13 @@ import (
 	"plinger/internal/farm"
 )
 
-// testFarm starts a supervisor with n in-process workers serving on
-// goroutines (no child processes: this pins the serve wiring, not the
-// process supervision, which internal/farm's chaos suite covers).
-func testFarm(t *testing.T, n int) *farm.Supervisor {
+// testFarm starts a supervisor under opt with n in-process workers serving
+// on goroutines (no child processes: this pins the serve wiring, not the
+// process supervision, which internal/farm's chaos suite covers). wrap,
+// when set, stands between worker i and its connection.
+func testFarm(t *testing.T, n int, opt farm.Options, wrap func(i int, c net.Conn) net.Conn) *farm.Supervisor {
 	t.Helper()
-	f, err := farm.New(farm.Options{
-		MinWorkers:  n,
-		WaitWorkers: 10 * time.Second,
-		Heartbeat:   100 * time.Millisecond,
-	})
+	f, err := farm.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +33,9 @@ func testFarm(t *testing.T, n int) *farm.Supervisor {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
+		if wrap != nil {
+			conn = wrap(i, conn)
+		}
 		go func() {
 			_ = farm.ServeWorker(conn, farm.WorkerOptions{Models: models, Scratch: core.NewScratch()})
 		}()
@@ -51,7 +51,7 @@ func testFarm(t *testing.T, n int) *farm.Supervisor {
 }
 
 func TestServiceOverFarmMatchesPool(t *testing.T) {
-	fleet := testFarm(t, 2)
+	fleet := testFarm(t, 2, farm.Options{MinWorkers: 2, Heartbeat: 100 * time.Millisecond}, nil)
 	overFarm := New(Options{Defaults: testDefaults(), Workers: 1, Farm: fleet})
 	defer overFarm.Close()
 	overPool := testService()

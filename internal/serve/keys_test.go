@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"testing"
 
 	"plinger"
@@ -144,5 +145,53 @@ func TestKeyIndependentOfDefaultsWhenExplicit(t *testing.T) {
 	}
 	if (ClRequest{}).Key(d1) == (ClRequest{}).Key(d2) {
 		t.Error("zero request should follow the service defaults")
+	}
+}
+
+// FuzzRequestKey runs request JSON through the handlers' path — decode,
+// Validate, Key — and requires the key to survive re-encoding: the decoded
+// request encoded and decoded again, and the resolved request a forward
+// sends its owner, both key as the original. A key that moved would make
+// every forward recompute instead of hitting.
+func FuzzRequestKey(f *testing.F) {
+	f.Add(`{}`)
+	f.Add(`{"config": {"H": 0.55, "Flatten": true}, "lmax_cl": 40, "nk": 40, "qcobe_uk": 18}`)
+	f.Add(`{"exact": true, "krefine": 3, "deadline_ms": 5, "peer_hop": 1}`)
+	f.Add(`{"kmin": 1e-4, "kmax": 2, "nk": 12, "amp": 2e-9}`)
+	f.Add(`{"config": {"OmegaC": 1e308, "NNuMassive": -3}, "kmin": 5e-324}`)
+	d := DefaultDefaults()
+	f.Fuzz(func(t *testing.T, body string) {
+		fuzzKey[ClRequest](t, body, func(r ClRequest) (string, any, error) {
+			return r.Key(d), r.resolve(d), r.Validate()
+		})
+		fuzzKey[PkRequest](t, body, func(r PkRequest) (string, any, error) {
+			return r.Key(d), r.resolve(d), r.Validate()
+		})
+	})
+}
+
+// fuzzKey checks one request type: see FuzzRequestKey.
+func fuzzKey[R any](t *testing.T, body string, check func(R) (string, any, error)) {
+	t.Helper()
+	var r R
+	if json.Unmarshal([]byte(body), &r) != nil {
+		return
+	}
+	key, resolved, err := check(r)
+	if err != nil {
+		return
+	}
+	for _, v := range []any{r, resolved} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", v, err)
+		}
+		var again R
+		if err := json.Unmarshal(b, &again); err != nil {
+			t.Fatalf("decoding %s: %v", b, err)
+		}
+		if k, _, _ := check(again); k != key {
+			t.Fatalf("key %s became %s after re-encoding as %s", key, k, b)
+		}
 	}
 }

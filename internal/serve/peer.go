@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -55,11 +56,16 @@ type localRes struct {
 
 // decodeClResult and decodePkResult turn a result another node encoded (a
 // peer's answer, a back-fill offer) into a product of this node's own
-// encoding.
+// encoding. A result whose arrays are empty or of unequal length is no
+// product this node could have computed, and is refused before it can be
+// cached.
 func decodeClResult(raw json.RawMessage) (*product, error) {
 	out := new(ClResponse)
 	if err := json.Unmarshal(raw, out); err != nil {
 		return nil, err
+	}
+	if n := len(out.L); n == 0 || len(out.Cl) != n || len(out.BandPowerUK) != n {
+		return nil, fmt.Errorf("serve: malformed C_l result (%d l, %d cl, %d band powers)", n, len(out.Cl), len(out.BandPowerUK))
 	}
 	return newProduct(out)
 }
@@ -68,6 +74,9 @@ func decodePkResult(raw json.RawMessage) (*product, error) {
 	out := new(PkResponse)
 	if err := json.Unmarshal(raw, out); err != nil {
 		return nil, err
+	}
+	if n := len(out.K); n == 0 || len(out.T) != n || len(out.P) != n {
+		return nil, fmt.Errorf("serve: malformed P(k) result (%d k, %d t, %d p)", n, len(out.T), len(out.P))
 	}
 	return newProduct(out)
 }
@@ -278,7 +287,9 @@ func (s *Service) peerRoutes(mux *http.ServeMux) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown offer kind %q", off.Kind))
 			return
 		}
-		if err != nil || off.Key == "" {
+		// A key names its product in its prefix (hashKey): an offer of the
+		// other kind would be served under it as the wrong type.
+		if err != nil || !strings.HasPrefix(off.Key, off.Kind+"-") {
 			httpError(w, http.StatusBadRequest, "malformed offer payload")
 			return
 		}
