@@ -48,14 +48,15 @@ test-race:
 # test-faults runs the fault-injection and recovery suite under the race
 # detector: internal/fault (the one seeded fault plan and its three
 # adapters: the mp endpoint, the peer HTTP transport, the farm connection),
-# the chaos matrix (scripted kill/hang/drop across the chan/fifo/tcp
-# transports, all-but-one and all-workers-lost kills, batched-block
-# reassignment), worker panic recovery, the serving layer's deadline/stale
-# degradation, and the master's own unit tests (the late death report among
-# them).
+# all of internal/dispatch — the chaos matrix (scripted kill/hang/drop across
+# the chan/fifo/tcp transports, all-but-one and all-workers-lost kills,
+# batched-block reassignment), worker panic recovery, and the Appendix-A
+# master's and worker's own unit tests (the verdicts, the late death report
+# and the malformed init and assignment blocks among them) — and the serving
+# layer's deadline/stale degradation.
 test-faults:
-	$(GO) test -race ./internal/fault/ ./internal/plinger/
-	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale' ./internal/dispatch/ ./internal/serve/
+	$(GO) test -race ./internal/fault/ ./internal/dispatch/
+	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale' ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
 # detector: the in-process supervisor contract tests (bitwise equality with
@@ -97,8 +98,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
 	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime 10s ./internal/mp/tcpmp/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
-	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/plinger/
-	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/plinger/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/dispatch/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerOffer$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
@@ -154,12 +155,15 @@ cmd-smoke:
 
 # loc prints the non-test Go lines per package under internal/, of the
 # facade and of cmd/ — the number ROADMAP aim 2 tracks — and beside them the
-# assembly lines, so code moved into .s files still counts.
+# assembly lines, so code moved into .s files still counts; a last row sums
+# both columns.
 loc:
 	@printf '%6s %6s  %s\n' go asm package; \
+	tn=0; ts=0; \
 	for d in $$(find internal -type d | sort) . cmd; do \
 		depth="-maxdepth 1"; [ $$d = cmd ] && depth=""; \
 		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		s=$$(find $$d $$depth -name '*.s' -exec cat {} + | wc -l); \
 		[ $$n -gt 0 ] && printf '%6d %6d  %s\n' $$n $$s $$d; \
-	done; true
+		tn=$$((tn + n)); ts=$$((ts + s)); \
+	done; printf '%6d %6d  %s\n' $$tn $$ts total

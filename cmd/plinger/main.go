@@ -16,7 +16,9 @@
 // The master waits until all -np workers have joined. A worker dials once:
 // started before the master listens, it exits with the refused dial. The
 // worker must be given the same -nk/-kmin/-kmax so both sides agree on the
-// wavenumber table (the paper broadcasts the rest at tag 1).
+// wavenumber table (the paper broadcasts the rest at tag 1); a worker given
+// a different -nk is refused at init, and so is one whose own hierarchy
+// cutoff (-lmax, or the adaptive one of its grid) is below the master's.
 //
 // With -cl the master assembles the angular power spectrum from the
 // returned sources after the sweep, on the swept wavenumbers; -fastcl
@@ -45,7 +47,6 @@ import (
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
-	runner "plinger/internal/plinger"
 	"plinger/internal/spectra"
 )
 
@@ -157,12 +158,14 @@ func main() {
 			d := &dispatch.MP{
 				Model:      model,
 				Endpoints:  []mp.Endpoint{ep},
-				Schedule:   sched,
-				AdaptLMax:  adapt,
-				ASCIIOut:   openOut(*unit1),
-				BinaryOut:  openOut(*unit2),
-				Transport:  "tcp",
 				BytesMoved: ep.BytesMoved,
+				MasterOptions: dispatch.MasterOptions{
+					Backend:   "mp/tcp",
+					Schedule:  sched,
+					AdaptLMax: adapt,
+					ASCIIOut:  openOut(*unit1),
+					BinaryOut: openOut(*unit2),
+				},
 			}
 			sw, st, err := d.Run(context.Background(), ks, mode)
 			if err != nil {
@@ -179,7 +182,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("connected as rank %d of %d\n", ep.Rank(), ep.Size())
-			if err := runner.Worker(ep, model, ks, mode); err != nil && err != mp.ErrClosed {
+			if err := dispatch.Worker(ep, model, ks, mode, nil); err != nil && err != mp.ErrClosed {
 				log.Fatal(err)
 			}
 		default:

@@ -3,7 +3,8 @@ package plinger
 // Integration tests that exercise the repository the way a user would:
 // building and running the actual command-line binaries, including a
 // genuine multi-OS-process PLINGER run over the TCP transport (the paper's
-// cluster deployment mode, with the hub playing the PVM daemon).
+// cluster deployment mode: the master listens and each worker dials it, as
+// PVM workers join their master's virtual machine).
 
 import (
 	"fmt"
@@ -63,7 +64,7 @@ func TestMultiProcessTCPRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Give the hub a moment to listen, then start two workers.
+	// Give the master a moment to listen, then start two workers.
 	time.Sleep(300 * time.Millisecond)
 	var workers []*exec.Cmd
 	for w := 0; w < 2; w++ {

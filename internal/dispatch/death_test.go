@@ -1,10 +1,12 @@
-package plinger
+package dispatch
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
+	"plinger/internal/mp"
 	"plinger/internal/mp/chanmp"
 )
 
@@ -26,29 +28,29 @@ func TestLateDeathReportWakesMaster(t *testing.T) {
 	reportAt := time.Now().Add(1500 * time.Millisecond)
 
 	workerErr := make(chan error, 1)
-	go func() { workerErr <- Worker(eps[1], m, ks, mode) }()
+	go func() { workerErr <- Worker(eps[1], m, ks, mode, nil) }()
 	scriptErr := make(chan error, 1)
 	go func() {
 		// Take the init and one assignment like a worker, then die silently
 		// and have the death noticed late.
 		scriptErr <- func() error {
 			ep := eps[dying]
-			if _, err := ep.Recv(TagInit, ep.Master()); err != nil {
+			if _, err := ep.Recv(mp.TagInit, ep.Master()); err != nil {
 				return err
 			}
-			if err := ep.Send(ep.Master(), TagRequest, []float64{0}); err != nil {
+			if err := ep.Send(ep.Master(), mp.TagRequest, []float64{0}); err != nil {
 				return err
 			}
-			if _, err := ep.Recv(TagAssign, ep.Master()); err != nil {
+			if _, err := ep.Recv(mp.TagAssign, ep.Master()); err != nil {
 				return err
 			}
 			time.Sleep(time.Until(reportAt))
-			return eps[0].Send(eps[0].Rank(), TagDown, []float64{dying})
+			return eps[0].Send(eps[0].Rank(), mp.TagDown, []float64{dying})
 		}()
 	}()
 
 	start := time.Now()
-	res, err := Master(eps[0], m, Config{KValues: ks, Mode: mode, AssignDeadline: 10 * time.Second})
+	res, st, failed, err := RunMaster(context.Background(), eps[0], m, ks, mode, MasterOptions{AssignDeadline: 10 * time.Second})
 	took := time.Since(start)
 	if err != nil {
 		t.Fatalf("master: %v", err)
@@ -61,8 +63,8 @@ func TestLateDeathReportWakesMaster(t *testing.T) {
 	if took > 3*time.Second {
 		t.Errorf("master returned after %v: the death report at 1.5 s did not wake it", took)
 	}
-	if res.WorkerFailures != 1 || !reflect.DeepEqual(res.FailedRanks, []int{dying}) {
-		t.Errorf("WorkerFailures %d, FailedRanks %v, want the one scripted casualty", res.WorkerFailures, res.FailedRanks)
+	if st.WorkerFailures != 1 || !reflect.DeepEqual(failed, []int{dying}) {
+		t.Errorf("WorkerFailures %d, FailedRanks %v, want the one scripted casualty", st.WorkerFailures, failed)
 	}
 	for i, k := range ks {
 		p := mode
@@ -71,7 +73,7 @@ func TestLateDeathReportWakesMaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Mode[i]
+		got := res.Results[i]
 		if got == nil {
 			t.Fatalf("mode %d (k=%g) missing", i, k)
 		}
@@ -89,10 +91,10 @@ func TestLateDeathReportWakesMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		_, _ = eps[1].Recv(TagInit, 0)
-		_ = eps[1].Send(0, TagDown, []float64{1})
+		_, _ = eps[1].Recv(mp.TagInit, 0)
+		_ = eps[1].Send(0, mp.TagDown, []float64{1})
 	}()
-	if _, err := Master(eps[0], m, Config{KValues: ks, Mode: mode}); err == nil {
+	if _, _, _, err := RunMaster(context.Background(), eps[0], m, ks, mode, MasterOptions{}); err == nil {
 		t.Error("a TagDown from a worker was accepted")
 	}
 }

@@ -9,9 +9,10 @@
 //   - transport — shared memory versus message passing over PVM/MPI/MPL,
 //     expressed by the two executors: SharedPool (the shared-memory worker
 //     pool, the Cray Autotasking analogue; Pool is one started for a single
-//     run) and RunMaster (the Appendix A master/worker protocol over any
-//     mp.Endpoint transport, driven by MP for in-process worlds and by
-//     internal/farm for supervised worker processes);
+//     run) and RunMaster (the master of the Appendix A master/worker
+//     protocol over any mp.Endpoint transport, driven by MP for in-process
+//     worlds and by internal/farm for supervised worker processes, whose
+//     workers run Worker);
 //   - accounting — wallclock, per-worker busy time, parallel efficiency and
 //     flop rate (Figure 1 / Section 5.1), expressed by RunStats and
 //     populated identically by both.
@@ -29,7 +30,6 @@ import (
 	"context"
 
 	"plinger/internal/core"
-	runner "plinger/internal/plinger"
 )
 
 // Dispatcher evolves every wavenumber in ks with the template parameters
@@ -69,19 +69,10 @@ func PerKLMax(k, tau0 float64, lmaxGlobal int) int {
 }
 
 // StartPrebuild launches a precomputation concurrently with whatever the
-// caller does next and returns the wait function to defer — the caller-side
-// equivalent of the Pool/MP Prebuild hook, for dispatchers (like a shared
-// pool serving many runs) whose hooks cannot be set per run.
-func StartPrebuild(fn func()) func() { return runPrebuild(fn) }
-
-// runPrebuild launches a backend's prebuild hook concurrently with the
-// sweep and returns the wait function the backend defers: whichever of the
-// sweep and the precomputation finishes first, Run returns only when both
-// are done.
-func runPrebuild(fn func()) func() {
-	if fn == nil {
-		return func() {}
-	}
+// caller does next — typically a sweep, on any Dispatcher — and returns the
+// wait function to defer: whichever of the two finishes first, the caller
+// goes on only when both are done.
+func StartPrebuild(fn func()) func() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -132,17 +123,23 @@ func handOutChunks(order []int, workers int) [][]int {
 	return chunks
 }
 
-// The unit of hand-out is a lockstep block of mode.KBatch neighbouring grid
-// indices (core.EvolveBatchWith); KBatch <= 1 makes every block one
-// wavenumber, and the order over such blocks is Schedule.Order(ks). The
-// decomposition is the one canonical one — runner.BatchBlocks — shared with
-// the message-passing master, so every backend evolves bitwise-identical
-// blocks and the results depend only on (ks, mode), exactly as the
-// Dispatcher contract demands.
-
-// batchBlocks splits an nk-point grid into consecutive [lo, hi) index
-// blocks of size b (the last possibly short).
-func batchBlocks(nk, b int) [][2]int { return runner.BatchBlocks(nk, b) }
+// batchBlocks splits nk grid indices into consecutive [lo, hi) blocks of up
+// to b members each — the unit of hand-out for lockstep batched evolution
+// (core.EvolveBatchWith). Blocks follow the input order of the grid (block j
+// covers indices [j*b, min((j+1)*b, nk))), so the decomposition — and with
+// it every batched trajectory — depends only on (nk, b), never on schedule
+// or transport: every backend evolves bitwise-identical blocks, exactly as
+// the Dispatcher contract demands. b <= 1 yields one block per index.
+func batchBlocks(nk, b int) [][2]int {
+	if b < 1 {
+		b = 1
+	}
+	blocks := make([][2]int, 0, (nk+b-1)/b)
+	for lo := 0; lo < nk; lo += b {
+		blocks = append(blocks, [2]int{lo, min(lo+b, nk)})
+	}
+	return blocks
+}
 
 // blockOrder schedules blocks the way Schedule schedules wavenumbers, by
 // representing each block with its largest member: largest-first then

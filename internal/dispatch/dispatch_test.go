@@ -387,7 +387,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestBatchedSweepEquivalence: with mode.KBatch > 1 every backend hands out
-// the same canonical grid-index blocks (runner.BatchBlocks) and evolves
+// the same canonical grid-index blocks (batchBlocks) and evolves
 // them in lockstep through EvolveBatchWith, so — at a fixed KBatch — the
 // results must stay bitwise-identical across Pool, SharedPool and MP and
 // across schedules, sources included, exactly like the scalar sweep. The

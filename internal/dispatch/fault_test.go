@@ -149,7 +149,7 @@ func TestChaosMatrix(t *testing.T) {
 				eps, cleanup := chaosWorld(t, tr, 4)
 				faulty := fault.Wrap(eps[1], f.plan)
 				eps[1] = faulty
-				d := &MP{Model: m, Endpoints: eps, Transport: tr, AssignDeadline: chaosDeadline}
+				d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/" + tr, AssignDeadline: chaosDeadline}}
 				sw, st, err := d.Run(context.Background(), ks, mode)
 				cleanup()
 				if err != nil {
@@ -190,7 +190,7 @@ func TestChaosKillAllButOne(t *testing.T) {
 	eps, cleanup := chaosWorld(t, "chan", 4)
 	defer cleanup()
 	killed := killAfterFirst(eps, 21, 1, 2)
-	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
+	d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan", AssignDeadline: chaosDeadline}}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	// Both workers die on their first result send: no worker result ever
 	// reaches the master.
 	killed := killAfterFirst(eps, 31, 1, 2)
-	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
+	d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan", AssignDeadline: chaosDeadline}}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestChaosContextDeadlineArmsRecovery(t *testing.T) {
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
 	killed := killAfterFirst(eps, 41, 1)
-	d := &MP{Model: m, Endpoints: eps, Transport: "chan"}
+	d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan"}}
 	sw, st, err := d.Run(ctx, ks, mode)
 	if err != nil {
 		t.Fatalf("context deadline did not arm recovery: %v", err)
@@ -285,7 +285,7 @@ func TestChaosBatchedBlockReassignment(t *testing.T) {
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
 	killed := killAfterFirst(eps, 51, 1)
-	d := &MP{Model: m, Endpoints: eps, Transport: "chan", AssignDeadline: chaosDeadline}
+	d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan", AssignDeadline: chaosDeadline}}
 	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
-	d := &MP{Model: broken, Endpoints: eps, Transport: "chan"}
+	d := &MP{Model: broken, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan"}}
 	if _, _, err := d.Run(context.Background(), ks, mode); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("mp worker panic: %v", err)
 	}
@@ -327,9 +327,37 @@ func TestLocalRecomputePanicGuard(t *testing.T) {
 	broken := core.NewModel(nil, nil)
 	eps, cleanup := chaosWorld(t, "chan", 2)
 	defer cleanup()
-	d := &MP{Model: broken, Endpoints: eps, Transport: "chan", AssignDeadline: 2 * time.Second}
+	d := &MP{Model: broken, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan", AssignDeadline: 2 * time.Second}}
 	_, _, err := d.Run(context.Background(), testKs()[:2], smallMode())
 	if err == nil || !strings.Contains(err.Error(), "local recompute") {
 		t.Fatalf("local recompute panic: %v", err)
+	}
+}
+
+// TestModeSecondsCountsEachModeOnce: an MP sweep of n modes adds exactly n
+// observations to plinger_sweep_mode_seconds, whether the workers evolve
+// every mode or all die holding their first block and the master recomputes
+// the sweep locally.
+func TestModeSecondsCountsEachModeOnce(t *testing.T) {
+	m := model(t)
+	ks := testKs()
+	for _, killAll := range []bool{false, true} {
+		eps, cleanup := chaosWorld(t, "chan", 3)
+		if killAll {
+			killAfterFirst(eps, 51, 1, 2)
+		}
+		d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan", AssignDeadline: chaosDeadline}}
+		before := obsModeSeconds.Snapshot().Count
+		_, st, err := d.Run(context.Background(), ks, chaosMode())
+		cleanup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if killAll && st.LocalModes != len(ks) {
+			t.Fatalf("master recomputed %d modes locally, want all %d", st.LocalModes, len(ks))
+		}
+		if got := obsModeSeconds.Snapshot().Count - before; got != uint64(len(ks)) {
+			t.Errorf("killAll=%v: %d mode observations for %d modes", killAll, got, len(ks))
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package plinger
+package dispatch
 
 import (
 	"math"

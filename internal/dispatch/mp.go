@@ -4,52 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
-	"time"
 
 	"plinger/internal/core"
 	"plinger/internal/mp"
 	"plinger/internal/mp/chanmp"
 	"plinger/internal/mp/fifomp"
 	"plinger/internal/mp/tcpmp"
-	runner "plinger/internal/plinger"
 )
 
 // MP is the message-passing backend: the paper's Appendix A master/worker
 // protocol over any mp.Endpoint transport, with the workers as goroutines
-// of this process (or remote processes calling plinger.Worker). RunMaster
-// owns scheduling and telemetry; the wire protocol itself lives in
-// internal/plinger.
+// of this process running Worker (or remote processes running it on their
+// own endpoints). RunMaster drives the master.
 type MP struct {
 	Model *core.Model
 	// Endpoints[0] is the master's endpoint; a worker goroutine is
 	// spawned for every further endpoint. Remote workers in other OS
-	// processes join the same run by calling plinger.Worker on their own
+	// processes join the same run by calling Worker on their own
 	// endpoints, in which case Endpoints holds only the master.
 	Endpoints []mp.Endpoint
-	// Schedule is the hand-out order (zero value: largest-first).
-	Schedule Schedule
-	// AdaptLMax reduces the hierarchy cutoff per wavenumber via PerKLMax;
-	// the per-mode cutoff rides along in the assignment message.
-	AdaptLMax bool
-	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs.
-	ASCIIOut, BinaryOut io.Writer
-	// Transport labels RunStats.Backend (e.g. "chan", "fifo", "tcp").
-	Transport string
 	// BytesMoved, when set, reports the transport-level payload counter
 	// (e.g. chanmp.World.BytesMoved, which also sees master-to-worker
 	// traffic); otherwise the master's received-byte count is used.
 	BytesMoved func() int64
-	// Prebuild, when set, runs once concurrently with the sweep (see
-	// Pool.Prebuild); Run waits for it before returning.
-	Prebuild func()
-	// AssignDeadline, when > 0, turns on the fault-tolerant master: each
-	// assignment round trip (and each worker's start-up) is bounded, dead
-	// or hung workers have their blocks reassigned, and the master
-	// recomputes locally if every worker is lost. A context deadline on Run
-	// also activates it (the tighter of the two budgets wins).
-	AssignDeadline time.Duration
+	// MasterOptions is what every Run hands RunMaster; Backend labels
+	// RunStats.Backend ("mp/chan", "mp/fifo", "mp/tcp").
+	MasterOptions
 }
 
 // Run implements Dispatcher: it starts a worker goroutine per further
@@ -77,7 +58,6 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		}
 	}
 	ft := assignDeadline(ctx, d.AssignDeadline) > 0
-	defer runPrebuild(d.Prebuild)()
 
 	nLocal := len(d.Endpoints) - 1
 	errCh := make(chan error, nLocal)
@@ -92,12 +72,12 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 						err = fmt.Errorf("dispatch: mp worker %d panicked: %v", rank, r)
 					}
 				}()
-				return runner.Worker(wep, d.Model, ks, mode)
+				return Worker(wep, d.Model, ks, mode, nil)
 			}()
 			if werr != nil && ft {
 				// Death report: lets the fault-tolerant master orphan this
 				// worker's block now instead of when its deadline expires.
-				_ = master.Send(master.Rank(), runner.TagDown, []float64{float64(rank)})
+				_ = master.Send(master.Rank(), mp.TagDown, []float64{float64(rank)})
 			}
 			errCh <- werr
 		}(wep)
@@ -125,14 +105,7 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 			}
 		}
 	}()
-	sw, st, _, err := RunMaster(ctx, master, d.Model, ks, mode, MasterOptions{
-		Backend:        "mp/" + d.transportName(),
-		Schedule:       d.Schedule,
-		AdaptLMax:      d.AdaptLMax,
-		AssignDeadline: d.AssignDeadline,
-		ASCIIOut:       d.ASCIIOut,
-		BinaryOut:      d.BinaryOut,
-	})
+	sw, st, _, err := RunMaster(ctx, master, d.Model, ks, mode, d.MasterOptions)
 	if err != nil {
 		// Unblock any local workers still probing, then collect them.
 		closeWorld()
@@ -167,13 +140,6 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		st.BytesMoved = d.BytesMoved()
 	}
 	return sw, st, nil
-}
-
-func (d *MP) transportName() string {
-	if d.Transport == "" {
-		return "unknown"
-	}
-	return d.Transport
 }
 
 // NewMP builds an MP dispatcher over a freshly created in-process world of
@@ -233,6 +199,6 @@ func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error
 		}
 		closeWorld()
 	}
-	d := &MP{Model: model, Endpoints: eps, Transport: name, BytesMoved: bytes}
+	d := &MP{Model: model, Endpoints: eps, BytesMoved: bytes, MasterOptions: MasterOptions{Backend: "mp/" + name}}
 	return d, cleanup, nil
 }

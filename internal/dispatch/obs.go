@@ -31,7 +31,10 @@ var (
 )
 
 // observeMode books one evolved mode's busy time into the process-wide
-// histogram, sharded by worker rank.
+// histogram, sharded by worker rank, where the mode was evolved: a pool
+// worker, an Appendix-A Worker (on its side of the wire, so a remote
+// worker's modes land in its own process) or the master recomputing locally.
+// The master does not book received modes again.
 func observeMode(rank int, seconds float64) {
 	obsModeSeconds.ObserveShard(rank-1, seconds)
 }

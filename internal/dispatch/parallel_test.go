@@ -23,14 +23,17 @@ func TestParallelFor(t *testing.T) {
 	ParallelFor(4, 0, func(int) { t.Fatal("body called for n=0") })
 }
 
-// TestPoolPrebuild: the hook must have completed by the time Run returns.
+// TestPoolPrebuild: a precomputation started with StartPrebuild beside a
+// sweep has completed once its wait function returns, on either backend.
 func TestPoolPrebuild(t *testing.T) {
 	m := model(t)
 	var done atomic.Bool
-	p := &Pool{Model: m, Workers: 2, Prebuild: func() { done.Store(true) }}
+	wait := StartPrebuild(func() { done.Store(true) })
+	p := &Pool{Model: m, Workers: 2}
 	if _, _, err := p.Run(nil, testKs(), smallMode()); err != nil {
 		t.Fatal(err)
 	}
+	wait()
 	if !done.Load() {
 		t.Fatal("pool returned before the prebuild hook finished")
 	}
@@ -40,10 +43,11 @@ func TestPoolPrebuild(t *testing.T) {
 	}
 	defer cleanup()
 	done.Store(false)
-	d.Prebuild = func() { done.Store(true) }
+	wait = StartPrebuild(func() { done.Store(true) })
 	if _, _, err := d.Run(nil, testKs(), smallMode()); err != nil {
 		t.Fatal(err)
 	}
+	wait()
 	if !done.Load() {
 		t.Fatal("mp returned before the prebuild hook finished")
 	}

@@ -20,11 +20,6 @@ type Pool struct {
 	// AdaptLMax reduces the hierarchy cutoff per wavenumber via PerKLMax,
 	// with mode.LMax as the global cap.
 	AdaptLMax bool
-	// Prebuild, when set, runs once concurrently with the sweep — the hook
-	// the fast C_l engine uses to warm the spherical-Bessel table cache
-	// while the ODE evolutions are still going. Run waits for it before
-	// returning.
-	Prebuild func()
 }
 
 // Run implements Dispatcher.
@@ -32,6 +27,5 @@ func (p *Pool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep,
 	sp := NewSharedPool(p.Model, p.Workers)
 	defer sp.Close()
 	sp.Schedule, sp.AdaptLMax, sp.backend = p.Schedule, p.AdaptLMax, "pool"
-	defer runPrebuild(p.Prebuild)()
 	return sp.Run(ctx, ks, mode)
 }

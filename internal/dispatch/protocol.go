@@ -1,52 +1,21 @@
-// Package plinger implements the wire protocol of the paper's parallel
-// code: the master/worker decomposition over independent k modes, using
-// exactly the message-passing algorithm of Appendix A. The master
-// broadcasts the run parameters (tag 1), workers request wavenumbers
-// (tag 2), the master assigns them (tag 3), workers return a 21-double
-// summary block (tag 4) followed by the full multipole block of
-// 8+2(lmax+1) doubles (tag 5), and the master answers each result with the
-// next wavenumber or a stop message (tag 6). The master writes an ASCII
-// summary file and a binary moment file, like the original's
-// unit_1/unit_2.
-//
-// Scheduling policy (the paper's largest-k-first trick) and run telemetry
-// live one layer up, in internal/dispatch: the master receives an explicit
-// hand-out order and returns raw per-worker tallies.
-package plinger
+package dispatch
+
+// The wire half of the Appendix-A protocol: the worker subroutine and the
+// blocks it exchanges with the master (RunMaster). The master broadcasts the
+// run parameters (tag 1), workers request wavenumbers (tag 2), the master
+// assigns them (tag 3), workers return a 21-double summary block (tag 4)
+// followed by the full multipole block of 8+2(lmax+1) doubles (tag 5), and
+// the master answers each result with the next wavenumber or a stop message
+// (tag 6). The tags are mp's, next to the frame that carries them.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"plinger/internal/core"
-)
-
-// Message tags 1-6 exactly as tabulated in Appendix A of the paper; tags 7
-// and 8 are this port's extensions: line-of-sight source samples, so a
-// CMBFAST-style spectrum can be assembled at the master, and death reports.
-const (
-	// TagInit is the first message from master to workers.
-	TagInit = 1
-	// TagRequest is sent by a worker asking for a wavenumber.
-	TagRequest = 2
-	// TagAssign carries a wavenumber index from master to worker.
-	TagAssign = 3
-	// TagSummary carries the worker's first data block (21 doubles + lmax).
-	TagSummary = 4
-	// TagMoments carries the worker's second block (8 + 2(lmax+1) doubles).
-	TagMoments = 5
-	// TagStop tells a worker to exit.
-	TagStop = 6
-	// TagSources carries the recorded line-of-sight source samples; it is
-	// only sent when the run requests KeepSources.
-	TagSources = 7
-	// TagDown is the fault-tolerant master's death report, reserved for the
-	// master's own endpoint: whoever learns out of band that a worker died
-	// (its goroutine returned an error, its connection dropped) sends the
-	// rank to the master's rank on the master's endpoint, so the report
-	// wakes the master's probe like any message. From any other source it
-	// is an unexpected tag.
-	TagDown = 8
+	"plinger/internal/mp"
 )
 
 // initBlockLen is the length of the tag-1 broadcast: the paper's 5 doubles
@@ -69,22 +38,133 @@ func wireInt(v float64, lo, hi int) (int, bool) {
 	return n, math.Float64bits(float64(n)) == math.Float64bits(v)
 }
 
+// parseInit applies a tag-1 broadcast to the mode a worker was started with
+// for a grid of nk wavenumbers: the end time (finite, > 0), the hierarchy
+// cutoff (0: the worker's own; never above it, since the worker's own mode
+// is what its operator sized), the grid size (nk itself, so a worker started
+// on another grid is refused here), the gauge, rtol (finite, >= 0; 0: the
+// worker's own) and the keep-sources flag (0 or 1).
+func parseInit(y []float64, nk int, mode core.Params) (core.Params, error) {
+	if len(y) != initBlockLen {
+		return mode, fmt.Errorf("dispatch: init block length %d", len(y))
+	}
+	tauEnd, rtol := y[0], y[4]
+	lmax, okL := wireInt(y[1], 0, max(mode.LMax, 0))
+	_, okN := wireInt(y[2], nk, nk)
+	gauge, okG := wireInt(y[3], int(core.Synchronous), int(core.ConformalNewtonian))
+	keep, okK := wireInt(y[5], 0, 1)
+	if !(tauEnd > 0 && tauEnd <= math.MaxFloat64) || !(rtol >= 0 && rtol <= math.MaxFloat64) || !okL || !okN || !okG || !okK {
+		return mode, fmt.Errorf("dispatch: init block %v does not fit a worker of %d wavenumbers and cutoff %d", y, nk, mode.LMax)
+	}
+	mode.TauEnd = tauEnd
+	if lmax > 0 {
+		mode.LMax = lmax
+	}
+	mode.Gauge = core.Gauge(gauge)
+	if rtol > 0 {
+		mode.RTol = rtol
+	}
+	mode.KeepSources = keep == 1
+	return mode, nil
+}
+
 // parseAssign reads a tag-3 assignment for a grid of nk wavenumbers: the
 // 1-based first index, then optionally the hierarchy cutoff (0: the
-// broadcast one) and the block size, the block inside the grid.
-func parseAssign(a []float64, nk int) (ik1, lmax, bsize int, err error) {
+// broadcast one, which bounds it: PerKLMax never exceeds it) and the block
+// size, the block inside the grid.
+func parseAssign(a []float64, nk, lmaxCap int) (ik1, lmax, bsize int, err error) {
 	v := [3]float64{0, 0, 1}
 	if len(a) < 1 || len(a) > len(v) {
-		return 0, 0, 0, fmt.Errorf("plinger: assignment of %d values", len(a))
+		return 0, 0, 0, fmt.Errorf("dispatch: assignment of %d values", len(a))
 	}
 	copy(v[:], a)
 	ik1, ok1 := wireInt(v[0], 1, nk)
-	lmax, ok2 := wireInt(v[1], 0, maxWireInt)
+	lmax, ok2 := wireInt(v[1], 0, max(lmaxCap, 0))
 	bsize, ok3 := wireInt(v[2], 1, nk-ik1+1)
 	if !ok1 || !ok2 || !ok3 {
-		return 0, 0, 0, fmt.Errorf("plinger: assignment %v does not name a block of the %d wavenumbers", a, nk)
+		return 0, 0, 0, fmt.Errorf("dispatch: assignment %v does not name a block of the %d wavenumbers at cutoff <= %d", a, nk, lmaxCap)
 	}
 	return ik1, lmax, bsize, nil
+}
+
+// Worker runs the worker subroutine of Appendix A: receive the initial
+// broadcast, then alternate between requesting work and returning results
+// until a stop message arrives. Every assigned block evolves in scratch: a
+// long-lived worker process (cmd/plingerw) hands the same arena to every
+// sweep it serves, so the state buffers and the pooled integrator stay warm
+// across sweeps instead of being rebuilt per run. A nil scratch allocates a
+// fresh one for this run.
+func Worker(ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params, scratch *core.Scratch) error {
+	master := ep.Master()
+	// Receive initial data (tag 1).
+	if _, _, err := ep.Probe(mp.TagInit, master); err != nil {
+		return fmt.Errorf("dispatch: worker init probe: %w", err)
+	}
+	init, err := ep.Recv(mp.TagInit, master)
+	if err != nil {
+		return fmt.Errorf("dispatch: worker init: %w", err)
+	}
+	if mode, err = parseInit(init.Data, len(ks), mode); err != nil {
+		return err
+	}
+
+	// Ask for the first wavenumber (tag 2).
+	if err := ep.Send(master, mp.TagRequest, []float64{0}); err != nil {
+		return err
+	}
+	if scratch == nil {
+		scratch = core.NewScratch()
+	}
+	for {
+		// Receive next assignment or stop (mychecktid pattern: any tag
+		// from the master).
+		tag, _, err := ep.Probe(mp.AnyTag, master)
+		if err != nil {
+			return err
+		}
+		m, err := ep.Recv(tag, master)
+		if err != nil {
+			return err
+		}
+		if tag == mp.TagStop {
+			return nil
+		}
+		if tag != mp.TagAssign {
+			return fmt.Errorf("dispatch: worker got unexpected tag %d", tag)
+		}
+		ik1, lmax, bsize, err := parseAssign(m.Data, len(ks), mode.LMax)
+		if err != nil {
+			return err
+		}
+		p := mode
+		p.K = ks[ik1-1]
+		if lmax > 0 {
+			p.LMax = lmax
+		}
+		// The worker is batch-agnostic: the block size rides in each
+		// assignment, a one-mode block is the single-mode evolution, and
+		// the per-member result triplets go back in member order.
+		rs, err := model.EvolveBatchWith(ks[ik1-1:ik1-1+bsize], p, nil, scratch)
+		if err != nil {
+			return fmt.Errorf("dispatch: worker evolve (ik=%d+%d, k=%g): %w", ik1, bsize, p.K, err)
+		}
+		for j, r := range rs {
+			if err := ep.Send(master, mp.TagSummary, packSummary(ik1+j, r)); err != nil {
+				return err
+			}
+			if err := ep.Send(master, mp.TagMoments, packMoments(ik1+j, r)); err != nil {
+				return err
+			}
+			if mode.KeepSources {
+				if err := ep.Send(master, mp.TagSources, packSources(ik1+j, r)); err != nil {
+					return err
+				}
+			}
+			// Booked once sent: a mode that never reaches the master is
+			// evolved again elsewhere and booked there.
+			observeMode(ep.Rank(), r.Seconds)
+		}
+	}
 }
 
 // summaryBlockLen is the length of the tag-4 block: the paper's master
@@ -273,4 +353,35 @@ func unpackResult(sum, mom []float64) (ik int, r *core.Result, err error) {
 	r.Stats.Steps = steps
 	r.Stats.Evals = evals
 	return ik, r, nil
+}
+
+// asciiRecordLen is the number of summary values printed per ASCII line
+// (the paper's "WRITE(unit_1,*) (y(i),i=1,20)").
+const asciiRecordLen = 20
+
+// writeASCIIRecord prints the 20 summary values, one line per mode.
+func writeASCIIRecord(w io.Writer, sum []float64) error {
+	if len(sum) < asciiRecordLen {
+		return fmt.Errorf("dispatch: summary block has %d values, need %d for the ASCII record", len(sum), asciiRecordLen)
+	}
+	for i := 0; i < asciiRecordLen; i++ {
+		sep := " "
+		if i == asciiRecordLen-1 {
+			sep = "\n"
+		}
+		if _, err := fmt.Fprintf(w, "%.10e%s", sum[i], sep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeBinaryRecord writes the moment block as little-endian float64s with
+// a length prefix, the Go rendering of the unformatted Fortran record
+// "WRITE(unit_2) ...".
+func writeBinaryRecord(w io.Writer, mom []float64) error {
+	if err := binary.Write(w, binary.LittleEndian, int64(len(mom))); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, mom)
 }

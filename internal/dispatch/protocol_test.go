@@ -1,7 +1,11 @@
-package plinger
+package dispatch
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -10,35 +14,11 @@ import (
 	"testing/quick"
 
 	"plinger/internal/core"
-	"plinger/internal/cosmology"
 	"plinger/internal/mp"
 	"plinger/internal/mp/chanmp"
 	"plinger/internal/mp/fifomp"
 	"plinger/internal/mp/tcpmp"
-	"plinger/internal/recomb"
-	"plinger/internal/thermo"
 )
-
-var (
-	mdlOnce sync.Once
-	mdl     *core.Model
-)
-
-func model(t *testing.T) *core.Model {
-	t.Helper()
-	mdlOnce.Do(func() {
-		bg, err := cosmology.New(cosmology.SCDM())
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := thermo.New(bg, recomb.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mdl = core.NewModel(bg, th)
-	})
-	return mdl
-}
 
 func fakeResult(k float64, lmax int) *core.Result {
 	r := &core.Result{
@@ -122,32 +102,25 @@ func TestQuickPackUnpack(t *testing.T) {
 }
 
 // runParallel executes a full master/worker run over the given endpoints.
-func runParallel(t *testing.T, eps []mp.Endpoint, ks []float64, cfg Config) *Results {
+func runParallel(t *testing.T, eps []mp.Endpoint, ks []float64, mode core.Params, o MasterOptions) (*Sweep, *RunStats) {
 	t.Helper()
 	m := model(t)
-	cfg.KValues = ks
 	var wg sync.WaitGroup
 	for w := 1; w < len(eps); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := Worker(eps[w], m, ks, cfg.Mode); err != nil {
+			if err := Worker(eps[w], m, ks, mode, nil); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 			}
 		}(w)
 	}
-	res, err := Master(eps[0], m, cfg)
+	sw, st, _, err := RunMaster(context.Background(), eps[0], m, ks, mode, o)
 	if err != nil {
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
-	return res
-}
-
-func testKs() []float64 { return []float64{0.002, 0.012, 0.03, 0.05, 0.075, 0.02, 0.008} }
-
-func smallMode() core.Params {
-	return core.Params{LMax: 10, Gauge: core.Synchronous, TauEnd: 300}
+	return sw, st
 }
 
 func TestMasterWorkerChanTransport(t *testing.T) {
@@ -156,8 +129,8 @@ func TestMasterWorkerChanTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks := testKs()
-	res := runParallel(t, eps, ks, Config{Mode: smallMode()})
-	for i, r := range res.Mode {
+	res, st := runParallel(t, eps, ks, smallMode(), MasterOptions{})
+	for i, r := range res.Results {
 		if r == nil {
 			t.Fatalf("missing result %d", i)
 		}
@@ -165,15 +138,15 @@ func TestMasterWorkerChanTransport(t *testing.T) {
 			t.Fatalf("result %d has k=%g want %g", i, r.K, ks[i])
 		}
 	}
-	if res.NProc != 4 || res.Wallclock <= 0 || res.BytesReceived == 0 {
-		t.Fatalf("telemetry: %+v", res)
+	if st.NProc != 4 || st.Wallclock <= 0 || st.BytesMoved == 0 {
+		t.Fatalf("telemetry: %+v", st)
 	}
-	if len(res.Workers) == 0 {
+	if len(st.Workers) == 0 {
 		t.Fatal("no worker timings")
 	}
 	modes := 0
 	var cpu, flops float64
-	for _, w := range res.Workers {
+	for _, w := range st.Workers {
 		modes += w.Modes
 		cpu += w.Seconds
 		flops += w.Flops
@@ -193,8 +166,8 @@ func TestMasterWorkerFIFOTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runParallel(t, eps, testKs(), Config{Mode: smallMode()})
-	for i, r := range res.Mode {
+	res, _ := runParallel(t, eps, testKs(), smallMode(), MasterOptions{})
+	for i, r := range res.Results {
 		if r == nil {
 			t.Fatalf("missing result %d", i)
 		}
@@ -217,8 +190,8 @@ func TestMasterWorkerTCPTransport(t *testing.T) {
 	}
 	m := l.Accept()
 	eps[0] = m
-	res := runParallel(t, eps, testKs()[:4], Config{Mode: smallMode()})
-	for i, r := range res.Mode {
+	res, _ := runParallel(t, eps, testKs()[:4], smallMode(), MasterOptions{})
+	for i, r := range res.Results {
 		if r == nil {
 			t.Fatalf("missing result %d", i)
 		}
@@ -232,22 +205,23 @@ func TestMasterWorkerTCPTransport(t *testing.T) {
 // determinism of the physics under the parallel decomposition.
 func TestParallelDeterminism(t *testing.T) {
 	ks := testKs()
-	run := func(nproc int) *Results {
+	run := func(nproc int) *Sweep {
 		_, eps, err := chanmp.New(nproc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runParallel(t, eps, ks, Config{Mode: smallMode()})
+		sw, _ := runParallel(t, eps, ks, smallMode(), MasterOptions{})
+		return sw
 	}
 	a := run(2)
 	b := run(5)
 	for i := range ks {
-		if a.Mode[i].DeltaC != b.Mode[i].DeltaC {
+		if a.Results[i].DeltaC != b.Results[i].DeltaC {
 			t.Fatalf("delta_c differs with worker count at k=%g: %g vs %g",
-				ks[i], a.Mode[i].DeltaC, b.Mode[i].DeltaC)
+				ks[i], a.Results[i].DeltaC, b.Results[i].DeltaC)
 		}
-		for l := range a.Mode[i].ThetaL {
-			if a.Mode[i].ThetaL[l] != b.Mode[i].ThetaL[l] {
+		for l := range a.Results[i].ThetaL {
+			if a.Results[i].ThetaL[l] != b.Results[i].ThetaL[l] {
 				t.Fatalf("Theta_%d differs with worker count", l)
 			}
 		}
@@ -256,15 +230,15 @@ func TestParallelDeterminism(t *testing.T) {
 
 func TestHandOutOrders(t *testing.T) {
 	// Any permutation must produce complete results in input order; the
-	// dispatch layer computes the actual schedule.
+	// schedule decides the actual one.
 	ks := testKs()
-	for _, order := range [][]int{nil, {6, 5, 4, 3, 2, 1, 0}, {4, 3, 5, 0, 6, 2, 1}} {
+	for _, order := range []Schedule{LargestFirst, InputOrder, SmallestFirst} {
 		_, eps, err := chanmp.New(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runParallel(t, eps, ks, Config{Mode: smallMode(), Order: order})
-		for i, r := range res.Mode {
+		res, _ := runParallel(t, eps, ks, smallMode(), MasterOptions{Schedule: order})
+		for i, r := range res.Results {
 			if r == nil {
 				t.Fatalf("order %v: missing result %d", order, i)
 			}
@@ -273,43 +247,31 @@ func TestHandOutOrders(t *testing.T) {
 			}
 		}
 	}
-	// Malformed orders are rejected before any message is sent.
-	for _, bad := range [][]int{{0, 1}, {0, 0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 9}} {
-		_, eps, err := chanmp.New(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Master(eps[0], model(t), Config{KValues: ks, Mode: smallMode(), Order: bad}); err == nil {
-			t.Fatalf("order %v accepted", bad)
-		}
-	}
 }
 
 func TestPerKLMaxAssignment(t *testing.T) {
 	// The per-k cutoff rides in the assignment message and overrides the
 	// broadcast global.
 	ks := testKs()[:3]
-	perk := []int{8, 12, 16}
+	mode := smallMode()
+	mode.LMax = 200
+	perk := perKLMaxTable(ks, mode.TauEnd, mode.LMax, true)
+	if perk[0] == perk[2] || perk[2] >= mode.LMax {
+		t.Fatalf("per-k cutoffs %v do not vary below the global %d", perk, mode.LMax)
+	}
 	_, eps, err := chanmp.New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runParallel(t, eps, ks, Config{Mode: smallMode(), PerKLMax: perk})
-	for i, r := range res.Mode {
+	res, _ := runParallel(t, eps, ks, mode, MasterOptions{AdaptLMax: true})
+	for i, r := range res.Results {
 		if r.LMax != perk[i] {
 			t.Fatalf("mode %d ran with lmax %d, want %d", i, r.LMax, perk[i])
 		}
 	}
-	_, eps, err = chanmp.New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Master(eps[0], model(t), Config{KValues: ks, Mode: smallMode(), PerKLMax: []int{8}}); err == nil {
-		t.Fatal("short per-k lmax table accepted")
-	}
 }
 
-func TestMasterWorkerWithSources(t *testing.T) {
+func TestMasterWorkerSources(t *testing.T) {
 	// With KeepSources the tag-7 block ships the line-of-sight samples,
 	// bitwise identical to a direct serial evolution.
 	m := model(t)
@@ -321,8 +283,8 @@ func TestMasterWorkerWithSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runParallel(t, eps, ks, Config{Mode: mode})
-	for i, r := range res.Mode {
+	res, _ := runParallel(t, eps, ks, mode, MasterOptions{})
+	for i, r := range res.Results {
 		if r == nil || len(r.Sources) == 0 {
 			t.Fatalf("mode %d arrived without sources", i)
 		}
@@ -346,7 +308,7 @@ func TestOutputFiles(t *testing.T) {
 	var ascii bytes.Buffer
 	var bin bytes.Buffer
 	ks := testKs()[:4]
-	runParallel(t, eps, ks, Config{Mode: smallMode(), ASCIIOut: &ascii, BinaryOut: &bin})
+	runParallel(t, eps, ks, smallMode(), MasterOptions{ASCIIOut: &ascii, BinaryOut: &bin})
 	lines := strings.Split(strings.TrimSpace(ascii.String()), "\n")
 	if len(lines) != len(ks) {
 		t.Fatalf("ascii lines %d, want %d", len(lines), len(ks))
@@ -356,7 +318,7 @@ func TestOutputFiles(t *testing.T) {
 			t.Fatalf("ascii record has %d fields, want the paper's 20", got)
 		}
 	}
-	recs, err := ReadBinaryRecords(&bin)
+	recs, err := readBinaryRecords(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,16 +340,16 @@ func TestSingleWorkerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runParallel(t, eps, ks, Config{Mode: smallMode()})
+	res, _ := runParallel(t, eps, ks, smallMode(), MasterOptions{})
 	p := smallMode()
 	p.K = 0.03
 	direct, err := m.Evolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode[0].DeltaC != direct.DeltaC || res.Mode[0].Eta != direct.Eta {
+	if res.Results[0].DeltaC != direct.DeltaC || res.Results[0].Eta != direct.Eta {
 		t.Fatalf("parallel result differs from serial: %g vs %g",
-			res.Mode[0].DeltaC, direct.DeltaC)
+			res.Results[0].DeltaC, direct.DeltaC)
 	}
 }
 
@@ -396,7 +358,7 @@ func TestMasterRejectsEmptyWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Master(eps[0], model(t), Config{}); err == nil {
+	if _, _, _, err := RunMaster(context.Background(), eps[0], model(t), nil, smallMode(), MasterOptions{}); err == nil {
 		t.Fatal("empty k list accepted")
 	}
 }
@@ -455,5 +417,28 @@ func TestMessageSizesMatchPaper(t *testing.T) {
 	big := packMoments(1, fakeResult(0.5, 5000))
 	if got := 8 * len(big); got < 75000 || got > 90000 {
 		t.Fatalf("production-lmax message %d bytes, want ~80 kB as in the paper", got)
+	}
+}
+
+// readBinaryRecords parses a unit_2-style stream back into moment blocks.
+func readBinaryRecords(r io.Reader) ([][]float64, error) {
+	var out [][]float64
+	for {
+		var n int64
+		err := binary.Read(r, binary.LittleEndian, &n)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n < 0 || n > 1<<26 {
+			return nil, fmt.Errorf("corrupt record length %d", n)
+		}
+		rec := make([]float64, n)
+		if err := binary.Read(r, binary.LittleEndian, rec); err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
 	}
 }

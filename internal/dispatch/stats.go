@@ -3,17 +3,18 @@ package dispatch
 import "sort"
 
 // WorkerTiming is the per-worker accounting used for Figure 1, extended with
-// the fault ledger. For the MP backend Rank is the endpoint rank (1..n); the
-// Pool backend numbers its goroutines the same way so the two reports line
-// up. The field layout mirrors plinger.WorkerTiming exactly so the two
-// convert directly.
+// the fault ledger. For the MP backend Rank is the endpoint rank (1..n), and
+// on a run that degraded to local recomputation the master appears under its
+// own rank; the Pool backend numbers its goroutines the same way so the two
+// reports line up.
 type WorkerTiming struct {
 	Rank    int
 	Modes   int     // k values computed
 	Seconds float64 // busy seconds (the paper's etime)
 	Flops   float64 // model flop count
-	// DeadlineMisses counts assignment deadlines this worker blew before
-	// being declared failed (always zero for the shared-memory backends).
+	// DeadlineMisses counts assignment (or start-up) deadlines this worker
+	// blew before being declared failed (always zero for the shared-memory
+	// backends).
 	DeadlineMisses int
 }
 

@@ -1,6 +1,7 @@
-package plinger
+package dispatch
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"regexp"
@@ -28,39 +29,39 @@ func msg(tag int, data []float64) mp.Message { return mp.Message{Tag: tag, Data:
 func verdictRows() []verdictRow {
 	return []verdictRow{
 		{name: "moments without a summary", named: true, send: func(ik1 int, r *core.Result) []mp.Message {
-			return []mp.Message{msg(TagMoments, packMoments(ik1, r))}
+			return []mp.Message{msg(mp.TagMoments, packMoments(ik1, r))}
 		}},
 		{name: "sources without moments", named: true, send: func(ik1 int, r *core.Result) []mp.Message {
-			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagSources, packSources(ik1, r))}
+			return []mp.Message{msg(mp.TagSummary, packSummary(ik1, r)), msg(mp.TagSources, packSources(ik1, r))}
 		}},
 		{name: "a second summary", named: true, send: func(ik1 int, r *core.Result) []mp.Message {
-			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagSummary, packSummary(ik1, r))}
+			return []mp.Message{msg(mp.TagSummary, packSummary(ik1, r)), msg(mp.TagSummary, packSummary(ik1, r))}
 		}},
 		{name: "tag 9", named: true, send: func(int, *core.Result) []mp.Message {
 			return []mp.Message{msg(9, []float64{0})}
 		}},
 		{name: "TagDown sent by a worker", named: true, send: func(int, *core.Result) []mp.Message {
-			return []mp.Message{msg(TagDown, []float64{2})}
+			return []mp.Message{msg(mp.TagDown, []float64{2})}
 		}},
 		{name: "a result for index 99", send: func(_ int, r *core.Result) []mp.Message {
-			return []mp.Message{msg(TagSummary, packSummary(99, r)), msg(TagMoments, packMoments(99, r))}
+			return []mp.Message{msg(mp.TagSummary, packSummary(99, r)), msg(mp.TagMoments, packMoments(99, r))}
 		}},
 		{name: "a 3-double moments block", send: func(ik1 int, r *core.Result) []mp.Message {
-			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagMoments, packMoments(ik1, r)[:3])}
+			return []mp.Message{msg(mp.TagSummary, packSummary(ik1, r)), msg(mp.TagMoments, packMoments(ik1, r)[:3])}
 		}},
 		// int(NaN) is -2^63 on amd64, so 2*(lmax+1) wrapped to 2 and a
 		// 10-double block passed the length test into a panicking slice.
 		{name: "a NaN cutoff with a 10-double moments block", named: true, send: func(ik1 int, r *core.Result) []mp.Message {
 			sum := packSummary(ik1, r)
 			sum[sumLMax] = math.NaN()
-			return []mp.Message{msg(TagSummary, sum), msg(TagMoments, packMoments(ik1, r)[:10])}
+			return []mp.Message{msg(mp.TagSummary, sum), msg(mp.TagMoments, packMoments(ik1, r)[:10])}
 		}},
 		// 17 times this count wraps to 4096, so a 4099-double block passed
 		// the length test and the sample slice could not be made.
 		{name: "a sample count that wraps", keep: true, named: true, send: func(ik1 int, r *core.Result) []mp.Message {
 			src := make([]float64, 4099)
 			src[0], src[1], src[2] = float64(ik1), 1085102592571150336, sourceFieldLen
-			return []mp.Message{msg(TagSummary, packSummary(ik1, r)), msg(TagMoments, packMoments(ik1, r)), msg(TagSources, src)}
+			return []mp.Message{msg(mp.TagSummary, packSummary(ik1, r)), msg(mp.TagMoments, packMoments(ik1, r)), msg(mp.TagSources, src)}
 		}},
 	}
 }
@@ -83,12 +84,12 @@ func TestMasterVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fault-tolerant master: %v", err)
 			}
-			if !reflect.DeepEqual(res.FailedRanks, []int{2}) || res.WorkerFailures != 1 ||
-				res.DeadlineMisses != 0 || res.Reassignments != 1 || res.LocalModes != 0 {
+			if !reflect.DeepEqual(res.failed, []int{2}) || res.st.WorkerFailures != 1 ||
+				res.st.DeadlineMisses != 0 || res.st.Reassignments != 1 || res.st.LocalModes != 0 {
 				t.Fatalf("FailedRanks %v, WorkerFailures %d, DeadlineMisses %d, Reassignments %d, LocalModes %d; want rank 2 failed once and its block reassigned once",
-					res.FailedRanks, res.WorkerFailures, res.DeadlineMisses, res.Reassignments, res.LocalModes)
+					res.failed, res.st.WorkerFailures, res.st.DeadlineMisses, res.st.Reassignments, res.st.LocalModes)
 			}
-			sameAsSerial(t, m, ks, mode, res)
+			sameAsSerial(t, m, ks, mode, res.sw)
 
 			_, err = runVerdict(t, m, ks, mode, row, 0)
 			if err == nil {
@@ -104,7 +105,7 @@ func TestMasterVerdicts(t *testing.T) {
 // runVerdict plays one row: rank 2 takes the init and an assignment, sends
 // the row's messages, and only then does the real worker at rank 1 start, so
 // the master meets the fault before any other request.
-func runVerdict(t *testing.T, m *core.Model, ks []float64, mode core.Params, row verdictRow, deadline time.Duration) (*Results, error) {
+func runVerdict(t *testing.T, m *core.Model, ks []float64, mode core.Params, row verdictRow, deadline time.Duration) (verdictRun, error) {
 	t.Helper()
 	_, eps, err := chanmp.New(3)
 	if err != nil {
@@ -116,13 +117,13 @@ func runVerdict(t *testing.T, m *core.Model, ks []float64, mode core.Params, row
 		defer close(ready)
 		scriptErr <- func() error {
 			ep := eps[2]
-			if _, err := ep.Recv(TagInit, 0); err != nil {
+			if _, err := ep.Recv(mp.TagInit, 0); err != nil {
 				return err
 			}
-			if err := ep.Send(0, TagRequest, []float64{0}); err != nil {
+			if err := ep.Send(0, mp.TagRequest, []float64{0}); err != nil {
 				return err
 			}
-			a, err := ep.Recv(TagAssign, 0)
+			a, err := ep.Recv(mp.TagAssign, 0)
 			if err != nil {
 				return err
 			}
@@ -139,17 +140,17 @@ func runVerdict(t *testing.T, m *core.Model, ks []float64, mode core.Params, row
 	go func() {
 		defer close(workerDone)
 		<-ready
-		_ = Worker(eps[1], m, ks, mode)
+		_ = Worker(eps[1], m, ks, mode, nil)
 	}()
 
 	type outcome struct {
-		res *Results
+		res verdictRun
 		err error
 	}
 	out := make(chan outcome, 1)
 	go func() {
-		res, err := Master(eps[0], m, Config{KValues: ks, Mode: mode, AssignDeadline: deadline})
-		out <- outcome{res, err}
+		sw, st, failed, err := RunMaster(context.Background(), eps[0], m, ks, mode, MasterOptions{AssignDeadline: deadline})
+		out <- outcome{verdictRun{sw, st, failed}, err}
 	}()
 	var o outcome
 	select {
@@ -167,9 +168,16 @@ func runVerdict(t *testing.T, m *core.Model, ks []float64, mode core.Params, row
 	return o.res, o.err
 }
 
+// verdictRun is what RunMaster returned for one row.
+type verdictRun struct {
+	sw     *Sweep
+	st     *RunStats
+	failed []int
+}
+
 // sameAsSerial checks every number the wire carries for every mode against
 // a direct evolution, bit for bit; only the timing slot may differ.
-func sameAsSerial(t *testing.T, m *core.Model, ks []float64, mode core.Params, res *Results) {
+func sameAsSerial(t *testing.T, m *core.Model, ks []float64, mode core.Params, res *Sweep) {
 	t.Helper()
 	bits := func(y []float64, skip int) []uint64 {
 		out := make([]uint64, len(y))
@@ -187,7 +195,7 @@ func sameAsSerial(t *testing.T, m *core.Model, ks []float64, mode core.Params, r
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Mode[i]
+		got := res.Results[i]
 		if got == nil {
 			t.Fatalf("mode %d (k=%g) missing", i, k)
 		}

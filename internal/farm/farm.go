@@ -17,7 +17,6 @@ import (
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
-	runner "plinger/internal/plinger"
 )
 
 // Options configures a Supervisor.
@@ -331,7 +330,7 @@ func (s *Supervisor) dropConn(wc *workerConn, cause error) {
 	}
 	wc.conn.Close()
 	if at := wc.sweep.Swap(nil); at != nil {
-		_ = at.ep.Push(mp.Message{Tag: runner.TagDown, Source: 0, Data: []float64{float64(at.rank)}})
+		_ = at.ep.Push(mp.Message{Tag: mp.TagDown, Source: 0, Data: []float64{float64(at.rank)}})
 	}
 	s.mu.Lock()
 	delete(s.workers, wc.id)
@@ -603,7 +602,7 @@ func (s *Supervisor) Sweep(ctx context.Context, model *core.Model, ks []float64,
 		// stop landing after a worker already left the sweep falls into its
 		// retired mailbox and is ignored.
 		for rank := range peers {
-			_ = ep.Send(rank, runner.TagStop, []float64{0})
+			_ = ep.Send(rank, mp.TagStop, []float64{0})
 		}
 		return nil, nil, err
 	}

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
-	runner "plinger/internal/plinger"
 )
 
 // pipeHex runs write against one end of a pipe and returns the hex of the
@@ -45,7 +45,7 @@ func TestGoldenFarmDataFrame(t *testing.T) {
 	data := []float64{1.5, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)}
 	got := pipeHex(t, len(want)/2, func(c net.Conn) error {
 		ep := tcpmp.NewEndpoint(1, 2, []*tcpmp.Conn{{Conn: c}})
-		return ep.Send(0, runner.TagSummary, data)
+		return ep.Send(0, mp.TagSummary, data)
 	})
 	if got != want {
 		t.Fatalf("data frame\n got %s\nwant %s", got, want)

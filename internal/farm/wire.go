@@ -2,7 +2,8 @@
 // roster of out-of-process plingerw workers (spawned locally or connected
 // from other hosts), keeps them alive with heartbeats and supervised
 // restarts, and serves sweeps over them through the paper's Appendix-A
-// master protocol (internal/plinger) with PR 7's fault tolerance armed.
+// protocol (internal/dispatch: RunMaster here, Worker in each plingerw) with
+// the master's fault tolerance armed.
 //
 // Where a tcpmp world is fixed — sized up front, one run consumes it — the
 // farm is a long-lived dynamic world: workers join and leave between

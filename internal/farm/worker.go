@@ -19,7 +19,6 @@ import (
 	"plinger/internal/dispatch"
 	"plinger/internal/mp"
 	"plinger/internal/mp/tcpmp"
-	runner "plinger/internal/plinger"
 )
 
 // helloTimeout bounds the registration handshake on both sides.
@@ -262,5 +261,5 @@ func serveSweep(ep *tcpmp.Endpoint, sp *sweepSpec, models *ModelCache, scratch *
 		// entering the per-mode loop, exactly as the in-process backends do.
 		model.EnsureEvalTables(dispatch.ParallelFor)
 	}
-	return runner.WorkerWith(ep, model, sp.Ks, mode, scratch)
+	return dispatch.Worker(ep, model, sp.Ks, mode, scratch)
 }

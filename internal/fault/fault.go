@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"plinger/internal/mp"
-	runner "plinger/internal/plinger"
 )
 
 // ErrInjected is the error of an injected failure: a Fail drawn on a
@@ -207,7 +206,7 @@ func (e *Endpoint) Recv(tag, source int) (mp.Message, error) {
 		return mp.Message{}, err
 	}
 	m, err := e.Endpoint.Recv(tag, source)
-	if err == nil && m.Tag == runner.TagAssign {
+	if err == nil && m.Tag == mp.TagAssign {
 		// The assignment that completes After strikes a Kill at once, so
 		// peers see the process leave while it holds the block.
 		e.mu.Lock()

@@ -14,6 +14,35 @@ import (
 // b = the tag, the payload its doubles), for a tcp world and a farm alike;
 // the farm's control frames use other kinds and carry JSON.
 
+// The Appendix-A message tags a data frame carries. Tags 1-6 are exactly
+// those tabulated in the paper; 7 and 8 are this port's extensions:
+// line-of-sight source samples, so a CMBFAST-style spectrum can be assembled
+// at the master, and death reports. internal/dispatch speaks the protocol.
+const (
+	// TagInit is the first message from master to workers.
+	TagInit = 1
+	// TagRequest is sent by a worker asking for a wavenumber.
+	TagRequest = 2
+	// TagAssign carries a wavenumber index from master to worker.
+	TagAssign = 3
+	// TagSummary carries the worker's first data block (21 doubles + lmax).
+	TagSummary = 4
+	// TagMoments carries the worker's second block (8 + 2(lmax+1) doubles).
+	TagMoments = 5
+	// TagStop tells a worker to exit.
+	TagStop = 6
+	// TagSources carries the recorded line-of-sight source samples; it is
+	// only sent when the run requests KeepSources.
+	TagSources = 7
+	// TagDown is the fault-tolerant master's death report, reserved for the
+	// master's own endpoint: whoever learns out of band that a worker died
+	// (its goroutine returned an error, its connection dropped) sends the
+	// rank to the master's rank on the master's endpoint, so the report
+	// wakes the master's probe like any message. From any other source it
+	// is an unexpected tag.
+	TagDown = 8
+)
+
 // MaxFrameBytes bounds one frame's payload (16 Mi doubles, 128 MiB); a
 // header claiming more is malformed, not an allocation.
 const MaxFrameBytes = 128 << 20

@@ -43,13 +43,14 @@ type Message struct {
 }
 
 // Endpoint is one process's connection to the message-passing world: the
-// Go rendering of the paper's wrapper routines. Implementations must be
-// safe for use by one goroutine per endpoint (the PLINGER pattern), with
+// Go rendering of the paper's wrapper routines, which internal/dispatch's
+// Appendix-A master (RunMaster) and Worker speak through. Implementations
+// must be safe for use by one goroutine per endpoint (the PLINGER pattern), with
 // one exception every transport here meets (a locked mailbox push, a
 // per-connection write mutex): Send may be called from other goroutines
 // beside the owner's, and a Send to the endpoint's own rank is delivered
 // to its own mailbox — how a death report reaches a probing master (see
-// plinger.TagDown). Probe and Recv block until a matching message arrives.
+// TagDown). Probe and Recv block until a matching message arrives.
 type Endpoint interface {
 	// Rank returns this process's ID (the paper's mytid).
 	Rank() int

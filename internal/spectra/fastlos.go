@@ -45,9 +45,9 @@ import (
 func besselPar(n int, body func(i int)) { dispatch.ParallelFor(0, n, body) }
 
 // PrewarmBesselTable builds (or reuses) the shared kernel table covering
-// multipoles ls and arguments up to kmax*tau0. It is the dispatch
-// Prebuild hook's workhorse: the facade calls it concurrently with the
-// coarse sweep so the table is ready when projection starts.
+// multipoles ls and arguments up to kmax*tau0. The facade runs it through
+// dispatch.StartPrebuild, concurrently with the coarse sweep, so the table
+// is ready when projection starts.
 func PrewarmBesselTable(ls []int, kmax, tau0 float64) *specfunc.BesselTable {
 	return specfunc.SharedBesselTable(ls, kmax*tau0, besselPar)
 }

@@ -710,23 +710,13 @@ func (m *Model) ComputeSpectrum(o SpectrumOptions) (*Spectrum, error) {
 	tr := o.Trace
 	besselWait := func() {}
 	if p.project == projectLOSFast {
-		// Warm the shared Bessel table during the sweep, through the
-		// dispatcher's prebuild hook where one can be set per run (the shared
-		// pool serves concurrent runs, so the facade warms it caller-side).
-		warm := func() {
+		// Warm the shared Bessel table during the sweep.
+		besselWait = dispatch.StartPrebuild(func() {
 			sp := tr.Start("bessel_tables")
 			spectra.PrewarmBesselTable(p.lsProj, p.ks[len(p.ks)-1], p.tau0)
 			sp.End()
-		}
-		switch dd := d.(type) {
-		case *dispatch.Pool:
-			dd.Prebuild = warm
-		case *dispatch.MP:
-			dd.Prebuild = warm
-		default:
-			besselWait = dispatch.StartPrebuild(warm)
-			defer besselWait()
-		}
+		})
+		defer besselWait()
 	}
 	// The evolve span includes the prewarm wait, so a cold request's wall
 	// time decomposes into the non-overlapping top-level spans evolve,
@@ -861,8 +851,8 @@ type ParallelOptions struct {
 	// "input-order" or "smallest-first".
 	Schedule string
 	// Transport selects the mp transport: "chan" (default, in-process),
-	// "fifo" (strict arrival-order, the MPL model) or "tcp" (a loopback
-	// PVM-style hub).
+	// "fifo" (strict arrival-order, the MPL model) or "tcp" (loopback
+	// connections from each worker to a listening master, PVM-style).
 	Transport string
 	// AdaptLMax reduces the hierarchy cutoff per wavenumber via the
 	// paper's k tau_0 criterion, shrinking both CPU time and messages
