@@ -88,7 +88,8 @@ test-cluster:
 # worker farm share, the two listeners that read it from strangers (a tcpmp
 # master's fixed-world join, the farm's registration and read loop), the
 # master's decoders of a worker's result blocks, the daemon's back-fill
-# handler (/v1/peer/offer) and its request keys (JSON, Validate, Key, stable
+# handler (/v1/peer/offer), its reader of a peer's forwarded answer (both
+# products' decoders) and its request keys (JSON, Validate, Key, stable
 # under re-encoding), and the SSE2 kernels of
 # internal/ode, internal/core and internal/specfunc (the projection's row
 # pairs) against their Go loops. Plain `go test` replays their seed corpora
@@ -101,6 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerOffer$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerEnvelope$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/core/

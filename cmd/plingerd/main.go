@@ -20,12 +20,9 @@
 //	curl -s localhost:8787/v1/trace?last=4  # recent sweep traces with phase spans
 //	plingerd -addr :8787 -debug-addr :6060  # net/http/pprof on a side listener
 //
-// Load-generate against a running daemon (the benchmark client):
-//
-//	plingerd -loadgen -url http://localhost:8787 -clients 32 -duration 10s
-//
-// The load generator reports sustained requests/sec and the latency
-// distribution, split by cache hits and misses.
+// Measure it with the benchmark's serve workloads: closed-loop clients on
+// resident keys (serve_hot) or open-loop arrivals of hits and misses
+// (serve_mixed), e.g. bash bench/run.sh -workload serve_hot
 //
 // Compute over a supervised multi-process worker farm instead of the
 // in-process pool (spawns plingerw children, restarts crashes, re-admits
@@ -45,13 +42,12 @@
 //	plingerd -addr :8787 -advertise http://host-a:8787 \
 //	    -peers http://host-a:8787,http://host-b:8787,http://host-c:8787
 //
-// The loadgen's -url accepts the same comma-separated fleet list and
-// spreads clients round-robin across the nodes.
+// Any node answers for the fleet; its X-Plinger-Source header tells a
+// local hit, a fresh sweep and a peer forward apart (curl -D -).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -97,26 +93,10 @@ func main() {
 		farmWorkers = flag.Int("farm-workers", 0, "plingerw processes to spawn and supervise locally")
 		farmBin     = flag.String("farm-worker-bin", "", "plingerw binary to spawn (default: plingerw next to this executable)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight sweeps and farm drain")
-
-		loadgen  = flag.Bool("loadgen", false, "run as a load-generating client instead of a server")
-		url      = flag.String("url", "http://localhost:8787", "loadgen: daemon base URL")
-		clients  = flag.Int("clients", 32, "loadgen: concurrent clients")
-		duration = flag.Duration("duration", 10*time.Second, "loadgen: run length")
-		body     = flag.String("body", "{}", "loadgen: JSON request body for /v1/cl")
 	)
 	flag.Parse()
 
 	logger := newLogger(*logLevel)
-
-	if *loadgen {
-		rep, err := serve.RunLoadgen(*url, *clients, *duration, *body)
-		if err != nil {
-			logger.Error("loadgen failed", "err", err)
-			os.Exit(1)
-		}
-		printLoadReport(os.Stdout, rep)
-		return
-	}
 
 	// The farm, when configured, is the daemon's: started before the
 	// service (models route over it from the first request) and drained
@@ -273,12 +253,4 @@ func newLogger(level string) *slog.Logger {
 		lv = slog.LevelInfo
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
-}
-
-func printLoadReport(w *os.File, rep *serve.LoadReport) {
-	buf, _ := json.MarshalIndent(rep, "", "  ")
-	fmt.Fprintln(w, string(buf))
-	fmt.Fprintf(w, "%.0f req/s over %.1fs with %d clients (p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, max %.2f ms; %d hits, %d misses, %d coalesced, %d errors)\n",
-		rep.RequestsSec, rep.Seconds, rep.Clients, rep.P50MS, rep.P95MS, rep.P99MS, rep.MaxMS,
-		rep.Hits, rep.Misses, rep.Coalesced, rep.Errors)
 }

@@ -68,17 +68,6 @@ type RunStats struct {
 	Reassignments  int // orphaned k-blocks handed to surviving workers
 	DeadlineMisses int // assignment/start-up deadline expiries
 	LocalModes     int // modes the master recomputed after losing all workers
-
-	// Phases is the per-phase wall-time breakdown of the request that ran
-	// this sweep (evolve, source spline, projection, ...), folded in from the
-	// sweep trace when one was attached. Empty when tracing was off.
-	Phases []Phase
-}
-
-// Phase is one named phase of the run with its wall time in seconds.
-type Phase struct {
-	Name    string
-	Seconds float64
 }
 
 // finalize derives the aggregate quantities from the per-worker timings,

@@ -110,7 +110,7 @@ func (h *Histogram) ObserveShard(shard int, v float64) {
 }
 
 // Observe records v into a round-robin shard — the path for callers without
-// a natural rank (HTTP handlers, the load generator's aggregate view).
+// a natural rank (HTTP handlers).
 func (h *Histogram) Observe(v float64) {
 	h.ObserveShard(int(h.rr.Add(1)), v)
 }

@@ -144,22 +144,62 @@ func forwards(req *http.Request) bool {
 		strings.HasPrefix(req.URL.Path, "/v1/peer/pk")
 }
 
-// TestClusterCrossNodeHit is the acceptance criterion: a miss on node A
-// for a key node B owns is served via one forward — the owner computes
-// once for the whole fleet — bitwise identical to a single-node
-// reference, and the repeat on A is an ordinary local cache hit.
+// TestClusterCrossNodeHit is the acceptance criterion, for each product: a
+// miss on node A for a key node B owns is served via one forward — the
+// owner computes once for the whole fleet — bitwise identical to a
+// single-node reference, and the repeat on A is an ordinary local cache
+// hit.
 func TestClusterCrossNodeHit(t *testing.T) {
-	nodes := newFleet(t, 2, nil, nil)
-	a := nodes[0]
-	body, key := remoteOwnedBody(t, a, nil)
-	owner, _ := a.peering.Owner(key)
-
 	ref := testService()
 	defer ref.Close()
-	want := referenceResult(t, ref, body)
+	t.Run("cl", func(t *testing.T) {
+		nodes := newFleet(t, 2, nil, nil)
+		body, key := remoteOwnedBody(t, nodes[0], nil)
+		checkCrossNodeHit(t, nodes, "/v1/cl", body, key, referenceResult(t, ref, body), canonResult)
+	})
+	t.Run("pk", func(t *testing.T) {
+		nodes := newFleet(t, 2, nil, nil)
+		for nk := 8; nk < 48; nk++ {
+			req := PkRequest{NK: nk}
+			key := req.Key(testDefaults())
+			if _, remote := nodes[0].peering.Owner(key); !remote {
+				continue
+			}
+			v, _, err := ref.ComputePk(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(v)
+			checkCrossNodeHit(t, nodes, "/v1/pk", fmt.Sprintf(`{"nk": %d}`, nk), key, string(want), canonPkResult)
+			return
+		}
+		t.Fatal("no remote-owned P(k) key among 40 candidates")
+	})
+}
+
+// canonPkResult is canonResult for a P(k) payload.
+func canonPkResult(t *testing.T, raw json.RawMessage) string {
+	t.Helper()
+	var v PkResponse
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// checkCrossNodeHit posts body, whose key node 1 owns, to node 0 of a fresh
+// two-node fleet twice: see TestClusterCrossNodeHit.
+func checkCrossNodeHit(t *testing.T, nodes []*fleetNode, path, body, key, want string, canon func(*testing.T, json.RawMessage) string) {
+	t.Helper()
+	a := nodes[0]
+	owner, _ := a.peering.Owner(key)
 
 	// Cold request on the non-owner: forwarded, owner computes.
-	resp, env := postJSON(t, a.srv.Client(), a.url+"/v1/cl", body)
+	resp, env := postJSON(t, a.srv.Client(), a.url+path, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded request: status %d", resp.StatusCode)
 	}
@@ -169,7 +209,7 @@ func TestClusterCrossNodeHit(t *testing.T) {
 	if got := resp.Header.Get("X-Plinger-Peer"); got != owner {
 		t.Fatalf("X-Plinger-Peer %q, want %q", got, owner)
 	}
-	if got := canonResult(t, env.Result); got != want {
+	if got := canon(t, env.Result); got != want {
 		t.Fatal("peer-forwarded response differs bitwise from the single-node reference")
 	}
 	if n := fleetSweeps(nodes); n != 1 {
@@ -177,11 +217,11 @@ func TestClusterCrossNodeHit(t *testing.T) {
 	}
 
 	// The forward left a local copy: the repeat is a zero-hop cache hit.
-	_, env = postJSON(t, a.srv.Client(), a.url+"/v1/cl", body)
+	_, env = postJSON(t, a.srv.Client(), a.url+path, body)
 	if env.Source != SourceCache {
 		t.Fatalf("repeat source %q, want %q", env.Source, SourceCache)
 	}
-	if got := canonResult(t, env.Result); got != want {
+	if got := canon(t, env.Result); got != want {
 		t.Fatal("cached copy differs from the reference")
 	}
 	if n := fleetSweeps(nodes); n != 1 {

@@ -37,37 +37,20 @@ import (
 // Options.SlowRequest get an extra warning line carrying the trace id.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/cl", func(w http.ResponseWriter, r *http.Request) {
-		var req ClRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		p, meta, err := s.computeCl(r.Context(), req)
-		annotate(r, meta)
-		s.writeResponse(w, p, meta, err)
-	})
-	mux.HandleFunc("/v1/pk", func(w http.ResponseWriter, r *http.Request) {
-		var req PkRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		p, meta, err := s.computePk(r.Context(), req)
-		annotate(r, meta)
-		s.writeResponse(w, p, meta, err)
-	})
+	// The compute routes: /v1/<name> and the peer protocol's
+	// /v1/peer/<name>, whose requests never re-forward, whatever the body
+	// says — the hop bound is enforced by the receiver, not trusted from
+	// the wire.
+	for _, prefix := range []string{"/v1/", "/v1/peer/"} {
+		peer := prefix == "/v1/peer/"
+		mux.HandleFunc(prefix+s.cl.name, computeRoute(s, s.computeCl, peer))
+		mux.HandleFunc(prefix+s.pk.name, computeRoute(s, s.computePk, peer))
+	}
 	s.peerRoutes(mux)
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
+	mux.HandleFunc("/v1/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	mux.HandleFunc("/v1/trace", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
+	}))
+	mux.HandleFunc("/v1/trace", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		n := 16
 		if q := r.URL.Query().Get("last"); q != "" {
 			v, err := strconv.Atoi(q)
@@ -78,12 +61,8 @@ func (s *Service) Handler() http.Handler {
 			n = v
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"traces": s.Traces(n)})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
+	}))
+	mux.HandleFunc("/metrics", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// Per-service serving metrics first, then the peering layer's
 		// (breaker states, membership, forward counters) when clustered,
@@ -94,7 +73,7 @@ func (s *Service) Handler() http.Handler {
 			s.cluster.Registry().WritePrometheus(w)
 		}
 		obs.Default.WritePrometheus(w)
-	})
+	}))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -102,27 +81,39 @@ func (s *Service) Handler() http.Handler {
 	return s.logging(mux)
 }
 
-// traceNote carries serving metadata from the compute handlers out to the
-// logging middleware through the request context.
-type traceNote struct {
-	source Source
-	key    string
-	trace  string
-}
-
-type traceNoteKey struct{}
-
-// annotate records the request's serving metadata for the access log.
-func annotate(r *http.Request, meta Meta) {
-	if note, ok := r.Context().Value(traceNoteKey{}).(*traceNote); ok {
-		note.source, note.key, note.trace = meta.Source, meta.Key, meta.Trace
+// getOnly answers any method but GET with 405.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			httpError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		h(w, r)
 	}
 }
 
-// statusWriter captures the response status for the access log.
+// computeRoute is the handler of one product's compute route: decode the
+// request, compute it, write the answer.
+func computeRoute[R any](s *Service, compute func(context.Context, R, bool) (*product, Meta, error), peer bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if !decodeRequest(w, r, &req) {
+			return
+		}
+		p, meta, err := compute(r.Context(), req, peer)
+		if sw, ok := w.(*statusWriter); ok {
+			sw.meta = meta
+		}
+		s.writeResponse(w, p, meta, err)
+	}
+}
+
+// statusWriter captures the response status for the access log, and the
+// serving metadata a compute route leaves on it.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	meta   Meta
 }
 
 func (w *statusWriter) WriteHeader(status int) {
@@ -144,8 +135,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (s *Service) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("r-%06d", s.reqSeq.Add(1))
-		note := &traceNote{}
-		r = r.WithContext(context.WithValue(r.Context(), traceNoteKey{}, note))
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
@@ -160,11 +149,11 @@ func (s *Service) logging(next http.Handler) http.Handler {
 			"status", sw.status,
 			"elapsed_ms", float64(elapsed.Nanoseconds()) / 1e6,
 		}
-		if note.source != "" {
-			args = append(args, "source", string(note.source), "key", note.key)
+		if sw.meta.Source != "" {
+			args = append(args, "source", string(sw.meta.Source), "key", sw.meta.Key)
 		}
-		if note.trace != "" {
-			args = append(args, "trace", note.trace)
+		if sw.meta.Trace != "" {
+			args = append(args, "trace", sw.meta.Trace)
 		}
 		s.logger.Info("request", args...)
 		if elapsed > s.opts.SlowRequest {
@@ -176,31 +165,34 @@ func (s *Service) logging(next http.Handler) http.Handler {
 // maxRequestBody bounds a request body; a longer one is answered 413.
 const maxRequestBody = 1 << 20
 
-// decodeRequest parses the JSON body into req; an empty body is the zero
-// request (the service defaults). Returns false after writing an error.
+// decodeRequest parses the JSON body into req; an empty or blank body is
+// the zero request (the service defaults). A field req does not have, at
+// any depth, is refused, not dropped: a misspelt parameter would otherwise
+// be served as its default. So is anything after the object. Returns false
+// after writing an error.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
 		return false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("data after the request object")
 		}
-		httpError(w, status, "reading body: "+err.Error())
-		return false
 	}
-	if len(body) == 0 {
+	if err == io.EOF { // nothing but blanks in the body, or after the object
 		return true
 	}
-	if err := json.Unmarshal(body, req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing request: "+err.Error())
-		return false
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	return true
+	httpError(w, status, "reading request: "+err.Error())
+	return false
 }
 
 // responseHead is the serving metadata that leads every response, ahead

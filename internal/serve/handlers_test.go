@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +130,30 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp, _ = postJSON(t, client, srv.URL+"/v1/pk", `{"kmin": 0.5, "kmax": 0.1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("inverted range: status %d", resp.StatusCode)
+	}
+	// A misspelt field, nested ones included, is refused by name: dropped,
+	// it would be served as its default (the first two rows as the default
+	// SCDM C_l). So is data after the object.
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/cl", `{"lmaxcl": 40}`, "lmaxcl"},
+		{"/v1/cl", `{"config": {"Hubble": 0.7}}`, "Hubble"},
+		{"/v1/pk", `{"nk": 12, "kmaxx": 0.3}`, "kmaxx"},
+		{"/v1/cl", `{"nk": 36} {"nk": 2}`, "after the request object"},
+	} {
+		resp, err := client.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.field) {
+			t.Errorf("%s %s: status %d %s, want 400 naming %s", c.path, c.body, resp.StatusCode, msg, c.field)
+		}
+	}
+	// An empty body is still the zero request.
+	want := ClRequest{}.Key(s.Defaults())
+	if resp, env = postJSON(t, client, srv.URL+"/v1/cl", ``); resp.StatusCode != http.StatusOK || env.Key != want {
+		t.Fatalf("empty body: status %d key %s, want the default key %s", resp.StatusCode, env.Key, want)
 	}
 	getResp, err := client.Get(srv.URL + "/v1/cl")
 	if err != nil {

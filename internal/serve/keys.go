@@ -16,8 +16,8 @@
 //     instead of an unbounded pile-up of sweeps;
 //   - models.go — a refcounted registry of built models, each with a
 //     long-lived shared dispatch pool;
-//   - service.go / handlers.go — the compute paths and the HTTP JSON API
-//     (/v1/cl, /v1/pk, /v1/stats) that cmd/plingerd exposes;
+//   - service.go / handlers.go — the one compute path of both products and
+//     the HTTP JSON API (/v1/cl, /v1/pk, /v1/stats) that cmd/plingerd exposes;
 //   - peer.go — the sharded-fleet routing over internal/cluster: cache
 //     misses whose key another replica owns are fetched over the peer
 //     protocol (/v1/peer/cl, /v1/peer/pk), and every peer failure degrades
@@ -32,7 +32,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"plinger"
 	"plinger/internal/core"
@@ -107,35 +106,40 @@ func hashKey(kind, canon string) string {
 	return kind + "-" + hex.EncodeToString(sum[:8])
 }
 
-// defaultConfig fills zero-valued cosmology fields with the paper's SCDM
+// resolveConfig fills zero-valued cosmology fields with the paper's SCDM
 // values, mirroring the zero-means-default convention of the product
-// fields: a partial config like {"H": 0.55, "Flatten": true} is a valid
-// request. (A literal zero for a physical field — e.g. a baryonless model —
-// is not expressible over the wire; vary the explicit fields instead.)
-func defaultConfig(c plinger.Config) plinger.Config {
+// fields: nil is SCDM itself, and a partial config like {"H": 0.55,
+// "Flatten": true} is a valid request. (A literal zero for a physical field
+// — e.g. a baryonless model — is not expressible over the wire; vary the
+// explicit fields instead.)
+func resolveConfig(c *plinger.Config) *plinger.Config {
+	var cfg plinger.Config
+	if c != nil {
+		cfg = *c
+	}
 	d := plinger.SCDM()
-	if c.H == 0 {
-		c.H = d.H
+	if cfg.H == 0 {
+		cfg.H = d.H
 	}
-	if c.OmegaC == 0 {
-		c.OmegaC = d.OmegaC
+	if cfg.OmegaC == 0 {
+		cfg.OmegaC = d.OmegaC
 	}
-	if c.OmegaB == 0 {
-		c.OmegaB = d.OmegaB
+	if cfg.OmegaB == 0 {
+		cfg.OmegaB = d.OmegaB
 	}
-	if c.TCMB == 0 {
-		c.TCMB = d.TCMB
+	if cfg.TCMB == 0 {
+		cfg.TCMB = d.TCMB
 	}
-	if c.YHe == 0 {
-		c.YHe = d.YHe
+	if cfg.YHe == 0 {
+		cfg.YHe = d.YHe
 	}
-	if c.NNuMassless == 0 {
-		c.NNuMassless = d.NNuMassless
+	if cfg.NNuMassless == 0 {
+		cfg.NNuMassless = d.NNuMassless
 	}
-	if c.SpectralIndex == 0 {
-		c.SpectralIndex = d.SpectralIndex
+	if cfg.SpectralIndex == 0 {
+		cfg.SpectralIndex = d.SpectralIndex
 	}
-	return c
+	return &cfg
 }
 
 // ClRequest is one angular-power-spectrum request. The zero value asks for
@@ -201,22 +205,13 @@ func (r ClRequest) Validate() error {
 	return nil
 }
 
-// deadline converts the wire field to the lookup bound (0: no bound).
-func (r ClRequest) deadline() time.Duration {
-	return time.Duration(r.DeadlineMS) * time.Millisecond
-}
-
 // resolve fills service defaults into a copy of the request, so physically
 // identical requests — spelled with zeros or with explicit defaults —
-// canonicalize identically.
+// canonicalize identically. The copy is what a peer forward carries: its
+// deadline dropped and its hop marked.
 func (r ClRequest) resolve(d Defaults) ClRequest {
-	if r.Config == nil {
-		cfg := plinger.SCDM()
-		r.Config = &cfg
-	} else {
-		cfg := defaultConfig(*r.Config)
-		r.Config = &cfg
-	}
+	r.Config = resolveConfig(r.Config)
+	r.DeadlineMS, r.PeerHop = 0, 1
 	if r.LMaxCl <= 0 {
 		r.LMaxCl = d.LMaxCl
 	}
@@ -236,33 +231,32 @@ func (r ClRequest) resolve(d Defaults) ClRequest {
 // parameters enter — execution knobs (workers, transport, schedule) are
 // excluded by construction, since the dispatch determinism contract makes
 // the result independent of them.
-func (r ClRequest) canonical(d Defaults) string {
-	rr := r.resolve(d)
+func (r ClRequest) canonical() string {
 	exact := 0
-	if rr.Exact {
+	if r.Exact {
 		exact = 1
 	}
 	var b strings.Builder
 	b.WriteString(keyVersion)
 	b.WriteString("|cl|")
-	b.WriteString(canonicalConfig(*rr.Config))
+	b.WriteString(canonicalConfig(*r.Config))
 	b.WriteString("|lmax_cl=")
-	b.WriteString(strconv.Itoa(rr.LMaxCl))
+	b.WriteString(strconv.Itoa(r.LMaxCl))
 	b.WriteString(",nk=")
-	b.WriteString(strconv.Itoa(rr.NK))
+	b.WriteString(strconv.Itoa(r.NK))
 	b.WriteString(",exact=")
 	b.WriteString(strconv.Itoa(exact))
 	b.WriteString(",krefine=")
-	b.WriteString(strconv.Itoa(rr.KRefine))
+	b.WriteString(strconv.Itoa(r.KRefine))
 	b.WriteString(",qcobe=")
-	b.WriteString(strconv.FormatInt(qfix(rr.QCOBEMicroK, stepQCOBE), 10))
+	b.WriteString(strconv.FormatInt(qfix(r.QCOBEMicroK, stepQCOBE), 10))
 	return b.String()
 }
 
 // Key returns the stable cache key of the request under the given service
 // defaults.
 func (r ClRequest) Key(d Defaults) string {
-	return hashKey("cl", r.canonical(d))
+	return hashKey("cl", r.resolve(d).canonical())
 }
 
 // PkRequest is one matter-power-spectrum request. The zero value asks for
@@ -308,19 +302,10 @@ func (r PkRequest) Validate() error {
 	return nil
 }
 
-// deadline converts the wire field to the lookup bound (0: no bound).
-func (r PkRequest) deadline() time.Duration {
-	return time.Duration(r.DeadlineMS) * time.Millisecond
-}
-
+// resolve is the PkRequest analogue of ClRequest.resolve.
 func (r PkRequest) resolve(d Defaults) PkRequest {
-	if r.Config == nil {
-		cfg := plinger.SCDM()
-		r.Config = &cfg
-	} else {
-		cfg := defaultConfig(*r.Config)
-		r.Config = &cfg
-	}
+	r.Config = resolveConfig(r.Config)
+	r.DeadlineMS, r.PeerHop = 0, 1
 	if r.KMin <= 0 {
 		r.KMin = 2e-4
 	}
@@ -333,27 +318,27 @@ func (r PkRequest) resolve(d Defaults) PkRequest {
 	return r
 }
 
-func (r PkRequest) canonical(d Defaults) string {
-	rr := r.resolve(d)
+// canonical is the PkRequest analogue of ClRequest.canonical.
+func (r PkRequest) canonical() string {
 	var b strings.Builder
 	b.WriteString(keyVersion)
 	b.WriteString("|pk|")
-	b.WriteString(canonicalConfig(*rr.Config))
+	b.WriteString(canonicalConfig(*r.Config))
 	b.WriteString("|kmin=")
-	b.WriteString(strconv.FormatInt(qln(rr.KMin), 10))
+	b.WriteString(strconv.FormatInt(qln(r.KMin), 10))
 	b.WriteString(",kmax=")
-	b.WriteString(strconv.FormatInt(qln(rr.KMax), 10))
+	b.WriteString(strconv.FormatInt(qln(r.KMax), 10))
 	b.WriteString(",nk=")
-	b.WriteString(strconv.Itoa(rr.NK))
+	b.WriteString(strconv.Itoa(r.NK))
 	b.WriteString(",amp=")
-	b.WriteString(strconv.FormatInt(qln(rr.Amp), 10))
+	b.WriteString(strconv.FormatInt(qln(r.Amp), 10))
 	return b.String()
 }
 
 // Key returns the stable cache key of the request under the given service
 // defaults.
 func (r PkRequest) Key(d Defaults) string {
-	return hashKey("pk", r.canonical(d))
+	return hashKey("pk", r.resolve(d).canonical())
 }
 
 // modelKey is the cosmology part alone — the model-registry key, shared by

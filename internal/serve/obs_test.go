@@ -334,27 +334,3 @@ func TestSlowRequestLog(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestLoadgenReport exercises RunLoadgen against a live test daemon and
-// checks the histogram-backed percentiles are ordered and populated.
-func TestLoadgenReport(t *testing.T) {
-	s := testService()
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	rep, err := RunLoadgen(srv.URL, 4, 400*time.Millisecond, `{}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests < 1 {
-		t.Fatalf("no requests: %+v", rep)
-	}
-	if rep.P50MS <= 0 || rep.P95MS < rep.P50MS || rep.P99MS < rep.P95MS || rep.MaxMS < rep.P99MS-1e-9 {
-		t.Fatalf("quantiles out of order: %+v", rep)
-	}
-	if rep.Hits+rep.Misses+rep.Coalesced != rep.Requests {
-		t.Fatalf("source split %d+%d+%d != %d",
-			rep.Hits, rep.Misses, rep.Coalesced, rep.Requests)
-	}
-}

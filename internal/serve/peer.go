@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 )
@@ -39,53 +40,47 @@ import (
 // zeroed, PeerHop set — so the owner derives the identical cache key even
 // when its configured defaults differ from ours.
 type peerForward struct {
-	endpoint string // /v1/peer/cl or /v1/peer/pk
-	kind     string // "cl" or "pk", the offer payload tag
-	body     []byte
-	decode   func(json.RawMessage) (*product, error)
+	kind *kind
+	body []byte
 }
 
-// localRes is the outcome of one admitted local compute. It carries its
-// trace id instead of writing the flight's shared state because a hedged
-// run may settle after the flight already adopted the peer's answer.
-type localRes struct {
+// outcome is the result of one admitted local compute or of one peer
+// forward. A local compute's outcome carries its trace id instead of
+// writing the flight's shared state because a hedged run may settle after
+// the flight already adopted the peer's answer.
+type outcome struct {
 	p     *product
 	err   error
 	trace string
 }
 
-// decodeClResult and decodePkResult turn a result another node encoded (a
-// peer's answer, a back-fill offer) into a product of this node's own
-// encoding. A result whose arrays are empty or of unequal length is no
-// product this node could have computed, and is refused before it can be
-// cached.
-func decodeClResult(raw json.RawMessage) (*product, error) {
-	out := new(ClResponse)
-	if err := json.Unmarshal(raw, out); err != nil {
+// decodeResult turns a result another node encoded (a peer's answer, a
+// back-fill offer) into a product of this node's own encoding. A result
+// whose arrays are empty or of unequal length is no product this node could
+// have computed, and is refused before it can be cached.
+func decodeResult[T any, P interface {
+	*T
+	lens() []int
+}](raw json.RawMessage) (*product, error) {
+	v := P(new(T))
+	if err := json.Unmarshal(raw, v); err != nil {
 		return nil, err
 	}
-	if n := len(out.L); n == 0 || len(out.Cl) != n || len(out.BandPowerUK) != n {
-		return nil, fmt.Errorf("serve: malformed C_l result (%d l, %d cl, %d band powers)", n, len(out.Cl), len(out.BandPowerUK))
+	if n := v.lens(); n[0] == 0 || slices.Min(n) != slices.Max(n) {
+		return nil, fmt.Errorf("serve: malformed %T result (array lengths %v)", v, n)
 	}
-	return newProduct(out)
+	return newProduct(v)
 }
 
-func decodePkResult(raw json.RawMessage) (*product, error) {
-	out := new(PkResponse)
-	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, err
-	}
-	if n := len(out.K); n == 0 || len(out.T) != n || len(out.P) != n {
-		return nil, fmt.Errorf("serve: malformed P(k) result (%d k, %d t, %d p)", n, len(out.T), len(out.P))
-	}
-	return newProduct(out)
-}
+// lens are the lengths of a product's arrays (see decodeResult).
+func (r *ClResponse) lens() []int { return []int{len(r.L), len(r.Cl), len(r.BandPowerUK)} }
+func (r *PkResponse) lens() []int { return []int{len(r.K), len(r.T), len(r.P)} }
 
 // peerServe routes one cache miss through the fleet. handled=false means
 // this node owns the key and the ordinary local path should run. The
 // leader-only flightOut fields (src, peer, traceID) are written here —
 // never from the hedge goroutines.
-func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, runLocal func() localRes, out *flightOut) (*product, error, bool) {
+func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, runLocal func() outcome, out *flightOut) (*product, error, bool) {
 	owner, remote := s.cluster.Owner(key)
 	if !remote {
 		return nil, nil, false
@@ -132,12 +127,6 @@ func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, r
 	return lres.p, lres.err, true
 }
 
-// fetchRes is one forward attempt's outcome.
-type fetchRes struct {
-	p   *product
-	err error
-}
-
 // peerFetch forwards the request to the owner and, when the forward is
 // slow, hedges it against a local compute. Exactly one of the returns is
 // meaningful: p (the peer answered), lr (a local run settled and must be
@@ -145,16 +134,16 @@ type fetchRes struct {
 // ran locally). Like the compute path, the fetch is decoupled from the
 // leader's own cancellation — coalesced followers depend on it — and
 // bounded instead by the peering layer's per-hop timeout and retry budget.
-func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerForward, runLocal func() localRes) (*product, *localRes, error) {
-	fetchCh := make(chan fetchRes, 1)
+func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerForward, runLocal func() outcome) (*product, *outcome, error) {
+	fetchCh := make(chan outcome, 1)
 	go func() {
-		b, err := s.cluster.Fetch(context.WithoutCancel(ctx), owner, fwd.endpoint, fwd.body)
+		b, err := s.cluster.Fetch(context.WithoutCancel(ctx), owner, "/v1/peer/"+fwd.kind.name, fwd.body)
 		if err != nil {
-			fetchCh <- fetchRes{err: err}
+			fetchCh <- outcome{err: err}
 			return
 		}
-		p, err := decodePeerEnvelope(b, key, fwd.decode)
-		fetchCh <- fetchRes{p: p, err: err}
+		p, err := decodePeerEnvelope(b, key, fwd.kind.decode)
+		fetchCh <- outcome{p: p, err: err}
 	}()
 	hedge := s.cluster.HedgeAfter()
 	if hedge <= 0 {
@@ -173,9 +162,9 @@ func (s *Service) peerFetch(ctx context.Context, owner, key string, fwd *peerFor
 	// — a late peer response is dropped, a late local sweep still fills
 	// the cache.
 	s.hedged.Inc()
-	localCh := make(chan localRes, 1)
+	localCh := make(chan outcome, 1)
 	go func() { localCh <- runLocal() }()
-	var failedLocal *localRes
+	var failedLocal *outcome
 	for {
 		select {
 		case fr := <-fetchCh:
@@ -234,7 +223,7 @@ type peerOffer struct {
 // The product's encoded body travels as the offer's result (compacted by
 // the offer's own Marshal), so nothing encodes the value again.
 func (s *Service) offerAsync(owner string, fwd *peerForward, key string, p *product) {
-	body, err := json.Marshal(peerOffer{Key: key, Kind: fwd.kind, Result: p.body})
+	body, err := json.Marshal(peerOffer{Key: key, Kind: fwd.kind.name, Result: p.body})
 	if err != nil {
 		return
 	}
@@ -245,48 +234,23 @@ func (s *Service) offerAsync(owner string, fwd *peerForward, key string, p *prod
 	}()
 }
 
-// peerRoutes registers the peer protocol on the daemon mux. The endpoints
-// are available on every node (clustered or not): a single-node daemon
+// peerRoutes registers the back-fill and membership endpoints of the peer
+// protocol on the daemon mux; Handler registers /v1/peer/cl and
+// /v1/peer/pk beside the public compute routes. The endpoints are
+// available on every node (clustered or not): a single-node daemon
 // answering /v1/peer/cl is just a slightly verbose /v1/cl.
 func (s *Service) peerRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/peer/cl", func(w http.ResponseWriter, r *http.Request) {
-		var req ClRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		// Peer requests never re-forward, whatever the body says: the hop
-		// bound is enforced by the receiver, not trusted from the wire.
-		req.PeerHop = 1
-		p, meta, err := s.computeCl(r.Context(), req)
-		annotate(r, meta)
-		s.writeResponse(w, p, meta, err)
-	})
-	mux.HandleFunc("/v1/peer/pk", func(w http.ResponseWriter, r *http.Request) {
-		var req PkRequest
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		req.PeerHop = 1
-		p, meta, err := s.computePk(r.Context(), req)
-		annotate(r, meta)
-		s.writeResponse(w, p, meta, err)
-	})
 	mux.HandleFunc("/v1/peer/offer", func(w http.ResponseWriter, r *http.Request) {
 		var off peerOffer
 		if !decodeRequest(w, r, &off) {
 			return
 		}
-		var p *product
-		var err error
-		switch off.Kind {
-		case "cl":
-			p, err = decodeClResult(off.Result)
-		case "pk":
-			p, err = decodePkResult(off.Result)
-		default:
+		k := s.kinds[off.Kind]
+		if k == nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown offer kind %q", off.Kind))
 			return
 		}
+		p, err := k.decode(off.Result)
 		// A key names its product in its prefix (hashKey): an offer of the
 		// other kind would be served under it as the wrong type.
 		if err != nil || !strings.HasPrefix(off.Key, off.Kind+"-") {

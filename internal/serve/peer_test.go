@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestPeerOfferRejectsMismatchedOrEmptyResult(t *testing.T) {
 		}
 	}
 	// A peer's answer goes through the same decoders.
-	if _, err := decodePeerEnvelope([]byte(`{"key": "cl-x", "result": {}}`), "cl-x", decodeClResult); err == nil {
+	if _, err := decodePeerEnvelope([]byte(`{"key": "cl-x", "result": {}}`), "cl-x", s.cl.decode); err == nil {
 		t.Fatal("an empty C_l result in a peer envelope was accepted")
 	}
 
@@ -110,6 +111,56 @@ func FuzzPeerOffer(f *testing.F) {
 			if _, _, err := s.ComputePk(ctx, PkRequest{}); err != nil {
 				t.Fatal(err)
 			}
+		}
+	})
+}
+
+// FuzzPeerEnvelope: no forwarded response panics either product's decode,
+// and one is accepted only when it answers the key asked for with a result
+// whose arrays are non-empty and of equal length.
+func FuzzPeerEnvelope(f *testing.F) {
+	s := testService()
+	f.Cleanup(s.Close)
+	for _, valid := range [][2]string{
+		{"cl", `{"key": "cl-0", "source": "compute", "result": {"l": [2, 3], "cl": [1, 2], "band_power_uk": [3, 4]}}`},
+		{"pk", `{"key": "pk-0", "source": "cache", "result": {"k": [0.1], "t": [1], "p": [2], "sigma8": 0.9}}`},
+	} {
+		name, body := valid[0], valid[1]
+		if _, err := decodePeerEnvelope([]byte(body), name+"-0", s.kinds[name].decode); err != nil {
+			f.Fatalf("valid %s envelope refused: %v", name, err)
+		}
+		f.Add(name, body)
+	}
+	f.Add("cl", `{"key": "cl-1", "result": {"l": [2], "cl": [1], "band_power_uk": [1]}}`)
+	f.Add("pk", `{"key": "pk-0", "result": [0.1, 1, 2]}`)
+	f.Add("cl", `{"key": "cl-0", "result": {"l": [2], "cl": [1`)
+	f.Fuzz(func(t *testing.T, name, body string) {
+		k := s.kinds[name]
+		if k == nil {
+			return
+		}
+		key := name + "-0"
+		p, err := decodePeerEnvelope([]byte(body), key, k.decode)
+		if err != nil {
+			return
+		}
+		var env peerEnvelope
+		if err := json.Unmarshal([]byte(body), &env); err != nil || env.Key != key {
+			t.Fatalf("accepted an envelope for another key: %s", body)
+		}
+		var lens []int // stays empty for a product of the other kind
+		switch v := p.v.(type) {
+		case *ClResponse:
+			if name == "cl" {
+				lens = []int{len(v.L), len(v.Cl), len(v.BandPowerUK)}
+			}
+		case *PkResponse:
+			if name == "pk" {
+				lens = []int{len(v.K), len(v.T), len(v.P)}
+			}
+		}
+		if len(lens) == 0 || lens[0] == 0 || slices.Min(lens) != slices.Max(lens) {
+			t.Fatalf("accepted a %T with array lengths %v", p.v, lens)
 		}
 	})
 }

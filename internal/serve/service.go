@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -84,10 +85,10 @@ type Options struct {
 	// SlowRequest is the latency above which a request is logged at WARN
 	// with its sweep trace id (<= 0: 2s).
 	SlowRequest time.Duration
-	// TraceBuffer bounds the /v1/trace ring of recent sweep traces
-	// (<= 0: 64).
-	TraceBuffer int
 }
+
+// traceRing bounds the /v1/trace ring of recent sweep traces.
+const traceRing = 64
 
 func (o Options) withDefaults() Options {
 	if o.Defaults == (Defaults{}) {
@@ -116,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SlowRequest <= 0 {
 		o.SlowRequest = 2 * time.Second
-	}
-	if o.TraceBuffer <= 0 {
-		o.TraceBuffer = 64
 	}
 	return o
 }
@@ -170,8 +168,9 @@ type Service struct {
 	localFallback  *obs.Counter
 	offersAccepted *obs.Counter
 
-	latCl     *obs.Histogram
-	latPk     *obs.Histogram
+	// cl and pk are the product table, kinds the same rows by name.
+	cl, pk    kind
+	kinds     map[string]*kind
 	queueWait *obs.Histogram
 
 	hitNs  atomic.Int64
@@ -190,7 +189,7 @@ func New(opts Options) *Service {
 		cluster: o.Cluster,
 		started: time.Now(),
 		reg:     obs.NewRegistry(),
-		traces:  obs.NewTraceLog(o.TraceBuffer),
+		traces:  obs.NewTraceLog(traceRing),
 		logger:  o.Logger,
 	}
 	r := s.reg
@@ -208,9 +207,9 @@ func New(opts Options) *Service {
 	s.hedged = r.Counter("plinger_cluster_hedged_total", "", "slow peer forwards raced against a local compute")
 	s.localFallback = r.Counter("plinger_cluster_local_fallback_total", "", "peer failures degraded to stale or local serving")
 	s.offersAccepted = r.Counter("plinger_cluster_offers_accepted_total", "", "peer back-fill offers cached on this node")
-	const latHelp = "request latency by endpoint (cache hits included)"
-	s.latCl = r.Histogram("plinger_serve_request_seconds", `endpoint="cl"`, latHelp, obs.DefBuckets(), 4)
-	s.latPk = r.Histogram("plinger_serve_request_seconds", `endpoint="pk"`, latHelp, obs.DefBuckets(), 4)
+	s.cl = newKind(r, "cl", decodeResult[ClResponse])
+	s.pk = newKind(r, "pk", decodeResult[PkResponse])
+	s.kinds = map[string]*kind{s.cl.name: &s.cl, s.pk.name: &s.pk}
 	s.queueWait = r.Histogram("plinger_serve_queue_wait_seconds", "", "time a flight leader waited for a compute slot", obs.DefBuckets(), 4)
 	r.GaugeFunc("plinger_serve_uptime_seconds", "", "seconds since the service started",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -305,9 +304,10 @@ type flightOut struct {
 // A non-nil fwd engages the sharded fleet (peer.go): a miss whose key a
 // remote peer owns is fetched from the owner instead of swept locally,
 // degrading to stale-or-local on any peer failure.
-func (s *Service) lookup(ctx context.Context, label, key string, deadline time.Duration, fwd *peerForward, compute func(tr *obs.Trace) (any, error)) (*product, Meta, error) {
+func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) (*product, Meta, error) {
 	s.requests.Inc()
 	start := time.Now()
+	key := j.key
 	meta := Meta{Key: key}
 	if p, ok := s.cache.Get(key); ok {
 		s.hits.Inc()
@@ -331,11 +331,11 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 			// (peer.go) may settle after the flight has already returned the
 			// peer's answer — the leader adopts the id only when it adopts
 			// the result.
-			runLocal := func() localRes {
+			runLocal := func() outcome {
 				// Only flight leaders that actually compute carry a trace: cache
 				// hits and coalesced followers stay on the untraced (and
 				// allocation-free) path, and the ring holds one trace per sweep.
-				tr := obs.NewTrace(label)
+				tr := obs.NewTrace(k.name)
 				s.traces.Add(tr)
 				defer tr.Finish()
 				// The leader computes on behalf of every follower that coalesces
@@ -346,25 +346,32 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 				sp := tr.Start("queue_wait")
 				if err := s.adm.acquire(context.WithoutCancel(ctx)); err != nil {
 					sp.End()
-					return localRes{err: err, trace: tr.ID()}
+					return outcome{err: err, trace: tr.ID()}
 				}
 				sp.End()
 				s.queueWait.Observe(tr.SpanMS("queue_wait") / 1e3)
 				defer s.adm.release()
-				v, err := compute(tr)
+				sp = tr.Start("model_acquire")
+				m, release, err := s.models.acquire(*j.cfg)
+				sp.End()
 				if err != nil {
-					return localRes{err: err, trace: tr.ID()}
+					return outcome{err: err, trace: tr.ID()}
+				}
+				defer release()
+				v, err := j.req.sweep(m, s.opts.Defaults, tr)
+				if err != nil {
+					return outcome{err: err, trace: tr.ID()}
 				}
 				sp = tr.Start("encode")
 				p, err := newProduct(v)
 				sp.End()
 				if err != nil {
-					return localRes{err: err, trace: tr.ID()}
+					return outcome{err: err, trace: tr.ID()}
 				}
 				s.sweeps.Inc()
 				s.cache.Add(key, p)
 				s.stale.Add(key, p)
-				return localRes{p: p, trace: tr.ID()}
+				return outcome{p: p, trace: tr.ID()}
 			}
 			if fwd != nil {
 				if p, err, handled := s.peerServe(ctx, key, fwd, runLocal, &out); handled {
@@ -379,10 +386,10 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 		return out
 	}
 	var out flightOut
-	if deadline > 0 {
+	if j.deadlineMS > 0 {
 		ch := make(chan flightOut, 1)
 		go func() { ch <- runFlight() }()
-		timer := time.NewTimer(deadline)
+		timer := time.NewTimer(time.Duration(j.deadlineMS) * time.Millisecond)
 		defer timer.Stop()
 		select {
 		case out = <-ch:
@@ -439,145 +446,165 @@ func (s *Service) lookup(ctx context.Context, label, key string, deadline time.D
 	return p, meta, err
 }
 
+// kind is one row of the product table: C_l or P(k). Its name is the key
+// prefix, the trace label, the back-fill offer's tag and the last element
+// of the product's /v1/<name> and /v1/peer/<name> routes.
+type kind struct {
+	name   string
+	decode func(json.RawMessage) (*product, error) // a result another node encoded
+	lat    *obs.Histogram                          // request latency, cache hits included
+}
+
+func newKind(r *obs.Registry, name string, decode func(json.RawMessage) (*product, error)) kind {
+	return kind{name, decode, r.Histogram("plinger_serve_request_seconds", `endpoint="`+name+`"`,
+		"request latency by endpoint (cache hits included)", obs.DefBuckets(), 4)}
+}
+
+// request is a resolved request of either product, the body of its peer
+// forward: what the one compute path asks of each product is its key's
+// canonical form and the sweep that computes it on its cosmology's model.
+type request interface {
+	canonical() string
+	sweep(m *plinger.Model, d Defaults, tr *obs.Trace) (any, error)
+}
+
+// job is one request as its product's half hands it to compute: the
+// resolved request and its cosmology, the wire request's own and the
+// facade's validation verdicts, and the wire request's routing fields.
+type job struct {
+	req              request
+	cfg              *plinger.Config
+	wireErr, optsErr error
+	deadlineMS       int
+	peerHop          int
+	key              string // set by compute
+}
+
+// compute is the one serving path of both products: wire validation, then
+// the facade's validation of the resolved options, then the peer forward of
+// the resolved request, then lookup.
+func (s *Service) compute(ctx context.Context, k *kind, j job) (*product, Meta, error) {
+	// Wire-level validation first: negatives must 400, not resolve to
+	// defaults (resolve treats only zero as "use the default"). Then the
+	// facade's fast-fails before the request touches the flight group or
+	// the admission queue: garbage must not occupy compute slots.
+	if j.wireErr == nil {
+		j.key = hashKey(k.name, j.req.canonical())
+	}
+	if err := cmp.Or(j.wireErr, j.optsErr); err != nil {
+		s.requests.Inc()
+		s.errCount.Inc()
+		return nil, Meta{Key: j.key, Source: SourceCompute}, err
+	}
+	// A forward carries the fully resolved request so the owner derives the
+	// identical key even when its own configured defaults differ.
+	// Peer-originated requests never build one: a forward travels at most
+	// one hop.
+	var fwd *peerForward
+	if s.cluster != nil && j.peerHop == 0 {
+		if body, err := json.Marshal(j.req); err == nil {
+			fwd = &peerForward{kind: k, body: body}
+		}
+	}
+	p, meta, err := s.lookup(ctx, k, j, fwd)
+	k.lat.Observe(meta.Elapsed.Seconds())
+	return p, meta, err
+}
+
 // ComputeCl serves one C_l request.
 func (s *Service) ComputeCl(ctx context.Context, req ClRequest) (*ClResponse, Meta, error) {
-	p, meta, err := s.computeCl(ctx, req)
+	p, meta, err := s.computeCl(ctx, req, false)
 	if err != nil {
 		return nil, meta, err
 	}
 	return p.v.(*ClResponse), meta, nil
 }
 
-// computeCl is ComputeCl returning the cached product, for the handlers.
-func (s *Service) computeCl(ctx context.Context, req ClRequest) (*product, Meta, error) {
-	// Wire-level validation first: negatives must 400, not resolve to
-	// defaults (resolve treats only zero as "use the default").
-	if err := req.Validate(); err != nil {
-		s.requests.Inc()
-		s.errCount.Inc()
-		return nil, Meta{Source: SourceCompute}, err
+// computeCl is ComputeCl returning the cached product, for the handlers;
+// peer marks a request that arrived on /v1/peer/cl.
+func (s *Service) computeCl(ctx context.Context, req ClRequest, peer bool) (*product, Meta, error) {
+	if peer {
+		req.PeerHop = 1
 	}
-	d := s.opts.Defaults
-	rr := req.resolve(d)
-	opts := plinger.SpectrumOptions{
-		LMaxCl:     rr.LMaxCl,
-		NK:         rr.NK,
-		FastLOS:    !rr.Exact,
-		FastEvolve: !rr.Exact,
-		KRefine:    rr.KRefine,
-		LSpline:    !rr.Exact && d.LSpline,
+	rr := req.resolve(s.opts.Defaults)
+	return s.compute(ctx, &s.cl, job{req: rr, cfg: rr.Config, wireErr: req.Validate(),
+		optsErr: rr.options(s.opts.Defaults).Validate(), deadlineMS: req.DeadlineMS, peerHop: req.PeerHop})
+}
+
+// options is the facade request a resolved C_l request runs.
+func (r ClRequest) options(d Defaults) plinger.SpectrumOptions {
+	o := plinger.SpectrumOptions{
+		LMaxCl:     r.LMaxCl,
+		NK:         r.NK,
+		FastLOS:    !r.Exact,
+		FastEvolve: !r.Exact,
+		KRefine:    r.KRefine,
+		LSpline:    !r.Exact && d.LSpline,
 	}
-	if !rr.Exact {
-		opts.KBatch = d.KBatch
+	if !r.Exact {
+		o.KBatch = d.KBatch
 	}
-	key := req.Key(d)
-	// Fast-fail before the request touches the flight group or the
-	// admission queue: garbage must not occupy compute slots.
-	if err := opts.Validate(); err != nil {
-		s.requests.Inc()
-		s.errCount.Inc()
-		return nil, Meta{Key: key, Source: SourceCompute}, err
+	return o
+}
+
+func (r ClRequest) sweep(m *plinger.Model, d Defaults, tr *obs.Trace) (any, error) {
+	o := r.options(d)
+	o.Trace = tr
+	spec, err := m.ComputeSpectrum(o)
+	if err != nil {
+		return nil, err
 	}
-	// A forward carries the fully resolved request (defaults filled in,
-	// deadline zeroed, hop marked) so the owner derives the identical key
-	// even when its own configured defaults differ. Peer-originated
-	// requests never build one: a forward travels at most one hop.
-	var fwd *peerForward
-	if s.cluster != nil && req.PeerHop == 0 {
-		wire := rr
-		wire.DeadlineMS = 0
-		wire.PeerHop = 1
-		if body, merr := json.Marshal(wire); merr == nil {
-			fwd = &peerForward{endpoint: "/v1/peer/cl", kind: "cl", body: body, decode: decodeClResult}
-		}
-	}
-	p, meta, err := s.lookup(ctx, "cl", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
-		sp := tr.Start("model_acquire")
-		m, release, err := s.models.acquire(*rr.Config)
-		sp.End()
+	sp := tr.Start("assemble")
+	defer sp.End()
+	out := &ClResponse{L: spec.L, Cl: spec.Cl}
+	if r.QCOBEMicroK > 0 {
+		scale, err := spec.NormalizeCOBE(r.QCOBEMicroK)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
-		opts.Trace = tr
-		spec, err := m.ComputeSpectrum(opts)
-		if err != nil {
-			return nil, err
-		}
-		sp = tr.Start("assemble")
-		defer sp.End()
-		out := &ClResponse{L: spec.L, Cl: spec.Cl}
-		if rr.QCOBEMicroK > 0 {
-			scale, err := spec.NormalizeCOBE(rr.QCOBEMicroK)
-			if err != nil {
-				return nil, err
-			}
-			out.Cl = spec.Cl
-			out.AmpScale = scale
-		}
-		out.BandPowerUK = make([]float64, len(spec.L))
-		for i := range spec.L {
-			out.BandPowerUK[i] = spec.BandPower(i)
-		}
-		return out, nil
-	})
-	s.latCl.Observe(meta.Elapsed.Seconds())
-	return p, meta, err
+		out.Cl = spec.Cl
+		out.AmpScale = scale
+	}
+	out.BandPowerUK = make([]float64, len(spec.L))
+	for i := range spec.L {
+		out.BandPowerUK[i] = spec.BandPower(i)
+	}
+	return out, nil
 }
 
 // ComputePk serves one P(k) request.
 func (s *Service) ComputePk(ctx context.Context, req PkRequest) (*PkResponse, Meta, error) {
-	p, meta, err := s.computePk(ctx, req)
+	p, meta, err := s.computePk(ctx, req, false)
 	if err != nil {
 		return nil, meta, err
 	}
 	return p.v.(*PkResponse), meta, nil
 }
 
-// computePk is ComputePk returning the cached product, for the handlers.
-func (s *Service) computePk(ctx context.Context, req PkRequest) (*product, Meta, error) {
-	if err := req.Validate(); err != nil {
-		s.requests.Inc()
-		s.errCount.Inc()
-		return nil, Meta{Source: SourceCompute}, err
+// computePk is ComputePk returning the cached product, for the handlers;
+// peer marks a request that arrived on /v1/peer/pk.
+func (s *Service) computePk(ctx context.Context, req PkRequest, peer bool) (*product, Meta, error) {
+	if peer {
+		req.PeerHop = 1
 	}
-	d := s.opts.Defaults
-	rr := req.resolve(d)
-	opts := plinger.MatterPowerOptions{
-		KMin: rr.KMin, KMax: rr.KMax, NK: rr.NK, Amp: rr.Amp,
+	rr := req.resolve(s.opts.Defaults)
+	return s.compute(ctx, &s.pk, job{req: rr, cfg: rr.Config, wireErr: req.Validate(),
+		optsErr: rr.options().Validate(), deadlineMS: req.DeadlineMS, peerHop: req.PeerHop})
+}
+
+// options is the facade request a resolved P(k) request runs.
+func (r PkRequest) options() plinger.MatterPowerOptions {
+	return plinger.MatterPowerOptions{KMin: r.KMin, KMax: r.KMax, NK: r.NK, Amp: r.Amp}
+}
+
+func (r PkRequest) sweep(m *plinger.Model, _ Defaults, tr *obs.Trace) (any, error) {
+	o := r.options()
+	o.Trace = tr
+	mp, err := m.MatterPower(o)
+	if err != nil {
+		return nil, err
 	}
-	key := req.Key(d)
-	if err := opts.Validate(); err != nil {
-		s.requests.Inc()
-		s.errCount.Inc()
-		return nil, Meta{Key: key, Source: SourceCompute}, err
-	}
-	var fwd *peerForward
-	if s.cluster != nil && req.PeerHop == 0 {
-		wire := rr
-		wire.DeadlineMS = 0
-		wire.PeerHop = 1
-		if body, merr := json.Marshal(wire); merr == nil {
-			fwd = &peerForward{endpoint: "/v1/peer/pk", kind: "pk", body: body, decode: decodePkResult}
-		}
-	}
-	p, meta, err := s.lookup(ctx, "pk", key, req.deadline(), fwd, func(tr *obs.Trace) (any, error) {
-		sp := tr.Start("model_acquire")
-		m, release, err := s.models.acquire(*rr.Config)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		opts.Trace = tr
-		mp, err := m.MatterPower(opts)
-		if err != nil {
-			return nil, err
-		}
-		return &PkResponse{K: mp.K, T: mp.T, P: mp.P, Sigma8: mp.Sigma8}, nil
-	})
-	s.latPk.Observe(meta.Elapsed.Seconds())
-	return p, meta, err
+	return &PkResponse{K: mp.K, T: mp.T, P: mp.P, Sigma8: mp.Sigma8}, nil
 }
 
 // Stats is the /v1/stats document.
@@ -681,8 +708,8 @@ func (s *Service) Stats() Stats {
 		Defaults:      s.opts.Defaults,
 		Workers:       s.opts.Workers,
 		BesselTables:  specfunc.BesselCacheLen(),
-		LatencyCl:     latencyStats(s.latCl),
-		LatencyPk:     latencyStats(s.latPk),
+		LatencyCl:     latencyStats(s.cl.lat),
+		LatencyPk:     latencyStats(s.pk.lat),
 		Traces:        s.traces.Len(),
 	}
 	if st.Hits > 0 {

@@ -93,22 +93,6 @@ func RunSweepTraced(tr *obs.Trace, d dispatch.Dispatcher, ks []float64, mode cor
 	if err != nil {
 		return nil, nil, err
 	}
-	if tr != nil && st != nil {
-		// Fold the spans recorded so far (eval_tables, modes, a finished
-		// bessel_tables prewarm) into the run telemetry, summed by name in
-		// first-seen order.
-		snap := tr.Snapshot()
-		idx := make(map[string]int, len(snap.Spans))
-		for _, sp := range snap.Spans {
-			i, ok := idx[sp.Name]
-			if !ok {
-				i = len(st.Phases)
-				idx[sp.Name] = i
-				st.Phases = append(st.Phases, dispatch.Phase{Name: sp.Name})
-			}
-			st.Phases[i].Seconds += sp.DurMS / 1e3
-		}
-	}
 	sw, err := FromResults(dsw.KValues, dsw.Results, dsw.Tau0)
 	if err != nil {
 		return nil, nil, err
