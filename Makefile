@@ -147,13 +147,15 @@ bench-json:
 bench-smoke:
 	$(GO) test ./bench
 
-# cmd-smoke runs the three command-line drivers that build their own
+# cmd-smoke runs the four command-line drivers that build their own
 # models and sweeps at tiny sizes, so a flag or report path that stops
-# working fails CI. psimovie writes its frames to a temporary directory.
+# working fails CI: linger drives both facade products (C_l and the matter
+# power table). psimovie and linger write into a temporary directory.
 cmd-smoke:
 	$(GO) run ./cmd/scaling -np 1,2 -nk 8 -lmax 20 -schedules -backends -fastevolve
 	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
 	d=$$(mktemp -d) && $(GO) run ./cmd/psimovie -n 16 -frames 2 -dir "$$d"; s=$$?; rm -rf "$$d"; exit $$s
+	d=$$(mktemp -d) && $(GO) run ./cmd/linger -nk 8 -lmaxcl 20 -out "$$d/linger.out"; s=$$?; rm -rf "$$d"; exit $$s
 
 # loc prints the non-test Go lines per package under internal/, of the
 # facade and of cmd/ — the number ROADMAP aim 2 tracks — and beside them the

@@ -89,7 +89,7 @@ func main() {
 	adapt := *lmax == 0
 	gl := *lmax
 	if gl == 0 {
-		gl = spectra.PerKLMax(ks[len(ks)-1], model.BG.Tau0(), 1<<20)
+		gl = dispatch.PerKLMax(ks[len(ks)-1], model.BG.Tau0(), 1<<20)
 	}
 	gauge := core.Synchronous
 	if *gaugeName == "newtonian" {

@@ -68,7 +68,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8787", "listen address")
-		workers  = flag.Int("workers", 0, "shared dispatch pool size per model (0: GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "size of the daemon's one shared dispatch pool, which every model's sweeps run on (0: GOMAXPROCS)")
 		cache    = flag.Int("cache", 256, "response cache entries")
 		models   = flag.Int("models", 4, "model registry entries")
 		conc     = flag.Int("concurrent", 2, "max concurrently computing sweeps")

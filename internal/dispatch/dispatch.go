@@ -8,11 +8,12 @@
 //     largest-k-first trick, Section 5.2), expressed by Schedule;
 //   - transport — shared memory versus message passing over PVM/MPI/MPL,
 //     expressed by the two executors: SharedPool (the shared-memory worker
-//     pool, the Cray Autotasking analogue; Pool is one started for a single
-//     run) and RunMaster (the master of the Appendix A master/worker
-//     protocol over any mp.Endpoint transport, driven by MP for in-process
-//     worlds and by internal/farm for supervised worker processes, whose
-//     workers run Worker);
+//     pool, the Cray Autotasking analogue, one per process serving sweeps
+//     of any model; Pool is one started for a single run) and RunMaster
+//     (the master of the Appendix A master/worker protocol over any
+//     mp.Endpoint transport, driven by MP for in-process worlds and by
+//     internal/farm for supervised worker processes, whose workers run
+//     Worker); SharedPool and the farm's Supervisor are both Executors;
 //   - accounting — wallclock, per-worker busy time, parallel efficiency and
 //     flop rate (Figure 1 / Section 5.1), expressed by RunStats and
 //     populated identically by both.
@@ -39,6 +40,13 @@ import (
 // count, schedule or transport.
 type Dispatcher interface {
 	Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error)
+}
+
+// Executor is a long-lived sweep executor that serves any model: each
+// Sweep names the model, the hand-out order and whether the hierarchy
+// cutoff adapts per wavenumber, under Dispatcher's determinism contract.
+type Executor interface {
+	Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error)
 }
 
 // Sweep is the raw outcome of a dispatched run: one result per wavenumber,

@@ -47,6 +47,18 @@ func smallMode() core.Params {
 	return core.Params{LMax: 10, Gauge: core.Synchronous, TauEnd: 300}
 }
 
+func TestPerKLMax(t *testing.T) {
+	if PerKLMax(1e-4, 12000, 1000) >= PerKLMax(0.05, 12000, 1000) {
+		t.Fatal("per-k lmax should grow with k")
+	}
+	if PerKLMax(1.0, 12000, 300) != 300 {
+		t.Fatal("per-k lmax must respect the global cap")
+	}
+	if PerKLMax(1e-9, 12000, 1000) < 8 {
+		t.Fatal("per-k lmax floor")
+	}
+}
+
 // sameResult asserts bitwise equality of every deterministic field; only
 // wallclock timing may differ between backends.
 func sameResult(t *testing.T, label string, a, b *core.Result) {
@@ -195,10 +207,8 @@ func TestArenaSweepEquivalence(t *testing.T) {
 		}
 		check("pool/"+sched.String(), sw)
 
-		shared := NewSharedPool(m, 3)
-		shared.Schedule = sched
-		shared.AdaptLMax = true
-		sw, _, err = shared.Run(context.Background(), ks, mode)
+		shared := NewSharedPool(3)
+		sw, _, err = shared.Sweep(context.Background(), m, ks, mode, sched, true)
 		shared.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -450,10 +460,8 @@ func TestBatchedSweepEquivalence(t *testing.T) {
 			}
 			check(label("pool"), sw)
 
-			shared := NewSharedPool(m, 3)
-			shared.Schedule = sched
-			shared.AdaptLMax = true
-			sw, st, err = shared.Run(context.Background(), ks, mode)
+			shared := NewSharedPool(3)
+			sw, st, err = shared.Sweep(context.Background(), m, ks, mode, sched, true)
 			shared.Close()
 			if err != nil {
 				t.Fatal(err)

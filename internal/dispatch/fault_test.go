@@ -307,8 +307,8 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	if _, _, err := (&Pool{Model: broken, Workers: 2}).Run(context.Background(), ks, mode); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("pool worker panic: %v", err)
 	}
-	sp := NewSharedPool(broken, 2)
-	_, _, err := sp.Run(context.Background(), ks, mode)
+	sp := NewSharedPool(2)
+	_, _, err := sp.Sweep(context.Background(), broken, ks, mode, LargestFirst, false)
 	sp.Close()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("shared pool worker panic: %v", err)

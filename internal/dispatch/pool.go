@@ -24,8 +24,8 @@ type Pool struct {
 
 // Run implements Dispatcher.
 func (p *Pool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
-	sp := NewSharedPool(p.Model, p.Workers)
+	sp := NewSharedPool(p.Workers)
 	defer sp.Close()
-	sp.Schedule, sp.AdaptLMax, sp.backend = p.Schedule, p.AdaptLMax, "pool"
-	return sp.Run(ctx, ks, mode)
+	sp.backend = "pool"
+	return sp.Sweep(ctx, p.Model, ks, mode, p.Schedule, p.AdaptLMax)
 }

@@ -29,9 +29,8 @@ func TestPoolIsASharedPoolForOneRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: pool: %v", label, err)
 				}
-				sp := NewSharedPool(m, workers)
-				sp.AdaptLMax = adapt
-				b, bst, err := sp.Run(context.Background(), ks, mode)
+				sp := NewSharedPool(workers)
+				b, bst, err := sp.Sweep(context.Background(), m, ks, mode, LargestFirst, adapt)
 				sp.Close()
 				if err != nil {
 					t.Fatalf("%s: shared pool: %v", label, err)

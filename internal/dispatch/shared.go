@@ -13,29 +13,28 @@ import (
 
 // SharedPool is the shared-memory worker pool, the analogue of the Cray
 // Autotasking parallelism of Section 3: the worker goroutines start once
-// and then serve every Run call for the life of the pool, so a daemon
-// handling many spectrum requests pays the pool spin-up once per process
-// instead of once per request, and concurrent sweeps interleave their
-// wavenumbers onto the same workers (a natural admission batcher — two
-// half-idle sweeps fill each other's gaps instead of oversubscribing the
-// machine with two full pools). Pool is this type started for one run.
+// and then serve every Sweep call for the life of the pool, whatever model
+// it names, so a daemon handling many spectrum requests pays the pool
+// spin-up once per process instead of once per request or per cosmology,
+// and concurrent sweeps interleave their wavenumbers onto the same workers
+// (a natural admission batcher — two half-idle sweeps fill each other's
+// gaps instead of oversubscribing the machine with two full pools). Pool is
+// this type started for one run.
 //
-// Run is safe for concurrent callers; each call gets its own results and
-// telemetry. Close drains the workers; Run after Close returns an error.
+// Sweep is safe for concurrent callers; each call gets its own results and
+// telemetry. Close waits for the sweeps in flight and then stops the
+// workers; Sweep after Close returns an error.
 type SharedPool struct {
-	model   *core.Model
 	workers int
 	backend string // RunStats.Backend: "pool/shared", or "pool" under Pool.Run
-	// Schedule is the per-run hand-out order (zero value: largest-first).
-	// Set it before the pool is shared between goroutines.
-	Schedule Schedule
-	// AdaptLMax reduces the hierarchy cutoff per wavenumber via PerKLMax.
-	AdaptLMax bool
 
 	jobs chan sharedJob
 	quit chan struct{}
 
-	closeOnce sync.Once
+	mu       sync.Mutex
+	closed   bool           // under mu: no sweep may start
+	sweeps   sync.WaitGroup // sweeps in flight, which Close waits for
+	stopOnce sync.Once
 }
 
 // sharedJob is one assignment: the run it belongs to and a contiguous
@@ -49,6 +48,7 @@ type sharedJob struct {
 // one padded slot per worker rank, so workers book completed modes without
 // a lock and without false sharing; only the first error takes the mutex.
 type sharedRun struct {
+	model   *core.Model
 	ks      []float64
 	mode    core.Params
 	perk    []int
@@ -86,14 +86,13 @@ func (r *sharedRun) record(rank int, res *core.Result) {
 	observeMode(rank, res.Seconds)
 }
 
-// NewSharedPool starts a persistent pool of workers (<= 0: GOMAXPROCS)
-// evolving modes of the given model.
-func NewSharedPool(model *core.Model, workers int) *SharedPool {
+// NewSharedPool starts a persistent pool of workers (<= 0: GOMAXPROCS);
+// every sweep names the model its modes evolve.
+func NewSharedPool(workers int) *SharedPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &SharedPool{
-		model:   model,
 		workers: workers,
 		backend: "pool/shared",
 		jobs:    make(chan sharedJob),
@@ -105,12 +104,10 @@ func NewSharedPool(model *core.Model, workers int) *SharedPool {
 	return p
 }
 
-// Workers returns the pool size.
-func (p *SharedPool) Workers() int { return p.workers }
-
 func (p *SharedPool) worker(rank int) {
 	// The worker's arena lives as long as the pool: every mode of every
-	// run this goroutine serves reuses one set of evolution buffers.
+	// run this goroutine serves, of any model, reuses one set of evolution
+	// buffers (an arena carries no model state between modes).
 	sc := core.NewScratch()
 	for {
 		var job sharedJob
@@ -151,7 +148,7 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 		if run.perk != nil {
 			perk = run.perk[lo:hi]
 		}
-		rs, err := p.model.EvolveBatchWith(run.ks[lo:hi], run.mode, perk, sc)
+		rs, err := run.model.EvolveBatchWith(run.ks[lo:hi], run.mode, perk, sc)
 		if err != nil {
 			name := fmt.Sprintf("k=%g", run.ks[lo])
 			if hi-lo > 1 {
@@ -168,13 +165,14 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 	return ok
 }
 
-// Run implements Dispatcher: it enqueues the grid's blocks onto the shared
-// workers (in Schedule order, batched into contiguous chunks — see
+// Sweep implements Executor: it enqueues the grid's blocks of model onto
+// the shared workers (in sched order, batched into contiguous chunks — see
 // handOutChunks) and waits for the sweep to finish. Multiple concurrent
-// Run calls interleave fairly at chunk granularity.
-func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
-	if p.model == nil {
-		return nil, nil, fmt.Errorf("dispatch: pool has no model")
+// Sweep calls, of one model or of several, interleave fairly at chunk
+// granularity.
+func (p *SharedPool) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error) {
+	if model == nil {
+		return nil, nil, fmt.Errorf("dispatch: sweep has no model")
 	}
 	if len(ks) == 0 {
 		return nil, nil, fmt.Errorf("dispatch: empty wavenumber grid")
@@ -182,45 +180,46 @@ func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-p.quit:
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return nil, nil, fmt.Errorf("dispatch: shared pool is closed")
-	default:
 	}
+	p.sweeps.Add(1)
+	p.mu.Unlock()
+	defer p.sweeps.Done()
 
 	tr := obs.TraceFrom(ctx)
-	tau0 := sweepTau0(p.model, mode)
+	tau0 := sweepTau0(model, mode)
 	spTables := tr.Start("eval_tables")
-	prebuildEvalTables(p.model, mode)
+	prebuildEvalTables(model, mode)
 	spTables.End()
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	run := &sharedRun{
+		model:   model,
 		ks:      ks,
 		mode:    mode,
-		perk:    perKLMaxTable(ks, tau0, mode.LMax, p.AdaptLMax),
+		perk:    perKLMaxTable(ks, tau0, mode.LMax, adaptLMax),
 		results: make([]*core.Result, len(ks)),
 		blocks:  batchBlocks(len(ks), mode.KBatch),
 		ctx:     rctx,
 		cancel:  cancel,
 		timings: make([]paddedTiming, p.workers),
 	}
-	chunks := handOutChunks(blockOrder(p.Schedule, ks, run.blocks), p.workers)
+	chunks := handOutChunks(blockOrder(sched, ks, run.blocks), p.workers)
 
 	spModes := tr.Start("modes")
 	start := time.Now()
 	run.wg.Add(len(chunks))
-	enqueued, closed := 0, false
+	enqueued := 0
+feed:
 	for _, c := range chunks {
 		select {
 		case p.jobs <- sharedJob{run: run, idxs: c}:
 			enqueued++
 		case <-rctx.Done():
-		case <-p.quit:
-			closed = true
-		}
-		if closed || rctx.Err() != nil {
-			break
+			break feed
 		}
 	}
 	// Balance the Add for chunks never handed to a worker.
@@ -236,16 +235,13 @@ func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	if closed {
-		return nil, nil, fmt.Errorf("dispatch: shared pool closed during run")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 
 	st := &RunStats{
 		Backend:   p.backend,
-		Schedule:  p.Schedule,
+		Schedule:  sched,
 		NWorkers:  p.workers,
 		NProc:     p.workers,
 		Wallclock: time.Since(start).Seconds(),
@@ -265,8 +261,12 @@ func (p *SharedPool) Run(ctx context.Context, ks []float64, mode core.Params) (*
 	return sw, st, nil
 }
 
-// Close stops the workers. In-flight Run calls finish modes already handed
-// to a worker and then return an error; Close does not wait for them.
+// Close waits for the sweeps in flight to finish and then stops the
+// workers. It is idempotent.
 func (p *SharedPool) Close() {
-	p.closeOnce.Do(func() { close(p.quit) })
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.sweeps.Wait()
+	p.stopOnce.Do(func() { close(p.quit) })
 }

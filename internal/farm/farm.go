@@ -541,6 +541,10 @@ func (s *Supervisor) claimWorkers(ctx context.Context) (*tcpmp.Endpoint, map[int
 	return ep, peers
 }
 
+// The supervisor is a dispatch executor: like the shared pool, it serves
+// any model, named per sweep.
+var _ dispatch.Executor = (*Supervisor)(nil)
+
 // Sweep runs one k-grid sweep for the given model over the fleet,
 // returning dispatch-shaped results and stats. The workers build their
 // replica from model.Spec, so the model must come from core.Build. Sweeps

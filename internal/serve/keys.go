@@ -14,8 +14,8 @@
 //     identical cold requests cost one sweep;
 //   - queue.go — bounded admission, so overload degrades to fast 503s
 //     instead of an unbounded pile-up of sweeps;
-//   - models.go — a refcounted registry of built models, each with a
-//     long-lived shared dispatch pool;
+//   - models.go — a coalescing LRU registry of built models, all attached
+//     to the service's one executor (its shared pool, or the farm);
 //   - service.go / handlers.go — the one compute path of both products and
 //     the HTTP JSON API (/v1/cl, /v1/pk, /v1/stats) that cmd/plingerd exposes;
 //   - peer.go — the sharded-fleet routing over internal/cluster: cache

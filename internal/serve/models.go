@@ -5,20 +5,19 @@ import (
 	"sync"
 
 	"plinger"
-	"plinger/internal/farm"
+	"plinger/internal/dispatch"
 )
 
-// modelCache is the refcounted registry of built models. Building a model
-// (background integrals + recombination + opacity tables) costs tens of
-// milliseconds and each model carries a long-lived shared dispatch pool, so
-// the daemon keeps a bounded LRU of them keyed by quantized cosmology.
-// Builds are coalesced like spectrum requests. Eviction is refcounted: a
-// model's pool is only closed once the last in-flight request using it has
-// released it, so eviction can never yank a pool out from under a sweep.
+// modelCache is the registry of built models. Building a model (background
+// integrals + recombination + opacity tables) costs tens of milliseconds,
+// so the daemon keeps a bounded LRU of them keyed by quantized cosmology,
+// each attached to the service's one executor. Builds are coalesced like
+// spectrum requests. A model owns nothing eviction has to free: one that
+// drops out of the LRU while a request holds it keeps computing, and the
+// garbage collector reclaims it afterwards.
 type modelCache struct {
 	capacity int
-	workers  int              // shared-pool size per model
-	farm     *farm.Supervisor // non-nil: sweeps route over the fleet instead
+	exec     dispatch.Executor // attached to every model built
 
 	mu sync.Mutex
 	m  map[string]*modelEntry
@@ -35,123 +34,62 @@ type modelEntry struct {
 
 	model *plinger.Model
 	err   error
-
-	refs    int
-	evicted bool
 }
 
-func newModelCache(capacity, workers int, f *farm.Supervisor) *modelCache {
+func newModelCache(capacity int, exec dispatch.Executor) *modelCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &modelCache{
 		capacity: capacity,
-		workers:  workers,
-		farm:     f,
+		exec:     exec,
 		m:        make(map[string]*modelEntry),
 		ll:       list.New(),
 	}
 }
 
-// acquire returns the model for cfg (building it on first use) and a
-// release function the caller must invoke when done with it.
-func (c *modelCache) acquire(cfg plinger.Config) (*plinger.Model, func(), error) {
+// acquire returns the model for cfg, building it on first use.
+func (c *modelCache) acquire(cfg plinger.Config) (*plinger.Model, error) {
 	key := modelKey(cfg)
 
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
-		e.refs++
 		c.ll.MoveToFront(e.elem)
 		c.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
-			c.release(e)
-			return nil, nil, e.err
-		}
-		return e.model, func() { c.release(e) }, nil
+		return e.model, e.err
 	}
-	e := &modelEntry{key: key, ready: make(chan struct{}), refs: 1}
+	e := &modelEntry{key: key, ready: make(chan struct{})}
 	e.elem = c.ll.PushFront(e)
 	c.m[key] = e
 	c.builds++
-	c.evictOverflowLocked()
+	for c.ll.Len() > c.capacity {
+		c.removeLocked(c.ll.Back().Value.(*modelEntry))
+		c.evictions++
+	}
 	c.mu.Unlock()
 
 	m, err := plinger.New(cfg)
 	if err == nil {
-		if c.farm != nil {
-			// The fleet is shared across all models; workers build and cache
-			// their own replica from the sweep's model specification.
-			m.EnableFarm(c.farm)
-		} else {
-			m.EnableSharedPool(c.workers)
-		}
+		m.Attach(c.exec)
 	}
 	e.model, e.err = m, err
 	close(e.ready)
 	if err != nil {
+		// Drop the failed entry so the next request retries the build.
 		c.mu.Lock()
-		c.dropLocked(e)
+		if c.m[key] == e {
+			c.removeLocked(e)
+		}
 		c.mu.Unlock()
-		c.release(e)
-		return nil, nil, err
 	}
-	return m, func() { c.release(e) }, nil
+	return e.model, e.err
 }
 
-// release decrements the refcount and closes the pool of an evicted entry
-// once nobody is using it.
-func (c *modelCache) release(e *modelEntry) {
-	c.mu.Lock()
-	e.refs--
-	closeNow := e.evicted && e.refs == 0 && e.model != nil
-	c.mu.Unlock()
-	if closeNow {
-		e.model.CloseSharedPool()
-	}
-}
-
-// dropLocked removes a (failed) entry from the index so the next request
-// retries the build.
-func (c *modelCache) dropLocked(e *modelEntry) {
-	if !e.evicted {
-		e.evicted = true
-		c.ll.Remove(e.elem)
-		delete(c.m, e.key)
-	}
-}
-
-// evictOverflowLocked trims the LRU tail beyond capacity.
-func (c *modelCache) evictOverflowLocked() {
-	for c.ll.Len() > c.capacity {
-		last := c.ll.Back()
-		e := last.Value.(*modelEntry)
-		e.evicted = true
-		c.ll.Remove(last)
-		delete(c.m, e.key)
-		c.evictions++
-		if e.refs == 0 && e.model != nil {
-			e.model.CloseSharedPool()
-		}
-	}
-}
-
-// close evicts everything; called on service shutdown.
-func (c *modelCache) close() {
-	c.mu.Lock()
-	var idle []*plinger.Model
-	for _, e := range c.m {
-		e.evicted = true
-		if e.refs == 0 && e.model != nil {
-			idle = append(idle, e.model)
-		}
-	}
-	c.m = make(map[string]*modelEntry)
-	c.ll.Init()
-	c.mu.Unlock()
-	for _, m := range idle {
-		m.CloseSharedPool()
-	}
+// removeLocked takes an entry out of the index and the LRU.
+func (c *modelCache) removeLocked(e *modelEntry) {
+	c.ll.Remove(e.elem)
+	delete(c.m, e.key)
 }
 
 // ModelStats is the /v1/stats view of the model registry.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"plinger"
+	"plinger/internal/dispatch"
 )
 
 // clCfg is SCDM with a different Hubble constant (Flatten absorbs the
@@ -364,28 +365,29 @@ func TestServiceBusy(t *testing.T) {
 	}
 }
 
-func TestModelCacheEvictionRefcounted(t *testing.T) {
-	mc := newModelCache(1, 1, nil)
+// TestModelCacheEvictedModelStillComputes: a model the LRU has evicted
+// still computes for the request that holds it, on the shared pool every
+// model of the registry is attached to.
+func TestModelCacheEvictedModelStillComputes(t *testing.T) {
+	pool := dispatch.NewSharedPool(1)
+	defer pool.Close()
+	mc := newModelCache(1, pool)
 	cfgA := clCfg(0.5)
 	cfgB := clCfg(0.55)
 
-	mA, releaseA, err := mc.acquire(cfgA)
+	mA, err := mc.acquire(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Evict A while it is in use; it must keep working until released.
-	_, releaseB, err := mc.acquire(cfgB)
-	if err != nil {
+	// Evict A while it is in use; it must keep working.
+	if _, err := mc.acquire(cfgB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mA.ComputeSpectrum(clOptsTiny()); err != nil {
 		t.Fatalf("evicted-but-referenced model broken: %v", err)
 	}
-	releaseA()
-	releaseB()
 	st := mc.Stats()
 	if st.Builds != 2 || st.Evictions != 1 || st.Size != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	mc.close()
 }

@@ -13,6 +13,7 @@ import (
 
 	"plinger"
 	"plinger/internal/cluster"
+	"plinger/internal/dispatch"
 	"plinger/internal/farm"
 	"plinger/internal/obs"
 	"plinger/internal/specfunc"
@@ -49,10 +50,11 @@ func DefaultDefaults() Defaults {
 type Options struct {
 	// Defaults resolves zero-valued request fields (zero: DefaultDefaults).
 	Defaults Defaults
-	// Workers sizes each model's shared dispatch pool (<= 0: GOMAXPROCS).
+	// Workers sizes the daemon's one shared dispatch pool, which every
+	// model's sweeps run on (<= 0: GOMAXPROCS).
 	Workers int
 	// Farm, when non-nil, routes every model's sweeps across the multi-host
-	// worker fleet instead of a per-model shared pool. The supervisor is
+	// worker fleet instead of the shared pool. The supervisor is
 	// attached, not owned: the service never closes it (the daemon that
 	// started the farm drains it on shutdown), and one supervisor serves
 	// every model in the registry — workers cache models per specification.
@@ -128,13 +130,14 @@ func (o Options) withDefaults() Options {
 var ErrDeadline = errors.New("serve: compute deadline exceeded")
 
 // Service is the spectrum server: cached, coalesced, admission-bounded
-// C_l and P(k) computation over long-lived models and dispatch pools.
+// C_l and P(k) computation over long-lived models and one dispatch pool.
 // Safe for concurrent use; create with New and Close when done.
 type Service struct {
 	opts    Options
 	cache   *lru
 	stale   *lru
 	models  *modelCache
+	pool    *dispatch.SharedPool // nil when sweeps run on a farm
 	flights flightGroup
 	adm     *admission
 	cluster *cluster.Peering
@@ -184,7 +187,6 @@ func New(opts Options) *Service {
 		opts:    o,
 		cache:   newLRU(o.CacheSize),
 		stale:   newLRU(o.StaleCacheSize),
-		models:  newModelCache(o.ModelCacheSize, o.Workers, o.Farm),
 		adm:     newAdmission(o.MaxConcurrent, o.MaxQueue),
 		cluster: o.Cluster,
 		started: time.Now(),
@@ -192,6 +194,16 @@ func New(opts Options) *Service {
 		traces:  obs.NewTraceLog(traceRing),
 		logger:  o.Logger,
 	}
+	// One executor serves every model: the farm when there is one, else
+	// the service's own pool.
+	var exec dispatch.Executor
+	if o.Farm != nil {
+		exec = o.Farm
+	} else {
+		s.pool = dispatch.NewSharedPool(o.Workers)
+		exec = s.pool
+	}
+	s.models = newModelCache(o.ModelCacheSize, exec)
 	r := s.reg
 	s.requests = r.Counter("plinger_serve_requests_total", "", "requests accepted by the compute API")
 	s.hits = r.Counter("plinger_serve_cache_hits_total", "", "requests answered from the response cache")
@@ -221,7 +233,7 @@ func New(opts Options) *Service {
 		func() float64 { return float64(s.adm.Stats().Computing) })
 	r.GaugeFunc("plinger_serve_queue_waiting", "", "requests waiting for a compute slot",
 		func() float64 { return float64(s.adm.Stats().Waiting) })
-	r.GaugeFunc("plinger_serve_models", "", "models in the refcounted registry",
+	r.GaugeFunc("plinger_serve_models", "", "models in the registry (all share one executor)",
 		func() float64 { return float64(s.models.Stats().Size) })
 	r.GaugeFunc("plinger_serve_inflight_keys", "", "distinct keys currently computing",
 		func() float64 { return float64(s.flights.InFlight()) })
@@ -233,8 +245,13 @@ func New(opts Options) *Service {
 	return s
 }
 
-// Close releases the model registry and its dispatch pools.
-func (s *Service) Close() { s.models.close() }
+// Close stops the service's shared pool once its sweeps in flight finish.
+// A farm is not the service's to close.
+func (s *Service) Close() {
+	if s.pool != nil {
+		s.pool.Close()
+	}
+}
 
 // Defaults returns the resolved request fallbacks.
 func (s *Service) Defaults() Defaults { return s.opts.Defaults }
@@ -352,12 +369,11 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 				s.queueWait.Observe(tr.SpanMS("queue_wait") / 1e3)
 				defer s.adm.release()
 				sp = tr.Start("model_acquire")
-				m, release, err := s.models.acquire(*j.cfg)
+				m, err := s.models.acquire(*j.cfg)
 				sp.End()
 				if err != nil {
 					return outcome{err: err, trace: tr.ID()}
 				}
-				defer release()
 				v, err := j.req.sweep(m, s.opts.Defaults, tr)
 				if err != nil {
 					return outcome{err: err, trace: tr.ID()}

@@ -70,7 +70,7 @@ type ClSpectrum struct {
 //
 // using trapezoidal quadrature over the sweep's k grid. Multipoles beyond a
 // mode's hierarchy cutoff contribute zero (they carry no power anyway when
-// the per-k cutoff respects PerKLMax).
+// the per-k cutoff respects dispatch.PerKLMax).
 func (s *Sweep) Cl(ls []int, prim Primordial, tcmb float64) (*ClSpectrum, error) {
 	if len(s.KValues) < 3 {
 		return nil, fmt.Errorf("spectra: need at least 3 wavenumbers, got %d", len(s.KValues))

@@ -52,18 +52,6 @@ func TestGrids(t *testing.T) {
 	}
 }
 
-func TestPerKLMax(t *testing.T) {
-	if PerKLMax(1e-4, 12000, 1000) >= PerKLMax(0.05, 12000, 1000) {
-		t.Fatal("per-k lmax should grow with k")
-	}
-	if PerKLMax(1.0, 12000, 300) != 300 {
-		t.Fatal("per-k lmax must respect the global cap")
-	}
-	if PerKLMax(1e-9, 12000, 1000) < 8 {
-		t.Fatal("per-k lmax floor")
-	}
-}
-
 func TestPrimordial(t *testing.T) {
 	p := DefaultPrimordial(1.0)
 	if p.At(0.001) != p.At(0.1) {

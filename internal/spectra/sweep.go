@@ -57,19 +57,11 @@ func LogGrid(kmin, kmax float64, nk int) []float64 {
 	return ks
 }
 
-// PerKLMax returns the hierarchy cutoff actually needed for wavenumber k:
-// moments beyond ~ k tau_0 receive no power, so small k can run with far
-// smaller hierarchies. It forwards to the dispatch subsystem, which applies
-// the same adaptation in both execution backends.
-func PerKLMax(k, tau0 float64, lmaxGlobal int) int {
-	return dispatch.PerKLMax(k, tau0, lmaxGlobal)
-}
-
 // RunSweep evolves every k in ks with the given template parameters on the
 // shared-memory pool dispatcher (the analogue of the Cray Autotasking
 // parallelism of Section 3; message-passing runs go through
 // dispatch.MP instead). If adaptLMax is true the hierarchy cutoff is
-// reduced per k via PerKLMax. For dispatcher choice and run telemetry use
+// reduced per k via dispatch.PerKLMax. For dispatcher choice and run telemetry use
 // RunSweepWith.
 func RunSweep(mdl *core.Model, mode core.Params, ks []float64, workers int, adaptLMax bool) (*Sweep, error) {
 	sw, _, err := RunSweepWith(&dispatch.Pool{

@@ -18,16 +18,18 @@
 //	run, err := m.RunParallel(plinger.ParallelOptions{Workers: 8, ...})
 //
 // The heavy lifting lives in the internal packages (core, cosmology,
-// recomb, thermo, spectra, dispatch, mp, plinger, sky, serve); this facade
-// re-exposes the stable subset an application needs. All parallel
-// execution — shared-memory pool or master/worker message passing —
-// routes through the dispatch subsystem. Model is safe for concurrent use
-// (see its doc comment for the exact contract), which the serving daemon
-// cmd/plingerd builds on. Command-line tools under cmd/ and runnable
-// examples under examples/ exercise every part of it.
+// recomb, thermo, spectra, dispatch, mp, farm, cluster, fault, obs, sky,
+// serve); this facade re-exposes the stable subset an application needs.
+// All parallel execution — shared-memory pool or master/worker message
+// passing, in process or over a worker farm — routes through the dispatch
+// subsystem. Model is safe for concurrent use (see its doc comment for the
+// exact contract), which the serving daemon cmd/plingerd builds on.
+// Command-line tools under cmd/ and runnable examples under examples/
+// exercise every part of it.
 package plinger
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -37,7 +39,6 @@ import (
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
 	"plinger/internal/expdata"
-	"plinger/internal/farm"
 	"plinger/internal/obs"
 	"plinger/internal/sky"
 	"plinger/internal/spectra"
@@ -103,22 +104,16 @@ func (g Gauge) internal() (core.Gauge, error) {
 // dispatch subsystem (never shared across goroutines); the shared
 // substrate (background and thermodynamic spline tables, the process-wide
 // bounded spherical-Bessel kernel cache) is either read-only or
-// internally synchronized. The only
-// configuration calls excluded from the contract are EnableSharedPool and
-// CloseSharedPool, which install/tear down the long-lived dispatcher and
-// must not race with in-flight compute calls. Results are deterministic:
-// concurrent and sequential calls with equal options return bitwise-equal
-// spectra (the dispatch subsystem's determinism contract).
+// internally synchronized. The only configuration call excluded from the
+// contract is Attach, which must not race with in-flight compute calls.
+// Results are deterministic: concurrent and sequential calls with equal
+// options return bitwise-equal spectra (the dispatch subsystem's
+// determinism contract).
 type Model struct {
 	prim spectra.Primordial
 	core *core.Model
-	// shared, when non-nil, is the long-lived pool every pool-transport
-	// sweep routes through (see EnableSharedPool).
-	shared *dispatch.SharedPool
-	// farm, when non-nil, routes default-transport sweeps across the
-	// multi-host worker fleet instead (see EnableFarm). It takes
-	// precedence over shared.
-	farm *farm.Supervisor
+	// exec, when non-nil, runs every default-transport sweep (see Attach).
+	exec dispatch.Executor
 }
 
 // New builds a model: Friedmann background (with massive-neutrino momentum
@@ -136,57 +131,29 @@ func New(cfg Config) (*Model, error) {
 	return &Model{prim: spectra.DefaultPrimordial(n), core: cm}, nil
 }
 
-// EnableSharedPool routes every subsequent pool-transport sweep (the
-// default Transport) through one long-lived dispatch.SharedPool instead of
-// spinning up a fresh worker pool per call: a long-running process serving
-// many spectrum requests pays the pool start-up once, and concurrent sweeps
-// interleave their wavenumbers onto the same workers instead of
-// oversubscribing the machine. workers <= 0 uses GOMAXPROCS. While the
-// shared pool is attached, the per-call Workers and Schedule options are
-// ignored for pool-transport runs (message-passing transports are
-// unaffected). Call it before the Model is shared between goroutines; it
-// is not safe to race with in-flight compute calls.
-func (m *Model) EnableSharedPool(workers int) {
-	if m.shared == nil {
-		m.shared = dispatch.NewSharedPool(m.core, workers)
-	}
-}
+// Attach routes every later default-transport sweep ("" or "pool") through
+// e, a long-lived executor that serves any model: a dispatch.SharedPool (a
+// process pays the pool start-up once, and concurrent sweeps share its
+// workers) or a farm.Supervisor (a plingerw fleet, with the fault-tolerant
+// master armed on every run). nil detaches, reverting to a pool started
+// per call. The Model never closes e. While e is attached the per-call
+// Workers option is ignored; Schedule and the brute method's per-k
+// hierarchy cutoff still apply, and results are unchanged (the dispatch
+// determinism contract). Message-passing transports are unaffected. Call
+// it before the Model is shared between goroutines.
+func (m *Model) Attach(e dispatch.Executor) { m.exec = e }
 
-// CloseSharedPool stops the shared pool (if attached) and reverts to
-// per-call pools. Like EnableSharedPool it must not race with in-flight
-// compute calls.
-func (m *Model) CloseSharedPool() {
-	if m.shared != nil {
-		m.shared.Close()
-		m.shared = nil
-	}
-}
-
-// EnableFarm routes every subsequent default-transport sweep across the
-// given multi-host worker farm: the supervisor's plingerw fleet evolves
-// the modes out of process, with PR 7 fault tolerance armed on every run.
-// One supervisor serves any number of models (sweeps carry the model
-// specification; workers cache per spec), so the farm is attached, not
-// owned — the Model never closes it. Takes precedence over an attached
-// shared pool. Like EnableSharedPool, call it before the Model is shared
-// between goroutines.
-func (m *Model) EnableFarm(f *farm.Supervisor) { m.farm = f }
-
-// DisableFarm detaches the farm (without closing it) and reverts
-// default-transport sweeps to the in-process pool.
-func (m *Model) DisableFarm() { m.farm = nil }
-
-// farmDispatcher adapts one (model, schedule) pair to the farm for a
-// single sweep call; the Supervisor itself is model-agnostic.
-type farmDispatcher struct {
-	f     *farm.Supervisor
+// attachedSweep binds one sweep's model, schedule and cutoff policy to the
+// attached executor, as the Dispatcher the spectra sweeps take.
+type attachedSweep struct {
+	exec  dispatch.Executor
 	model *core.Model
 	sched dispatch.Schedule
 	adapt bool
 }
 
-func (d *farmDispatcher) Run(ctx context.Context, ks []float64, mode core.Params) (*dispatch.Sweep, *dispatch.RunStats, error) {
-	return d.f.Sweep(ctx, d.model, ks, mode, d.sched, d.adapt)
+func (d *attachedSweep) Run(ctx context.Context, ks []float64, mode core.Params) (*dispatch.Sweep, *dispatch.RunStats, error) {
+	return d.exec.Sweep(ctx, d.model, ks, mode, d.sched, d.adapt)
 }
 
 // Tau0 returns the conformal age of the model in Mpc.
@@ -530,6 +497,12 @@ func (o SpectrumOptions) Validate() error {
 	return nil
 }
 
+// kRange resolves the k grid's bounds, the one place their defaults live:
+// an unset KMin is 2e-4 and an unset KMax 0.5.
+func (o MatterPowerOptions) kRange() (kmin, kmax float64) {
+	return cmp.Or(o.KMin, 2e-4), cmp.Or(o.KMax, 0.5)
+}
+
 // Validate is the MatterPowerOptions analogue of SpectrumOptions.Validate:
 // zero values select defaults, bad values return errors. MatterPower calls
 // it first.
@@ -540,8 +513,8 @@ func (o MatterPowerOptions) Validate() error {
 	if o.KMax < 0 {
 		return fmt.Errorf("plinger: KMax = %g is negative (0 selects the default)", o.KMax)
 	}
-	if o.KMin > 0 && o.KMax > 0 && o.KMax <= o.KMin {
-		return fmt.Errorf("plinger: KMax = %g does not exceed KMin = %g", o.KMax, o.KMin)
+	if kmin, kmax := o.kRange(); kmax <= kmin {
+		return fmt.Errorf("plinger: KMax = %g does not exceed KMin = %g", kmax, kmin)
 	}
 	if o.NK < 0 {
 		return fmt.Errorf("plinger: NK = %d is negative (0 selects the default)", o.NK)
@@ -573,11 +546,8 @@ func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax
 	}
 	switch transport {
 	case "", "pool":
-		if m.farm != nil {
-			return &farmDispatcher{f: m.farm, model: m.core, sched: sched, adapt: adaptLMax}, func() {}, nil
-		}
-		if m.shared != nil && !adaptLMax {
-			return m.shared, func() {}, nil
+		if m.exec != nil {
+			return &attachedSweep{exec: m.exec, model: m.core, sched: sched, adapt: adaptLMax}, func() {}, nil
 		}
 		return &dispatch.Pool{
 			Model: m.core, Workers: workers, Schedule: sched, AdaptLMax: adaptLMax,
@@ -791,16 +761,11 @@ func (m *Model) MatterPower(o MatterPowerOptions) (*MatterPowerResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if o.KMin <= 0 {
-		o.KMin = 2e-4
-	}
-	if o.KMax <= o.KMin {
-		o.KMax = 0.5
-	}
 	if o.NK <= 0 {
 		o.NK = 40
 	}
-	ks := spectra.LogGrid(o.KMin, o.KMax, o.NK)
+	kmin, kmax := o.kRange()
+	ks := spectra.LogGrid(kmin, kmax, o.NK)
 	d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, false)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
 package plinger
 
-// Facade routing over the worker farm: EnableFarm must send every
+// Facade routing over the worker farm: Attach(fleet) must send every
 // default-transport sweep across the fleet and produce spectra bitwise
-// equal to the in-process pool's; DisableFarm must revert.
+// equal to the in-process pool's; Attach(nil) must revert.
 
 import (
 	"net"
@@ -13,7 +13,7 @@ import (
 	"plinger/internal/farm"
 )
 
-func TestEnableFarmRoutesSweepsBitwise(t *testing.T) {
+func TestAttachFarmRoutesSweepsBitwise(t *testing.T) {
 	fleet, err := farm.New(farm.Options{
 		MinWorkers:  2,
 		WaitWorkers: 10 * time.Second,
@@ -42,7 +42,7 @@ func TestEnableFarmRoutesSweepsBitwise(t *testing.T) {
 		t.Fatalf("only %d workers joined", fleet.Alive())
 	}
 
-	// A private model: EnableFarm mutates routing state, and scdmModel's
+	// A private model: Attach mutates routing state, and scdmModel's
 	// instance is shared across the package's tests.
 	m, err := New(SCDM())
 	if err != nil {
@@ -54,7 +54,7 @@ func TestEnableFarmRoutesSweepsBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.EnableFarm(fleet)
+	m.Attach(fleet)
 	got, err := m.ComputeSpectrum(opts)
 	if err != nil {
 		t.Fatalf("farm-routed spectrum: %v", err)
@@ -78,7 +78,7 @@ func TestEnableFarmRoutesSweepsBitwise(t *testing.T) {
 		t.Fatal("fast spectrum truncated")
 	}
 
-	m.DisableFarm()
+	m.Attach(nil)
 	sweepsBefore := fleet.Status().Sweeps
 	back, err := m.ComputeSpectrum(opts)
 	if err != nil {
@@ -90,6 +90,6 @@ func TestEnableFarmRoutesSweepsBitwise(t *testing.T) {
 		}
 	}
 	if fleet.Status().Sweeps != sweepsBefore {
-		t.Fatal("DisableFarm left sweeps routing over the fleet")
+		t.Fatal("Attach(nil) left sweeps routing over the fleet")
 	}
 }

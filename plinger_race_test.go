@@ -3,6 +3,8 @@ package plinger
 import (
 	"sync"
 	"testing"
+
+	"plinger/internal/dispatch"
 )
 
 // TestConcurrentRequestsOneModel exercises the Model concurrency contract
@@ -67,7 +69,8 @@ func TestConcurrentRequestsOneModel(t *testing.T) {
 
 	t.Run("per-call pools", func(t *testing.T) { check(t, 4) })
 
-	m.EnableSharedPool(2)
-	defer m.CloseSharedPool()
+	pool := dispatch.NewSharedPool(2)
+	defer pool.Close()
+	m.Attach(pool)
 	t.Run("shared pool", func(t *testing.T) { check(t, 4) })
 }

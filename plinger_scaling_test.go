@@ -1,6 +1,10 @@
 package plinger
 
-import "testing"
+import (
+	"testing"
+
+	"plinger/internal/dispatch"
+)
 
 // TestSpectrumBitwiseAcrossWorkerCounts is the facade-level determinism
 // guarantee behind the scaling benchmarks: the full fast C_l pipeline
@@ -37,8 +41,9 @@ func TestSpectrumBitwiseAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 
-	m.EnableSharedPool(3)
-	defer m.CloseSharedPool()
+	pool := dispatch.NewSharedPool(3)
+	defer pool.Close()
+	m.Attach(pool)
 	spec, err := m.ComputeSpectrum(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -47,5 +52,36 @@ func TestSpectrumBitwiseAcrossWorkerCounts(t *testing.T) {
 		if spec.Cl[i] != ref.Cl[i] {
 			t.Fatalf("shared pool: C_l differs bitwise at l=%d", spec.L[i])
 		}
+	}
+}
+
+// TestAttachedPoolRunsBruteSweeps: an attached pool also runs the brute
+// method's sweeps, with their per-k hierarchy cutoffs, bitwise equal to a
+// pool started per call; once the pool is closed the same request fails,
+// so it did run there.
+func TestAttachedPoolRunsBruteSweeps(t *testing.T) {
+	m, err := New(SCDM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SpectrumOptions{LMaxCl: 20, NK: 30, Method: "brute", Ls: []int{5, 10, 20}, Schedule: "input-order"}
+	ref, err := m.ComputeSpectrum(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := dispatch.NewSharedPool(2)
+	m.Attach(pool)
+	spec, err := m.ComputeSpectrum(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Cl {
+		if spec.Cl[i] != ref.Cl[i] {
+			t.Fatalf("attached pool: brute C_l differs bitwise at l=%d", spec.L[i])
+		}
+	}
+	pool.Close()
+	if _, err := m.ComputeSpectrum(opts); err == nil {
+		t.Fatal("brute request bypassed the attached pool")
 	}
 }

@@ -74,6 +74,8 @@ func TestMatterPowerOptionsValidate(t *testing.T) {
 		{"negative KMin", MatterPowerOptions{KMin: -1e-3}, "KMin"},
 		{"negative KMax", MatterPowerOptions{KMax: -0.5}, "KMax"},
 		{"inverted range", MatterPowerOptions{KMin: 0.5, KMax: 0.1}, "KMax"},
+		{"KMin above the default KMax", MatterPowerOptions{KMin: 1}, "KMax"},
+		{"KMax below the default KMin", MatterPowerOptions{KMax: 1e-4}, "KMax"},
 		{"negative NK", MatterPowerOptions{NK: -1}, "NK"},
 		{"tiny NK", MatterPowerOptions{NK: 2}, "NK"},
 		{"negative Workers", MatterPowerOptions{Workers: -4}, "Workers"},
