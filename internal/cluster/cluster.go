@@ -100,12 +100,14 @@ type Options struct {
 	// negative disables the monitor — peers then stay optimistically
 	// alive and only breakers gate forwarding).
 	PingInterval time.Duration
-	// PingTimeout bounds one heartbeat probe (<= 0: 500ms).
-	PingTimeout time.Duration
-	// PingMisses consecutive failed probes mark a peer dead (<= 0: 3).
-	PingMisses int
 	// Logf receives membership transitions and breaker trips (nil: silent).
 	Logf func(format string, args ...any)
+
+	// Membership settings the tests vary (zero: the defaults).
+	// pingTimeout bounds one heartbeat probe (<= 0: 500ms).
+	pingTimeout time.Duration
+	// pingMisses consecutive failed probes mark a peer dead (<= 0: 3).
+	pingMisses int
 }
 
 func (o Options) withDefaults() Options {
@@ -136,11 +138,11 @@ func (o Options) withDefaults() Options {
 	if o.PingInterval == 0 {
 		o.PingInterval = time.Second
 	}
-	if o.PingTimeout <= 0 {
-		o.PingTimeout = 500 * time.Millisecond
+	if o.pingTimeout <= 0 {
+		o.pingTimeout = 500 * time.Millisecond
 	}
-	if o.PingMisses <= 0 {
-		o.PingMisses = 3
+	if o.pingMisses <= 0 {
+		o.pingMisses = 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}

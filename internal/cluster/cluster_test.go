@@ -149,8 +149,8 @@ func TestMembershipDeathAndRejoin(t *testing.T) {
 	defer srv.Close()
 	p := testPeering(t, srv.URL, func(o *Options) {
 		o.PingInterval = 10 * time.Millisecond
-		o.PingTimeout = 100 * time.Millisecond
-		o.PingMisses = 2
+		o.pingTimeout = 100 * time.Millisecond
+		o.pingMisses = 2
 	})
 	if !p.Alive(srv.URL) {
 		t.Fatal("peer not optimistically alive at start")

@@ -50,7 +50,7 @@ func (p *Peering) peerAddrs() []string {
 // budget must be exhausted consecutively before it is declared dead.
 func (p *Peering) probe(addr string) {
 	p.probes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), p.opts.PingTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), p.opts.pingTimeout)
 	defer cancel()
 	ok := false
 	if req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/peer/ping", nil); err == nil {
@@ -79,7 +79,7 @@ func (p *Peering) probe(addr string) {
 		return
 	}
 	pr.misses++
-	if pr.alive && pr.misses >= p.opts.PingMisses {
+	if pr.alive && pr.misses >= p.opts.pingMisses {
 		pr.alive = false
 		p.opts.Logf("cluster: peer %s dead (%d consecutive heartbeat misses)", addr, pr.misses)
 	}

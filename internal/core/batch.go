@@ -56,13 +56,13 @@ func (mdl *Model) EvolveBatch(ks []float64, p Params) ([]*Result, error) {
 // bitwise — callers needing the exact per-mode trajectory use KBatch = 1.
 //
 // Tight coupling is driven by the largest-k member (its criterion
-// kappa-dot > TCAFactor*k is the strictest in the batch), so smaller
+// kappa-dot > tcaFactor*k is the strictest in the batch), so smaller
 // members release early — always physically valid, the exact equations
 // merely cost more steps. Hierarchy growth and the late-time shrink follow
 // the largest-k member for the same reason; the streaming switch, whose
 // premise is k*tau >> 1, waits for the smallest-k member. This is a thin
 // wrapper over the one driver, evolveBlock, and so is EvolveWith: a batch
-// of one IS the single-mode evolution. A caller-supplied Integrator is built
+// of one IS the single-mode evolution. A caller-supplied integrator is built
 // for one mode's system, so it takes the members as blocks of one, in turn.
 func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Scratch) ([]*Result, error) {
 	nb := len(ks)
@@ -73,7 +73,7 @@ func (mdl *Model) EvolveBatchWith(ks []float64, p Params, perkLMax []int, sc *Sc
 		return nil, fmt.Errorf("core: %d k values but %d per-k cutoffs", nb, len(perkLMax))
 	}
 	step := nb
-	if p.Integrator != nil {
+	if p.integrator != nil {
 		step = 1
 	}
 	results := make([]*Result, nb)
@@ -181,9 +181,9 @@ func (mdl *Model) evolveBlock(ks []float64, p Params, perkLMax []int, sc *Scratc
 		}
 	}
 
-	integ := p.Integrator
+	integ := p.integrator
 	if integ == nil {
-		dv := sc.integrator(p.RTol, p.ATol)
+		dv := sc.integrator(p.RTol, aTol)
 		dv.InitialStep = tauStart * 1e-3
 		// The run is integrated in segments (tight-coupling switch, window
 		// edges, hierarchy growth); carrying the controller step across them
@@ -225,7 +225,7 @@ func (mdl *Model) evolveBlock(ks []float64, p Params, perkLMax []int, sc *Scratc
 
 	// Phase 1: tight coupling while it holds for the strictest member.
 	tau := tauStart
-	if !p.DisableTightCoupling && ref.tcaHolds(mdl.BG.AofTau(tauStart), false) {
+	if !p.noTCA && ref.tcaHolds(mdl.BG.AofTau(tauStart), false) {
 		for i := range b.ms {
 			b.ms[i].tca = true
 		}

@@ -66,33 +66,17 @@ type Params struct {
 	// l = 0..LMax are carried. The paper's production runs use up to
 	// 10000; reproduce at whatever scale the machine affords.
 	LMax int
-	// LMaxNu is the massive-neutrino hierarchy cutoff (default 12).
-	LMaxNu int
 	// Gauge selects synchronous or conformal Newtonian equations.
 	Gauge Gauge
-	// RTol/ATol are the DVERK error tolerances (defaults 1e-6, 1e-12).
-	RTol, ATol float64
+	// RTol is the DVERK relative error tolerance (default 1e-6; the
+	// absolute one is aTol).
+	RTol float64
 	// TauEnd is the final conformal time (default: today).
 	TauEnd float64
-	// KTauStart sets the initial time through k*tau = KTauStart
-	// (default 0.05); initial conditions are the adiabatic superhorizon
-	// series of MB95 eq. (96)/(98), valid for k*tau << 1.
-	KTauStart float64
-	// DisableTightCoupling turns off the first-order photon-baryon
-	// tight-coupling approximation at early times (it is on by default).
-	// Without it the Thomson terms make the system arbitrarily stiff as
-	// a -> 0, which is only useful for the ablation benchmarks.
-	DisableTightCoupling bool
-	// TCAFactor is the dominance factor required of the opacity:
-	// tight coupling holds while kappa-dot > TCAFactor * max(k, aH)
-	// (default 100).
-	TCAFactor float64
 	// KeepSources records the line-of-sight source samples at every
 	// accepted step (used by the CMBFAST-style comparator and the psi
 	// movie). It requires an integrator implementing ode.StepObserver.
 	KeepSources bool
-	// Integrator overrides the time integrator (default: DVERK).
-	Integrator ode.Integrator
 	// KBatch is the block size sweep dispatchers hand to EvolveBatchWith:
 	// KBatch neighbouring k modes evolve in lockstep, amortizing the shared
 	// background/thermodynamics lookups of every right-hand-side evaluation
@@ -128,26 +112,43 @@ type Params struct {
 	noPI       bool // elementary step controller instead of PI
 	noStream   bool // track the shrunk hierarchies to the end (no streaming switch)
 	noSlip     bool // evolve the baryon-photon slip from the tight-coupling release on (no slip regime)
+
+	// Numerical settings the tests vary (zero: the defaults).
+	// lmaxNu is the massive-neutrino hierarchy cutoff (default 12).
+	lmaxNu int
+	// kTauStart sets the initial time through k*tau = kTauStart (default
+	// 0.05); initial conditions are the adiabatic superhorizon series of
+	// MB95 eq. (96)/(98), valid for k*tau << 1.
+	kTauStart float64
+	// tcaFactor is the dominance factor required of the opacity: tight
+	// coupling holds while kappa-dot > tcaFactor * max(k, aH) (default 100).
+	tcaFactor float64
+	// noTCA turns off the first-order photon-baryon tight-coupling
+	// approximation at early times. Without it the Thomson terms make the
+	// system arbitrarily stiff as a -> 0.
+	noTCA bool
+	// integrator overrides the time integrator (default: DVERK).
+	integrator ode.Integrator
 }
+
+// aTol is the DVERK absolute error tolerance.
+const aTol = 1e-12
 
 func (p *Params) setDefaults() {
 	if p.LMax <= 2 {
 		p.LMax = 8
 	}
-	if p.LMaxNu <= 2 {
-		p.LMaxNu = 12
+	if p.lmaxNu <= 2 {
+		p.lmaxNu = 12
 	}
 	if p.RTol <= 0 {
 		p.RTol = 1e-6
 	}
-	if p.ATol <= 0 {
-		p.ATol = 1e-12
+	if p.kTauStart <= 0 {
+		p.kTauStart = 0.05
 	}
-	if p.KTauStart <= 0 {
-		p.KTauStart = 0.05
-	}
-	if p.TCAFactor <= 0 {
-		p.TCAFactor = 100.0
+	if p.tcaFactor <= 0 {
+		p.tcaFactor = 100.0
 	}
 }
 

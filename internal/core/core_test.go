@@ -69,8 +69,8 @@ func TestEinsteinConstraintSmall(t *testing.T) {
 func TestConstraintResidualShrinksWithEarlierStart(t *testing.T) {
 	// Starting further outside the horizon improves the series accuracy,
 	// so the peak residual must drop roughly as (k tau_i)^2.
-	coarse := evolve(t, Params{K: 0.08, LMax: 12, Gauge: Synchronous, KTauStart: 0.1, TauEnd: 300})
-	fine := evolve(t, Params{K: 0.08, LMax: 12, Gauge: Synchronous, KTauStart: 0.02, TauEnd: 300})
+	coarse := evolve(t, Params{K: 0.08, LMax: 12, Gauge: Synchronous, kTauStart: 0.1, TauEnd: 300})
+	fine := evolve(t, Params{K: 0.08, LMax: 12, Gauge: Synchronous, kTauStart: 0.02, TauEnd: 300})
 	if fine.MaxConstraintResidual >= coarse.MaxConstraintResidual {
 		t.Fatalf("residual did not shrink: %g -> %g",
 			coarse.MaxConstraintResidual, fine.MaxConstraintResidual)
@@ -97,7 +97,7 @@ func TestTCAAgreesWithStiffIntegration(t *testing.T) {
 		t.Skip("the stiff ablation run is expensive")
 	}
 	a := evolve(t, Params{K: 0.002, LMax: 8, Gauge: Synchronous, TauEnd: 60})
-	b := evolve(t, Params{K: 0.002, LMax: 8, Gauge: Synchronous, TauEnd: 60, DisableTightCoupling: true})
+	b := evolve(t, Params{K: 0.002, LMax: 8, Gauge: Synchronous, TauEnd: 60, noTCA: true})
 	if b.Stats.Evals < 2*a.Stats.Evals {
 		t.Fatalf("stiff run suspiciously cheap: %d vs %d evals", b.Stats.Evals, a.Stats.Evals)
 	}
@@ -230,7 +230,7 @@ func TestMassiveNeutrinoRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	mdl := NewModel(bg, th)
-	res, err := mdl.Evolve(Params{K: 0.05, LMax: 12, LMaxNu: 8, Gauge: Synchronous})
+	res, err := mdl.Evolve(Params{K: 0.05, LMax: 12, lmaxNu: 8, Gauge: Synchronous})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMassiveNeutrinoRun(t *testing.T) {
 	}
 	// Early on the massive species is relativistic and adiabatic with the
 	// massless one.
-	early, err := mdl.Evolve(Params{K: 0.05, LMax: 12, LMaxNu: 8, Gauge: Synchronous, TauEnd: 5})
+	early, err := mdl.Evolve(Params{K: 0.05, LMax: 12, lmaxNu: 8, Gauge: Synchronous, TauEnd: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,13 +293,13 @@ func TestFastEvolveMDM(t *testing.T) {
 // nothing), and accepted otherwise.
 func TestKeepSourcesRequiresObserver(t *testing.T) {
 	m := model(t)
-	p := Params{K: 0.05, LMax: 8, KeepSources: true, Integrator: blindIntegrator{}}
+	p := Params{K: 0.05, LMax: 8, KeepSources: true, integrator: blindIntegrator{}}
 	if _, err := m.Evolve(p); err == nil {
 		t.Fatal("KeepSources with a non-observing integrator must error")
 	}
 	// RK4 implements StepObserver, so sources flow even from the
 	// fixed-step comparator.
-	p.Integrator = ode.NewRK4(400)
+	p.integrator = ode.NewRK4(400)
 	r, err := m.Evolve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestSourceCapRestoresMaxStep(t *testing.T) {
 	m := model(t)
 	ad := ode.NewDVERK(1e-6, 1e-12)
 	ad.MaxStep = 777.0
-	_, err := m.Evolve(Params{K: 0.05, LMax: 8, Gauge: ConformalNewtonian, KeepSources: true, Integrator: ad})
+	_, err := m.Evolve(Params{K: 0.05, LMax: 8, Gauge: ConformalNewtonian, KeepSources: true, integrator: ad})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestGoldenModeBits(t *testing.T) {
 		"fast_sync_k0.05_l60":       one(scdm, Params{K: 0.05, LMax: 60, Gauge: Synchronous, FastEvolve: true}),
 		"brute_sync_k0.03_l450":     one(scdm, Params{K: 0.03, LMax: 450, Gauge: Synchronous}),
 		"fast_newt_src_tauend600":   one(scdm, Params{K: 0.03, LMax: 24, Gauge: ConformalNewtonian, KeepSources: true, FastEvolve: true, TauEnd: 600}),
-		"rk4_newt_src_k0.05_l8":     one(scdm, Params{K: 0.05, LMax: 8, Gauge: ConformalNewtonian, KeepSources: true, Integrator: ode.NewRK4(400)}),
+		"rk4_newt_src_k0.05_l8":     one(scdm, Params{K: 0.05, LMax: 8, Gauge: ConformalNewtonian, KeepSources: true, integrator: ode.NewRK4(400)}),
 		"batch_of_one_perk12_k0.02": func() ([]*Result, error) { return scdm.EvolveBatchWith([]float64{0.02}, fastLOS, []int{12}, nil) },
 		"batch_of_four":             func() ([]*Result, error) { return scdm.EvolveBatchWith(batchKs, fastLOS, nil, nil) },
 	}

@@ -138,7 +138,7 @@ const (
 )
 
 // The slip regime (fast engine with its tables, both gauges). Tight
-// coupling is released for everything at kd = TCAFactor*max(k, aH), the
+// coupling is released for everything at kd = tcaFactor*max(k, aH), the
 // bound the photon shear needs: its expansion runs in k/kd. The
 // baryon-photon slip theta_g - theta_b relaxes at lambda = (1+R) kd, R =
 // 4 rho_g/3 rho_b ~ 17 at that moment, so the released equations carry one
@@ -153,7 +153,7 @@ const (
 // value at both ends. The first order alone, as the first regime has it,
 // moves C_l by 5.4e-4 at l = 1000; the second without the seating 1.7e-4.
 //
-// The regime ends the first time lambda < TCAFactor*max(k, aH), and at the
+// The regime ends the first time lambda < tcaFactor*max(k, aH), and at the
 // latest where the visibility window opens, tauRec - SourceWindowBefore:
 // past it low-k modes would enter the regime during recombination, where kd
 // collapses faster than the expansion allows for (on its own criterion the
@@ -346,7 +346,7 @@ func (m *mode) planLateStops(kmin float64) {
 func (m *mode) layout() {
 	if m.BG.P.NNuMassive > 0 {
 		m.nq = len(m.BG.Q)
-		m.lnu = m.p.LMaxNu
+		m.lnu = m.p.lmaxNu
 	}
 	L := m.lmax + 1
 	i := 0
@@ -403,7 +403,7 @@ func (m *mode) startTime() float64 {
 			aCap = amax
 		}
 	}
-	tau := m.p.KTauStart / m.k
+	tau := m.p.kTauStart / m.k
 	if tCap := m.BG.Tau(aCap); tau > tCap {
 		tau = tCap
 	}
@@ -510,10 +510,10 @@ func (m *mode) tcaHolds(a float64, slip bool) bool {
 		m.BG.Eval(a, g)
 		kd *= 1.0 + 4.0/3.0*g.G/g.B
 	}
-	if kd < m.p.TCAFactor*m.k {
+	if kd < m.p.tcaFactor*m.k {
 		return false
 	}
-	if kd < m.p.TCAFactor*m.BG.HConf(a) {
+	if kd < m.p.tcaFactor*m.BG.HConf(a) {
 		return false
 	}
 	// Safety: stay well before last scattering.

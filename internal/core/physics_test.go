@@ -52,11 +52,11 @@ func TestMassiveNeutrinoGaugeInvariance(t *testing.T) {
 	}
 	mdl := NewModel(bg, th)
 	k := 0.04
-	a, err := mdl.Evolve(Params{K: k, LMax: 20, LMaxNu: 10, Gauge: Synchronous})
+	a, err := mdl.Evolve(Params{K: k, LMax: 20, lmaxNu: 10, Gauge: Synchronous})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mdl.Evolve(Params{K: k, LMax: 20, LMaxNu: 10, Gauge: ConformalNewtonian})
+	b, err := mdl.Evolve(Params{K: k, LMax: 20, lmaxNu: 10, Gauge: ConformalNewtonian})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestMassiveNeutrinoGaugeInvariance(t *testing.T) {
 // by an order of magnitude changes the final answer only at the tolerance
 // level.
 func TestTCAThresholdInsensitive(t *testing.T) {
-	base := evolve(t, Params{K: 0.05, LMax: 16, Gauge: Synchronous, TCAFactor: 50})
-	strict := evolve(t, Params{K: 0.05, LMax: 16, Gauge: Synchronous, TCAFactor: 800})
+	base := evolve(t, Params{K: 0.05, LMax: 16, Gauge: Synchronous, tcaFactor: 50})
+	strict := evolve(t, Params{K: 0.05, LMax: 16, Gauge: Synchronous, tcaFactor: 800})
 	if base.TauSwitch <= strict.TauSwitch {
 		t.Fatalf("larger factor must release earlier: %g vs %g", base.TauSwitch, strict.TauSwitch)
 	}
@@ -149,7 +149,7 @@ func TestAlternateIntegratorThroughCore(t *testing.T) {
 	a := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous})
 	in := ode.NewRKF45(1e-6, 1e-12)
 	in.InitialStep = 1e-3
-	b := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, Integrator: in})
+	b := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, integrator: in})
 	if math.Abs(a.DeltaC-b.DeltaC) > 1e-4*math.Abs(a.DeltaC) {
 		t.Fatalf("integrators disagree: %g vs %g", a.DeltaC, b.DeltaC)
 	}
@@ -244,15 +244,15 @@ func TestWorkAccountingConsistent(t *testing.T) {
 	}
 }
 
-// KTauStart controls the superhorizon margin; the final answer must be
+// kTauStart controls the superhorizon margin; the final answer must be
 // insensitive to it once k tau_i << 1 (convergence of the IC series).
 func TestICStartConvergence(t *testing.T) {
-	a := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, KTauStart: 0.05})
-	b := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, KTauStart: 0.01})
+	a := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, kTauStart: 0.05})
+	b := evolve(t, Params{K: 0.03, LMax: 12, Gauge: Synchronous, kTauStart: 0.01})
 	for l := 2; l <= 8; l++ {
 		d := math.Abs(a.ThetaL[l] - b.ThetaL[l])
 		if d > 5e-3*math.Abs(b.ThetaL[l])+1e-9 {
-			t.Fatalf("KTauStart sensitivity at l=%d: %g vs %g", l, a.ThetaL[l], b.ThetaL[l])
+			t.Fatalf("kTauStart sensitivity at l=%d: %g vs %g", l, a.ThetaL[l], b.ThetaL[l])
 		}
 	}
 }

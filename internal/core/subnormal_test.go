@@ -7,7 +7,7 @@ import (
 	"plinger/internal/ode"
 )
 
-// scaledDVERK is a caller-supplied Params.Integrator that shows the test
+// scaledDVERK is a caller-supplied Params.integrator that shows the test
 // every accepted state and integrates the system multiplied by scale, a
 // power of two. The multiplication is exact, so with the absolute tolerance
 // scaled alike the integrator walks the same trajectory bit for bit; what
@@ -77,7 +77,7 @@ func TestBruteHierarchyHoldsNoSubnormal(t *testing.T) {
 	m := model(t)
 	for _, k := range []float64{0.002, 0.03} {
 		run := func(scale float64, see func(tau float64, y []float64)) *Result {
-			res, err := m.Evolve(Params{K: k, LMax: 450, Gauge: Synchronous, Integrator: newScaledDVERK(scale, see)})
+			res, err := m.Evolve(Params{K: k, LMax: 450, Gauge: Synchronous, integrator: newScaledDVERK(scale, see)})
 			if err != nil {
 				t.Fatalf("k=%g scale=%g: %v", k, scale, err)
 			}

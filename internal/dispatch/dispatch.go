@@ -43,10 +43,11 @@ type Dispatcher interface {
 }
 
 // Executor is a long-lived sweep executor that serves any model: each
-// Sweep names the model, the hand-out order and whether the hierarchy
-// cutoff adapts per wavenumber, under Dispatcher's determinism contract.
+// Sweep names the model and whether the hierarchy cutoff adapts per
+// wavenumber, and hands the wavenumbers out largest-first (the paper's
+// policy), under Dispatcher's determinism contract.
 type Executor interface {
-	Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error)
+	Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, adaptLMax bool) (*Sweep, *RunStats, error)
 }
 
 // Sweep is the raw outcome of a dispatched run: one result per wavenumber,

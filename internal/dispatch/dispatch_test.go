@@ -208,7 +208,7 @@ func TestArenaSweepEquivalence(t *testing.T) {
 		check("pool/"+sched.String(), sw)
 
 		shared := NewSharedPool(3)
-		sw, _, err = shared.Sweep(context.Background(), m, ks, mode, sched, true)
+		sw, _, err = shared.sweep(context.Background(), m, ks, mode, sched, true)
 		shared.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -461,7 +461,7 @@ func TestBatchedSweepEquivalence(t *testing.T) {
 			check(label("pool"), sw)
 
 			shared := NewSharedPool(3)
-			sw, st, err = shared.Sweep(context.Background(), m, ks, mode, sched, true)
+			sw, st, err = shared.sweep(context.Background(), m, ks, mode, sched, true)
 			shared.Close()
 			if err != nil {
 				t.Fatal(err)

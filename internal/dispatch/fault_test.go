@@ -308,7 +308,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 		t.Fatalf("pool worker panic: %v", err)
 	}
 	sp := NewSharedPool(2)
-	_, _, err := sp.Sweep(context.Background(), broken, ks, mode, LargestFirst, false)
+	_, _, err := sp.Sweep(context.Background(), broken, ks, mode, false)
 	sp.Close()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("shared pool worker panic: %v", err)

@@ -27,5 +27,5 @@ func (p *Pool) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep,
 	sp := NewSharedPool(p.Workers)
 	defer sp.Close()
 	sp.backend = "pool"
-	return sp.Sweep(ctx, p.Model, ks, mode, p.Schedule, p.AdaptLMax)
+	return sp.sweep(ctx, p.Model, ks, mode, p.Schedule, p.AdaptLMax)
 }

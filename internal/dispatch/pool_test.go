@@ -30,7 +30,7 @@ func TestPoolIsASharedPoolForOneRun(t *testing.T) {
 					t.Fatalf("%s: pool: %v", label, err)
 				}
 				sp := NewSharedPool(workers)
-				b, bst, err := sp.Sweep(context.Background(), m, ks, mode, LargestFirst, adapt)
+				b, bst, err := sp.Sweep(context.Background(), m, ks, mode, adapt)
 				sp.Close()
 				if err != nil {
 					t.Fatalf("%s: shared pool: %v", label, err)

@@ -166,11 +166,16 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 }
 
 // Sweep implements Executor: it enqueues the grid's blocks of model onto
-// the shared workers (in sched order, batched into contiguous chunks — see
+// the shared workers (largest-first, batched into contiguous chunks — see
 // handOutChunks) and waits for the sweep to finish. Multiple concurrent
 // Sweep calls, of one model or of several, interleave fairly at chunk
 // granularity.
-func (p *SharedPool) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error) {
+func (p *SharedPool) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, adaptLMax bool) (*Sweep, *RunStats, error) {
+	return p.sweep(ctx, model, ks, mode, LargestFirst, adaptLMax)
+}
+
+// sweep is Sweep under any hand-out order, for Pool's scheduling ablation.
+func (p *SharedPool) sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error) {
 	if model == nil {
 		return nil, nil, fmt.Errorf("dispatch: sweep has no model")
 	}

@@ -27,7 +27,7 @@ func TestSharedPoolMatchesPool(t *testing.T) {
 	p := NewSharedPool(2)
 	defer p.Close()
 	for pass := 0; pass < 2; pass++ {
-		sw, st, err := p.Sweep(context.Background(), m, ks, mode, LargestFirst, false)
+		sw, st, err := p.Sweep(context.Background(), m, ks, mode, false)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -62,7 +62,7 @@ func TestSharedPoolConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			sweeps[r], _, errs[r] = p.Sweep(context.Background(), m, ks, mode, LargestFirst, false)
+			sweeps[r], _, errs[r] = p.Sweep(context.Background(), m, ks, mode, false)
 		}(r)
 	}
 	wg.Wait()
@@ -111,7 +111,7 @@ func TestSharedPoolServesTwoModels(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			sweeps[r], _, errs[r] = p.Sweep(context.Background(), models[r%len(models)], ks, mode, LargestFirst, false)
+			sweeps[r], _, errs[r] = p.Sweep(context.Background(), models[r%len(models)], ks, mode, false)
 		}(r)
 	}
 	wg.Wait()
@@ -148,7 +148,7 @@ func TestSharedPoolCloseWaitsForSweeps(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		sw, _, err := p.Sweep(obs.ContextWithTrace(context.Background(), tr), m, ks, mode, LargestFirst, false)
+		sw, _, err := p.Sweep(obs.ContextWithTrace(context.Background(), tr), m, ks, mode, false)
 		done <- outcome{sw, err}
 	}()
 	// The eval_tables span ends once the sweep is admitted and about to
@@ -173,7 +173,7 @@ func TestSharedPoolCloseWaitsForSweeps(t *testing.T) {
 	for i := range ks {
 		sameResult(t, "sweep across Close", out.sw.Results[i], ref.Results[i])
 	}
-	if _, _, err := p.Sweep(context.Background(), m, ks, mode, LargestFirst, false); err == nil {
+	if _, _, err := p.Sweep(context.Background(), m, ks, mode, false); err == nil {
 		t.Fatal("Sweep after Close succeeded")
 	}
 }
@@ -183,7 +183,7 @@ func TestSharedPoolClose(t *testing.T) {
 	p := NewSharedPool(1)
 	p.Close()
 	p.Close() // idempotent
-	if _, _, err := p.Sweep(context.Background(), m, testKs(), smallMode(), LargestFirst, false); err == nil {
+	if _, _, err := p.Sweep(context.Background(), m, testKs(), smallMode(), false); err == nil {
 		t.Fatal("Sweep on a closed pool succeeded")
 	}
 }
@@ -193,11 +193,11 @@ func TestSharedPoolPropagatesErrors(t *testing.T) {
 	p := NewSharedPool(2)
 	defer p.Close()
 	ks := []float64{0.01, -1.0, 0.02} // negative k fails validation in Evolve
-	if _, _, err := p.Sweep(context.Background(), m, ks, smallMode(), LargestFirst, false); err == nil {
+	if _, _, err := p.Sweep(context.Background(), m, ks, smallMode(), false); err == nil {
 		t.Fatal("bad wavenumber did not fail the run")
 	}
 	// The pool must still be usable afterwards.
-	if _, _, err := p.Sweep(context.Background(), m, testKs(), smallMode(), LargestFirst, false); err != nil {
+	if _, _, err := p.Sweep(context.Background(), m, testKs(), smallMode(), false); err != nil {
 		t.Fatalf("pool unusable after failed run: %v", err)
 	}
 }

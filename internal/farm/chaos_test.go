@@ -48,14 +48,14 @@ func chaosSupervisor(t *testing.T, workers int) *Supervisor {
 	s, err := New(Options{
 		Workers:         workers,
 		WorkerBin:       workerBin,
-		WorkerArgs:      []string{"-quiet"},
+		workerArgs:      []string{"-quiet"},
 		Heartbeat:       100 * time.Millisecond,
-		HeartbeatMisses: 5,
-		AssignDeadline:  3 * time.Second,
+		heartbeatMisses: 5,
+		assignDeadline:  3 * time.Second,
 		MinWorkers:      workers,
 		WaitWorkers:     15 * time.Second,
-		RestartMax:      20,
-		RestartWindow:   time.Minute,
+		restartMax:      20,
+		restartWindow:   time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestChaosKillMidSweepAndBetweenSweeps(t *testing.T) {
 	}
 	runSweep := func(label string) *dispatch.Sweep {
 		t.Helper()
-		sw, _, err := s.Sweep(context.Background(), testModel(t), ks, mode, dispatch.LargestFirst, false)
+		sw, _, err := s.Sweep(context.Background(), testModel(t), ks, mode, false)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -167,7 +167,7 @@ func TestChaosKillMidSweepAndBetweenSweeps(t *testing.T) {
 func TestChaosSpawnedFleetDrain(t *testing.T) {
 	s := chaosSupervisor(t, 2)
 	waitAlive(t, s, 2)
-	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -190,9 +190,9 @@ func TestChaosRestartBudgetDeniesCrashLoop(t *testing.T) {
 	s, err := New(Options{
 		Workers:       1,
 		WorkerBin:     workerBin,
-		WorkerArgs:    []string{"-quiet"},
-		RestartMax:    2,
-		RestartWindow: time.Minute,
+		workerArgs:    []string{"-quiet"},
+		restartMax:    2,
+		restartWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,19 +31,8 @@ type Options struct {
 	Workers int
 	// WorkerBin is the plingerw binary to spawn (required when Workers > 0).
 	WorkerBin string
-	// WorkerArgs are extra arguments passed to every spawned worker (the
-	// supervisor always appends -master <addr>).
-	WorkerArgs []string
 	// Heartbeat is the idle-channel ping interval (default 1s).
 	Heartbeat time.Duration
-	// HeartbeatMisses is how many consecutive unanswered ping windows a
-	// worker survives before being declared dead (default 3).
-	HeartbeatMisses int
-	// AssignDeadline arms the fault-tolerant master for every farm sweep;
-	// it bounds each assignment round trip (default 30s). It cannot be
-	// disabled: a farm without failure detection would hang on the first
-	// lost worker.
-	AssignDeadline time.Duration
 	// MinWorkers is how many attached idle workers a sweep waits for
 	// before starting (default: 1 when Workers > 0, else 0). With fewer —
 	// including zero — after WaitWorkers, the sweep runs anyway and the
@@ -51,13 +40,26 @@ type Options struct {
 	MinWorkers int
 	// WaitWorkers bounds that wait (default 10s).
 	WaitWorkers time.Duration
-	// RestartMax restarts are allowed per RestartWindow across the fleet
-	// (defaults 5 per minute); beyond that a crash-looping worker stays
-	// down until the window drains.
-	RestartMax    int
-	RestartWindow time.Duration
 	// Logf receives supervision events (nil: silent).
 	Logf func(format string, args ...any)
+
+	// Supervision settings the tests vary (zero: the defaults).
+	// workerArgs are extra arguments passed to every spawned worker (the
+	// supervisor always appends -master <addr>).
+	workerArgs []string
+	// heartbeatMisses is how many consecutive unanswered ping windows a
+	// worker survives before being declared dead (default 3).
+	heartbeatMisses int
+	// assignDeadline arms the fault-tolerant master for every farm sweep;
+	// it bounds each assignment round trip (default 30s). It cannot be
+	// disabled: a farm without failure detection would hang on the first
+	// lost worker.
+	assignDeadline time.Duration
+	// restartMax restarts are allowed per restartWindow across the fleet
+	// (defaults 5 per minute); beyond that a crash-looping worker stays
+	// down until the window drains.
+	restartMax    int
+	restartWindow time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -68,11 +70,11 @@ func (o *Options) withDefaults() Options {
 	if opt.Heartbeat <= 0 {
 		opt.Heartbeat = time.Second
 	}
-	if opt.HeartbeatMisses <= 0 {
-		opt.HeartbeatMisses = 3
+	if opt.heartbeatMisses <= 0 {
+		opt.heartbeatMisses = 3
 	}
-	if opt.AssignDeadline <= 0 {
-		opt.AssignDeadline = 30 * time.Second
+	if opt.assignDeadline <= 0 {
+		opt.assignDeadline = 30 * time.Second
 	}
 	if opt.MinWorkers == 0 && opt.Workers > 0 {
 		opt.MinWorkers = 1
@@ -83,11 +85,11 @@ func (o *Options) withDefaults() Options {
 	if opt.WaitWorkers <= 0 {
 		opt.WaitWorkers = 10 * time.Second
 	}
-	if opt.RestartMax <= 0 {
-		opt.RestartMax = 5
+	if opt.restartMax <= 0 {
+		opt.restartMax = 5
 	}
-	if opt.RestartWindow <= 0 {
-		opt.RestartWindow = time.Minute
+	if opt.restartWindow <= 0 {
+		opt.restartWindow = time.Minute
 	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
@@ -400,7 +402,7 @@ func (s *Supervisor) heartbeatLoop() {
 			if missed >= 1 {
 				obsHeartbeatMisses.Inc()
 			}
-			if missed >= s.opt.HeartbeatMisses {
+			if missed >= s.opt.heartbeatMisses {
 				obsHeartbeatKills.Inc()
 				s.nHBKills.Add(1)
 				s.killProcOf(wc)
@@ -433,7 +435,7 @@ func (s *Supervisor) killProcOf(wc *workerConn) {
 // --- spawned-local fleet & restart budget ---
 
 func (s *Supervisor) spawn() error {
-	args := append(append([]string{}, s.opt.WorkerArgs...), "-master", s.Addr())
+	args := append(append([]string{}, s.opt.workerArgs...), "-master", s.Addr())
 	cmd := exec.Command(s.opt.WorkerBin, args...)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("farm: spawn worker: %w", err)
@@ -469,7 +471,7 @@ func (s *Supervisor) monitor(wp *workerProc) {
 		obsRestartsDenied.Inc()
 		s.nDenied.Add(1)
 		s.opt.Logf("farm: restart budget exhausted (%d per %v); worker %d stays down",
-			s.opt.RestartMax, s.opt.RestartWindow, wp.pid)
+			s.opt.restartMax, s.opt.restartWindow, wp.pid)
 		return
 	}
 	obsRestarts.Inc()
@@ -487,19 +489,19 @@ func (s *Supervisor) monitor(wp *workerProc) {
 }
 
 // allowRestart enforces the token-bucket restart budget: at most
-// RestartMax restarts within any sliding RestartWindow.
+// restartMax restarts within any sliding restartWindow.
 func (s *Supervisor) allowRestart() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
 	keep := s.restarts[:0]
 	for _, t := range s.restarts {
-		if now.Sub(t) < s.opt.RestartWindow {
+		if now.Sub(t) < s.opt.restartWindow {
 			keep = append(keep, t)
 		}
 	}
 	s.restarts = keep
-	if len(s.restarts) >= s.opt.RestartMax {
+	if len(s.restarts) >= s.opt.restartMax {
 		return false
 	}
 	s.restarts = append(s.restarts, now)
@@ -553,7 +555,7 @@ var _ dispatch.Executor = (*Supervisor)(nil)
 // the wire does not carry. The fault-tolerant master is always armed; lost
 // workers cost reassignments (or master-local recompute at the limit),
 // never the sweep.
-func (s *Supervisor) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched dispatch.Schedule, adaptLMax bool) (*dispatch.Sweep, *dispatch.RunStats, error) {
+func (s *Supervisor) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, adaptLMax bool) (*dispatch.Sweep, *dispatch.RunStats, error) {
 	if model == nil {
 		return nil, nil, fmt.Errorf("farm: sweep has no master-side model")
 	}
@@ -596,9 +598,8 @@ func (s *Supervisor) Sweep(ctx context.Context, model *core.Model, ks []float64,
 
 	sw, st, failed, err := dispatch.RunMaster(ctx, ep, model, ks, mode, dispatch.MasterOptions{
 		Backend:        "farm",
-		Schedule:       sched,
 		AdaptLMax:      adaptLMax,
-		AssignDeadline: s.opt.AssignDeadline,
+		AssignDeadline: s.opt.assignDeadline,
 	})
 	if err != nil {
 		// Workers may be blocked waiting for an assignment that will never

@@ -86,8 +86,8 @@ func testSupervisor(t *testing.T, opt Options) *Supervisor {
 	if opt.Heartbeat == 0 {
 		opt.Heartbeat = 50 * time.Millisecond
 	}
-	if opt.AssignDeadline == 0 {
-		opt.AssignDeadline = 5 * time.Second
+	if opt.assignDeadline == 0 {
+		opt.assignDeadline = 5 * time.Second
 	}
 	if opt.WaitWorkers == 0 {
 		opt.WaitWorkers = 5 * time.Second
@@ -157,7 +157,7 @@ func TestFarmSweepMatchesPool(t *testing.T) {
 	} {
 		ref := poolReference(t, testKs(), tc.mode)
 		for pass := 0; pass < 2; pass++ { // cold then warm
-			sw, st, err := s.Sweep(context.Background(), model, testKs(), tc.mode, dispatch.LargestFirst, false)
+			sw, st, err := s.Sweep(context.Background(), model, testKs(), tc.mode, false)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", tc.label, pass, err)
 			}
@@ -180,7 +180,7 @@ func TestFarmSweepMatchesPool(t *testing.T) {
 // A worker lost mid-sweep costs reassignments, never correctness; its
 // reconnection (same UID) is re-admitted for the following sweep.
 func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
-	s := testSupervisor(t, Options{MinWorkers: 2, AssignDeadline: 2 * time.Second})
+	s := testSupervisor(t, Options{MinWorkers: 2, assignDeadline: 2 * time.Second})
 	startTestWorker(t, s, "stable", 0, nil)
 	// Enough writes to get through magic+hello and the first result
 	// frames, then death in the middle of the sweep.
@@ -193,7 +193,7 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 
 	mode := smallMode()
 	ref := poolReference(t, testKs(), mode)
-	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFarmWorkerLossMidSweepRecoversBitwise(t *testing.T) {
 	// The casualty comes back under its UID: next sweep runs on two again.
 	startTestWorker(t, s, "flaky", 1, nil)
 	waitAlive(t, s, 2)
-	sw2, st2, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw2, st2, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFarmZeroWorkersComputesLocally(t *testing.T) {
 	s := testSupervisor(t, Options{MinWorkers: 0, WaitWorkers: 50 * time.Millisecond})
 	mode := smallMode()
 	ref := poolReference(t, testKs(), mode)
-	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+	sw, st, err := s.Sweep(context.Background(), testModel(t), testKs(), mode, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFarmZeroWorkersComputesLocally(t *testing.T) {
 // heartbeat loop must retire it within the miss budget, and its UID's
 // return must count as a rejoin.
 func TestFarmHeartbeatKillsSilentWorkerAndCountsRejoin(t *testing.T) {
-	s := testSupervisor(t, Options{Heartbeat: 20 * time.Millisecond, HeartbeatMisses: 2})
+	s := testSupervisor(t, Options{Heartbeat: 20 * time.Millisecond, heartbeatMisses: 2})
 	c, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestFarmDrain(t *testing.T) {
 	s := testSupervisor(t, Options{MinWorkers: 1})
 	w := startTestWorker(t, s, "w", 0, nil)
 	waitAlive(t, s, 1)
-	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err != nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -299,7 +299,7 @@ func TestFarmDrain(t *testing.T) {
 	if s.Alive() != 0 {
 		t.Fatalf("%d workers alive after drain", s.Alive())
 	}
-	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
+	if _, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), false); err == nil {
 		t.Fatal("sweep after drain should fail")
 	}
 }
@@ -321,7 +321,7 @@ func TestFarmConcurrentSweepsSerialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sweeps[i], _, errs[i] = s.Sweep(context.Background(), testModel(t), testKs(), mode, dispatch.LargestFirst, false)
+			sweeps[i], _, errs[i] = s.Sweep(context.Background(), testModel(t), testKs(), mode, false)
 		}(i)
 	}
 	wg.Wait()
@@ -343,11 +343,11 @@ func TestFarmSweepContextCancel(t *testing.T) {
 	waitAlive(t, s, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Sweep(ctx, testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false); err == nil {
+	if _, _, err := s.Sweep(ctx, testModel(t), testKs(), smallMode(), false); err == nil {
 		t.Fatal("expected context error")
 	}
 	// The fleet must still be usable afterwards.
-	sw, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), dispatch.LargestFirst, false)
+	sw, _, err := s.Sweep(context.Background(), testModel(t), testKs(), smallMode(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestFarmSweepFlattenedMDMMatchesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, st, err := s.Sweep(context.Background(), master, ks, mode, dispatch.LargestFirst, false)
+	sw, st, err := s.Sweep(context.Background(), master, ks, mode, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,9 @@
 // tcpmp endpoints, as tcpmp data frames, exactly as in a tcpmp world; the
 // farm adds only its control frames (hello/welcome, ping/pong, sweep
 // begin/done, drain), mp frames of the other kinds with JSON payloads.
+// A sweep's begin frame carries every exported field of core.Params but K;
+// core's unexported test hooks (the integrator override among them) never
+// cross it, so a worker always evolves with the default numerics.
 //
 // Every worker of one fleet, and the supervisor that evolves blocks itself
 // when none is registered, must be built for the same GOARCH, amd64 for the
@@ -89,8 +92,8 @@ type Welcome struct {
 // sweepSpec tells one worker its place in a sweep. The Appendix-A TagInit
 // broadcast still carries the protocol's own init block (tauEnd, lmax, nk,
 // gauge, rtol, keep); the spec ships the fields TagInit does not cover —
-// the model, the grid, and the evolution knobs that must match the master
-// bit for bit (KBatch, FastEvolve, tolerances).
+// the model, the grid, and the evolution settings that must match the
+// master bit for bit (KBatch, FastEvolve).
 type sweepSpec struct {
 	Rank  int              `json:"rank"`
 	World int              `json:"world"`
@@ -98,36 +101,26 @@ type sweepSpec struct {
 	Ks    []float64        `json:"ks"`
 
 	LMax       int     `json:"lmax"`
-	LMaxNu     int     `json:"lmax_nu,omitempty"`
 	Gauge      int     `json:"gauge,omitempty"`
 	RTol       float64 `json:"rtol,omitempty"`
-	ATol       float64 `json:"atol,omitempty"`
 	TauEnd     float64 `json:"tau_end,omitempty"`
-	KTauStart  float64 `json:"ktau_start,omitempty"`
-	TCAFactor  float64 `json:"tca_factor,omitempty"`
-	NoTCA      bool    `json:"no_tca,omitempty"`
 	KeepSrc    bool    `json:"keep_sources,omitempty"`
 	KBatch     int     `json:"kbatch,omitempty"`
 	FastEvolve bool    `json:"fast_evolve,omitempty"`
 }
 
-// params reconstructs the worker-side core.Params (K is assigned per
-// block by the wire protocol; Integrator cannot cross a process boundary
-// and stays the default).
+// params reconstructs the worker-side core.Params: every exported field
+// but K, which the wire protocol assigns per block. core's unexported test
+// hooks do not cross a process boundary and stay at their defaults.
 func (sp *sweepSpec) params() core.Params {
 	return core.Params{
-		LMax:                 sp.LMax,
-		LMaxNu:               sp.LMaxNu,
-		Gauge:                core.Gauge(sp.Gauge),
-		RTol:                 sp.RTol,
-		ATol:                 sp.ATol,
-		TauEnd:               sp.TauEnd,
-		KTauStart:            sp.KTauStart,
-		TCAFactor:            sp.TCAFactor,
-		DisableTightCoupling: sp.NoTCA,
-		KeepSources:          sp.KeepSrc,
-		KBatch:               sp.KBatch,
-		FastEvolve:           sp.FastEvolve,
+		LMax:        sp.LMax,
+		Gauge:       core.Gauge(sp.Gauge),
+		RTol:        sp.RTol,
+		TauEnd:      sp.TauEnd,
+		KeepSources: sp.KeepSrc,
+		KBatch:      sp.KBatch,
+		FastEvolve:  sp.FastEvolve,
 	}
 }
 
@@ -135,14 +128,9 @@ func (sp *sweepSpec) params() core.Params {
 func specFromParams(mode core.Params) sweepSpec {
 	return sweepSpec{
 		LMax:       mode.LMax,
-		LMaxNu:     mode.LMaxNu,
 		Gauge:      int(mode.Gauge),
 		RTol:       mode.RTol,
-		ATol:       mode.ATol,
 		TauEnd:     mode.TauEnd,
-		KTauStart:  mode.KTauStart,
-		TCAFactor:  mode.TCAFactor,
-		NoTCA:      mode.DisableTightCoupling,
 		KeepSrc:    mode.KeepSources,
 		KBatch:     mode.KBatch,
 		FastEvolve: mode.FastEvolve,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -150,4 +151,40 @@ func FuzzRegister(f *testing.F) {
 			t.Fatalf("%d workers left on the roster", s.Alive())
 		}
 	})
+}
+
+// TestSweepSpecCarriesEveryParam: every exported field of core.Params but K
+// (which the wire assigns per block) crosses a sweep's begin frame. A field
+// added to core.Params without a sweepSpec twin would fall back to its
+// default on every farm worker and break the bitwise contract silently.
+func TestSweepSpecCarriesEveryParam(t *testing.T) {
+	var want core.Params
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() || f.Name == "K" {
+			continue
+		}
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int:
+			fv.SetInt(int64(i + 1))
+		case reflect.Float64:
+			fv.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("core.Params.%s: no test value for kind %s", f.Name, fv.Kind())
+		}
+	}
+	payload, err := json.Marshal(specFromParams(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp sweepSpec
+	if err := json.Unmarshal(payload, &sp); err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.params(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("core.Params did not survive the wire:\n got  %+v\n want %+v", got, want)
+	}
 }

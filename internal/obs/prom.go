@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -180,18 +179,4 @@ func FindSample(samples []Sample, name string, labels map[string]string) *Sample
 		}
 	}
 	return nil
-}
-
-// SampleNames returns the sorted distinct metric names in samples.
-func SampleNames(samples []Sample) []string {
-	set := map[string]bool{}
-	for _, s := range samples {
-		set[s.Name] = true
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -274,10 +274,6 @@ type Adaptive struct {
 	InitialStep float64
 	// MaxStep caps the step size (no cap if zero).
 	MaxStep float64
-	// MinStep is the underflow floor (defaults to 16*eps*|t|).
-	MinStep float64
-	// MaxSteps bounds the number of accepted+rejected steps (default 10^7).
-	MaxSteps int
 	// OnStep, if non-nil, is called after every accepted step with the new
 	// time and state; used to capture line-of-sight sources.
 	OnStep func(t float64, y []float64)
@@ -294,6 +290,10 @@ type Adaptive struct {
 	// and without carrying the step every segment would pay a fresh
 	// ramp-up from the tiny initial step. Off by default.
 	CarryStep bool
+
+	// maxSteps bounds the number of accepted+rejected steps (<= 0: 10^7);
+	// a test hook.
+	maxSteps int
 
 	// controller state carried across calls when CarryStep is set
 	lastH   float64
@@ -337,8 +337,7 @@ func (ad *Adaptive) Reset() {
 	ad.RTol, ad.ATol = 0, 0
 	ad.InitialStep = 0
 	ad.MaxStep = 0
-	ad.MinStep = 0
-	ad.MaxSteps = 0
+	ad.maxSteps = 0
 	ad.OnStep = nil
 	ad.PI = false
 	ad.CarryStep = false
@@ -385,7 +384,7 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 	if atol <= 0 {
 		atol = 1e-12
 	}
-	maxSteps := ad.MaxSteps
+	maxSteps := ad.maxSteps
 	if maxSteps <= 0 {
 		maxSteps = 10000000
 	}
@@ -419,10 +418,8 @@ func (ad *Adaptive) Integrate(f Func, t0, t1 float64, y []float64) (Stats, error
 			hTry = t1 - t
 			last = true
 		}
-		minStep := ad.MinStep
-		if minStep <= 0 {
-			minStep = 16.0 * 2.220446049250313e-16 * math.Max(math.Abs(t), math.Abs(t1))
-		}
+		// The underflow floor.
+		minStep := 16.0 * 2.220446049250313e-16 * math.Max(math.Abs(t), math.Abs(t1))
 		// One embedded RK step of size hTry.
 		errNorm := ad.step(f, t, hTry, y, rtol, atol, &st)
 		if math.IsNaN(errNorm) || math.IsInf(errNorm, 0) {

@@ -151,7 +151,7 @@ func TestStiffProblemNeedsManySteps(t *testing.T) {
 
 func TestMaxStepsRespected(t *testing.T) {
 	in := NewDVERK(1e-12, 1e-14)
-	in.MaxSteps = 5
+	in.maxSteps = 5
 	y := []float64{1, 0}
 	_, err := in.Integrate(harmonic(50), 0, 100, y)
 	if !errors.Is(err, ErrMaxSteps) {

@@ -336,11 +336,6 @@ func (h *History) XeAt(a float64) float64 {
 	return interp(h.LnA, h.Xe, math.Log(a))
 }
 
-// TBaryonAt interpolates the baryon temperature at scale factor a.
-func (h *History) TBaryonAt(a float64) float64 {
-	return interp(h.LnA, h.TBaryon, math.Log(a))
-}
-
 func interp(xs, ys []float64, x float64) float64 {
 	n := len(xs)
 	if x <= xs[0] {

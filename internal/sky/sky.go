@@ -35,6 +35,9 @@ func (s *Spectrum) interpolator() (func(l float64) float64, error) {
 	if len(s.L) < 2 {
 		return nil, fmt.Errorf("sky: need at least two multipoles")
 	}
+	if !(s.TCMB > 0) || math.IsInf(s.TCMB, 0) {
+		return nil, fmt.Errorf("sky: TCMB = %g is not a positive temperature", s.TCMB)
+	}
 	x := make([]float64, len(s.L))
 	y := make([]float64, len(s.L))
 	for i, l := range s.L {
@@ -109,6 +112,9 @@ func FullSky(spec *Spectrum, lmax, ny int, seed int64) (*Map, error) {
 	if lmax < 2 {
 		return nil, fmt.Errorf("sky: lmax = %d < 2", lmax)
 	}
+	if ny < 1 {
+		return nil, fmt.Errorf("sky: full sky needs at least one row, not %d", ny)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	// Draw a_lm: index [l][m], m >= 0. Real and imaginary parts are
 	// independent N(0, C_l/2) for m > 0; a_l0 is real N(0, C_l).
@@ -178,6 +184,9 @@ func FullSky(spec *Spectrum, lmax, ny int, seed int64) (*Map, error) {
 func FlatPatch(spec *Spectrum, n int, sizeDeg float64, seed int64) (*Map, error) {
 	if !fourier.IsPowerOfTwo(n) {
 		return nil, fmt.Errorf("sky: patch size %d is not a power of two", n)
+	}
+	if !(sizeDeg > 0) || math.IsInf(sizeDeg, 0) {
+		return nil, fmt.Errorf("sky: patch side %g deg is not a positive angle", sizeDeg)
 	}
 	cOf, err := spec.interpolator()
 	if err != nil {

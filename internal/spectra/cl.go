@@ -138,6 +138,9 @@ func trapWeight(x []float64, i int) float64 {
 // applied, which also rescales the primordial amplitude and the matter
 // power spectrum.
 func (c *ClSpectrum) NormalizeCOBE(qRmsPSMicroK float64) (float64, error) {
+	if !(qRmsPSMicroK > 0) || math.IsInf(qRmsPSMicroK, 0) {
+		return 0, fmt.Errorf("spectra: COBE quadrupole Q = %g uK is not a positive amplitude", qRmsPSMicroK)
+	}
 	var c2 float64
 	for i, l := range c.L {
 		if l == 2 {

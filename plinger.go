@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 
 	"plinger/internal/core"
@@ -137,23 +138,22 @@ func New(cfg Config) (*Model, error) {
 // workers) or a farm.Supervisor (a plingerw fleet, with the fault-tolerant
 // master armed on every run). nil detaches, reverting to a pool started
 // per call. The Model never closes e. While e is attached the per-call
-// Workers option is ignored; Schedule and the brute method's per-k
-// hierarchy cutoff still apply, and results are unchanged (the dispatch
-// determinism contract). Message-passing transports are unaffected. Call
-// it before the Model is shared between goroutines.
+// Workers option is ignored; the brute method's per-k hierarchy cutoff
+// still applies, and results are unchanged (the dispatch determinism
+// contract). Message-passing transports are unaffected. Call it before the
+// Model is shared between goroutines.
 func (m *Model) Attach(e dispatch.Executor) { m.exec = e }
 
-// attachedSweep binds one sweep's model, schedule and cutoff policy to the
-// attached executor, as the Dispatcher the spectra sweeps take.
+// attachedSweep binds one sweep's model and cutoff policy to the attached
+// executor, as the Dispatcher the spectra sweeps take.
 type attachedSweep struct {
 	exec  dispatch.Executor
 	model *core.Model
-	sched dispatch.Schedule
 	adapt bool
 }
 
 func (d *attachedSweep) Run(ctx context.Context, ks []float64, mode core.Params) (*dispatch.Sweep, *dispatch.RunStats, error) {
-	return d.exec.Sweep(ctx, d.model, ks, mode, d.sched, d.adapt)
+	return d.exec.Sweep(ctx, d.model, ks, mode, d.adapt)
 }
 
 // Tau0 returns the conformal age of the model in Mpc.
@@ -192,6 +192,12 @@ func (o ModeOptions) internal() (core.Params, error) {
 	g, err := o.Gauge.internal()
 	if err != nil {
 		return core.Params{}, err
+	}
+	if o.LMax < 0 {
+		return core.Params{}, fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
+	}
+	if !(o.TauEnd >= 0) || math.IsInf(o.TauEnd, 0) {
+		return core.Params{}, fmt.Errorf("plinger: TauEnd = %g is negative or not finite (0 selects the present)", o.TauEnd)
 	}
 	lmax := o.LMax
 	if lmax == 0 {
@@ -318,13 +324,12 @@ type SpectrumOptions struct {
 	// Thomson treatment includes "two photon polarizations").
 	Polarization bool
 	// Transport selects the execution backend: "" or "pool" runs the
-	// shared-memory worker pool; "chan", "fifo" or "tcp" runs a full
-	// PLINGER master/worker decomposition over that mp transport. The
+	// shared-memory worker pool (the Model's attached executor, if any;
+	// see Attach); "chan", "fifo" or "tcp" runs a full PLINGER
+	// master/worker decomposition over that mp transport. Every backend
+	// hands the wavenumbers out largest-first, the paper's policy, and the
 	// spectrum is identical in every case.
 	Transport string
-	// Schedule is the hand-out order: "largest-first" (default, the
-	// paper's policy), "input-order" or "smallest-first".
-	Schedule string
 	// FastLOS switches the los method to the table-driven projection:
 	// spherical Bessel kernels from the process-shared spline tables
 	// (built in parallel and cached across calls), only the requested
@@ -390,21 +395,10 @@ const maxKBatch = 32
 // defaultLMaxCl is the LMaxCl a zero SpectrumOptions.LMaxCl selects.
 const defaultLMaxCl = 300
 
-// validTransport checks the execution-backend name shared by
-// SpectrumOptions, MatterPowerOptions and ParallelOptions.
-func validTransport(transport string) error {
-	switch transport {
-	case "", "pool", "chan", "fifo", "tcp":
-		return nil
-	default:
-		return fmt.Errorf("plinger: unknown transport %q (want pool, chan, fifo or tcp)", transport)
-	}
-}
-
 // Validate reports the first option that would request a meaningless
 // computation. Zero values always validate (they select documented
 // defaults); genuinely bad values — negative sizes, grids too small for the
-// quadrature, unknown method/transport/schedule names, inconsistent method
+// quadrature, unknown method or transport names, inconsistent method
 // combinations — return errors instead of being silently clamped.
 // ComputeSpectrum calls it first, so callers only need it to fail early.
 func (o SpectrumOptions) Validate() error {
@@ -488,11 +482,10 @@ func (o SpectrumOptions) Validate() error {
 	default:
 		return fmt.Errorf("plinger: unknown method %q (want los or brute)", o.Method)
 	}
-	if err := validTransport(o.Transport); err != nil {
-		return err
-	}
-	if _, err := dispatch.ParseSchedule(o.Schedule); err != nil {
-		return fmt.Errorf("plinger: unknown schedule %q", o.Schedule)
+	switch o.Transport {
+	case "", "pool", "chan", "fifo", "tcp":
+	default:
+		return fmt.Errorf("plinger: unknown transport %q (want pool, chan, fifo or tcp)", o.Transport)
 	}
 	return nil
 }
@@ -507,11 +500,11 @@ func (o MatterPowerOptions) kRange() (kmin, kmax float64) {
 // zero values select defaults, bad values return errors. MatterPower calls
 // it first.
 func (o MatterPowerOptions) Validate() error {
-	if o.KMin < 0 {
-		return fmt.Errorf("plinger: KMin = %g is negative (0 selects the default)", o.KMin)
+	if !(o.KMin >= 0) || math.IsInf(o.KMin, 0) {
+		return fmt.Errorf("plinger: KMin = %g is negative or not finite (0 selects the default)", o.KMin)
 	}
-	if o.KMax < 0 {
-		return fmt.Errorf("plinger: KMax = %g is negative (0 selects the default)", o.KMax)
+	if !(o.KMax >= 0) || math.IsInf(o.KMax, 0) {
+		return fmt.Errorf("plinger: KMax = %g is negative or not finite (0 selects the default)", o.KMax)
 	}
 	if kmin, kmax := o.kRange(); kmax <= kmin {
 		return fmt.Errorf("plinger: KMax = %g does not exceed KMin = %g", kmax, kmin)
@@ -525,33 +518,22 @@ func (o MatterPowerOptions) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("plinger: Workers = %d is negative (0 uses GOMAXPROCS)", o.Workers)
 	}
-	if o.Amp < 0 {
-		return fmt.Errorf("plinger: Amp = %g is negative (0 means unit amplitude)", o.Amp)
-	}
-	if err := validTransport(o.Transport); err != nil {
-		return err
-	}
-	if _, err := dispatch.ParseSchedule(o.Schedule); err != nil {
-		return fmt.Errorf("plinger: unknown schedule %q", o.Schedule)
+	if !(o.Amp >= 0) || math.IsInf(o.Amp, 0) {
+		return fmt.Errorf("plinger: Amp = %g is negative or not finite (0 means unit amplitude)", o.Amp)
 	}
 	return nil
 }
 
-// newDispatcher builds the execution backend for a sweep. The returned
-// cleanup must be called after the run.
-func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax bool) (dispatch.Dispatcher, func(), error) {
-	sched, err := dispatch.ParseSchedule(schedule)
-	if err != nil {
-		return nil, nil, fmt.Errorf("plinger: unknown schedule %q", schedule)
-	}
+// newDispatcher builds the execution backend for a sweep, handing the
+// wavenumbers out largest-first. The returned cleanup must be called after
+// the run.
+func (m *Model) newDispatcher(transport string, workers int, adaptLMax bool) (dispatch.Dispatcher, func(), error) {
 	switch transport {
 	case "", "pool":
 		if m.exec != nil {
-			return &attachedSweep{exec: m.exec, model: m.core, sched: sched, adapt: adaptLMax}, func() {}, nil
+			return &attachedSweep{exec: m.exec, model: m.core, adapt: adaptLMax}, func() {}, nil
 		}
-		return &dispatch.Pool{
-			Model: m.core, Workers: workers, Schedule: sched, AdaptLMax: adaptLMax,
-		}, func() {}, nil
+		return &dispatch.Pool{Model: m.core, Workers: workers, AdaptLMax: adaptLMax}, func() {}, nil
 	default:
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
@@ -560,7 +542,6 @@ func (m *Model) newDispatcher(transport, schedule string, workers int, adaptLMax
 		if err != nil {
 			return nil, nil, err
 		}
-		d.Schedule = sched
 		d.AdaptLMax = adaptLMax
 		return d, cleanup, nil
 	}
@@ -672,7 +653,7 @@ func (m *Model) ComputeSpectrum(o SpectrumOptions) (*Spectrum, error) {
 		return nil, err
 	}
 	p := m.plan(o)
-	d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, p.adaptLMax)
+	d, cleanup, err := m.newDispatcher(o.Transport, o.Workers, p.adaptLMax)
 	if err != nil {
 		return nil, err
 	}
@@ -746,9 +727,6 @@ type MatterPowerOptions struct {
 	// Amp is the primordial amplitude, typically the value returned by
 	// NormalizeCOBE (<= 0 means unit amplitude).
 	Amp float64
-	// Transport and Schedule select the execution backend, as in
-	// SpectrumOptions.
-	Transport, Schedule string
 	// Trace, when non-nil, records the computation's phases (evolve,
 	// postprocess) as spans. Nil costs nothing.
 	Trace *Trace
@@ -766,7 +744,7 @@ func (m *Model) MatterPower(o MatterPowerOptions) (*MatterPowerResult, error) {
 	}
 	kmin, kmax := o.kRange()
 	ks := spectra.LogGrid(kmin, kmax, o.NK)
-	d, cleanup, err := m.newDispatcher(o.Transport, o.Schedule, o.Workers, false)
+	d, cleanup, err := m.newDispatcher("", o.Workers, false)
 	if err != nil {
 		return nil, err
 	}
@@ -812,9 +790,6 @@ type ParallelOptions struct {
 	LMax  int
 	Gauge Gauge
 	RTol  float64
-	// Schedule: "largest-first" (default, the paper's policy),
-	// "input-order" or "smallest-first".
-	Schedule string
 	// Transport selects the mp transport: "chan" (default, in-process),
 	// "fifo" (strict arrival-order, the MPL model) or "tcp" (loopback
 	// connections from each worker to a listening master, PVM-style).
@@ -851,8 +826,8 @@ type ParallelRun struct {
 
 // RunParallel executes the paper's Appendix A algorithm: a master and
 // Workers worker goroutines exchanging tagged messages over the chosen
-// transport. Results are deterministic and independent of Workers,
-// Schedule and Transport.
+// transport, handing the wavenumbers out largest-first. Results are
+// deterministic and independent of Workers and Transport.
 func (m *Model) RunParallel(o ParallelOptions) (*ParallelRun, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -864,20 +839,18 @@ func (m *Model) RunParallel(o ParallelOptions) (*ParallelRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	if o.LMax < 0 {
+		return nil, fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
+	}
 	lmax := o.LMax
 	if lmax == 0 {
 		lmax = 50
-	}
-	sched, err := dispatch.ParseSchedule(o.Schedule)
-	if err != nil {
-		return nil, fmt.Errorf("plinger: unknown schedule %q", o.Schedule)
 	}
 	d, cleanup, err := dispatch.NewMP(m.core, o.Transport, o.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-	d.Schedule = sched
 	d.AdaptLMax = o.AdaptLMax
 	d.ASCIIOut, d.BinaryOut = o.ASCIIOut, o.BinaryOut
 	mode := core.Params{LMax: lmax, Gauge: g, RTol: o.RTol}

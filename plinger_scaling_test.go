@@ -64,7 +64,7 @@ func TestAttachedPoolRunsBruteSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SpectrumOptions{LMaxCl: 20, NK: 30, Method: "brute", Ls: []int{5, 10, 20}, Schedule: "input-order"}
+	opts := SpectrumOptions{LMaxCl: 20, NK: 30, Method: "brute", Ls: []int{5, 10, 20}}
 	ref, err := m.ComputeSpectrum(opts)
 	if err != nil {
 		t.Fatal(err)

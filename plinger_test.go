@@ -160,8 +160,7 @@ func TestPolarizationThroughFacade(t *testing.T) {
 
 // The dispatcher choice is invisible in the physics: a C_l spectrum
 // computed end-to-end over a PLINGER master/worker run (sources shipped
-// back over the wire) must equal the shared-memory pool's bitwise, under
-// any schedule.
+// back over the wire) must equal the shared-memory pool's bitwise.
 func TestSpectrumTransportEquivalence(t *testing.T) {
 	m := scdmModel(t)
 	opts := SpectrumOptions{LMaxCl: 12, NK: 24, Ls: []int{2, 4, 8, 12}}
@@ -172,25 +171,21 @@ func TestSpectrumTransportEquivalence(t *testing.T) {
 	for _, o := range []SpectrumOptions{
 		{Transport: "chan", Workers: 3},
 		{Transport: "fifo", Workers: 2},
-		{Transport: "chan", Workers: 2, Schedule: "smallest-first"},
 	} {
 		o.LMaxCl, o.NK, o.Ls = opts.LMaxCl, opts.NK, opts.Ls
 		got, err := m.ComputeSpectrum(o)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", o.Transport, o.Schedule, err)
+			t.Fatalf("%s: %v", o.Transport, err)
 		}
 		for i := range ref.Cl {
 			if got.Cl[i] != ref.Cl[i] {
-				t.Fatalf("%s/%s: C_%d = %g, pool %g", o.Transport, o.Schedule,
+				t.Fatalf("%s: C_%d = %g, pool %g", o.Transport,
 					ref.L[i], got.Cl[i], ref.Cl[i])
 			}
 		}
 	}
 	if _, err := m.ComputeSpectrum(SpectrumOptions{LMaxCl: 12, Transport: "telegraph"}); err == nil {
 		t.Fatal("unknown transport accepted")
-	}
-	if _, err := m.ComputeSpectrum(SpectrumOptions{LMaxCl: 12, Schedule: "alphabetical"}); err == nil {
-		t.Fatal("unknown schedule accepted")
 	}
 }
 
@@ -329,9 +324,6 @@ func TestRunParallelFacade(t *testing.T) {
 	}
 	if _, err := m.RunParallel(ParallelOptions{}); err == nil {
 		t.Fatal("empty k list accepted")
-	}
-	if _, err := m.RunParallel(ParallelOptions{KValues: []float64{0.1}, Schedule: "??"}); err == nil {
-		t.Fatal("bad schedule accepted")
 	}
 }
 

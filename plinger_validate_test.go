@@ -1,8 +1,12 @@
 package plinger
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"plinger/internal/spectra"
 )
 
 func TestSpectrumOptionsValidate(t *testing.T) {
@@ -15,7 +19,7 @@ func TestSpectrumOptionsValidate(t *testing.T) {
 		{"typical", SpectrumOptions{LMaxCl: 60, NK: 60, FastLOS: true, KRefine: 6}, ""},
 		{"brute", SpectrumOptions{LMaxCl: 20, NK: 40, Method: "brute", Polarization: true}, ""},
 		{"explicit ls", SpectrumOptions{LMaxCl: 30, Ls: []int{2, 10, 30}}, ""},
-		{"all transports", SpectrumOptions{Transport: "tcp", Schedule: "smallest-first"}, ""},
+		{"all transports", SpectrumOptions{Transport: "tcp"}, ""},
 		{"negative LMaxCl", SpectrumOptions{LMaxCl: -1}, "LMaxCl"},
 		{"LMaxCl below quadrupole", SpectrumOptions{LMaxCl: 1}, "quadrupole"},
 		{"negative NK", SpectrumOptions{NK: -5}, "NK"},
@@ -42,7 +46,6 @@ func TestSpectrumOptionsValidate(t *testing.T) {
 		{"brute lspline", SpectrumOptions{Method: "brute", FastLOS: false, LSpline: true}, "LSpline"},
 		{"brute kbatch", SpectrumOptions{Method: "brute", KBatch: 4}, "KBatch"},
 		{"unknown transport", SpectrumOptions{Transport: "telegraph"}, "transport"},
-		{"unknown schedule", SpectrumOptions{Schedule: "alphabetical"}, "schedule"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -80,8 +83,9 @@ func TestMatterPowerOptionsValidate(t *testing.T) {
 		{"tiny NK", MatterPowerOptions{NK: 2}, "NK"},
 		{"negative Workers", MatterPowerOptions{Workers: -4}, "Workers"},
 		{"negative Amp", MatterPowerOptions{Amp: -1}, "Amp"},
-		{"unknown transport", MatterPowerOptions{Transport: "smoke"}, "transport"},
-		{"unknown schedule", MatterPowerOptions{Schedule: "random"}, "schedule"},
+		{"NaN KMin", MatterPowerOptions{KMin: math.NaN()}, "KMin"},
+		{"infinite KMax", MatterPowerOptions{KMax: math.Inf(1)}, "KMax"},
+		{"NaN Amp", MatterPowerOptions{Amp: math.NaN()}, "Amp"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,5 +121,67 @@ func TestComputeMethodsValidateFirst(t *testing.T) {
 	}
 	if _, err := m.MatterPower(MatterPowerOptions{KMin: 0.4, KMax: 0.2}); err == nil {
 		t.Fatal("inverted k range accepted")
+	}
+}
+
+// TestFacadeRejectsBadInputs: the facade entry points outside the two
+// options' Validate reject a negative or non-finite input with an error
+// naming it, instead of running on a default, panicking, or returning a
+// NaN result with a nil error.
+func TestFacadeRejectsBadInputs(t *testing.T) {
+	m := scdmModel(t)
+	ls := []int{2, 10, 20, 40}
+	cl := []float64{1e-10, 2e-11, 6e-12, 1.5e-12}
+	spec := func() *Spectrum {
+		inner := &spectra.ClSpectrum{L: ls, Cl: slices.Clone(cl), TCMB: 2.726}
+		return &Spectrum{L: ls, Cl: slices.Clone(cl), inner: inner}
+	}
+	cobe := func(q float64) func() error {
+		return func() error {
+			_, err := spec().NormalizeCOBE(q)
+			return err
+		}
+	}
+	skyMap := func(tcmb float64, o SkyMapOptions) func() error {
+		return func() error {
+			_, err := MakeSkyMap(spec(), tcmb, o)
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"COBE Q zero", cobe(0), "Q"},
+		{"COBE Q NaN", cobe(math.NaN()), "Q"},
+		{"COBE Q negative", cobe(-18), "Q"},
+		{"mode LMax negative", func() error {
+			_, err := m.EvolveMode(ModeOptions{K: 0.05, LMax: -5})
+			return err
+		}, "LMax"},
+		{"mode TauEnd negative", func() error {
+			_, err := m.EvolveMode(ModeOptions{K: 0.05, TauEnd: -1})
+			return err
+		}, "TauEnd"},
+		{"parallel LMax negative", func() error {
+			_, err := m.RunParallel(ParallelOptions{KValues: []float64{0.05}, LMax: -3})
+			return err
+		}, "LMax"},
+		{"full-sky N negative", skyMap(2.726, SkyMapOptions{N: -4}), "row"},
+		{"patch side negative", skyMap(2.726, SkyMapOptions{Flat: true, SizeDeg: -1}), "patch side"},
+		{"patch side NaN", skyMap(2.726, SkyMapOptions{Flat: true, SizeDeg: math.NaN()}), "patch side"},
+		{"tcmb NaN", skyMap(math.NaN(), SkyMapOptions{}), "TCMB"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			if err == nil {
+				t.Fatal("bad input accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+		})
 	}
 }
