@@ -53,10 +53,12 @@ test-race:
 # batched-block reassignment), worker panic recovery, and the Appendix-A
 # master's and worker's own unit tests (the verdicts, the late death report
 # and the malformed init and assignment blocks among them) — and the serving
-# layer's deadline/stale degradation.
+# layer's deadline/stale degradation, a normalized miss derived from its
+# base product among them (TestDerivedMiss*: deadline, stale, and two
+# derivations coalescing on one slot).
 test-faults:
 	$(GO) test -race ./internal/fault/ ./internal/dispatch/
-	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale' ./internal/serve/
+	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale|DerivedMiss' ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
 # detector: the in-process supervisor contract tests (bitwise equality with

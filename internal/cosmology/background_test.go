@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"plinger/internal/constants"
 )
 
 func scdm(t *testing.T) *Background {
@@ -90,16 +92,21 @@ func TestConformalAgeSCDM(t *testing.T) {
 }
 
 func TestEdSAnalyticLimit(t *testing.T) {
-	// For matter+radiation with Omega_m ~ 1 the conformal time is analytic:
-	// tau(a) = 2/(H0 sqrt(Om)) [sqrt(a+aeq) - sqrt(aeq)]. Check the ratio
-	// tau(0.25)/tau(0.04) against that formula to 1%.
+	// SCDM is matter and radiation only, so the conformal time is closed:
+	// tau(a) = 2 (sqrt(a + a_eq) - sqrt(a_eq)) / (H0 sqrt(Omega_m)), with
+	// a_eq = Omega_r/Omega_m counting the massless neutrinos with the
+	// photons. The tau table holds it to 1e-8 from the radiation era to
+	// today (its Simpson steps reach ~1e-13 after the first few).
 	bg := scdm(t)
-	aeq := bg.MatterRadiationEqualityA()
-	f := func(a float64) float64 { return math.Sqrt(a+aeq) - math.Sqrt(aeq) }
-	want := f(0.25) / f(0.04)
-	r := bg.Tau(0.25) / bg.Tau(0.04)
-	if math.Abs(r-want) > 0.01*want {
-		t.Fatalf("tau ratio %g, want ~%g", r, want)
+	p := bg.P
+	om := p.OmegaC + p.OmegaB
+	aeq := (p.OmegaGamma() + p.OmegaNuMassless()) / om
+	h0 := constants.HubbleInvMpc(p.H)
+	for _, a := range []float64{1e-8, 1e-6, 1e-4, aeq, 1e-3, 1.0 / 1100, 1e-2, 0.1, 0.25, 0.5, 1} {
+		want := 2 * (math.Sqrt(a+aeq) - math.Sqrt(aeq)) / (h0 * math.Sqrt(om))
+		if got := bg.Tau(a); math.Abs(got-want) > 1e-8*want {
+			t.Errorf("tau(a = %g) = %.12g Mpc, closed form %.12g", a, got, want)
+		}
 	}
 }
 

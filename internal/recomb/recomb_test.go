@@ -129,6 +129,41 @@ func TestBaryonTemperatureCoupledThenCools(t *testing.T) {
 	}
 }
 
+func TestHydrogenFollowsSahaAboveZ1600(t *testing.T) {
+	// Above z ~ 1600 hydrogen sits in Saha equilibrium with the photons:
+	// x_p x_e / (1 - x_p) = (2 pi m_e k T / h^2)^(3/2) e^(-chi_H/kT) / n_H,
+	// coded here from CODATA values, with n_e = x_e n_H taken from the
+	// history (helium's electrons included). The neutral fraction 1 - x_p,
+	// which is what departs first, matches to 1e-6 at every grid point
+	// from z = 1600 to 2500.
+	bg, h := history(t)
+	const (
+		kB   = 1.380649e-23
+		me   = 9.1093837015e-31
+		hP   = 6.62607015e-34
+		eV   = 1.602176634e-19
+		mpcM = 3.085677581491367e22
+	)
+	checked := 0
+	for i, lnA := range h.LnA {
+		a := math.Exp(lnA)
+		if z := 1/a - 1; z < 1600 || z > 2500 {
+			continue
+		}
+		kt := kB * bg.P.TCMB / a
+		nH := h.NH0 / (mpcM * mpcM * mpcM) / (a * a * a)
+		s := math.Pow(2*math.Pi*me*kt/(hP*hP), 1.5) * math.Exp(-chiH*eV/kt) / nH
+		neutral := h.Xe[i] / (s + h.Xe[i]) // 1 - x_p of x_p = s/(s + x_e)
+		if got := 1 - h.Xp[i]; math.Abs(got/neutral-1) > 1e-6 {
+			t.Fatalf("z = %.1f: neutral hydrogen fraction %.6g, Saha %.6g", 1/a-1, got, neutral)
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d grid points between z = 1600 and 2500", checked)
+	}
+}
+
 func TestSahaFactorMatchesHandComputation(t *testing.T) {
 	// At T = 5000 K, chi = 13.6 eV: the exponential is e^-31.57... and the
 	// prefactor (2 pi m k T/h^2)^1.5 ~ 4.1e20 m^-3 * T^1.5...

@@ -17,7 +17,9 @@
 //   - models.go — a coalescing LRU registry of built models, all attached
 //     to the service's one executor (its shared pool, or the farm);
 //   - service.go / handlers.go — the one compute path of both products and
-//     the HTTP JSON API (/v1/cl, /v1/pk, /v1/stats) that cmd/plingerd exposes;
+//     the HTTP JSON API (/v1/cl, /v1/pk, /v1/stats) that cmd/plingerd
+//     exposes; a COBE-normalized C_l is derived from its unnormalized
+//     product there, never swept;
 //   - peer.go — the sharded-fleet routing over internal/cluster: cache
 //     misses whose key another replica owns are fetched over the peer
 //     protocol (/v1/peer/cl, /v1/peer/pk), and every peer failure degrades
@@ -75,6 +77,37 @@ func qln(x float64) int64 {
 		return 0
 	}
 	return qfix(math.Log(x), stepLnK)
+}
+
+// servedConfig is the cosmology a key names, the one its model is built
+// from, so that a key's bits do not depend on which of its configs arrived
+// first. Each quantized field goes to its quantum's grid point, which an
+// on-grid input already is, except in the quantum of the SCDM value: that
+// one keeps the SCDM value (SCDM's OmegaC, which closes the model, is on
+// no grid point).
+func servedConfig(c plinger.Config) plinger.Config {
+	d := plinger.SCDM()
+	c.H = dequantize(c.H, d.H, stepH)
+	c.OmegaC = dequantize(c.OmegaC, d.OmegaC, stepOmega)
+	c.OmegaB = dequantize(c.OmegaB, d.OmegaB, stepOmega)
+	c.OmegaLambda = dequantize(c.OmegaLambda, d.OmegaLambda, stepOmega)
+	c.TCMB = dequantize(c.TCMB, d.TCMB, stepTCMB)
+	c.YHe = dequantize(c.YHe, d.YHe, stepYHe)
+	c.NNuMassless = dequantize(c.NNuMassless, d.NNuMassless, stepNNu)
+	c.MNuEV = dequantize(c.MNuEV, d.MNuEV, stepMNu)
+	c.SpectralIndex = dequantize(c.SpectralIndex, d.SpectralIndex, stepIndex)
+	return c
+}
+
+// dequantize is the representative of x's quantum (see servedConfig): def
+// when x shares def's quantum, else the grid point, divided by the integer
+// 1/step so that an on-grid decimal keeps its bits.
+func dequantize(x, def, step float64) float64 {
+	q := qfix(x, step)
+	if q == qfix(def, step) {
+		return def
+	}
+	return float64(q) / math.Round(1/step)
 }
 
 // canonicalConfig renders the quantized cosmology, one field per token.
@@ -159,7 +192,11 @@ type ClRequest struct {
 	// default; ignored when Exact).
 	KRefine int `json:"krefine,omitempty"`
 	// QCOBEMicroK, when positive, normalizes the spectrum to the COBE
-	// quadrupole (microkelvin). Part of the cache key.
+	// quadrupole (microkelvin). Part of the cache key. Normalization never
+	// costs a sweep: C_l is linear in the primordial amplitude, so a
+	// normalized product is rescaled from the unnormalized product of the
+	// same cosmology and grid, which is looked up (and swept, when cold) as
+	// a request of its own.
 	QCOBEMicroK float64 `json:"qcobe_uk,omitempty"`
 	// DeadlineMS, when positive, bounds this request's wait in
 	// milliseconds: past it the service answers with a stale cached

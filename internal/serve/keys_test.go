@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -130,6 +132,64 @@ func TestKeyDistinctPhysics(t *testing.T) {
 	distinct("pk", PkRequest{}.Key(d))
 	distinct("pk kmax", PkRequest{KMax: 0.3}.Key(d))
 	distinct("pk amp", PkRequest{Amp: 2e-9}.Key(d))
+}
+
+// TestServedConfigIsTheKeysCosmology: the cosmology a model is built from
+// is a function of its key alone, and it keeps the bits of every input
+// already on the key's grid — the paper's SCDM and MDM, and the seeded
+// bench draws among them.
+func TestServedConfigIsTheKeysCosmology(t *testing.T) {
+	onGrid := clCfg(0.6123)
+	onGrid.OmegaB = 0.04567
+	onGrid.OmegaC = 0.95433
+	for name, c := range map[string]plinger.Config{
+		"SCDM": plinger.SCDM(), "MDM": plinger.MDM(4), "on grid": onGrid,
+	} {
+		if got := servedConfig(c); got != c {
+			t.Errorf("%s: served as %+v, want its own bits %+v", name, got, c)
+		}
+	}
+	for _, c := range []plinger.Config{clCfg(0.55), clCfg(0.55 + 3e-5), clCfg(0.5 - 4e-5)} {
+		c.OmegaB += 3e-6
+		c.YHe -= 2e-5
+		got := servedConfig(c)
+		if canonicalConfig(got) != canonicalConfig(c) {
+			t.Errorf("%+v: served as %+v, which keys differently", c, got)
+		}
+		if servedConfig(got) != got {
+			t.Errorf("%+v: serving is not idempotent", c)
+		}
+	}
+	if got := servedConfig(clCfg(0.55 + 3e-5)).H; got != 0.55 {
+		t.Errorf("H 0.55 + 3e-5 served as %.17g, want the grid point 0.55", got)
+	}
+	if got := servedConfig(clCfg(0.5 - 4e-5)).H; got != 0.5 {
+		t.Errorf("H 0.5 - 4e-5 served as %.17g, want SCDM's 0.5", got)
+	}
+}
+
+// TestInQuantumConfigsServeOneProduct: two configs inside one quantum, sent
+// in both orders to fresh services, get byte-identical answers — the
+// model is built from the key, not from whichever config came first.
+func TestInQuantumConfigsServeOneProduct(t *testing.T) {
+	a, b := clCfg(0.55+2e-5), clCfg(0.55-3e-5)
+	var bodies [2][]byte
+	for i, order := range [2][2]plinger.Config{{a, b}, {b, a}} {
+		s := testService()
+		for _, c := range order {
+			if _, _, err := s.ComputeCl(context.Background(), ClRequest{Config: &c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Sweeps() != 1 {
+			t.Fatalf("one key swept %d times", s.Sweeps())
+		}
+		bodies[i] = productBody(t, s, ClRequest{Config: &a})
+		s.Close()
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("the product of one key depends on which of its configs arrived first")
+	}
 }
 
 // TestKeyIndependentOfDefaultsWhenExplicit ensures a fully spelled-out

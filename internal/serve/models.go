@@ -48,7 +48,9 @@ func newModelCache(capacity int, exec dispatch.Executor) *modelCache {
 	}
 }
 
-// acquire returns the model for cfg, building it on first use.
+// acquire returns the model for cfg, building it on first use from the
+// cosmology its key names (servedConfig), so that every config of one key
+// gets the same model.
 func (c *modelCache) acquire(cfg plinger.Config) (*plinger.Model, error) {
 	key := modelKey(cfg)
 
@@ -69,7 +71,7 @@ func (c *modelCache) acquire(cfg plinger.Config) (*plinger.Model, error) {
 	}
 	c.mu.Unlock()
 
-	m, err := plinger.New(cfg)
+	m, err := plinger.New(servedConfig(cfg))
 	if err == nil {
 		m.Attach(c.exec)
 	}

@@ -270,9 +270,11 @@ func TestServiceServesDistinctProducts(t *testing.T) {
 		t.Fatalf("bad pk response: %+v", pk)
 	}
 
+	// Three computed products, two sweeps: the normalized C_l is rescaled
+	// from the raw one.
 	st := s.Stats()
-	if st.Sweeps != 3 || st.Misses != 3 {
-		t.Fatalf("stats after three products: %+v", st)
+	if st.Sweeps != 2 || st.Misses != 3 || s.derived.Value() != 1 {
+		t.Fatalf("stats after three products (%d derived): %+v", s.derived.Value(), st)
 	}
 	if st.Models.Builds != 1 {
 		t.Fatalf("one cosmology built %d models", st.Models.Builds)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"plinger/internal/farm"
 	"plinger/internal/obs"
 	"plinger/internal/specfunc"
+	"plinger/internal/spectra"
 )
 
 // Defaults are the per-request fallbacks the daemon resolves zero-valued
@@ -159,6 +161,7 @@ type Service struct {
 	rejected  *obs.Counter
 	errCount  *obs.Counter
 	sweeps    *obs.Counter
+	derived   *obs.Counter
 
 	timeouts    *obs.Counter
 	staleServed *obs.Counter
@@ -211,7 +214,8 @@ func New(opts Options) *Service {
 	s.coalesced = r.Counter("plinger_serve_coalesced_total", "", "requests attached to another request's sweep")
 	s.rejected = r.Counter("plinger_serve_rejected_total", "", "requests rejected by the admission queue")
 	s.errCount = r.Counter("plinger_serve_errors_total", "", "failed requests (validation and compute)")
-	s.sweeps = r.Counter("plinger_serve_sweeps_total", "", "spectrum computations completed")
+	s.sweeps = r.Counter("plinger_serve_sweeps_total", "", "spectrum sweeps completed (derived products run none)")
+	s.derived = r.Counter("plinger_serve_derived_total", "", "normalized C_l products rescaled from their base product instead of swept")
 	s.timeouts = r.Counter("plinger_serve_timeouts_total", "", "requests whose deadline expired before the sweep finished")
 	s.staleServed = r.Counter("plinger_serve_stale_served_total", "", "responses answered from the stale cache")
 	s.peerRequests = r.Counter("plinger_cluster_peer_requests_total", "", "cache misses whose key a remote peer owns")
@@ -333,78 +337,10 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 		s.hitNs.Add(meta.Elapsed.Nanoseconds())
 		return p, meta, nil
 	}
-	runFlight := func() flightOut {
-		var out flightOut
-		var v any
-		v, out.err, out.coalesced = s.flights.Do(key, func() (any, error) {
-			// The flight leader re-checks the cache: an earlier flight for the
-			// same key may have completed between our miss and this call.
-			if p, ok := s.cache.Get(key); ok {
-				out.leaderCacheHit = true
-				return p, nil
-			}
-			// runLocal is one admitted local compute. It returns its trace id
-			// instead of writing out.traceID directly because a hedged run
-			// (peer.go) may settle after the flight has already returned the
-			// peer's answer — the leader adopts the id only when it adopts
-			// the result.
-			runLocal := func() outcome {
-				// Only flight leaders that actually compute carry a trace: cache
-				// hits and coalesced followers stay on the untraced (and
-				// allocation-free) path, and the ring holds one trace per sweep.
-				tr := obs.NewTrace(k.name)
-				s.traces.Add(tr)
-				defer tr.Finish()
-				// The leader computes on behalf of every follower that coalesces
-				// onto this flight, so its own request's cancellation must not
-				// abort the shared work (one disconnecting client would fail N
-				// healthy ones). Only the values of ctx are kept; the admission
-				// queue and the sweep run to completion regardless.
-				sp := tr.Start("queue_wait")
-				if err := s.adm.acquire(context.WithoutCancel(ctx)); err != nil {
-					sp.End()
-					return outcome{err: err, trace: tr.ID()}
-				}
-				sp.End()
-				s.queueWait.Observe(tr.SpanMS("queue_wait") / 1e3)
-				defer s.adm.release()
-				sp = tr.Start("model_acquire")
-				m, err := s.models.acquire(*j.cfg)
-				sp.End()
-				if err != nil {
-					return outcome{err: err, trace: tr.ID()}
-				}
-				v, err := j.req.sweep(m, s.opts.Defaults, tr)
-				if err != nil {
-					return outcome{err: err, trace: tr.ID()}
-				}
-				sp = tr.Start("encode")
-				p, err := newProduct(v)
-				sp.End()
-				if err != nil {
-					return outcome{err: err, trace: tr.ID()}
-				}
-				s.sweeps.Inc()
-				s.cache.Add(key, p)
-				s.stale.Add(key, p)
-				return outcome{p: p, trace: tr.ID()}
-			}
-			if fwd != nil {
-				if p, err, handled := s.peerServe(ctx, key, fwd, runLocal, &out); handled {
-					return p, err
-				}
-			}
-			lr := runLocal()
-			out.traceID = lr.trace
-			return lr.p, lr.err
-		})
-		out.p, _ = v.(*product)
-		return out
-	}
 	var out flightOut
 	if j.deadlineMS > 0 {
 		ch := make(chan flightOut, 1)
-		go func() { ch <- runFlight() }()
+		go func() { ch <- s.fly(ctx, k, j, fwd) }()
 		timer := time.NewTimer(time.Duration(j.deadlineMS) * time.Millisecond)
 		defer timer.Stop()
 		select {
@@ -421,7 +357,7 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 			return nil, meta, ErrDeadline
 		}
 	} else {
-		out = runFlight()
+		out = s.fly(ctx, k, j, fwd)
 	}
 	p, err := out.p, out.err
 	meta.Elapsed = time.Since(start)
@@ -462,6 +398,110 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 	return p, meta, err
 }
 
+// fly is one cache miss's flight: the first caller of a key leads it and
+// every concurrent caller of the same key coalesces onto it.
+func (s *Service) fly(ctx context.Context, k *kind, j job, fwd *peerForward) flightOut {
+	var out flightOut
+	v, err, coalesced := s.flights.Do(j.key, func() (any, error) {
+		// The flight leader re-checks the cache: an earlier flight for the
+		// same key may have completed between our miss and this call.
+		if p, ok := s.cache.Get(j.key); ok {
+			out.leaderCacheHit = true
+			return p, nil
+		}
+		// A local run returns its trace id instead of writing out.traceID
+		// directly because a hedged run (peer.go) may settle after the
+		// flight has already returned the peer's answer — the leader adopts
+		// the id only when it adopts the result.
+		runLocal := func() outcome { return s.runLocal(ctx, k, j) }
+		if fwd != nil {
+			if p, err, handled := s.peerServe(ctx, j.key, fwd, runLocal, &out); handled {
+				return p, err
+			}
+		}
+		lr := runLocal()
+		out.traceID = lr.trace
+		return lr.p, lr.err
+	})
+	out.p, _ = v.(*product)
+	out.err, out.coalesced = err, coalesced
+	return out
+}
+
+// runLocal computes j's product on this node and caches it: a sweep, or a
+// derivation from its base product when j's request has one.
+func (s *Service) runLocal(ctx context.Context, k *kind, j job) outcome {
+	// Only flight leaders that actually compute carry a trace: cache hits
+	// and coalesced followers stay on the untraced (and allocation-free)
+	// path, and the ring holds one trace per computed product.
+	tr := obs.NewTrace(k.name)
+	s.traces.Add(tr)
+	defer tr.Finish()
+	done := s.sweeps
+	var v any
+	var err error
+	if b, ok := j.req.base(); ok {
+		done = s.derived
+		v, err = s.derive(ctx, k, j, b, tr)
+	} else {
+		v, err = s.sweep(ctx, j, tr)
+	}
+	if err != nil {
+		return outcome{err: err, trace: tr.ID()}
+	}
+	sp := tr.Start("encode")
+	p, err := newProduct(v)
+	sp.End()
+	if err != nil {
+		return outcome{err: err, trace: tr.ID()}
+	}
+	done.Inc()
+	s.cache.Add(j.key, p)
+	s.stale.Add(j.key, p)
+	return outcome{p: p, trace: tr.ID()}
+}
+
+// sweep is one admitted sweep of j's request on its cosmology's model.
+func (s *Service) sweep(ctx context.Context, j job, tr *obs.Trace) (any, error) {
+	// The leader computes on behalf of every follower that coalesces onto
+	// this flight, so its own request's cancellation must not abort the
+	// shared work (one disconnecting client would fail N healthy ones).
+	// Only the values of ctx are kept; the admission queue and the sweep
+	// run to completion regardless.
+	sp := tr.Start("queue_wait")
+	if err := s.adm.acquire(context.WithoutCancel(ctx)); err != nil {
+		sp.End()
+		return nil, err
+	}
+	sp.End()
+	s.queueWait.Observe(tr.SpanMS("queue_wait") / 1e3)
+	defer s.adm.release()
+	sp = tr.Start("model_acquire")
+	m, err := s.models.acquire(*j.cfg)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return j.req.sweep(m, s.opts.Defaults, tr)
+}
+
+// derive answers j from the product of its base request b, which it fetches
+// through a flight like any miss — the leader's cache check, coalescing,
+// its own admission slot — but without a slot of its own: a derivation that held one while it waited for
+// its base's sweep would deadlock at MaxConcurrent. The base is fetched on
+// this node when j itself came from a peer, so no request travels more than
+// one hop; otherwise it may be forwarded to its own owner.
+func (s *Service) derive(ctx context.Context, k *kind, j job, b request, tr *obs.Trace) (any, error) {
+	sp := tr.Start("derive")
+	defer sp.End()
+	bj := job{req: b, cfg: j.cfg, peerHop: j.peerHop, key: hashKey(k.name, b.canonical())}
+	out := s.fly(ctx, k, bj, s.forward(k, bj))
+	if out.err != nil {
+		return nil, out.err
+	}
+	return j.req.derive(out.p)
+}
+
 // kind is one row of the product table: C_l or P(k). Its name is the key
 // prefix, the trace label, the back-fill offer's tag and the last element
 // of the product's /v1/<name> and /v1/peer/<name> routes.
@@ -478,10 +518,14 @@ func newKind(r *obs.Registry, name string, decode func(json.RawMessage) (*produc
 
 // request is a resolved request of either product, the body of its peer
 // forward: what the one compute path asks of each product is its key's
-// canonical form and the sweep that computes it on its cosmology's model.
+// canonical form and the sweep that computes it on its cosmology's model
+// or, when base reports a base request, the derivation from that
+// request's product that replaces the sweep.
 type request interface {
 	canonical() string
 	sweep(m *plinger.Model, d Defaults, tr *obs.Trace) (any, error)
+	base() (request, bool)
+	derive(base *product) (any, error)
 }
 
 // job is one request as its product's half hands it to compute: the
@@ -512,19 +556,25 @@ func (s *Service) compute(ctx context.Context, k *kind, j job) (*product, Meta, 
 		s.errCount.Inc()
 		return nil, Meta{Key: j.key, Source: SourceCompute}, err
 	}
-	// A forward carries the fully resolved request so the owner derives the
-	// identical key even when its own configured defaults differ.
-	// Peer-originated requests never build one: a forward travels at most
-	// one hop.
-	var fwd *peerForward
-	if s.cluster != nil && j.peerHop == 0 {
-		if body, err := json.Marshal(j.req); err == nil {
-			fwd = &peerForward{kind: k, body: body}
-		}
-	}
-	p, meta, err := s.lookup(ctx, k, j, fwd)
+	p, meta, err := s.lookup(ctx, k, j, s.forward(k, j))
 	k.lat.Observe(meta.Elapsed.Seconds())
 	return p, meta, err
+}
+
+// forward prepares the peer forward of j, or nil when there is no fleet.
+// A forward carries the fully resolved request so the owner derives the
+// identical key even when its own configured defaults differ.
+// Peer-originated requests never build one: a forward travels at most one
+// hop.
+func (s *Service) forward(k *kind, j job) *peerForward {
+	if s.cluster == nil || j.peerHop != 0 {
+		return nil
+	}
+	body, err := json.Marshal(j.req)
+	if err != nil {
+		return nil
+	}
+	return &peerForward{kind: k, body: body}
 }
 
 // ComputeCl serves one C_l request.
@@ -572,20 +622,46 @@ func (r ClRequest) sweep(m *plinger.Model, d Defaults, tr *obs.Trace) (any, erro
 	}
 	sp := tr.Start("assemble")
 	defer sp.End()
-	out := &ClResponse{L: spec.L, Cl: spec.Cl}
-	if r.QCOBEMicroK > 0 {
-		scale, err := spec.NormalizeCOBE(r.QCOBEMicroK)
-		if err != nil {
-			return nil, err
-		}
-		out.Cl = spec.Cl
-		out.AmpScale = scale
+	return clResponse(r.spectrum(spec.L, spec.Cl), 0), nil
+}
+
+// base is the request with its normalization dropped: the product a
+// normalized request is derived from.
+func (r ClRequest) base() (request, bool) {
+	if r.QCOBEMicroK == 0 {
+		return nil, false
 	}
-	out.BandPowerUK = make([]float64, len(spec.L))
+	r.QCOBEMicroK = 0
+	return r, true
+}
+
+// derive rescales a copy of the base product's spectrum to the COBE
+// quadrupole. The rescaling and the band powers are the calls a sweep of
+// the normalized request would make, so the bits are those of a sweep.
+func (r ClRequest) derive(base *product) (any, error) {
+	b := base.v.(*ClResponse)
+	spec := r.spectrum(slices.Clone(b.L), slices.Clone(b.Cl))
+	scale, err := spec.NormalizeCOBE(r.QCOBEMicroK)
+	if err != nil {
+		return nil, err
+	}
+	return clResponse(spec, scale), nil
+}
+
+// spectrum wraps multipoles and C_l of r's cosmology with the temperature
+// of the model r's key is swept on.
+func (r ClRequest) spectrum(l []int, cl []float64) *spectra.ClSpectrum {
+	return &spectra.ClSpectrum{L: l, Cl: cl, TCMB: servedConfig(*r.Config).TCMB}
+}
+
+// clResponse is the C_l product of a spectrum and the primordial amplitude
+// its normalization applied (0: none), band powers included.
+func clResponse(spec *spectra.ClSpectrum, scale float64) *ClResponse {
+	out := &ClResponse{L: spec.L, Cl: spec.Cl, AmpScale: scale, BandPowerUK: make([]float64, len(spec.L))}
 	for i := range spec.L {
 		out.BandPowerUK[i] = spec.BandPower(i)
 	}
-	return out, nil
+	return out
 }
 
 // ComputePk serves one P(k) request.
@@ -621,6 +697,14 @@ func (r PkRequest) sweep(m *plinger.Model, _ Defaults, tr *obs.Trace) (any, erro
 		return nil, err
 	}
 	return &PkResponse{K: mp.K, T: mp.T, P: mp.P, Sigma8: mp.Sigma8}, nil
+}
+
+// base reports none: P(k) folds Amp into the primordial spectrum before
+// sigma_8, so a P(k) product is not rebuilt from another one.
+func (r PkRequest) base() (request, bool) { return nil, false }
+
+func (r PkRequest) derive(*product) (any, error) {
+	return nil, errors.New("serve: a P(k) product is never derived")
 }
 
 // Stats is the /v1/stats document.
@@ -751,9 +835,9 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Sweeps returns the number of spectrum computations completed
-// successfully — the coalescing tests' witness (failed computations and
-// rejected requests never count).
+// Sweeps returns the number of spectrum sweeps completed successfully —
+// the coalescing tests' witness (failed computations, rejected requests
+// and products derived from another product never count).
 func (s *Service) Sweeps() uint64 { return s.sweeps.Value() }
 
 // Traces returns snapshots of up to n recent sweep traces, newest first.

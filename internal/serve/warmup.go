@@ -40,9 +40,9 @@ func (s *Service) Warm(ctx context.Context, cls []ClRequest, pks []PkRequest) (W
 }
 
 // DefaultWarmGrid is the stock precompute set: the default C_l product
-// (raw and COBE-normalized — same sweep cost, two cache entries), the
-// default P(k), and a coarse half-resolution C_l for preview traffic. One
-// model build, one warm Bessel table, four hot keys.
+// (raw and COBE-normalized — one sweep, the second entry rescaled from the
+// first), the default P(k), and a coarse half-resolution C_l for preview
+// traffic. One model build, one warm Bessel table, four hot keys.
 func DefaultWarmGrid(d Defaults) ([]ClRequest, []PkRequest) {
 	cls := []ClRequest{
 		{},                // the default product

@@ -67,8 +67,8 @@ func TestOpticalDepthMonotone(t *testing.T) {
 func TestVisibilityPeaksAtRecombination(t *testing.T) {
 	th := setup(t)
 	zRec := 1.0/th.ARec() - 1.0
-	if zRec < 1000 || zRec > 1300 {
-		t.Fatalf("visibility peaks at z=%g, want ~1100", zRec)
+	if zRec < 1000 || zRec > 1200 {
+		t.Fatalf("visibility peaks at z=%g, want z* in [1000, 1200]", zRec)
 	}
 	// The paper's movie ends "shortly after recombination, at conformal
 	// time 250 Mpc"; the visibility peak should sit near there.
@@ -78,50 +78,52 @@ func TestVisibilityPeaksAtRecombination(t *testing.T) {
 }
 
 func TestVisibilityNormalization(t *testing.T) {
-	// integral g dtau over all time = 1 - e^-kappa(start) ~= 1.
+	// integral g dtau over all time = 1 - e^-kappa(start) = 1, to 1e-4.
+	// Simpson in ln a (dtau = dln a / (aH)) at 20000 steps has converged:
+	// what is left (7e-5 on SCDM) is the optical depth's trapezoid sum
+	// against the opacity spline.
 	th := setup(t)
 	bg := th.BG
-	n := 4000
+	const n = 20000
 	lnAMin, lnAMax := math.Log(1e-8), 0.0
-	dl := (lnAMax - lnAMin) / float64(n)
+	dl := (lnAMax - lnAMin) / n
 	sum := 0.0
 	for i := 0; i <= n; i++ {
-		l := lnAMin + float64(i)*dl
-		a := math.Exp(l)
-		w := 1.0
+		a := math.Exp(lnAMin + float64(i)*dl)
+		w := 2.0 + 2.0*float64(i%2)
 		if i == 0 || i == n {
-			w = 0.5
+			w = 1
 		}
-		// dtau = dlna / (aH)
-		sum += w * th.Visibility(a) / bg.HConf(a) * dl
+		sum += w * th.Visibility(a) / bg.HConf(a)
 	}
-	if math.Abs(sum-1.0) > 0.01 {
-		t.Fatalf("integral g dtau = %g, want 1", sum)
+	sum *= dl / 3
+	want := 1 - math.Exp(-th.OpticalDepth(1e-8))
+	if math.Abs(sum-want) > 1e-4 {
+		t.Fatalf("integral g dtau = %.8f, want %.8f to 1e-4", sum, want)
 	}
 }
 
 func TestVisibilityWidth(t *testing.T) {
-	// The visibility function is narrow: its FWHM in conformal time is
-	// a small fraction of tau_rec.
+	// The last-scattering shell of SCDM is Delta z ~ 200 thick (FWHM of
+	// the visibility in z, 228 here), a thin shell in conformal time: its
+	// FWHM there (34 Mpc) is a small fraction of tau_rec.
 	th := setup(t)
 	gMax := th.Visibility(th.ARec())
-	// Scan for half-maximum crossings in a.
-	var aLo, aHi float64
-	for z := 2000.0; z > 600; z-- {
-		a := 1.0 / (1.0 + z)
-		if aLo == 0 && th.Visibility(a) > gMax/2 {
-			aLo = a
-		}
-		if aLo != 0 && aHi == 0 && th.Visibility(a) > gMax/2 {
-			aHi = a // keeps updating until it drops again
-		}
-		if th.Visibility(a) > gMax/2 {
-			aHi = a
+	var zLo, zHi float64
+	for z := 2000.0; z > 600; z -= 0.25 {
+		if th.Visibility(1/(1+z)) > gMax/2 {
+			if zHi == 0 {
+				zHi = z
+			}
+			zLo = z
 		}
 	}
-	dTau := th.BG.Tau(aHi) - th.BG.Tau(aLo)
-	if dTau <= 0 || dTau > 0.5*th.TauRec() {
-		t.Fatalf("visibility FWHM = %g Mpc vs tau_rec %g", dTau, th.TauRec())
+	if dz := zHi - zLo; dz < 150 || dz > 300 {
+		t.Fatalf("visibility FWHM Delta z = %g (z %g..%g), want 150..300", dz, zLo, zHi)
+	}
+	dTau := th.BG.Tau(1/(1+zLo)) - th.BG.Tau(1/(1+zHi))
+	if r := dTau / th.TauRec(); r < 0.08 || r > 0.25 {
+		t.Fatalf("visibility FWHM = %g Mpc, %.3f of tau_rec %g: want 0.08..0.25", dTau, r, th.TauRec())
 	}
 }
 
