@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet staticcheck build cross test-short test test-race test-faults test-farm test-cluster fuzz golden bench-json bench-smoke cmd-smoke loc
+.PHONY: check fmt-check vet staticcheck build cross test-short test test-race test-faults test-farm test-cluster fuzz golden bench-json bench-smoke cmd-smoke loc api
 
 check: fmt-check vet staticcheck build cross test-short
 
@@ -175,3 +175,16 @@ loc:
 		[ $$n -gt 0 ] && printf '%6d %6d  %s\n' $$n $$s $$d; \
 		tn=$$((tn + n)); ts=$$((ts + s)); \
 	done; printf '%6d %6d  %s\n' $$tn $$ts total
+
+# api prints the exported surface of every package under internal/ and of
+# the facade — the lines of `go doc -short`, one per exported name, and the
+# constructors and methods listed under them — and a last row summing them,
+# so ROADMAP aim 2's "exported surface going down" is a number, as loc makes
+# it one for lines.
+api:
+	@tn=0; \
+	for p in $$($(GO) list ./internal/... .); do \
+		n=$$($(GO) doc -short $$p | wc -l); \
+		printf '%6d  %s\n' $$n $${p#plinger/}; \
+		tn=$$((tn + n)); \
+	done; printf '%6d  %s\n' $$tn total

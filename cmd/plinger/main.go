@@ -61,7 +61,6 @@ func main() {
 		lmaxcl    = flag.Int("lmaxcl", 200, "target C_l multipole for the k grid")
 		lmax      = flag.Int("lmax", 0, "hierarchy cutoff (0: adaptive per k)")
 		gaugeName = flag.String("gauge", "synchronous", "gauge: synchronous or newtonian")
-		schedule  = flag.String("schedule", "largest-first", "largest-first | input-order | smallest-first")
 		transport = flag.String("transport", "chan", "chan | fifo (in-process) or tcp")
 		role      = flag.String("role", "master", "tcp role: master or worker")
 		addr      = flag.String("addr", "127.0.0.1:7070", "tcp address")
@@ -107,11 +106,6 @@ func main() {
 		}
 	}
 
-	sched, err := dispatch.ParseSchedule(*schedule)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	openOut := func(name string) io.Writer {
 		if name == "" {
 			return nil
@@ -126,70 +120,54 @@ func main() {
 		return w
 	}
 
-	switch *transport {
-	case "chan", "fifo":
-		d, cleanup, err := dispatch.NewMP(model, *transport, *np)
+	// The transports differ only in how the master's world is built.
+	var d *dispatch.MP
+	cleanup := func() {}
+	switch {
+	case *transport == "chan" || *transport == "fifo":
+		if d, cleanup, err = dispatch.NewMP(model, *transport, *np); err != nil {
+			log.Fatal(err)
+		}
+	case *transport == "tcp" && *role == "master":
+		l, err := tcpmp.Listen(*addr, *np+1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		d.Schedule = sched
-		d.AdaptLMax = adapt
-		d.ASCIIOut = openOut(*unit1)
-		d.BinaryOut = openOut(*unit2)
-		sw, st, err := d.Run(context.Background(), ks, mode)
-		cleanup()
+		defer l.Close()
+		fmt.Printf("master listening on %s; waiting for %d workers\n", l.Addr(), *np)
+		ep := l.Accept()
+		d = &dispatch.MP{
+			Model:         model,
+			Endpoints:     []mp.Endpoint{ep},
+			BytesMoved:    ep.BytesMoved,
+			MasterOptions: dispatch.MasterOptions{Backend: "mp/tcp"},
+		}
+	case *transport == "tcp" && *role == "worker":
+		ep, err := tcpmp.Dial(*addr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		report(sw, st)
-		if *cl {
-			reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
+		fmt.Printf("connected as rank %d of %d\n", ep.Rank(), ep.Size())
+		if err := dispatch.Worker(ep, model, ks, mode, nil); err != nil && err != mp.ErrClosed {
+			log.Fatal(err)
 		}
-	case "tcp":
-		switch *role {
-		case "master":
-			l, err := tcpmp.Listen(*addr, *np+1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer l.Close()
-			fmt.Printf("master listening on %s; waiting for %d workers\n", l.Addr(), *np)
-			ep := l.Accept()
-			d := &dispatch.MP{
-				Model:      model,
-				Endpoints:  []mp.Endpoint{ep},
-				BytesMoved: ep.BytesMoved,
-				MasterOptions: dispatch.MasterOptions{
-					Backend:   "mp/tcp",
-					Schedule:  sched,
-					AdaptLMax: adapt,
-					ASCIIOut:  openOut(*unit1),
-					BinaryOut: openOut(*unit2),
-				},
-			}
-			sw, st, err := d.Run(context.Background(), ks, mode)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report(sw, st)
-			if *cl {
-				reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
-			}
-			fmt.Printf("moved %d payload bytes\n", st.BytesMoved)
-		case "worker":
-			ep, err := tcpmp.Dial(*addr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("connected as rank %d of %d\n", ep.Rank(), ep.Size())
-			if err := dispatch.Worker(ep, model, ks, mode, nil); err != nil && err != mp.ErrClosed {
-				log.Fatal(err)
-			}
-		default:
-			log.Fatalf("unknown role %q", *role)
-		}
+		return
+	case *transport == "tcp":
+		log.Fatalf("unknown role %q", *role)
 	default:
 		log.Fatalf("unknown transport %q", *transport)
+	}
+	d.AdaptLMax = adapt
+	d.ASCIIOut = openOut(*unit1)
+	d.BinaryOut = openOut(*unit2)
+	sw, st, err := d.Run(context.Background(), ks, mode)
+	cleanup()
+	if err != nil {
+		log.Fatal(err)
+	}
+	report(sw, st)
+	if *cl {
+		reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
 	}
 	for _, f := range deferred {
 		f()
@@ -249,4 +227,5 @@ func report(sw *dispatch.Sweep, st *dispatch.RunStats) {
 		}
 	}
 	fmt.Printf("worst Einstein constraint residual: %.2e\n", worst)
+	fmt.Printf("moved %d payload bytes\n", st.BytesMoved)
 }

@@ -3,7 +3,6 @@
 // workload, together with the ideal 1/P curve, the parallel efficiency
 // ((total CPU)/(wallclock x processors), 95% in the paper) and the
 // aggregate flop rate (the Section 5.1 table). It can also sweep the
-// scheduling policies (the paper's largest-k-first trick) and the
 // execution backends (shared-memory pool and every mp transport), all
 // through the dispatch subsystem.
 //
@@ -12,6 +11,12 @@
 //	scaling [-np 1,2,4,8] [-nk 24] [-lmax 120] [-schedules] [-backends]
 //	        [-fastevolve]
 //
+// -schedules models the Section 5.2 hand-out comparison, since the runtime
+// hands out only the largest k first: a replay of one single-worker sweep's
+// per-mode flop counts prints the modelled efficiency of largest-first,
+// input order and smallest-first at each -np. Timing the orders instead
+// needs a quiet machine with at least as many cores as workers.
+//
 // -fastevolve ablates the fast evolution engine (growing hierarchy
 // truncation + flattened tau-tables + PI step control) on the fixed
 // workload at equal tolerance. The fast C_l pipeline is measured by the
@@ -19,11 +24,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,7 +48,7 @@ func main() {
 		npList    = flag.String("np", "1,2,4,8", "comma-separated worker counts")
 		nk        = flag.Int("nk", 24, "number of wavenumbers in the test run")
 		lmax      = flag.Int("lmax", 120, "hierarchy cutoff cap")
-		schedules = flag.Bool("schedules", false, "also sweep scheduling policies")
+		schedules = flag.Bool("schedules", false, "also model the hand-out orders on recorded per-mode costs")
 		backends  = flag.Bool("backends", false, "also sweep execution backends")
 		fastev    = flag.Bool("fastevolve", false, "also ablate the fast evolution engine on the fixed workload")
 	)
@@ -54,16 +61,21 @@ func main() {
 	ks := spectra.ClGrid(*lmax, model.BG.Tau0(), *nk)
 	mode := core.Params{LMax: *lmax, Gauge: core.Synchronous}
 
-	fmt.Printf("Figure 1: fixed workload of %d modes (lmax %d), largest-k-first\n", *nk, *lmax)
-	fmt.Printf("%4s %12s %12s %11s %12s %12s\n",
-		"np", "wall [s]", "CPU [s]", "eff [%]", "Mflop/s", "ideal [s]")
-	var t1 float64
+	var nps []int
 	for _, s := range strings.Split(*npList, ",") {
 		np, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || np < 1 {
 			log.Fatalf("bad worker count %q", s)
 		}
-		st := run(model, ks, mode, np, dispatch.LargestFirst, "chan")
+		nps = append(nps, np)
+	}
+
+	fmt.Printf("Figure 1: fixed workload of %d modes (lmax %d), largest-k-first\n", *nk, *lmax)
+	fmt.Printf("%4s %12s %12s %11s %12s %12s\n",
+		"np", "wall [s]", "CPU [s]", "eff [%]", "Mflop/s", "ideal [s]")
+	var t1 float64
+	for _, np := range nps {
+		st := run(model, ks, mode, np, "chan")
 		if t1 == 0 {
 			t1 = st.Wallclock
 		}
@@ -73,12 +85,7 @@ func main() {
 	}
 
 	if *schedules {
-		fmt.Printf("\nscheduling ablation (4 workers): the paper computes the largest k first\n")
-		fmt.Printf("%16s %12s %11s\n", "schedule", "wall [s]", "eff [%]")
-		for _, sched := range []dispatch.Schedule{dispatch.LargestFirst, dispatch.InputOrder, dispatch.SmallestFirst} {
-			st := run(model, ks, mode, 4, sched, "chan")
-			fmt.Printf("%16s %12.3f %11.1f\n", sched, st.Wallclock, 100*st.Efficiency)
-		}
+		scheduleModel(model, ks, mode, nps)
 	}
 
 	if *backends {
@@ -86,7 +93,7 @@ func main() {
 		fmt.Printf("has no effect on the efficiency of the code\" (Section 4)\n")
 		fmt.Printf("%10s %12s %11s %14s\n", "backend", "wall [s]", "eff [%]", "payload [kB]")
 		for _, tr := range []string{"pool", "chan", "fifo", "tcp"} {
-			st := run(model, ks, mode, 4, dispatch.LargestFirst, tr)
+			st := run(model, ks, mode, 4, tr)
 			fmt.Printf("%10s %12.3f %11.1f %14.1f\n",
 				st.Backend, st.Wallclock, 100*st.Efficiency,
 				float64(st.BytesMoved)/1e3)
@@ -147,18 +154,70 @@ func fastEvolveAblation(model *core.Model, ks []float64, mode core.Params) {
 		tRef, tFast, tRef/tFast, evalsRef, evalsFast, worst)
 }
 
+// scheduleModel prints the Section 5.2 hand-out comparison as a model:
+// the flop count of every mode, recorded by one single-worker sweep, is
+// replayed under largest-first (the runtime's order), input order and
+// smallest-first at each worker count.
+func scheduleModel(model *core.Model, ks []float64, mode core.Params, nps []int) {
+	sw, _, err := (&dispatch.Pool{Model: model, Workers: 1}).Run(context.Background(), ks, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The sorted orders keep grid order among equal k, as the runtime does.
+	largest, smallest := slices.Clone(sw.Results), slices.Clone(sw.Results)
+	slices.SortStableFunc(largest, func(a, b *core.Result) int { return cmp.Compare(b.K, a.K) })
+	slices.SortStableFunc(smallest, func(a, b *core.Result) int { return cmp.Compare(a.K, b.K) })
+	fmt.Printf("\nhand-out order model (Section 5.2): per-mode flops of a 1-worker sweep,\n")
+	fmt.Printf("replayed as the master's self-scheduling; modelled efficiency [%%]\n")
+	fmt.Printf("%4s %15s %15s %15s\n", "np", "largest-first", "input-order", "smallest-first")
+	for _, np := range nps {
+		fmt.Printf("%4d", np)
+		for _, rs := range [][]*core.Result{largest, sw.Results, smallest} {
+			costs := make([]float64, len(rs))
+			for i, r := range rs {
+				costs[i] = r.Flops
+			}
+			_, eff := replay(costs, np)
+			fmt.Printf(" %15.1f", 100*eff)
+		}
+		fmt.Println()
+	}
+}
+
+// replay models a hand-out: costs are the modes' costs in the order they
+// leave the master, and each goes to the worker that frees first (the
+// lowest rank among equals), as the master's self-scheduling does when every
+// worker asks for work as it finishes. It returns when the last worker
+// finishes and the parallel efficiency Figure 1 measures, total cost over
+// np times that makespan.
+func replay(costs []float64, np int) (makespan, efficiency float64) {
+	free := make([]float64, np)
+	total := 0.0
+	for _, c := range costs {
+		w := 0
+		for j := range free {
+			if free[j] < free[w] {
+				w = j
+			}
+		}
+		free[w] += c
+		total += c
+	}
+	makespan = slices.Max(free)
+	return makespan, total / (float64(np) * makespan)
+}
+
 // run executes the fixed workload on one dispatcher configuration.
-func run(model *core.Model, ks []float64, mode core.Params, np int, sched dispatch.Schedule, backend string) *dispatch.RunStats {
+func run(model *core.Model, ks []float64, mode core.Params, np int, backend string) *dispatch.RunStats {
 	var d dispatch.Dispatcher
 	cleanup := func() {}
 	if backend == "pool" {
-		d = &dispatch.Pool{Model: model, Workers: np, Schedule: sched}
+		d = &dispatch.Pool{Model: model, Workers: np}
 	} else {
 		mpd, c, err := dispatch.NewMP(model, backend, np)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mpd.Schedule = sched
 		d, cleanup = mpd, c
 	}
 	_, st, err := d.Run(context.Background(), ks, mode)

@@ -7,11 +7,10 @@ import (
 	"plinger/internal/core"
 )
 
-// BenchmarkPoolSchedule is the Section 5.2 ablation on the pool backend:
-// on a skewed k grid (many cheap small-k modes, a few expensive large-k
-// ones) handing the largest wavenumbers out first shrinks the end-of-run
-// idle tail, and the per-k adaptive hierarchy removes work outright —
-// largest-first + adaptive must beat input-order wall clock.
+// BenchmarkPoolSchedule times the pool's largest-first hand-out on a skewed
+// k grid (many cheap small-k modes, a few expensive large-k ones), with and
+// without the per-k adaptive hierarchy, which removes work outright. The
+// hand-out order ablation itself is cmd/scaling's replay of recorded costs.
 func BenchmarkPoolSchedule(b *testing.B) {
 	m := model(b)
 	var ks []float64
@@ -22,17 +21,15 @@ func BenchmarkPoolSchedule(b *testing.B) {
 	mode := core.Params{LMax: 300, Gauge: core.Synchronous, TauEnd: 300}
 	for _, cfg := range []struct {
 		name  string
-		sched Schedule
 		adapt bool
 	}{
-		{"input-order", InputOrder, false},
-		{"largest-first", LargestFirst, false},
-		{"largest-first+adaptive", LargestFirst, true},
+		{"largest-first", false},
+		{"largest-first+adaptive", true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := &Pool{Model: m, Workers: 4, Schedule: cfg.sched, AdaptLMax: cfg.adapt}
+				p := &Pool{Model: m, Workers: 4, AdaptLMax: cfg.adapt}
 				_, st, err := p.Run(context.Background(), ks, mode)
 				if err != nil {
 					b.Fatal(err)

@@ -4,8 +4,9 @@
 // computation parallelizes embarrassingly and that three concerns are
 // separable:
 //
-//   - scheduling — which wavenumber is handed out next (the paper's
-//     largest-k-first trick, Section 5.2), expressed by Schedule;
+//   - scheduling — which wavenumber is handed out next: the paper's one
+//     policy, largest k first (Section 5.2), which both executors follow
+//     (blockOrder) and which no caller selects;
 //   - transport — shared memory versus message passing over PVM/MPI/MPL,
 //     expressed by the two executors: SharedPool (the shared-memory worker
 //     pool, the Cray Autotasking analogue, one per process serving sweeps
@@ -29,6 +30,7 @@ package dispatch
 
 import (
 	"context"
+	"sort"
 
 	"plinger/internal/core"
 )
@@ -37,7 +39,7 @@ import (
 // mode (mode.K is overwritten per assignment) and returns the results in
 // input order together with the run telemetry. Implementations must be
 // deterministic: the Results depend only on (ks, mode), never on worker
-// count, schedule or transport.
+// count, hand-out order or transport.
 type Dispatcher interface {
 	Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error)
 }
@@ -101,19 +103,19 @@ func sweepTau0(model *core.Model, mode core.Params) float64 {
 // Chunked hand-out: on fine wavenumber grids the per-mode channel
 // rendezvous between the feeder and the workers becomes measurable next to
 // the (cheap, arena-backed) mode evolutions, so the pool hands out
-// contiguous runs of the schedule order instead of single indices. The
+// contiguous runs of the hand-out order instead of single indices. The
 // chunk size splits every worker's fair share chunkDivisor ways — small
 // enough that the largest-first end-of-run tail still balances, large
 // enough that a 5000-mode sweep does ~400 channel operations instead of
 // 5000 — and is capped so pathological grids cannot serialize a worker.
-// Chunking is pure hand-out mechanics: the schedule order, the results and
+// Chunking is pure hand-out mechanics: the hand-out order, the results and
 // the telemetry are identical to per-mode hand-out.
 const (
 	chunkDivisor = 8
 	maxChunk     = 16
 )
 
-// handOutChunks splits a schedule order into the contiguous chunks the
+// handOutChunks splits a hand-out order into the contiguous chunks the
 // feeder sends; every chunk is a subslice, so no copying happens.
 func handOutChunks(order []int, workers int) [][]int {
 	n := len(order)
@@ -136,9 +138,10 @@ func handOutChunks(order []int, workers int) [][]int {
 // to b members each — the unit of hand-out for lockstep batched evolution
 // (core.EvolveBatchWith). Blocks follow the input order of the grid (block j
 // covers indices [j*b, min((j+1)*b, nk))), so the decomposition — and with
-// it every batched trajectory — depends only on (nk, b), never on schedule
-// or transport: every backend evolves bitwise-identical blocks, exactly as
-// the Dispatcher contract demands. b <= 1 yields one block per index.
+// it every batched trajectory — depends only on (nk, b), never on hand-out
+// order or transport: every backend evolves bitwise-identical blocks,
+// exactly as the Dispatcher contract demands. b <= 1 yields one block per
+// index.
 func batchBlocks(nk, b int) [][2]int {
 	if b < 1 {
 		b = 1
@@ -150,13 +153,17 @@ func batchBlocks(nk, b int) [][2]int {
 	return blocks
 }
 
-// blockOrder schedules blocks the way Schedule schedules wavenumbers, by
-// representing each block with its largest member: largest-first then
-// still retires the most expensive batches first (the block's cost is set
-// by its largest k, which drives the unified hierarchy cutoff and the
-// tight-coupling window).
-func blockOrder(s Schedule, ks []float64, blocks [][2]int) []int {
+// blockOrder is the hand-out order of blocks, the paper's policy (Section
+// 5.2): "since larger wavenumbers require greater computation, one simple
+// method by which we minimized this idle time was to compute the largest k
+// first". Each block is represented by its largest member — a block's cost
+// is set by its largest k, which drives the unified hierarchy cutoff and
+// the tight-coupling window — and ties keep grid order (stable sort), so
+// the order is deterministic. Results never depend on it; only the
+// end-of-run idle tail does.
+func blockOrder(ks []float64, blocks [][2]int) []int {
 	reps := make([]float64, len(blocks))
+	order := make([]int, len(blocks))
 	for j, blk := range blocks {
 		rep := ks[blk[0]]
 		for _, k := range ks[blk[0]+1 : blk[1]] {
@@ -165,8 +172,12 @@ func blockOrder(s Schedule, ks []float64, blocks [][2]int) []int {
 			}
 		}
 		reps[j] = rep
+		order[j] = j
 	}
-	return s.Order(reps)
+	sort.SliceStable(order, func(a, b int) bool {
+		return reps[order[a]] > reps[order[b]]
+	})
+	return order
 }
 
 // perKLMaxTable precomputes the per-index hierarchy cutoffs for a run, or

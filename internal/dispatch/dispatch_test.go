@@ -115,48 +115,43 @@ func checkStats(t *testing.T, label string, st *RunStats, nModes, nWorkers int) 
 
 // The decisive property of the subsystem: the same k grid through the
 // pool and through the master/worker protocol over every transport yields
-// bitwise-identical results under every schedule, with consistent
-// telemetry.
+// bitwise-identical results, with consistent telemetry.
 func TestDispatcherEquivalence(t *testing.T) {
 	m := model(t)
 	ks := testKs()
 	mode := smallMode()
 	const workers = 3
-	for _, sched := range []Schedule{LargestFirst, InputOrder, SmallestFirst} {
-		pool := &Pool{Model: m, Workers: workers, Schedule: sched}
-		ref, refSt, err := pool.Run(context.Background(), ks, mode)
+	pool := &Pool{Model: m, Workers: workers}
+	ref, refSt, err := pool.Run(context.Background(), ks, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refSt.Backend != "pool" {
+		t.Fatalf("pool backend label %q", refSt.Backend)
+	}
+	checkStats(t, "pool", refSt, len(ks), workers)
+	for _, tr := range []string{"chan", "fifo", "tcp"} {
+		d, cleanup, err := NewMP(m, tr, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refSt.Backend != "pool" {
-			t.Fatalf("pool backend label %q", refSt.Backend)
+		sw, st, err := d.Run(context.Background(), ks, mode)
+		cleanup()
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
 		}
-		checkStats(t, "pool/"+sched.String(), refSt, len(ks), workers)
-		for _, tr := range []string{"chan", "fifo", "tcp"} {
-			label := tr + "/" + sched.String()
-			d, cleanup, err := NewMP(m, tr, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Schedule = sched
-			sw, st, err := d.Run(context.Background(), ks, mode)
-			cleanup()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if st.Backend != "mp/"+tr {
-				t.Fatalf("%s: backend label %q", label, st.Backend)
-			}
-			if st.NProc != workers+1 {
-				t.Fatalf("%s: NProc %d", label, st.NProc)
-			}
-			if st.BytesMoved == 0 {
-				t.Fatalf("%s: no bytes moved", label)
-			}
-			checkStats(t, label, st, len(ks), workers)
-			for i := range ks {
-				sameResult(t, label, ref.Results[i], sw.Results[i])
-			}
+		if st.Backend != "mp/"+tr {
+			t.Fatalf("%s: backend label %q", tr, st.Backend)
+		}
+		if st.NProc != workers+1 {
+			t.Fatalf("%s: NProc %d", tr, st.NProc)
+		}
+		if st.BytesMoved == 0 {
+			t.Fatalf("%s: no bytes moved", tr)
+		}
+		checkStats(t, tr, st, len(ks), workers)
+		for i := range ks {
+			sameResult(t, tr, ref.Results[i], sw.Results[i])
 		}
 	}
 }
@@ -169,7 +164,7 @@ func TestDispatcherEquivalence(t *testing.T) {
 // KeepSources records samples (which must outlive the arena's next mode),
 // and per-k adaptive cutoffs vary the layout mode to mode. Results —
 // sources included — must be bitwise-equal to scratch-free sequential
-// evolution across Pool, SharedPool and MP, under both schedule families.
+// evolution across Pool, SharedPool and MP.
 func TestArenaSweepEquivalence(t *testing.T) {
 	m := model(t)
 	ks := testKs()
@@ -199,35 +194,32 @@ func TestArenaSweepEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, sched := range []Schedule{LargestFirst, InputOrder} {
-		pool := &Pool{Model: m, Workers: 3, Schedule: sched, AdaptLMax: true}
-		sw, _, err := pool.Run(context.Background(), ks, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("pool/"+sched.String(), sw)
-
-		shared := NewSharedPool(3)
-		sw, _, err = shared.sweep(context.Background(), m, ks, mode, sched, true)
-		shared.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("shared/"+sched.String(), sw)
-
-		d, cleanup, err := NewMP(m, "chan", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Schedule = sched
-		d.AdaptLMax = true
-		sw, _, err = d.Run(context.Background(), ks, mode)
-		cleanup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("mp/"+sched.String(), sw)
+	pool := &Pool{Model: m, Workers: 3, AdaptLMax: true}
+	sw, _, err := pool.Run(context.Background(), ks, mode)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("pool", sw)
+
+	shared := NewSharedPool(3)
+	sw, _, err = shared.Sweep(context.Background(), m, ks, mode, true)
+	shared.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("shared", sw)
+
+	d, cleanup, err := NewMP(m, "chan", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AdaptLMax = true
+	sw, _, err = d.Run(context.Background(), ks, mode)
+	cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mp", sw)
 }
 
 // The per-k adaptive hierarchy must be applied identically by both
@@ -303,39 +295,16 @@ func TestSourcesEquivalence(t *testing.T) {
 	}
 }
 
-func TestScheduleOrder(t *testing.T) {
+// TestBlockOrder pins the one hand-out order: blocks by their largest
+// member, descending, ties in grid order.
+func TestBlockOrder(t *testing.T) {
 	ks := []float64{3, 1, 2, 1}
-	cases := []struct {
-		s    Schedule
-		want []int
-	}{
-		{LargestFirst, []int{0, 2, 1, 3}},
-		{InputOrder, []int{0, 1, 2, 3}},
-		{SmallestFirst, []int{1, 3, 2, 0}},
+	if got := blockOrder(ks, batchBlocks(len(ks), 1)); !reflect.DeepEqual(got, []int{0, 2, 1, 3}) {
+		t.Fatalf("scalar blocks: order %v, want [0 2 1 3]", got)
 	}
-	for _, c := range cases {
-		if got := c.s.Order(ks); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%v: order %v, want %v", c.s, got, c.want)
-		}
-	}
-}
-
-func TestParseSchedule(t *testing.T) {
-	for name, want := range map[string]Schedule{
-		"": LargestFirst, "largest-first": LargestFirst,
-		"input-order": InputOrder, "smallest-first": SmallestFirst,
-	} {
-		got, err := ParseSchedule(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseSchedule(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseSchedule("fastest-first"); err == nil {
-		t.Fatal("bogus schedule accepted")
-	}
-	if LargestFirst.String() == "" || InputOrder.String() == "" ||
-		SmallestFirst.String() == "" || Schedule(9).String() == "" {
-		t.Fatal("schedule names")
+	ks = []float64{1, 5, 2, 3, 4, 1}
+	if got := blockOrder(ks, batchBlocks(len(ks), 2)); !reflect.DeepEqual(got, []int{0, 2, 1}) {
+		t.Fatalf("pairs: order %v, want [0 2 1]", got)
 	}
 }
 
@@ -399,8 +368,8 @@ func TestContextCancellation(t *testing.T) {
 // TestBatchedSweepEquivalence: with mode.KBatch > 1 every backend hands out
 // the same canonical grid-index blocks (batchBlocks) and evolves
 // them in lockstep through EvolveBatchWith, so — at a fixed KBatch — the
-// results must stay bitwise-identical across Pool, SharedPool and MP and
-// across schedules, sources included, exactly like the scalar sweep. The
+// results must stay bitwise-identical across Pool, SharedPool and MP,
+// sources included, exactly like the scalar sweep. The
 // reference is a sequential mirror of the worker body with fresh arenas;
 // KBatch accuracy against the scalar path itself is a core/spectra
 // contract (TestBatchAgreesWithScalar, the <1e-3 C_l golden), not a
@@ -446,47 +415,44 @@ func TestBatchedSweepEquivalence(t *testing.T) {
 			}
 		}
 
-		for _, sched := range []Schedule{LargestFirst, InputOrder} {
-			label := func(backend string) string {
-				return backend + "/" + sched.String() + "/b=" + itoa(b)
-			}
-			pool := &Pool{Model: m, Workers: 3, Schedule: sched, AdaptLMax: true}
-			sw, st, err := pool.Run(context.Background(), ks, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Modes != len(ks) {
-				t.Fatalf("%s: %d modes in stats, want %d", label("pool"), st.Modes, len(ks))
-			}
-			check(label("pool"), sw)
-
-			shared := NewSharedPool(3)
-			sw, st, err = shared.sweep(context.Background(), m, ks, mode, sched, true)
-			shared.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Modes != len(ks) {
-				t.Fatalf("%s: %d modes in stats, want %d", label("shared"), st.Modes, len(ks))
-			}
-			check(label("shared"), sw)
-
-			d, cleanup, err := NewMP(m, "chan", 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Schedule = sched
-			d.AdaptLMax = true
-			sw, st, err = d.Run(context.Background(), ks, mode)
-			cleanup()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Modes != len(ks) {
-				t.Fatalf("%s: %d modes in stats, want %d", label("mp"), st.Modes, len(ks))
-			}
-			check(label("mp"), sw)
+		label := func(backend string) string {
+			return backend + "/b=" + itoa(b)
 		}
+		pool := &Pool{Model: m, Workers: 3, AdaptLMax: true}
+		sw, st, err := pool.Run(context.Background(), ks, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Modes != len(ks) {
+			t.Fatalf("%s: %d modes in stats, want %d", label("pool"), st.Modes, len(ks))
+		}
+		check(label("pool"), sw)
+
+		shared := NewSharedPool(3)
+		sw, st, err = shared.Sweep(context.Background(), m, ks, mode, true)
+		shared.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Modes != len(ks) {
+			t.Fatalf("%s: %d modes in stats, want %d", label("shared"), st.Modes, len(ks))
+		}
+		check(label("shared"), sw)
+
+		d, cleanup, err := NewMP(m, "chan", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.AdaptLMax = true
+		sw, st, err = d.Run(context.Background(), ks, mode)
+		cleanup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Modes != len(ks) {
+			t.Fatalf("%s: %d modes in stats, want %d", label("mp"), st.Modes, len(ks))
+		}
+		check(label("mp"), sw)
 	}
 }
 

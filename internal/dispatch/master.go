@@ -16,8 +16,6 @@ import (
 type MasterOptions struct {
 	// Backend labels RunStats.Backend ("mp/tcp", "farm").
 	Backend string
-	// Schedule is the hand-out order (zero value: largest-first).
-	Schedule Schedule
 	// AdaptLMax reduces the hierarchy cutoff per wavenumber via PerKLMax;
 	// the per-mode cutoff rides along in the assignment message.
 	AdaptLMax bool
@@ -48,13 +46,14 @@ func assignDeadline(ctx context.Context, own time.Duration) time.Duration {
 
 // RunMaster runs the master subroutine of Appendix A over the endpoint of a
 // world whose workers the caller owns: the in-process MP dispatcher and the
-// worker farm both drive it. It decides the hand-out order and the per-k
-// cutoffs, prebuilds the evaluation tables, runs the protocol until every
-// wavenumber has been received and every worker stopped, and returns the
-// Sweep and RunStats; the ranks the master declared dead come back too, for
-// callers that keep their workers. The master's probes watch no context, so
-// when ctx ends mid-run the endpoint is closed — every pending probe then
-// returns mp.ErrClosed — and the error is the context's.
+// worker farm both drive it. It hands the blocks out largest-first
+// (blockOrder), decides the per-k cutoffs, prebuilds the evaluation tables,
+// runs the protocol until every wavenumber has been received and every
+// worker stopped, and returns the Sweep and RunStats; the ranks the master
+// declared dead come back too, for callers that keep their workers. The
+// master's probes watch no context, so when ctx ends mid-run the endpoint
+// is closed — every pending probe then returns mp.ErrClosed — and the
+// error is the context's.
 //
 // With a deadline armed (see MasterOptions.AssignDeadline) the master
 // detects worker failures (crashes, hangs, protocol violations, TagDown
@@ -76,12 +75,12 @@ func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []floa
 		ep: ep, model: model, ks: ks, mode: mode, o: o,
 		deadline: assignDeadline(ctx, o.AssignDeadline),
 		blocks:   blocks,
-		order:    blockOrder(o.Schedule, ks, blocks),
+		order:    blockOrder(ks, blocks),
 		perk:     perKLMaxTable(ks, tau0, mode.LMax, o.AdaptLMax),
 		peers:    map[int]*peer{},
 		workers:  map[int]*WorkerTiming{},
 		results:  make([]*core.Result, len(ks)),
-		st:       &RunStats{Backend: o.Backend, Schedule: o.Schedule, NProc: ep.Size(), NWorkers: max(ep.Size()-1, 1)},
+		st:       &RunStats{Backend: o.Backend, NProc: ep.Size(), NWorkers: max(ep.Size()-1, 1)},
 	}
 	tr := obs.TraceFrom(ctx)
 	sp := tr.Start("eval_tables")

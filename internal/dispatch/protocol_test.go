@@ -229,22 +229,19 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 func TestHandOutOrders(t *testing.T) {
-	// Any permutation must produce complete results in input order; the
-	// schedule decides the actual one.
+	// Blocks leave largest-first but results come back in input order.
 	ks := testKs()
-	for _, order := range []Schedule{LargestFirst, InputOrder, SmallestFirst} {
-		_, eps, err := chanmp.New(3)
-		if err != nil {
-			t.Fatal(err)
+	_, eps, err := chanmp.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := runParallel(t, eps, ks, smallMode(), MasterOptions{})
+	for i, r := range res.Results {
+		if r == nil {
+			t.Fatalf("missing result %d", i)
 		}
-		res, _ := runParallel(t, eps, ks, smallMode(), MasterOptions{Schedule: order})
-		for i, r := range res.Results {
-			if r == nil {
-				t.Fatalf("order %v: missing result %d", order, i)
-			}
-			if r.K != ks[i] {
-				t.Fatalf("order %v: result %d has k=%g want %g", order, i, r.K, ks[i])
-			}
+		if r.K != ks[i] {
+			t.Fatalf("result %d has k=%g want %g", i, r.K, ks[i])
 		}
 	}
 }

@@ -38,7 +38,7 @@ type SharedPool struct {
 }
 
 // sharedJob is one assignment: the run it belongs to and a contiguous
-// chunk of schedule-order indices into its blocks (see handOutChunks).
+// chunk of hand-out-order indices into its blocks (see handOutChunks).
 type sharedJob struct {
 	run  *sharedRun
 	idxs []int
@@ -171,11 +171,6 @@ func (p *SharedPool) serveJob(rank int, job sharedJob, sc *core.Scratch) (ok boo
 // Sweep calls, of one model or of several, interleave fairly at chunk
 // granularity.
 func (p *SharedPool) Sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, adaptLMax bool) (*Sweep, *RunStats, error) {
-	return p.sweep(ctx, model, ks, mode, LargestFirst, adaptLMax)
-}
-
-// sweep is Sweep under any hand-out order, for Pool's scheduling ablation.
-func (p *SharedPool) sweep(ctx context.Context, model *core.Model, ks []float64, mode core.Params, sched Schedule, adaptLMax bool) (*Sweep, *RunStats, error) {
 	if model == nil {
 		return nil, nil, fmt.Errorf("dispatch: sweep has no model")
 	}
@@ -212,7 +207,7 @@ func (p *SharedPool) sweep(ctx context.Context, model *core.Model, ks []float64,
 		cancel:  cancel,
 		timings: make([]paddedTiming, p.workers),
 	}
-	chunks := handOutChunks(blockOrder(sched, ks, run.blocks), p.workers)
+	chunks := handOutChunks(blockOrder(ks, run.blocks), p.workers)
 
 	spModes := tr.Start("modes")
 	start := time.Now()
@@ -246,7 +241,6 @@ feed:
 
 	st := &RunStats{
 		Backend:   p.backend,
-		Schedule:  sched,
 		NWorkers:  p.workers,
 		NProc:     p.workers,
 		Wallclock: time.Since(start).Seconds(),

@@ -32,14 +32,12 @@ type paddedTiming struct {
 
 // RunStats is the unified run telemetry, reproducing the quantities plotted
 // in Figure 1 and tabulated in Section 5. Both backends populate every
-// field with the same semantics, so schedules and transports can be
+// field with the same semantics, so executors and transports can be
 // compared directly.
 type RunStats struct {
 	// Backend names the dispatcher that produced the run: "pool" or
 	// "pool/shared", or for a master/worker run "mp/<transport>" or "farm".
 	Backend string
-	// Schedule is the hand-out order used.
-	Schedule Schedule
 	// NWorkers is the number of computing workers; NProc additionally
 	// counts the master for MP runs (the paper's "processors").
 	NWorkers, NProc int

@@ -177,11 +177,13 @@ func (l *TraceLog) Len() int {
 	return l.n
 }
 
-// Last returns up to n traces, newest first.
+// Last returns up to n traces, newest first. n is clamped to the ring's
+// fill before anything is allocated, so any n is safe.
 func (l *TraceLog) Last(n int) []TraceSnapshot {
 	l.mu.Lock()
+	n = max(0, min(n, l.n))
 	traces := make([]*Trace, 0, n)
-	for i := 0; i < l.n && i < n; i++ {
+	for i := 0; i < n; i++ {
 		idx := (l.next - 1 - i + 2*len(l.buf)) % len(l.buf)
 		traces = append(traces, l.buf[idx])
 	}

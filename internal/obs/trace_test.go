@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -109,6 +110,13 @@ func TestTraceLogRing(t *testing.T) {
 	}
 	if got := l.Last(1); len(got) != 1 || got[0].ID != ids[4] {
 		t.Fatalf("Last(1): %+v", got)
+	}
+	// Any n is clamped to the fill before allocating: no makeslice panic.
+	if got := l.Last(math.MaxInt); len(got) != 3 {
+		t.Fatalf("Last(MaxInt) = %d traces, want 3", len(got))
+	}
+	if got := l.Last(-1); len(got) != 0 {
+		t.Fatalf("Last(-1) = %d traces, want 0", len(got))
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +120,30 @@ func TestMetricsDuringLoad(t *testing.T) {
 // wireTraces is the /v1/trace response body.
 type wireTraces struct {
 	Traces []obs.TraceSnapshot `json:"traces"`
+}
+
+// TestTraceHugeLast: /v1/trace clamps any positive last to the ring, so a
+// huge one is a 200 with at most the ring's traces, never a handler panic.
+func TestTraceHugeLast(t *testing.T) {
+	s := testService()
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/trace?last=" + strconv.Itoa(math.MaxInt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire wireTraces
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Traces) > traceRing {
+		t.Fatalf("%d traces, want at most %d", len(wire.Traces), traceRing)
+	}
 }
 
 // TestTraceCoverage is the acceptance-criterion check: a recorded cold-miss

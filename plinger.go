@@ -170,7 +170,8 @@ type ModeOptions struct {
 	LMax int
 	// Gauge selects synchronous (default) or conformal Newtonian.
 	Gauge Gauge
-	// RTol is the integrator's relative tolerance (default 1e-6).
+	// RTol is the integrator's relative tolerance (0: the default 1e-6);
+	// it must lie below 0.1, where the evolution stops being meaningful.
 	RTol float64
 	// KeepSources records line-of-sight sources at every step.
 	KeepSources bool
@@ -193,8 +194,14 @@ func (o ModeOptions) internal() (core.Params, error) {
 	if err != nil {
 		return core.Params{}, err
 	}
+	if err := checkK("K", o.K); err != nil {
+		return core.Params{}, err
+	}
 	if o.LMax < 0 {
 		return core.Params{}, fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
+	}
+	if !(o.RTol >= 0 && o.RTol < 0.1) {
+		return core.Params{}, fmt.Errorf("plinger: RTol = %g is outside [0, 0.1) (0 selects the default)", o.RTol)
 	}
 	if !(o.TauEnd >= 0) || math.IsInf(o.TauEnd, 0) {
 		return core.Params{}, fmt.Errorf("plinger: TauEnd = %g is negative or not finite (0 selects the present)", o.TauEnd)
@@ -208,6 +215,14 @@ func (o ModeOptions) internal() (core.Params, error) {
 		KeepSources: o.KeepSources, TauEnd: o.TauEnd,
 		FastEvolve: o.FastEvolve,
 	}, nil
+}
+
+// checkK refuses a wavenumber no mode can start from, naming the field.
+func checkK(field string, k float64) error {
+	if k > 0 && !math.IsInf(k, 1) {
+		return nil
+	}
+	return fmt.Errorf("plinger: %s = %g is not a positive finite wavenumber", field, k)
 }
 
 // ModeResult is the outcome of evolving one mode: the multipole transfer
@@ -835,16 +850,16 @@ func (m *Model) RunParallel(o ParallelOptions) (*ParallelRun, error) {
 	if len(o.KValues) == 0 {
 		return nil, fmt.Errorf("plinger: no wavenumbers")
 	}
-	g, err := o.Gauge.internal()
+	for i, k := range o.KValues {
+		if err := checkK(fmt.Sprintf("KValues[%d]", i), k); err != nil {
+			return nil, err
+		}
+	}
+	// The template mode's K is one of the grid's; the master sets it per
+	// assignment.
+	mode, err := ModeOptions{K: o.KValues[0], LMax: o.LMax, Gauge: o.Gauge, RTol: o.RTol}.internal()
 	if err != nil {
 		return nil, err
-	}
-	if o.LMax < 0 {
-		return nil, fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
-	}
-	lmax := o.LMax
-	if lmax == 0 {
-		lmax = 50
 	}
 	d, cleanup, err := dispatch.NewMP(m.core, o.Transport, o.Workers)
 	if err != nil {
@@ -853,7 +868,6 @@ func (m *Model) RunParallel(o ParallelOptions) (*ParallelRun, error) {
 	defer cleanup()
 	d.AdaptLMax = o.AdaptLMax
 	d.ASCIIOut, d.BinaryOut = o.ASCIIOut, o.BinaryOut
-	mode := core.Params{LMax: lmax, Gauge: g, RTol: o.RTol}
 	sw, st, err := d.Run(context.Background(), o.KValues, mode)
 	if err != nil {
 		return nil, err

@@ -148,6 +148,18 @@ func TestFacadeRejectsBadInputs(t *testing.T) {
 			return err
 		}
 	}
+	mode := func(o ModeOptions) func() error {
+		return func() error {
+			_, err := m.EvolveMode(o)
+			return err
+		}
+	}
+	parallel := func(o ParallelOptions) func() error {
+		return func() error {
+			_, err := m.RunParallel(o)
+			return err
+		}
+	}
 	cases := []struct {
 		name string
 		run  func() error
@@ -168,6 +180,19 @@ func TestFacadeRejectsBadInputs(t *testing.T) {
 			_, err := m.RunParallel(ParallelOptions{KValues: []float64{0.05}, LMax: -3})
 			return err
 		}, "LMax"},
+		{"mode RTol negative", mode(ModeOptions{K: 0.05, RTol: -1}), "RTol"},
+		{"mode RTol NaN", mode(ModeOptions{K: 0.05, RTol: math.NaN()}), "RTol"},
+		{"mode RTol Inf", mode(ModeOptions{K: 0.05, RTol: math.Inf(1)}), "RTol"},
+		{"mode RTol 0.5", mode(ModeOptions{K: 0.05, RTol: 0.5}), "RTol"},
+		{"mode K zero", mode(ModeOptions{}), "K"},
+		{"mode K negative", mode(ModeOptions{K: -0.05}), "K"},
+		{"mode K NaN", mode(ModeOptions{K: math.NaN()}), "K"},
+		{"mode K Inf", mode(ModeOptions{K: math.Inf(1)}), "K"},
+		{"parallel RTol 2", parallel(ParallelOptions{KValues: []float64{0.05}, RTol: 2}), "RTol"},
+		{"parallel RTol negative", parallel(ParallelOptions{KValues: []float64{0.05}, RTol: -1}), "RTol"},
+		{"parallel KValues NaN", parallel(ParallelOptions{KValues: []float64{0.05, math.NaN()}}), "KValues[1]"},
+		{"parallel KValues zero", parallel(ParallelOptions{KValues: []float64{0}}), "KValues[0]"},
+		{"parallel KValues Inf", parallel(ParallelOptions{KValues: []float64{math.Inf(1)}}), "KValues[0]"},
 		{"full-sky N negative", skyMap(2.726, SkyMapOptions{N: -4}), "row"},
 		{"patch side negative", skyMap(2.726, SkyMapOptions{Flat: true, SizeDeg: -1}), "patch side"},
 		{"patch side NaN", skyMap(2.726, SkyMapOptions{Flat: true, SizeDeg: math.NaN()}), "patch side"},
