@@ -53,12 +53,13 @@ test-race:
 # batched-block reassignment), worker panic recovery, and the Appendix-A
 # master's and worker's own unit tests (the verdicts, the late death report
 # and the malformed init and assignment blocks among them) — and the serving
-# layer's deadline/stale degradation, a normalized miss derived from its
-# base product among them (TestDerivedMiss*: deadline, stale, and two
-# derivations coalescing on one slot).
+# layer's deadline handling, a normalized miss derived from its base product
+# among them (TestDerivedMiss*: deadline, re-derivation after eviction, and
+# two derivations coalescing on one slot), and the wire bounds that refuse a
+# request which would crash or wedge a sweep (Test*WireBound*).
 test-faults:
 	$(GO) test -race ./internal/fault/ ./internal/dispatch/
-	$(GO) test -race -run 'Chaos|Panic|Deadline|Stale|DerivedMiss' ./internal/serve/
+	$(GO) test -race -run 'Chaos|Panic|Deadline|DerivedMiss|WireBound' ./internal/serve/
 
 # test-farm runs the multi-process worker-farm suite under the race
 # detector: the in-process supervisor contract tests (bitwise equality with
@@ -79,8 +80,8 @@ test-farm:
 # — owner killed, hung, erroring 5xx, and partitioned through an
 # internal/fault plan on the peer transport, each required to degrade to a
 # 200 that is bitwise identical to a no-cluster reference — plus the
-# composed farm-and-cluster chaos test and the cross-node hit, stale
-# short-circuit, hedged-slow-peer, back-fill, and derived Retry-After
+# composed farm-and-cluster chaos test and the cross-node hit, resident hit
+# under a dead owner, hedged-slow-peer, back-fill, and derived Retry-After
 # contracts.
 test-cluster:
 	$(GO) test -race ./internal/cluster/

@@ -69,11 +69,10 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8787", "listen address")
 		workers  = flag.Int("workers", 0, "size of the daemon's one shared dispatch pool, which every model's sweeps run on (0: GOMAXPROCS)")
-		cache    = flag.Int("cache", 256, "response cache entries")
+		cache    = flag.Int("cache", 1024, "response cache entries; a key's product never changes, so an entry leaves only by eviction")
 		models   = flag.Int("models", 4, "model registry entries")
 		conc     = flag.Int("concurrent", 2, "max concurrently computing sweeps")
 		queue    = flag.Int("queue", 64, "max requests waiting for a compute slot")
-		stale    = flag.Int("stalecache", 0, "stale-response cache entries, serving last known good answers on failed or timed-out recomputes (0: 4x -cache)")
 		lmaxCl   = flag.Int("lmaxcl", 150, "default C_l multipole cap")
 		nk       = flag.Int("nk", 130, "default C_l wavenumber grid")
 		krefine  = flag.Int("krefine", 6, "default coarse-to-fine refinement factor")
@@ -167,7 +166,6 @@ func main() {
 		ModelCacheSize: *models,
 		MaxConcurrent:  *conc,
 		MaxQueue:       *queue,
-		StaleCacheSize: *stale,
 		Logger:         logger,
 		SlowRequest:    time.Duration(*slowMS) * time.Millisecond,
 	})

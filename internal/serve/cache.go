@@ -11,8 +11,7 @@ import (
 // encoded once when the product is made. body is exactly the text the
 // response envelope carries under "result" (indented one level deep), so a
 // hit writes bytes and encodes nothing. Both fields are immutable once
-// built: handlers read them concurrently, and the primary and stale LRUs
-// share one pointer.
+// built: handlers read them concurrently.
 type product struct {
 	v    any
 	body []byte
@@ -28,8 +27,10 @@ func newProduct(v any) (*product, error) {
 	return &product{v: v, body: body}, nil
 }
 
-// lru is a small mutex-guarded LRU of products, the primary response cache
-// and its stale second chance alike. The counters feed /v1/stats.
+// lru is a small mutex-guarded LRU of products, the response cache. A key
+// names a deterministic product of its resolved request, so an entry is
+// never out of date: it leaves only by eviction. The counters feed
+// /v1/stats.
 type lru struct {
 	mu        sync.Mutex
 	capacity  int

@@ -359,14 +359,13 @@ func TestClusterFarmChaosRecoversBitwise(t *testing.T) {
 	}
 }
 
-// TestClusterOwnerDeadServesStale pins the stale short-circuit: when the
-// owner is unreachable (open breaker after a hang) and a stale copy is on
-// hand, the node answers from it immediately — it must NOT wait out the
-// peer timeout, and must not pay a recompute either.
-func TestClusterOwnerDeadServesStale(t *testing.T) {
+// TestClusterOwnerDeadServesResident: with the key's owner wedged and its
+// breaker open, a key this node holds is an ordinary hit. It makes no
+// forward, runs no sweep and does not wait out the peer timeout.
+func TestClusterOwnerDeadServesResident(t *testing.T) {
 	// Generous hop so the warm-up forward survives a race-detector-slowed
-	// cold compute on the owner; the stale serve must still beat it by
-	// orders of magnitude (an open breaker fails the fetch in microseconds).
+	// cold compute on the owner; the hit must still beat it by orders of
+	// magnitude.
 	const hop = 2 * time.Second
 	var hangOn atomic.Bool
 	ft := fault.NewTransport(nil, fault.Plan{Then: fault.Hang}, func(req *http.Request) bool {
@@ -381,62 +380,47 @@ func TestClusterOwnerDeadServesStale(t *testing.T) {
 			if i == 0 {
 				o.Transport = ft
 			}
-		},
-		func(i int, o *Options) {
-			o.CacheSize = 1 // tiny primary so the stale LRU (4x) outlives it
-		})
+		}, nil)
 	a := nodes[0]
 
-	// Warm: a forwarded request leaves copies in A's primary and stale
-	// caches; a second key then evicts the first from the one-entry
-	// primary while the stale LRU keeps both.
+	// Warm: a forwarded request leaves a copy in A's cache.
 	body1, key1 := remoteOwnedBody(t, a, nil)
 	_, env := postJSON(t, a.srv.Client(), a.url+"/v1/cl", body1)
 	if env.Source != SourcePeer {
 		t.Fatalf("warm source %q, want peer", env.Source)
 	}
 	want := canonResult(t, env.Result)
-	body2, key2 := remoteOwnedBody(t, a, map[string]bool{key1: true})
-	postJSON(t, a.srv.Client(), a.url+"/v1/cl", body2)
 
-	// The owner wedges. Open the breaker with one more cold key: its
-	// fetch hangs for one full hop timeout, degrades to local compute,
-	// and trips the threshold-1 breaker.
+	// The owner wedges. Open the breaker with a cold key: its fetch hangs
+	// for one full hop timeout, degrades to local compute, and trips the
+	// threshold-1 breaker.
 	hangOn.Store(true)
-	body3, _ := remoteOwnedBody(t, a, map[string]bool{key1: true, key2: true})
+	body2, _ := remoteOwnedBody(t, a, map[string]bool{key1: true})
 	_, env = postJSON(t, a.srv.Client(), a.url+"/v1/cl", body2)
-	if env.Source != SourceCache {
-		// body2 is still in the one-entry primary: a plain hit, proving
-		// the wedged owner never touches cached keys.
-		t.Fatalf("cached key source %q under a wedged owner", env.Source)
-	}
-	_, env = postJSON(t, a.srv.Client(), a.url+"/v1/cl", body3)
 	if env.Source != SourceCompute {
 		t.Fatalf("breaker-opening request source %q, want compute", env.Source)
 	}
 	if st := a.svc.Stats(); st.Cluster.LocalFallback == 0 {
 		t.Fatal("hang did not degrade to local")
 	}
+	sweeps := a.svc.Sweeps()
 
-	// The satellite assertion: key1 is primary-evicted but stale-held,
-	// its owner's breaker is open — the answer must come back instantly
-	// as source "stale", far inside the peer timeout.
 	start := time.Now()
 	resp, env := postJSON(t, a.srv.Client(), a.url+"/v1/cl", body1)
 	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stale path status %d", resp.StatusCode)
-	}
-	if env.Source != SourceStale {
-		t.Fatalf("source %q, want %q", env.Source, SourceStale)
+	if resp.StatusCode != http.StatusOK || env.Source != SourceCache {
+		t.Fatalf("resident key under a dead owner: status %d, source %q, want 200 from cache", resp.StatusCode, env.Source)
 	}
 	if got := canonResult(t, env.Result); got != want {
-		t.Fatal("stale response differs from the original")
+		t.Fatal("the hit differs from the owner's answer")
 	}
 	if elapsed >= hop {
-		t.Fatalf("stale serve took %s — waited out the %s peer timeout", elapsed, hop)
+		t.Fatalf("hit took %s — waited out the %s peer timeout", elapsed, hop)
 	}
-	// One forward hung and opened the breaker; the stale serve sent none.
+	if got := a.svc.Sweeps(); got != sweeps {
+		t.Fatalf("sweeps %d after the hit, want %d", got, sweeps)
+	}
+	// One forward hung and opened the breaker; the hit sent none.
 	if st := ft.Stats(); st.Ops != 1 || st.Hung != 1 {
 		t.Fatalf("plan stats %+v, want the one breaker-opening forward hung", st)
 	}

@@ -74,6 +74,40 @@ func TestDaemonEngineConvergedLadder(t *testing.T) {
 		ladderRung{"dk halved", 1300, 3000})
 }
 
+// TestSachsWolfePlateau holds the converged daemon request (LMaxCl 1300, NK
+// 1500, the daemon's engine, COBE-normalized to 18 microkelvin) to the n = 1
+// Sachs–Wolfe plateau: l(l+1)C_l in units of its quadrupole value 6 C_2 is
+// non-decreasing for 2 <= l <= 30 and lies in [1, 1.15] up to l = 10. The
+// stock 150/130 grid fails it, dipping to 0.966 at l = 3.
+func TestSachsWolfePlateau(t *testing.T) {
+	d := DefaultDefaults()
+	o := ClRequest{LMaxCl: 1300, NK: 1500}.resolve(d).options(d)
+	o.Ls = everyL(150)
+	m, err := plinger.New(plinger.SCDM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := m.ComputeSpectrum(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.NormalizeCOBE(18); err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for i, l := range spec.L[:29] {
+		r := float64(l*(l+1)) * spec.Cl[i] / (6 * spec.Cl[0])
+		if r < prev {
+			t.Errorf("l(l+1)C_l/6C_2 falls from %.4f to %.4f at l = %d", prev, r, l)
+		}
+		if l <= 10 && (r < 1 || r > 1.15) {
+			t.Errorf("l(l+1)C_l/6C_2 = %.4f at l = %d, want it in [1, 1.15]", r, l)
+		}
+		prev = r
+	}
+	t.Logf("l(l+1)C_l/6C_2: %.3f at l = 10, %.3f at l = 30", 110*spec.Cl[8]/(6*spec.Cl[0]), prev)
+}
+
 // TestPaperRequestConvergedLadder holds the paper-scale request with every
 // fast switch on — LMaxCl 3000 and NK 3200, every l from 2 to 1000 — to the
 // same ladder: doubling the range (6200/6400) and halving the spacing

@@ -45,7 +45,7 @@ func sweptNormalized(t *testing.T, req ClRequest, d Defaults) []byte {
 // productBody is the cached body of req's key on s.
 func productBody(t *testing.T, s *Service, req ClRequest) []byte {
 	t.Helper()
-	p, ok := s.stale.Get(req.Key(s.Defaults()))
+	p, ok := s.cache.Get(req.Key(s.Defaults()))
 	if !ok {
 		t.Fatalf("%+v holds no product", req)
 	}
@@ -183,10 +183,11 @@ func TestDerivedMissDeadline(t *testing.T) {
 	}
 }
 
-// TestDerivedMissServesStale: a normalized key the primary LRU evicted,
-// along with its base, answers a deadline with its stale copy while the
-// base is swept again.
-func TestDerivedMissServesStale(t *testing.T) {
+// TestDerivedMissAfterEviction: a normalized key the LRU evicted, along
+// with its base, is a plain miss again: a deadline behind a held slot is a
+// 504, and the base's second sweep and the second derivation land the bytes
+// of the first.
+func TestDerivedMissAfterEviction(t *testing.T) {
 	s := New(Options{Defaults: testDefaults(), Workers: 1, CacheSize: 1, ModelCacheSize: 2, MaxConcurrent: 1, MaxQueue: 32})
 	defer s.Close()
 	ctx := context.Background()
@@ -195,28 +196,22 @@ func TestDerivedMissServesStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := productBody(t, s, norm)
-	// The one-entry primary cache now holds a third key only.
+	// The one-entry cache now holds a third key only.
 	if _, _, err := s.ComputeCl(ctx, ClRequest{LMaxCl: 30}); err != nil {
 		t.Fatal(err)
 	}
 	release := holdSlot(t, s)
-	norm.DeadlineMS = 1
-	got, meta, err := s.ComputeCl(ctx, norm)
+	_, meta, err := s.ComputeCl(ctx, ClRequest{QCOBEMicroK: 18, DeadlineMS: 1})
 	release()
-	if err != nil || meta.Source != SourceStale {
-		t.Fatalf("source %s, err %v, want %s", meta.Source, err, SourceStale)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("1 ms deadline on an evicted derivation: source %s, err %v", meta.Source, err)
 	}
-	p, err := newProduct(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.body, want) {
-		t.Fatal("stale answer differs from the derived product")
-	}
-	// Let the base's second sweep and the derivation land before Close.
 	waitFor(t, "the background derivation", func() bool { return s.derived.Value() == 2 })
-	if st := s.Stats(); st.Timeouts != 1 || st.StaleServed != 1 || st.Sweeps != 3 {
-		t.Fatalf("timeouts %d stale %d sweeps %d, want 1, 1 and 3", st.Timeouts, st.StaleServed, st.Sweeps)
+	if got := productBody(t, s, norm); !bytes.Equal(got, want) {
+		t.Fatal("the second derivation differs from the first")
+	}
+	if st := s.Stats(); st.Timeouts != 1 || st.Sweeps != 3 {
+		t.Fatalf("timeouts %d sweeps %d, want 1 and 3", st.Timeouts, st.Sweeps)
 	}
 }
 

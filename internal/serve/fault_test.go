@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,87 +46,34 @@ func TestDeadlineColdRequest(t *testing.T) {
 	}
 }
 
-// When the primary LRU has evicted a key but the stale cache still holds the
-// last good response, a deadline expiry serves stale instead of 504.
-func TestDeadlineServesStale(t *testing.T) {
-	s := New(Options{Defaults: testDefaults(), Workers: 1, CacheSize: 1, ModelCacheSize: 2, MaxConcurrent: 2, MaxQueue: 32})
-	defer s.Close()
-	ctx := context.Background()
-
-	want, _, err := s.ComputeCl(ctx, ClRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second key through the 1-entry primary cache evicts the first; the
-	// stale cache (4x) keeps both.
-	if _, _, err := s.ComputeCl(ctx, ClRequest{LMaxCl: 30}); err != nil {
-		t.Fatal(err)
-	}
-	got, meta, err := s.ComputeCl(ctx, ClRequest{DeadlineMS: 1})
-	if err != nil {
-		t.Fatalf("stale-backed timeout returned error: %v", err)
-	}
-	if meta.Source != SourceStale {
-		t.Fatalf("source %s, want %s", meta.Source, SourceStale)
-	}
-	if len(got.Cl) != len(want.Cl) {
-		t.Fatalf("stale payload shape differs: %d vs %d", len(got.Cl), len(want.Cl))
-	}
-	for i := range want.Cl {
-		if got.Cl[i] != want.Cl[i] {
-			t.Fatalf("stale C_l[%d] = %g, want the previously computed %g", i, got.Cl[i], want.Cl[i])
-		}
-	}
-	st := s.Stats()
-	if st.Timeouts != 1 || st.StaleServed != 1 {
-		t.Fatalf("counters: timeouts %d stale %d, want 1 and 1", st.Timeouts, st.StaleServed)
-	}
-	if st.Stale.Size < 2 {
-		t.Fatalf("stale cache holds %d entries, want both keys", st.Stale.Size)
-	}
-}
-
-// ErrBusy with a stale response on hand degrades to stale too: overload
-// answers with the last known good spectrum rather than a 503.
-func TestBusyServesStale(t *testing.T) {
-	s := New(Options{Defaults: testDefaults(), Workers: 1, CacheSize: 1, ModelCacheSize: 2, MaxConcurrent: 1, MaxQueue: -1})
+// A key the LRU has evicted is a plain miss again: a deadline that expires
+// before its recompute is a 504, and the recompute lands the bytes of the
+// first sweep. A key's product never goes out of date; it is only evicted.
+func TestDeadlineEvictedKey(t *testing.T) {
+	s := New(Options{Defaults: testDefaults(), Workers: 1, CacheSize: 1, ModelCacheSize: 2, MaxConcurrent: 1, MaxQueue: 32})
 	defer s.Close()
 	ctx := context.Background()
 
 	if _, _, err := s.ComputeCl(ctx, ClRequest{}); err != nil {
 		t.Fatal(err)
 	}
-	// Evict the default key from the primary cache.
+	want := productBody(t, s, ClRequest{})
+	// A second key through the one-entry cache evicts the first.
 	if _, _, err := s.ComputeCl(ctx, ClRequest{LMaxCl: 30}); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the only compute slot with a third, distinct key.
-	slowDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.ComputeCl(ctx, ClRequest{LMaxCl: 36})
-		slowDone <- err
-	}()
-	for s.adm.Stats().Computing == 0 {
-		select {
-		case err := <-slowDone:
-			t.Fatalf("slow request finished early: %v", err)
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	release := holdSlot(t, s)
+	_, meta, err := s.ComputeCl(ctx, ClRequest{DeadlineMS: 1})
+	release()
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("1 ms deadline on an evicted key behind a held slot: source %s, err %v", meta.Source, err)
 	}
-	_, meta, err := s.ComputeCl(ctx, ClRequest{})
-	if err != nil {
-		t.Fatalf("busy service with stale on hand errored: %v", err)
+	waitFor(t, "the background recompute", func() bool { return s.Sweeps() == 3 })
+	if got := productBody(t, s, ClRequest{}); !bytes.Equal(got, want) {
+		t.Fatal("the recompute of an evicted key differs from its first sweep")
 	}
-	if meta.Source != SourceStale {
-		t.Fatalf("source %s, want %s", meta.Source, SourceStale)
-	}
-	if err := <-slowDone; err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Rejected != 1 || st.StaleServed != 1 {
-		t.Fatalf("counters: rejected %d stale %d, want 1 and 1", st.Rejected, st.StaleServed)
+	if st := s.Stats(); st.Timeouts != 1 {
+		t.Fatalf("timeouts %d, want 1", st.Timeouts)
 	}
 }
 
@@ -155,7 +103,7 @@ func TestDeadlineValidation(t *testing.T) {
 	}
 }
 
-// The HTTP layer: an expired deadline with no stale fallback is 504 with
+// The HTTP layer: an expired deadline is 504 with
 // Retry-After (the sweep is filling the cache); a negative deadline is 400;
 // the fault counters surface in /v1/stats.
 func TestHTTPDeadline(t *testing.T) {

@@ -26,13 +26,13 @@ import (
 // plus the fleet peer protocol (/v1/peer/cl, /v1/peer/pk, /v1/peer/offer,
 // /v1/peer/ping — see peer.go).
 //
-// Responses carry the cache key, the source (cache/compute/coalesced/stale)
+// Responses carry the cache key, the source (cache/compute/coalesced/peer)
 // and the serving latency alongside the science payload; the same metadata
 // is mirrored in the X-Plinger-Source header, and a request that led a cold
 // computation additionally carries its sweep trace id in X-Plinger-Trace.
 // Overload returns 503, bad requests 400 with the facade's validation
 // message, a body over 1 MiB 413, and a request whose deadline_ms expires
-// with no stale response available returns 504. Every request is logged
+// before its product is in the cache returns 504. Every request is logged
 // through Options.Logger with a per-request id; requests slower than
 // Options.SlowRequest get an extra warning line carrying the trace id.
 func (s *Service) Handler() http.Handler {

@@ -189,6 +189,42 @@ func TestHTTPClBelowQuadrupole(t *testing.T) {
 	}
 }
 
+// TestHTTPWireBoundKeepsServing: a grid size whose make() would panic is a
+// 400 naming the field, with a deadline (whose wait runs the flight on a
+// goroutine of its own) or without (where the flight would hold its key
+// forever), and the daemon serves the request after it.
+func TestHTTPWireBoundKeepsServing(t *testing.T) {
+	s := testService()
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, c := range [][2]string{
+		{"/v1/cl", `{"nk": ` + hugeInt + `, "deadline_ms": 1000}`},
+		{"/v1/cl", `{"nk": ` + hugeInt + `}`},
+		{"/v1/cl", `{"lmax_cl": ` + hugeInt + `}`},
+		{"/v1/pk", `{"nk": ` + hugeInt + `, "deadline_ms": 1000}`},
+		{"/v1/cl", `{"qcobe_uk": 1e25}`},
+	} {
+		resp, err := srv.Client().Post(srv.URL+c[0], "application/json", strings.NewReader(c[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, " is outside ") {
+			t.Fatalf("%s %s: status %d, error %q, want a 400 naming the bound", c[0], c[1], resp.StatusCode, e.Error)
+		}
+	}
+	if n := s.flights.InFlight(); n != 0 {
+		t.Fatalf("%d flights left in the group", n)
+	}
+	resp, env := postJSON(t, srv.Client(), srv.URL+"/v1/cl", `{}`)
+	if resp.StatusCode != http.StatusOK || env.Source != SourceCompute {
+		t.Fatalf("request after the refused ones: status %d, source %q", resp.StatusCode, env.Source)
+	}
+}
+
 // TestHTTPConcurrentIdenticalRequests is the end-to-end coalescing check:
 // concurrent identical cold HTTP requests produce one sweep.
 func TestHTTPConcurrentIdenticalRequests(t *testing.T) {

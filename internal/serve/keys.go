@@ -9,7 +9,8 @@
 //
 //   - keys.go — canonical parameter quantization: physically equal requests
 //     map to one stable cache key, across processes and restarts;
-//   - cache.go — a small LRU over computed responses;
+//   - cache.go — the one LRU over computed responses (a key's product
+//     never goes out of date, so it leaves only by eviction);
 //   - coalesce.go — singleflight request coalescing, so N concurrent
 //     identical cold requests cost one sweep;
 //   - queue.go — bounded admission, so overload degrades to fast 503s
@@ -65,8 +66,48 @@ const (
 
 // qfix quantizes x onto multiples of step, returning the integer count —
 // the canonical representation, immune to float formatting differences.
+// It is exact for |x/step| <= maxQuanta, which the wire Validates enforce.
 func qfix(x, step float64) int64 {
 	return int64(math.Round(x / step))
+}
+
+// maxQuanta bounds |x/step| of every quantized wire value: up to 2^53 the
+// quotient rounds to the exact count qfix keys on, while past 2^63 its
+// int64 conversion saturates and every larger value would share one key.
+const maxQuanta = 1 << 53
+
+// Grid ceilings of the wire. A sweep allocates its grids up front, so
+// without them one POST of nk 2^62 panics in make() on the flight's
+// goroutine and kills the daemon, and nk 1e9 holds a compute slot for
+// hours. They admit the paper's converged request (lmax_cl 3000, nk 3200)
+// with headroom.
+const maxWireLMaxCl, maxWireNK = 5000, 10000
+
+// quantum is one quantized cosmology field and its key step.
+type quantum struct {
+	name string
+	v    *float64
+	step float64
+}
+
+// quanta are c's quantized cosmology fields.
+func quanta(c *plinger.Config) [9]quantum {
+	return [9]quantum{{"H", &c.H, stepH}, {"OmegaC", &c.OmegaC, stepOmega},
+		{"OmegaB", &c.OmegaB, stepOmega}, {"OmegaLambda", &c.OmegaLambda, stepOmega},
+		{"TCMB", &c.TCMB, stepTCMB}, {"YHe", &c.YHe, stepYHe}, {"NNuMassless", &c.NNuMassless, stepNNu},
+		{"MNuEV", &c.MNuEV, stepMNu}, {"SpectralIndex", &c.SpectralIndex, stepIndex}}
+}
+
+// checkConfig refuses a config field (nil: none) past maxQuanta.
+func checkConfig(c *plinger.Config) error {
+	if c != nil {
+		for _, q := range quanta(c) {
+			if math.Abs(*q.v/q.step) > maxQuanta {
+				return fmt.Errorf("serve: config.%s = %g is outside the cache key's range ±%g", q.name, *q.v, maxQuanta*q.step)
+			}
+		}
+	}
+	return nil
 }
 
 // qln canonicalizes a positive scale-free quantity (wavenumber, amplitude)
@@ -87,15 +128,10 @@ func qln(x float64) int64 {
 // no grid point).
 func servedConfig(c plinger.Config) plinger.Config {
 	d := plinger.SCDM()
-	c.H = dequantize(c.H, d.H, stepH)
-	c.OmegaC = dequantize(c.OmegaC, d.OmegaC, stepOmega)
-	c.OmegaB = dequantize(c.OmegaB, d.OmegaB, stepOmega)
-	c.OmegaLambda = dequantize(c.OmegaLambda, d.OmegaLambda, stepOmega)
-	c.TCMB = dequantize(c.TCMB, d.TCMB, stepTCMB)
-	c.YHe = dequantize(c.YHe, d.YHe, stepYHe)
-	c.NNuMassless = dequantize(c.NNuMassless, d.NNuMassless, stepNNu)
-	c.MNuEV = dequantize(c.MNuEV, d.MNuEV, stepMNu)
-	c.SpectralIndex = dequantize(c.SpectralIndex, d.SpectralIndex, stepIndex)
+	def := quanta(&d)
+	for i, q := range quanta(&c) {
+		*q.v = dequantize(*q.v, *def[i].v, q.step)
+	}
 	return c
 }
 
@@ -199,10 +235,10 @@ type ClRequest struct {
 	// a request of its own.
 	QCOBEMicroK float64 `json:"qcobe_uk,omitempty"`
 	// DeadlineMS, when positive, bounds this request's wait in
-	// milliseconds: past it the service answers with a stale cached
-	// response if one exists, else 504 — while the computation continues
-	// and fills the cache for the next caller. An execution knob like
-	// workers or transport, it never enters the cache key.
+	// milliseconds: past it the service answers 504 while the computation
+	// continues and fills the cache for the next caller. A key already in
+	// the cache is a hit and never waits. An execution knob like workers or
+	// transport, it never enters the cache key.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// PeerHop marks a request forwarded by another fleet member (the peer
 	// client sets it to 1); peer endpoints never re-forward it, so a
@@ -215,20 +251,21 @@ type ClRequest struct {
 // Validate rejects wire values the resolve step would otherwise silently
 // clamp to defaults: negatives everywhere, and a positive COBE quadrupole
 // too small for the key quantum (it would key like "no normalization"
-// while normalizing). The facade validates the resolved options again;
-// this layer only guards the zero-means-default wire convention.
+// while normalizing). It also refuses a grid above its ceiling and a
+// quantized value the key cannot hold. The facade validates the resolved
+// options again.
 func (r ClRequest) Validate() error {
-	if r.LMaxCl < 0 {
-		return fmt.Errorf("serve: lmax_cl = %d is negative (0 or omitted selects the default)", r.LMaxCl)
+	if r.LMaxCl < 0 || r.LMaxCl > maxWireLMaxCl {
+		return fmt.Errorf("serve: lmax_cl = %d is outside [0, %d] (0 or omitted selects the default)", r.LMaxCl, maxWireLMaxCl)
 	}
-	if r.NK < 0 {
-		return fmt.Errorf("serve: nk = %d is negative (0 or omitted selects the default)", r.NK)
+	if r.NK < 0 || r.NK > maxWireNK {
+		return fmt.Errorf("serve: nk = %d is outside [0, %d] (0 or omitted selects the default)", r.NK, maxWireNK)
 	}
 	if r.KRefine < 0 {
 		return fmt.Errorf("serve: krefine = %d is negative (0 or omitted selects the default)", r.KRefine)
 	}
-	if r.QCOBEMicroK < 0 {
-		return fmt.Errorf("serve: qcobe_uk = %g is negative (0 or omitted skips normalization)", r.QCOBEMicroK)
+	if r.QCOBEMicroK < 0 || r.QCOBEMicroK > maxQuanta*stepQCOBE {
+		return fmt.Errorf("serve: qcobe_uk = %g is outside [0, %g] (0 or omitted skips normalization)", r.QCOBEMicroK, maxQuanta*stepQCOBE)
 	}
 	if r.QCOBEMicroK > 0 && r.QCOBEMicroK < stepQCOBE {
 		return fmt.Errorf("serve: qcobe_uk = %g is below the %g microkelvin key quantum", r.QCOBEMicroK, stepQCOBE)
@@ -239,7 +276,7 @@ func (r ClRequest) Validate() error {
 	if r.PeerHop < 0 || r.PeerHop > 1 {
 		return fmt.Errorf("serve: peer_hop = %d is invalid (only the peer client sets it, to 1)", r.PeerHop)
 	}
-	return nil
+	return checkConfig(r.Config)
 }
 
 // resolve fills service defaults into a copy of the request, so physically
@@ -324,8 +361,8 @@ func (r PkRequest) Validate() error {
 	if r.KMax < 0 {
 		return fmt.Errorf("serve: kmax = %g is negative (0 or omitted selects the default)", r.KMax)
 	}
-	if r.NK < 0 {
-		return fmt.Errorf("serve: nk = %d is negative (0 or omitted selects the default)", r.NK)
+	if r.NK < 0 || r.NK > maxWireNK {
+		return fmt.Errorf("serve: nk = %d is outside [0, %d] (0 or omitted selects the default)", r.NK, maxWireNK)
 	}
 	if r.Amp < 0 {
 		return fmt.Errorf("serve: amp = %g is negative (0 or omitted means unit amplitude)", r.Amp)
@@ -336,7 +373,7 @@ func (r PkRequest) Validate() error {
 	if r.PeerHop < 0 || r.PeerHop > 1 {
 		return fmt.Errorf("serve: peer_hop = %d is invalid (only the peer client sets it, to 1)", r.PeerHop)
 	}
-	return nil
+	return checkConfig(r.Config)
 }
 
 // resolve is the PkRequest analogue of ClRequest.resolve.

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"plinger"
@@ -208,6 +212,65 @@ func TestKeyIndependentOfDefaultsWhenExplicit(t *testing.T) {
 	}
 }
 
+// hugeInt is 2^62 on 64-bit hosts: a grid size whose make() panics.
+var hugeInt = strconv.Itoa(math.MaxInt/2 + 1)
+
+// checkWireBounds decodes each body as an R and requires Validate to refuse
+// it with an error naming field, or to accept it when field is "".
+func checkWireBounds[R interface{ Validate() error }](t *testing.T, rows [][2]string) {
+	t.Helper()
+	for _, row := range rows {
+		body, field := row[0], row[1]
+		var r R
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		err := r.Validate()
+		switch {
+		case field == "" && err != nil:
+			t.Errorf("%s refused: %v", body, err)
+		case field != "" && err == nil:
+			t.Errorf("%s validated, want a refusal naming %s", body, field)
+		case field != "" && !strings.Contains(err.Error(), " "+field+" = "):
+			t.Errorf("%s: error %q does not name %s", body, err, field)
+		}
+	}
+}
+
+// TestClWireBounds: /v1/cl refuses a grid above its ceiling and a quantized
+// value past the key's exact range, naming the field, and admits the
+// paper's converged request.
+func TestClWireBounds(t *testing.T) {
+	q := maxQuanta * stepQCOBE
+	checkWireBounds[ClRequest](t, [][2]string{
+		{`{"lmax_cl": 3000, "nk": 3200}`, ""},
+		{fmt.Sprintf(`{"lmax_cl": %d, "nk": %d}`, maxWireLMaxCl, maxWireNK), ""},
+		{fmt.Sprintf(`{"qcobe_uk": %g}`, q), ""},
+		{`{"config": {"H": 0.55, "OmegaC": 0.95}, "qcobe_uk": 18}`, ""},
+		{`{"nk": ` + hugeInt + `, "deadline_ms": 1000}`, "nk"},
+		{`{"lmax_cl": ` + hugeInt + `}`, "lmax_cl"},
+		{fmt.Sprintf(`{"nk": %d}`, maxWireNK+1), "nk"},
+		{fmt.Sprintf(`{"lmax_cl": %d}`, maxWireLMaxCl+1), "lmax_cl"},
+		{`{"qcobe_uk": 1e25}`, "qcobe_uk"},
+		{fmt.Sprintf(`{"qcobe_uk": %g}`, 1.001*q), "qcobe_uk"},
+		{`{"config": {"H": 1e20}}`, "config.H"},
+		{`{"config": {"OmegaC": -1e12}}`, "config.OmegaC"},
+		{`{"config": {"SpectralIndex": 1e300}}`, "config.SpectralIndex"},
+	})
+}
+
+// TestPkWireBounds is TestClWireBounds for /v1/pk.
+func TestPkWireBounds(t *testing.T) {
+	checkWireBounds[PkRequest](t, [][2]string{
+		{`{"nk": 3200, "kmin": 1e-5, "kmax": 10}`, ""},
+		{fmt.Sprintf(`{"nk": %d}`, maxWireNK), ""},
+		{`{"nk": ` + hugeInt + `}`, "nk"},
+		{fmt.Sprintf(`{"nk": %d}`, maxWireNK+1), "nk"},
+		{`{"config": {"H": 1e20}}`, "config.H"},
+		{`{"config": {"YHe": 1e12}}`, "config.YHe"},
+	})
+}
+
 // FuzzRequestKey runs request JSON through the handlers' path — decode,
 // Validate, Key — and requires the key to survive re-encoding: the decoded
 // request encoded and decoded again, and the resolved request a forward
@@ -219,6 +282,9 @@ func FuzzRequestKey(f *testing.F) {
 	f.Add(`{"exact": true, "krefine": 3, "deadline_ms": 5, "peer_hop": 1}`)
 	f.Add(`{"kmin": 1e-4, "kmax": 2, "nk": 12, "amp": 2e-9}`)
 	f.Add(`{"config": {"OmegaC": 1e308, "NNuMassive": -3}, "kmin": 5e-324}`)
+	f.Add(`{"qcobe_uk": 1e25}`)
+	f.Add(`{"nk": 4611686018427387904}`)
+	f.Add(`{"config": {"H": 1e20}}`)
 	d := DefaultDefaults()
 	f.Fuzz(func(t *testing.T, body string) {
 		fuzzKey[ClRequest](t, body, func(r ClRequest) (string, any, error) {

@@ -262,7 +262,7 @@ func TestStatsGoldenFields(t *testing.T) {
 		"avg_hit_ms", "avg_miss_ms", "bessel_tables", "cache", "coalesced",
 		"defaults", "errors", "hits", "in_flight_keys", "latency_cl",
 		"latency_pk", "misses", "models", "queue", "rejected", "requests",
-		"stale", "stale_served", "sweeps", "timeouts", "traces",
+		"sweeps", "timeouts", "traces",
 		"uptime_seconds", "workers",
 	}
 	got := make([]string, 0, len(m))

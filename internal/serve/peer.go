@@ -25,9 +25,7 @@ import (
 //
 //  1. owner answers inside the hedge window        -> source "peer"
 //  2. owner slow: race forward vs local compute    -> first success wins
-//  3. forward fails (dead, open breaker, timeout):
-//     stale copy on hand                           -> source "stale", instantly
-//     otherwise                                    -> local compute
+//  3. forward fails (dead, open breaker, timeout)  -> local compute
 //
 // Degraded responses are pushed back to the owner asynchronously (Offer)
 // so the ring's canonical copy lands where future requests will look for
@@ -78,7 +76,7 @@ func (r *PkResponse) lens() []int { return []int{len(r.K), len(r.T), len(r.P)} }
 
 // peerServe routes one cache miss through the fleet. handled=false means
 // this node owns the key and the ordinary local path should run. The
-// leader-only flightOut fields (src, peer, traceID) are written here —
+// leader-only flightOut fields (peer, traceID) are written here —
 // never from the hedge goroutines.
 func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, runLocal func() outcome, out *flightOut) (*product, error, bool) {
 	owner, remote := s.cluster.Owner(key)
@@ -93,10 +91,8 @@ func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, r
 		// this key is an ordinary cache hit — the cross-node hit becomes a
 		// zero-hop hit from here on.
 		s.peerServed.Inc()
-		out.src = SourcePeer
 		out.peer = owner
 		s.cache.Add(key, p)
-		s.stale.Add(key, p)
 		return p, nil, true
 	case lr != nil:
 		// A hedged local run settled and was adopted (the forward was slow
@@ -108,17 +104,10 @@ func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, r
 		return lr.p, lr.err, true
 	}
 	// The forward failed fast — dead member, open breaker, exhausted
-	// retries — and nothing ran locally yet. Degrade, cheapest first: a
-	// stale copy on hand answers immediately (responses are deterministic,
-	// so stale is bitwise-identical to fresh), only then pay a sweep.
+	// retries — and nothing ran locally yet: run it here and offer the
+	// result back to the owner.
 	s.localFallback.Inc()
 	s.logger.Warn("peer fetch failed; degrading to local", "peer", owner, "key", key, "err", ferr)
-	if sv, ok := s.stale.Get(key); ok {
-		s.staleServed.Inc()
-		out.src = SourceStale
-		s.offerAsync(owner, fwd, key, sv)
-		return sv, nil, true
-	}
 	lres := runLocal()
 	out.traceID = lres.trace
 	if lres.err == nil {
@@ -258,7 +247,6 @@ func (s *Service) peerRoutes(mux *http.ServeMux) {
 			return
 		}
 		s.cache.Add(off.Key, p)
-		s.stale.Add(off.Key, p)
 		s.offersAccepted.Inc()
 		writeJSON(w, http.StatusOK, map[string]any{"accepted": true})
 	})

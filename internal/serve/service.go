@@ -64,11 +64,11 @@ type Options struct {
 	// Cluster, when non-nil, shards the response cache across a replica
 	// fleet: every cache key has one owner in the peer ring, a miss whose
 	// key another member owns is fetched over the peer protocol, and any
-	// peer failure degrades to stale-or-local serving (see internal/cluster
-	// and peer.go). Attached, not owned: the daemon that built the peering
+	// peer failure degrades to local serving (see internal/cluster and
+	// peer.go). Attached, not owned: the daemon that built the peering
 	// closes it.
 	Cluster *cluster.Peering
-	// CacheSize bounds the response LRU in entries (<= 0: 256).
+	// CacheSize bounds the response LRU in entries (<= 0: 1024).
 	CacheSize int
 	// ModelCacheSize bounds the model registry (<= 0: 4).
 	ModelCacheSize int
@@ -77,12 +77,6 @@ type Options struct {
 	// MaxQueue bounds requests waiting for a compute slot; beyond it the
 	// service answers ErrBusy/503 (< 0: 0; 0 picks 64).
 	MaxQueue int
-	// StaleCacheSize bounds the stale-response LRU (<= 0: 4x CacheSize).
-	// The stale cache is a larger, second-chance copy of every computed
-	// response: when a recompute fails or blows a request deadline and the
-	// primary LRU has already evicted the entry, the service can still
-	// answer with the last known good response instead of an error.
-	StaleCacheSize int
 	// Logger receives structured serving logs (one line per HTTP request,
 	// slow-request warnings). Nil disables logging.
 	Logger *slog.Logger
@@ -102,7 +96,7 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.CacheSize <= 0 {
-		o.CacheSize = 256
+		o.CacheSize = 1024
 	}
 	if o.ModelCacheSize <= 0 {
 		o.ModelCacheSize = 4
@@ -112,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxQueue == 0 {
 		o.MaxQueue = 64
-	}
-	if o.StaleCacheSize <= 0 {
-		o.StaleCacheSize = 4 * o.CacheSize
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -126,7 +117,7 @@ func (o Options) withDefaults() Options {
 }
 
 // ErrDeadline is returned when a request's compute deadline expires before
-// the sweep finishes and no stale response is available. The computation
+// the sweep finishes. The computation
 // itself keeps running and fills the cache for the next caller; handlers
 // map the error to 504.
 var ErrDeadline = errors.New("serve: compute deadline exceeded")
@@ -137,7 +128,6 @@ var ErrDeadline = errors.New("serve: compute deadline exceeded")
 type Service struct {
 	opts    Options
 	cache   *lru
-	stale   *lru
 	models  *modelCache
 	pool    *dispatch.SharedPool // nil when sweeps run on a farm
 	flights flightGroup
@@ -163,8 +153,7 @@ type Service struct {
 	sweeps    *obs.Counter
 	derived   *obs.Counter
 
-	timeouts    *obs.Counter
-	staleServed *obs.Counter
+	timeouts *obs.Counter
 
 	// Fleet-side counters (see peer.go); registered even without a
 	// cluster so the metric names are stable across deployments.
@@ -189,7 +178,6 @@ func New(opts Options) *Service {
 	s := &Service{
 		opts:    o,
 		cache:   newLRU(o.CacheSize),
-		stale:   newLRU(o.StaleCacheSize),
 		adm:     newAdmission(o.MaxConcurrent, o.MaxQueue),
 		cluster: o.Cluster,
 		started: time.Now(),
@@ -217,11 +205,10 @@ func New(opts Options) *Service {
 	s.sweeps = r.Counter("plinger_serve_sweeps_total", "", "spectrum sweeps completed (derived products run none)")
 	s.derived = r.Counter("plinger_serve_derived_total", "", "normalized C_l products rescaled from their base product instead of swept")
 	s.timeouts = r.Counter("plinger_serve_timeouts_total", "", "requests whose deadline expired before the sweep finished")
-	s.staleServed = r.Counter("plinger_serve_stale_served_total", "", "responses answered from the stale cache")
 	s.peerRequests = r.Counter("plinger_cluster_peer_requests_total", "", "cache misses whose key a remote peer owns")
 	s.peerServed = r.Counter("plinger_cluster_peer_served_total", "", "requests answered by a peer forward")
 	s.hedged = r.Counter("plinger_cluster_hedged_total", "", "slow peer forwards raced against a local compute")
-	s.localFallback = r.Counter("plinger_cluster_local_fallback_total", "", "peer failures degraded to stale or local serving")
+	s.localFallback = r.Counter("plinger_cluster_local_fallback_total", "", "peer failures degraded to local serving")
 	s.offersAccepted = r.Counter("plinger_cluster_offers_accepted_total", "", "peer back-fill offers cached on this node")
 	s.cl = newKind(r, "cl", decodeResult[ClResponse])
 	s.pk = newKind(r, "pk", decodeResult[PkResponse])
@@ -231,8 +218,6 @@ func New(opts Options) *Service {
 		func() float64 { return time.Since(s.started).Seconds() })
 	r.GaugeFunc("plinger_serve_cache_entries", `cache="primary"`, "entries in the response LRU",
 		func() float64 { return float64(s.cache.Stats().Size) })
-	r.GaugeFunc("plinger_serve_cache_entries", `cache="stale"`, "entries in the stale LRU",
-		func() float64 { return float64(s.stale.Stats().Size) })
 	r.GaugeFunc("plinger_serve_queue_computing", "", "sweeps currently holding a compute slot",
 		func() float64 { return float64(s.adm.Stats().Computing) })
 	r.GaugeFunc("plinger_serve_queue_waiting", "", "requests waiting for a compute slot",
@@ -267,7 +252,6 @@ const (
 	SourceCache     Source = "cache"     // LRU hit, no computation
 	SourceCompute   Source = "compute"   // this request ran the sweep
 	SourceCoalesced Source = "coalesced" // attached to another request's sweep
-	SourceStale     Source = "stale"     // last known good response, after a failed or timed-out recompute
 	SourcePeer      Source = "peer"      // fetched from the key's owning fleet peer
 )
 
@@ -303,28 +287,26 @@ type PkResponse struct {
 }
 
 // flightOut is one caller's view of a flight: the shared product and
-// error, plus leader-only routing facts (trace id, peer/stale
-// short-circuits). Coalesced followers see only p/err — the leader's
-// closure writes the rest into its own runFlight frame.
+// error, plus leader-only routing facts (trace id, answering peer).
+// Coalesced followers see only p/err — the leader's closure writes the rest
+// into its own runFlight frame.
 type flightOut struct {
 	p              *product
 	err            error
 	coalesced      bool
 	leaderCacheHit bool
 	traceID        string
-	src            Source // leader override: SourcePeer or SourceStale
-	peer           string // owning member when src is SourcePeer
+	peer           string // owning member, when a peer answered
 }
 
 // lookup is the shared serve path: cache, then coalesced + admitted compute.
 // A positive deadline bounds only this request's WAIT: the sweep itself runs
 // to completion in the background and fills the cache, so a timed-out
-// request warms the next one. On a timeout — or a failed recompute — the
-// stale LRU answers with the last known good response when it has one.
+// request warms the next one.
 //
 // A non-nil fwd engages the sharded fleet (peer.go): a miss whose key a
 // remote peer owns is fetched from the owner instead of swept locally,
-// degrading to stale-or-local on any peer failure.
+// degrading to a local compute on any peer failure.
 func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) (*product, Meta, error) {
 	s.requests.Inc()
 	start := time.Now()
@@ -348,11 +330,6 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 		case <-timer.C:
 			meta.Elapsed = time.Since(start)
 			s.timeouts.Inc()
-			if p, ok := s.stale.Get(key); ok {
-				s.staleServed.Inc()
-				meta.Source = SourceStale
-				return p, meta, nil
-			}
 			meta.Source = SourceCompute
 			return nil, meta, ErrDeadline
 		}
@@ -369,10 +346,10 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 	case err != nil:
 		s.errCount.Inc()
 		meta.Source = SourceCompute
-	case out.src != "":
-		// Peer forward or degraded stale short-circuit: the leader already
-		// counted it (peer.go); hit/miss timing stays local-only.
-		meta.Source = out.src
+	case out.peer != "":
+		// Peer forward: the leader already counted it (peer.go); hit/miss
+		// timing stays local-only.
+		meta.Source = SourcePeer
 		meta.Peer = out.peer
 	case out.coalesced:
 		s.coalesced.Inc()
@@ -385,15 +362,6 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 		s.misses.Inc()
 		meta.Source = SourceCompute
 		s.missNs.Add(meta.Elapsed.Nanoseconds())
-	}
-	if err != nil {
-		// Failed recompute with a last known good response on hand: serve
-		// stale rather than erroring (the failure is still counted above).
-		if sv, ok := s.stale.Get(key); ok {
-			s.staleServed.Inc()
-			meta.Source = SourceStale
-			return sv, meta, nil
-		}
 	}
 	return p, meta, err
 }
@@ -455,9 +423,9 @@ func (s *Service) runLocal(ctx context.Context, k *kind, j job) outcome {
 	if err != nil {
 		return outcome{err: err, trace: tr.ID()}
 	}
-	done.Inc()
+	// Counted once cached, so a caller that sees the count finds the product.
 	s.cache.Add(j.key, p)
-	s.stale.Add(j.key, p)
+	done.Inc()
 	return outcome{p: p, trace: tr.ID()}
 }
 
@@ -718,15 +686,12 @@ type Stats struct {
 	Errors        uint64  `json:"errors"`
 	Sweeps        uint64  `json:"sweeps"`
 	// Timeouts counts requests whose deadline expired before the sweep
-	// finished; StaleServed counts responses answered from the stale LRU
-	// after a timeout or a failed recompute.
+	// finished.
 	Timeouts     uint64     `json:"timeouts"`
-	StaleServed  uint64     `json:"stale_served"`
 	AvgHitMS     float64    `json:"avg_hit_ms"`
 	AvgMissMS    float64    `json:"avg_miss_ms"`
 	InFlightKeys int        `json:"in_flight_keys"`
 	Cache        CacheStats `json:"cache"`
-	Stale        CacheStats `json:"stale"`
 	Models       ModelStats `json:"models"`
 	Queue        QueueStats `json:"queue"`
 	Defaults     Defaults   `json:"defaults"`
@@ -799,10 +764,8 @@ func (s *Service) Stats() Stats {
 		Errors:        s.errCount.Value(),
 		Sweeps:        s.sweeps.Value(),
 		Timeouts:      s.timeouts.Value(),
-		StaleServed:   s.staleServed.Value(),
 		InFlightKeys:  s.flights.InFlight(),
 		Cache:         s.cache.Stats(),
-		Stale:         s.stale.Stats(),
 		Models:        s.models.Stats(),
 		Queue:         s.adm.Stats(),
 		Defaults:      s.opts.Defaults,

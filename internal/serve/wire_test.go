@@ -52,8 +52,7 @@ func checkLegacyBytes(t *testing.T, s *Service, got []byte, want Source) wireEnv
 	if head.Source != want {
 		t.Fatalf("source %q, want %q", head.Source, want)
 	}
-	// The stale LRU holds every product the primary does, and more.
-	p, ok := s.stale.Get(head.Key)
+	p, ok := s.cache.Get(head.Key)
 	if !ok {
 		t.Fatalf("key %s holds no product", head.Key)
 	}
@@ -82,7 +81,7 @@ func resultPart(t *testing.T, body []byte) []byte {
 // /v1/cl and /v1/pk through Handler(), with a trace id, with a peer, and
 // with a key and a peer that need JSON escaping.
 func TestResponseBytesUnchanged(t *testing.T) {
-	s := New(Options{Defaults: testDefaults(), Workers: 1, CacheSize: 1, ModelCacheSize: 2, MaxConcurrent: 1, MaxQueue: 32})
+	s := New(Options{Defaults: testDefaults(), Workers: 1, ModelCacheSize: 2, MaxConcurrent: 1, MaxQueue: 32})
 	defer s.Close()
 	h := s.Handler()
 
@@ -145,23 +144,6 @@ func TestResponseBytesUnchanged(t *testing.T) {
 	checkLegacyBytes(t, s, bodies[SourceCompute], SourceCompute)
 	checkLegacyBytes(t, s, bodies[SourceCoalesced], SourceCoalesced)
 
-	// stale: the one-entry primary cache has evicted the default key, and
-	// with the compute slot held again its recompute cannot beat a 1 ms
-	// deadline.
-	if err := s.adm.acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sweeps := s.Sweeps()
-	stale := serveRecorded(h, "/v1/cl", `{"deadline_ms": 1}`).Body.Bytes()
-	s.adm.release()
-	checkLegacyBytes(t, s, stale, SourceStale)
-	if !bytes.Equal(resultPart(t, stale), resultPart(t, miss)) {
-		t.Fatal("a stale answer's result bytes differ from the miss's")
-	}
-	for s.Sweeps() == sweeps {
-		time.Sleep(time.Millisecond) // let the background recompute land before Close
-	}
-
 	// peer: a key the first node of a fleet does not own.
 	nodes := newFleet(t, 2, nil, nil)
 	body, _ := remoteOwnedBody(t, nodes[0], nil)
@@ -181,7 +163,7 @@ func TestResponseBytesUnchanged(t *testing.T) {
 	// A key and a peer that need escaping (HTML-sensitive characters, a
 	// quote, U+2028) cannot come from key derivation or a listen address,
 	// so they go straight to the writer every handler shares.
-	p, _ := s.stale.Get(coldKey)
+	p, _ := s.cache.Get(coldKey)
 	meta := Meta{
 		Key: "cl:\"<&>\u2028\\", Source: SourcePeer, Elapsed: 1234567 * time.Nanosecond,
 		Trace: "sw-<000001>", Peer: "http://owner/?a=1&b=<2>",
