@@ -92,8 +92,9 @@ test-cluster:
 # master's fixed-world join, the farm's registration and read loop), the
 # master's decoders of a worker's result blocks, the daemon's back-fill
 # handler (/v1/peer/offer), its reader of a peer's forwarded answer (both
-# products' decoders) and its request keys (JSON, Validate, Key, stable
-# under re-encoding), and the SSE2 kernels of
+# products' decoders), its request keys (JSON, Validate, Key, stable
+# under re-encoding) and its hits by body alias (a body sent twice gets one
+# answer), and the SSE2 kernels of
 # internal/ode, internal/core and internal/specfunc (the projection's row
 # pairs) against their Go loops. Plain `go test` replays their seed corpora
 # (testdata/fuzz, the crashers found so far among them); a new crasher lands
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerOffer$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerEnvelope$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzHitAlias$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/ode/
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumPairs$$' -fuzztime 10s ./internal/specfunc/

@@ -71,6 +71,11 @@ func main() {
 		fastev    = flag.Bool("fastevolve", false, "fast evolution engine: growing hierarchy truncation + flattened tau-tables + PI step control")
 	)
 	flag.Parse()
+	// The facade's grid ceiling: a larger grid or hierarchy fails in make().
+	const maxGrid = 1 << 16
+	if *nk < 1 || *nk > maxGrid || *lmax < 0 || *lmax > maxGrid {
+		log.Fatalf("-nk %d must lie in [1, %d] and -lmax %d in [0, %d]", *nk, maxGrid, *lmax, maxGrid)
+	}
 
 	model, err := core.Build(cosmology.SCDM())
 	if err != nil {

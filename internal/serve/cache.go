@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -31,26 +32,39 @@ func newProduct(v any) (*product, error) {
 // names a deterministic product of its resolved request, so an entry is
 // never out of date: it leaves only by eviction. The counters feed
 // /v1/stats.
+//
+// An entry also holds at most one alias: the digest of a request body that
+// was served as a valid request of its key (see computeRoute). A later
+// identical body is a hit found by GetAlias alone, counted like a hit of
+// Get, with no decode and no key derivation. An alias leaves with its
+// entry, so the alias index never outgrows the capacity.
 type lru struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recent
 	m         map[string]*list.Element
+	aliases   map[digest]*list.Element
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
+// digest is a SHA-256 over a product name and a request body.
+type digest [sha256.Size]byte
+
 type lruEntry struct {
-	key string
-	val *product
+	key     string
+	val     *product
+	alias   digest
+	aliased bool
 }
 
 func newLRU(capacity int) *lru {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lru{capacity: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+	return &lru{capacity: capacity, ll: list.New(), m: make(map[string]*list.Element),
+		aliases: make(map[digest]*list.Element)}
 }
 
 // Get returns the cached product and promotes it.
@@ -66,8 +80,40 @@ func (c *lru) Get(key string) (*product, bool) {
 	return nil, false
 }
 
-// Add inserts (or refreshes) a product, evicting the least recent entry when
-// over capacity.
+// GetAlias returns the key and product of the entry whose alias is d and
+// promotes it, counting a hit. A miss counts nothing: the caller goes on
+// to derive the key and Get it, which counts.
+func (c *lru) GetAlias(d digest) (string, *product, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.aliases[d]; ok {
+		c.ll.MoveToFront(e)
+		c.hits++
+		ent := e.Value.(*lruEntry)
+		return ent.key, ent.val, true
+	}
+	return "", nil, false
+}
+
+// Alias makes d the alias of key's entry, replacing the one it held. A key
+// no longer resident gets none.
+func (c *lru) Alias(key string, d digest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok {
+		return
+	}
+	ent := e.Value.(*lruEntry)
+	if ent.aliased {
+		delete(c.aliases, ent.alias)
+	}
+	ent.alias, ent.aliased = d, true
+	c.aliases[d] = e
+}
+
+// Add inserts (or refreshes) a product, evicting the least recent entry,
+// and its alias, when over capacity.
 func (c *lru) Add(key string, val *product) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,7 +126,11 @@ func (c *lru) Add(key string, val *product) {
 	for c.ll.Len() > c.capacity {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.m, last.Value.(*lruEntry).key)
+		ent := last.Value.(*lruEntry)
+		delete(c.m, ent.key)
+		if ent.aliased {
+			delete(c.aliases, ent.alias)
+		}
 		c.evictions++
 	}
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // flightGroup is request coalescing (the singleflight pattern): while one
 // goroutine computes the value for a key, every other goroutine asking for
@@ -20,7 +23,8 @@ type flightCall struct {
 
 // Do runs fn once per key at a time. The leader executes fn; followers
 // block until it finishes and receive the same value and error. coalesced
-// is true for followers.
+// is true for followers. A panic in fn is the error of the leader and of
+// every follower, and leaves the key free for the next Do to run fn again.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error, coalesced bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -36,13 +40,23 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	c.val, c.err = call(key, fn)
 
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(c.done)
 	return c.val, c.err, false
+}
+
+// call runs fn, turning a panic into an error.
+func call(key string, fn func() (any, error)) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("computing %s panicked: %v", key, r)
+		}
+	}()
+	return fn()
 }
 
 // InFlight returns the number of keys currently being computed.

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"plinger/internal/obs"
 )
@@ -26,6 +30,9 @@ import (
 // plus the fleet peer protocol (/v1/peer/cl, /v1/peer/pk, /v1/peer/offer,
 // /v1/peer/ping — see peer.go).
 //
+// A compute route answers a body it has already served as a valid request
+// from that body's alias in the response cache, without decoding it; such a
+// hit is counted as a cache hit like any other (see computeRoute).
 // Responses carry the cache key, the source (cache/compute/coalesced/peer)
 // and the serving latency alongside the science payload; the same metadata
 // is mirrored in the X-Plinger-Source header, and a request that led a cold
@@ -43,8 +50,8 @@ func (s *Service) Handler() http.Handler {
 	// the wire.
 	for _, prefix := range []string{"/v1/", "/v1/peer/"} {
 		peer := prefix == "/v1/peer/"
-		mux.HandleFunc(prefix+s.cl.name, computeRoute(s, s.computeCl, peer))
-		mux.HandleFunc(prefix+s.pk.name, computeRoute(s, s.computePk, peer))
+		mux.HandleFunc(prefix+s.cl.name, computeRoute(s, &s.cl, s.computeCl, peer))
+		mux.HandleFunc(prefix+s.pk.name, computeRoute(s, &s.pk, s.computePk, peer))
 	}
 	s.peerRoutes(mux)
 	mux.HandleFunc("/v1/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
@@ -92,15 +99,38 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// computeRoute is the handler of one product's compute route: decode the
-// request, compute it, write the answer.
-func computeRoute[R any](s *Service, compute func(context.Context, R, bool) (*product, Meta, error), peer bool) http.HandlerFunc {
+// computeRoute is the handler of one product's compute route. A body the
+// response cache holds as an alias of k's (see lru) is a cache hit found by
+// its bytes alone, counted as any cache hit is: nothing decodes, validates
+// or derives its key. Any other body is decoded, computed and written, and
+// once served as a valid request it becomes its key's alias.
+func computeRoute[R interface{ Validate() error }](s *Service, k *kind, compute func(context.Context, R, bool) (*product, Meta, error), peer bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req R
-		if !decodeRequest(w, r, &req) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
 			return
 		}
-		p, meta, err := compute(r.Context(), req, peer)
+		named, readErr := readBody(w, r, k.name)
+		d := digest(sha256.Sum256(named))
+		var p *product
+		var meta Meta
+		var err error
+		hit := false
+		if readErr == nil {
+			p, meta, hit = s.aliasHit(k, d)
+		}
+		if !hit {
+			var req R
+			if !decodeJSON(w, replay(named[len(k.name):], readErr), &req) {
+				return
+			}
+			p, meta, err = compute(r.Context(), req, peer)
+			// Valid as sent, not only on the peer route, which marks the
+			// hop itself: the alias answers both routes.
+			if err == nil && req.Validate() == nil {
+				s.cache.Alias(meta.Key, d)
+			}
+		}
 		if sw, ok := w.(*statusWriter); ok {
 			sw.meta = meta
 		}
@@ -131,19 +161,25 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // logging wraps the API mux with structured request logging: one INFO line
 // per request (id, method, path, status, elapsed, cache source, sweep trace
 // id when a computation ran) and a WARN line when the request exceeded the
-// slow-request threshold.
+// slow-request threshold. The line's fields are built only when a line is
+// written.
 func (s *Service) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r-%06d", s.reqSeq.Add(1))
+		seq := s.reqSeq.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
+		info := s.logger.Enabled(r.Context(), slog.LevelInfo)
+		slow := elapsed > s.opts.SlowRequest
+		if !info && !slow {
+			return
+		}
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
 		args := []any{
-			"req", id,
+			"req", fmt.Sprintf("r-%06d", seq),
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
@@ -156,7 +192,7 @@ func (s *Service) logging(next http.Handler) http.Handler {
 			args = append(args, "trace", sw.meta.Trace)
 		}
 		s.logger.Info("request", args...)
-		if elapsed > s.opts.SlowRequest {
+		if slow {
 			s.logger.Warn("slow request", args...)
 		}
 	})
@@ -165,17 +201,24 @@ func (s *Service) logging(next http.Handler) http.Handler {
 // maxRequestBody bounds a request body; a longer one is answered 413.
 const maxRequestBody = 1 << 20
 
-// decodeRequest parses the JSON body into req; an empty or blank body is
-// the zero request (the service defaults). A field req does not have, at
-// any depth, is refused, not dropped: a misspelt parameter would otherwise
-// be served as its default. So is anything after the object. Returns false
-// after writing an error.
+// decodeRequest parses a POSTed JSON body into req (see decodeJSON). Returns
+// false after writing an error.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxRequestBody), req)
+}
+
+// decodeJSON parses the JSON body src into req; an empty or blank body is
+// the zero request (the service defaults). A field req does not have, at
+// any depth, is refused, not dropped: a misspelt parameter would otherwise
+// be served as its default. So is anything after the object. Returns false
+// after writing an error: 413 when the body is over maxRequestBody, else
+// 400.
+func decodeJSON(w http.ResponseWriter, src io.Reader, req any) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(req)
 	if err == nil {
@@ -195,17 +238,39 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	return false
 }
 
-// responseHead is the serving metadata that leads every response, ahead
-// of the product's "result".
-type responseHead struct {
-	Key       string  `json:"key"`
-	Source    Source  `json:"source"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	TraceID   string  `json:"trace_id,omitempty"`
-	// Peer is the owning fleet member that served the response when
-	// Source is "peer".
-	Peer string `json:"peer,omitempty"`
+// readBody reads r's body, at most maxRequestBody bytes of it, after name:
+// the bytes a body's alias digest covers. A failed read returns what
+// arrived before it, and its error.
+func readBody(w http.ResponseWriter, r *http.Request, name string) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	buf := append(make([]byte, 0, 512), name...)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
+
+// replay is the body stream readBody saw: body, then err (nil: the end).
+// A decoder over it answers as one over the request's own body would.
+func replay(body []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(body)
+	}
+	return io.MultiReader(bytes.NewReader(body), failedRead{err})
+}
+
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // retryAfter derives the Retry-After hint written on 503 (queue full) and
 // 504 (deadline expired) responses. Units are SECONDS — the RFC 9110
@@ -247,8 +312,8 @@ func (s *Service) retryAfter() string {
 //	}
 //
 // which is byte for byte what writeJSON would make of the head with a
-// "result" field holding the value. The cached body is copied, never
-// appended to.
+// "result" field holding the value: the head is appended field by field as
+// encoding/json writes it. The cached body is copied, never appended to.
 func (s *Service) writeResponse(w http.ResponseWriter, p *product, meta Meta, err error) {
 	if err != nil {
 		switch {
@@ -276,24 +341,46 @@ func (s *Service) writeResponse(w http.ResponseWriter, p *product, meta Meta, er
 	if meta.Peer != "" {
 		w.Header().Set("X-Plinger-Peer", meta.Peer)
 	}
-	// Strings and a finite float: the head cannot fail to encode.
-	head, _ := json.MarshalIndent(responseHead{
-		Key:       meta.Key,
-		Source:    meta.Source,
-		ElapsedMS: float64(meta.Elapsed.Nanoseconds()) / 1e6,
-		TraceID:   meta.Trace,
-		Peer:      meta.Peer,
-	}, "", "  ")
-	head = head[:len(head)-len("\n}")]
-	const field, tail = ",\n  \"result\": ", "\n}\n"
-	buf := make([]byte, 0, len(head)+len(field)+len(p.body)+len(tail))
-	buf = append(buf, head...)
+	// headRoom holds the head's names, punctuation, source and number.
+	const field, tail, headRoom = ",\n  \"result\": ", "\n}\n", 128
+	buf := make([]byte, 0, headRoom+len(meta.Key)+len(meta.Trace)+len(meta.Peer)+len(field)+len(p.body)+len(tail))
+	buf = append(buf, "{\n  \"key\": "...)
+	buf = appendString(buf, meta.Key)
+	buf = append(buf, ",\n  \"source\": "...)
+	buf = appendString(buf, string(meta.Source))
+	buf = append(buf, ",\n  \"elapsed_ms\": "...)
+	// Any Duration in milliseconds is 0 or has a magnitude in [1e-6, 1e13),
+	// where encoding/json writes a float64 in this shortest 'f' form.
+	buf = strconv.AppendFloat(buf, float64(meta.Elapsed.Nanoseconds())/1e6, 'f', -1, 64)
+	if meta.Trace != "" {
+		buf = append(buf, ",\n  \"trace_id\": "...)
+		buf = appendString(buf, meta.Trace)
+	}
+	if meta.Peer != "" {
+		buf = append(buf, ",\n  \"peer\": "...)
+		buf = appendString(buf, meta.Peer)
+	}
 	buf = append(buf, field...)
 	buf = append(buf, p.body...)
 	buf = append(buf, tail...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
+}
+
+// appendString appends s as a JSON string the way encoding/json writes it:
+// verbatim when no byte of s needs escaping (HTML-sensitive ones included),
+// else as json.Marshal escapes it.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string cannot fail to encode
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // isBadRequest classifies validation failures: the serving layer's own

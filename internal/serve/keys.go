@@ -10,7 +10,9 @@
 //   - keys.go — canonical parameter quantization: physically equal requests
 //     map to one stable cache key, across processes and restarts;
 //   - cache.go — the one LRU over computed responses (a key's product
-//     never goes out of date, so it leaves only by eviction);
+//     never goes out of date, so it leaves only by eviction), each entry
+//     with the digest of one request body already served as its key, so a
+//     repeated body is a hit found by its bytes alone;
 //   - coalesce.go — singleflight request coalescing, so N concurrent
 //     identical cold requests cost one sweep;
 //   - queue.go — bounded admission, so overload degrades to fast 503s

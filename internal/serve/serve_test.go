@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,54 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 	v, err, _ := g.Do("k", func() (any, error) { return 7, nil })
 	if err != nil || v.(int) != 7 {
 		t.Fatalf("retry failed: %v %v", v, err)
+	}
+}
+
+// TestFlightGroupPanic: a panic in the leader's fn is the error of the
+// leader and of a follower coalesced onto it, the key leaves the group, and
+// the next Do for it runs fn again.
+func TestFlightGroupPanic(t *testing.T) {
+	var g flightGroup
+	started := make(chan struct{})
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, err, _ := g.Do("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("sweep blew up")
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, err, coalesced := g.Do("k", func() (any, error) { return 1, nil })
+		if !coalesced {
+			err = errors.New("the follower ran fn itself")
+		}
+		errs <- err
+	}()
+	for {
+		g.mu.Lock()
+		d := g.m["k"].dups
+		g.mu.Unlock()
+		if d == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for range 2 {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "sweep blew up") {
+			t.Fatalf("err = %v, want the panic as an error", err)
+		}
+	}
+	if n := g.InFlight(); n != 0 {
+		t.Fatalf("%d keys left in flight", n)
+	}
+	v, err, coalesced := g.Do("k", func() (any, error) { return 7, nil })
+	if err != nil || coalesced || v.(int) != 7 {
+		t.Fatalf("next Do: %v %v coalesced=%v", v, err, coalesced)
 	}
 }
 

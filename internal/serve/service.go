@@ -313,11 +313,7 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 	key := j.key
 	meta := Meta{Key: key}
 	if p, ok := s.cache.Get(key); ok {
-		s.hits.Inc()
-		meta.Source = SourceCache
-		meta.Elapsed = time.Since(start)
-		s.hitNs.Add(meta.Elapsed.Nanoseconds())
-		return p, meta, nil
+		return p, s.hit(key, start), nil
 	}
 	var out flightOut
 	if j.deadlineMS > 0 {
@@ -364,6 +360,30 @@ func (s *Service) lookup(ctx context.Context, k *kind, j job, fwd *peerForward) 
 		s.missNs.Add(meta.Elapsed.Nanoseconds())
 	}
 	return p, meta, err
+}
+
+// hit counts one request answered from the response cache since start.
+func (s *Service) hit(key string, start time.Time) Meta {
+	s.hits.Inc()
+	meta := Meta{Key: key, Source: SourceCache, Elapsed: time.Since(start)}
+	s.hitNs.Add(meta.Elapsed.Nanoseconds())
+	return meta
+}
+
+// aliasHit answers a request body by its alias digest d (see lru), when the
+// response cache holds one: a cache hit counted as lookup counts one, in
+// the requests, the hits and k's latency, with no decode, validation or key
+// derivation before it.
+func (s *Service) aliasHit(k *kind, d digest) (*product, Meta, bool) {
+	start := time.Now()
+	key, p, ok := s.cache.GetAlias(d)
+	if !ok {
+		return nil, Meta{}, false
+	}
+	s.requests.Inc()
+	meta := s.hit(key, start)
+	k.lat.Observe(meta.Elapsed.Seconds())
+	return p, meta, true
 }
 
 // fly is one cache miss's flight: the first caller of a key leads it and

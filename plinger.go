@@ -166,7 +166,7 @@ func (m *Model) TauRecombination() float64 { return m.core.TH.TauRec() }
 type ModeOptions struct {
 	// K is the comoving wavenumber in Mpc^-1.
 	K float64
-	// LMax is the photon hierarchy cutoff (default 50).
+	// LMax is the photon hierarchy cutoff (default 50, at most 65536).
 	LMax int
 	// Gauge selects synchronous (default) or conformal Newtonian.
 	Gauge Gauge
@@ -197,8 +197,8 @@ func (o ModeOptions) internal() (core.Params, error) {
 	if err := checkK("K", o.K); err != nil {
 		return core.Params{}, err
 	}
-	if o.LMax < 0 {
-		return core.Params{}, fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
+	if err := checkSize("LMax", o.LMax); err != nil {
+		return core.Params{}, err
 	}
 	if !(o.RTol >= 0 && o.RTol < 0.1) {
 		return core.Params{}, fmt.Errorf("plinger: RTol = %g is outside [0, 0.1) (0 selects the default)", o.RTol)
@@ -319,12 +319,13 @@ func (s *Spectrum) NormalizeCOBE(qMicroK float64) (float64, error) {
 
 // SpectrumOptions configures a C_l computation.
 type SpectrumOptions struct {
-	// LMaxCl is the largest multipole wanted (default 300).
+	// LMaxCl is the largest multipole wanted (default 300, at most
+	// 65536).
 	LMaxCl int
 	// Ls lists the multipoles to evaluate (default: log-spaced 2..LMaxCl).
 	Ls []int
 	// NK is the number of points of the k quadrature grid (default
-	// LMaxCl + 200).
+	// LMaxCl + 200; at most 65536 when set).
 	NK int
 	// Workers bounds the shared-memory parallelism (default GOMAXPROCS).
 	Workers int
@@ -332,7 +333,7 @@ type SpectrumOptions struct {
 	// (the paper's full-hierarchy read-off).
 	Method string
 	// LMax is the hierarchy cutoff: default 24 for los; for brute the
-	// per-k cutoff adapts up to max(1.5 k tau0)+60.
+	// per-k cutoff adapts up to max(1.5 k tau0)+60. At most 65536.
 	LMax int
 	// Polarization computes the polarization spectrum from the G_l
 	// hierarchy instead of temperature (brute method only; the paper's
@@ -410,27 +411,46 @@ const maxKBatch = 32
 // defaultLMaxCl is the LMaxCl a zero SpectrumOptions.LMaxCl selects.
 const defaultLMaxCl = 300
 
+// maxGrid is the one ceiling of the grid sizes and hierarchy cutoffs the
+// options accept (SpectrumOptions.NK, LMaxCl and LMax,
+// MatterPowerOptions.NK, ModeOptions.LMax): far above the paper's converged
+// 3000/3200 grid and the doubled grids of its convergence ladder, far below
+// a size whose allocation fails.
+const maxGrid = 1 << 16
+
+// checkSize refuses a grid size or cutoff that is negative or above
+// maxGrid, naming its field.
+func checkSize(name string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("plinger: %s = %d is negative (0 selects the default)", name, v)
+	}
+	if v > maxGrid {
+		return fmt.Errorf("plinger: %s = %d exceeds the ceiling of %d", name, v, maxGrid)
+	}
+	return nil
+}
+
 // Validate reports the first option that would request a meaningless
 // computation. Zero values always validate (they select documented
-// defaults); genuinely bad values — negative sizes, grids too small for the
-// quadrature, unknown method or transport names, inconsistent method
+// defaults); genuinely bad values — negative sizes or sizes above maxGrid,
+// grids too small for the quadrature, unknown method or transport names, inconsistent method
 // combinations — return errors instead of being silently clamped.
 // ComputeSpectrum calls it first, so callers only need it to fail early.
 func (o SpectrumOptions) Validate() error {
-	if o.LMaxCl < 0 {
-		return fmt.Errorf("plinger: LMaxCl = %d is negative (0 selects the default)", o.LMaxCl)
+	if err := checkSize("LMaxCl", o.LMaxCl); err != nil {
+		return err
 	}
 	if o.LMaxCl == 1 {
 		return fmt.Errorf("plinger: LMaxCl = 1 is below the quadrupole (C_l starts at l = 2)")
 	}
-	if o.NK < 0 {
-		return fmt.Errorf("plinger: NK = %d is negative (0 selects the default)", o.NK)
+	if err := checkSize("NK", o.NK); err != nil {
+		return err
 	}
 	if o.NK > 0 && o.NK < 3 {
 		return fmt.Errorf("plinger: NK = %d is too small: the k quadrature needs at least 3 points", o.NK)
 	}
-	if o.LMax < 0 {
-		return fmt.Errorf("plinger: LMax = %d is negative (0 selects the default)", o.LMax)
+	if err := checkSize("LMax", o.LMax); err != nil {
+		return err
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("plinger: Workers = %d is negative (0 uses GOMAXPROCS)", o.Workers)
@@ -524,8 +544,8 @@ func (o MatterPowerOptions) Validate() error {
 	if kmin, kmax := o.kRange(); kmax <= kmin {
 		return fmt.Errorf("plinger: KMax = %g does not exceed KMin = %g", kmax, kmin)
 	}
-	if o.NK < 0 {
-		return fmt.Errorf("plinger: NK = %d is negative (0 selects the default)", o.NK)
+	if err := checkSize("NK", o.NK); err != nil {
+		return err
 	}
 	if o.NK > 0 && o.NK < 3 {
 		return fmt.Errorf("plinger: NK = %d is too small: the k grid needs at least 3 points", o.NK)
@@ -735,7 +755,7 @@ type MatterPowerResult struct {
 type MatterPowerOptions struct {
 	// KMin and KMax bound the logarithmic k grid (defaults 2e-4, 0.5).
 	KMin, KMax float64
-	// NK is the number of grid points (default 40).
+	// NK is the number of grid points (default 40, at most 65536).
 	NK int
 	// Workers bounds the parallelism (default GOMAXPROCS).
 	Workers int

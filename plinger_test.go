@@ -100,6 +100,31 @@ func TestEvolveModeThroughFacade(t *testing.T) {
 	}
 }
 
+// TestSuperHorizonCurvature: a mode far outside the horizon keeps its
+// curvature perturbation through the radiation-matter transition, so in the
+// matter era the Newtonian potentials settle at (3/5) of twice the initial
+// normalization C = 1 of the adiabatic growing mode: (5/3) Phi = (5/3) Psi
+// = 2C. The exact conformal-Newtonian engine, evolved to tau = 5000 Mpc
+// (a ~ 0.18), where k tau is at most 0.15. Read at the time of writing:
+// (5/3) Phi = 2.0016, (5/3) Psi = 1.9997 at both k.
+func TestSuperHorizonCurvature(t *testing.T) {
+	m := scdmModel(t)
+	for _, k := range []float64{1e-5, 3e-5} {
+		r, err := m.EvolveMode(ModeOptions{K: k, Gauge: ConformalNewtonian, TauEnd: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			v    float64
+		}{{"Phi", r.Phi}, {"Psi", r.Psi}} {
+			if got := 5 * c.v / 3; math.Abs(got-2) > 2e-3 {
+				t.Errorf("k = %g at a = %.3f: (5/3) %s = %.6f, want 2 within 2e-3", k, r.A, c.name, got)
+			}
+		}
+	}
+}
+
 func TestSpectrumEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spectrum sweep is expensive")

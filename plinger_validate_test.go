@@ -210,3 +210,73 @@ func TestFacadeRejectsBadInputs(t *testing.T) {
 		})
 	}
 }
+
+// TestGridCeiling: a grid size or hierarchy cutoff above the one ceiling is
+// an error naming its field, from Validate and from the entry points that
+// run it, and none panics (huge values used to reach make() in the grid
+// builders). The ceiling itself validates.
+func TestGridCeiling(t *testing.T) {
+	m := scdmModel(t)
+	const over = maxGrid + 1
+	spectrum := func(o SpectrumOptions) func() error {
+		return func() error {
+			_, err := m.ComputeSpectrum(o)
+			return err
+		}
+	}
+	matterPower := func(o MatterPowerOptions) func() error {
+		return func() error {
+			_, err := m.MatterPower(o)
+			return err
+		}
+	}
+	mode := func(o ModeOptions) func() error {
+		return func() error {
+			_, err := m.EvolveMode(o)
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"spectrum NK", SpectrumOptions{NK: over}.Validate, "NK = "},
+		{"spectrum NK MaxInt", spectrum(SpectrumOptions{NK: math.MaxInt}), "NK = "},
+		{"spectrum LMaxCl", SpectrumOptions{LMaxCl: over}.Validate, "LMaxCl = "},
+		{"spectrum LMaxCl MaxInt", spectrum(SpectrumOptions{LMaxCl: math.MaxInt}), "LMaxCl = "},
+		{"spectrum LMax", SpectrumOptions{LMax: over}.Validate, "LMax = "},
+		{"spectrum brute LMax MaxInt", spectrum(SpectrumOptions{Method: "brute", LMax: math.MaxInt}), "LMax = "},
+		{"matter power NK", MatterPowerOptions{NK: over}.Validate, "NK = "},
+		{"matter power NK MaxInt", matterPower(MatterPowerOptions{NK: math.MaxInt}), "NK = "},
+		{"mode LMax", mode(ModeOptions{K: 0.05, LMax: over}), "LMax = "},
+		{"mode LMax MaxInt", mode(ModeOptions{K: 0.05, LMax: math.MaxInt}), "LMax = "},
+		{"parallel LMax MaxInt", func() error {
+			_, err := m.RunParallel(ParallelOptions{KValues: []float64{0.05}, LMax: math.MaxInt})
+			return err
+		}, "LMax = "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			err := c.run()
+			if err == nil {
+				t.Fatal("a size above the ceiling was accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "ceiling") {
+				t.Fatalf("error %q does not name %q and the ceiling", err, c.want)
+			}
+		})
+	}
+	at := SpectrumOptions{LMaxCl: maxGrid, NK: maxGrid, LMax: maxGrid}
+	if err := at.Validate(); err != nil {
+		t.Fatalf("the ceiling itself is refused: %v", err)
+	}
+	if err := (MatterPowerOptions{NK: maxGrid}).Validate(); err != nil {
+		t.Fatalf("the ceiling itself is refused: %v", err)
+	}
+}
