@@ -80,9 +80,9 @@ test-farm:
 # — owner killed, hung, erroring 5xx, and partitioned through an
 # internal/fault plan on the peer transport, each required to degrade to a
 # 200 that is bitwise identical to a no-cluster reference — plus the
-# composed farm-and-cluster chaos test and the cross-node hit, resident hit
-# under a dead owner, hedged-slow-peer, back-fill, and derived Retry-After
-# contracts.
+# composed farm-and-cluster chaos test, the cross-node hit, resident hit
+# under a dead owner, hedged-slow-peer and derived Retry-After contracts,
+# the check that no wire request fills the cache, and a goroutine soak.
 test-cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
@@ -90,9 +90,8 @@ test-cluster:
 # fuzz runs each fuzz target for 10 s: the one frame codec tcpmp and the
 # worker farm share, the two listeners that read it from strangers (a tcpmp
 # master's fixed-world join, the farm's registration and read loop), the
-# master's decoders of a worker's result blocks, the daemon's back-fill
-# handler (/v1/peer/offer), its reader of a peer's forwarded answer (both
-# products' decoders), its request keys (JSON, Validate, Key, stable
+# master's decoders of a worker's result blocks, the daemon's reader of a
+# peer's forwarded answer (both products' decoders), its request keys (JSON, Validate, Key, stable
 # under re-encoding) and its hits by body alias (a body sent twice gets one
 # answer), and the SSE2 kernels of
 # internal/ode, internal/core and internal/specfunc (the projection's row
@@ -105,7 +104,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/dispatch/
-	$(GO) test -run '^$$' -fuzz '^FuzzPeerOffer$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerEnvelope$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzHitAlias$$' -fuzztime 10s ./internal/serve/

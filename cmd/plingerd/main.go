@@ -86,7 +86,7 @@ func main() {
 
 		peers       = flag.String("peers", "", "comma-separated fleet list of replica base URLs for sharded-cache peering (include this node; empty: single-node)")
 		advertise   = flag.String("advertise", "", "this node's base URL as spelled in every replica's -peers list (required with -peers)")
-		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-hop timeout for peer cache fetches and back-fills")
+		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-hop timeout for peer cache fetches")
 
 		farmAddr    = flag.String("farm", "", "run sweeps over a worker farm listening on this address for plingerw workers (e.g. :9041; empty: in-process pools unless -farm-workers > 0)")
 		farmWorkers = flag.Int("farm-workers", 0, "plingerw processes to spawn and supervise locally")
@@ -183,7 +183,7 @@ func main() {
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			logger.Info("pprof listening", "addr", *debug)
-			if err := http.ListenAndServe(*debug, mux); err != nil {
+			if err := newServer(*debug, mux).ListenAndServe(); err != nil {
 				logger.Error("pprof listener failed", "err", err)
 			}
 		}()
@@ -199,7 +199,7 @@ func main() {
 		logger.Info("warm", "requests", rep.Requests, "elapsed_s", rep.ElapsedS, "sweeps", rep.Sweeps)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	server := newServer(*addr, svc.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr)
@@ -235,6 +235,17 @@ func main() {
 			}
 		}
 	}
+}
+
+// The read bounds of both listeners. A client that stops mid-header is cut
+// off after readHeaderTimeout; readTimeout covers a 1 MiB body and also
+// bounds an idle keep-alive connection. There is no write bound: a
+// paper-scale miss takes seconds.
+var readHeaderTimeout, readTimeout = 10 * time.Second, 30 * time.Second
+
+// newServer is the HTTP server of the API and of the pprof listener.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // newLogger builds the daemon's structured key=value logger.

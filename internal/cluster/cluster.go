@@ -28,9 +28,9 @@
 // fetches remote-owned keys over the small peer HTTP protocol via Fetch
 // (strict per-hop timeouts, bounded retry with jittered backoff), and on
 // *any* failure — dead member, open breaker, exhausted retries — degrades
-// to local compute and asynchronously back-fills the owner via Offer. The
-// fleet's worst case is one peer timeout ahead of today's single-node
-// behavior; its best case is a fleet-wide shared cache.
+// to local compute and caches the result on this node. The fleet's worst
+// case is one peer timeout ahead of today's single-node behavior; its best
+// case is a fleet-wide shared cache.
 package cluster
 
 import (
@@ -50,9 +50,9 @@ import (
 	"plinger/internal/obs"
 )
 
-// ErrPeerDown is returned by Fetch and Offer when the target peer is not
-// worth a network round-trip right now: its membership entry is dead or
-// its circuit breaker is open. Callers treat it exactly like a failed
+// ErrPeerDown is returned by Fetch when the target peer is not worth a
+// network round-trip right now: its membership entry is dead or its
+// circuit breaker is open. Callers treat it exactly like a failed
 // fetch — degrade to local compute — but it costs microseconds instead of
 // a timeout.
 var ErrPeerDown = errors.New("cluster: peer unavailable")
@@ -73,9 +73,9 @@ type Options struct {
 	// Transport performs the peer HTTP requests (nil: http.DefaultTransport).
 	// The chaos tests put an internal/fault plan here (fault.NewTransport).
 	Transport http.RoundTripper
-	// HopTimeout bounds every single peer request — forward attempt, retry
-	// attempt, or back-fill offer (<= 0: 2s). This is the "peer timeout" of
-	// the degradation contract: a hung owner costs at most
+	// HopTimeout bounds every single peer request, a forward attempt or a
+	// retry attempt (<= 0: 2s). This is the "peer timeout" of the
+	// degradation contract: a hung owner costs at most
 	// HopTimeout*(1+Retries) before local compute takes over.
 	HopTimeout time.Duration
 	// Retries is how many extra forward attempts follow a retriable
@@ -180,13 +180,11 @@ type Peering struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	forwards     *obs.Counter
-	forwardErrs  *obs.Counter
-	backfills    *obs.Counter
-	backfillErrs *obs.Counter
-	probes       *obs.Counter
-	probeMisses  *obs.Counter
-	rejoins      *obs.Counter
+	forwards    *obs.Counter
+	forwardErrs *obs.Counter
+	probes      *obs.Counter
+	probeMisses *obs.Counter
+	rejoins     *obs.Counter
 }
 
 // New builds a Peering over the advertised membership. URLs are
@@ -233,8 +231,6 @@ func New(opts Options) (*Peering, error) {
 	r := p.reg
 	p.forwards = r.Counter("plinger_cluster_forwards_total", `result="ok"`, "peer cache fetches answered by the owner")
 	p.forwardErrs = r.Counter("plinger_cluster_forwards_total", `result="error"`, "peer cache fetch attempts that failed (timeouts, 5xx, transport errors)")
-	p.backfills = r.Counter("plinger_cluster_backfills_total", `result="ok"`, "locally computed responses pushed to their owning peer")
-	p.backfillErrs = r.Counter("plinger_cluster_backfills_total", `result="error"`, "back-fill offers that failed or were skipped (peer down)")
 	p.probes = r.Counter("plinger_cluster_probes_total", "", "membership heartbeat probes sent")
 	p.probeMisses = r.Counter("plinger_cluster_probe_misses_total", "", "heartbeat probes that failed")
 	p.rejoins = r.Counter("plinger_cluster_rejoins_total", "", "peers re-admitted to the ring after being marked dead")
@@ -371,30 +367,6 @@ func (p *Peering) Fetch(ctx context.Context, addr, path string, body []byte) ([]
 	return nil, lastErr
 }
 
-// Offer pushes a locally computed response to its owning peer: one
-// attempt, per-hop timeout, best effort. The serving layer calls it
-// asynchronously after a degraded local compute so the ring's canonical
-// copy lands where future requests will look for it.
-func (p *Peering) Offer(addr, path string, body []byte) error {
-	pr := p.lookup(addr)
-	if pr == nil {
-		return fmt.Errorf("cluster: unknown peer %s", addr)
-	}
-	if !p.admit(pr) {
-		p.backfillErrs.Inc()
-		return ErrPeerDown
-	}
-	_, _, err := p.do(context.Background(), addr+path, body)
-	if err != nil {
-		p.fail(pr)
-		p.backfillErrs.Inc()
-		return err
-	}
-	p.succeed(pr)
-	p.backfills.Inc()
-	return nil
-}
-
 // do performs one bounded HTTP attempt. retriable distinguishes failures
 // worth a backoff-retry (transport errors, 5xx — the peer may recover)
 // from ones that will not improve (4xx: protocol or version skew).
@@ -524,8 +496,6 @@ type Status struct {
 	Peers         []PeerStatus `json:"peers"`
 	Forwards      uint64       `json:"forwards"`
 	ForwardErrors uint64       `json:"forward_errors"`
-	Backfills     uint64       `json:"backfills"`
-	BackfillErrs  uint64       `json:"backfill_errors"`
 	Probes        uint64       `json:"probes"`
 	ProbeMisses   uint64       `json:"probe_misses"`
 	Rejoins       uint64       `json:"rejoins"`
@@ -538,8 +508,6 @@ func (p *Peering) Status() Status {
 		Members:       len(p.Members()),
 		Forwards:      p.forwards.Value(),
 		ForwardErrors: p.forwardErrs.Value(),
-		Backfills:     p.backfills.Value(),
-		BackfillErrs:  p.backfillErrs.Value(),
 		Probes:        p.probes.Value(),
 		ProbeMisses:   p.probeMisses.Value(),
 		Rejoins:       p.rejoins.Value(),

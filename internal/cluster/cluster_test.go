@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,35 +174,6 @@ func TestMembershipDeathAndRejoin(t *testing.T) {
 	}
 	if st := p.Status(); st.Rejoins == 0 {
 		t.Fatal("rejoin not counted")
-	}
-}
-
-func TestOfferBestEffort(t *testing.T) {
-	var gotBody atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b := make([]byte, r.ContentLength)
-		r.Body.Read(b)
-		gotBody.Store(string(b))
-	}))
-	defer srv.Close()
-	p := testPeering(t, srv.URL, nil)
-	if err := p.Offer(srv.URL, "/v1/peer/offer", []byte(`{"key":"cl-1"}`)); err != nil {
-		t.Fatalf("offer: %v", err)
-	}
-	if got, _ := gotBody.Load().(string); !strings.Contains(got, "cl-1") {
-		t.Fatalf("peer received %q", got)
-	}
-	if st := p.Status(); st.Backfills != 1 {
-		t.Fatalf("backfills=%d, want 1", st.Backfills)
-	}
-
-	// Against an open breaker the offer is skipped, not attempted.
-	srv.Close()
-	for i := 0; i < 3; i++ {
-		p.Fetch(context.Background(), srv.URL, "/x", nil)
-	}
-	if err := p.Offer(srv.URL, "/v1/peer/offer", nil); !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("offer to open breaker: err=%v, want ErrPeerDown", err)
 	}
 }
 

@@ -19,7 +19,7 @@ type product struct {
 }
 
 // newProduct is the one constructor every cache insertion goes through: a
-// local compute, a peer's answer and a peer's back-fill offer.
+// local compute and a peer's answer.
 func newProduct(v any) (*product, error) {
 	body, err := json.MarshalIndent(v, "  ", "  ")
 	if err != nil {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,8 +140,8 @@ func referenceResult(t *testing.T, ref *Service, body string) string {
 	return string(b)
 }
 
-// forwards selects the peer forwards: back-fill offers and heartbeats stay
-// clean, so a plan on them isolates one failure mode.
+// forwards selects the peer forwards: heartbeats stay clean, so a plan on
+// the forwards isolates one failure mode.
 func forwards(req *http.Request) bool {
 	return strings.HasPrefix(req.URL.Path, "/v1/peer/cl") ||
 		strings.HasPrefix(req.URL.Path, "/v1/peer/pk")
@@ -426,53 +429,115 @@ func TestClusterOwnerDeadServesResident(t *testing.T) {
 	}
 }
 
-// TestClusterBackfill: a degraded local compute back-fills the owner, so
-// the ring's canonical copy lands where future requests look for it and
-// the fleet still pays exactly one sweep for the key.
-func TestClusterBackfill(t *testing.T) {
-	// Forwards always 503; offers and pings stay clean.
-	ft := fault.NewTransport(nil, fault.Plan{Seed: 1, Fail: 1}, forwards)
-	nodes := newFleet(t, 2,
-		func(i int, o *cluster.Options) {
-			o.HopTimeout = 300 * time.Millisecond
-			if i == 0 {
-				o.Transport = ft
+// TestClusterWireCannotFillCache: no request from the wire writes a
+// product into the response cache under a key of its choosing. The old
+// back-fill endpoint is gone (404), so after a well-formed C_l product is
+// posted there under the default key, the default request still computes,
+// and its result is bitwise a fresh service's.
+func TestClusterWireCannotFillCache(t *testing.T) {
+	s := testService()
+	defer s.Close()
+	h := s.Handler()
+	forged, _ := json.Marshal(&ClResponse{L: []int{2, 3}, Cl: []float64{1, 2}, BandPowerUK: []float64{3, 4}})
+	offer := fmt.Sprintf(`{"key": %q, "kind": "cl", "result": %s}`, ClRequest{}.Key(testDefaults()), forged)
+	if rec := serveRecorded(h, "/v1/peer/offer", offer); rec.Code != http.StatusNotFound {
+		t.Fatalf("/v1/peer/offer: status %d, want 404", rec.Code)
+	}
+	result := func(h http.Handler) (Source, string) {
+		t.Helper()
+		rec := serveRecorded(h, "/v1/cl", `{}`)
+		var env wireEnvelope
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &env) != nil {
+			t.Fatalf("/v1/cl {}: status %d: %s", rec.Code, rec.Body)
+		}
+		return env.Source, string(env.Result)
+	}
+	src, got := result(h)
+	if src != SourceCompute {
+		t.Fatalf("/v1/cl {} after the post: source %q, want %q", src, SourceCompute)
+	}
+	fresh := testService()
+	defer fresh.Close()
+	if _, want := result(fresh.Handler()); got != want {
+		t.Fatal("/v1/cl {} after the post differs from a fresh service's result")
+	}
+}
+
+// TestClusterSoakLeavesNoGoroutines drives a hedging two-node fleet, some of
+// whose forwards hang, through a mix of local hits, forwarded misses,
+// coalesced repeats, deadline 504s and 400s, and requires that once every
+// service, peering and server is closed, nothing it started still runs.
+// It counts goroutines only: the heap is too noisy to bound on a small box.
+func TestClusterSoakLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	codes := map[int]int{}
+	t.Run("load", func(t *testing.T) {
+		// A dropped forward goes unanswered until its hop times out.
+		ft := fault.NewTransport(nil, fault.Plan{Seed: 5, Drop: 0.3}, forwards)
+		nodes := newFleet(t, 2,
+			func(i int, o *cluster.Options) {
+				o.HopTimeout = 300 * time.Millisecond
+				o.HedgeAfter = 50 * time.Millisecond
+				if i == 0 {
+					o.Transport = ft
+				}
+			},
+			func(i int, o *Options) { o.CacheSize = 64 })
+		a := nodes[0]
+		var bodies []string
+		for lmax := 24; lmax < 36; lmax++ {
+			bodies = append(bodies, fmt.Sprintf(`{"lmax_cl": %d}`, lmax))
+		}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		post := func(nd *fleetNode, body string) {
+			defer wg.Done()
+			resp, err := nd.srv.Client().Post(nd.url+"/v1/cl", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}, nil)
-	a, b := nodes[0], nodes[1]
-	body, _ := remoteOwnedBody(t, a, nil)
-
-	_, env := postJSON(t, a.srv.Client(), a.url+"/v1/cl", body)
-	if env.Source != SourceCompute {
-		t.Fatalf("degraded source %q, want compute", env.Source)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			mu.Lock()
+			codes[resp.StatusCode]++
+			mu.Unlock()
+		}
+		for round := range 5 {
+			for i, body := range bodies {
+				// Every body from node 0 (hits, forwards, local computes),
+				// three at once in the first round (coalesced repeats), and
+				// node 1 too, so either node owns some of the load.
+				n := 1
+				if round == 0 {
+					n = 3
+				}
+				for range n {
+					wg.Add(1)
+					go post(a, body)
+				}
+				wg.Add(3)
+				go post(nodes[1], body)
+				go post(a, fmt.Sprintf(`{"lmax_cl": %d, "deadline_ms": 1, "qcobe_uk": %d}`, 24+i, 10+round))
+				go post(a, `{"nk": -1}`)
+			}
+			wg.Wait()
+		}
+		if st := a.svc.Stats().Cluster; ft.Stats().Drops == 0 || st.PeerServed == 0 || st.Hedged == 0 {
+			t.Fatalf("plan stats %+v, cluster stats %+v: want dropped forwards, peer answers and hedges", ft.Stats(), st)
+		}
+	})
+	if codes[http.StatusOK] == 0 || codes[http.StatusBadRequest] == 0 || codes[http.StatusGatewayTimeout] == 0 {
+		t.Fatalf("status counts %v, want 200s, 400s and 504s", codes)
 	}
-	want := canonResult(t, env.Result)
-
-	// The offer is asynchronous: wait for the owner to accept it.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := b.svc.Stats(); st.Cluster != nil && st.Cluster.OffersAccepted >= 1 {
-			break
-		}
+	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatal("owner never received the back-fill offer")
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after the fleet closed, %d before it started:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The owner now serves the key from cache without ever having swept it.
-	_, env = postJSON(t, b.srv.Client(), b.url+"/v1/cl", body)
-	if env.Source != SourceCache {
-		t.Fatalf("owner source %q after back-fill, want cache", env.Source)
-	}
-	if got := canonResult(t, env.Result); got != want {
-		t.Fatal("back-filled copy differs from the degraded compute")
-	}
-	if n := fleetSweeps(nodes); n != 1 {
-		t.Fatalf("fleet ran %d sweeps, want 1 (degrade + back-fill)", n)
-	}
-	// Every forward failed, and the offer was not one of them.
-	if st := ft.Stats(); st.Ops == 0 || st.Fails != st.Ops {
-		t.Fatalf("plan stats %+v, want every forward failed", st)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -27,8 +27,10 @@ import (
 //	GET  /metrics                                          -> Prometheus text
 //	GET  /healthz                                          -> 200 ok
 //
-// plus the fleet peer protocol (/v1/peer/cl, /v1/peer/pk, /v1/peer/offer,
-// /v1/peer/ping — see peer.go).
+// plus the fleet peer protocol (/v1/peer/cl, /v1/peer/pk, /v1/peer/ping —
+// see peer.go). The peer routes are available on every node, clustered or
+// not: a single-node daemon answering /v1/peer/cl is a slightly verbose
+// /v1/cl.
 //
 // A compute route answers a body it has already served as a valid request
 // from that body's alias in the response cache, without decoding it; such a
@@ -45,15 +47,14 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// The compute routes: /v1/<name> and the peer protocol's
-	// /v1/peer/<name>, whose requests never re-forward, whatever the body
-	// says — the hop bound is enforced by the receiver, not trusted from
-	// the wire.
+	// /v1/peer/<name>, whose requests never re-forward. The route alone
+	// marks a forward: no field of the body can, so the hop bound is the
+	// receiver's, not the wire's.
 	for _, prefix := range []string{"/v1/", "/v1/peer/"} {
 		peer := prefix == "/v1/peer/"
 		mux.HandleFunc(prefix+s.cl.name, computeRoute(s, &s.cl, s.computeCl, peer))
 		mux.HandleFunc(prefix+s.pk.name, computeRoute(s, &s.pk, s.computePk, peer))
 	}
-	s.peerRoutes(mux)
 	mux.HandleFunc("/v1/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	}))
@@ -81,10 +82,13 @@ func (s *Service) Handler() http.Handler {
 		}
 		obs.Default.WritePrometheus(w)
 	}))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	// /v1/peer/ping is the membership probe of internal/cluster's monitor.
+	ok := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
-	})
+	}
+	mux.HandleFunc("/healthz", ok)
+	mux.HandleFunc("/v1/peer/ping", ok)
 	return s.logging(mux)
 }
 
@@ -104,7 +108,7 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 // its bytes alone, counted as any cache hit is: nothing decodes, validates
 // or derives its key. Any other body is decoded, computed and written, and
 // once served as a valid request it becomes its key's alias.
-func computeRoute[R interface{ Validate() error }](s *Service, k *kind, compute func(context.Context, R, bool) (*product, Meta, error), peer bool) http.HandlerFunc {
+func computeRoute[R any](s *Service, k *kind, compute func(context.Context, R, bool) (*product, Meta, error), peer bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
@@ -125,9 +129,7 @@ func computeRoute[R interface{ Validate() error }](s *Service, k *kind, compute 
 				return
 			}
 			p, meta, err = compute(r.Context(), req, peer)
-			// Valid as sent, not only on the peer route, which marks the
-			// hop itself: the alias answers both routes.
-			if err == nil && req.Validate() == nil {
+			if err == nil {
 				s.cache.Alias(meta.Key, d)
 			}
 		}
@@ -200,16 +202,6 @@ func (s *Service) logging(next http.Handler) http.Handler {
 
 // maxRequestBody bounds a request body; a longer one is answered 413.
 const maxRequestBody = 1 << 20
-
-// decodeRequest parses a POSTed JSON body into req (see decodeJSON). Returns
-// false after writing an error.
-func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON request body")
-		return false
-	}
-	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxRequestBody), req)
-}
 
 // decodeJSON parses the JSON body src into req; an empty or blank body is
 // the zero request (the service defaults). A field req does not have, at

@@ -26,7 +26,7 @@
 //   - peer.go — the sharded-fleet routing over internal/cluster: cache
 //     misses whose key another replica owns are fetched over the peer
 //     protocol (/v1/peer/cl, /v1/peer/pk), and every peer failure degrades
-//     to local compute with an asynchronous back-fill to the owner;
+//     to a local compute cached on this node;
 //   - warmup.go — startup precomputation so the hot path begins warm.
 package serve
 
@@ -242,12 +242,6 @@ type ClRequest struct {
 	// the cache is a hit and never waits. An execution knob like workers or
 	// transport, it never enters the cache key.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// PeerHop marks a request forwarded by another fleet member (the peer
-	// client sets it to 1); peer endpoints never re-forward it, so a
-	// forward travels at most one hop even when membership views disagree.
-	// Routing metadata like DeadlineMS, it never enters the cache key: a
-	// peer-forwarded request and a locally arriving one share one entry.
-	PeerHop int `json:"peer_hop,omitempty"`
 }
 
 // Validate rejects wire values the resolve step would otherwise silently
@@ -275,19 +269,16 @@ func (r ClRequest) Validate() error {
 	if r.DeadlineMS < 0 {
 		return fmt.Errorf("serve: deadline_ms = %d is negative (0 or omitted waits for the sweep)", r.DeadlineMS)
 	}
-	if r.PeerHop < 0 || r.PeerHop > 1 {
-		return fmt.Errorf("serve: peer_hop = %d is invalid (only the peer client sets it, to 1)", r.PeerHop)
-	}
 	return checkConfig(r.Config)
 }
 
 // resolve fills service defaults into a copy of the request, so physically
 // identical requests — spelled with zeros or with explicit defaults —
 // canonicalize identically. The copy is what a peer forward carries: its
-// deadline dropped and its hop marked.
+// deadline dropped.
 func (r ClRequest) resolve(d Defaults) ClRequest {
 	r.Config = resolveConfig(r.Config)
-	r.DeadlineMS, r.PeerHop = 0, 1
+	r.DeadlineMS = 0
 	if r.LMaxCl <= 0 {
 		r.LMaxCl = d.LMaxCl
 	}
@@ -350,9 +341,6 @@ type PkRequest struct {
 	// DeadlineMS bounds this request's wait in milliseconds; see
 	// ClRequest.DeadlineMS. Never part of the cache key.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// PeerHop marks a peer-forwarded request; see ClRequest.PeerHop.
-	// Never part of the cache key.
-	PeerHop int `json:"peer_hop,omitempty"`
 }
 
 // Validate is the PkRequest analogue of ClRequest.Validate.
@@ -372,16 +360,13 @@ func (r PkRequest) Validate() error {
 	if r.DeadlineMS < 0 {
 		return fmt.Errorf("serve: deadline_ms = %d is negative (0 or omitted waits for the sweep)", r.DeadlineMS)
 	}
-	if r.PeerHop < 0 || r.PeerHop > 1 {
-		return fmt.Errorf("serve: peer_hop = %d is invalid (only the peer client sets it, to 1)", r.PeerHop)
-	}
 	return checkConfig(r.Config)
 }
 
 // resolve is the PkRequest analogue of ClRequest.resolve.
 func (r PkRequest) resolve(d Defaults) PkRequest {
 	r.Config = resolveConfig(r.Config)
-	r.DeadlineMS, r.PeerHop = 0, 1
+	r.DeadlineMS = 0
 	if r.KMin <= 0 {
 		r.KMin = 2e-4
 	}

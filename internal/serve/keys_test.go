@@ -39,10 +39,10 @@ func TestGoldenKeys(t *testing.T) {
 }
 
 // TestKeyExcludesRoutingMetadata pins the fleet invariant behind the
-// sharded cache: PeerHop and DeadlineMS are routing/serving metadata, not
-// physics, and must never reach the key. If a forwarded request (PeerHop=1,
-// deadline stripped) keyed differently from the client's original, every
-// forward would recompute and cross-node hits could never happen.
+// sharded cache: DeadlineMS is serving metadata, not physics, and must never
+// reach the key. If a forwarded request (deadline stripped) keyed
+// differently from the client's original, every forward would recompute and
+// cross-node hits could never happen.
 func TestKeyExcludesRoutingMetadata(t *testing.T) {
 	d := DefaultDefaults()
 	golden := []struct {
@@ -50,25 +50,12 @@ func TestKeyExcludesRoutingMetadata(t *testing.T) {
 		key  string
 		want string
 	}{
-		{"cl forwarded zero request", ClRequest{PeerHop: 1}.Key(d), "cl-7b28a5a5e6d909d2"},
-		{"cl forwarded with deadline", ClRequest{PeerHop: 1, DeadlineMS: 250}.Key(d), "cl-7b28a5a5e6d909d2"},
-		{"pk forwarded zero request", PkRequest{PeerHop: 1}.Key(d), "pk-982b56d139f2fce6"},
-		{"pk forwarded with deadline", PkRequest{PeerHop: 1, DeadlineMS: 250}.Key(d), "pk-982b56d139f2fce6"},
+		{"cl with deadline", ClRequest{DeadlineMS: 250}.Key(d), "cl-7b28a5a5e6d909d2"},
+		{"pk with deadline", PkRequest{DeadlineMS: 250}.Key(d), "pk-982b56d139f2fce6"},
 	}
 	for _, g := range golden {
 		if g.key != g.want {
 			t.Errorf("%s: key %s, want %s", g.name, g.key, g.want)
-		}
-	}
-
-	// The hop counter is bounded wire input: only 0 (client) and 1 (one
-	// peer forward) are meaningful, anything else is a malformed request.
-	for _, hop := range []int{-1, 2} {
-		if err := (ClRequest{PeerHop: hop}).Validate(); err == nil {
-			t.Errorf("ClRequest PeerHop=%d passed validation", hop)
-		}
-		if err := (PkRequest{PeerHop: hop}).Validate(); err == nil {
-			t.Errorf("PkRequest PeerHop=%d passed validation", hop)
 		}
 	}
 }
@@ -279,7 +266,7 @@ func TestPkWireBounds(t *testing.T) {
 func FuzzRequestKey(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"config": {"H": 0.55, "Flatten": true}, "lmax_cl": 40, "nk": 40, "qcobe_uk": 18}`)
-	f.Add(`{"exact": true, "krefine": 3, "deadline_ms": 5, "peer_hop": 1}`)
+	f.Add(`{"exact": true, "krefine": 3, "deadline_ms": 5}`)
 	f.Add(`{"kmin": 1e-4, "kmax": 2, "nk": 12, "amp": 2e-9}`)
 	f.Add(`{"config": {"OmegaC": 1e308, "NNuMassive": -3}, "kmin": 5e-324}`)
 	f.Add(`{"qcobe_uk": 1e25}`)

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"slices"
-	"strings"
 	"time"
 )
 
@@ -16,10 +14,9 @@ import (
 // a cache miss for a remote-owned key, the flight leader forwards the
 // fully resolved request to the owner over the peer protocol:
 //
-//	POST /v1/peer/cl     resolved ClRequest (PeerHop=1)  -> envelope
-//	POST /v1/peer/pk     resolved PkRequest (PeerHop=1)  -> envelope
-//	POST /v1/peer/offer  {key, kind, result}             -> back-fill
-//	GET  /v1/peer/ping                                   -> membership probe
+//	POST /v1/peer/cl    resolved ClRequest  -> envelope
+//	POST /v1/peer/pk    resolved PkRequest  -> envelope
+//	GET  /v1/peer/ping                      -> membership probe
 //
 // The degradation contract, in order:
 //
@@ -27,16 +24,16 @@ import (
 //  2. owner slow: race forward vs local compute    -> first success wins
 //  3. forward fails (dead, open breaker, timeout)  -> local compute
 //
-// Degraded responses are pushed back to the owner asynchronously (Offer)
-// so the ring's canonical copy lands where future requests will look for
-// it. Peer-originated requests (PeerHop=1) never re-forward, so a forward
-// travels at most one hop even when membership views disagree — a wrong
-// ownership view costs one extra sweep, never correctness.
+// Every local compute, degraded or not, is cached on the node that ran it.
+// A request that arrived on a peer route never re-forwards — the route
+// marks it, not the body — so a forward travels at most one hop even when
+// membership views disagree: a wrong ownership view costs one extra sweep,
+// never correctness.
 
 // peerForward is a prepared forward of one request to its owning peer.
 // The body is the fully resolved request — defaults filled in, DeadlineMS
-// zeroed, PeerHop set — so the owner derives the identical cache key even
-// when its configured defaults differ from ours.
+// zeroed — so the owner derives the identical cache key even when its
+// configured defaults differ from ours.
 type peerForward struct {
 	kind *kind
 	body []byte
@@ -52,10 +49,10 @@ type outcome struct {
 	trace string
 }
 
-// decodeResult turns a result another node encoded (a peer's answer, a
-// back-fill offer) into a product of this node's own encoding. A result
-// whose arrays are empty or of unequal length is no product this node could
-// have computed, and is refused before it can be cached.
+// decodeResult turns the result of a peer's answer into a product of this
+// node's own encoding. A result whose arrays are empty or of unequal length
+// is no product this node could have computed, and is refused before it can
+// be cached.
 func decodeResult[T any, P interface {
 	*T
 	lens() []int
@@ -98,21 +95,14 @@ func (s *Service) peerServe(ctx context.Context, key string, fwd *peerForward, r
 		// A hedged local run settled and was adopted (the forward was slow
 		// or failed after the hedge fired).
 		out.traceID = lr.trace
-		if lr.err == nil {
-			s.offerAsync(owner, fwd, key, lr.p)
-		}
 		return lr.p, lr.err, true
 	}
 	// The forward failed fast — dead member, open breaker, exhausted
-	// retries — and nothing ran locally yet: run it here and offer the
-	// result back to the owner.
+	// retries — and nothing ran locally yet: run it here.
 	s.localFallback.Inc()
 	s.logger.Warn("peer fetch failed; degrading to local", "peer", owner, "key", key, "err", ferr)
 	lres := runLocal()
 	out.traceID = lres.trace
-	if lres.err == nil {
-		s.offerAsync(owner, fwd, key, lres.p)
-	}
 	return lres.p, lres.err, true
 }
 
@@ -197,61 +187,4 @@ func decodePeerEnvelope(b []byte, key string, decode func(json.RawMessage) (*pro
 		return nil, fmt.Errorf("serve: peer answered key %s for %s (key-schema skew)", env.Key, key)
 	}
 	return decode(env.Result)
-}
-
-// peerOffer is the back-fill wire form (POST /v1/peer/offer).
-type peerOffer struct {
-	Key    string          `json:"key"`
-	Kind   string          `json:"kind"`
-	Result json.RawMessage `json:"result"`
-}
-
-// offerAsync pushes a locally produced response to the key's owner,
-// asynchronously and best-effort: the serving path never waits on it, and
-// a failed offer only means the owner stays cold until its own first miss.
-// The product's encoded body travels as the offer's result (compacted by
-// the offer's own Marshal), so nothing encodes the value again.
-func (s *Service) offerAsync(owner string, fwd *peerForward, key string, p *product) {
-	body, err := json.Marshal(peerOffer{Key: key, Kind: fwd.kind.name, Result: p.body})
-	if err != nil {
-		return
-	}
-	go func() {
-		if err := s.cluster.Offer(owner, "/v1/peer/offer", body); err != nil {
-			s.logger.Debug("peer back-fill failed", "peer", owner, "key", key, "err", err)
-		}
-	}()
-}
-
-// peerRoutes registers the back-fill and membership endpoints of the peer
-// protocol on the daemon mux; Handler registers /v1/peer/cl and
-// /v1/peer/pk beside the public compute routes. The endpoints are
-// available on every node (clustered or not): a single-node daemon
-// answering /v1/peer/cl is just a slightly verbose /v1/cl.
-func (s *Service) peerRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/peer/offer", func(w http.ResponseWriter, r *http.Request) {
-		var off peerOffer
-		if !decodeRequest(w, r, &off) {
-			return
-		}
-		k := s.kinds[off.Kind]
-		if k == nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown offer kind %q", off.Kind))
-			return
-		}
-		p, err := k.decode(off.Result)
-		// A key names its product in its prefix (hashKey): an offer of the
-		// other kind would be served under it as the wrong type.
-		if err != nil || !strings.HasPrefix(off.Key, off.Kind+"-") {
-			httpError(w, http.StatusBadRequest, "malformed offer payload")
-			return
-		}
-		s.cache.Add(off.Key, p)
-		s.offersAccepted.Inc()
-		writeJSON(w, http.StatusOK, map[string]any{"accepted": true})
-	})
-	mux.HandleFunc("/v1/peer/ping", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 }

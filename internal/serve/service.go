@@ -157,15 +157,13 @@ type Service struct {
 
 	// Fleet-side counters (see peer.go); registered even without a
 	// cluster so the metric names are stable across deployments.
-	peerRequests   *obs.Counter
-	peerServed     *obs.Counter
-	hedged         *obs.Counter
-	localFallback  *obs.Counter
-	offersAccepted *obs.Counter
+	peerRequests  *obs.Counter
+	peerServed    *obs.Counter
+	hedged        *obs.Counter
+	localFallback *obs.Counter
 
-	// cl and pk are the product table, kinds the same rows by name.
+	// cl and pk are the product table.
 	cl, pk    kind
-	kinds     map[string]*kind
 	queueWait *obs.Histogram
 
 	hitNs  atomic.Int64
@@ -209,10 +207,8 @@ func New(opts Options) *Service {
 	s.peerServed = r.Counter("plinger_cluster_peer_served_total", "", "requests answered by a peer forward")
 	s.hedged = r.Counter("plinger_cluster_hedged_total", "", "slow peer forwards raced against a local compute")
 	s.localFallback = r.Counter("plinger_cluster_local_fallback_total", "", "peer failures degraded to local serving")
-	s.offersAccepted = r.Counter("plinger_cluster_offers_accepted_total", "", "peer back-fill offers cached on this node")
 	s.cl = newKind(r, "cl", decodeResult[ClResponse])
 	s.pk = newKind(r, "pk", decodeResult[PkResponse])
-	s.kinds = map[string]*kind{s.cl.name: &s.cl, s.pk.name: &s.pk}
 	s.queueWait = r.Histogram("plinger_serve_queue_wait_seconds", "", "time a flight leader waited for a compute slot", obs.DefBuckets(), 4)
 	r.GaugeFunc("plinger_serve_uptime_seconds", "", "seconds since the service started",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -482,7 +478,7 @@ func (s *Service) sweep(ctx context.Context, j job, tr *obs.Trace) (any, error) 
 func (s *Service) derive(ctx context.Context, k *kind, j job, b request, tr *obs.Trace) (any, error) {
 	sp := tr.Start("derive")
 	defer sp.End()
-	bj := job{req: b, cfg: j.cfg, peerHop: j.peerHop, key: hashKey(k.name, b.canonical())}
+	bj := job{req: b, cfg: j.cfg, peer: j.peer, key: hashKey(k.name, b.canonical())}
 	out := s.fly(ctx, k, bj, s.forward(k, bj))
 	if out.err != nil {
 		return nil, out.err
@@ -491,11 +487,11 @@ func (s *Service) derive(ctx context.Context, k *kind, j job, b request, tr *obs
 }
 
 // kind is one row of the product table: C_l or P(k). Its name is the key
-// prefix, the trace label, the back-fill offer's tag and the last element
-// of the product's /v1/<name> and /v1/peer/<name> routes.
+// prefix, the trace label and the last element of the product's /v1/<name>
+// and /v1/peer/<name> routes.
 type kind struct {
 	name   string
-	decode func(json.RawMessage) (*product, error) // a result another node encoded
+	decode func(json.RawMessage) (*product, error) // a result a peer encoded
 	lat    *obs.Histogram                          // request latency, cache hits included
 }
 
@@ -518,13 +514,14 @@ type request interface {
 
 // job is one request as its product's half hands it to compute: the
 // resolved request and its cosmology, the wire request's own and the
-// facade's validation verdicts, and the wire request's routing fields.
+// facade's validation verdicts, the wire request's deadline, and whether it
+// arrived on a peer route.
 type job struct {
 	req              request
 	cfg              *plinger.Config
 	wireErr, optsErr error
 	deadlineMS       int
-	peerHop          int
+	peer             bool
 	key              string // set by compute
 }
 
@@ -552,10 +549,10 @@ func (s *Service) compute(ctx context.Context, k *kind, j job) (*product, Meta, 
 // forward prepares the peer forward of j, or nil when there is no fleet.
 // A forward carries the fully resolved request so the owner derives the
 // identical key even when its own configured defaults differ.
-// Peer-originated requests never build one: a forward travels at most one
-// hop.
+// A request that arrived on a peer route never builds one: a forward
+// travels at most one hop.
 func (s *Service) forward(k *kind, j job) *peerForward {
-	if s.cluster == nil || j.peerHop != 0 {
+	if s.cluster == nil || j.peer {
 		return nil
 	}
 	body, err := json.Marshal(j.req)
@@ -577,12 +574,9 @@ func (s *Service) ComputeCl(ctx context.Context, req ClRequest) (*ClResponse, Me
 // computeCl is ComputeCl returning the cached product, for the handlers;
 // peer marks a request that arrived on /v1/peer/cl.
 func (s *Service) computeCl(ctx context.Context, req ClRequest, peer bool) (*product, Meta, error) {
-	if peer {
-		req.PeerHop = 1
-	}
 	rr := req.resolve(s.opts.Defaults)
 	return s.compute(ctx, &s.cl, job{req: rr, cfg: rr.Config, wireErr: req.Validate(),
-		optsErr: rr.options(s.opts.Defaults).Validate(), deadlineMS: req.DeadlineMS, peerHop: req.PeerHop})
+		optsErr: rr.options(s.opts.Defaults).Validate(), deadlineMS: req.DeadlineMS, peer: peer})
 }
 
 // options is the facade request a resolved C_l request runs.
@@ -664,12 +658,9 @@ func (s *Service) ComputePk(ctx context.Context, req PkRequest) (*PkResponse, Me
 // computePk is ComputePk returning the cached product, for the handlers;
 // peer marks a request that arrived on /v1/peer/pk.
 func (s *Service) computePk(ctx context.Context, req PkRequest, peer bool) (*product, Meta, error) {
-	if peer {
-		req.PeerHop = 1
-	}
 	rr := req.resolve(s.opts.Defaults)
 	return s.compute(ctx, &s.pk, job{req: rr, cfg: rr.Config, wireErr: req.Validate(),
-		optsErr: rr.options().Validate(), deadlineMS: req.DeadlineMS, peerHop: req.PeerHop})
+		optsErr: rr.options().Validate(), deadlineMS: req.DeadlineMS, peer: peer})
 }
 
 // options is the facade request a resolved P(k) request runs.
@@ -743,11 +734,10 @@ type Stats struct {
 // elsewhere, answered by a peer, hedged, or degraded to local serving.
 type ClusterStats struct {
 	cluster.Status
-	PeerRequests   uint64 `json:"peer_requests"`
-	PeerServed     uint64 `json:"peer_served"`
-	Hedged         uint64 `json:"hedged"`
-	LocalFallback  uint64 `json:"local_fallback"`
-	OffersAccepted uint64 `json:"offers_accepted"`
+	PeerRequests  uint64 `json:"peer_requests"`
+	PeerServed    uint64 `json:"peer_served"`
+	Hedged        uint64 `json:"hedged"`
+	LocalFallback uint64 `json:"local_fallback"`
 }
 
 // LatencyStats summarizes one latency histogram for /v1/stats. Quantiles
@@ -807,12 +797,11 @@ func (s *Service) Stats() Stats {
 	}
 	if s.cluster != nil {
 		st.Cluster = &ClusterStats{
-			Status:         s.cluster.Status(),
-			PeerRequests:   s.peerRequests.Value(),
-			PeerServed:     s.peerServed.Value(),
-			Hedged:         s.hedged.Value(),
-			LocalFallback:  s.localFallback.Value(),
-			OffersAccepted: s.offersAccepted.Value(),
+			Status:        s.cluster.Status(),
+			PeerRequests:  s.peerRequests.Value(),
+			PeerServed:    s.peerServed.Value(),
+			Hedged:        s.hedged.Value(),
+			LocalFallback: s.localFallback.Value(),
 		}
 	}
 	return st

@@ -253,14 +253,14 @@ type failingBody struct{}
 func (failingBody) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
 
 // TestOversizedBody413 posts one byte past the 1 MiB request bound to the
-// compute API and to the peer back-fill endpoint: 413, while every other
-// body read failure stays 400.
+// public and the peer compute route: 413, while every other body read
+// failure stays 400.
 func TestOversizedBody413(t *testing.T) {
 	s := testService()
 	defer s.Close()
 	h := s.Handler()
 	big := strings.Repeat(" ", maxRequestBody+1)
-	for _, path := range []string{"/v1/cl", "/v1/peer/offer"} {
+	for _, path := range []string{"/v1/cl", "/v1/peer/cl"} {
 		if rec := serveRecorded(h, path, big); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(big), rec.Code)
 		}

@@ -85,6 +85,17 @@ const goldenPaperCase = "scdm_fast_1000_1200_dense"
 // stays out of goldenCases because the hierarchy reference has no such case.
 const goldenBruteCase = "scdm_brute_60_60"
 
+// goldenMDMCase is the companion paper's CDM+HDM model, MDM(4), at the stock
+// 150/130 request: the one pinned model with a massive neutrino. It stays
+// out of goldenCases because the hierarchy reference has no such case.
+const goldenMDMCase = "mdm4_fast_150_130_dense"
+
+// goldenCase is one pinned request and the model it runs on.
+type goldenCase struct {
+	m *Model
+	o SpectrumOptions
+}
+
 func clBits(cl []float64) []string {
 	out := make([]string, len(cl))
 	for i, v := range cl {
@@ -160,17 +171,26 @@ func TestGoldenClBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits were recorded on amd64; other targets may fuse multiply-adds")
 	}
-	m := scdmModel(t)
-	cases := goldenCases()
-	cases[goldenBruteCase] = SpectrumOptions{LMaxCl: 60, NK: 60, Ls: everyL(60), Method: "brute"}
+	scdm := scdmModel(t)
+	mdm, err := New(MDM(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]goldenCase{
+		goldenBruteCase: {scdm, SpectrumOptions{LMaxCl: 60, NK: 60, Ls: everyL(60), Method: "brute"}},
+		goldenMDMCase:   {mdm, goldenFast(150, 130)},
+	}
+	for name, o := range goldenCases() {
+		cases[name] = goldenCase{scdm, o}
+	}
 	if !testing.Short() || *updateGolden {
-		cases[goldenPaperCase] = goldenFast(1000, 1200)
+		cases[goldenPaperCase] = goldenCase{scdm, goldenFast(1000, 1200)}
 	}
 	if *updateGolden {
 		old := readClBits(t, goldenClPath)
 		golden := map[string][]string{}
-		for name, o := range cases {
-			sp, err := m.ComputeSpectrum(o)
+		for name, c := range cases {
+			sp, err := c.m.ComputeSpectrum(c.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +218,7 @@ func TestGoldenClBits(t *testing.T) {
 		return
 	}
 	golden := readClBits(t, goldenClPath)
-	check := func(t *testing.T, name string, o SpectrumOptions) {
+	check := func(t *testing.T, name string, m *Model, o SpectrumOptions) {
 		t.Helper()
 		sp, err := m.ComputeSpectrum(o)
 		if err != nil {
@@ -215,15 +235,16 @@ func TestGoldenClBits(t *testing.T) {
 			}
 		}
 	}
-	for name, o := range cases {
+	for name, c := range cases {
+		o := c.o
 		for _, workers := range []int{1, 2, 4} {
 			o.Workers = workers
-			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) { check(t, name, o) })
+			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) { check(t, name, c.m, o) })
 		}
 		t.Run(name+"/gomaxprocs1", func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			o.Workers = 0
-			check(t, name, o)
+			check(t, name, c.m, o)
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"plinger/internal/core"
+	"plinger/internal/cosmology"
 	"plinger/internal/spectra"
 )
 
@@ -405,5 +406,76 @@ func TestMDMConfig(t *testing.T) {
 	}
 	if res.DeltaHNu == 0 {
 		t.Fatal("massive neutrino transfer missing")
+	}
+}
+
+// TestAcousticPeakPhases holds the first three acoustic peaks of the
+// converged SCDM spectrum (LMaxCl 3000, NK 3200, every fast switch on) to
+// the acoustic scale l_A = pi (tau0 - tau*)/r_s(tau*), with tau* the peak of
+// the visibility and r_s the sound horizon integrated here from the model's
+// own background: the m-th peak of l(l+1)C_l above l = 100 sits at
+// l_m = l_A (m - phi_m) with the phase shift phi_m in [0.15, 0.35]. The
+// sound horizon itself must agree with the closed form of a matter plus
+// radiation universe (Eisenstein & Hu 1998, eq. 6), which SCDM is.
+func TestAcousticPeakPhases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the converged request sweeps 3200 modes")
+	}
+	m := scdmModel(t)
+	spec, err := m.ComputeSpectrum(SpectrumOptions{LMaxCl: 3000, NK: 3200, Ls: everyL(1000),
+		FastLOS: true, FastEvolve: true, KRefine: 6, LSpline: true, KBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, tauStar := m.core.BG, m.core.TH.TauRec()
+
+	// r_s = integral of c_s dtau, c_s = 1/sqrt(3(1+R)), R = 3 rho_b/4 rho_g,
+	// over ln a with dtau = dln a/(aH); below a = 1e-10, R = 0.
+	const lnA0, n = -23.0, 4000
+	aStar := bg.AofTau(tauStar)
+	soundOverH := func(lnA float64) float64 {
+		var g cosmology.Grho
+		bg.Eval(math.Exp(lnA), &g)
+		return 1 / math.Sqrt(3*(1+3*g.B/(4*g.G))) / g.HConf
+	}
+	h := (math.Log(aStar) - lnA0) / n
+	rs := bg.Tau(math.Exp(lnA0)) / math.Sqrt(3)
+	for i := range n {
+		l0 := lnA0 + float64(i)*h
+		rs += h / 6 * (soundOverH(l0) + 4*soundOverH(l0+h/2) + soundOverH(l0+h))
+	}
+
+	var now cosmology.Grho
+	bg.Eval(1, &now)
+	gm, gr, r0 := now.C+now.B, now.G+now.Nu, 3*now.B/(4*now.G)
+	aEq := gr / gm
+	kEq := math.Sqrt(2 * gm / 3 / aEq) // (2 Omega_m H0^2/a_eq)^(1/2)
+	rEq, rD := r0*aEq, r0*aStar
+	closed := 2 / (3 * kEq) * math.Sqrt(6/rEq) * math.Log((math.Sqrt(1+rD)+math.Sqrt(rD+rEq))/(1+math.Sqrt(rEq)))
+	if d := math.Abs(rs/closed - 1); d > 1e-3 {
+		t.Errorf("r_s(tau*) = %.4f Mpc, closed form %.4f Mpc: relative difference %.2e, want < 1e-3", rs, closed, d)
+	}
+
+	lA := math.Pi * (bg.Tau0() - tauStar) / rs
+	t.Logf("r_s(tau*) = %.4f Mpc (closed form %.4f), l_A = %.1f", rs, closed, lA)
+	d := make([]float64, len(spec.L))
+	for i, l := range spec.L {
+		d[i] = float64(l*(l+1)) * spec.Cl[i]
+	}
+	var peaks []int
+	for i := 1; i+1 < len(d) && len(peaks) < 3; i++ {
+		if spec.L[i] > 100 && d[i] > d[i-1] && d[i] >= d[i+1] {
+			peaks = append(peaks, spec.L[i])
+		}
+	}
+	if len(peaks) < 3 {
+		t.Fatalf("maxima of l(l+1)C_l above l = 100: %v, want three", peaks)
+	}
+	for i, l := range peaks {
+		phi := float64(i+1) - float64(l)/lA
+		t.Logf("peak %d at l = %d: phase %.3f", i+1, l, phi)
+		if phi < 0.15 || phi > 0.35 {
+			t.Errorf("peak %d at l = %d has phase %.3f for l_A = %.1f, want it in [0.15, 0.35]", i+1, l, phi, lA)
+		}
 	}
 }
