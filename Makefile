@@ -50,9 +50,11 @@ test-race:
 # adapters: the mp endpoint, the peer HTTP transport, the farm connection),
 # all of internal/dispatch — the chaos matrix (scripted kill/hang/drop across
 # the chan/fifo/tcp transports, all-but-one and all-workers-lost kills,
-# batched-block reassignment), worker panic recovery, and the Appendix-A
-# master's and worker's own unit tests (the verdicts, the late death report
-# and the malformed init and assignment blocks among them) — and the serving
+# batched-block reassignment, a kill under the default 30 s budget), worker
+# panic recovery, and the unit tests of the Appendix-A master, which always
+# recovers, and of its worker (the verdicts, the late death report, a world
+# of the master alone and the malformed init and assignment blocks among
+# them) — and the serving
 # layer's deadline handling, a normalized miss derived from its base product
 # among them (TestDerivedMiss*: deadline, re-derivation after eviction, and
 # two derivations coalescing on one slot), and the wire bounds that refuse a
@@ -90,20 +92,24 @@ test-cluster:
 # fuzz runs each fuzz target for 10 s: the one frame codec tcpmp and the
 # worker farm share, the two listeners that read it from strangers (a tcpmp
 # master's fixed-world join, the farm's registration and read loop), the
-# master's decoders of a worker's result blocks, the daemon's reader of a
+# master's decoders of a worker's result blocks and its verdicts on whatever
+# a worker sends (never a panic or a stall, every mode booked), the daemon's reader of a
 # peer's forwarded answer (both products' decoders), its request keys (JSON, Validate, Key, stable
 # under re-encoding) and its hits by body alias (a body sent twice gets one
 # answer), and the SSE2 kernels of
 # internal/ode, internal/core and internal/specfunc (the projection's row
 # pairs) against their Go loops. Plain `go test` replays their seed corpora
 # (testdata/fuzz, the crashers found so far among them); a new crasher lands
-# there too.
+# there too. Each input of FuzzMasterVerdicts runs a whole sweep, so its
+# new inputs are minimized for 100 runs, not the default 60 s that would
+# take most of its 10 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
 	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime 10s ./internal/mp/tcpmp/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/dispatch/
+	$(GO) test -run '^$$' -fuzz '^FuzzMasterVerdicts$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerEnvelope$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzHitAlias$$' -fuzztime 10s ./internal/serve/
@@ -154,13 +160,27 @@ bench-smoke:
 # models and sweeps at tiny sizes, so a flag or report path that stops
 # working fails CI: linger drives both facade products (C_l and the matter
 # power table), and cmbmap is the one driver of the sky-map synthesis.
-# psimovie, linger and cmbmap write into a temporary directory.
+# psimovie, linger and cmbmap write into a temporary directory. The last
+# step is the one multi-process Appendix-A run: a plinger master on a free
+# tcp port and one -role worker process that dials the address the master
+# prints, both required to exit 0; a master asked for -np 0 must refuse.
 cmd-smoke:
 	$(GO) run ./cmd/scaling -np 1,2 -nk 8 -lmax 20 -schedules -backends -fastevolve
 	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
 	d=$$(mktemp -d) && $(GO) run ./cmd/psimovie -n 16 -frames 2 -dir "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 	d=$$(mktemp -d) && $(GO) run ./cmd/linger -nk 8 -lmaxcl 20 -out "$$d/linger.out"; s=$$?; rm -rf "$$d"; exit $$s
 	d=$$(mktemp -d) && $(GO) run ./cmd/cmbmap -lmaxcl 20 -nk 40 -n 16 -full "$$d/cobe.pgm" -patch "$$d/patch.pgm"; s=$$?; rm -rf "$$d"; exit $$s
+	d=$$(mktemp -d) && s=1 && $(GO) build -o "$$d/plinger" ./cmd/plinger && \
+	if timeout 10 "$$d/plinger" -transport tcp -role master -np 0 -addr 127.0.0.1:0; then \
+		echo "plinger accepted -np 0"; \
+	else \
+		"$$d/plinger" -transport tcp -role master -np 1 -addr 127.0.0.1:0 -nk 8 -lmaxcl 20 >"$$d/master.log" 2>&1 & m=$$!; \
+		for i in $$(seq 100); do \
+			a=$$(sed -n 's/^master listening on \([^;]*\);.*/\1/p' "$$d/master.log"); [ -n "$$a" ] && break; sleep 0.1; \
+		done; \
+		"$$d/plinger" -transport tcp -role worker -addr "$$a" -nk 8 -lmaxcl 20 && wait $$m && s=0; \
+		kill $$m 2>/dev/null; cat "$$d/master.log"; \
+	fi; rm -rf "$$d"; exit $$s
 
 # loc prints the non-test Go lines per package under internal/, of the
 # facade and of cmd/ — the number ROADMAP aim 2 tracks — and beside them the

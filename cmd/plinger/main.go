@@ -73,8 +73,8 @@ func main() {
 	flag.Parse()
 	// The facade's grid ceiling: a larger grid or hierarchy fails in make().
 	const maxGrid = 1 << 16
-	if *nk < 1 || *nk > maxGrid || *lmax < 0 || *lmax > maxGrid {
-		log.Fatalf("-nk %d must lie in [1, %d] and -lmax %d in [0, %d]", *nk, maxGrid, *lmax, maxGrid)
+	if *np < 1 || *nk < 1 || *nk > maxGrid || *lmax < 0 || *lmax > maxGrid {
+		log.Fatalf("-np %d must be at least 1, -nk %d lie in [1, %d] and -lmax %d in [0, %d]", *np, *nk, maxGrid, *lmax, maxGrid)
 	}
 
 	model, err := core.Build(cosmology.SCDM())

@@ -83,18 +83,4 @@ func TestLateDeathReportWakesMaster(t *testing.T) {
 			t.Errorf("mode %d (k=%g) differs from the serial evolution", i, k)
 		}
 	}
-
-	// From any other source the tag is the protocol violation every
-	// unexpected tag is: without fault tolerance it aborts the run.
-	_, eps, err = chanmp.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		_, _ = eps[1].Recv(mp.TagInit, 0)
-		_ = eps[1].Send(0, mp.TagDown, []float64{1})
-	}()
-	if _, _, _, err := RunMaster(context.Background(), eps[0], m, ks, mode, MasterOptions{}); err == nil {
-		t.Error("a TagDown from a worker was accepted")
-	}
 }

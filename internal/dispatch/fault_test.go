@@ -242,10 +242,10 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	requireKilled(t, "all-workers-lost", killed)
 }
 
-// A context deadline on Run arms the fault-tolerant master even without an
-// explicit AssignDeadline: the same crash that aborts a plain run is
-// recovered under a deadline-carrying context.
-func TestChaosContextDeadlineArmsRecovery(t *testing.T) {
+// With no AssignDeadline and no deadline on the context the master still
+// recovers: a worker killed after its first block reports its death, and
+// the sweep is bitwise the undisturbed one.
+func TestChaosDefaultBudgetRecovers(t *testing.T) {
 	m := model(t)
 	ks := testKs()
 	mode := chaosMode()
@@ -253,21 +253,56 @@ func TestChaosContextDeadlineArmsRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	eps, cleanup := chaosWorld(t, "chan", 3)
 	defer cleanup()
 	killed := killAfterFirst(eps, 41, 1)
 	d := &MP{Model: m, Endpoints: eps, MasterOptions: MasterOptions{Backend: "mp/chan"}}
-	sw, st, err := d.Run(ctx, ks, mode)
+	sw, st, err := d.Run(context.Background(), ks, mode)
 	if err != nil {
-		t.Fatalf("context deadline did not arm recovery: %v", err)
+		t.Fatalf("default budget did not recover: %v", err)
 	}
 	if st.WorkerFailures != 1 {
 		t.Fatalf("worker failures %d, want 1", st.WorkerFailures)
 	}
-	checkRecovered(t, "ctx-deadline", ref, sw, st, len(ks))
-	requireKilled(t, "ctx-deadline", killed)
+	checkRecovered(t, "default-budget", ref, sw, st, len(ks))
+	requireKilled(t, "default-budget", killed)
+}
+
+// TestLoneMasterComputesLocally: a world of the master alone has no worker
+// to wait for, so the master evolves every mode itself, bitwise the serial
+// evolution.
+func TestLoneMasterComputesLocally(t *testing.T) {
+	m := model(t)
+	ks := testKs()
+	mode := smallMode()
+	_, eps, err := chanmp.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eps[0].Close()
+	type outcome struct {
+		sw  *Sweep
+		st  *RunStats
+		err error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		sw, st, _, err := RunMaster(context.Background(), eps[0], m, ks, mode, MasterOptions{})
+		out <- outcome{sw, st, err}
+	}()
+	var o outcome
+	select {
+	case o = <-out:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a master with no workers did not return")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if o.st.LocalModes != len(ks) {
+		t.Fatalf("master recomputed %d modes locally, want all %d", o.st.LocalModes, len(ks))
+	}
+	sameAsSerial(t, m, ks, mode, o.sw)
 }
 
 // A lockstep batch block must be re-run WHOLE on reassignment — its
@@ -297,9 +332,9 @@ func TestChaosBatchedBlockReassignment(t *testing.T) {
 	requireKilled(t, "batched-reassign", killed)
 }
 
-// Worker panics must surface as per-worker errors naming the rank and mode,
-// not crash the process: the pool sweeps and the non-fault-tolerant MP run
-// abort with the panic as root cause.
+// Worker panics must surface as errors that name the panic, not crash the
+// process: the pool sweeps abort with it, and an MP run whose every worker
+// panics fails when the master's local recompute panics too.
 func TestWorkerPanicRecovery(t *testing.T) {
 	broken := core.NewModel(nil, nil) // every evolution panics on the nil background
 	ks := testKs()[:3]

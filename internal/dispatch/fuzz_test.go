@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -58,6 +60,63 @@ func FuzzUnpackSources(f *testing.F) {
 		}
 		if !sameBits(packSources(ik, &core.Result{Sources: samples}), y) {
 			t.Fatalf("accepted block for ik=%d does not pack back: %v", ik, y)
+		}
+	})
+}
+
+// verdictScript decodes fuzz bytes into at most 8 messages: each is an
+// int8 tag, a little-endian uint16 count of doubles, and that many doubles,
+// zero where the bytes run out (a ragged double dropped), so a long block
+// of mostly zeros is a short input.
+func verdictScript(b []byte) []mp.Message {
+	var out []mp.Message
+	for len(out) < 8 && len(b) >= 3 {
+		tag, n := int(int8(b[0])), int(binary.LittleEndian.Uint16(b[1:3]))
+		b = b[3:]
+		y := make([]float64, n)
+		copy(y, fuzzFloats(b[:min(8*n, len(b))]))
+		out = append(out, msg(tag, y))
+		b = b[min(8*n, len(b)):]
+	}
+	return out
+}
+
+// encodeScript is verdictScript's inverse for the seeds, whose last
+// message never has a zero header: the trailing zeros it trims come back
+// as padding.
+func encodeScript(msgs []mp.Message) []byte {
+	var b []byte
+	for _, m := range msgs {
+		b = append(b, byte(int8(m.Tag)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Data)))
+		b = append(b, mp.EncodeFloats(m.Data)...)
+	}
+	return bytes.TrimRight(b, "\x00")
+}
+
+// FuzzMasterVerdicts: whatever rank 2 of runVerdict's world sends after its
+// first assignment before its death is reported, the master neither panics
+// nor stalls, and books every mode. Forged but well-formed results are
+// accepted as a worker's numbers always are, so the bits are not checked.
+func FuzzMasterVerdicts(f *testing.F) {
+	m := model(f)
+	ks := testKs()
+	for _, row := range verdictRows() {
+		mode := verdictMode(row.keep)
+		blocks := batchBlocks(len(ks), mode.KBatch)
+		ik1 := blocks[blockOrder(ks, blocks)[0]][0] + 1 // rank 2 requests first
+		f.Add(row.keep, encodeScript(row.send(ik1, fakeResult(ks[ik1-1], mode.LMax))))
+	}
+	f.Fuzz(func(t *testing.T, keep bool, script []byte) {
+		msgs := verdictScript(script)
+		res, err := runVerdict(t, m, ks, verdictMode(keep), func(int) []mp.Message { return msgs }, true)
+		if err != nil {
+			t.Fatalf("master: %v", err)
+		}
+		for i, r := range res.sw.Results {
+			if r == nil {
+				t.Fatalf("mode %d not booked", i)
+			}
 		}
 	})
 }

@@ -19,13 +19,9 @@ type MasterOptions struct {
 	// AdaptLMax reduces the hierarchy cutoff per wavenumber via PerKLMax;
 	// the per-mode cutoff rides along in the assignment message.
 	AdaptLMax bool
-	// AssignDeadline, when > 0, turns on the fault-tolerant master: each
-	// assignment round trip (and each worker's start-up) is bounded, dead
-	// or hung workers have their blocks reassigned, and the master
-	// recomputes locally if every worker is lost. A deadline on the context
-	// also activates it (the tighter of the two budgets wins). Zero keeps
-	// the paper's original semantics: no fault tolerance, one lost worker
-	// stalls the run.
+	// AssignDeadline bounds a worker's silence: its start-up request, and
+	// each message while it holds a block, must arrive within it, or the
+	// worker is declared dead and its block reassigned (zero: 30 s).
 	AssignDeadline time.Duration
 	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs: one
 	// line of 20 summary values per mode, and each moment block as a
@@ -33,37 +29,32 @@ type MasterOptions struct {
 	ASCIIOut, BinaryOut io.Writer
 }
 
-// assignDeadline is the budget a master runs under: the tighter of the
-// backend's own and what is left of the context's. Positive arms recovery.
-func assignDeadline(ctx context.Context, own time.Duration) time.Duration {
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 && (own == 0 || rem < own) {
-			return rem
-		}
-	}
-	return own
-}
+// defaultAssignDeadline is the silence budget of a master whose options
+// name none. A block silent for longer than it is re-run elsewhere; its
+// duplicate results are dropped first-wins, so a false miss costs work,
+// never bits.
+const defaultAssignDeadline = 30 * time.Second
 
 // RunMaster runs the master subroutine of Appendix A over the endpoint of a
 // world whose workers the caller owns: the in-process MP dispatcher and the
 // worker farm both drive it. It hands the blocks out largest-first
 // (blockOrder), decides the per-k cutoffs, prebuilds the evaluation tables,
 // runs the protocol until every wavenumber has been received and every
-// worker stopped, and returns the Sweep and RunStats; the ranks the master
+// worker stopped or failed, and returns the Sweep and RunStats; the ranks the master
 // declared dead come back too, for callers that keep their workers. The
 // master's probes watch no context, so when ctx ends mid-run the endpoint
 // is closed — every pending probe then returns mp.ErrClosed — and the
 // error is the context's.
 //
-// With a deadline armed (see MasterOptions.AssignDeadline) the master
-// detects worker failures (crashes, hangs, protocol violations, TagDown
-// death reports) and recovers: orphaned blocks are reassigned to survivors,
-// and with no survivors the master recomputes them itself. Recovery always
-// re-runs the WHOLE original block — a block's lockstep trajectories depend
-// on every member, so partial re-batching would change bits — and duplicate
-// results are resolved first-wins, so every mode being a pure function of
-// (k, mode, lmax) keeps a recovered sweep bitwise-identical to an
-// undisturbed one.
+// The master detects worker failures (crashes, hangs past
+// MasterOptions.AssignDeadline, protocol violations, TagDown death reports)
+// and recovers: orphaned blocks are reassigned to survivors, and with no
+// survivors — a world of the master alone among them — the master
+// recomputes them itself. Recovery always re-runs the WHOLE original block
+// — a block's lockstep trajectories depend on every member, so partial
+// re-batching would change bits — and duplicate results are resolved
+// first-wins, so every mode being a pure function of (k, mode, lmax) keeps
+// a recovered sweep bitwise-identical to an undisturbed one.
 func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params, o MasterOptions) (*Sweep, *RunStats, []int, error) {
 	if len(ks) == 0 {
 		return nil, nil, nil, fmt.Errorf("dispatch: no wavenumbers to distribute")
@@ -71,9 +62,13 @@ func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []floa
 	tau0 := sweepTau0(model, mode)
 	mode.TauEnd = tau0
 	blocks := batchBlocks(len(ks), mode.KBatch)
+	deadline := o.AssignDeadline
+	if deadline <= 0 {
+		deadline = defaultAssignDeadline
+	}
 	m := &master{
 		ep: ep, model: model, ks: ks, mode: mode, o: o,
-		deadline: assignDeadline(ctx, o.AssignDeadline),
+		deadline: deadline,
 		blocks:   blocks,
 		order:    blockOrder(ks, blocks),
 		perk:     perKLMaxTable(ks, tau0, mode.LMax, o.AdaptLMax),
@@ -114,7 +109,7 @@ type master struct {
 	ks    []float64
 	mode  core.Params // TauEnd set to the sweep's end time
 	o     MasterOptions
-	// deadline arms fault tolerance when > 0 (see assignDeadline).
+	// deadline bounds a worker's silence (MasterOptions.AssignDeadline).
 	deadline time.Duration
 	blocks   [][2]int
 	order    []int // hand-out order over blocks
@@ -140,9 +135,9 @@ type peer struct {
 	// outstanding (0: it holds none), so a batched assignment triggers
 	// exactly one follow-up hand-out, after its last member.
 	block, left int
-	// due is when the worker's next message must arrive under fault
-	// tolerance (zero: nothing is due): first its start-up request, then
-	// progress on its block.
+	// due is when the worker's next message must arrive (zero once it is
+	// stopped or failed): first its start-up request, then progress on its
+	// block.
 	due time.Time
 	// sum and mom assemble the worker's current mode. A result arrives as
 	// two or three messages (summary, moments, optionally sources), messages
@@ -153,19 +148,13 @@ type peer struct {
 	sum, mom []float64
 }
 
-// ft reports whether fault tolerance is armed.
-func (m *master) ft() bool { return m.deadline > 0 }
-
 // run broadcasts the run parameters and serves messages until every mode is
 // in and every worker stopped.
 func (m *master) run() error {
 	start := time.Now()
 	for rank := 0; rank < m.ep.Size(); rank++ {
 		if rank != m.ep.Master() {
-			m.peers[rank] = &peer{}
-			if m.ft() {
-				m.peers[rank].due = start.Add(m.deadline)
-			}
+			m.peers[rank] = &peer{due: start.Add(m.deadline)}
 		}
 	}
 	m.live = len(m.peers)
@@ -181,23 +170,20 @@ func (m *master) run() error {
 	if len(init) != initBlockLen {
 		panic("dispatch: init block length drifted from the protocol")
 	}
-	if err := m.ep.Bcast(mp.TagInit, init); err != nil && !m.ft() {
-		// Under fault tolerance a worker unreachable at broadcast time is a
-		// worker failure, not a run failure: whoever missed the init never
-		// requests work and falls to its start-up deadline.
-		return fmt.Errorf("dispatch: broadcast: %w", err)
-	}
+	// A worker unreachable at broadcast time is a worker failure, not a run
+	// failure: whoever missed the init never requests work and falls to its
+	// start-up deadline.
+	_ = m.ep.Bcast(mp.TagInit, init)
 
 	// Every worker sends exactly one request after the init, and one that
 	// comes after the last block went out is answered with a stop, so the
-	// loop runs until every mode is in and every worker stopped. Under fault
-	// tolerance it also waits out live workers still holding a block past
-	// done == nk — possible when a reassigned block's members were first-won
-	// by its dead previous owner. Like the paper's protocol the plain path
-	// has no fault tolerance: a worker that joined the world but died before
-	// its first request stalls it.
+	// loop runs until every mode is in and every worker stopped or failed.
+	// It also waits out live workers still holding a block past done == nk —
+	// possible when a reassigned block's members were first-won by its dead
+	// previous owner. A worker that dies before its first request is failed
+	// at its start-up deadline.
 	for m.done < len(m.ks) || m.computing > 0 || m.live > 0 {
-		if m.ft() && m.live == 0 {
+		if m.live == 0 {
 			// Nobody left to compute or request: finish the sweep locally
 			// rather than stall (the paper: "this has no fault tolerance" —
 			// this path is precisely what it lacked).
@@ -229,13 +215,16 @@ func (m *master) run() error {
 // receive is the master's one handler for a message, whoever sent it.
 func (m *master) receive(msg mp.Message) error {
 	tag, src := msg.Tag, msg.Source
-	if m.ft() && tag == mp.TagDown && src == m.ep.Rank() && len(msg.Data) == 1 {
+	if tag == mp.TagDown && src == m.ep.Rank() && len(msg.Data) == 1 {
 		m.fail(int(msg.Data[0])) // a death report, see mp.TagDown
 		return nil
 	}
 	m.st.BytesMoved += int64(8 * len(msg.Data))
 	p := m.peers[src]
-	if m.ft() && p != nil && (p.failed || p.stopped) {
+	if p == nil {
+		return nil // no worker of this world: nothing is expected from it
+	}
+	if p.failed || p.stopped {
 		// A worker declared dead may still be alive (a blown deadline on a
 		// slow link). Its work was reassigned; discard the duplicates and,
 		// if it asks for more, tell it to exit.
@@ -244,17 +233,17 @@ func (m *master) receive(msg mp.Message) error {
 		}
 		return nil
 	}
-	if m.ft() && p != nil && p.left > 0 {
+	if p.left > 0 {
 		// Any message is progress: the deadline bounds silence, so a worker
 		// grinding through a long block stays alive as long as its members
 		// keep arriving.
 		p.due = time.Now().Add(m.deadline)
 	}
 	switch {
-	case p == nil || p.stopped: // nothing is expected from it
 	case tag == mp.TagRequest && p.left == 0:
 		m.touch(src)
-		return m.assign(src, p)
+		m.assign(src, p)
+		return nil
 	case tag == mp.TagSummary && p.left > 0 && p.sum == nil:
 		p.sum = msg.Data
 		return nil
@@ -267,23 +256,23 @@ func (m *master) receive(msg mp.Message) error {
 	case tag == mp.TagSources && p.mom != nil:
 		return m.complete(src, p, msg.Data)
 	}
-	return m.fault(src, fmt.Errorf("unexpected tag %d", tag))
+	m.fail(src) // an unexpected tag
+	return nil
 }
 
 // complete decodes the mode the worker has assembled, books it, and hands
-// the worker its next block once the current one is done.
+// the worker its next block once the current one is done. A block that does
+// not decode fails the worker.
 func (m *master) complete(src int, p *peer, sources []float64) error {
 	sum, mom := p.sum, p.mom
 	p.sum, p.mom = nil, nil
 	ik1, r, err := unpackResult(sum, mom)
-	if err == nil && ik1 > len(m.ks) {
-		err = fmt.Errorf("wavenumber index %d out of range", ik1)
-	}
 	if err == nil && m.mode.KeepSources {
 		r.Sources, err = unpackSources(ik1, sources)
 	}
-	if err != nil {
-		return m.fault(src, err)
+	if err != nil || ik1 > len(m.ks) {
+		m.fail(src)
+		return nil
 	}
 	if err := m.accept(src, ik1-1, r, sum, mom); err != nil {
 		return err
@@ -293,7 +282,8 @@ func (m *master) complete(src int, p *peer, sources []float64) error {
 		return nil // more members of this worker's block are in flight
 	}
 	m.computing--
-	return m.assign(src, p)
+	m.assign(src, p)
+	return nil
 }
 
 // accept books mode ik, received from a worker or recomputed by the master
@@ -323,8 +313,10 @@ func (m *master) accept(rank, ik int, r *core.Result, sum, mom []float64) error 
 }
 
 // assign hands the worker its next block — an orphan first, then the
-// hand-out order — or, with none left, a stop.
-func (m *master) assign(dst int, p *peer) error {
+// hand-out order — or, with none left, a stop. A worker the transport can
+// no longer reach is stopped all the same, or failed with its block
+// orphaned for the next live requester.
+func (m *master) assign(dst int, p *peer) {
 	bi := -1
 	if len(m.orphans) > 0 {
 		bi, m.orphans = m.orphans[0], m.orphans[1:]
@@ -337,17 +329,13 @@ func (m *master) assign(dst int, p *peer) error {
 		p.stopped = true
 		m.live--
 		p.due = time.Time{}
-		if err := m.ep.Send(dst, mp.TagStop, []float64{0}); err != nil && !m.ft() {
-			return err
-		}
-		return nil // under fault tolerance an unreachable worker is stopped all the same
+		_ = m.ep.Send(dst, mp.TagStop, []float64{0})
+		return
 	}
 	lo, hi := m.blocks[bi][0], m.blocks[bi][1]
 	p.block, p.left = bi, hi-lo
 	m.computing++
-	if m.ft() {
-		p.due = time.Now().Add(m.deadline)
-	}
+	p.due = time.Now().Add(m.deadline)
 	// The Fortran sends the 1-based wavenumber index; the second value is
 	// the per-k hierarchy cutoff, and a batched assignment adds the block
 	// size.
@@ -356,14 +344,8 @@ func (m *master) assign(dst int, p *peer) error {
 		payload = payload[:2]
 	}
 	if err := m.ep.Send(dst, mp.TagAssign, payload); err != nil {
-		if !m.ft() {
-			return err
-		}
-		// The transport already knows this worker is gone; orphan the block
-		// for the next live requester.
 		m.fail(dst)
 	}
-	return nil
 }
 
 // blockLMax is the cutoff a block runs at: the largest per-k one among its
@@ -376,24 +358,14 @@ func (m *master) blockLMax(lo, hi int) int {
 	return max(0, slices.Max(m.perk[lo:hi]))
 }
 
-// fault is the master's one verdict on a worker that broke the protocol or
-// sent a block that does not decode: under fault tolerance the worker is
-// failed and its block reassigned, otherwise the run ends with the error.
-func (m *master) fault(rank int, err error) error {
-	if !m.ft() {
-		return fmt.Errorf("dispatch: worker %d: %w", rank, err)
-	}
-	m.fail(rank)
-	return nil
-}
-
-// fail declares a live worker dead under fault tolerance: its half-assembled
-// mode is discarded and its block joins the orphans for a full re-run (the
-// lockstep batch ties every trajectory to the whole block, so resuming
-// mid-block would change bits).
+// fail is the master's one verdict on a live worker that died, fell silent
+// past its deadline, broke the protocol or sent a block that does not
+// decode: its half-assembled mode is discarded and its block joins the
+// orphans for a full re-run (the lockstep batch ties every trajectory to the
+// whole block, so resuming mid-block would change bits).
 func (m *master) fail(rank int) {
 	p := m.peers[rank]
-	if !m.ft() || p == nil || p.failed || p.stopped {
+	if p == nil || p.failed || p.stopped {
 		return
 	}
 	p.failed = true
@@ -420,8 +392,10 @@ func (m *master) expire(now time.Time) {
 	}
 }
 
-// probe waits for the next message, under fault tolerance no longer than
-// the earliest due one; ok=false reports that it came due instead.
+// probe waits for the next message, no longer than the earliest due one;
+// ok=false reports that it came due instead. run probes only while a worker
+// is live, and every live worker owes a message by its due time, so there
+// always is one.
 func (m *master) probe() (tag, src int, ok bool, err error) {
 	var due time.Time
 	for _, p := range m.peers {
@@ -429,15 +403,11 @@ func (m *master) probe() (tag, src int, ok bool, err error) {
 			due = p.due
 		}
 	}
-	if !due.IsZero() {
-		wait := time.Until(due)
-		if wait <= 0 {
-			return 0, 0, false, nil
-		}
-		return m.ep.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
+	wait := time.Until(due)
+	if wait <= 0 {
+		return 0, 0, false, nil
 	}
-	tag, src, err = m.ep.Probe(mp.AnyTag, mp.AnySource)
-	return tag, src, err == nil, err
+	return m.ep.ProbeTimeout(mp.AnyTag, mp.AnySource, wait)
 }
 
 func (m *master) touch(rank int) *WorkerTiming {
@@ -470,7 +440,7 @@ func (m *master) recomputeLocal() error {
 			// symmetric with the worker goroutines' recovery.
 			defer func() {
 				if r := recover(); r != nil {
-					err = fmt.Errorf("panic: %v", r)
+					err = fmt.Errorf("panicked: %v", r)
 				}
 			}()
 			return m.model.EvolveBatchWith(m.ks[lo:hi], p, nil, scratch)

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -16,7 +15,9 @@ import (
 // MP is the message-passing backend: the paper's Appendix A master/worker
 // protocol over any mp.Endpoint transport, with the workers as goroutines
 // of this process running Worker (or remote processes running it on their
-// own endpoints). RunMaster drives the master.
+// own endpoints). RunMaster drives the master, which recovers from lost
+// workers: a local worker that fails reports its death to it at once, a
+// remote one is failed when its MasterOptions.AssignDeadline runs out.
 type MP struct {
 	Model *core.Model
 	// Endpoints[0] is the master's endpoint; a worker goroutine is
@@ -34,7 +35,8 @@ type MP struct {
 }
 
 // Run implements Dispatcher: it starts a worker goroutine per further
-// endpoint and drives the master through RunMaster.
+// endpoint and drives the master through RunMaster. A worker's error is
+// the master's to recover from, so only the master's fails the run.
 func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *RunStats, error) {
 	if d.Model == nil {
 		return nil, nil, fmt.Errorf("dispatch: mp dispatcher has no model")
@@ -52,89 +54,37 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 		return nil, nil, err
 	}
 	master := d.Endpoints[0]
-	closeWorld := func() {
+	var wg sync.WaitGroup
+	for _, wep := range d.Endpoints[1:] {
+		wg.Add(1)
+		go func(wep mp.Endpoint) {
+			defer wg.Done()
+			ok := false
+			defer func() {
+				// A worker that errs or panics reports its death, so the
+				// master orphans its block now instead of when its deadline
+				// expires; a panic looks to the master exactly like a crash.
+				recover()
+				if !ok {
+					_ = master.Send(master.Rank(), mp.TagDown, []float64{float64(wep.Rank())})
+				}
+			}()
+			ok = Worker(wep, d.Model, ks, mode, nil) == nil
+		}(wep)
+	}
+	sw, st, _, err := RunMaster(ctx, master, d.Model, ks, mode, d.MasterOptions)
+	if err != nil || st.WorkerFailures > 0 {
+		// Casualties may be wedged in a probe for an assignment that will
+		// never come, or in a hung send; closing the world releases their
+		// goroutines. A failed or recovered run's endpoints are spent
+		// either way.
 		for _, ep := range d.Endpoints {
 			ep.Close()
 		}
 	}
-	ft := assignDeadline(ctx, d.AssignDeadline) > 0
-
-	nLocal := len(d.Endpoints) - 1
-	errCh := make(chan error, nLocal)
-	for _, wep := range d.Endpoints[1:] {
-		go func(wep mp.Endpoint) {
-			rank := wep.Rank()
-			werr := func() (err error) {
-				// A panicking worker must look to the master exactly like a
-				// crashed one: recover, report, let reassignment handle it.
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("dispatch: mp worker %d panicked: %v", rank, r)
-					}
-				}()
-				return Worker(wep, d.Model, ks, mode, nil)
-			}()
-			if werr != nil && ft {
-				// Death report: lets the fault-tolerant master orphan this
-				// worker's block now instead of when its deadline expires.
-				_ = master.Send(master.Rank(), mp.TagDown, []float64{float64(rank)})
-			}
-			errCh <- werr
-		}(wep)
-	}
-	// A failed worker never reports back over the protocol. Without fault
-	// tolerance the master would block forever waiting for its result, so
-	// watch the local workers concurrently and abort the whole world on the
-	// first failure. With fault tolerance armed the master survives worker
-	// loss by design, so the world stays up and recovery runs instead.
-	var wmu sync.Mutex
-	var workerErr error
-	workersDone := make(chan struct{})
-	go func() {
-		defer close(workersDone)
-		for i := 0; i < nLocal; i++ {
-			if werr := <-errCh; werr != nil {
-				wmu.Lock()
-				if workerErr == nil {
-					workerErr = werr
-					if !ft {
-						closeWorld()
-					}
-				}
-				wmu.Unlock()
-			}
-		}
-	}()
-	sw, st, _, err := RunMaster(ctx, master, d.Model, ks, mode, d.MasterOptions)
+	wg.Wait()
 	if err != nil {
-		// Unblock any local workers still probing, then collect them.
-		closeWorld()
-		<-workersDone
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		wmu.Lock()
-		werr := workerErr
-		wmu.Unlock()
-		// Prefer the root cause: a genuine worker failure beats the
-		// master's probe fallout, but a worker's bare ErrClosed is
-		// itself fallout from the master failing first. Under fault
-		// tolerance the preference flips — worker casualties are expected
-		// and recovered, so a master error is the authoritative failure.
-		if werr != nil && !ft && !errors.Is(werr, mp.ErrClosed) {
-			return nil, nil, werr
-		}
 		return nil, nil, err
-	}
-	if ft && st.WorkerFailures > 0 {
-		// Casualties may be wedged in a probe for an assignment that will
-		// never come, or in a hung send; closing the world releases their
-		// goroutines. A recovered run's endpoints are spent either way.
-		closeWorld()
-	}
-	<-workersDone
-	if workerErr != nil && !ft {
-		return nil, nil, workerErr
 	}
 	if d.BytesMoved != nil {
 		st.BytesMoved = d.BytesMoved()

@@ -60,8 +60,8 @@ type RunStats struct {
 	// backends list every worker that asked for work).
 	Workers []WorkerTiming
 
-	// Fault-tolerance ledger (all zero on an undisturbed run; only the MP
-	// backend with an assignment deadline can populate it).
+	// Fault-tolerance ledger (all zero on an undisturbed run; only the
+	// Appendix-A master, under MP and the farm, can populate it).
 	WorkerFailures int // workers declared dead during the run
 	Reassignments  int // orphaned k-blocks handed to surviving workers
 	DeadlineMisses int // assignment/start-up deadline expiries

@@ -50,10 +50,8 @@ type Options struct {
 	// heartbeatMisses is how many consecutive unanswered ping windows a
 	// worker survives before being declared dead (default 3).
 	heartbeatMisses int
-	// assignDeadline arms the fault-tolerant master for every farm sweep;
-	// it bounds each assignment round trip (default 30s). It cannot be
-	// disabled: a farm without failure detection would hang on the first
-	// lost worker.
+	// assignDeadline is the silence budget of every farm sweep's master
+	// (zero: dispatch's default, 30s).
 	assignDeadline time.Duration
 	// restartMax restarts are allowed per restartWindow across the fleet
 	// (defaults 5 per minute); beyond that a crash-looping worker stays
@@ -72,9 +70,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.heartbeatMisses <= 0 {
 		opt.heartbeatMisses = 3
-	}
-	if opt.assignDeadline <= 0 {
-		opt.assignDeadline = 30 * time.Second
 	}
 	if opt.MinWorkers == 0 && opt.Workers > 0 {
 		opt.MinWorkers = 1
