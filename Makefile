@@ -52,9 +52,9 @@ test-race:
 # the chan/fifo/tcp transports, all-but-one and all-workers-lost kills,
 # batched-block reassignment, a kill under the default 30 s budget), worker
 # panic recovery, and the unit tests of the Appendix-A master, which always
-# recovers, and of its worker (the verdicts, the late death report, a world
-# of the master alone and the malformed init and assignment blocks among
-# them) — and the serving
+# recovers, and of its worker (the verdicts, the late death report, a
+# parked worker taking the last orphan, a world of the master alone and the
+# malformed init and assignment blocks among them) — and the serving
 # layer's deadline handling, a normalized miss derived from its base product
 # among them (TestDerivedMiss*: deadline, re-derivation after eviction, and
 # two derivations coalescing on one slot), and the wire bounds that refuse a
@@ -67,11 +67,12 @@ test-faults:
 # detector: the in-process supervisor contract tests (bitwise equality with
 # the pool on SCDM and on a flattened MDM model, the numerics-version
 # refusal, the bounded worker model cache, heartbeat kills, rejoin
-# accounting, drain, a prompt Close, zero-worker degradation), the tcpmp
-# join hardening and golden frames (the one data frame both carry), the
+# accounting, drain, a prompt Close, zero-worker degradation), tcpmp's
+# loopback world and golden frames (the one data frame both carry), the
 # serve and facade farm routing, the composed farm-and-cluster chaos test,
 # and the process-spawning chaos tests that SIGKILL real plingerw workers
-# mid-sweep and between sweeps.
+# mid-sweep and between sweeps, one of them under the default 30 s silence
+# budget, which the dropped connection must beat.
 test-farm:
 	$(GO) test -race ./internal/farm/ ./internal/mp/tcpmp/
 	$(GO) test -race -run 'Farm' ./internal/serve/ .
@@ -90,9 +91,8 @@ test-cluster:
 	$(GO) test -race -run 'Cluster|RetryAfter|KeyExcludesRouting' ./internal/serve/
 
 # fuzz runs each fuzz target for 10 s: the one frame codec tcpmp and the
-# worker farm share, the two listeners that read it from strangers (a tcpmp
-# master's fixed-world join, the farm's registration and read loop), the
-# master's decoders of a worker's result blocks and its verdicts on whatever
+# worker farm share, the one listener that reads it from strangers (the
+# farm's registration and read loop), the master's decoders of a worker's result blocks and its verdicts on whatever
 # a worker sends (never a panic or a stall, every mode booked), the daemon's reader of a
 # peer's forwarded answer (both products' decoders), its request keys (JSON, Validate, Key, stable
 # under re-encoding) and its hits by body alias (a body sent twice gets one
@@ -105,7 +105,6 @@ test-cluster:
 # take most of its 10 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mp/
-	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime 10s ./internal/mp/tcpmp/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegister$$' -fuzztime 10s ./internal/farm/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackResult$$' -fuzztime 10s ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSources$$' -fuzztime 10s ./internal/dispatch/
@@ -162,23 +161,25 @@ bench-smoke:
 # power table), and cmbmap is the one driver of the sky-map synthesis.
 # psimovie, linger and cmbmap write into a temporary directory. The last
 # step is the one multi-process Appendix-A run: a plinger master on a free
-# tcp port and one -role worker process that dials the address the master
-# prints, both required to exit 0; a master asked for -np 0 must refuse.
+# tcp port and one plingerw that dials the address the master prints, both
+# required to exit 0 (the master drains its worker) with one unit_1 line
+# per mode; a master asked for -np 0 must refuse.
 cmd-smoke:
 	$(GO) run ./cmd/scaling -np 1,2 -nk 8 -lmax 20 -schedules -backends -fastevolve
 	$(GO) run ./cmd/plinger -np 2 -nk 24 -lmaxcl 40 -cl -fastcl
 	d=$$(mktemp -d) && $(GO) run ./cmd/psimovie -n 16 -frames 2 -dir "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 	d=$$(mktemp -d) && $(GO) run ./cmd/linger -nk 8 -lmaxcl 20 -out "$$d/linger.out"; s=$$?; rm -rf "$$d"; exit $$s
 	d=$$(mktemp -d) && $(GO) run ./cmd/cmbmap -lmaxcl 20 -nk 40 -n 16 -full "$$d/cobe.pgm" -patch "$$d/patch.pgm"; s=$$?; rm -rf "$$d"; exit $$s
-	d=$$(mktemp -d) && s=1 && $(GO) build -o "$$d/plinger" ./cmd/plinger && \
-	if timeout 10 "$$d/plinger" -transport tcp -role master -np 0 -addr 127.0.0.1:0; then \
+	d=$$(mktemp -d) && s=1 && $(GO) build -o "$$d/" ./cmd/plinger ./cmd/plingerw && \
+	if timeout 10 "$$d/plinger" -transport tcp -np 0 -addr 127.0.0.1:0; then \
 		echo "plinger accepted -np 0"; \
 	else \
-		"$$d/plinger" -transport tcp -role master -np 1 -addr 127.0.0.1:0 -nk 8 -lmaxcl 20 >"$$d/master.log" 2>&1 & m=$$!; \
+		"$$d/plinger" -transport tcp -np 1 -addr 127.0.0.1:0 -nk 8 -lmaxcl 20 \
+			-unit1 "$$d/unit1.txt" -unit2 "$$d/unit2.dat" >"$$d/master.log" 2>&1 & m=$$!; \
 		for i in $$(seq 100); do \
 			a=$$(sed -n 's/^master listening on \([^;]*\);.*/\1/p' "$$d/master.log"); [ -n "$$a" ] && break; sleep 0.1; \
 		done; \
-		"$$d/plinger" -transport tcp -role worker -addr "$$a" -nk 8 -lmaxcl 20 && wait $$m && s=0; \
+		timeout 60 "$$d/plingerw" -master "$$a" && wait $$m && [ $$(wc -l <"$$d/unit1.txt") -eq 8 ] && s=0; \
 		kill $$m 2>/dev/null; cat "$$d/master.log"; \
 	fi; rm -rf "$$d"; exit $$s
 

@@ -1,24 +1,27 @@
 // Command plinger is the parallel driver: the master/worker decomposition
 // of Appendix A over either in-process workers (like MPI on one node) or
-// TCP across OS processes (like PVM across a cluster: the master listens
-// and every worker dials it). All fan-out goes through the dispatch
-// subsystem.
+// worker processes across hosts (like PVM across a cluster: the master
+// listens and every worker dials it). All fan-out goes through the
+// dispatch subsystem.
 //
 // Single process, n workers (in-process "chan" or strict-FIFO "fifo"):
 //
 //	plinger -np 8 -nk 64 -lmax 80 -unit1 plinger.txt -unit2 plinger.dat
 //
-// Across processes: start the master, then connect workers:
+// Across processes: start the master, then one plingerw per worker, on any
+// host that reaches it:
 //
-//	plinger -transport tcp -role master -addr :7070 -np 4 -nk 64
-//	plinger -transport tcp -role worker -addr host:7070 -nk 64
+//	plinger -transport tcp -addr :7070 -np 4 -nk 64
+//	plingerw -master host:7070
 //
-// The master waits until all -np workers have joined. A worker dials once:
-// started before the master listens, it exits with the refused dial. The
-// worker must be given the same -nk/-kmin/-kmax so both sides agree on the
-// wavenumber table (the paper broadcasts the rest at tag 1); a worker given
-// a different -nk is refused at init, and so is one whose own hierarchy
-// cutoff (-lmax, or the adaptive one of its grid) is below the master's.
+// A worker registers as in plingerd's farm (internal/farm): its build must
+// compute the master's bits (core.NumericsVersion), and it takes the model,
+// the wavenumber grid and the mode from the sweep, so it is given none of
+// the master's flags. The master waits up to five minutes for -np workers,
+// then sweeps over those that came (none: it evolves every mode itself). A
+// worker that dies mid-sweep is noticed when its connection drops and its
+// block re-run by another. At the end the master drains its workers, which
+// exit.
 //
 // With -cl the master assembles the angular power spectrum from the
 // returned sources after the sweep, on the swept wavenumbers; -fastcl
@@ -45,10 +48,14 @@ import (
 	"plinger/internal/core"
 	"plinger/internal/cosmology"
 	"plinger/internal/dispatch"
-	"plinger/internal/mp"
-	"plinger/internal/mp/tcpmp"
+	"plinger/internal/farm"
 	"plinger/internal/spectra"
 )
+
+// waitWorkers is how long a tcp master waits for its -np workers to
+// register: long enough to start them by hand, and as long as a plingerw
+// keeps redialing a master that is not up yet (its -retry-window).
+const waitWorkers = 5 * time.Minute
 
 func main() {
 	log.SetFlags(0)
@@ -61,9 +68,8 @@ func main() {
 		lmaxcl    = flag.Int("lmaxcl", 200, "target C_l multipole for the k grid")
 		lmax      = flag.Int("lmax", 0, "hierarchy cutoff (0: adaptive per k)")
 		gaugeName = flag.String("gauge", "synchronous", "gauge: synchronous or newtonian")
-		transport = flag.String("transport", "chan", "chan | fifo (in-process) or tcp")
-		role      = flag.String("role", "master", "tcp role: master or worker")
-		addr      = flag.String("addr", "127.0.0.1:7070", "tcp address")
+		transport = flag.String("transport", "chan", "chan | fifo (in-process) or tcp (plingerw workers)")
+		addr      = flag.String("addr", "127.0.0.1:7070", "tcp address the master listens on")
 		unit1     = flag.String("unit1", "", "ASCII summary output file")
 		unit2     = flag.String("unit2", "", "binary moment output file")
 		cl        = flag.Bool("cl", false, "assemble C_l from the sweep afterwards (forces newtonian gauge + sources)")
@@ -75,6 +81,9 @@ func main() {
 	const maxGrid = 1 << 16
 	if *np < 1 || *nk < 1 || *nk > maxGrid || *lmax < 0 || *lmax > maxGrid {
 		log.Fatalf("-np %d must be at least 1, -nk %d lie in [1, %d] and -lmax %d in [0, %d]", *np, *nk, maxGrid, *lmax, maxGrid)
+	}
+	if *transport != "chan" && *transport != "fifo" && *transport != "tcp" {
+		log.Fatalf("unknown transport %q", *transport)
 	}
 
 	model, err := core.Build(cosmology.SCDM())
@@ -111,6 +120,9 @@ func main() {
 		}
 	}
 
+	// The output files are opened before the sweep, so a bad path costs
+	// no computation, and written after it, in grid order.
+	var closers []func() error
 	openOut := func(name string) io.Writer {
 		if name == "" {
 			return nil
@@ -120,53 +132,17 @@ func main() {
 			log.Fatal(err)
 		}
 		w := bufio.NewWriter(f)
-		// flushed on exit
-		deferred = append(deferred, func() { w.Flush(); f.Close() })
+		closers = append(closers, func() error {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			return f.Close()
+		})
 		return w
 	}
+	u1, u2 := openOut(*unit1), openOut(*unit2)
 
-	// The transports differ only in how the master's world is built.
-	var d *dispatch.MP
-	cleanup := func() {}
-	switch {
-	case *transport == "chan" || *transport == "fifo":
-		if d, cleanup, err = dispatch.NewMP(model, *transport, *np); err != nil {
-			log.Fatal(err)
-		}
-	case *transport == "tcp" && *role == "master":
-		l, err := tcpmp.Listen(*addr, *np+1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer l.Close()
-		fmt.Printf("master listening on %s; waiting for %d workers\n", l.Addr(), *np)
-		ep := l.Accept()
-		d = &dispatch.MP{
-			Model:         model,
-			Endpoints:     []mp.Endpoint{ep},
-			BytesMoved:    ep.BytesMoved,
-			MasterOptions: dispatch.MasterOptions{Backend: "mp/tcp"},
-		}
-	case *transport == "tcp" && *role == "worker":
-		ep, err := tcpmp.Dial(*addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("connected as rank %d of %d\n", ep.Rank(), ep.Size())
-		if err := dispatch.Worker(ep, model, ks, mode, nil); err != nil && err != mp.ErrClosed {
-			log.Fatal(err)
-		}
-		return
-	case *transport == "tcp":
-		log.Fatalf("unknown role %q", *role)
-	default:
-		log.Fatalf("unknown transport %q", *transport)
-	}
-	d.AdaptLMax = adapt
-	d.ASCIIOut = openOut(*unit1)
-	d.BinaryOut = openOut(*unit2)
-	sw, st, err := d.Run(context.Background(), ks, mode)
-	cleanup()
+	sw, st, err := sweep(*transport, *addr, *np, model, ks, mode, adapt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,12 +150,37 @@ func main() {
 	if *cl {
 		reportCl(sw, model.TH.TauRec(), *lmaxcl, *fastcl)
 	}
-	for _, f := range deferred {
-		f()
+	if err := dispatch.WriteRecords(u1, u2, sw); err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range closers {
+		if err := c(); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 
-var deferred []func()
+// sweep runs the sweep over np workers: goroutines of this process, or on
+// tcp plingerw processes registering with a farm supervisor that listens
+// on addr, spawns none and drains them once the sweep is done.
+func sweep(transport, addr string, np int, model *core.Model, ks []float64, mode core.Params, adapt bool) (*dispatch.Sweep, *dispatch.RunStats, error) {
+	if transport != "tcp" {
+		d, cleanup, err := dispatch.NewMP(model, transport, np)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer cleanup()
+		d.AdaptLMax = adapt
+		return d.Run(context.Background(), ks, mode)
+	}
+	s, err := farm.New(farm.Options{Addr: addr, MinWorkers: np, WaitWorkers: waitWorkers, Logf: log.Printf})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.Close()
+	fmt.Printf("master listening on %s; waiting for %d workers\n", s.Addr(), np)
+	return s.Sweep(context.Background(), model, ks, mode, adapt)
+}
 
 // reportCl assembles and prints the angular power spectrum from a sweep
 // that kept its sources, timing the post-processing: the exact reference

@@ -3,8 +3,8 @@ package plinger
 // Integration tests that exercise the repository the way a user would:
 // building and running the actual command-line binaries, including a
 // genuine multi-OS-process PLINGER run over the TCP transport (the paper's
-// cluster deployment mode: the master listens and each worker dials it, as
-// PVM workers join their master's virtual machine).
+// cluster deployment mode: the master listens and each plingerw worker
+// dials it, as PVM workers join their master's virtual machine).
 
 import (
 	"fmt"
@@ -47,16 +47,15 @@ func TestMultiProcessTCPRun(t *testing.T) {
 		t.Skip("spawns OS processes")
 	}
 	bin := buildTool(t, "plinger")
+	workerBin := buildTool(t, "plingerw")
 	addr := freePort(t)
 	dir := t.TempDir()
 	unit1 := filepath.Join(dir, "unit1.txt")
 	unit2 := filepath.Join(dir, "unit2.dat")
 
-	args := []string{"-transport", "tcp", "-addr", addr, "-nk", "6",
-		"-kmin", "0.005", "-kmax", "0.05", "-lmax", "12"}
-
-	master := exec.Command(bin, append([]string{"-role", "master", "-np", "2",
-		"-unit1", unit1, "-unit2", unit2}, args...)...)
+	master := exec.Command(bin, "-transport", "tcp", "-addr", addr, "-np", "2",
+		"-nk", "6", "-kmin", "0.005", "-kmax", "0.05", "-lmax", "12",
+		"-unit1", unit1, "-unit2", unit2)
 	masterOut := &strings.Builder{}
 	master.Stdout = masterOut
 	master.Stderr = masterOut
@@ -64,11 +63,10 @@ func TestMultiProcessTCPRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Give the master a moment to listen, then start two workers.
-	time.Sleep(300 * time.Millisecond)
+	// Start two workers; each redials until the master listens.
 	var workers []*exec.Cmd
 	for w := 0; w < 2; w++ {
-		wk := exec.Command(bin, append([]string{"-role", "worker"}, args...)...)
+		wk := exec.Command(workerBin, "-quiet", "-master", addr)
 		wkOut := &strings.Builder{}
 		wk.Stdout = wkOut
 		wk.Stderr = wkOut
@@ -89,8 +87,14 @@ func TestMultiProcessTCPRun(t *testing.T) {
 		master.Process.Kill()
 		t.Fatalf("master timed out\n%s", masterOut.String())
 	}
-	for _, wk := range workers {
-		wk.Wait()
+	// The master drains its workers at the end: both exit cleanly.
+	for i, wk := range workers {
+		stuck := time.AfterFunc(30*time.Second, func() { wk.Process.Kill() })
+		err := wk.Wait()
+		stuck.Stop()
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
 	}
 
 	if !strings.Contains(masterOut.String(), "modes: 6") {

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -23,10 +22,6 @@ type MasterOptions struct {
 	// each message while it holds a block, must arrive within it, or the
 	// worker is declared dead and its block reassigned (zero: 30 s).
 	AssignDeadline time.Duration
-	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs: one
-	// line of 20 summary values per mode, and each moment block as a
-	// length-prefixed little-endian record.
-	ASCIIOut, BinaryOut io.Writer
 }
 
 // defaultAssignDeadline is the silence budget of a master whose options
@@ -50,11 +45,14 @@ const defaultAssignDeadline = 30 * time.Second
 // MasterOptions.AssignDeadline, protocol violations, TagDown death reports)
 // and recovers: orphaned blocks are reassigned to survivors, and with no
 // survivors — a world of the master alone among them — the master
-// recomputes them itself. Recovery always re-runs the WHOLE original block
-// — a block's lockstep trajectories depend on every member, so partial
-// re-batching would change bits — and duplicate results are resolved
-// first-wins, so every mode being a pure function of (k, mode, lmax) keeps
-// a recovered sweep bitwise-identical to an undisturbed one.
+// recomputes them itself. A worker that asks for work when none is left
+// waits while another still holds a block, so a block orphaned at the end
+// of a sweep goes to it rather than to the master. Recovery always re-runs
+// the WHOLE original block — a block's lockstep trajectories depend on
+// every member, so partial re-batching would change bits — and duplicate
+// results are resolved first-wins, so every mode being a pure function of
+// (k, mode, lmax) keeps a recovered sweep bitwise-identical to an
+// undisturbed one.
 func RunMaster(ctx context.Context, ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params, o MasterOptions) (*Sweep, *RunStats, []int, error) {
 	if len(ks) == 0 {
 		return nil, nil, nil, fmt.Errorf("dispatch: no wavenumbers to distribute")
@@ -131,6 +129,10 @@ type master struct {
 // peer is the master's view of one worker.
 type peer struct {
 	stopped, failed bool
+	// parked is a worker that asked for work when none was left while
+	// another held a block: it owes no message, so it has no due time, and
+	// it takes the next orphan or, once no block is held, a stop.
+	parked bool
 	// block is the block the worker holds and left counts its members still
 	// outstanding (0: it holds none), so a batched assignment triggers
 	// exactly one follow-up hand-out, after its last member.
@@ -176,8 +178,9 @@ func (m *master) run() error {
 	_ = m.ep.Bcast(mp.TagInit, init)
 
 	// Every worker sends exactly one request after the init, and one that
-	// comes after the last block went out is answered with a stop, so the
-	// loop runs until every mode is in and every worker stopped or failed.
+	// finds no block left is parked while another worker holds one and
+	// stopped once none does, so the loop runs until every mode is in and
+	// every worker stopped or failed.
 	// It also waits out live workers still holding a block past done == nk —
 	// possible when a reassigned block's members were first-won by its dead
 	// previous owner. A worker that dies before its first request is failed
@@ -204,25 +207,23 @@ func (m *master) run() error {
 		if err != nil {
 			return err
 		}
-		if err := m.receive(msg); err != nil {
-			return err
-		}
+		m.receive(msg)
 	}
 	m.st.Wallclock = time.Since(start).Seconds()
 	return nil
 }
 
 // receive is the master's one handler for a message, whoever sent it.
-func (m *master) receive(msg mp.Message) error {
+func (m *master) receive(msg mp.Message) {
 	tag, src := msg.Tag, msg.Source
 	if tag == mp.TagDown && src == m.ep.Rank() && len(msg.Data) == 1 {
 		m.fail(int(msg.Data[0])) // a death report, see mp.TagDown
-		return nil
+		return
 	}
 	m.st.BytesMoved += int64(8 * len(msg.Data))
 	p := m.peers[src]
 	if p == nil {
-		return nil // no worker of this world: nothing is expected from it
+		return // no worker of this world: nothing is expected from it
 	}
 	if p.failed || p.stopped {
 		// A worker declared dead may still be alive (a blown deadline on a
@@ -231,7 +232,7 @@ func (m *master) receive(msg mp.Message) error {
 		if tag == mp.TagRequest {
 			_ = m.ep.Send(src, mp.TagStop, []float64{0})
 		}
-		return nil
+		return
 	}
 	if p.left > 0 {
 		// Any message is progress: the deadline bounds silence, so a worker
@@ -240,30 +241,27 @@ func (m *master) receive(msg mp.Message) error {
 		p.due = time.Now().Add(m.deadline)
 	}
 	switch {
-	case tag == mp.TagRequest && p.left == 0:
+	case tag == mp.TagRequest && p.left == 0 && !p.parked:
 		m.touch(src)
 		m.assign(src, p)
-		return nil
 	case tag == mp.TagSummary && p.left > 0 && p.sum == nil:
 		p.sum = msg.Data
-		return nil
 	case tag == mp.TagMoments && p.sum != nil && p.mom == nil:
 		p.mom = msg.Data
-		if m.mode.KeepSources {
-			return nil
+		if !m.mode.KeepSources {
+			m.complete(src, p, nil)
 		}
-		return m.complete(src, p, nil)
 	case tag == mp.TagSources && p.mom != nil:
-		return m.complete(src, p, msg.Data)
+		m.complete(src, p, msg.Data)
+	default:
+		m.fail(src) // an unexpected tag
 	}
-	m.fail(src) // an unexpected tag
-	return nil
 }
 
 // complete decodes the mode the worker has assembled, books it, and hands
 // the worker its next block once the current one is done. A block that does
 // not decode fails the worker.
-func (m *master) complete(src int, p *peer, sources []float64) error {
+func (m *master) complete(src int, p *peer, sources []float64) {
 	sum, mom := p.sum, p.mom
 	p.sum, p.mom = nil, nil
 	ik1, r, err := unpackResult(sum, mom)
@@ -272,28 +270,23 @@ func (m *master) complete(src int, p *peer, sources []float64) error {
 	}
 	if err != nil || ik1 > len(m.ks) {
 		m.fail(src)
-		return nil
+		return
 	}
-	if err := m.accept(src, ik1-1, r, sum, mom); err != nil {
-		return err
-	}
-	p.left--
-	if p.left > 0 {
-		return nil // more members of this worker's block are in flight
+	m.accept(src, ik1-1, r)
+	if p.left--; p.left > 0 {
+		return // more members of this worker's block are in flight
 	}
 	m.computing--
 	m.assign(src, p)
-	return nil
 }
 
 // accept books mode ik, received from a worker or recomputed by the master
 // alike. The first copy wins: a reassigned block re-runs members its dead
 // owner may already have delivered, with identical bits either way (a mode
-// is a pure function of k). A booked mode is tallied to rank and written to
-// the unit_1 and unit_2 outputs.
-func (m *master) accept(rank, ik int, r *core.Result, sum, mom []float64) error {
+// is a pure function of k). A booked mode is tallied to rank.
+func (m *master) accept(rank, ik int, r *core.Result) {
 	if m.results[ik] != nil {
-		return nil
+		return
 	}
 	m.results[ik] = r
 	m.done++
@@ -301,21 +294,13 @@ func (m *master) accept(rank, ik int, r *core.Result, sum, mom []float64) error 
 	w.Modes++
 	w.Seconds += r.Seconds
 	w.Flops += r.Flops
-	if m.o.ASCIIOut != nil {
-		if err := writeASCIIRecord(m.o.ASCIIOut, sum); err != nil {
-			return err
-		}
-	}
-	if m.o.BinaryOut != nil {
-		return writeBinaryRecord(m.o.BinaryOut, mom)
-	}
-	return nil
 }
 
 // assign hands the worker its next block — an orphan first, then the
-// hand-out order — or, with none left, a stop. A worker the transport can
-// no longer reach is stopped all the same, or failed with its block
-// orphaned for the next live requester.
+// hand-out order. With none left it parks the worker while another holds a
+// block, which may yet come back orphaned; otherwise none can, and it stops
+// the worker and every parked one. A worker the transport can no longer
+// reach is stopped all the same, or failed with its block orphaned.
 func (m *master) assign(dst int, p *peer) {
 	bi := -1
 	if len(m.orphans) > 0 {
@@ -325,11 +310,19 @@ func (m *master) assign(dst int, p *peer) {
 		bi = m.order[m.next]
 		m.next++
 	}
+	p.due, p.parked = time.Time{}, false
 	if bi < 0 {
-		p.stopped = true
-		m.live--
-		p.due = time.Time{}
-		_ = m.ep.Send(dst, mp.TagStop, []float64{0})
+		if m.computing > 0 {
+			p.parked = true
+			return
+		}
+		for rank, q := range m.peers {
+			if q == p || q.parked {
+				q.stopped, q.parked = true, false
+				m.live--
+				_ = m.ep.Send(rank, mp.TagStop, []float64{0})
+			}
+		}
 		return
 	}
 	lo, hi := m.blocks[bi][0], m.blocks[bi][1]
@@ -368,7 +361,7 @@ func (m *master) fail(rank int) {
 	if p == nil || p.failed || p.stopped {
 		return
 	}
-	p.failed = true
+	p.failed, p.parked = true, false
 	m.live--
 	m.st.WorkerFailures++
 	m.failed = append(m.failed, rank)
@@ -378,6 +371,16 @@ func (m *master) fail(rank int) {
 		m.computing--
 		p.left = 0
 		m.orphans = append(m.orphans, p.block)
+		m.unpark()
+	}
+}
+
+// unpark hands the orphans to parked workers, lowest rank first.
+func (m *master) unpark() {
+	for rank := 0; rank < m.ep.Size() && len(m.orphans) > 0; rank++ {
+		if p := m.peers[rank]; p != nil && p.parked {
+			m.assign(rank, p)
+		}
 	}
 }
 
@@ -394,7 +397,8 @@ func (m *master) expire(now time.Time) {
 
 // probe waits for the next message, no longer than the earliest due one;
 // ok=false reports that it came due instead. run probes only while a worker
-// is live, and every live worker owes a message by its due time, so there
+// is live, every live worker but a parked one owes a message by its due
+// time, and a worker is parked only while another holds a block, so there
 // always is one.
 func (m *master) probe() (tag, src int, ok bool, err error) {
 	var due time.Time
@@ -455,9 +459,7 @@ func (m *master) recomputeLocal() error {
 			}
 			m.st.LocalModes++
 			observeMode(self, r.Seconds)
-			if err := m.accept(self, ik, r, packSummary(ik+1, r), packMoments(ik+1, r)); err != nil {
-				return err
-			}
+			m.accept(self, ik, r)
 		}
 	}
 	return nil

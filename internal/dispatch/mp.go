@@ -14,16 +14,15 @@ import (
 
 // MP is the message-passing backend: the paper's Appendix A master/worker
 // protocol over any mp.Endpoint transport, with the workers as goroutines
-// of this process running Worker (or remote processes running it on their
-// own endpoints). RunMaster drives the master, which recovers from lost
-// workers: a local worker that fails reports its death to it at once, a
-// remote one is failed when its MasterOptions.AssignDeadline runs out.
+// of this process running Worker; worker processes join a master through
+// internal/farm instead. RunMaster drives the master, which recovers from
+// lost workers: a worker that fails reports its death to it at once, one
+// that falls silent is failed when its MasterOptions.AssignDeadline runs
+// out.
 type MP struct {
 	Model *core.Model
 	// Endpoints[0] is the master's endpoint; a worker goroutine is
-	// spawned for every further endpoint. Remote workers in other OS
-	// processes join the same run by calling Worker on their own
-	// endpoints, in which case Endpoints holds only the master.
+	// spawned for every further endpoint.
 	Endpoints []mp.Endpoint
 	// BytesMoved, when set, reports the transport-level payload counter
 	// (e.g. chanmp.World.BytesMoved, which also sees master-to-worker
@@ -94,10 +93,11 @@ func (d *MP) Run(ctx context.Context, ks []float64, mode core.Params) (*Sweep, *
 
 // NewMP builds an MP dispatcher over a freshly created in-process world of
 // the named transport — "chan" (in-process goroutine nodes, the default),
-// "fifo" (the strict arrival-order MPL model) or "tcp" (loopback
-// connections to a listening master) — with the given number of workers
-// (<= 0: one). The returned cleanup closes the endpoints (and the tcp
-// listener) and must be called after the final Run.
+// "fifo" (the strict arrival-order MPL model) or "tcp" (a loopback
+// connection from each worker to the master, tcpmp.Loopback) — with the
+// given number of workers (<= 0: one). The returned cleanup closes the
+// endpoints (and the tcp connections) and must be called after the final
+// Run.
 func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error) {
 	if workers <= 0 {
 		workers = 1
@@ -122,24 +122,14 @@ func NewMP(model *core.Model, transport string, workers int) (*MP, func(), error
 		}
 		eps, bytes = e, world.BytesMoved
 	case "tcp":
-		// The master listens before any worker dials, and a join is answered
-		// at once, so the workers can dial one after another.
-		l, err := tcpmp.Listen("127.0.0.1:0", n)
+		world, hangup, err := tcpmp.Loopback(n)
 		if err != nil {
 			return nil, nil, err
 		}
-		eps = make([]mp.Endpoint, n)
-		for i := 1; i < n; i++ {
-			w, err := tcpmp.Dial(l.Addr())
-			if err != nil {
-				l.Close()
-				return nil, nil, err
-			}
-			eps[w.Rank()] = w
+		for _, ep := range world {
+			eps = append(eps, ep)
 		}
-		m := l.Accept()
-		eps[0], bytes = m, m.BytesMoved
-		closeWorld = func() { l.Close() }
+		bytes, closeWorld = world[0].BytesMoved, hangup
 	default:
 		return nil, nil, fmt.Errorf("dispatch: unknown transport %q", transport)
 	}

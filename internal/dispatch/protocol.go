@@ -6,7 +6,8 @@ package dispatch
 // assigns them (tag 3), workers return a 21-double summary block (tag 4)
 // followed by the full multipole block of 8+2(lmax+1) doubles (tag 5), and
 // the master answers each result with the next wavenumber or a stop message
-// (tag 6). The tags are mp's, next to the frame that carries them.
+// (tag 6), the stop held back while another worker's block may yet need
+// re-running. The tags are mp's, next to the frame that carries them.
 
 import (
 	"encoding/binary"
@@ -97,9 +98,6 @@ func parseAssign(a []float64, nk, lmaxCap int) (ik1, lmax, bsize int, err error)
 func Worker(ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params, scratch *core.Scratch) error {
 	master := ep.Master()
 	// Receive initial data (tag 1).
-	if _, _, err := ep.Probe(mp.TagInit, master); err != nil {
-		return fmt.Errorf("dispatch: worker init probe: %w", err)
-	}
 	init, err := ep.Recv(mp.TagInit, master)
 	if err != nil {
 		return fmt.Errorf("dispatch: worker init: %w", err)
@@ -118,19 +116,15 @@ func Worker(ep mp.Endpoint, model *core.Model, ks []float64, mode core.Params, s
 	for {
 		// Receive next assignment or stop (mychecktid pattern: any tag
 		// from the master).
-		tag, _, err := ep.Probe(mp.AnyTag, master)
+		m, err := ep.Recv(mp.AnyTag, master)
 		if err != nil {
 			return err
 		}
-		m, err := ep.Recv(tag, master)
-		if err != nil {
-			return err
-		}
-		if tag == mp.TagStop {
+		if m.Tag == mp.TagStop {
 			return nil
 		}
-		if tag != mp.TagAssign {
-			return fmt.Errorf("dispatch: worker got unexpected tag %d", tag)
+		if m.Tag != mp.TagAssign {
+			return fmt.Errorf("dispatch: worker got unexpected tag %d", m.Tag)
 		}
 		ik1, lmax, bsize, err := parseAssign(m.Data, len(ks), mode.LMax)
 		if err != nil {
@@ -353,6 +347,30 @@ func unpackResult(sum, mom []float64) (ik int, r *core.Result, err error) {
 	r.Stats.Steps = steps
 	r.Stats.Evals = evals
 	return ik, r, nil
+}
+
+// WriteRecords writes a finished sweep's unit_1 and unit_2 records, the
+// master's output files of Appendix A, one mode after another in grid
+// order: to unit1 the first 20 values of each mode's tag-4 block on one
+// line, to unit2 each tag-5 block as a length-prefixed little-endian
+// record. Either writer may be nil. The blocks are packed again from the
+// results, which gives back the ones a worker sent bit for bit, so a
+// sweep's records are the same whichever executor ran it, but for each
+// mode's CPU seconds.
+func WriteRecords(unit1, unit2 io.Writer, sw *Sweep) error {
+	for i, r := range sw.Results {
+		if unit1 != nil {
+			if err := writeASCIIRecord(unit1, packSummary(i+1, r)); err != nil {
+				return err
+			}
+		}
+		if unit2 != nil {
+			if err := writeBinaryRecord(unit2, packMoments(i+1, r)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // asciiRecordLen is the number of summary values printed per ASCII line

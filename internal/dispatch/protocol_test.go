@@ -175,21 +175,13 @@ func TestMasterWorkerFIFOTransport(t *testing.T) {
 }
 
 func TestMasterWorkerTCPTransport(t *testing.T) {
-	l, err := tcpmp.Listen("127.0.0.1:0", 3)
+	world, hangup, err := tcpmp.Loopback(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	eps := make([]mp.Endpoint, 3)
-	for i := 1; i < 3; i++ {
-		w, err := tcpmp.Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[w.Rank()] = w
-	}
-	m := l.Accept()
-	eps[0] = m
+	defer hangup()
+	eps := []mp.Endpoint{world[0], world[1], world[2]}
+	m := world[0]
 	res, _ := runParallel(t, eps, testKs()[:4], smallMode(), MasterOptions{})
 	for i, r := range res.Results {
 		if r == nil {
@@ -297,34 +289,48 @@ func TestMasterWorkerSources(t *testing.T) {
 	}
 }
 
+// TestOutputFiles: the unit_1 and unit_2 records of a sweep are the tag-4
+// and tag-5 blocks of its results packed again, one mode after another in
+// grid order, over every transport — whatever order the modes came in.
 func TestOutputFiles(t *testing.T) {
-	_, eps, err := chanmp.New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ascii bytes.Buffer
-	var bin bytes.Buffer
+	m := model(t)
 	ks := testKs()[:4]
-	runParallel(t, eps, ks, smallMode(), MasterOptions{ASCIIOut: &ascii, BinaryOut: &bin})
-	lines := strings.Split(strings.TrimSpace(ascii.String()), "\n")
-	if len(lines) != len(ks) {
-		t.Fatalf("ascii lines %d, want %d", len(lines), len(ks))
-	}
-	for _, ln := range lines {
-		if got := len(strings.Fields(ln)); got != 20 {
-			t.Fatalf("ascii record has %d fields, want the paper's 20", got)
+	for _, transport := range []string{"chan", "fifo", "tcp"} {
+		d, cleanup, err := NewMP(m, transport, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	recs, err := readBinaryRecords(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(ks) {
-		t.Fatalf("binary records %d, want %d", len(recs), len(ks))
-	}
-	for _, rec := range recs {
-		if len(rec) < momentsHeaderLen {
-			t.Fatal("truncated binary record")
+		sw, _, err := d.Run(context.Background(), ks, smallMode())
+		cleanup()
+		if err != nil {
+			t.Fatalf("%s: %v", transport, err)
+		}
+		var ascii, bin bytes.Buffer
+		if err := WriteRecords(&ascii, &bin, sw); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(ascii.String()), "\n")
+		recs, err := readBinaryRecords(&bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) != len(ks) || len(recs) != len(ks) {
+			t.Fatalf("%s: %d ascii lines and %d binary records, want %d each", transport, len(lines), len(recs), len(ks))
+		}
+		for i, r := range sw.Results {
+			var want bytes.Buffer
+			if err := writeASCIIRecord(&want, packSummary(i+1, r)); err != nil {
+				t.Fatal(err)
+			}
+			if lines[i]+"\n" != want.String() {
+				t.Fatalf("%s: ascii record %d is %q, want %q", transport, i, lines[i], want.String())
+			}
+			if got := len(strings.Fields(lines[i])); got != asciiRecordLen {
+				t.Fatalf("%s: ascii record has %d fields, want the paper's 20", transport, got)
+			}
+			if !sameBits(recs[i], packMoments(i+1, r)) {
+				t.Fatalf("%s: binary record %d is not the tag-5 block of mode %d", transport, i, i+1)
+			}
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"plinger/internal/core"
 	"plinger/internal/dispatch"
 )
 
@@ -158,6 +159,64 @@ func TestChaosKillMidSweepAndBetweenSweeps(t *testing.T) {
 	}
 	if st.Alive != fleet {
 		t.Fatalf("fleet did not heal: %+v", st)
+	}
+}
+
+// TestChaosKillAtDefaultBudgetReportsDeath: under the default 30 s silence
+// budget, one of two plingerw processes is SIGKILLed mid-sweep. Its dropped
+// connection reports the death to the master at once, so the sweep ends
+// within 10 s — the budget never ran out — bitwise equal to the pool's.
+func TestChaosKillAtDefaultBudgetReportsDeath(t *testing.T) {
+	if workerBin == "" {
+		t.Skip("plingerw binary unavailable")
+	}
+	s, err := New(Options{
+		Workers:     2,
+		WorkerBin:   workerBin,
+		workerArgs:  []string{"-quiet"},
+		MinWorkers:  2,
+		WaitWorkers: 15 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	waitAlive(t, s, 2)
+	ks := chaosKs()
+	mode := core.Params{LMax: 40, Gauge: core.Synchronous}
+	ref := poolReference(t, ks, mode)
+
+	killed := make(chan int, 1)
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			for _, w := range s.Status().Workers {
+				if w.State == "sweeping" && syscall.Kill(w.PID, syscall.SIGKILL) == nil {
+					killed <- w.PID
+					return
+				}
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		killed <- 0
+	}()
+	start := time.Now()
+	sw, st, err := s.Sweep(context.Background(), testModel(t), ks, mode, false)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pid := <-killed; pid == 0 {
+		t.Fatal("no sweeping worker process to kill")
+	}
+	if st.WorkerFailures != 1 || st.DeadlineMisses != 0 {
+		t.Fatalf("WorkerFailures %d, DeadlineMisses %d; want the one kill, reported by its connection", st.WorkerFailures, st.DeadlineMisses)
+	}
+	if took > 10*time.Second {
+		t.Fatalf("sweep took %v: the kill waited out the silence budget", took)
+	}
+	for i := range ref.Results {
+		sameResult(t, fmt.Sprintf("mode %d", i), sw.Results[i], ref.Results[i])
 	}
 }
 

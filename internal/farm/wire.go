@@ -3,19 +3,21 @@
 // from other hosts), keeps them alive with heartbeats and supervised
 // restarts, and serves sweeps over them through the paper's Appendix-A
 // protocol (internal/dispatch: RunMaster here, Worker in each plingerw) with
-// the master's fault tolerance armed.
+// the master's fault tolerance armed. Its registration is the one way a
+// worker process joins a master: plingerd's fleet and a
+// `plinger -transport tcp` run alike.
 //
-// Where a tcpmp world is fixed — sized up front, one run consumes it — the
-// farm is a long-lived dynamic world: workers join and leave between
-// sweeps, a worker lost mid-sweep is failed by the master and REJOINS for
-// the next sweep when its process reconnects, and spawned workers that
-// crash are restarted under a rate-limited budget. Capacity self-heals
-// instead of ratcheting down.
+// The farm is a long-lived dynamic world: workers join and leave between
+// sweeps, a worker lost mid-sweep is reported to the master the moment its
+// connection drops and REJOINS for the next sweep when its process
+// reconnects, and spawned workers that crash are restarted under a
+// rate-limited budget. Capacity self-heals instead of ratcheting down.
 //
 // A sweep's Appendix-A messages cross each worker's one connection through
-// tcpmp endpoints, as tcpmp data frames, exactly as in a tcpmp world; the
-// farm adds only its control frames (hello/welcome, ping/pong, sweep
-// begin/done, drain), mp frames of the other kinds with JSON payloads.
+// tcpmp endpoints, as tcpmp data frames, exactly as in tcpmp's loopback
+// world; the farm adds only its control frames (hello/welcome, ping/pong,
+// sweep begin/done, drain), mp frames of the other kinds with JSON
+// payloads.
 // A sweep's begin frame carries every exported field of core.Params but K;
 // core's unexported test hooks (the integrator override among them) never
 // cross it, so a worker always evolves with the default numerics.
@@ -39,8 +41,8 @@ import (
 	"plinger/internal/mp/tcpmp"
 )
 
-// farmMagic opens every farm connection ("PLFM"), distinguishing the farm
-// protocol from a tcpmp join ("PLNG") on the wire.
+// farmMagic opens every farm connection ("PLFM"): a dialer that opens with
+// anything else is closed at its first word.
 const farmMagic = 0x504c464d
 
 // protocolVersion is bumped on any incompatible frame-format change; the

@@ -187,13 +187,6 @@ func (e *Endpoint) Bcast(tag int, data []float64) error {
 	return e.Endpoint.Bcast(tag, data)
 }
 
-func (e *Endpoint) Probe(tag, source int) (int, int, error) {
-	if _, err := e.gate(false, false); err != nil {
-		return 0, 0, err
-	}
-	return e.Endpoint.Probe(tag, source)
-}
-
 func (e *Endpoint) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
 	if _, err := e.gate(false, false); err != nil {
 		return 0, 0, false, err

@@ -119,8 +119,8 @@ func TestKillAfterAssign(t *testing.T) {
 	if err := f.Send(0, 4, []float64{1}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("send on killed endpoint: %v", err)
 	}
-	if _, _, err := f.Probe(mp.AnyTag, mp.AnySource); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("probe on killed endpoint: %v", err)
+	if err := f.Bcast(4, []float64{1}); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("bcast on killed endpoint: %v", err)
 	}
 	if _, _, _, err := f.ProbeTimeout(mp.AnyTag, mp.AnySource, time.Millisecond); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("timed probe on killed endpoint: %v", err)

@@ -3,13 +3,14 @@
 // initpass, endpass, mybcastreal, mysendreal, mycheckany, mycheckone,
 // mychecktid and myrecvreal — implemented on PVM, MPI, MPL and PVMe. This
 // package defines the same abstraction as the Endpoint interface, with the
-// same probe/receive semantics (blocking probes that match on message tag
-// and/or source, FIFO delivery per (source, tag) pair, exactly MPI_PROBE +
-// MPI_RECV), over interchangeable transports:
+// same matching semantics (receives and probes that match on message tag
+// and/or source, FIFO delivery per (source, tag) pair, as MPI_RECV and
+// MPI_IPROBE), over interchangeable transports:
 //
 //   - chanmp: in-process goroutine "nodes" (shared-memory MPI analogue)
-//   - tcpmp:  TCP connections from each worker to a listening master,
-//     between OS processes (or in-process endpoints, for tests)
+//   - tcpmp:  a TCP connection from each worker to the master — in one
+//     process over loopback, or between OS processes through
+//     internal/farm
 //   - fifomp: a strict arrival-order transport modelling the MPL
 //     restriction noted in Section 4 ("MPL requires that messages be
 //     received in the order in which they arrive")
@@ -50,7 +51,7 @@ type Message struct {
 // per-connection write mutex): Send may be called from other goroutines
 // beside the owner's, and a Send to the endpoint's own rank is delivered
 // to its own mailbox — how a death report reaches a probing master (see
-// TagDown). Probe and Recv block until a matching message arrives.
+// TagDown). Recv blocks until a matching message arrives.
 type Endpoint interface {
 	// Rank returns this process's ID (the paper's mytid).
 	Rank() int
@@ -64,20 +65,19 @@ type Endpoint interface {
 	Bcast(tag int, data []float64) error
 	// Send sends data with the given tag to one process (mysendreal).
 	Send(dst, tag int, data []float64) error
-	// Probe blocks until a message matching (tag, source) is available and
-	// returns its actual tag and source without consuming it. Use AnyTag
-	// and AnySource for wildcards; this single routine realizes
-	// mycheckany (AnyTag, AnySource), mycheckone (tag, src) and
-	// mychecktid (AnyTag, src).
-	Probe(tag, source int) (gotTag, gotSource int, err error)
-	// ProbeTimeout is Probe that gives up once d has elapsed with no
-	// matching message, returning ok=false: the call behind the
+	// ProbeTimeout waits until a message matching (tag, source) is
+	// available and returns its actual tag and source without consuming
+	// it, or gives up once d has elapsed with none, returning ok=false: the
+	// master's mycheckany (AnyTag, AnySource), bounded so that the
 	// fault-tolerant master, which the paper's wrappers lack (its protocol
-	// "has no fault tolerance"). err is reserved for real failures (closed
-	// endpoint, strict-FIFO mismatch); a timeout is not an error.
+	// "has no fault tolerance"), sees a silent worker. err is reserved for
+	// real failures (closed endpoint, strict-FIFO mismatch); a timeout is
+	// not an error.
 	ProbeTimeout(tag, source int, d time.Duration) (gotTag, gotSource int, ok bool, err error)
-	// Recv consumes and returns the first message matching (tag, source)
-	// (myrecvreal).
+	// Recv blocks until a message matching (tag, source) is available,
+	// then consumes and returns it (myrecvreal). Use AnyTag and AnySource
+	// for wildcards: a worker's Recv(AnyTag, master) is the paper's
+	// mychecktid and myrecvreal in one call.
 	Recv(tag, source int) (Message, error)
 	// Close leaves the message-passing world (endpass).
 	Close() error
@@ -165,22 +165,12 @@ func (q *Queue) find(op string, tag, source int) (int, error) {
 	return -1, nil
 }
 
-// Probe blocks until a matching message is present, returning its tag and
-// source without removing it.
-func (q *Queue) Probe(tag, source int) (int, int, error) {
-	gotTag, gotSource, _, err := q.probe(tag, source, time.Time{})
-	return gotTag, gotSource, err
-}
-
-// ProbeTimeout is Probe with a deadline: it returns ok=false when d elapses
-// before a matching message arrives. The timeout wakes the wait through the
-// queue's own condition variable, so no polling loop spins while waiting.
+// ProbeTimeout waits for a matching message, no longer than d, and returns
+// its tag and source without removing it; ok=false reports that d elapsed
+// first. The timeout wakes the wait through the queue's own condition
+// variable, so no polling loop spins while waiting.
 func (q *Queue) ProbeTimeout(tag, source int, d time.Duration) (int, int, bool, error) {
-	return q.probe(tag, source, time.Now().Add(d))
-}
-
-// probe waits for a matching message until deadline (zero: forever).
-func (q *Queue) probe(tag, source int, deadline time.Time) (int, int, bool, error) {
+	deadline := time.Now().Add(d)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -193,10 +183,6 @@ func (q *Queue) probe(tag, source int, deadline time.Time) (int, int, bool, erro
 		}
 		if q.closed {
 			return 0, 0, false, ErrClosed
-		}
-		if deadline.IsZero() {
-			q.cond.Wait()
-			continue
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {

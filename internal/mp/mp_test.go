@@ -52,9 +52,9 @@ func TestQueueFIFOPerSourceTag(t *testing.T) {
 func TestProbeDoesNotConsume(t *testing.T) {
 	q := NewQueue()
 	q.Push(Message{Tag: 4, Source: 2})
-	tag, src, err := q.Probe(AnyTag, AnySource)
-	if err != nil || tag != 4 || src != 2 {
-		t.Fatalf("Probe = (%d,%d,%v)", tag, src, err)
+	tag, src, ok, err := q.ProbeTimeout(AnyTag, AnySource, time.Second)
+	if err != nil || !ok || tag != 4 || src != 2 {
+		t.Fatalf("ProbeTimeout = (%d,%d,%v,%v)", tag, src, ok, err)
 	}
 	if q.Len() != 1 {
 		t.Fatal("probe consumed the message")
@@ -113,7 +113,7 @@ func TestStrictFIFOMatchesOnlyHead(t *testing.T) {
 	q.Push(Message{Tag: 2, Source: 0})
 	// Probing for tag 2 while tag 1 is at the head is an MPL ordering
 	// violation and must error, not silently match.
-	if _, _, err := q.Probe(2, AnySource); err == nil {
+	if _, _, _, err := q.ProbeTimeout(2, AnySource, time.Second); err == nil {
 		t.Fatal("strict FIFO probe skipped the head")
 	}
 	if _, err := q.Recv(2, AnySource); err == nil {

@@ -4,11 +4,10 @@ package tcpmp
 // change to how frames are built cannot move them unnoticed. A data frame is
 // three little-endian int32 words — KindData, the tag, the payload's length
 // in bytes — then the little-endian doubles. The master and a worker write it
-// alike, in a tcp world and in a farm, which sends through the same
+// alike, in a loopback world and in a farm, which sends through the same
 // endpoints.
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"math"
@@ -30,8 +29,6 @@ const (
 	// goldenRaw is a frame a raw worker sends: tag 4, {-2.25, 1}.
 	goldenRaw = "07000000" + "04000000" + "10000000" +
 		"00000000000002c0" + "000000000000f03f"
-	// goldenJoin is the master's answer to a join: rank 1 of 2.
-	goldenJoin = "01000000" + "02000000"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -77,32 +74,19 @@ func TestGoldenFrameAsSendWritesIt(t *testing.T) {
 	}
 }
 
-// TestGoldenJoinThroughListener joins a raw socket to a real listener as rank
-// 1: it is answered with its rank and the world size, the master's frame to it
-// arrives as the golden bytes, and the frame it writes reaches the master's
-// mailbox as the message it encodes, counted in both directions.
-func TestGoldenJoinThroughListener(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", 2)
+// TestGoldenFrameThroughLoopback writes the golden bytes raw on a loopback
+// worker's socket: they reach the master's mailbox as the message they
+// encode. The master's Send of goldenData reaches the worker bit for bit,
+// and both ends count the payload bytes of both directions they took part
+// in.
+func TestGoldenFrameThroughLoopback(t *testing.T) {
+	eps, hangup, err := Loopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	raw, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if err := binary.Write(raw, binary.LittleEndian, uint32(magic)); err != nil {
-		t.Fatal(err)
-	}
-	readHex(t, raw, goldenJoin)
-	m := l.Accept()
-	if err := m.Send(1, 5, goldenData); err != nil {
-		t.Fatal(err)
-	}
-	readHex(t, raw, goldenSend)
-
-	if _, err := raw.Write(mustHex(t, goldenRaw)); err != nil {
+	defer hangup()
+	m, w := eps[0], eps[1]
+	if _, err := w.conns[0].Write(mustHex(t, goldenRaw)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := m.Recv(4, mp.AnySource)
@@ -112,7 +96,18 @@ func TestGoldenJoinThroughListener(t *testing.T) {
 	if msg.Tag != 4 || msg.Source != 1 || len(msg.Data) != 2 || msg.Data[0] != -2.25 || msg.Data[1] != 1 {
 		t.Fatalf("master received %+v, want tag 4 from 1 with {-2.25, 1}", msg)
 	}
-	if m.BytesMoved() != 24+16 {
-		t.Fatalf("master counted %d payload bytes, want 40", m.BytesMoved())
+
+	if err := m.Send(1, 5, goldenData); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Recv(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(mp.EncodeFloats(got.Data)) != goldenSend[24:] {
+		t.Fatalf("worker received %v, want the golden doubles bit for bit", got.Data)
+	}
+	if m.BytesMoved() != 16+24 || w.BytesMoved() != 24 {
+		t.Fatalf("master counted %d payload bytes, worker %d; want 40 and 24", m.BytesMoved(), w.BytesMoved())
 	}
 }

@@ -1,20 +1,18 @@
-// Package tcpmp is the distributed transport: a star of TCP connections
-// around the master. The master listens for a world of fixed size; each
-// worker dials it, presents the magic word and is told its rank and the
-// world size, in join order. From then on every Appendix-A message crosses
-// the worker's one connection as a data frame: KindData, the tag, the
-// payload's length in bytes, then its little-endian doubles. Appendix A
-// never sends from one worker to another, so nothing is relayed. Endpoints
-// may live in one OS process (tests, dispatch.NewMP) or in many
-// (cmd/plinger -role master|worker), which is how the paper's code ran
-// across the nodes of the SP2.
+// Package tcpmp is the socket transport: a star of TCP connections around
+// the master. Every Appendix-A message crosses a worker's one connection as
+// a data frame: KindData, the tag, the payload's length in bytes, then its
+// little-endian doubles. Appendix A never sends from one worker to another,
+// so nothing is relayed.
 //
-// internal/farm carries its sweeps through the same Endpoint and the same
-// data frame, beside its control frames on the same connection.
+// Worker processes reach a master only through internal/farm, whose
+// registration checks the worker's build and whose sweeps carry their
+// messages through these endpoints and this data frame, beside the farm's
+// control frames on the same connection. Loopback builds the same star
+// inside one process (dispatch.NewMP's "tcp" world), which is how the
+// benchmark weighs the socket against the in-process transports.
 package tcpmp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -24,16 +22,9 @@ import (
 	"plinger/internal/mp"
 )
 
-const magic = 0x504c4e47 // "PLNG"
-
 // KindData is the first header word of a data frame: one Appendix-A message,
 // the tag in the second word.
 const KindData = int32(7)
-
-// joinTimeout bounds a join on both sides: a dialer that has not presented
-// the magic word by then is closed, at the cost of its own connection only.
-// Variable so the tests can shrink it.
-var joinTimeout = 10 * time.Second
 
 // writeTimeout bounds every frame write: a peer whose TCP buffer stopped
 // draining (a wedged process, a dead link before the RST) costs the writer
@@ -134,135 +125,66 @@ func (e *Endpoint) Deliver(src int, tag int32, payload []byte) error {
 // BytesMoved returns the payload bytes of the data frames sent and received.
 func (e *Endpoint) BytesMoved() int64 { return e.bytes.Load() }
 
-// Listener is the master's side of a world of fixed size: it admits the
-// first workers to join, up to the size, and closes every later dialer.
-type Listener struct {
-	ln      net.Listener
-	master  *Endpoint
-	timeout time.Duration // the join timeout, fixed when the listener starts
-
-	mu   sync.Mutex
-	next int           // the rank the next join takes
-	full chan struct{} // closed once every rank is taken
-}
-
-// Listen starts the master of a world of n processes, listening on addr
-// ("127.0.0.1:0" for an ephemeral port).
-func Listen(addr string, n int) (*Listener, error) {
+// Loopback builds a world of n endpoints in this process, each worker tied
+// to the master by its own loopback TCP connection. Rank r is the r-th
+// connection the master dials to itself, so nothing but data frames ever
+// crosses one. A worker's mailbox closes once its connection ends or
+// carries anything but a data frame; hangup closes the master's side of
+// every connection, which ends the world.
+func Loopback(n int) (eps []*Endpoint, hangup func(), err error) {
 	if n < 1 {
-		return nil, fmt.Errorf("tcpmp: need at least one process, got %d", n)
+		return nil, nil, fmt.Errorf("tcpmp: need at least one process, got %d", n)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("tcpmp: listen: %w", err)
+		return nil, nil, fmt.Errorf("tcpmp: listen: %w", err)
 	}
-	l := newListener(n)
-	l.ln = ln
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
+	defer ln.Close()
+	conns := make([]*Conn, n)
+	master := NewEndpoint(0, n, conns)
+	hangup = func() {
+		for _, c := range conns[1:] {
+			if c != nil {
+				c.Close()
 			}
-			go l.join(c)
 		}
-	}()
-	return l, nil
+	}
+	eps = []*Endpoint{master}
+	for rank := 1; rank < n; rank++ {
+		d, a, err := dialSelf(ln)
+		if err != nil {
+			hangup()
+			return nil, nil, err
+		}
+		conns[rank] = &Conn{Conn: a}
+		w := NewEndpoint(rank, n, []*Conn{{Conn: d}})
+		eps = append(eps, w)
+		go func() {
+			readData(a, func(tag int32, payload []byte) error { return master.Deliver(rank, tag, payload) })
+			a.Close()
+		}()
+		go func() {
+			readData(d, func(tag int32, payload []byte) error { return w.Deliver(0, tag, payload) })
+			w.Close()
+			d.Close()
+		}()
+	}
+	return eps, hangup, nil
 }
 
-func newListener(n int) *Listener {
-	l := &Listener{
-		master:  NewEndpoint(0, n, make([]*Conn, n)),
-		timeout: joinTimeout,
-		next:    1,
-		full:    make(chan struct{}),
+// dialSelf dials ln and accepts that connection: the dialed end, then the
+// accepted one. A stranger that reached ln first is an error, not a rank.
+func dialSelf(ln net.Listener) (d, a net.Conn, err error) {
+	if d, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		return nil, nil, fmt.Errorf("tcpmp: dial: %w", err)
 	}
-	if n == 1 {
-		close(l.full)
-	}
-	return l
-}
-
-// Addr returns the address workers dial.
-func (l *Listener) Addr() string { return l.ln.Addr().String() }
-
-// Accept waits until every worker has joined and returns the master's
-// endpoint.
-func (l *Listener) Accept() *Endpoint {
-	<-l.full
-	return l.master
-}
-
-// Close stops listening and closes every worker's connection.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	for _, c := range l.master.conns[1:l.next] {
-		c.Close()
-	}
-	l.mu.Unlock()
-	return l.ln.Close()
-}
-
-// join admits one dialer and then reads its data frames into the master's
-// mailbox. A dialer that does not present the magic word within the join
-// timeout, or comes once the world is full, costs only its own connection.
-func (l *Listener) join(c net.Conn) {
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(l.timeout))
-	var m uint32
-	if binary.Read(c, binary.LittleEndian, &m) != nil || m != magic {
-		return
-	}
-	if rank := l.admit(c); rank > 0 {
-		c.SetDeadline(time.Time{})
-		readData(c, func(tag int32, payload []byte) error { return l.master.Deliver(rank, tag, payload) })
-	}
-}
-
-// admit tells c the next rank and the world size and files its connection
-// under that rank. It returns the rank, or 0 when c was not admitted.
-func (l *Listener) admit(c net.Conn) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rank, n := l.next, l.master.size
-	if rank == n || binary.Write(c, binary.LittleEndian, []int32{int32(rank), int32(n)}) != nil {
-		return 0
-	}
-	l.master.conns[rank] = &Conn{Conn: c}
-	if l.next++; l.next == n {
-		close(l.full)
-	}
-	return rank
-}
-
-// Dial joins the world whose master listens at addr and returns this
-// worker's endpoint. Its mailbox is filled from the connection until the
-// connection ends or carries anything but a data frame; then both close.
-func Dial(addr string) (*Endpoint, error) {
-	c, err := net.DialTimeout("tcp", addr, joinTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("tcpmp: dial: %w", err)
-	}
-	c.SetDeadline(time.Now().Add(joinTimeout))
-	var hdr [2]int32
-	err = binary.Write(c, binary.LittleEndian, uint32(magic))
-	if err == nil {
-		err = binary.Read(c, binary.LittleEndian, hdr[:])
-	}
-	if err == nil && (hdr[0] < 1 || hdr[0] >= hdr[1]) {
-		err = fmt.Errorf("rank %d of %d", hdr[0], hdr[1])
+	if a, err = ln.Accept(); err == nil && a.RemoteAddr().String() != d.LocalAddr().String() {
+		a.Close()
+		err = fmt.Errorf("connection from %s", a.RemoteAddr())
 	}
 	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("tcpmp: join %s: %w", addr, err)
+		d.Close()
+		return nil, nil, fmt.Errorf("tcpmp: accept: %w", err)
 	}
-	c.SetDeadline(time.Time{})
-	conn := &Conn{Conn: c}
-	e := NewEndpoint(int(hdr[0]), int(hdr[1]), []*Conn{conn})
-	go func() {
-		readData(c, func(tag int32, payload []byte) error { return e.Deliver(0, tag, payload) })
-		e.Close()
-		c.Close()
-	}()
-	return e, nil
+	return d, a, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"plinger/internal/mp"
 	"plinger/internal/mp/chanmp"
@@ -31,20 +32,15 @@ func worlds(t *testing.T) map[string]func(n int) []mp.Endpoint {
 			return eps
 		},
 		"tcpmp": func(n int) []mp.Endpoint {
-			l, err := tcpmp.Listen("127.0.0.1:0", n)
+			world, hangup, err := tcpmp.Loopback(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { l.Close() })
+			t.Cleanup(hangup)
 			eps := make([]mp.Endpoint, n)
-			for i := 1; i < n; i++ {
-				w, err := tcpmp.Dial(l.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				eps[w.Rank()] = w
+			for i, ep := range world {
+				eps[i] = ep
 			}
-			eps[0] = l.Accept()
 			return eps
 		},
 	}
@@ -146,12 +142,12 @@ func TestProbeIdentifiesSender(t *testing.T) {
 			if err := eps[2].Send(0, 4, []float64{1, 2}); err != nil {
 				t.Fatal(err)
 			}
-			tag, src, err := eps[0].Probe(mp.AnyTag, mp.AnySource)
+			tag, src, ok, err := eps[0].ProbeTimeout(mp.AnyTag, mp.AnySource, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tag != 4 || src != 2 {
-				t.Fatalf("probe = (%d, %d)", tag, src)
+			if !ok || tag != 4 || src != 2 {
+				t.Fatalf("probe = (%d, %d, %v)", tag, src, ok)
 			}
 			m, err := eps[0].Recv(tag, src)
 			if err != nil || len(m.Data) != 2 {
@@ -162,7 +158,8 @@ func TestProbeIdentifiesSender(t *testing.T) {
 }
 
 // The paper's master loop probes for any message, then receives by the
-// revealed (tag, source). Exercise that exact pattern under concurrency.
+// revealed (tag, source). Exercise that exact pattern under concurrency,
+// through the timed probe the fault-tolerant master uses.
 func TestMasterWorkerProbePattern(t *testing.T) {
 	for name, mk := range worlds(t) {
 		t.Run(name, func(t *testing.T) {
@@ -189,9 +186,9 @@ func TestMasterWorkerProbePattern(t *testing.T) {
 			}
 			counts := map[int]int{}
 			for recvd := 0; recvd < nw*10; recvd++ {
-				tag, src, err := eps[0].Probe(mp.AnyTag, mp.AnySource)
-				if err != nil {
-					t.Fatal(err)
+				tag, src, ok, err := eps[0].ProbeTimeout(mp.AnyTag, mp.AnySource, 5*time.Second)
+				if err != nil || !ok {
+					t.Fatalf("probe: %v, %v", ok, err)
 				}
 				m, err := eps[0].Recv(tag, src)
 				if err != nil {

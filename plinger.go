@@ -826,14 +826,15 @@ type ParallelOptions struct {
 	Gauge Gauge
 	RTol  float64
 	// Transport selects the mp transport: "chan" (default, in-process),
-	// "fifo" (strict arrival-order, the MPL model) or "tcp" (loopback
-	// connections from each worker to a listening master, PVM-style).
+	// "fifo" (strict arrival-order, the MPL model) or "tcp" (a loopback
+	// connection from each worker to the master, PVM-style).
 	Transport string
 	// AdaptLMax reduces the hierarchy cutoff per wavenumber via the
 	// paper's k tau_0 criterion, shrinking both CPU time and messages
 	// for small k.
 	AdaptLMax bool
-	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs.
+	// ASCIIOut and BinaryOut receive the unit_1/unit_2 style outputs, one
+	// record per wavenumber in KValues order (dispatch.WriteRecords).
 	ASCIIOut, BinaryOut io.Writer
 }
 
@@ -887,9 +888,11 @@ func (m *Model) RunParallel(o ParallelOptions) (*ParallelRun, error) {
 	}
 	defer cleanup()
 	d.AdaptLMax = o.AdaptLMax
-	d.ASCIIOut, d.BinaryOut = o.ASCIIOut, o.BinaryOut
 	sw, st, err := d.Run(context.Background(), o.KValues, mode)
 	if err != nil {
+		return nil, err
+	}
+	if err := dispatch.WriteRecords(o.ASCIIOut, o.BinaryOut, sw); err != nil {
 		return nil, err
 	}
 	out := &ParallelRun{
